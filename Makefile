@@ -15,10 +15,13 @@ PERF_SMOKE_FLAGS ?=
 # JSON) land here instead of the repo root; the directory is gitignored.
 OUT_DIR := benchmarks/out
 
-.PHONY: test bench perf perf-smoke faults-smoke dynamic-smoke artifacts-smoke hashseed-smoke invariants lint typecheck experiments fabric fabric-merge ci
+.PHONY: test bench-selftest bench perf perf-smoke faults-smoke dynamic-smoke artifacts-smoke hashseed-smoke invariants lint typecheck experiments fabric fabric-merge ci
 
 test:  ## tier-1 test suite
 	$(PYTHONPATH_SRC) $(PYTHON) -m pytest -x -q
+
+bench-selftest:  ## derandbench self-tests: expected digests and the golden file
+	$(PYTHON) -m pytest derandbench -q
 
 bench:  ## full benchmark/experiment suite (pytest-benchmark)
 	$(PYTHONPATH_SRC) $(PYTHON) -m pytest benchmarks/ --benchmark-only -s
@@ -79,4 +82,4 @@ fabric-merge:  ## fold the fabric store into the canonical merged artifact
 	$(PYTHONPATH_SRC) $(PYTHON) -m repro.experiments fabric merge \
 		$(OUT_DIR)/FABRIC_results.jsonl --out $(OUT_DIR)/RESULTS_experiments.json
 
-ci: lint typecheck invariants test faults-smoke dynamic-smoke artifacts-smoke hashseed-smoke perf-smoke  ## exactly what .github/workflows/ci.yml runs
+ci: lint typecheck invariants test bench-selftest faults-smoke dynamic-smoke artifacts-smoke hashseed-smoke perf-smoke  ## exactly what .github/workflows/ci.yml runs

@@ -72,9 +72,10 @@ from repro.artifacts.specs import (  # noqa: E402
     views_spec,
 )
 from repro.artifacts.store import ArtifactStore  # noqa: E402
+from repro.core.practical import quotient_from_view  # noqa: E402
 from repro.views.local_views import ViewBuilder, all_views, view_builder  # noqa: E402
 from repro.views.refinement import color_refinement  # noqa: E402
-from repro.views.view_tree import clear_caches, intern_stats  # noqa: E402
+from repro.views.view_tree import ViewTree, clear_caches, intern_stats  # noqa: E402
 
 DEFAULT_OUTPUT = REPO_ROOT / "benchmarks" / "BENCH_views.json"
 GUARD_BENCH = "views_cycle"
@@ -133,6 +134,15 @@ DYNAMIC_NS = [256, 1024]
 DYNAMIC_CHURN_RATES = [0.01, 0.05]
 DYNAMIC_VIEW_DEPTH = 6
 DYNAMIC_SPEEDUP_FLOORS = {"dynamic_views_cycle/1024@1%": 5.0}
+
+# Quotient reconstruction gate: the n ``quotient_from_view`` calls over
+# ``all_views(2n+2)`` of a 2-hop colored cycle (the deterministic stage's
+# per-node reconstruction) must beat the embedded pre-drop-chain
+# reference (recursive truncate + all-pairs alias scan, below) by the
+# floor at n=64.  Both sides run in one invocation, each from cleared
+# intern tables, so the speedup is gated live like the dynamic section.
+RECONSTRUCT_NS = [32, 64]
+RECONSTRUCT_SPEEDUP_FLOORS = {"reconstruct_cycle/64": 5.0}
 
 
 def _colored(graph):
@@ -465,6 +475,118 @@ def run_dynamic_benches(repeats: int) -> dict:
     return {"speedup_floors": DYNAMIC_SPEEDUP_FLOORS, "rows": rows}
 
 
+def _reference_truncate(tree, depth, memo):
+    """Pre-drop-chain truncation: recurse through every child, memoised
+    per (tree, depth) — O(n^3) table entries over a node's views."""
+    if tree.depth <= depth:
+        return tree
+    key = (id(tree), depth)
+    result = memo.get(key)
+    if result is None:
+        if depth == 1:
+            result = ViewTree.leaf(tree.mark)
+        else:
+            result = ViewTree.make(
+                tree.mark, [_reference_truncate(c, depth - 1, memo) for c in tree.children]
+            )
+        memo[key] = result
+    return result
+
+
+def _reference_quotient_edges(view, radius, memo):
+    """Pre-change ``quotient_from_view`` alias collection and matching:
+    the same aliases and edges, matched by scanning every alias."""
+    aliases = []
+    seen_alias = set()
+    best_level = {}
+    frontier = [(view, 1)]
+    while frontier:
+        tree, level = frontier.pop()
+        if best_level.get(id(tree), radius + 1) <= level:
+            continue
+        best_level[id(tree)] = level
+        alias = _reference_truncate(tree, radius, memo)
+        if id(alias) not in seen_alias:
+            seen_alias.add(id(alias))
+            aliases.append(alias)
+        if level < radius:
+            for child in tree.children:
+                frontier.append((child, level + 1))
+    aliases.sort(key=lambda t: t.sort_key())
+    edges = set()
+    for i, alias in enumerate(aliases):
+        for child in alias.children:
+            (j,) = [
+                k
+                for k, other in enumerate(aliases)
+                if _reference_truncate(other, max(1, radius - 1), memo) is child
+            ]
+            edges.add((min(i, j), max(i, j)))
+    return edges
+
+
+def _reference_reconstruct(views, graph):
+    memo = {}
+    return [_reference_quotient_edges(views[v], graph.num_nodes, memo) for v in graph.nodes]
+
+
+def _current_reconstruct(views, graph):
+    return [quotient_from_view(views[v], graph.num_nodes, graph.layer_names) for v in graph.nodes]
+
+
+def _time_reconstruction(graph, rebuild):
+    """Seconds ``rebuild(views, graph)`` takes on freshly built
+    depth-(2n+2) views (intern tables cleared, views built untimed)."""
+    clear_caches()
+    views = all_views(graph, 2 * graph.num_nodes + 2)
+    start = time.perf_counter()
+    result = rebuild(views, graph)
+    return time.perf_counter() - start, result
+
+
+def run_reconstruct_benches(repeats: int) -> dict:
+    """Per-node quotient reconstruction vs the embedded pre-change
+    reference, on 2-hop colored cycles.
+
+    Each sample clears the intern tables and builds the depth-(2n+2)
+    views untimed, then times the n reconstructions.  The reference is
+    checked to produce the same edges, so both sides do the same job.
+    """
+    rows = []
+    samples_per_side = min(repeats, 3)  # the reference side takes seconds
+    for n in RECONSTRUCT_NS:
+        graph = _colored(with_uniform_input(cycle_graph(n)))
+        current, reference = [], []
+        for _ in range(samples_per_side):
+            elapsed, rebuilt = _time_reconstruction(graph, _current_reconstruct)
+            current.append(elapsed)
+            current_edges = [set(q.edges()) for q in rebuilt]
+            elapsed, reference_edges = _time_reconstruction(graph, _reference_reconstruct)
+            reference.append(elapsed)
+            if current_edges != reference_edges:
+                raise RuntimeError(f"reconstruct_cycle/{n}: reference edges differ")
+        current_best, reference_best = min(current), min(reference)
+        rows.append(
+            {
+                "bench": "reconstruct_cycle",
+                "n": n,
+                "current": {
+                    "best_s": current_best,
+                    "median_s": statistics.median(current),
+                    "repeats": samples_per_side,
+                },
+                "reference": {
+                    "best_s": reference_best,
+                    "median_s": statistics.median(reference),
+                    "repeats": samples_per_side,
+                },
+                "speedup": round(reference_best / current_best, 2),
+            }
+        )
+    clear_caches()
+    return {"speedup_floors": RECONSTRUCT_SPEEDUP_FLOORS, "rows": rows}
+
+
 def run_suite(quick: bool, repeats: int) -> dict:
     view_ns = [8, 16, 32, 64] if quick else [8, 16, 32, 64, 96, 128]
     refine_ns = [16, 64, 128] if quick else [16, 64, 128, 256, 512]
@@ -568,8 +690,10 @@ def run_suite(quick: bool, repeats: int) -> dict:
         # section (cold-miss vs warm-hit artifact-service latency with a
         # live warm/cold ratio floor); 6 = ``dynamic`` section
         # (incremental view maintenance vs from-scratch rebuild under
-        # churn, with a live speedup floor).
-        "schema": 6,
+        # churn, with a live speedup floor); 7 = ``reconstruct`` section
+        # (per-node quotient reconstruction vs the embedded pre-change
+        # reference, with a live speedup floor).
+        "schema": 7,
         "suite": "views-perf",
         "quick": quick,
         "machine": {
@@ -587,6 +711,7 @@ def run_suite(quick: bool, repeats: int) -> dict:
         "runtime": run_runtime_benches(repeats),
         "artifacts": run_artifact_benches(repeats),
         "dynamic": run_dynamic_benches(repeats),
+        "reconstruct": run_reconstruct_benches(repeats),
     }
 
 
@@ -759,39 +884,61 @@ def _dynamic_case(row: dict) -> str:
     return f"{row['bench']}/{row['n']}@{row['churn_rate']:.0%}"
 
 
-def _check_dynamic_speedups(current: dict) -> tuple:
-    """Validate the *current* run's incremental-vs-rebuild speedups
-    against the floors.
+def _reconstruct_case(row: dict) -> str:
+    return f"{row['bench']}/{row['n']}"
+
+
+# Sections whose speedups are measured live (both sides back to back in
+# one invocation): section -> (default floors, case naming, summary
+# title, (row key, label) of each timed side as printed, failure text).
+LIVE_SPEEDUP_SECTIONS = {
+    "dynamic": (
+        DYNAMIC_SPEEDUP_FLOORS,
+        _dynamic_case,
+        "incremental view maintenance vs from-scratch rebuild",
+        (("incremental", "incremental"), ("from_scratch", "rebuild")),
+        "incremental maintenance beats a rebuild",
+    ),
+    "reconstruct": (
+        RECONSTRUCT_SPEEDUP_FLOORS,
+        _reconstruct_case,
+        "quotient reconstruction vs pre-change reference",
+        (("current", "current"), ("reference", "reference")),
+        "reconstruction beats the reference",
+    ),
+}
+
+
+def _check_live_speedups(current: dict, section_name: str) -> tuple:
+    """Validate the *current* run's speedups in a live section against
+    its floors.
 
     Like the artifact ratios, both sides are measured back to back on
     this machine within one invocation, so the check needs no baseline
     and no machine match.  Returns ``(failures, summary_lines)``.
     """
-    section = current.get("dynamic", {})
+    default_floors, case_of, title, sides, beats = LIVE_SPEEDUP_SECTIONS[section_name]
+    section = current.get(section_name, {})
     rows = section.get("rows", [])
-    floors = section.get("speedup_floors", DYNAMIC_SPEEDUP_FLOORS)
+    floors = section.get("speedup_floors", default_floors)
     failures = []
-    lines = ["incremental view maintenance vs from-scratch rebuild (live):"]
+    lines = [f"{title} (live):"]
     for row in rows:
-        case = _dynamic_case(row)
+        case = case_of(row)
         floor = floors.get(case)
         floor_note = f" (floor {floor:.1f})" if floor is not None else ""
-        lines.append(
-            f"  {case}: incremental {row['incremental']['best_s'] * 1e3:.4f}ms "
-            f"rebuild {row['from_scratch']['best_s'] * 1e3:.4f}ms "
-            f"-> {row['speedup']:.2f}x{floor_note}"
-        )
+        timings = " ".join(f"{label} {row[key]['best_s'] * 1e3:.4f}ms" for key, label in sides)
+        lines.append(f"  {case}: {timings} -> {row['speedup']:.2f}x{floor_note}")
         if floor is not None and row["speedup"] < floor:
             failures.append(
-                f"  {case}: incremental maintenance beats a rebuild by only "
-                f"{row['speedup']:.2f}x (floor {floor:.1f}x)"
+                f"  {case}: {beats} by only {row['speedup']:.2f}x (floor {floor:.1f}x)"
             )
-    measured = {_dynamic_case(row) for row in rows}
+    measured = {case_of(row) for row in rows}
     for case in sorted(floors):
         if rows and case not in measured:
             failures.append(
                 f"  {case}: required by the speedup floors but missing from "
-                "the dynamic section"
+                f"the {section_name} section"
             )
     return failures, lines if rows else []
 
@@ -832,15 +979,13 @@ def check_against_baseline(
     table = _ratio_table(baseline, current)
     csr_failures, csr_lines = _check_csr_floors(baseline)
     artifact_failures, artifact_lines = _check_artifact_ratios(current)
-    dynamic_failures, dynamic_lines = _check_dynamic_speedups(current)
+    dynamic_failures, dynamic_lines = _check_live_speedups(current, "dynamic")
+    reconstruct_failures, reconstruct_lines = _check_live_speedups(current, "reconstruct")
+    summary_lines = csr_lines + artifact_lines + dynamic_lines + reconstruct_lines
     _print_ratio_table(table, tolerance)
-    for line in csr_lines:
+    for line in summary_lines:
         print(line)
-    for line in artifact_lines:
-        print(line)
-    for line in dynamic_lines:
-        print(line)
-    _write_step_summary(table, csr_lines + artifact_lines + dynamic_lines, tolerance)
+    _write_step_summary(table, summary_lines, tolerance)
     print(
         f"perf-smoke guard: views cycle n={GUARD_N} cold "
         f"{new_time * 1e3:.3f}ms vs baseline {base_time * 1e3:.3f}ms "
@@ -862,6 +1007,11 @@ def check_against_baseline(
     if dynamic_failures:
         print("INCREMENTAL MAINTENANCE SPEEDUP FLOOR VIOLATION:")
         for line in dynamic_failures:
+            print(line)
+        return 2
+    if reconstruct_failures:
+        print("RECONSTRUCTION SPEEDUP FLOOR VIOLATION:")
+        for line in reconstruct_failures:
             print(line)
         return 2
     drift = _runtime_counts_drift(baseline, current)
@@ -906,6 +1056,13 @@ def _print_table(payload: dict) -> None:
         incremental = row["incremental"]["best_s"] * 1e3
         print(
             f"{_dynamic_case(row):<26}     {scratch:11.4f}ms{incremental:11.4f}ms"
+            f"   speedup={row['speedup']:.2f}x"
+        )
+    for row in payload.get("reconstruct", {}).get("rows", []):
+        reference = row["reference"]["best_s"] * 1e3
+        current = row["current"]["best_s"] * 1e3
+        print(
+            f"{row['bench']:<26}{row['n']:>5}{reference:11.4f}ms{current:11.4f}ms"
             f"   speedup={row['speedup']:.2f}x"
         )
 

@@ -27,6 +27,7 @@ from dataclasses import dataclass, replace
 from typing import Any
 
 from repro.graphs.labeled_graph import LabeledGraph
+from repro.problems.election import holds_minimal_alias
 from repro.problems.problem import DistributedProblem, OutputLabeling
 from repro.runtime.algorithm import AnonymousAlgorithm
 from repro.views.view_tree import ViewTree
@@ -122,16 +123,7 @@ class LeaderBFSTree(AnonymousAlgorithm):
             if round_number < 2 * state.n:
                 return replace(state, view=grown, round_number=round_number)
             # Election decision (as in MinimalViewElection).
-            n = state.n
-            my_alias = grown.truncate(n)
-            # Truncated views are interned, so equal sort_key means the
-            # same object; min() needs no identity-keyed deduplication
-            # (and id() would leak node identity into algorithm state).
-            minimum = min(
-                (sub.truncate(n) for sub in grown.subtrees() if sub.depth >= n),
-                key=lambda t: t.sort_key(),
-            )
-            if my_alias is minimum:
+            if holds_minimal_alias(grown, state.n):
                 return replace(
                     state,
                     view=grown,

@@ -93,6 +93,12 @@ def quotient_from_view(
     aliases.sort(key=lambda t: t.sort_key())
     index = {id(alias): i for i, alias in enumerate(aliases)}
 
+    # Aliases keyed by their depth-(radius - 1) truncation (interned, so
+    # identity is equality): each child lookup is one dict probe.
+    by_truncation: dict[int, list[ViewTree]] = {}
+    for alias in aliases:
+        by_truncation.setdefault(id(alias.truncate(max(1, radius - 1))), []).append(alias)
+
     edges: set = set()
     for alias in aliases:
         my_index = index[id(alias)]
@@ -101,11 +107,7 @@ def quotient_from_view(
             # truncation it is.  It is unique: aliases are distinct at
             # depth radius, and depth radius - 1 >= stabilization depth
             # still separates distinct L_∞ classes when radius > stab.
-            matches = [
-                other
-                for other in aliases
-                if other.truncate(max(1, radius - 1)) is child
-            ]
+            matches = by_truncation.get(id(child), ())
             if len(matches) != 1:
                 raise ViewError(
                     "quotient reconstruction is ambiguous at this radius; "

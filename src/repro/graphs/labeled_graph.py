@@ -98,6 +98,7 @@ class LabeledGraph:
         "_ports",
         "_port_of",
         "_hash",
+        "_structure_key",
         "_csr",
     )
 
@@ -162,6 +163,7 @@ class LabeledGraph:
         for v in self._nodes:
             self._port_of[v] = {u: port for port, u in enumerate(self._ports[v])}
         self._hash: int | None = None
+        self._structure_key: tuple | None = None
         self._csr = None  # lazily built CSR mirror (repro.graphs.csr)
 
     # ------------------------------------------------------------------
@@ -407,19 +409,23 @@ class LabeledGraph:
 
     def structure_key(self) -> tuple:
         """A value determining the graph up to *identity* (same node ids,
-        edges, layers in order, and ports) — not up to isomorphism."""
-        return (
-            self._nodes,
-            tuple(sorted(self.edges(), key=lambda p: (_sort_key(p[0]), _sort_key(p[1])))),
-            # Layer insertion order is part of graph identity by contract
-            # (it is the order label() composes layer values in), so
-            # iterating .items() here is deliberate, not incidental.
-            tuple(  # repro-lint: disable=DET002
-                (name, tuple((v, _freeze(layer[v])) for v in self._nodes))
-                for name, layer in self._layers.items()
-            ),
-            tuple((v, self._ports[v]) for v in self._nodes),
-        )
+        edges, layers in order, and ports) — not up to isomorphism.
+        Memoised: the graph is immutable, and hashing plus every ``==``
+        (memo lookups compare keys several times per hit) reuse it."""
+        if self._structure_key is None:
+            self._structure_key = (
+                self._nodes,
+                tuple(sorted(self.edges(), key=lambda p: (_sort_key(p[0]), _sort_key(p[1])))),
+                # Layer insertion order is part of graph identity by
+                # contract (it is the order label() composes layer values
+                # in), so iterating .items() here is deliberate.
+                tuple(  # repro-lint: disable=DET002
+                    (name, tuple((v, _freeze(layer[v])) for v in self._nodes))
+                    for name, layer in self._layers.items()
+                ),
+                tuple((v, self._ports[v]) for v in self._nodes),
+            )
+        return self._structure_key
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LabeledGraph):
@@ -432,9 +438,10 @@ class LabeledGraph:
         return self._hash
 
     def __getstate__(self) -> dict:
-        # Caches are dropped: the CSR mirror is rebuilt lazily on demand,
-        # and the structure-key hash is salted per process
-        # (PYTHONHASHSEED), so neither may travel across pickling.
+        # Caches are dropped: the CSR mirror and the structure key are
+        # rebuilt lazily on demand, and the structure-key hash is salted
+        # per process (PYTHONHASHSEED), so it may not travel across
+        # pickling.
         return {
             "_nodes": self._nodes,
             "_adjacency": self._adjacency,
@@ -452,6 +459,7 @@ class LabeledGraph:
         self._ports = state["_ports"]
         self._port_of = state["_port_of"]
         self._hash = None
+        self._structure_key = None
         self._csr = None
 
     def __repr__(self) -> str:

@@ -30,6 +30,21 @@ LEADER = "LEADER"
 FOLLOWER = "FOLLOWER"
 
 
+def holds_minimal_alias(view: ViewTree, n: int) -> bool:
+    """Whether ``view``'s depth-``n`` truncation (its node's alias) is the
+    minimal alias visible in it.
+
+    Every node's alias appears as the depth-``n`` truncation of some
+    subtree within distance ``n - 1 >= diameter``.  Each truncation is
+    computed once; :meth:`ViewTree.subtrees` yields ``view`` itself
+    first.  Truncations are interned, so equal sort keys mean the same
+    object and ``min`` needs no identity-keyed deduplication (``id()``
+    would leak node identity into algorithm state).
+    """
+    aliases = [sub.truncate(n) for sub in view.subtrees() if sub.depth >= n]
+    return aliases[0] is min(aliases, key=ViewTree.sort_key)
+
+
 class LeaderElectionProblem(DistributedProblem):
     """Exactly one node outputs LEADER; all others FOLLOWER."""
 
@@ -93,18 +108,7 @@ class MinimalViewElection(AnonymousAlgorithm):
         grown = ViewTree.make(state.view.mark, list(received))
         if round_number < 2 * state.n:
             return replace(state, view=grown, round_number=round_number)
-        # Decision round: my alias is my depth-n truncation; every node's
-        # alias appears as a depth-n truncation of some subtree within
-        # distance n - 1 >= diameter.
-        n = state.n
-        my_alias = grown.truncate(n)
-        aliases = {
-            id(subtree.truncate(n)): subtree.truncate(n)
-            for subtree in grown.subtrees()
-            if subtree.depth >= n
-        }
-        minimum = min(aliases.values(), key=lambda t: t.sort_key())
-        verdict = LEADER if my_alias is minimum else FOLLOWER
+        verdict = LEADER if holds_minimal_alias(grown, state.n) else FOLLOWER
         return replace(state, view=grown, round_number=round_number, output=verdict)
 
     def output(self, state: _ElectionState) -> str | None:

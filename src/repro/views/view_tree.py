@@ -46,6 +46,8 @@ from repro.graphs.labeled_graph import _freeze
 # already canonically ordered when the key is formed, so structural
 # equality coincides with key equality.
 _INTERN: dict[tuple[int, tuple[int, ...]], "ViewTree"] = {}
+# Truncations: (tree id, depth) -> tree.  Holds each tree's one-level
+# drop (key depth = tree depth - 1) plus one entry per requested target.
 _TRUNCATE_CACHE: dict[tuple[int, int], "ViewTree"] = {}
 
 # Mark-key table: each distinct serialized mark (``repr(_freeze(mark))``)
@@ -296,20 +298,20 @@ class ViewTree:
         if self.depth <= depth:
             return self
         key = (id(self), depth)
-        cached = _TRUNCATE_CACHE.get(key)
-        if cached is not None:
-            return cached
-        if depth == 1:
-            result = ViewTree.leaf(self.mark)
-        else:
-            result = ViewTree.make(
-                self.mark, [child.truncate(depth - 1) for child in self.children]
-            )
-        _TRUNCATE_CACHE[key] = result
+        result = _TRUNCATE_CACHE.get(key)
+        if result is None:
+            # Follow the drop chain: each one-level drop is memoised per
+            # distinct tree, so the table grows with the number of trees
+            # (plus one entry per distinct request), never with
+            # trees x depths x targets.  See docs/PERFORMANCE.md.
+            result = self
+            while result.depth > depth:
+                result = _drop(result)
+            _TRUNCATE_CACHE[key] = result
         return result
 
     def subtrees(self) -> Iterator["ViewTree"]:
-        """All distinct subtrees (including self), each yielded once."""
+        """All distinct subtrees, each yielded once, starting with self."""
         seen: set = set()
         stack: list[ViewTree] = [self]
         while stack:
@@ -344,6 +346,28 @@ class ViewTree:
 
 
 _MAKE_TOKEN = object()
+
+
+def _drop(tree: ViewTree) -> ViewTree:
+    """``tree.truncate(tree.depth - 1)``, memoised per distinct tree.
+
+    Only children of depth ``tree.depth - 1`` lose a level; shallower
+    children already fit and are kept as they are.  A depth-2 tree drops
+    to its leaf.  The mark id is reused, so no mark is re-serialized.
+    A plain loop rather than a comprehension keeps the cold recursion at
+    one frame per level.
+    """
+    below = tree.depth - 1
+    key = (id(tree), below)
+    dropped = _TRUNCATE_CACHE.get(key)
+    if dropped is None:
+        children = []
+        if below > 1:
+            for child in tree.children:
+                children.append(_drop(child) if child.depth == below else child)
+        dropped = _make_ranked(tree.mark, tree._mark_id, children)
+        _TRUNCATE_CACHE[key] = dropped
+    return dropped
 
 
 def clear_caches() -> None:

@@ -28,6 +28,7 @@ from repro.problems.gran import GranBundle
 from repro.problems.matching import MaximalMatchingProblem
 from repro.problems.mis import MISProblem
 from repro.views.local_views import view
+from repro.views.view_tree import clear_caches, intern_stats
 
 
 def colored(graph):
@@ -64,6 +65,38 @@ class TestQuotientFromView:
         with pytest.raises(ViewError, match="too shallow"):
             quotient_from_view(t, 5, ("input", "color"))
 
+    @pytest.mark.parametrize(
+        "graph,radius,message",
+        [
+            # Not 2-hop colored: a node's child matches the node itself.
+            (
+                with_uniform_input(cycle_graph(4)).with_layer("color", dict.fromkeys(range(4), 0)),
+                3,
+                "has a loop",
+            ),
+            # A boundary alias's child is no alias's truncation.
+            (
+                with_uniform_input(path_graph(8)).with_layer("color", {v: v % 3 for v in range(8)}),
+                3,
+                "ambiguous",
+            ),
+            # A child is the depth-1 truncation of two distinct aliases.
+            (
+                with_uniform_input(cycle_graph(5)).with_layer(
+                    "color", dict(enumerate((0, 1, 0, 1, 1)))
+                ),
+                2,
+                "ambiguous",
+            ),
+        ],
+        ids=["loop", "no-match", "two-matches"],
+    )
+    def test_reconstruction_errors(self, graph, radius, message):
+        rebuilt = None
+        with pytest.raises(ViewError, match=message):
+            rebuilt = quotient_from_view(view(graph, 0, 2 * radius), radius, ("input", "color"))
+        assert rebuilt is None
+
 
 class TestPracticalDerandomizer:
     @pytest.mark.parametrize(
@@ -93,6 +126,20 @@ class TestPracticalDerandomizer:
         infinity = AInfinitySolver(problem, algorithm).solve(lift)
         assert practical.outputs == infinity.outputs
         assert practical.assignment == infinity.assignment
+
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_truncation_work_is_linear_in_view_size(self, n):
+        """A work count, not a timing: each node reconstructs from its
+        depth-(2n + 2) view, and the truncation table must stay within a
+        small multiple of the n * (2n + 2) distinct view trees (an
+        O(n^3) truncation path gave 270,400 entries at n = 64)."""
+        clear_caches()
+        instance = colored(with_uniform_input(cycle_graph(n)))
+        solver = PracticalDerandomizer(MISProblem(), AnonymousMISAlgorithm(), strategy="prg")
+        solver.solve(instance)
+        assert intern_stats()["truncations"] <= 2 * n * (2 * n + 2)
+        clear_caches()
 
 
 class TestPipeline:
