@@ -3,7 +3,8 @@ PYTHON ?= python
 PYTHONPATH_SRC := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
 # Files already migrated to `ruff format`; extend as modules are touched.
-FORMAT_PATHS := src/repro/experiments/runner.py tests/experiments/test_runner.py
+FORMAT_PATHS := src/repro/experiments/runner.py src/repro/experiments/gates.py \
+	tests/experiments/test_runner.py
 
 # Extra flags for the perf-smoke gate.  CI runs on different hardware
 # than the committed baseline, so its workflow passes
@@ -15,7 +16,7 @@ PERF_SMOKE_FLAGS ?=
 # JSON) land here instead of the repo root; the directory is gitignored.
 OUT_DIR := benchmarks/out
 
-.PHONY: test bench-selftest bench perf perf-smoke faults-smoke dynamic-smoke artifacts-smoke hashseed-smoke invariants lint typecheck experiments fabric fabric-merge ci
+.PHONY: test bench-selftest bench perf perf-smoke smoke invariants lint typecheck experiments fabric fabric-merge ci
 
 test:  ## tier-1 test suite
 	$(PYTHONPATH_SRC) $(PYTHON) -m pytest -x -q
@@ -32,19 +33,8 @@ perf:  ## rewrite the benchmarks/BENCH_views.json perf baseline
 perf-smoke:  ## quick perf gate: fail if view construction regresses >2x vs baseline
 	$(PYTHON) benchmarks/run_perf_suite.py --quick --check $(PERF_SMOKE_FLAGS)
 
-faults-smoke:  ## zero-fault differential gate (see docs/FAULTS.md)
-	$(PYTHONPATH_SRC) $(PYTHON) -m repro.faults.gate
-
-dynamic-smoke:  ## zero-churn differential gate (see docs/DYNAMIC.md)
-	$(PYTHONPATH_SRC) $(PYTHON) -m repro.dynamic.gate
-
-artifacts-smoke:  ## cold/warm artifact-serving differential gate (see docs/ARTIFACTS.md)
-	@mkdir -p $(OUT_DIR)
-	$(PYTHONPATH_SRC) $(PYTHON) -m repro.artifacts gate \
-		--store $(OUT_DIR)/ARTIFACTS_store.jsonl --out $(OUT_DIR)
-
-hashseed-smoke:  ## hash-seed independence gate: canonical bytes under two PYTHONHASHSEEDs
-	$(PYTHONPATH_SRC) $(PYTHON) -m repro.experiments.hashseed_gate
+smoke:  ## differential gates: faults, churn, hash seed, cold/warm artifacts (repro.experiments.gates)
+	$(PYTHONPATH_SRC) $(PYTHON) -m repro.experiments.gates --out $(OUT_DIR)
 
 invariants:  ## syntactic + interprocedural flow lint (see docs/LINT.md)
 	@mkdir -p $(OUT_DIR)
@@ -82,4 +72,4 @@ fabric-merge:  ## fold the fabric store into the canonical merged artifact
 	$(PYTHONPATH_SRC) $(PYTHON) -m repro.experiments fabric merge \
 		$(OUT_DIR)/FABRIC_results.jsonl --out $(OUT_DIR)/RESULTS_experiments.json
 
-ci: lint typecheck invariants test bench-selftest faults-smoke dynamic-smoke artifacts-smoke hashseed-smoke perf-smoke  ## exactly what .github/workflows/ci.yml runs
+ci: lint typecheck invariants test bench-selftest smoke perf-smoke  ## exactly what .github/workflows/ci.yml runs

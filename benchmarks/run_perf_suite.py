@@ -27,7 +27,6 @@ first (`repro.views.clear_caches`), measuring construction from nothing;
 from __future__ import annotations
 
 import argparse
-import asyncio
 import json
 import math
 import os
@@ -65,7 +64,6 @@ from repro.faults import FaultPlan, execute_with_faults  # noqa: E402
 from repro.runtime.algorithm import AnonymousAlgorithm  # noqa: E402
 from repro.runtime.engine import collect_engine_metrics, execute  # noqa: E402
 from repro.runtime.port_model import PortAwareAlgorithm, PortEmulation  # noqa: E402
-from repro.artifacts.service import ArtifactService  # noqa: E402
 from repro.artifacts.specs import (  # noqa: E402
     quotient_spec,
     refinement_spec,
@@ -112,13 +110,13 @@ CSR_SPEEDUP_FLOORS = {
     "views_cycle/64": 3.0,
 }
 
-# Artifact-service latency gate: a warm hit (memory tier) must beat a
-# cold miss (compute + persist) by at least this factor.  The ratio is
-# measured live within one run — cold and warm share the machine — so
-# the floor is hardware-independent and gated on the *current* run, not
-# on the committed baseline.
+# Artifact fetch latency gate: a warm ``ArtifactStore.fetch`` (key
+# derivation + memory-tier hit) must beat a cold one (compute + persist)
+# by at least the floor.  Both are measured live within one run — cold
+# and warm share the machine — so the floor is hardware-independent and
+# gated on the *current* run, not on the committed baseline.
 ARTIFACT_NS = [256, 1024]
-ARTIFACT_RATIO_FLOOR = 10.0
+ARTIFACT_SPEEDUP_FLOORS = {"artifact_fetch/256": 10.0, "artifact_fetch/1024": 10.0}
 ARTIFACT_VIEW_DEPTH = 8
 
 # Incremental view-maintenance gate: after one churn batch, advancing a
@@ -336,33 +334,26 @@ def run_runtime_benches(repeats: int) -> list:
     return rows
 
 
-def _serve_once(specs: list, service: ArtifactService) -> float:
-    """One service pass over ``specs``; returns the in-loop wall seconds
-    of ``get_many`` only (loop startup and store opening excluded).
-
-    A service instance holds no loop state between runs, so the same one
-    can serve across successive ``asyncio.run`` calls — which is exactly
-    the warm scenario: a long-lived front-end replaying prepared
-    requests."""
-
-    async def _run() -> float:
-        start = time.perf_counter()
-        await service.get_many(specs)
-        return time.perf_counter() - start
-
-    return asyncio.run(_run())
+def _fetch_once(specs: list, store: ArtifactStore) -> float:
+    """Wall seconds of one ``store.fetch`` pass over ``specs`` (store
+    opening excluded)."""
+    start = time.perf_counter()
+    for spec in specs:
+        store.fetch(spec)
+    return time.perf_counter() - start
 
 
 def run_artifact_benches(repeats: int) -> dict:
-    """Cold-miss vs warm-hit service latency for the standard query mix
-    (refinement + views + quotient) on 2-hop colored cycles.
+    """Cold-miss vs warm-hit ``ArtifactStore.fetch`` latency for the
+    standard query mix (refinement + views + quotient) on 2-hop colored
+    cycles.
 
-    Cold resets everything a request could hit — memory tier, interned
+    Cold resets everything a fetch could hit — memory tier, interned
     trees, the persistent store file — so it pays compute, encoding and
-    fsync'd persistence.  Warm replays the same prepared requests
-    against the populated memory tier.  The per-``n`` ``ratio`` is
-    cold/warm on best samples; ``--check`` enforces
-    ``ARTIFACT_RATIO_FLOOR`` on it.
+    fsync'd persistence.  Warm fetches the same specs through the
+    reopened store against the populated memory tier, re-deriving each
+    key.  The per-``n`` ``speedup`` is cold/warm on best samples;
+    ``--check`` enforces ``ARTIFACT_SPEEDUP_FLOORS`` on it.
     """
     rows = []
     for n in ARTIFACT_NS:
@@ -375,19 +366,18 @@ def run_artifact_benches(repeats: int) -> dict:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "store.jsonl"
             cold_samples = []
-            service = None
             for _ in range(repeats):
-                if path.exists():
-                    path.unlink()
+                path.unlink(missing_ok=True)
                 clear_caches()
-                service = ArtifactService(ArtifactStore(path))
-                cold_samples.append(_serve_once(specs, service))
-            warm_samples = [_serve_once(specs, service) for _ in range(repeats)]
+                with ArtifactStore(path) as store:
+                    cold_samples.append(_fetch_once(specs, store))
+            with ArtifactStore(path) as store:
+                warm_samples = [_fetch_once(specs, store) for _ in range(repeats)]
         cold_best = min(cold_samples)
         warm_best = min(warm_samples)
         rows.append(
             {
-                "bench": "artifact_service",
+                "bench": "artifact_fetch",
                 "n": n,
                 "queries": len(specs),
                 "cold": {
@@ -400,11 +390,11 @@ def run_artifact_benches(repeats: int) -> dict:
                     "median_s": statistics.median(warm_samples),
                     "repeats": repeats,
                 },
-                "ratio": round(cold_best / warm_best, 2),
+                "speedup": round(cold_best / warm_best, 2),
             }
         )
     clear_caches()
-    return {"ratio_floor": ARTIFACT_RATIO_FLOOR, "rows": rows}
+    return {"speedup_floors": ARTIFACT_SPEEDUP_FLOORS, "rows": rows}
 
 
 def run_dynamic_benches(repeats: int) -> dict:
@@ -692,8 +682,10 @@ def run_suite(quick: bool, repeats: int) -> dict:
         # (incremental view maintenance vs from-scratch rebuild under
         # churn, with a live speedup floor); 7 = ``reconstruct`` section
         # (per-node quotient reconstruction vs the embedded pre-change
-        # reference, with a live speedup floor).
-        "schema": 7,
+        # reference, with a live speedup floor); 8 = the ``artifacts``
+        # section times ``ArtifactStore.fetch`` (``artifact_fetch`` rows
+        # with a ``speedup``, floors checked like the other live sections).
+        "schema": 8,
         "suite": "views-perf",
         "quick": quick,
         "machine": {
@@ -851,40 +843,11 @@ def _check_csr_floors(baseline: dict) -> tuple:
     return failures, lines if recorded else []
 
 
-def _check_artifact_ratios(current: dict) -> tuple:
-    """Validate the *current* run's warm/cold service ratios against the
-    floor.
-
-    Cold and warm are measured back to back on this machine within one
-    invocation, so the ratio needs no baseline and no machine match — a
-    warm hit that stopped beating a cold miss by ``ARTIFACT_RATIO_FLOOR``
-    means the read path regressed, wherever the check runs.  Returns
-    ``(failures, summary_lines)``.
-    """
-    section = current.get("artifacts", {})
-    rows = section.get("rows", [])
-    floor = section.get("ratio_floor", ARTIFACT_RATIO_FLOOR)
-    failures = []
-    lines = [f"artifact service cold/warm ratios (floor {floor:.1f}x, live):"]
-    for row in rows:
-        case = f"{row['bench']}/{row['n']}"
-        lines.append(
-            f"  {case}: cold {row['cold']['best_s'] * 1e3:.4f}ms "
-            f"warm {row['warm']['best_s'] * 1e3:.4f}ms -> {row['ratio']:.2f}x"
-        )
-        if row["ratio"] < floor:
-            failures.append(
-                f"  {case}: warm hits beat cold misses by only "
-                f"{row['ratio']:.2f}x (floor {floor:.1f}x)"
-            )
-    return failures, lines if rows else []
-
-
 def _dynamic_case(row: dict) -> str:
     return f"{row['bench']}/{row['n']}@{row['churn_rate']:.0%}"
 
 
-def _reconstruct_case(row: dict) -> str:
+def _sized_case(row: dict) -> str:
     return f"{row['bench']}/{row['n']}"
 
 
@@ -892,6 +855,13 @@ def _reconstruct_case(row: dict) -> str:
 # one invocation): section -> (default floors, case naming, summary
 # title, (row key, label) of each timed side as printed, failure text).
 LIVE_SPEEDUP_SECTIONS = {
+    "artifacts": (
+        ARTIFACT_SPEEDUP_FLOORS,
+        _sized_case,
+        "artifact fetch cold miss vs warm hit",
+        (("cold", "cold"), ("warm", "warm")),
+        "warm hits beat cold misses",
+    ),
     "dynamic": (
         DYNAMIC_SPEEDUP_FLOORS,
         _dynamic_case,
@@ -901,7 +871,7 @@ LIVE_SPEEDUP_SECTIONS = {
     ),
     "reconstruct": (
         RECONSTRUCT_SPEEDUP_FLOORS,
-        _reconstruct_case,
+        _sized_case,
         "quotient reconstruction vs pre-change reference",
         (("current", "current"), ("reference", "reference")),
         "reconstruction beats the reference",
@@ -913,9 +883,9 @@ def _check_live_speedups(current: dict, section_name: str) -> tuple:
     """Validate the *current* run's speedups in a live section against
     its floors.
 
-    Like the artifact ratios, both sides are measured back to back on
-    this machine within one invocation, so the check needs no baseline
-    and no machine match.  Returns ``(failures, summary_lines)``.
+    Both sides are measured back to back on this machine within one
+    invocation, so the check needs no baseline and no machine match.
+    Returns ``(failures, summary_lines)``.
     """
     default_floors, case_of, title, sides, beats = LIVE_SPEEDUP_SECTIONS[section_name]
     section = current.get(section_name, {})
@@ -978,7 +948,7 @@ def check_against_baseline(
     ratio = new_time / base_time
     table = _ratio_table(baseline, current)
     csr_failures, csr_lines = _check_csr_floors(baseline)
-    artifact_failures, artifact_lines = _check_artifact_ratios(current)
+    artifact_failures, artifact_lines = _check_live_speedups(current, "artifacts")
     dynamic_failures, dynamic_lines = _check_live_speedups(current, "dynamic")
     reconstruct_failures, reconstruct_lines = _check_live_speedups(current, "reconstruct")
     summary_lines = csr_lines + artifact_lines + dynamic_lines + reconstruct_lines
@@ -1000,7 +970,7 @@ def check_against_baseline(
             print(line)
         return 2
     if artifact_failures:
-        print("ARTIFACT CACHE RATIO FLOOR VIOLATION:")
+        print("ARTIFACT FETCH SPEEDUP FLOOR VIOLATION:")
         for line in artifact_failures:
             print(line)
         return 2
@@ -1049,7 +1019,7 @@ def _print_table(payload: dict) -> None:
         warm = row["warm"]["best_s"] * 1e3
         print(
             f"{row['bench']:<26}{row['n']:>5}{cold:11.4f}ms{warm:11.4f}ms"
-            f"   ratio={row['ratio']:.2f}x"
+            f"   speedup={row['speedup']:.2f}x"
         )
     for row in payload.get("dynamic", {}).get("rows", []):
         scratch = row["from_scratch"]["best_s"] * 1e3

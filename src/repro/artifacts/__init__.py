@@ -18,9 +18,9 @@ one SHA-256-keyed address space and one cache story:
   JSONL persistent tier built on :mod:`repro.experiments.store`.
 * :mod:`repro.artifacts.producers` — ``spec -> live object`` compute
   functions, one per kind, used by cache misses and direct computation.
-* :mod:`repro.artifacts.service` — the asyncio front-end: request
-  batching, in-flight dedup of identical keys, miss fan-out to the
-  experiment executor.
+
+``ArtifactStore.fetch(spec)`` is the one read path: lookup in either
+tier, else compute, persist and return the canonical payload.
 
 This module stays import-light on purpose: the view/factor producers
 import :mod:`repro.artifacts.store` at module load, so nothing here may

@@ -10,11 +10,10 @@ Subcommands:
   rewrite (:func:`repro.experiments.store.rewrite_store`).
 * ``verify``  — decode and re-encode a deterministic sample of records
   and compare payload bytes and digests; exit 1 on any mismatch.
-* ``gate``    — the artifacts-smoke differential gate (see
-  :mod:`repro.artifacts.gate`).
 
-All output lines are stable and grep-friendly (CI parses ``status`` and
-the gate summary).
+All output lines are stable and grep-friendly (CI parses ``status``).
+The cold/warm artifacts gate that fills the CI store lives in
+:mod:`repro.experiments.gates`.
 """
 
 from __future__ import annotations
@@ -41,8 +40,8 @@ def _scan(path: str) -> "dict[str, dict[str, Any]]":
 def _cmd_status(args: "argparse.Namespace") -> int:
     # Importing the producers registers every library bucket, so the
     # memory-tier listing shows the full kind set (counters are
-    # process-local and therefore zero in a fresh CLI process; the
-    # long-lived service reports live ones through its stats()).
+    # process-local and therefore zero in a fresh CLI process; a
+    # long-lived store reports live ones through its stats()).
     import importlib
 
     importlib.import_module(_STATUS_USES_PRODUCERS)
@@ -150,20 +149,12 @@ def main(argv: "list[str] | None" = None) -> int:
         "--sample", type=int, default=0, help="check only N records (0 = all)"
     )
 
-    gate = commands.add_parser("gate", help="artifacts-smoke differential gate")
-    gate.add_argument("--store", default="benchmarks/out/ARTIFACTS_store.jsonl")
-    gate.add_argument("--out", default="benchmarks/out")
-
     args = parser.parse_args(argv)
     if args.command == "status":
         return _cmd_status(args)
     if args.command == "gc":
         return _cmd_gc(args)
-    if args.command == "verify":
-        return _cmd_verify(args)
-    from repro.artifacts.gate import run_gate
-
-    return run_gate(args.store, args.out)
+    return _cmd_verify(args)
 
 
 if __name__ == "__main__":

@@ -6,9 +6,9 @@ computes the object — so a cache miss runs exactly the code a direct
 call would, including the library's own memory-tier memos.
 
 :func:`compute_payload` composes a producer with its canonical encoder;
-it is the single compute entry point shared by the synchronous store,
-the asyncio service's fan-out workers and the artifacts-smoke gate's
-direct-computation reference.
+it is the single compute entry point shared by
+:meth:`~repro.artifacts.store.ArtifactStore.fetch` and the artifacts
+gate's direct-computation reference.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ hash, no serialization on the hot path — with the same capacities and
 eviction order they had as private module dicts.  Eviction is uniform:
 :func:`clear_memory_tier` (reached through
 :func:`repro.views.view_tree.clear_caches`) empties every bucket, and
-each bucket counts hits/misses/evictions for the CLI and the service.
+each bucket counts hits/misses/evictions for the CLI and ``stats()``.
 
 The one deliberate exception is the per-instance CSR mirror
 (``LabeledGraph._csr``): it is identity-keyed on the instance, holds no
@@ -188,7 +188,7 @@ class ArtifactStore:
     use); with a path, every computed payload is durably appended as
     ``{"key", "kind", "fingerprint", "spec", "digest", "payload"}`` and
     every complete record is served on reopen — the warm-start story of
-    the artifacts-smoke gate.
+    the artifacts gate (:mod:`repro.experiments.gates`).
     """
 
     def __init__(self, path: "str | Path | None" = None) -> None:
@@ -252,8 +252,8 @@ class ArtifactStore:
             )
 
     def fetch(self, spec: "dict[str, Any]") -> bytes:
-        """Synchronous read-through: lookup, else compute and persist.
-        (The asyncio service adds batching and in-flight dedup on top.)"""
+        """The read path: lookup in either tier, else compute via the
+        producers and persist — a failed compute caches nothing."""
         key = artifact_key(spec)
         payload = self.lookup(key)
         if payload is None:

@@ -21,8 +21,8 @@ under churn:
 * :func:`apply_churn` / :class:`TopologyHook` — the ambient context
   that churns every ``execute()`` call between rounds
   (:mod:`repro.dynamic.context`);
-* ``python -m repro.dynamic.gate`` — the zero-churn transparency gate
-  and replay-determinism check (``make dynamic-smoke``).
+* the ``churn`` gate of :mod:`repro.experiments.gates` — zero-churn
+  identity and replay determinism (``make smoke``).
 
 See ``docs/DYNAMIC.md`` for the delta model, the blast-radius rule and
 the determinism contract.

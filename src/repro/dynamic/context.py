@@ -9,7 +9,7 @@ applies it through a per-execution
 the new snapshot — so round ``r+1``'s delivery runs over the churned
 edges.  The hook is installed unconditionally: an *empty* plan still
 rides along (observing every round, churning nothing), which is exactly
-what the zero-churn transparency gate (``make dynamic-smoke``) exploits
+what the zero-churn transparency gate (``make smoke``) exploits
 — a full-registry run under ``ChurnPlan()`` must be byte-identical to a
 bare run.
 

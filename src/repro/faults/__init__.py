@@ -18,8 +18,8 @@ coloring validity, view/quotient agreement) actually break:
 * :func:`inject_faults` / :func:`execute_with_faults` — ambient and
   one-shot entry points (:mod:`repro.faults.context`,
   :mod:`repro.faults.harness`);
-* ``python -m repro.faults.gate`` — the zero-fault differential gate
-  and replay-determinism check (``make faults-smoke``).
+* the ``faults`` gate of :mod:`repro.experiments.gates` — zero-fault
+  identity and replay determinism (``make smoke``).
 
 See ``docs/FAULTS.md`` for the plan schema, the determinism contract
 and the replay recipe.

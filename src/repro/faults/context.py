@@ -8,7 +8,7 @@ metrics hook streams the per-execution fault count into
 ``result.metrics.faults_injected``.  The wrapping is unconditional —
 an *empty* plan still routes every payload and every bit through the
 decorators, which is exactly what the zero-fault differential gate
-(``make faults-smoke``) exploits: transparency of the wrappers is a
+(``make smoke``) exploits: transparency of the wrappers is a
 tested property, not an assumption.
 
 Contexts nest (the innermost plan wins) and are plain process-local

@@ -81,8 +81,8 @@ class UnorderedReachesCanonical(ProgramRule):
     """A value derived from unordered set/dict iteration reaches a
     canonical sink without passing through ``sorted()`` (or another
     order-erasing fold).  The emitted bytes would then depend on hash
-    seeding — the exact nondeterminism ``make hashseed-smoke`` probes
-    dynamically."""
+    seeding — the exact nondeterminism the hashseed gate (``make
+    smoke``) probes dynamically."""
 
     rule_id = "FLOW002"
     severity = Severity.ERROR

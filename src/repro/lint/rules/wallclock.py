@@ -39,8 +39,8 @@ class NoWallClockOrFloatsInEncoders(Rule):
         "src/repro/factor/",
         # The artifact layer's canonical byte encoders and key
         # derivation: payload equality is byte equality, so they get the
-        # same exactness contract.  (The store/service modules are
-        # serving machinery, not encoders — they may time and batch.)
+        # same exactness contract.  (The store module is caching
+        # machinery, not an encoder — it may count and evict.)
         "src/repro/artifacts/encoders.py",
         "src/repro/artifacts/keys.py",
         "src/repro/artifacts/specs.py",

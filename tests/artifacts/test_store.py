@@ -121,6 +121,25 @@ class TestArtifactStore:
         spec = views_spec(_graph(), 3)
         assert ArtifactStore().fetch(spec) == compute_payload(spec)
 
+    def test_failed_compute_caches_nothing_and_a_retry_recomputes(self, monkeypatch):
+        from repro.artifacts import producers
+
+        spec = refinement_spec(_graph())
+        key = artifact_key(spec)
+        store = ArtifactStore()
+
+        def poisoned(spec):
+            raise ArtifactError("poisoned spec")
+
+        monkeypatch.setattr(producers, "compute_payload", poisoned)
+        with pytest.raises(ArtifactError, match="poisoned spec"):
+            store.fetch(spec)
+        assert store.lookup(key) is None
+        assert store.stores == 0
+        monkeypatch.undo()
+        assert store.fetch(spec) == compute_payload(spec)
+        assert store.stores == 1
+
     def test_persistent_round_trip_survives_reopen(self, tmp_path):
         path = tmp_path / "store.jsonl"
         spec = refinement_spec(_graph())

@@ -181,7 +181,7 @@ class TestSurvivorValidity:
 class TestFamilyDeterminism:
     def test_results_are_bit_identical_across_job_counts(self):
         # The two cheapest members keep this fast; the full family is
-        # exercised by `python -m repro.faults.gate` (make faults-smoke).
+        # exercised by the faults gate of `repro.experiments.gates` (make smoke).
         ids = ["resilience-crash", "resilience-reorder"]
         serial = run_experiments(ids, jobs=1)
         fanned = run_experiments(ids, jobs=2)
