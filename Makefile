@@ -16,13 +16,22 @@ PERF_SMOKE_FLAGS ?=
 # JSON) land here instead of the repo root; the directory is gitignored.
 OUT_DIR := benchmarks/out
 
-.PHONY: test bench-selftest bench perf perf-smoke smoke invariants lint typecheck experiments fabric fabric-merge ci
+.PHONY: test bench-selftest bench-smoke bench perf perf-smoke smoke invariants lint typecheck experiments fabric fabric-merge ci
 
 test:  ## tier-1 test suite
 	$(PYTHONPATH_SRC) $(PYTHON) -m pytest -x -q
 
 bench-selftest:  ## derandbench self-tests: expected digests and the golden file
 	$(PYTHON) -m pytest derandbench -q
+
+bench-smoke:  ## one 1 s search-workload benchmark run: fails unless every op is correct
+	@mkdir -p $(OUT_DIR)
+	$(PYTHON) derandbench/run.py --workload search --seed 7 --seconds 1 --trace 0 \
+		> $(OUT_DIR)/bench-smoke.log
+	$(PYTHON) -c 'import json, sys; lines = open(sys.argv[1]).read().splitlines(); \
+		result = json.loads(lines[-1]); print(lines[-1]); \
+		sys.exit(0 if result["correct"] is True and result["failed"] == 0 else "bench-smoke: an op failed")' \
+		$(OUT_DIR)/bench-smoke.log
 
 bench:  ## full benchmark/experiment suite (pytest-benchmark)
 	$(PYTHONPATH_SRC) $(PYTHON) -m pytest benchmarks/ --benchmark-only -s
@@ -72,4 +81,4 @@ fabric-merge:  ## fold the fabric store into the canonical merged artifact
 	$(PYTHONPATH_SRC) $(PYTHON) -m repro.experiments fabric merge \
 		$(OUT_DIR)/FABRIC_results.jsonl --out $(OUT_DIR)/RESULTS_experiments.json
 
-ci: lint typecheck invariants test bench-selftest smoke perf-smoke  ## exactly what .github/workflows/ci.yml runs
+ci: lint typecheck invariants test bench-selftest bench-smoke smoke perf-smoke  ## exactly what .github/workflows/ci.yml runs

@@ -100,6 +100,7 @@ class LabeledGraph:
         "_hash",
         "_structure_key",
         "_csr",
+        "_plan",
     )
 
     def __init__(
@@ -165,6 +166,7 @@ class LabeledGraph:
         self._hash: int | None = None
         self._structure_key: tuple | None = None
         self._csr = None  # lazily built CSR mirror (repro.graphs.csr)
+        self._plan = None  # lazily built engine run plan (_run_plan)
 
     # ------------------------------------------------------------------
     # Basic structure
@@ -377,6 +379,20 @@ class LabeledGraph:
             csr = self._csr = CSRGraph(self)
         return csr
 
+    def _run_plan(self) -> tuple[tuple[tuple[Node, tuple, int], ...], int]:
+        """The memoized per-graph set-up of an engine execution:
+        ``(node, label, degree)`` triples in node order, and the payloads
+        one round delivers (the degree sum).  Every trial of an
+        assignment search on this graph shares it."""
+        plan = self._plan
+        if plan is None:
+            adjacency = self._adjacency
+            plan = self._plan = (
+                tuple((v, self.label(v), len(adjacency[v])) for v in self._nodes),
+                2 * len(self._edges),
+            )
+        return plan
+
     def nodes_within(self, v: Node, hops: int) -> tuple[Node, ...]:
         """All nodes at distance at most ``hops`` from ``v`` (the set H^hops(v))."""
         if hops < 0:
@@ -438,10 +454,10 @@ class LabeledGraph:
         return self._hash
 
     def __getstate__(self) -> dict:
-        # Caches are dropped: the CSR mirror and the structure key are
-        # rebuilt lazily on demand, and the structure-key hash is salted
-        # per process (PYTHONHASHSEED), so it may not travel across
-        # pickling.
+        # Caches are dropped: the CSR mirror, the run plan and the
+        # structure key are rebuilt lazily on demand, and the
+        # structure-key hash is salted per process (PYTHONHASHSEED), so
+        # it may not travel across pickling.
         return {
             "_nodes": self._nodes,
             "_adjacency": self._adjacency,
@@ -461,6 +477,7 @@ class LabeledGraph:
         self._hash = None
         self._structure_key = None
         self._csr = None
+        self._plan = None
 
     def __repr__(self) -> str:
         return (
@@ -469,12 +486,20 @@ class LabeledGraph:
         )
 
 
+# Exact types _freeze returns unchanged.  Matching ``type(value)`` rather
+# than ``isinstance`` keeps subclasses (namedtuples, str subclasses) on
+# the general path, so every ``repr(_freeze(x))`` key stays byte-identical.
+_ATOMS = frozenset((str, int, bool, float, type(None), bytes))
+
+
 def _freeze(value: Any) -> Any:
     """Recursively convert a label into a hashable value for keys."""
+    if type(value) in _ATOMS:
+        return value
     if isinstance(value, (list, tuple)):
-        return tuple(_freeze(item) for item in value)
+        return tuple([item if type(item) in _ATOMS else _freeze(item) for item in value])
     if isinstance(value, dict):
-        return tuple(sorted((k, _freeze(v)) for k, v in value.items()))
+        return tuple(sorted([(k, _freeze(v)) for k, v in value.items()]))
     if isinstance(value, set):
-        return tuple(sorted(_freeze(v) for v in value))
+        return tuple(sorted([_freeze(v) for v in value]))
     return value

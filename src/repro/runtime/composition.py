@@ -48,6 +48,7 @@ from typing import Any
 
 from repro.exceptions import RuntimeModelError
 from repro.runtime.algorithm import AnonymousAlgorithm
+from repro.runtime.engine import _message_sort_key
 
 
 @dataclass(frozen=True)
@@ -119,7 +120,7 @@ class TwoStageComposition(AnonymousAlgorithm):
 
         # --- stage 1 always advances (it keeps relaying after output).
         s1_messages = tuple(
-            sorted((message[1] for message in received), key=_payload_key)
+            sorted((message[1] for message in received), key=_message_sort_key)
         )
         new_s1_state = self.stage1.transition(state.s1_state, s1_messages, s1_bits)
         s1_output = state.s1_output
@@ -169,7 +170,7 @@ class TwoStageComposition(AnonymousAlgorithm):
         if len(payloads) < state.degree:
             return state  # some neighbor is not there yet: hold
         my_payload = self.stage2.message(state.s2_state)
-        ordered = tuple(sorted(payloads, key=_payload_key))
+        ordered = tuple(sorted(payloads, key=_message_sort_key))
         new_s2_state = self.stage2.transition(state.s2_state, ordered, s2_bits)
         return replace(
             state,
@@ -182,9 +183,3 @@ class TwoStageComposition(AnonymousAlgorithm):
         if not state.started_s2:
             return None
         return self.stage2.output(state.s2_state)
-
-
-def _payload_key(payload: Any) -> str:
-    from repro.graphs.labeled_graph import _freeze
-
-    return repr(_freeze(payload))

@@ -35,7 +35,7 @@ from __future__ import annotations
 import time
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from collections.abc import Iterator, Mapping, Sequence
 from typing import Any
 
@@ -53,6 +53,8 @@ TRACE_LEVELS = ("off", "outputs", "full")
 
 
 def _message_sort_key(message: Any) -> str:
+    """The canonical order key of a message (or any payload) in an
+    anonymous multiset: ``repr`` of its frozen form."""
     return repr(_freeze(message))
 
 
@@ -77,7 +79,10 @@ class ExecutionPolicy:
         state is never mutated by a partially funded round.  ``False``
         skips the check; a dry :class:`~repro.runtime.tape.FixedTape`
         then raises mid-round from ``draw`` — only useful for tests that
-        exercise that failure mode.
+        exercise that failure mode, and for :func:`execute` with an
+        assignment, whose round limit already stops at the last funded
+        round.  :meth:`ExecutionEngine.run` checks once per round;
+        :meth:`ExecutionEngine.step` checks on its own.
     trace:
         ``"full"`` records messages, bits and new outputs per round;
         ``"outputs"`` records only the round's newly decided outputs
@@ -240,7 +245,12 @@ class RoundHook:
 
 
 class DeliveryDiscipline(ABC):
-    """How one round's emitted messages reach their receivers."""
+    """How one round's emitted messages reach their receivers.
+
+    The kernel asks for a whole round at once through :meth:`deliver`;
+    a discipline only has to say what one node receives (:meth:`inbox`)
+    and may override :meth:`deliver` to share work across receivers.
+    """
 
     name: str = "delivery"
 
@@ -255,6 +265,12 @@ class DeliveryDiscipline(ABC):
         self, outboxes: Mapping[Node, Any], node: Node, graph: LabeledGraph
     ) -> tuple[Any, ...]:
         """The tuple handed to ``node``'s transition this round."""
+
+    def deliver(
+        self, outboxes: Mapping[Node, Any], graph: LabeledGraph
+    ) -> dict[Node, tuple[Any, ...]]:
+        """Every node's inbox for this round, in node order."""
+        return {v: self.inbox(outboxes, v, graph) for v in graph.nodes}
 
 
 class BroadcastDelivery(DeliveryDiscipline):
@@ -272,6 +288,20 @@ class BroadcastDelivery(DeliveryDiscipline):
                 key=_message_sort_key,
             )
         )
+
+    def deliver(self, outboxes, graph):
+        """Key each sender's message once, then order every receiver's
+        neighbors by their senders' keys.  The sort is stable over
+        ``graph.neighbors(v)``, so each inbox equals :meth:`inbox`'s."""
+        if type(self).inbox is not BroadcastDelivery.inbox:
+            return super().deliver(outboxes, graph)  # honour an overridden inbox
+        keys = {u: _message_sort_key(message) for u, message in outboxes.items()}
+        key_of = keys.__getitem__
+        neighbors = graph.neighbors
+        inboxes = {}
+        for v in graph.nodes:
+            inboxes[v] = tuple([outboxes[u] for u in sorted(neighbors(v), key=key_of)])
+        return inboxes
 
 
 class PortDelivery(DeliveryDiscipline):
@@ -372,9 +402,10 @@ class ExecutionEngine:
         self._delivery = delivery
         self._policy = policy or ExecutionPolicy()
         self._hooks = list(hooks)
+        plan, self._payloads_per_round = graph._run_plan()
+        init_state = algorithm.init_state
         self._states: dict[Node, Any] = {
-            v: algorithm.init_state(graph.label(v), graph.degree(v))
-            for v in graph.nodes
+            v: init_state(label, degree) for v, label, degree in plan
         }
         self._outputs: dict[Node, Any] = {}
         self._rounds = 0
@@ -382,7 +413,6 @@ class ExecutionEngine:
             ExecutionTrace(algorithm.name) if self._policy.trace != "off" else None
         )
         self._metrics = ExecutionMetrics()
-        self._payloads_per_round = sum(graph.degree(v) for v in graph.nodes)
         # Outputs may be decided already at round 0 (initialization).
         initial = self._note_outputs({})
         self._metrics.decided_per_round.append(len(initial))
@@ -440,9 +470,7 @@ class ExecutionEngine:
                 "or the node identities changed"
             )
         self._graph = new_graph
-        self._payloads_per_round = sum(
-            new_graph.degree(v) for v in new_graph.nodes
-        )
+        self._payloads_per_round = new_graph._run_plan()[1]
 
     def can_fund_round(self) -> bool:
         """Whether every node's tape can pay for one more round."""
@@ -457,21 +485,27 @@ class ExecutionEngine:
             raise RuntimeModelError(
                 "cannot step: some node's bit tape is exhausted"
             )
+        self._step()
+
+    def _step(self) -> None:
+        """One round, its funding already checked by the caller."""
         graph, algorithm = self._graph, self._algorithm
-        outboxes = self._delivery.emit(algorithm, self._states, graph)
+        states, tapes = self._states, self._tapes
+        need = algorithm.bits_per_round
+        transition = algorithm.transition
+        outboxes = self._delivery.emit(algorithm, states, graph)
+        inboxes = self._delivery.deliver(outboxes, graph)
         bits_drawn: dict[Node, str] = {}
         new_states: dict[Node, Any] = {}
         for v in graph.nodes:
-            received = self._delivery.inbox(outboxes, v, graph)
-            bits = self._tapes[v].draw(algorithm.bits_per_round)
-            bits_drawn[v] = bits
-            new_states[v] = algorithm.transition(self._states[v], received, bits)
+            bits = bits_drawn[v] = tapes[v].draw(need)
+            new_states[v] = transition(states[v], inboxes[v], bits)
         self._states = new_states
         self._rounds += 1
         new_outputs = self._note_outputs(bits_drawn)
         self._metrics.rounds = self._rounds
         self._metrics.messages_sent += self._payloads_per_round
-        self._metrics.bits_drawn += algorithm.bits_per_round * graph.num_nodes
+        self._metrics.bits_drawn += need * graph.num_nodes
         self._metrics.decided_per_round.append(len(new_outputs))
         if self._trace is not None:
             record = (
@@ -492,16 +526,17 @@ class ExecutionEngine:
         round, whichever delivery discipline is running.
         """
         new_outputs: dict[Node, Any] = {}
+        output, states, outputs = self._algorithm.output, self._states, self._outputs
         for v in self._graph.nodes:
-            value = self._algorithm.output(self._states[v])
-            if v in self._outputs:
-                if value is None or value != self._outputs[v]:
+            value = output(states[v])
+            if v in outputs:
+                if value is None or value != outputs[v]:
                     raise OutputAlreadySetError(
                         f"node {v!r} changed its irrevocable output from "
-                        f"{self._outputs[v]!r} to {value!r} in round {self._rounds}"
+                        f"{outputs[v]!r} to {value!r} in round {self._rounds}"
                     )
             elif value is not None:
-                self._outputs[v] = value
+                outputs[v] = value
                 new_outputs[v] = value
         return new_outputs
 
@@ -515,12 +550,13 @@ class ExecutionEngine:
         start = time.perf_counter()  # repro-lint: disable=DET001 -- wall-time metric only
         for hook in self._hooks:
             hook.on_start(self)
+        funding_rule = self._policy.stop_before_unfunded
         while (
             not self.all_decided
             and self._rounds < max_rounds
-            and (not self._policy.stop_before_unfunded or self.can_fund_round())
+            and (not funding_rule or self.can_fund_round())
         ):
-            self.step()
+            self._step()
         self._metrics.wall_s += time.perf_counter() - start  # repro-lint: disable=DET001 -- wall-time metric only
         result = ExecutionResult(
             outputs=dict(self._outputs),
@@ -662,16 +698,21 @@ def execute(
         trace = _trace_level(
             record_trace, default="off" if assignment is not None else "full"
         )
-        policy = ExecutionPolicy(trace=trace)
+    delivery = delivery or _infer_delivery(algorithm)
+    injection = _INJECTION_PROVIDER() if _INJECTION_PROVIDER is not None else None
+    if injection is not None:
+        delivery, tapes, hooks = injection.wrap(delivery, tapes, graph, hooks)
+    # An assignment funds exactly ``funded_limit`` rounds and the run
+    # stops there, so the kernel's per-round funding check is already
+    # discharged (fault-wrapped tapes keep it).
+    funded = funded_limit is not None and injection is None
+    if policy is None:
+        policy = ExecutionPolicy(trace=trace, stop_before_unfunded=not funded)
+    elif funded and policy.stop_before_unfunded:
+        policy = replace(policy, stop_before_unfunded=False)
     limit = policy.max_rounds if max_rounds is None else max_rounds
     if funded_limit is not None:
         limit = funded_limit if max_rounds is None else min(limit, funded_limit)
-
-    delivery = delivery or _infer_delivery(algorithm)
-    if _INJECTION_PROVIDER is not None:
-        injection = _INJECTION_PROVIDER()
-        if injection is not None:
-            delivery, tapes, hooks = injection.wrap(delivery, tapes, graph, hooks)
     if _TOPOLOGY_PROVIDER is not None:
         churn = _TOPOLOGY_PROVIDER()
         if churn is not None:

@@ -51,20 +51,21 @@ class FixedTape(BitSource):
     """Replays a fixed bitstring; exhausting it ends the simulation."""
 
     def __init__(self, bits: str) -> None:
-        if any(c not in "01" for c in bits):
+        if bits.strip("01"):
             raise SimulationError(f"bitstring may contain only 0/1, got {bits!r}")
         self._bits = bits
         self._position = 0
 
     def draw(self, count: int) -> str:
-        if not self.remaining(count):
+        start = self._position
+        end = start + count
+        if end > len(self._bits):
             raise SimulationError(
-                f"tape exhausted: needed {count} bits at position {self._position} "
+                f"tape exhausted: needed {count} bits at position {start} "
                 f"of {len(self._bits)}"
             )
-        chunk = self._bits[self._position : self._position + count]
-        self._position += count
-        return chunk
+        self._position = end
+        return self._bits[start:end]
 
     def remaining(self, count: int) -> bool:
         return self._position + count <= len(self._bits)

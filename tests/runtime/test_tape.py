@@ -52,6 +52,20 @@ class TestFixedTape:
         with pytest.raises(SimulationError, match="only 0/1"):
             FixedTape("01a")
 
+    @pytest.mark.parametrize(
+        "bits, valid",
+        [("", True), ("0", True), ("0110", True), ("012", False), ("a", False),
+         ("2", False), ("a01", False), ("0 1", False), ("01\n", False)],
+    )
+    def test_validation_table(self, bits, valid):
+        if valid:
+            assert FixedTape(bits).remaining(len(bits))
+            return
+        message = f"bitstring may contain only 0/1, got {bits!r}"
+        with pytest.raises(SimulationError) as excinfo:
+            FixedTape(bits)
+        assert str(excinfo.value) == message
+
     def test_empty_tape(self):
         tape = FixedTape("")
         assert tape.remaining(0)
