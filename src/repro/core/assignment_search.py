@@ -26,7 +26,7 @@ from collections.abc import Iterator, Mapping, Sequence
 from repro.exceptions import DerandomizationError
 from repro.graphs.labeled_graph import LabeledGraph, Node
 from repro.runtime.algorithm import AnonymousAlgorithm
-from repro.runtime.engine import execute
+from repro.runtime.engine import ambient_context_active, execute, resume
 
 Assignment = dict[Node, str]
 
@@ -162,19 +162,26 @@ def smallest_successful_assignment(
         return _prg_assignment_search(
             algorithm, graph, node_order, max_length=max_length, budget=budget
         )
-    remaining = budget
     empty: dict[Node, str] = {v: "" for v in node_order}
-    for target_length in range(1, max_length + 1):
-        try:
-            found = smallest_successful_extension(
+    if strategy == "lexicographic" and not ambient_context_active():
+        search_length = _PrefixMemo(algorithm, graph, node_order).search_length
+    else:
+
+        def search_length(target_length: int, budget: int) -> Assignment | None:
+            return smallest_successful_extension(
                 algorithm,
                 graph,
                 node_order,
                 empty,
                 target_length,
-                budget=remaining,
+                budget=budget,
                 strategy=strategy,
             )
+
+    remaining = budget
+    for target_length in range(1, max_length + 1):
+        try:
+            found = search_length(target_length, remaining)
         except SearchBudgetExceeded:
             raise SearchBudgetExceeded(
                 f"assignment search exceeded its budget of {budget} trials "
@@ -194,6 +201,79 @@ def smallest_successful_assignment(
         "raise max_length (Las-Vegas success has probability 1, so some "
         "finite length works)"
     )
+
+
+class _PrefixMemo:
+    """The lexicographic search of one length at a time, each trial
+    resumed from the end state of its failed prefix trial.
+
+    Round ``r`` of a trial reads only bits ``[(r-1)·b, r·b)`` of each
+    node (``b = bits_per_round``), and every trial of a failed length
+    failed, so each trial of the next length that funds a new round
+    continues one failed trial by exactly that round.  ``_snapshots[k]``
+    is the state (see :func:`~repro.runtime.engine.resume`) reached after
+    ``_rounds`` rounds by the trial whose per-node first ``_rounds·b``
+    bits have lexicographic index ``k``; ``None`` stands for the initial
+    states.  A length that funds no new round resumes from the same
+    snapshots with no round to run.  Per-node states are interned by
+    value, so the many snapshots that share a node's state share one
+    object; the purity contract of
+    :class:`~repro.runtime.algorithm.AnonymousAlgorithm` makes the
+    sharing safe.
+    """
+
+    def __init__(
+        self, algorithm: AnonymousAlgorithm, graph: LabeledGraph, node_order: Sequence[Node]
+    ) -> None:
+        self._algorithm = algorithm
+        self._graph = graph
+        self._order = list(node_order)
+        self._rounds = 0
+        self._snapshots: list[tuple | None] = [None]
+
+    def search_length(self, target_length: int, budget: int) -> Assignment | None:
+        """:func:`smallest_successful_extension` of the empty prefix to
+        ``target_length``: the same trials in the same order, each
+        absorbed as one execution.  Lengths must come as ``1, 2, 3, ...``,
+        each after the previous one failed."""
+        algorithm, graph, order = self._algorithm, self._graph, self._order
+        per_round = algorithm.bits_per_round
+        rounds = target_length // per_round if per_round else 0
+        new_round = rounds > self._rounds
+        kept = self._rounds * per_round  # bits per node behind the snapshots
+        snapshots = self._snapshots
+        fresh: list[tuple | None] = []
+        interned: dict = {}
+        tried = 0
+        empty = dict.fromkeys(order, "")
+        for assignment in enumerate_extensions(empty, order, target_length):
+            if tried >= budget:
+                raise SearchBudgetExceeded(
+                    f"no successful extension of length {target_length} within "
+                    f"{budget} trials (space not exhausted)"
+                )
+            tried += 1
+            key = int("".join([assignment[v][:kept] for v in order]) or "0", 2)
+            bits = {v: assignment[v][kept:] for v in order}
+            result, snapshot = resume(
+                algorithm, graph, snapshots[key], bits, rounds=self._rounds
+            )
+            if result.successful:
+                return assignment
+            if new_round:
+                fresh.append(tuple([_intern(interned, state) for state in snapshot]))
+        if new_round:
+            self._snapshots, self._rounds = fresh, rounds
+        return None
+
+
+def _intern(table: dict, state: object) -> object:
+    """The first stored state equal to ``state`` (``state`` itself when
+    it is new or unhashable)."""
+    try:
+        return table.setdefault(state, state)
+    except TypeError:
+        return state
 
 
 def _prg_assignment_search(

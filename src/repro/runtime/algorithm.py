@@ -18,7 +18,9 @@ identically by every node:
 
 Purity (no hidden per-node mutable context, all entropy via ``bits``) is
 what makes executions replayable from a bit assignment and liftable along
-factorizing maps.
+factorizing maps.  States are values: ``transition`` returns a new state
+and never mutates its argument, and equal states behave alike, so the
+assignment search may resume many trials from one shared state.
 """
 
 from __future__ import annotations

@@ -138,6 +138,12 @@ class ExecutionMetrics:
     ``faults_injected`` counts the fault events the :mod:`repro.faults`
     subsystem injected into this execution (0 for bare runs and for
     runs under an empty plan).
+
+    An execution resumed from a snapshot (:func:`resume`) counts only
+    the rounds it simulated: ``rounds``, ``messages_sent`` and
+    ``bits_drawn`` cover those rounds, ``decided_per_round[0]`` is the
+    number of nodes already decided in the snapshot, and
+    ``nodes_decided`` is still the total.
     """
 
     rounds: int = 0
@@ -215,7 +221,9 @@ def collect_engine_metrics() -> Iterator[EngineMetricsTotals]:
     try:
         yield totals
     finally:
-        _COLLECTORS.remove(totals)
+        # By identity: totals are dataclasses, so an equal outer
+        # collector would match ``list.remove``'s ``==``.
+        _COLLECTORS[:] = [active for active in _COLLECTORS if active is not totals]
 
 
 class RoundHook:
@@ -382,7 +390,13 @@ class ExecutionResult:
 
 
 class ExecutionEngine:
-    """The single synchronous round kernel behind every scheduler."""
+    """The single synchronous round kernel behind every scheduler.
+
+    ``states`` (every node's state in ``graph.nodes`` order) and
+    ``rounds`` start the kernel from a snapshot taken after ``rounds``
+    rounds instead of from ``init_state``; the snapshot's decided nodes
+    count as decided before the first simulated round.
+    """
 
     def __init__(
         self,
@@ -392,6 +406,9 @@ class ExecutionEngine:
         delivery: DeliveryDiscipline,
         policy: ExecutionPolicy | None = None,
         hooks: Sequence[RoundHook] = (),
+        *,
+        states: Sequence[Any] | None = None,
+        rounds: int = 0,
     ) -> None:
         missing = [v for v in graph.nodes if v not in tapes]
         if missing:
@@ -403,12 +420,15 @@ class ExecutionEngine:
         self._policy = policy or ExecutionPolicy()
         self._hooks = list(hooks)
         plan, self._payloads_per_round = graph._run_plan()
-        init_state = algorithm.init_state
-        self._states: dict[Node, Any] = {
-            v: init_state(label, degree) for v, label, degree in plan
-        }
+        if states is None:
+            init_state = algorithm.init_state
+            self._states: dict[Node, Any] = {
+                v: init_state(label, degree) for v, label, degree in plan
+            }
+        else:
+            self._states = dict(zip(graph.nodes, states))
         self._outputs: dict[Node, Any] = {}
-        self._rounds = 0
+        self._rounds = rounds
         self._trace = (
             ExecutionTrace(algorithm.name) if self._policy.trace != "off" else None
         )
@@ -449,6 +469,10 @@ class ExecutionEngine:
 
     def state_of(self, node: Node) -> Any:
         return self._states[node]
+
+    def snapshot(self) -> tuple[Any, ...]:
+        """Every node's current state, in ``graph.nodes`` order."""
+        return tuple(self._states.values())
 
     def add_hook(self, hook: RoundHook) -> None:
         self._hooks.append(hook)
@@ -503,7 +527,7 @@ class ExecutionEngine:
         self._states = new_states
         self._rounds += 1
         new_outputs = self._note_outputs(bits_drawn)
-        self._metrics.rounds = self._rounds
+        self._metrics.rounds += 1
         self._metrics.messages_sent += self._payloads_per_round
         self._metrics.bits_drawn += need * graph.num_nodes
         self._metrics.decided_per_round.append(len(new_outputs))
@@ -622,6 +646,25 @@ def _infer_delivery(algorithm: Any) -> DeliveryDiscipline:
     return BroadcastDelivery()
 
 
+def _assignment_tapes(
+    algorithm: Any, graph: LabeledGraph, assignment: Mapping[Node, str]
+) -> tuple[dict[Node, BitSource], int]:
+    """Each node's tape replaying its bits of ``assignment``, and the
+    number of rounds the shortest of them funds."""
+    missing = [v for v in graph.nodes if v not in assignment]
+    if missing:
+        raise SimulationError(f"assignment does not cover nodes {missing!r}")
+    bits_per_round = algorithm.bits_per_round
+    if bits_per_round == 0:
+        raise SimulationError(
+            "simulations induced by an assignment require a randomized "
+            "algorithm (bits_per_round >= 1); deterministic algorithms "
+            "run via execute() with no randomness source"
+        )
+    tapes: dict[Node, BitSource] = {v: FixedTape(assignment[v]) for v in graph.nodes}
+    return tapes, min(len(assignment[v]) // bits_per_round for v in graph.nodes)
+
+
 def execute(
     algorithm: Any,
     graph: LabeledGraph,
@@ -668,19 +711,7 @@ def execute(
     bits_per_round = algorithm.bits_per_round
     funded_limit: int | None = None
     if assignment is not None:
-        missing = [v for v in graph.nodes if v not in assignment]
-        if missing:
-            raise SimulationError(f"assignment does not cover nodes {missing!r}")
-        if bits_per_round == 0:
-            raise SimulationError(
-                "simulations induced by an assignment require a randomized "
-                "algorithm (bits_per_round >= 1); deterministic algorithms "
-                "run via execute() with no randomness source"
-            )
-        tapes = {v: FixedTape(assignment[v]) for v in graph.nodes}
-        funded_limit = min(
-            len(assignment[v]) // bits_per_round for v in graph.nodes
-        )
+        tapes, funded_limit = _assignment_tapes(algorithm, graph, assignment)
     elif seed is not None:
         tapes = {
             v: RecordingTape(RandomTape(seed * 1_000_003 + index))
@@ -734,3 +765,58 @@ def execute(
             f"on {graph!r}{suffix}"
         )
     return result
+
+
+def ambient_context_active() -> bool:
+    """Whether a fault injection or churn context is active, so that an
+    :func:`execute` call started now would be wrapped by it."""
+    return (_INJECTION_PROVIDER is not None and _INJECTION_PROVIDER() is not None) or (
+        _TOPOLOGY_PROVIDER is not None and _TOPOLOGY_PROVIDER() is not None
+    )
+
+
+_RESUME_POLICY = ExecutionPolicy(trace="off", stop_before_unfunded=False)
+
+
+def resume(
+    algorithm: Any,
+    graph: LabeledGraph,
+    states: Sequence[Any] | None,
+    bits: Mapping[Node, str],
+    rounds: int = 0,
+) -> tuple[ExecutionResult, tuple[Any, ...]]:
+    """Continue a simulation induced by an assignment from a snapshot.
+
+    ``states`` is every node's state after ``rounds`` rounds, in
+    ``graph.nodes`` order (``None``: the initial states, with
+    ``rounds == 0``), as returned by an earlier call.  ``bits`` holds each
+    node's bits for the rounds still to come: the run lasts at most
+    ``min_v floor(|bits[v]| / bits_per_round)`` more rounds and, like
+    :func:`execute`, stops as soon as every node has decided.  Outputs are
+    recomputed from the snapshot's states, and irrevocability is enforced
+    from there on.
+
+    Returns the result and the snapshot the run ends in.  ``result.rounds``
+    counts every round since initialization; ``result.metrics`` counts
+    only the rounds simulated here (see :class:`ExecutionMetrics`).  Every
+    active collector absorbs the run as one execution.  The run is
+    untraced and hook-free, so it refuses to start while a fault
+    injection or churn context is active (:func:`ambient_context_active`);
+    run such executions through :func:`execute` from round 0.
+    """
+    tapes, funded = _assignment_tapes(algorithm, graph, bits)
+    if ambient_context_active():
+        raise RuntimeModelError(
+            "cannot resume under an active fault injection or churn context; "
+            "use execute()"
+        )
+    engine = ExecutionEngine(
+        algorithm,
+        graph,
+        tapes,
+        delivery=_infer_delivery(algorithm),
+        policy=_RESUME_POLICY,
+        states=states,
+        rounds=rounds,
+    )
+    return engine.run(max_rounds=rounds + funded), engine.snapshot()

@@ -1,0 +1,248 @@
+"""The prefix-resumed lexicographic search against the replaying one.
+
+``smallest_successful_assignment`` resumes each trial of a length from
+the end state of its failed prefix trial.  The reference below replays
+every trial from round 0 through ``execute``, as the search did before.
+Both must try the same assignments in the same order: the same chosen
+assignment (or the same error), the same number of executions, and —
+where the search falls back to replaying, under fault injection or churn
+— the same rounds, messages, bits and faults.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.algorithms.luby_mis import AnonymousMISAlgorithm
+from repro.algorithms.matching import AnonymousMatchingAlgorithm
+from repro.algorithms.two_hop_coloring import TwoHopColoringAlgorithm
+from repro.algorithms.vertex_coloring import VertexColoringAlgorithm
+from repro.core.assignment_search import (
+    SearchBudgetExceeded,
+    enumerate_extensions,
+    smallest_successful_assignment,
+)
+from repro.dynamic import ChurnPlan, apply_churn
+from repro.exceptions import DerandomizationError
+from repro.faults import FaultPlan, inject_faults
+from repro.graphs.builders import path_graph, random_connected_graph, with_uniform_input
+from repro.runtime.algorithm import FunctionAlgorithm
+from repro.runtime.engine import collect_engine_metrics, execute
+from tests.conftest import small_graph_zoo
+
+
+def reference_search(algorithm, graph, order, max_length=64, budget=1_000_000):
+    """Every trial replayed from round 0, in the paper's order, with the
+    search's budget messages."""
+    empty = {v: "" for v in order}
+    tried = 0
+    for length in range(1, max_length + 1):
+        for assignment in enumerate_extensions(empty, order, length):
+            if tried >= budget:
+                raise SearchBudgetExceeded(
+                    f"assignment search exceeded its budget of {budget} trials "
+                    f"at length {length}"
+                )
+            tried += 1
+            if execute(algorithm, graph, assignment=assignment).successful:
+                return assignment
+        if tried >= budget:
+            raise SearchBudgetExceeded(
+                f"assignment search exceeded its budget of {budget} trials "
+                f"after length {length}"
+            )
+    raise DerandomizationError(f"no successful assignment up to length {max_length}")
+
+
+def _outcome(search, *args, **kwargs):
+    """(chosen assignment or error text, engine totals) of one search."""
+    with collect_engine_metrics() as totals:
+        try:
+            outcome = search(*args, **kwargs)
+        except DerandomizationError as exc:
+            outcome = (type(exc).__name__, str(exc).split(";")[0])
+    return outcome, totals.as_dict(include_wall=False)
+
+
+def two_bit_coloring():
+    """Two bits per round: propose a 2-bit color, keep it once no
+    neighbour proposes or holds the same one.  Tuple states."""
+
+    def step(state, received, bits):
+        proposal, color = state
+        if color is not None:
+            return state
+        taken = {value for message in received for value in message}
+        if proposal is not None and proposal not in taken:
+            return (proposal, proposal)
+        return (bits, None)
+
+    return FunctionAlgorithm(
+        init=lambda label, degree: (None, None),
+        msg=lambda state: state,
+        step=step,
+        out=lambda state: state[1],
+        bits_per_round=2,
+        name="two-bit-coloring",
+    )
+
+
+def list_state_election():
+    """Unhashable (list) states: decide after drawing a 1 unless a
+    neighbour drew a 1 in the same round, in which case draw again."""
+
+    def step(state, received, bits):
+        if state[1] is not None:
+            return list(state)
+        if state[0] == "1":
+            return [state[0], "leader" if "1" not in received else "follower"]
+        return [bits, None]
+
+    return FunctionAlgorithm(
+        init=lambda label, degree: ["", None],
+        msg=lambda state: state[0],
+        step=step,
+        out=lambda state: state[1],
+        bits_per_round=1,
+        name="list-state-election",
+    )
+
+
+ALGORITHMS = {
+    "mis": AnonymousMISAlgorithm,
+    "coloring": VertexColoringAlgorithm,
+    "two-hop-coloring": TwoHopColoringAlgorithm,
+    "matching": AnonymousMatchingAlgorithm,
+    "two-bit-coloring": two_bit_coloring,
+    "list-states": list_state_election,
+}
+
+ZOO = [case for case in small_graph_zoo() if case[1].num_nodes <= 10]
+
+
+def assert_same_search(algorithm, graph, order, **kwargs):
+    searched, search_totals = _outcome(
+        smallest_successful_assignment, algorithm, graph, order, **kwargs
+    )
+    expected, reference_totals = _outcome(reference_search, algorithm, graph, order, **kwargs)
+    assert searched == expected
+    assert search_totals["executions"] == reference_totals["executions"]
+    return search_totals, reference_totals
+
+
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+@pytest.mark.parametrize("graph_name, graph", ZOO, ids=[name for name, _ in ZOO])
+def test_resumed_search_matches_replay_on_the_zoo(name, graph_name, graph):
+    algorithm = ALGORITHMS[name]()
+    search_totals, reference_totals = assert_same_search(
+        algorithm, graph, list(graph.nodes), budget=150
+    )
+    assert search_totals["rounds"] <= reference_totals["rounds"]
+
+
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+def test_resumed_search_matches_replay_to_success(name):
+    # Small enough that every algorithm finds its assignment.
+    graph = with_uniform_input(path_graph(2))
+    algorithm = ALGORITHMS[name]()
+    order = list(graph.nodes)
+    chosen, _totals = _outcome(smallest_successful_assignment, algorithm, graph, order)
+    assert isinstance(chosen, dict)
+    assert execute(algorithm, graph, assignment=chosen).successful
+    assert_same_search(algorithm, graph, order)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=4),
+    extra=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=10_000),
+    name=st.sampled_from(sorted(ALGORITHMS)),
+    reverse=st.booleans(),
+    budget=st.integers(min_value=0, max_value=400),
+)
+def test_resumed_search_matches_replay_on_random_graphs(n, extra, seed, name, reverse, budget):
+    graph = with_uniform_input(random_connected_graph(n, extra, seed=seed))
+    order = list(reversed(graph.nodes)) if reverse else list(graph.nodes)
+    assert_same_search(ALGORITHMS[name](), graph, order, budget=budget)
+
+
+# MIS on a 2-path tries 4 assignments of length 1, 16 of length 2 and
+# succeeds on the 5th of length 3 (25 trials in all).
+BUDGET_EDGES = [
+    (0, "exceeded its budget of 0 trials at length 1"),
+    (3, "exceeded its budget of 3 trials at length 1"),
+    (4, "exceeded its budget of 4 trials after length 1"),
+    (5, "exceeded its budget of 5 trials at length 2"),
+    (19, "exceeded its budget of 19 trials at length 2"),
+    (20, "exceeded its budget of 20 trials after length 2"),
+    (24, "exceeded its budget of 24 trials at length 3"),
+    (25, None),
+]
+
+
+@pytest.mark.parametrize("budget, message", BUDGET_EDGES)
+def test_budget_edges(budget, message):
+    graph = with_uniform_input(path_graph(2))
+    algorithm, order = AnonymousMISAlgorithm(), list(graph.nodes)
+    with collect_engine_metrics() as totals:
+        if message is None:
+            assert smallest_successful_assignment(algorithm, graph, order, budget=budget)
+        else:
+            with pytest.raises(SearchBudgetExceeded) as raised:
+                smallest_successful_assignment(algorithm, graph, order, budget=budget)
+            assert str(raised.value) == f"assignment search {message}"
+    assert totals.executions == budget
+    assert_same_search(algorithm, graph, order, budget=budget)
+
+
+def test_two_bits_per_round_share_snapshots_across_lengths():
+    # Odd lengths fund no new round: their trials resume with no round to run.
+    graph = with_uniform_input(path_graph(3))
+    search_totals, reference_totals = assert_same_search(
+        two_bit_coloring(), graph, list(graph.nodes), budget=5000
+    )
+    assert search_totals["rounds"] < reference_totals["rounds"]
+
+
+def test_max_length_exhaustion_matches_replay():
+    graph = with_uniform_input(path_graph(2))
+    searched, totals = _outcome(
+        smallest_successful_assignment,
+        TwoHopColoringAlgorithm(),
+        graph,
+        list(graph.nodes),
+        max_length=2,
+    )
+    assert searched == ("DerandomizationError", "no successful assignment up to length 2")
+    assert totals["executions"] == 4 + 16
+
+
+FAULT_PLAN = FaultPlan(plan_seed=3, drop_rate=0.2, duplicate_rate=0.1, crashes=((1, 2),))
+CHURN_PLAN = ChurnPlan(plan_seed=5, insert_rate=0.5, delete_rate=0.5)
+
+
+CONTEXTS = {"faults": lambda: inject_faults(FAULT_PLAN), "churn": lambda: apply_churn(CHURN_PLAN)}
+
+
+# 2-hop coloring asserts a static topology, so it runs under faults only.
+@pytest.mark.parametrize(
+    "context_name, name",
+    [
+        ("faults", "mis"),
+        ("faults", "two-hop-coloring"),
+        ("faults", "matching"),
+        ("churn", "mis"),
+        ("churn", "matching"),
+    ],
+)
+def test_active_contexts_replay_every_trial(context_name, name):
+    context = CONTEXTS[context_name]
+    graph = with_uniform_input(random_connected_graph(4, 0.5, seed=2))
+    algorithm, order = ALGORITHMS[name](), list(graph.nodes)
+    with context():
+        search_totals, reference_totals = assert_same_search(
+            algorithm, graph, order, budget=300
+        )
+    assert search_totals == reference_totals

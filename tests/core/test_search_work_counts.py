@@ -1,14 +1,18 @@
 """Work-count pins for the lexicographic assignment search.
 
 The round kernel may get faster, but the search it serves must do the
-same work: the same number of engine executions, rounds, delivered
-payloads and drawn bits, and the same chosen assignment.  The expected
-values were recorded before the sender-keyed delivery, the ``_freeze``
-atom fast path, the per-graph run plan and the single per-round funding
-check went in.
+same work: the same number of engine executions and the same chosen
+assignment.  Each trial resumes from the end state of its failed prefix
+trial, so it simulates exactly one round: the rounds equal the
+executions, and the delivered payloads and drawn bits follow.  (Every
+trial replayed from round 0 before; the pins then read 8,367 / 100,404 /
+50,202 rounds / messages / bits for MIS on C6 and 17,476 / 209,712 /
+69,904 for K4.)
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import pytest
 
@@ -27,7 +31,7 @@ CASES = [
         cycle_graph(6),
         (0, 1, 2, 0, 1, 3),  # not periodic: the quotient keeps all six nodes
         {0: "000", 1: "000", 2: "000", 3: "000", 4: "100", 5: "100"},
-        {"executions": 4197, "rounds": 8367, "messages_sent": 100404, "bits_drawn": 50202},
+        {"executions": 4197, "rounds": 4197, "messages_sent": 50364, "bits_drawn": 25182},
         id="mis-C6",
     ),
     pytest.param(
@@ -35,7 +39,7 @@ CASES = [
         complete_graph(4),
         (0, 1, 2, 3),
         {0: "0000", 1: "0100", 2: "1000", 3: "1100"},
-        {"executions": 5533, "rounds": 17476, "messages_sent": 209712, "bits_drawn": 69904},
+        {"executions": 5533, "rounds": 5533, "messages_sent": 66396, "bits_drawn": 22132},
         id="2-hop-coloring-K4",
     ),
 ]
@@ -52,3 +56,26 @@ def test_lexicographic_search_work_is_pinned(algorithm_class, graph, colors, ass
         )
     assert chosen == assignment
     assert {key: getattr(totals, key) for key in counts} == counts
+
+
+# The MIS-C6 search keeps 4,096 prefix snapshots of six interned states
+# each while it searches length 3; its traced peak measured about 236 kB
+# (CPython 3.11).  Keeping a forked engine per prefix instead takes
+# megabytes.
+MIS_C6_PEAK_BYTES = 500_000
+
+
+def test_prefix_memo_stays_compact():
+    algorithm_class, graph, colors, _assignment, _counts = CASES[0].values
+    colored = apply_two_hop_coloring(with_uniform_input(graph), dict(enumerate(colors)))
+    quotient = finite_view_graph(colored)
+    simulation_graph = quotient.graph.with_only_layers(["input"])
+    order = canonical_node_order(quotient.graph)
+    smallest_successful_assignment(algorithm_class(), simulation_graph, order)  # warm caches
+    tracemalloc.start()
+    try:
+        smallest_successful_assignment(algorithm_class(), simulation_graph, order)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < MIS_C6_PEAK_BYTES

@@ -32,6 +32,7 @@ from repro.runtime.engine import (
     _trace_level,
     collect_engine_metrics,
     execute,
+    resume,
 )
 from repro.runtime.port_model import PortAwareAlgorithm
 from repro.runtime.tape import FixedTape
@@ -350,6 +351,16 @@ class TestMetricsCollection:
         assert inner.executions == 1
         assert outer.executions == 2
 
+    def test_inner_collector_equal_to_outer_removes_only_itself(self):
+        # Both start empty, so the totals compare equal by value when the
+        # inner one exits; the outer one must stay registered.
+        with collect_engine_metrics() as outer:
+            with collect_engine_metrics() as inner:
+                assert inner == outer
+            self._run_once()
+        assert inner.executions == 0
+        assert outer.executions == 1
+
     def test_absorb_and_as_dict(self):
         totals = EngineMetricsTotals()
         totals.absorb(
@@ -368,6 +379,104 @@ class TestMetricsCollection:
             "faults_injected": 0,
         }
         assert totals.as_dict()["wall_s"] == 0.5
+
+
+# ----------------------------------------------------------------------
+# Snapshot / resume
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("model", MODELS)
+class TestResume:
+    def _split(self, model, stop_at, first, rest):
+        g = _uniform(path_graph(3))
+        algorithm = make_counter(model, stop_at, bits=1)
+        head, states = resume(algorithm, g, None, {v: first for v in g.nodes})
+        tail, final = resume(algorithm, g, states, {v: rest for v in g.nodes}, rounds=head.rounds)
+        whole = execute(algorithm, g, assignment={v: first + rest for v in g.nodes})
+        return g, head, tail, whole, final
+
+    def test_from_initial_states_equals_execute(self, model):
+        g = _uniform(path_graph(3))
+        algorithm = make_counter(model, 2, bits=1)
+        result, states = resume(algorithm, g, None, {v: "011" for v in g.nodes})
+        expected = execute(algorithm, g, assignment={v: "011" for v in g.nodes})
+        assert (result.outputs, result.rounds, result.all_decided) == (
+            expected.outputs, expected.rounds, expected.all_decided
+        )
+        untimed = {"wall_s": 0}
+        assert result.metrics.as_dict() | untimed == expected.metrics.as_dict() | untimed
+        engine = make_engine(model, algorithm, g, {v: FixedTape("011") for v in g.nodes})
+        engine.run()
+        assert states == engine.snapshot()
+
+    def test_resumed_run_continues_the_execution(self, model):
+        g, head, tail, whole, final = self._split(model, 3, "01", "10")
+        assert (head.rounds, head.all_decided) == (2, False)
+        assert (tail.outputs, tail.rounds, tail.all_decided) == (
+            whole.outputs, whole.rounds, whole.all_decided
+        )
+        assert tail.rounds == 3  # stops once every node decided
+
+    def test_metrics_count_only_simulated_rounds(self, model):
+        g, head, tail, whole, _final = self._split(model, 3, "01", "10")
+        assert tail.metrics.rounds == 1
+        for key in ("rounds", "messages_sent", "bits_drawn"):
+            parts = getattr(head.metrics, key) + getattr(tail.metrics, key)
+            assert parts == getattr(whole.metrics, key)
+        assert tail.metrics.nodes_decided == whole.metrics.nodes_decided == g.num_nodes
+
+    def test_snapshot_outputs_count_as_decided(self, model):
+        _g, head, tail, _whole, _final = self._split(model, 1, "01", "1")
+        assert head.all_decided and head.rounds == 1
+        # Already decided in the snapshot: no round runs.
+        assert (tail.rounds, tail.metrics.rounds) == (1, 0)
+        assert tail.metrics.decided_per_round == [3]
+
+    def test_collectors_absorb_one_execution_each(self, model):
+        with collect_engine_metrics() as totals:
+            _g, head, tail, _whole, _final = self._split(model, 3, "01", "10")
+        assert totals.executions == 3  # head, tail and the execute() reference
+        assert totals.rounds == head.metrics.rounds + tail.metrics.rounds + 3
+
+    def test_bits_must_cover_every_node(self, model):
+        g = _uniform(path_graph(2))
+        with pytest.raises(SimulationError, match="does not cover nodes"):
+            resume(make_counter(model, 1, bits=1), g, None, {0: "1"})
+
+    def test_deterministic_algorithm_rejected_like_execute(self, model):
+        g = _uniform(path_graph(2))
+        with pytest.raises(SimulationError, match="require a randomized algorithm"):
+            resume(make_counter(model, 1), g, None, {v: "1" for v in g.nodes})
+
+
+def test_irrevocability_is_enforced_after_resuming():
+    # The middle node of P3 outputs its round count: 1, then 2.  The ends
+    # never decide, so the run does not stop at round 1.
+    flipping = FunctionAlgorithm(
+        init=lambda label, degree: (degree, 0),
+        msg=lambda s: 0,
+        step=lambda s, received, bits: (s[0], s[1] + 1),
+        out=lambda s: s[1] if s[0] == 2 and s[1] >= 1 else None,
+        bits_per_round=1,
+        name="flipping",
+    )
+    g = _uniform(path_graph(3))
+    head, states = resume(flipping, g, None, {v: "0" for v in g.nodes})
+    assert head.outputs == {1: 1}
+    with pytest.raises(OutputAlreadySetError, match=r"node 1 .* from 1 to 2 in round 2"):
+        resume(flipping, g, states, {v: "0" for v in g.nodes}, rounds=1)
+
+
+def test_resume_refuses_active_fault_and_churn_contexts():
+    from repro.dynamic import ChurnPlan, apply_churn
+    from repro.faults import FaultPlan, inject_faults
+
+    g = _uniform(path_graph(2))
+    algorithm = broadcast_counter(1, bits=1)
+    for context in (inject_faults(FaultPlan()), apply_churn(ChurnPlan())):
+        with context, pytest.raises(RuntimeModelError, match="use execute"):
+            resume(algorithm, g, None, {v: "1" for v in g.nodes})
 
 
 # ----------------------------------------------------------------------
