@@ -39,7 +39,7 @@ bench:  ## full benchmark/experiment suite (pytest-benchmark)
 perf:  ## rewrite the benchmarks/BENCH_views.json perf baseline
 	$(PYTHON) benchmarks/run_perf_suite.py
 
-perf-smoke:  ## quick perf gate: fail if view construction regresses >2x vs baseline
+perf-smoke:  ## quick perf gate: cold views within 2x of the baseline; live floors: reconstruct >=5x, search >=16x (+ dynamic, artifacts)
 	$(PYTHON) benchmarks/run_perf_suite.py --quick --check $(PERF_SMOKE_FLAGS)
 
 smoke:  ## differential gates: faults, churn, hash seed, cold/warm artifacts (repro.experiments.gates)

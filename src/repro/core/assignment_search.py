@@ -26,7 +26,7 @@ from collections.abc import Iterator, Mapping, Sequence
 from repro.exceptions import DerandomizationError
 from repro.graphs.labeled_graph import LabeledGraph, Node
 from repro.runtime.algorithm import AnonymousAlgorithm
-from repro.runtime.engine import ambient_context_active, execute, resume
+from repro.runtime.engine import ambient_context_active, execute, fork
 
 Assignment = dict[Node, str]
 
@@ -114,6 +114,7 @@ def smallest_successful_extension(
     chosen predetermined order, or ``None`` when no extension of this
     length succeeds.  Raises :class:`SearchBudgetExceeded` when the
     budget runs out with candidates still untried."""
+    _check_node_order(graph, node_order)
     tried = 0
     exhausted = True
     for assignment in enumerate_extensions(
@@ -158,6 +159,7 @@ def smallest_successful_assignment(
     :class:`SearchBudgetExceeded` if it runs out, and
     :class:`DerandomizationError` if ``max_length`` is exhausted (which,
     for a Las-Vegas algorithm, means the cap was simply too small)."""
+    _check_node_order(graph, node_order)
     if strategy == "prg":
         return _prg_assignment_search(
             algorithm, graph, node_order, max_length=max_length, budget=budget
@@ -187,7 +189,7 @@ def smallest_successful_assignment(
                 f"assignment search exceeded its budget of {budget} trials "
                 f"at length {target_length}"
             ) from None
-        space = 1 << (len(list(node_order)) * target_length)
+        space = 1 << (graph.num_nodes * target_length)
         remaining -= min(space, remaining)
         if found is not None:
             return found
@@ -203,21 +205,32 @@ def smallest_successful_assignment(
     )
 
 
+def _check_node_order(graph: LabeledGraph, node_order: Sequence[Node]) -> None:
+    """Reject a search order that is not a permutation of the nodes."""
+    order = list(node_order)
+    if len(order) != graph.num_nodes or set(order) != set(graph.nodes):
+        raise DerandomizationError(
+            f"node_order {order!r} is not a permutation of the graph's nodes"
+        )
+
+
 class _PrefixMemo:
     """The lexicographic search of one length at a time, each trial
-    resumed from the end state of its failed prefix trial.
+    continuing the end state of its failed prefix trial by one round.
 
     Round ``r`` of a trial reads only bits ``[(r-1)·b, r·b)`` of each
     node (``b = bits_per_round``), and every trial of a failed length
     failed, so each trial of the next length that funds a new round
     continues one failed trial by exactly that round.  ``_snapshots[k]``
-    is the state (see :func:`~repro.runtime.engine.resume`) reached after
-    ``_rounds`` rounds by the trial whose per-node first ``_rounds·b``
-    bits have lexicographic index ``k``; ``None`` stands for the initial
-    states.  A length that funds no new round resumes from the same
-    snapshots with no round to run.  Per-node states are interned by
-    value, so the many snapshots that share a node's state share one
-    object; the purity contract of
+    is the state reached after ``_rounds`` rounds by the trial whose
+    per-node first ``_rounds·b`` bits have lexicographic index ``k``, as
+    a tuple in ``graph.nodes`` order; ``None`` stands for the initial
+    states.  The trials of one snapshot share its round
+    (:func:`~repro.runtime.engine.fork`), so a trial looks up each
+    node's transition on its own new bits.  A length that funds no new
+    round continues the same snapshots with no round to run.  Per-node
+    states are interned by value, so the many snapshots that share a
+    node's state share one object; the purity contract of
     :class:`~repro.runtime.algorithm.AnonymousAlgorithm` makes the
     sharing safe.
     """
@@ -228,6 +241,8 @@ class _PrefixMemo:
         self._algorithm = algorithm
         self._graph = graph
         self._order = list(node_order)
+        position = {v: j for j, v in enumerate(self._order)}
+        self._positions = [position[v] for v in graph.nodes]
         self._rounds = 0
         self._snapshots: list[tuple | None] = [None]
 
@@ -237,43 +252,57 @@ class _PrefixMemo:
         absorbed as one execution.  Lengths must come as ``1, 2, 3, ...``,
         each after the previous one failed."""
         algorithm, graph, order = self._algorithm, self._graph, self._order
+        n = len(order)
         per_round = algorithm.bits_per_round
         rounds = target_length // per_round if per_round else 0
         new_round = rounds > self._rounds
         kept = self._rounds * per_round  # bits per node behind the snapshots
+        free = target_length - kept  # bits per node each trial adds
+        # Node ``order[j]`` holds bits [low[j], low[j] + target_length) of a
+        # trial's lexicographic index, its first ``kept`` bits on top.
+        low = [(n - 1 - j) * target_length for j in range(n)]
+        prefix_shifts = [shift + free for shift in low]
+        chunk_shifts = [low[j] for j in self._positions]
+        kept_mask, free_mask = (1 << kept) - 1, (1 << free) - 1
+        length_mask = (1 << target_length) - 1
+        space = 1 << (n * target_length)
         snapshots = self._snapshots
+        forks: list = [None] * len(snapshots)
         fresh: list[tuple | None] = []
         interned: dict = {}
-        tried = 0
-        empty = dict.fromkeys(order, "")
-        for assignment in enumerate_extensions(empty, order, target_length):
-            if tried >= budget:
-                raise SearchBudgetExceeded(
-                    f"no successful extension of length {target_length} within "
-                    f"{budget} trials (space not exhausted)"
-                )
-            tried += 1
-            key = int("".join([assignment[v][:kept] for v in order]) or "0", 2)
-            bits = {v: assignment[v][kept:] for v in order}
-            result, snapshot = resume(
-                algorithm, graph, snapshots[key], bits, rounds=self._rounds
+        try:
+            for index in range(min(space, budget)):
+                key = 0
+                for shift in prefix_shifts:
+                    key = (key << kept) | ((index >> shift) & kept_mask)
+                branches = forks[key]
+                if branches is None:
+                    branches = forks[key] = fork(
+                        algorithm, graph, snapshots[key], self._rounds, interned
+                    )
+                if new_round:
+                    chunks = [(index >> shift) & free_mask for shift in chunk_shifts]
+                    decided, states = branches.extend(chunks)
+                    fresh.append(states)
+                else:
+                    decided, _states = branches.extend(None)
+                if decided == n:
+                    return {
+                        v: format((index >> shift) & length_mask, f"0{target_length}b")
+                        for v, shift in zip(order, low)
+                    }
+        finally:
+            for branches in forks:
+                if branches is not None:
+                    branches.absorb()
+        if budget < space:
+            raise SearchBudgetExceeded(
+                f"no successful extension of length {target_length} within "
+                f"{budget} trials (space not exhausted)"
             )
-            if result.successful:
-                return assignment
-            if new_round:
-                fresh.append(tuple([_intern(interned, state) for state in snapshot]))
         if new_round:
             self._snapshots, self._rounds = fresh, rounds
         return None
-
-
-def _intern(table: dict, state: object) -> object:
-    """The first stored state equal to ``state`` (``state`` itself when
-    it is new or unhashable)."""
-    try:
-        return table.setdefault(state, state)
-    except TypeError:
-        return state
 
 
 def _prg_assignment_search(

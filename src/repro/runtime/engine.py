@@ -139,11 +139,9 @@ class ExecutionMetrics:
     subsystem injected into this execution (0 for bare runs and for
     runs under an empty plan).
 
-    An execution resumed from a snapshot (:func:`resume`) counts only
-    the rounds it simulated: ``rounds``, ``messages_sent`` and
-    ``bits_drawn`` cover those rounds, ``decided_per_round[0]`` is the
-    number of nodes already decided in the snapshot, and
-    ``nodes_decided`` is still the total.
+    A continuation of a snapshot (:func:`fork`) has no record of its
+    own; collectors count it as one execution of the rounds it
+    simulated (none or one), with ``nodes_decided`` the total.
     """
 
     rounds: int = 0
@@ -389,14 +387,31 @@ class ExecutionResult:
 # ----------------------------------------------------------------------
 
 
-class ExecutionEngine:
-    """The single synchronous round kernel behind every scheduler.
+def _wall_clock() -> float:
+    """Seconds for ``wall_s``, a metrics-only field stripped from
+    canonical results."""
+    return time.perf_counter()  # repro-lint: disable=DET001 -- wall-time metric only
 
-    ``states`` (every node's state in ``graph.nodes`` order) and
-    ``rounds`` start the kernel from a snapshot taken after ``rounds``
-    rounds instead of from ``init_state``; the snapshot's decided nodes
-    count as decided before the first simulated round.
+
+def _output_changed(
+    node: Node, before: Any, value: Any, round_number: int
+) -> OutputAlreadySetError:
+    """The error for a node that decided ``before`` and now outputs
+    ``value`` (``value is None or value != before``).
+
+    The single source of truth for output enforcement: an output may
+    never change once set — not to a different value and not back to
+    ``None`` — and violations name the node, both values and the round,
+    whichever delivery discipline or entry point is running.
     """
+    return OutputAlreadySetError(
+        f"node {node!r} changed its irrevocable output from "
+        f"{before!r} to {value!r} in round {round_number}"
+    )
+
+
+class ExecutionEngine:
+    """The single synchronous round kernel behind every scheduler."""
 
     def __init__(
         self,
@@ -406,9 +421,6 @@ class ExecutionEngine:
         delivery: DeliveryDiscipline,
         policy: ExecutionPolicy | None = None,
         hooks: Sequence[RoundHook] = (),
-        *,
-        states: Sequence[Any] | None = None,
-        rounds: int = 0,
     ) -> None:
         missing = [v for v in graph.nodes if v not in tapes]
         if missing:
@@ -420,15 +432,12 @@ class ExecutionEngine:
         self._policy = policy or ExecutionPolicy()
         self._hooks = list(hooks)
         plan, self._payloads_per_round = graph._run_plan()
-        if states is None:
-            init_state = algorithm.init_state
-            self._states: dict[Node, Any] = {
-                v: init_state(label, degree) for v, label, degree in plan
-            }
-        else:
-            self._states = dict(zip(graph.nodes, states))
+        init_state = algorithm.init_state
+        self._states: dict[Node, Any] = {
+            v: init_state(label, degree) for v, label, degree in plan
+        }
         self._outputs: dict[Node, Any] = {}
-        self._rounds = rounds
+        self._rounds = 0
         self._trace = (
             ExecutionTrace(algorithm.name) if self._policy.trace != "off" else None
         )
@@ -469,10 +478,6 @@ class ExecutionEngine:
 
     def state_of(self, node: Node) -> Any:
         return self._states[node]
-
-    def snapshot(self) -> tuple[Any, ...]:
-        """Every node's current state, in ``graph.nodes`` order."""
-        return tuple(self._states.values())
 
     def add_hook(self, hook: RoundHook) -> None:
         self._hooks.append(hook)
@@ -542,23 +547,15 @@ class ExecutionEngine:
             hook.on_round(self, new_outputs)
 
     def _note_outputs(self, bits_drawn: dict[Node, str]) -> dict[Node, Any]:
-        """Register newly decided nodes, enforcing irrevocability.
-
-        The single source of truth for output enforcement: an output may
-        never change once set — not to a different value and not back to
-        ``None`` — and violations name the node, both values and the
-        round, whichever delivery discipline is running.
-        """
+        """Register newly decided nodes, enforcing irrevocability
+        (:func:`_output_changed`)."""
         new_outputs: dict[Node, Any] = {}
         output, states, outputs = self._algorithm.output, self._states, self._outputs
         for v in self._graph.nodes:
             value = output(states[v])
             if v in outputs:
                 if value is None or value != outputs[v]:
-                    raise OutputAlreadySetError(
-                        f"node {v!r} changed its irrevocable output from "
-                        f"{outputs[v]!r} to {value!r} in round {self._rounds}"
-                    )
+                    raise _output_changed(v, outputs[v], value, self._rounds)
             elif value is not None:
                 outputs[v] = value
                 new_outputs[v] = value
@@ -570,8 +567,7 @@ class ExecutionEngine:
             max_rounds = self._policy.max_rounds
         if max_rounds < 0:
             raise RuntimeModelError(f"max_rounds must be nonnegative, got {max_rounds}")
-        # wall_s is a metrics-only field, stripped from canonical results.
-        start = time.perf_counter()  # repro-lint: disable=DET001 -- wall-time metric only
+        start = _wall_clock()
         for hook in self._hooks:
             hook.on_start(self)
         funding_rule = self._policy.stop_before_unfunded
@@ -581,7 +577,7 @@ class ExecutionEngine:
             and (not funding_rule or self.can_fund_round())
         ):
             self._step()
-        self._metrics.wall_s += time.perf_counter() - start  # repro-lint: disable=DET001 -- wall-time metric only
+        self._metrics.wall_s += _wall_clock() - start
         result = ExecutionResult(
             outputs=dict(self._outputs),
             rounds=self._rounds,
@@ -646,6 +642,19 @@ def _infer_delivery(algorithm: Any) -> DeliveryDiscipline:
     return BroadcastDelivery()
 
 
+def _induced_bits_per_round(algorithm: Any) -> int:
+    """The algorithm's ``bits_per_round``, which a simulation induced by
+    an assignment needs to be positive."""
+    bits_per_round = algorithm.bits_per_round
+    if bits_per_round == 0:
+        raise SimulationError(
+            "simulations induced by an assignment require a randomized "
+            "algorithm (bits_per_round >= 1); deterministic algorithms "
+            "run via execute() with no randomness source"
+        )
+    return bits_per_round
+
+
 def _assignment_tapes(
     algorithm: Any, graph: LabeledGraph, assignment: Mapping[Node, str]
 ) -> tuple[dict[Node, BitSource], int]:
@@ -654,13 +663,7 @@ def _assignment_tapes(
     missing = [v for v in graph.nodes if v not in assignment]
     if missing:
         raise SimulationError(f"assignment does not cover nodes {missing!r}")
-    bits_per_round = algorithm.bits_per_round
-    if bits_per_round == 0:
-        raise SimulationError(
-            "simulations induced by an assignment require a randomized "
-            "algorithm (bits_per_round >= 1); deterministic algorithms "
-            "run via execute() with no randomness source"
-        )
+    bits_per_round = _induced_bits_per_round(algorithm)
     tapes: dict[Node, BitSource] = {v: FixedTape(assignment[v]) for v in graph.nodes}
     return tapes, min(len(assignment[v]) // bits_per_round for v in graph.nodes)
 
@@ -775,48 +778,183 @@ def ambient_context_active() -> bool:
     )
 
 
-_RESUME_POLICY = ExecutionPolicy(trace="off", stop_before_unfunded=False)
+class Branches:
+    """The one-round continuations of one snapshot of a simulation
+    induced by an assignment (see :func:`fork`).
+
+    Every continuation shares the snapshot's round: the nodes' messages
+    and inboxes depend only on the snapshot, and a node's new state only
+    on its state, its inbox and its own bits.  So the snapshot's outputs
+    are computed on first use, its outboxes and inboxes on the first
+    continuation that runs a round, and each node's ``transition`` and
+    ``output`` once per distinct bit chunk; a continuation whose chunks
+    are all known is a table lookup.  The ``wall_s`` the continuations
+    report is the time spent computing the snapshot's round and the
+    table, not the lookups.
+    """
+
+    __slots__ = (
+        "_algorithm", "_graph", "_per_round", "_states", "_rounds", "_interned",
+        "_outputs", "_decided", "_inboxes", "_table",
+        "_executions", "_extended", "_nodes_decided", "_wall_s",
+    )
+
+    def __init__(
+        self,
+        algorithm: Any,
+        graph: LabeledGraph,
+        states: Sequence[Any] | None,
+        rounds: int,
+        interned: dict,
+    ) -> None:
+        self._algorithm = algorithm
+        self._graph = graph
+        self._per_round = _induced_bits_per_round(algorithm)
+        if states is not None and len(states) != graph.num_nodes:
+            raise RuntimeModelError(
+                f"snapshot has {len(states)} states for {graph.num_nodes} nodes"
+            )
+        self._states: tuple[Any, ...] | None = None if states is None else tuple(states)
+        self._rounds = rounds
+        self._interned = interned
+        self._outputs: list[Any] | None = None  # the snapshot's, in node order
+        self._decided = 0
+        self._inboxes: list[tuple[Any, ...]] | None = None
+        # Per node: bit chunk -> (new state, 1 if it decides else 0).
+        self._table: list[dict[int, tuple[Any, int]]] = []
+        # Continuations since the last absorb(), and those that ran a round.
+        self._executions = self._extended = self._nodes_decided = 0
+        self._wall_s = 0.0
+
+    def extend(self, chunks: Sequence[int] | None) -> tuple[int, tuple[Any, ...]]:
+        """One continuation: every node draws its ``chunks`` entry (an
+        integer below ``2 ** bits_per_round``, in ``graph.nodes`` order)
+        as the bits of one new round; ``None`` funds no round.  Like
+        :func:`execute`, no round runs once every node has decided.
+
+        Returns the number of decided nodes and every node's state
+        afterwards, in node order.  Irrevocability is enforced as by the
+        kernel, with the same error.  Each call counts as one execution
+        (see :meth:`absorb`)."""
+        if self._outputs is None:
+            self._settle()
+        table = self._table
+        if chunks is None or self._decided == len(table):
+            decided, states = self._decided, self._states
+        else:
+            if len(chunks) != len(table):
+                raise RuntimeModelError(f"{len(chunks)} bit chunks for {len(table)} nodes")
+            row = [entries.get(chunk) for entries, chunk in zip(table, chunks)]
+            if None in row:
+                row = self._fill(chunks)
+            states = tuple([state for state, _decides in row])
+            decided = sum([decides for _state, decides in row])
+            self._extended += 1
+        self._executions += 1
+        self._nodes_decided += decided
+        return decided, states
+
+    def absorb(self) -> None:
+        """Hand every continuation since the last call to every active
+        collector, each as one execution of the rounds it ran."""
+        rounds = self._extended
+        messages = rounds * self._graph._run_plan()[1]
+        bits = rounds * self._per_round * len(self._table)
+        for collector in _COLLECTORS:
+            collector.executions += self._executions
+            collector.rounds += rounds
+            collector.messages_sent += messages
+            collector.bits_drawn += bits
+            collector.nodes_decided += self._nodes_decided
+            collector.wall_s += self._wall_s
+        self._executions = self._extended = self._nodes_decided = 0
+        self._wall_s = 0.0
+
+    def _settle(self) -> None:
+        """The snapshot's states (the initial ones by default) and outputs."""
+        start = _wall_clock()
+        plan = self._graph._run_plan()[0]
+        if self._states is None:
+            init_state = self._algorithm.init_state
+            self._states = tuple([init_state(label, degree) for _v, label, degree in plan])
+        output = self._algorithm.output
+        self._outputs = [output(state) for state in self._states]
+        self._decided = sum([value is not None for value in self._outputs])
+        self._table = [{} for _ in plan]
+        self._wall_s += _wall_clock() - start
+
+    def _fill(self, chunks: Sequence[int]) -> list[tuple[Any, int]]:
+        """The table entries of ``chunks``, computing the missing ones in
+        the kernel's order: every transition of the round before any
+        output."""
+        start = _wall_clock()
+        algorithm, graph, states, table = self._algorithm, self._graph, self._states, self._table
+        interned = self._interned
+        if self._inboxes is None:
+            delivery = _infer_delivery(algorithm)
+            outboxes = delivery.emit(algorithm, dict(zip(graph.nodes, states)), graph)
+            self._inboxes = list(delivery.deliver(outboxes, graph).values())
+        width = self._per_round
+        new_states: dict[int, Any] = {}
+        for index, chunk in enumerate(chunks):
+            if chunk not in table[index]:
+                if not 0 <= chunk < 1 << width:
+                    raise RuntimeModelError(f"bit chunk {chunk!r} does not fit in {width} bits")
+                state = algorithm.transition(
+                    states[index], self._inboxes[index], format(chunk, f"0{width}b")
+                )
+                new_states[index] = _intern(interned, state)
+        row = []
+        for index, chunk in enumerate(chunks):
+            entry = table[index].get(chunk)
+            if entry is None:
+                state = new_states[index]
+                value, before = algorithm.output(state), self._outputs[index]
+                if before is not None and (value is None or value != before):
+                    raise _output_changed(graph.nodes[index], before, value, self._rounds + 1)
+                entry = table[index][chunk] = (state, int(value is not None))
+            row.append(entry)
+        self._wall_s += _wall_clock() - start
+        return row
 
 
-def resume(
+def _intern(table: dict, state: Any) -> Any:
+    """The first state stored in ``table`` equal to ``state`` (``state``
+    itself when it is new or unhashable)."""
+    try:
+        return table.setdefault(state, state)
+    except TypeError:
+        return state
+
+
+def fork(
     algorithm: Any,
     graph: LabeledGraph,
     states: Sequence[Any] | None,
-    bits: Mapping[Node, str],
-    rounds: int = 0,
-) -> tuple[ExecutionResult, tuple[Any, ...]]:
-    """Continue a simulation induced by an assignment from a snapshot.
+    rounds: int,
+    interned: dict,
+) -> Branches:
+    """The one-round continuations of a simulation induced by an
+    assignment, from a snapshot.
 
     ``states`` is every node's state after ``rounds`` rounds, in
     ``graph.nodes`` order (``None``: the initial states, with
-    ``rounds == 0``), as returned by an earlier call.  ``bits`` holds each
-    node's bits for the rounds still to come: the run lasts at most
-    ``min_v floor(|bits[v]| / bits_per_round)`` more rounds and, like
-    :func:`execute`, stops as soon as every node has decided.  Outputs are
-    recomputed from the snapshot's states, and irrevocability is enforced
-    from there on.
-
-    Returns the result and the snapshot the run ends in.  ``result.rounds``
-    counts every round since initialization; ``result.metrics`` counts
-    only the rounds simulated here (see :class:`ExecutionMetrics`).  Every
-    active collector absorbs the run as one execution.  The run is
-    untraced and hook-free, so it refuses to start while a fault
-    injection or churn context is active (:func:`ambient_context_active`);
-    run such executions through :func:`execute` from round 0.
+    ``rounds == 0``).  Each :meth:`Branches.extend` call continues the
+    snapshot by one round with given bits and counts as one execution:
+    :meth:`Branches.absorb` hands the calls to every active collector.
+    Every new state is interned by value in ``interned``, a table the
+    caller may share between forks so that equal states share one object
+    (the purity contract of
+    :class:`~repro.runtime.algorithm.AnonymousAlgorithm` makes that
+    safe); unhashable states are kept as they are.  The
+    continuations are untraced and hook-free, so :func:`fork` refuses to
+    start while a fault injection or churn context is active
+    (:func:`ambient_context_active`); run such executions through
+    :func:`execute` from round 0.
     """
-    tapes, funded = _assignment_tapes(algorithm, graph, bits)
     if ambient_context_active():
         raise RuntimeModelError(
-            "cannot resume under an active fault injection or churn context; "
+            "cannot fork under an active fault injection or churn context; "
             "use execute()"
         )
-    engine = ExecutionEngine(
-        algorithm,
-        graph,
-        tapes,
-        delivery=_infer_delivery(algorithm),
-        policy=_RESUME_POLICY,
-        states=states,
-        rounds=rounds,
-    )
-    return engine.run(max_rounds=rounds + funded), engine.snapshot()
+    return Branches(algorithm, graph, states, rounds, interned)

@@ -136,3 +136,42 @@ class TestExtensions:
             algorithm, g, list(g.nodes), {0: "", 1: ""}, target_length=1
         )
         assert found is None
+
+
+# A search order must list every node of the graph exactly once.
+BAD_ORDERS = [
+    pytest.param([0, 1, 7], id="foreign-node"),
+    pytest.param([0, 1, 1], id="duplicate"),
+    pytest.param([0], id="missing-node"),
+    pytest.param([1, 0, 0, 1], id="twice-each"),
+    pytest.param([], id="empty"),
+]
+
+
+def _search_assignment(algorithm, graph, order, strategy):
+    return smallest_successful_assignment(algorithm, graph, order, strategy=strategy)
+
+
+def _search_extension(algorithm, graph, order, strategy):
+    return smallest_successful_extension(
+        algorithm, graph, order, {v: "" for v in order}, target_length=3, strategy=strategy
+    )
+
+
+@pytest.mark.parametrize("strategy", ["lexicographic", "prg"])
+@pytest.mark.parametrize("search", [_search_assignment, _search_extension])
+@pytest.mark.parametrize("order", BAD_ORDERS)
+def test_node_order_must_be_a_permutation_of_the_nodes(search, strategy, order):
+    g = with_uniform_input(path_graph(2))
+    with pytest.raises(DerandomizationError, match="is not a permutation of the graph's nodes"):
+        search(AnonymousMISAlgorithm(), g, order, strategy)
+
+
+@pytest.mark.parametrize("strategy", ["lexicographic", "prg"])
+@pytest.mark.parametrize("search", [_search_assignment, _search_extension])
+def test_any_permutation_is_a_valid_node_order(search, strategy):
+    g = with_uniform_input(path_graph(2))
+    for order in ([0, 1], [1, 0]):
+        found = search(AnonymousMISAlgorithm(), g, order, strategy)
+        assert set(found) == {0, 1}
+        assert simulate_with_assignment(AnonymousMISAlgorithm(), g, found).successful

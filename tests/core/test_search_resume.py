@@ -1,12 +1,14 @@
 """The prefix-resumed lexicographic search against the replaying one.
 
 ``smallest_successful_assignment`` resumes each trial of a length from
-the end state of its failed prefix trial.  The reference below replays
-every trial from round 0 through ``execute``, as the search did before.
-Both must try the same assignments in the same order: the same chosen
-assignment (or the same error), the same number of executions, and —
-where the search falls back to replaying, under fault injection or churn
-— the same rounds, messages, bits and faults.
+the end state of its failed prefix trial, sharing that prefix's round
+with the prefix's other trials.  The reference below replays every
+trial from round 0 through ``execute``, as the search did before.  Both
+must try the same assignments in the same order: the same chosen
+assignment (or the same error, raised at the same trial), the same
+number of executions and decided nodes, and — where the search falls
+back to replaying, under fault injection or churn — the same rounds,
+messages, bits and faults.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from repro.core.assignment_search import (
     smallest_successful_assignment,
 )
 from repro.dynamic import ChurnPlan, apply_churn
-from repro.exceptions import DerandomizationError
+from repro.exceptions import DerandomizationError, OutputAlreadySetError
 from repro.faults import FaultPlan, inject_faults
 from repro.graphs.builders import path_graph, random_connected_graph, with_uniform_input
 from repro.runtime.algorithm import FunctionAlgorithm
@@ -246,3 +248,123 @@ def test_active_contexts_replay_every_trial(context_name, name):
             algorithm, graph, order, budget=300
         )
     assert search_totals == reference_totals
+
+
+# ----------------------------------------------------------------------
+# Error paths: the same error at the same trial, with the same totals
+# ----------------------------------------------------------------------
+
+
+def tripwire(mode, trigger_state, trigger_bits):
+    """Draws bits into its state, a ``(degree, history)`` pair; only
+    degree-1 nodes ever decide, so on P3 every trial fails.  A degree-1
+    node decides once its history starts with ``trigger_state``.  From
+    ``trigger_state`` with ``trigger_bits`` the algorithm misbehaves:
+    ``"flip"`` changes the decided output from 1 to 2, ``"raise"``
+    raises in ``transition``."""
+
+    def step(state, received, bits):
+        degree, history = state
+        if mode == "raise" and history == trigger_state and bits == trigger_bits:
+            raise ValueError(f"tripwire at {history!r} with {bits!r}")
+        return (degree, history + bits)
+
+    def out(state):
+        degree, history = state
+        if degree != 1 or not history.startswith(trigger_state):
+            return None
+        return 2 if mode == "flip" and history == trigger_state + trigger_bits else 1
+
+    return FunctionAlgorithm(
+        init=lambda label, degree: (degree, ""),
+        msg=lambda state: state[1],
+        step=step,
+        out=out,
+        bits_per_round=1,
+        name=f"tripwire-{mode}",
+    )
+
+
+# (trigger state, trigger bits, trials completed before the error): the
+# first trial where an end of P3 draws ``trigger_bits`` from
+# ``trigger_state`` is trial 2 of length 1, trial 4 of length 2 (after 8
+# of length 1) or trial 6 of length 3 (after 8 + 64); the last node's
+# bits vary fastest.
+TRIGGERS = [("", "1", 1), ("1", "1", 8 + 3), ("10", "1", 8 + 64 + 5)]
+
+
+@pytest.mark.parametrize("mode", ["flip", "raise"])
+@pytest.mark.parametrize("trigger_state, trigger_bits, completed", TRIGGERS)
+def test_errors_surface_at_the_same_trial_as_replay(mode, trigger_state, trigger_bits, completed):
+    graph = with_uniform_input(path_graph(3))
+    algorithm, order = tripwire(mode, trigger_state, trigger_bits), list(graph.nodes)
+    outcomes = []
+    for search in (smallest_successful_assignment, reference_search):
+        with collect_engine_metrics() as totals:
+            with pytest.raises(Exception) as raised:
+                search(algorithm, graph, order, max_length=4)
+        outcomes.append((raised.type, str(raised.value), totals.as_dict(include_wall=False)))
+    (searched_type, searched_text, searched), (replay_type, replay_text, replayed) = outcomes
+    assert searched_type is replay_type is (OutputAlreadySetError if mode == "flip" else ValueError)
+    assert searched_text == replay_text
+    assert searched["executions"] == replayed["executions"] == completed
+    assert searched["nodes_decided"] == replayed["nodes_decided"]
+    # Every trial the search completed ran one round; at length 1 so did
+    # the replayed ones.
+    assert searched["rounds"] == searched["executions"]
+    assert searched["bits_drawn"] == 3 * searched["executions"]
+    assert searched["messages_sent"] == 4 * searched["executions"]
+    if completed < 8:  # still at length 1
+        assert searched == replayed
+
+
+@pytest.mark.parametrize("budget", [2, 6, 13])
+def test_budget_runs_out_mid_length_with_the_same_totals(budget):
+    # MIS on a 2-path: 4 trials of length 1, then 16 of length 2.
+    graph = with_uniform_input(path_graph(2))
+    algorithm, order = AnonymousMISAlgorithm(), list(graph.nodes)
+    searched, search_totals = _outcome(
+        smallest_successful_assignment, algorithm, graph, order, budget=budget
+    )
+    expected, reference_totals = _outcome(reference_search, algorithm, graph, order, budget=budget)
+    assert searched == expected == ("SearchBudgetExceeded", searched[1])
+    assert "at length" in searched[1]
+    assert search_totals["executions"] == reference_totals["executions"] == budget
+    assert search_totals["nodes_decided"] == reference_totals["nodes_decided"]
+    assert search_totals["rounds"] == budget
+    if budget < 4:
+        assert search_totals == reference_totals
+
+
+def test_a_round_runs_every_transition_before_any_output():
+    # On P2 the "flipper" decides 1 after drawing a 1 and outputs 2 from
+    # round 2 on; the "raiser" raises in round 2 once it hears that the
+    # flipper drew a 1.  Both first happen in trial 9 of length 2: the
+    # kernel runs every transition before it checks any output, so the
+    # transition's error wins.
+    def step(state, received, bits):
+        label, history = state
+        if label == "raiser" and len(history) == 1 and "1" in received:
+            raise ValueError("raiser heard a 1")
+        return (label, history + bits)
+
+    def out(state):
+        label, history = state
+        if label != "flipper" or not history.startswith("1"):
+            return None
+        return len(history)
+
+    algorithm = FunctionAlgorithm(
+        init=lambda label, degree: (label[0], ""),
+        msg=lambda state: state[1],
+        step=step,
+        out=out,
+        bits_per_round=1,
+        name="flipper-raiser",
+    )
+    graph = path_graph(2).with_layer("input", {0: "flipper", 1: "raiser"})
+    for search in (smallest_successful_assignment, reference_search):
+        with collect_engine_metrics() as totals:
+            with pytest.raises(ValueError, match="raiser heard a 1"):
+                search(algorithm, graph, [0, 1], max_length=3)
+        assert totals.executions == 4 + 8

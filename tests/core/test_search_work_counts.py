@@ -8,11 +8,18 @@ executions, and the delivered payloads and drawn bits follow.  (Every
 trial replayed from round 0 before; the pins then read 8,367 / 100,404 /
 50,202 rounds / messages / bits for MIS on C6 and 17,476 / 209,712 /
 69,904 for K4.)
+
+The trials of one failed prefix share its round: the algorithm computes
+each prefix's messages once, and each node's transition and output once
+per distinct bit chunk.  (Building one engine per trial, the calls read
+25,182 / 25,182 / 50,364 messages / transitions / outputs for MIS on C6
+and 22,132 / 22,132 / 44,264 for K4.)
 """
 
 from __future__ import annotations
 
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -32,6 +39,7 @@ CASES = [
         (0, 1, 2, 0, 1, 3),  # not periodic: the quotient keeps all six nodes
         {0: "000", 1: "000", 2: "000", 3: "000", 4: "100", 5: "100"},
         {"executions": 4197, "rounds": 4197, "messages_sent": 50364, "bits_drawn": 25182},
+        {"message": 456, "transition": 864, "output": 1320},
         id="mis-C6",
     ),
     pytest.param(
@@ -40,33 +48,63 @@ CASES = [
         (0, 1, 2, 3),
         {0: "0000", 1: "0100", 2: "1000", 3: "1100"},
         {"executions": 5533, "rounds": 5533, "messages_sent": 66396, "bits_drawn": 22132},
+        {"message": 1760, "transition": 3306, "output": 5066},
         id="2-hop-coloring-K4",
     ),
 ]
 
 
-@pytest.mark.parametrize("algorithm_class, graph, colors, assignment, counts", CASES)
-def test_lexicographic_search_work_is_pinned(algorithm_class, graph, colors, assignment, counts):
+def counting(algorithm_class):
+    """A subclass of ``algorithm_class`` that counts its own calls of
+    the per-round protocol."""
+
+    class Counting(algorithm_class):
+        def __init__(self) -> None:
+            super().__init__()
+            self.calls: Counter = Counter()
+
+        def message(self, state):
+            self.calls["message"] += 1
+            return super().message(state)
+
+        def transition(self, state, received, bits):
+            self.calls["transition"] += 1
+            return super().transition(state, received, bits)
+
+        def output(self, state):
+            self.calls["output"] += 1
+            return super().output(state)
+
+    return Counting
+
+
+@pytest.mark.parametrize("algorithm_class, graph, colors, assignment, counts, calls", CASES)
+def test_lexicographic_search_work_is_pinned(
+    algorithm_class, graph, colors, assignment, counts, calls
+):
     colored = apply_two_hop_coloring(with_uniform_input(graph), dict(enumerate(colors)))
     quotient = finite_view_graph(colored)
     simulation_graph = quotient.graph.with_only_layers(["input"])
+    algorithm = counting(algorithm_class)()
     with collect_engine_metrics() as totals:
         chosen = smallest_successful_assignment(
-            algorithm_class(), simulation_graph, canonical_node_order(quotient.graph)
+            algorithm, simulation_graph, canonical_node_order(quotient.graph)
         )
     assert chosen == assignment
     assert {key: getattr(totals, key) for key in counts} == counts
+    assert dict(algorithm.calls) == calls
 
 
 # The MIS-C6 search keeps 4,096 prefix snapshots of six interned states
-# each while it searches length 3; its traced peak measured about 236 kB
-# (CPython 3.11).  Keeping a forked engine per prefix instead takes
-# megabytes.
+# each while it searches length 3, and the 64 forks of length 2 (about
+# 2.9 kB each) while it builds them; its traced peak here measured about
+# 336 kB (CPython 3.11).  Keeping a whole engine per prefix instead
+# takes megabytes.
 MIS_C6_PEAK_BYTES = 500_000
 
 
 def test_prefix_memo_stays_compact():
-    algorithm_class, graph, colors, _assignment, _counts = CASES[0].values
+    algorithm_class, graph, colors, _assignment, _counts, _calls = CASES[0].values
     colored = apply_two_hop_coloring(with_uniform_input(graph), dict(enumerate(colors)))
     quotient = finite_view_graph(colored)
     simulation_graph = quotient.graph.with_only_layers(["input"])

@@ -32,7 +32,7 @@ from repro.runtime.engine import (
     _trace_level,
     collect_engine_metrics,
     execute,
-    resume,
+    fork,
 )
 from repro.runtime.port_model import PortAwareAlgorithm
 from repro.runtime.tape import FixedTape
@@ -382,72 +382,148 @@ class TestMetricsCollection:
 
 
 # ----------------------------------------------------------------------
-# Snapshot / resume
+# Resuming from a snapshot: fork()
 # ----------------------------------------------------------------------
+
+
+def _chunks(bits: str) -> list[int]:
+    """One 1-bit chunk per node of a path, from a string of ``0``/``1``."""
+    return [int(bit) for bit in bits]
+
+
+def _continue(algorithm, graph, rounds_of_chunks):
+    """Continue from the initial states one round per entry, forking
+    each end state; every fork is absorbed.  Returns each round's
+    ``(decided, states)``."""
+    states, steps = None, []
+    for rounds, chunks in enumerate(rounds_of_chunks):
+        branches = fork(algorithm, graph, states, rounds, {})
+        decided, states = branches.extend(chunks)
+        branches.absorb()
+        steps.append((decided, states))
+    return steps
 
 
 @pytest.mark.parametrize("model", MODELS)
 class TestResume:
-    def _split(self, model, stop_at, first, rest):
-        g = _uniform(path_graph(3))
-        algorithm = make_counter(model, stop_at, bits=1)
-        head, states = resume(algorithm, g, None, {v: first for v in g.nodes})
-        tail, final = resume(algorithm, g, states, {v: rest for v in g.nodes}, rounds=head.rounds)
-        whole = execute(algorithm, g, assignment={v: first + rest for v in g.nodes})
-        return g, head, tail, whole, final
+    """Each ``extend`` of a :func:`fork` continues its snapshot by the
+    round its chunks fund: the same states, decisions and counts as the
+    kernel running that round."""
 
     def test_from_initial_states_equals_execute(self, model):
         g = _uniform(path_graph(3))
-        algorithm = make_counter(model, 2, bits=1)
-        result, states = resume(algorithm, g, None, {v: "011" for v in g.nodes})
-        expected = execute(algorithm, g, assignment={v: "011" for v in g.nodes})
-        assert (result.outputs, result.rounds, result.all_decided) == (
-            expected.outputs, expected.rounds, expected.all_decided
-        )
-        untimed = {"wall_s": 0}
-        assert result.metrics.as_dict() | untimed == expected.metrics.as_dict() | untimed
-        engine = make_engine(model, algorithm, g, {v: FixedTape("011") for v in g.nodes})
+        algorithm = make_counter(model, 1, bits=1)
+        with collect_engine_metrics() as totals:
+            [(decided, states)] = _continue(algorithm, g, [_chunks("011")])
+        expected = execute(algorithm, g, assignment={0: "0", 1: "1", 2: "1"})
+        assert decided == len(expected.outputs) == 3
+        assert totals.as_dict(include_wall=False) == {
+            "executions": 1,
+            "rounds": expected.metrics.rounds,
+            "messages_sent": expected.metrics.messages_sent,
+            "bits_drawn": expected.metrics.bits_drawn,
+            "nodes_decided": expected.metrics.nodes_decided,
+            "faults_injected": 0,
+        }
+        engine = make_engine(model, algorithm, g, {v: FixedTape(b) for v, b in zip(g.nodes, "011")})
         engine.run()
-        assert states == engine.snapshot()
+        assert states == tuple(engine.state_of(v) for v in g.nodes)
 
     def test_resumed_run_continues_the_execution(self, model):
-        g, head, tail, whole, final = self._split(model, 3, "01", "10")
-        assert (head.rounds, head.all_decided) == (2, False)
-        assert (tail.outputs, tail.rounds, tail.all_decided) == (
-            whole.outputs, whole.rounds, whole.all_decided
-        )
-        assert tail.rounds == 3  # stops once every node decided
+        g = _uniform(path_graph(3))
+        algorithm = make_counter(model, 3, bits=1)
+        steps = _continue(algorithm, g, [_chunks("010"), _chunks("110"), _chunks("001")])
+        assignment = {0: "010", 1: "110", 2: "001"}
+        whole = execute(algorithm, g, assignment=assignment)
+        assert [decided for decided, _states in steps] == [0, 0, 3]
+        assert (whole.rounds, len(whole.outputs)) == (3, 3)
+        engine = make_engine(model, algorithm, g, {v: FixedTape(assignment[v]) for v in g.nodes})
+        engine.run()
+        assert steps[-1][1] == tuple(engine.state_of(v) for v in g.nodes)
 
     def test_metrics_count_only_simulated_rounds(self, model):
-        g, head, tail, whole, _final = self._split(model, 3, "01", "10")
-        assert tail.metrics.rounds == 1
+        g = _uniform(path_graph(3))
+        algorithm = make_counter(model, 3, bits=1)
+        with collect_engine_metrics() as totals:
+            _continue(algorithm, g, [_chunks("000")] * 3)
+        whole = execute(algorithm, g, assignment={v: "000" for v in g.nodes})
+        assert totals.executions == 3
         for key in ("rounds", "messages_sent", "bits_drawn"):
-            parts = getattr(head.metrics, key) + getattr(tail.metrics, key)
-            assert parts == getattr(whole.metrics, key)
-        assert tail.metrics.nodes_decided == whole.metrics.nodes_decided == g.num_nodes
+            assert getattr(totals, key) == getattr(whole.metrics, key)
+        # Each continuation counts every node decided by its end.
+        assert totals.nodes_decided == whole.metrics.nodes_decided == g.num_nodes
 
     def test_snapshot_outputs_count_as_decided(self, model):
-        _g, head, tail, _whole, _final = self._split(model, 1, "01", "1")
-        assert head.all_decided and head.rounds == 1
-        # Already decided in the snapshot: no round runs.
-        assert (tail.rounds, tail.metrics.rounds) == (1, 0)
-        assert tail.metrics.decided_per_round == [3]
+        g = _uniform(path_graph(3))
+        algorithm = make_counter(model, 1, bits=1)
+        [(decided, states)] = _continue(algorithm, g, [_chunks("010")])
+        assert decided == 3
+        branches = fork(algorithm, g, states, 1, {})
+        with collect_engine_metrics() as totals:
+            # Already decided in the snapshot: no round runs.
+            assert branches.extend(_chunks("111")) == (3, states)
+            assert branches.extend(None) == (3, states)
+            branches.absorb()
+        assert (totals.executions, totals.rounds, totals.nodes_decided) == (2, 0, 6)
 
     def test_collectors_absorb_one_execution_each(self, model):
-        with collect_engine_metrics() as totals:
-            _g, head, tail, _whole, _final = self._split(model, 3, "01", "10")
-        assert totals.executions == 3  # head, tail and the execute() reference
-        assert totals.rounds == head.metrics.rounds + tail.metrics.rounds + 3
+        g = _uniform(path_graph(3))
+        algorithm = make_counter(model, 3, bits=1)
+        branches = fork(algorithm, g, None, 0, {})
+        with collect_engine_metrics() as outer:
+            for bits in ("000", "101", "000"):
+                branches.extend(_chunks(bits))
+            with collect_engine_metrics() as inner:
+                branches.absorb()
+            branches.absorb()  # nothing new since the last call
+        for totals in (outer, inner):
+            assert (totals.executions, totals.rounds, totals.bits_drawn) == (3, 3, 9)
+            assert totals.messages_sent == 3 * 4  # P3: degree sum 4 per round
 
     def test_bits_must_cover_every_node(self, model):
         g = _uniform(path_graph(2))
-        with pytest.raises(SimulationError, match="does not cover nodes"):
-            resume(make_counter(model, 1, bits=1), g, None, {0: "1"})
+        branches = fork(make_counter(model, 1, bits=1), g, None, 0, {})
+        with pytest.raises(RuntimeModelError, match="1 bit chunks for 2 nodes"):
+            branches.extend([1])
+        with pytest.raises(RuntimeModelError, match="does not fit in 1 bits"):
+            branches.extend([0, 2])
 
     def test_deterministic_algorithm_rejected_like_execute(self, model):
         g = _uniform(path_graph(2))
         with pytest.raises(SimulationError, match="require a randomized algorithm"):
-            resume(make_counter(model, 1), g, None, {v: "1" for v in g.nodes})
+            fork(make_counter(model, 1), g, None, 0, {})
+
+    @pytest.mark.parametrize("size", [2, 4])
+    def test_snapshot_must_hold_one_state_per_node(self, model, size):
+        g = _uniform(path_graph(3))
+        algorithm = make_counter(model, 3, bits=1)
+        with pytest.raises(RuntimeModelError, match=f"snapshot has {size} states for 3 nodes"):
+            fork(algorithm, g, (0,) * size, 1, {})
+
+    def test_one_transition_per_node_and_chunk(self, model):
+        g = _uniform(path_graph(3))
+        algorithm = make_counter(model, 3, bits=1)
+        drawn = []
+
+        class Counting(type(algorithm)):
+            def transition(self, state, received, bits):
+                drawn.append(bits)
+                return super().transition(state, received, bits)
+
+        algorithm.__class__ = Counting  # the same counter, now counting
+        branches = fork(algorithm, g, None, 0, {})
+        for bits in ("000", "011", "110", "111", "000"):
+            branches.extend(_chunks(bits))
+        assert sorted(drawn) == ["0"] * 3 + ["1"] * 3  # 3 nodes x 2 chunks
+
+    def test_equal_states_are_interned_across_forks(self, model):
+        g = _uniform(path_graph(3))
+        algorithm = make_counter(model, 3, bits=1)
+        interned: dict = {}
+        _decided, first = fork(algorithm, g, None, 0, interned).extend(_chunks("010"))
+        _decided, second = fork(algorithm, g, None, 0, interned).extend(_chunks("010"))
+        assert first == second
+        assert all(a is b for a, b in zip(first, second))
 
 
 def test_irrevocability_is_enforced_after_resuming():
@@ -462,10 +538,13 @@ def test_irrevocability_is_enforced_after_resuming():
         name="flipping",
     )
     g = _uniform(path_graph(3))
-    head, states = resume(flipping, g, None, {v: "0" for v in g.nodes})
-    assert head.outputs == {1: 1}
-    with pytest.raises(OutputAlreadySetError, match=r"node 1 .* from 1 to 2 in round 2"):
-        resume(flipping, g, states, {v: "0" for v in g.nodes}, rounds=1)
+    [(decided, states)] = _continue(flipping, g, [_chunks("000")])
+    assert decided == 1
+    with pytest.raises(OutputAlreadySetError) as replayed:
+        execute(flipping, g, assignment={v: "00" for v in g.nodes})
+    with pytest.raises(OutputAlreadySetError, match=r"node 1 .* from 1 to 2 in round 2") as forked:
+        fork(flipping, g, states, 1, {}).extend(_chunks("000"))
+    assert str(forked.value) == str(replayed.value)
 
 
 def test_resume_refuses_active_fault_and_churn_contexts():
@@ -476,7 +555,7 @@ def test_resume_refuses_active_fault_and_churn_contexts():
     algorithm = broadcast_counter(1, bits=1)
     for context in (inject_faults(FaultPlan()), apply_churn(ChurnPlan())):
         with context, pytest.raises(RuntimeModelError, match="use execute"):
-            resume(algorithm, g, None, {v: "1" for v in g.nodes})
+            fork(algorithm, g, None, 0, {})
 
 
 # ----------------------------------------------------------------------
