@@ -16,7 +16,7 @@ PERF_SMOKE_FLAGS ?=
 # JSON) land here instead of the repo root; the directory is gitignored.
 OUT_DIR := benchmarks/out
 
-.PHONY: test bench-selftest bench-smoke bench perf perf-smoke smoke invariants lint typecheck experiments fabric fabric-merge ci
+.PHONY: test bench-selftest bench-smoke perf perf-smoke smoke invariants lint typecheck experiments fabric fabric-merge ci
 
 test:  ## tier-1 test suite
 	$(PYTHONPATH_SRC) $(PYTHON) -m pytest -x -q
@@ -32,9 +32,6 @@ bench-smoke:  ## one 1 s search-workload benchmark run: fails unless every op is
 		result = json.loads(lines[-1]); print(lines[-1]); \
 		sys.exit(0 if result["correct"] is True and result["failed"] == 0 else "bench-smoke: an op failed")' \
 		$(OUT_DIR)/bench-smoke.log
-
-bench:  ## full benchmark/experiment suite (pytest-benchmark)
-	$(PYTHONPATH_SRC) $(PYTHON) -m pytest benchmarks/ --benchmark-only -s
 
 perf:  ## rewrite the benchmarks/BENCH_views.json perf baseline
 	$(PYTHON) benchmarks/run_perf_suite.py

@@ -78,7 +78,10 @@ from repro.core.assignment_search import (  # noqa: E402
     enumerate_extensions,
     smallest_successful_assignment,
 )
-from repro.core.orders import canonical_node_order  # noqa: E402
+from repro.core.orders import (  # noqa: E402
+    canonical_node_order,
+    finite_view_graph_sort_key,
+)
 from repro.core.practical import quotient_from_view  # noqa: E402
 from repro.exceptions import SimulationError  # noqa: E402
 from repro.runtime.tape import FixedTape  # noqa: E402
@@ -819,6 +822,36 @@ def run_suite(quick: bool, repeats: int) -> dict:
             {"bench": "quotient_lift", "n": n, "cold": cold, "warm": warm, "intern": None}
         )
 
+    # Epoch-stamped BFS on the CSR arrays: the antipodal distance plus a
+    # radius query on a uniform cycle.
+    for n in csr_ns:
+        graph = with_uniform_input(cycle_graph(n))
+
+        def bfs(graph=graph, n=n):
+            return graph.distance(0, n // 2), len(graph.nodes_within(0, n // 4))
+
+        if bfs() != (n // 2, n // 2 + 1):
+            raise RuntimeError(f"bfs_csr_distance/{n}: wrong distance or radius")
+        cold = _time(bfs, repeats, cold=True)
+        warm = _time(bfs, repeats, cold=False)
+        rows.append(
+            {"bench": "bfs_csr_distance", "n": n, "cold": cold, "warm": warm, "intern": None}
+        )
+
+    # The canonical sort key of a finite view graph (quotient + encoding).
+    graph = _colored(with_uniform_input(random_connected_graph(12, 0.2, seed=5)))
+
+    def encode():
+        return finite_view_graph_sort_key(finite_view_graph(graph).graph)
+
+    if encode()[0] > graph.num_nodes:
+        raise RuntimeError("canonical_encoding/12: quotient larger than the graph")
+    cold = _time(encode, repeats, cold=True)
+    warm = _time(encode, repeats, cold=False)
+    rows.append(
+        {"bench": "canonical_encoding", "n": 12, "cold": cold, "warm": warm, "intern": None}
+    )
+
     clear_caches()
     speedups = {}
     for row in rows:
@@ -847,8 +880,10 @@ def run_suite(quick: bool, repeats: int) -> dict:
         # resumes trials from their prefixes (same assignment and
         # executions, strictly fewer rounds, messages and bits asserted);
         # 11 = the current search shares each failed prefix's round
-        # across its trials (same checks, higher floor).
-        "schema": 11,
+        # across its trials (same checks, higher floor); 12 = plain
+        # ``bfs_csr_distance`` and ``canonical_encoding`` rows in
+        # ``results`` (no floor).
+        "schema": 12,
         "suite": "views-perf",
         "quick": quick,
         "machine": {

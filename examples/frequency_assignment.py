@@ -18,12 +18,11 @@ import random
 from repro import (
     LabeledGraph,
     TwoHopColoringAlgorithm,
+    execute,
     is_two_hop_coloring,
-    run_randomized,
 )
 from repro.algorithms.greedy_by_color import GreedyColoringByColor
 from repro.graphs.coloring import apply_two_hop_coloring, num_colors
-from repro.runtime.simulation import run_deterministic
 
 
 def deploy_mesh(num_nodes: int, radio_range: float, seed: int) -> LabeledGraph:
@@ -61,7 +60,7 @@ def main() -> None:
 
     # Stage 1 — anonymous randomized 2-hop coloring (interference-free
     # "raw channels", but as unboundedly long bitstrings).
-    run = run_randomized(TwoHopColoringAlgorithm(), mesh, seed=3)
+    run = execute(TwoHopColoringAlgorithm(), mesh, seed=3, require_decided=True)
     assert is_two_hop_coloring(mesh, run.outputs)
     print(
         f"2-hop coloring found in {run.rounds} rounds; "
@@ -73,7 +72,7 @@ def main() -> None:
     # small integers in color order (distinct within 1 hop; for strict
     # 2-hop distinctness the raw colors can be kept).
     colored = apply_two_hop_coloring(mesh, run.outputs)
-    reduced = run_deterministic(GreedyColoringByColor(), colored)
+    reduced = execute(GreedyColoringByColor(), colored, require_decided=True)
     frequencies = reduced.outputs
     print(
         f"compacted to {num_colors(frequencies)} frequencies in "

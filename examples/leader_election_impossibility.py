@@ -26,7 +26,7 @@ from repro.factor.lifting import verify_execution_lifting
 from repro.algorithms.luby_mis import AnonymousMISAlgorithm
 from repro.graphs.coloring import apply_two_hop_coloring, greedy_two_hop_coloring
 from repro.graphs.lifts import cyclic_lift
-from repro.runtime.simulation import run_randomized
+from repro.runtime.engine import execute
 from repro.views.local_views import all_views
 
 
@@ -78,7 +78,7 @@ def main() -> None:
         projection,
     )
     algorithm = AnonymousMISAlgorithm()
-    factor_run = run_randomized(algorithm, fm.factor, seed=5)
+    factor_run = execute(algorithm, fm.factor, seed=5, require_decided=True)
     comparison = verify_execution_lifting(algorithm, fm, factor_run.trace.assignment())
     assert comparison.lemma_holds
     print(

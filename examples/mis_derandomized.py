@@ -30,7 +30,7 @@ from repro.core.infinity import AInfinitySolver
 from repro.core.practical import PracticalDerandomizer
 from repro.graphs.coloring import apply_two_hop_coloring, greedy_two_hop_coloring
 from repro.graphs.lifts import cyclic_lift
-from repro.runtime.simulation import run_deterministic
+from repro.runtime.engine import execute
 
 
 def main() -> None:
@@ -76,7 +76,7 @@ def main() -> None:
 
     # 3. Greedy-by-color baseline.
     start = time.perf_counter()
-    greedy = run_deterministic(GreedyMISByColor(), instance)
+    greedy = execute(GreedyMISByColor(), instance, require_decided=True)
     greedy_ms = (time.perf_counter() - start) * 1000
     assert problem.is_valid_output(plain, greedy.outputs)
     print(f"\ngreedy-by-color baseline: {greedy.rounds} rounds, {greedy_ms:.2f} ms")

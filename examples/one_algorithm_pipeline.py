@@ -17,8 +17,8 @@ from __future__ import annotations
 from repro import (
     MISProblem,
     TwoHopColoringAlgorithm,
+    execute,
     petersen_graph,
-    run_randomized,
     with_uniform_input,
 )
 from repro.algorithms.greedy_by_color import GreedyMISByColor
@@ -35,7 +35,7 @@ def main() -> None:
     )
     print(f"running {composed.name!r} on the Petersen graph\n")
 
-    result = run_randomized(composed, graph, seed=4)
+    result = execute(composed, graph, seed=4, require_decided=True)
     problem = MISProblem()
     assert problem.is_valid_output(graph, result.outputs)
 

@@ -16,7 +16,7 @@ from repro import (
     WellFormedInputDecider,
     cycle_graph,
     derandomize_pipeline,
-    run_randomized,
+    execute,
     with_uniform_input,
 )
 
@@ -35,7 +35,7 @@ def main() -> None:
     )
 
     # For comparison: the purely randomized solve.
-    randomized = run_randomized(bundle.solver, graph, seed=42)
+    randomized = execute(bundle.solver, graph, seed=42, require_decided=True)
     print(f"\nrandomized MIS ({randomized.rounds} rounds):")
     print(f"  {randomized.outputs}")
 

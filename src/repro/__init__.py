@@ -68,13 +68,7 @@ from repro.factor import (
     is_prime,
     prime_factors,
 )
-from repro.runtime import (
-    AnonymousAlgorithm,
-    execute,
-    run_deterministic,
-    run_randomized,
-    simulate_with_assignment,
-)
+from repro.runtime import AnonymousAlgorithm, execute
 from repro.problems import (
     ColoringProblem,
     DecisionProblem,
@@ -140,9 +134,6 @@ __all__ = [
     "prime_factors",
     "AnonymousAlgorithm",
     "execute",
-    "run_deterministic",
-    "run_randomized",
-    "simulate_with_assignment",
     "ColoringProblem",
     "DecisionProblem",
     "GranBundle",

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from collections.abc import Iterable
 
 from repro.graphs.labeled_graph import LabeledGraph
-from repro.runtime.scheduler import ExecutionResult
+from repro.runtime.engine import ExecutionResult
 
 
 @dataclass(frozen=True)

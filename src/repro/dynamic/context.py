@@ -24,9 +24,8 @@ inherit the parent's context.  Experiments that want churn construct
 plans *inside* their (picklable, top-level) experiment functions — see
 :mod:`repro.experiments.dynamic`.
 
-Engines constructed directly (``ExecutionEngine(...)`` or the scheduler
-shims) bypass the ambient context; attach a :class:`TopologyHook`
-explicitly if needed.
+Engines constructed directly (``ExecutionEngine(...)``) bypass the
+ambient context; attach a :class:`TopologyHook` explicitly if needed.
 """
 
 from __future__ import annotations

@@ -17,9 +17,8 @@ inherit the parent's context.  Experiments that want faults construct
 plans *inside* their (picklable, top-level) experiment functions — see
 :mod:`repro.experiments.resilience`.
 
-Engines constructed directly (``ExecutionEngine(...)`` or the scheduler
-shims) bypass the ambient context; wrap their delivery explicitly if
-needed.
+Engines constructed directly (``ExecutionEngine(...)``) bypass the
+ambient context; wrap their delivery explicitly if needed.
 """
 
 from __future__ import annotations

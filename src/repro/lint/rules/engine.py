@@ -30,10 +30,6 @@ _RESERVED_CLASSES = {
     "repro.runtime.ExecutionEngine": "ExecutionEngine",
     "repro.runtime.BroadcastDelivery": "BroadcastDelivery",
     "repro.runtime.PortDelivery": "PortDelivery",
-    "repro.runtime.scheduler.SynchronousScheduler": "SynchronousScheduler",
-    "repro.runtime.SynchronousScheduler": "SynchronousScheduler",
-    "repro.runtime.port_model.PortScheduler": "PortScheduler",
-    "repro.runtime.PortScheduler": "PortScheduler",
 }
 
 #: Per-round protocol methods: calling these outside the kernel means

@@ -37,19 +37,10 @@ from repro.runtime.engine import (
 from repro.runtime.port_model import (
     PortAwareAlgorithm,
     PortEmulation,
-    PortScheduler,
     emulate_ports,
 )
 from repro.runtime.tape import BitSource, FixedTape, RandomTape, RecordingTape
 from repro.runtime.trace import ExecutionTrace, RoundRecord
-from repro.runtime.scheduler import SynchronousScheduler
-from repro.runtime.simulation import (
-    SimulationResult,
-    run_deterministic,
-    run_randomized,
-    simulate_with_assignment,
-    simulation_is_successful,
-)
 
 __all__ = [
     "AnonymousAlgorithm",
@@ -68,7 +59,6 @@ __all__ = [
     "execute",
     "PortAwareAlgorithm",
     "PortEmulation",
-    "PortScheduler",
     "emulate_ports",
     "TwoStageComposition",
     "BitSource",
@@ -78,10 +68,4 @@ __all__ = [
     "ExecutionTrace",
     "RoundRecord",
     "ExecutionResult",
-    "SynchronousScheduler",
-    "SimulationResult",
-    "run_deterministic",
-    "run_randomized",
-    "simulate_with_assignment",
-    "simulation_is_successful",
 ]

@@ -14,7 +14,7 @@ identically by every node:
   message contents) and this round's random bits as a ``"01"`` string of
   length ``bits_per_round``.
 * ``output(state)`` — ``None`` while undecided, else the irrevocable
-  output.  The scheduler enforces irrevocability.
+  output.  The engine enforces irrevocability.
 
 Purity (no hidden per-node mutable context, all entropy via ``bits``) is
 what makes executions replayable from a bit assignment and liftable along

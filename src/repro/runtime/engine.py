@@ -18,14 +18,10 @@ captured by a :class:`DeliveryDiscipline`:
 
 The kernel is configured by an :class:`ExecutionPolicy` (round limit,
 tape-funding rule, trace level) and reports an :class:`ExecutionMetrics`
-record on every result.  :class:`SynchronousScheduler
-<repro.runtime.scheduler.SynchronousScheduler>` and :class:`PortScheduler
-<repro.runtime.port_model.PortScheduler>` are thin shims over this class
-— they can never drift apart again because there is nothing left in them
-to drift.
+record on every result.
 
-:func:`execute` is the high-level entry point the rest of the library
-uses; it picks the delivery discipline from the algorithm type and the
+:func:`execute` is the one entry point the rest of the library uses; it
+picks the delivery discipline from the algorithm type and the
 bit sources from whichever of ``seed`` / ``assignment`` / ``tapes`` is
 given.
 """
@@ -411,7 +407,7 @@ def _output_changed(
 
 
 class ExecutionEngine:
-    """The single synchronous round kernel behind every scheduler."""
+    """The single synchronous round kernel behind every execution."""
 
     def __init__(
         self,

@@ -6,12 +6,11 @@ necessary under the assumption of randomized algorithms … by including
 the sender's color in every message missing port numbers can be
 emulated."*  This module makes both halves executable:
 
-* :class:`PortAwareAlgorithm` + :class:`PortScheduler` — a native
-  port-numbering runtime: a node sends a (possibly different) message on
-  each port and receives messages indexed by port.  The scheduler is a
-  shim over the unified :class:`~repro.runtime.engine.ExecutionEngine`
-  with :class:`~repro.runtime.engine.PortDelivery`; prefer
-  :func:`repro.runtime.engine.execute`, which picks that discipline
+* :class:`PortAwareAlgorithm` — a native port-numbering algorithm: a
+  node sends a (possibly different) message on each port and receives
+  messages indexed by port.  :func:`repro.runtime.engine.execute` runs
+  it on the unified kernel with
+  :class:`~repro.runtime.engine.PortDelivery`, which it picks
   automatically for port-aware algorithms.
 * :func:`emulate_ports` — an adapter compiling a port-aware algorithm
   into a broadcast :class:`~repro.runtime.algorithm.AnonymousAlgorithm`
@@ -31,20 +30,11 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from typing import Any
 
 from repro.exceptions import RuntimeModelError
-from repro.graphs.labeled_graph import LabeledGraph, Node
 from repro.runtime.algorithm import AnonymousAlgorithm
-from repro.runtime.engine import (
-    ExecutionEngine,
-    ExecutionPolicy,
-    ExecutionResult,
-    PortDelivery,
-    _trace_level,
-)
-from repro.runtime.tape import BitSource
 
 
 class PortAwareAlgorithm(ABC):
@@ -72,39 +62,6 @@ class PortAwareAlgorithm(ABC):
 
     @abstractmethod
     def output(self, state: Any) -> Any | None: ...
-
-
-class PortScheduler(ExecutionEngine):
-    """Runs a :class:`PortAwareAlgorithm` natively on a graph's ports.
-
-    A shim over :class:`~repro.runtime.engine.ExecutionEngine` with
-    :class:`~repro.runtime.engine.PortDelivery`.  Sharing the kernel
-    gives the port model the same guarantees as the broadcast one: runs
-    stop *before* a round some node's tape cannot fund (instead of
-    raising mid-round with mutated state), output irrevocability raises
-    :class:`~repro.exceptions.OutputAlreadySetError` with round context
-    (including an output reverting to ``None``), and tracing can be
-    disabled via ``record_trace``.
-    """
-
-    def __init__(
-        self,
-        algorithm: PortAwareAlgorithm,
-        graph: LabeledGraph,
-        tapes: Mapping[Node, BitSource],
-        record_trace: bool = True,
-    ) -> None:
-        super().__init__(
-            algorithm,
-            graph,
-            tapes,
-            delivery=PortDelivery(),
-            policy=ExecutionPolicy(trace=_trace_level(record_trace)),
-        )
-
-    def run(self, max_rounds: int) -> ExecutionResult:
-        """Run until all nodes decide, tapes run dry, or ``max_rounds``."""
-        return super().run(max_rounds=max_rounds)
 
 
 # ----------------------------------------------------------------------

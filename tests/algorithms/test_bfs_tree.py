@@ -12,7 +12,7 @@ from repro.graphs.builders import (
     star_graph,
 )
 from repro.graphs.coloring import apply_two_hop_coloring, greedy_two_hop_coloring
-from repro.runtime.simulation import run_deterministic
+from repro.runtime.engine import execute
 from repro.views.refinement import color_refinement
 
 PROBLEM = BFSTreeProblem()
@@ -46,13 +46,13 @@ IDS = [name for name, _ in CASES]
 class TestBFSTree:
     @pytest.mark.parametrize("name,graph", CASES, ids=IDS)
     def test_valid_bfs_tree(self, name, graph):
-        result = run_deterministic(LeaderBFSTree(), graph, max_rounds=200)
+        result = execute(LeaderBFSTree(), graph, max_rounds=200, require_decided=True)
         assert result.all_decided
         assert PROBLEM.is_valid_output(graph, result.outputs)
 
     def test_depths_are_bfs_layers(self):
         name, graph = CASES[0]  # the path
-        result = run_deterministic(LeaderBFSTree(), graph, max_rounds=200)
+        result = execute(LeaderBFSTree(), graph, max_rounds=200, require_decided=True)
         roots = [v for v in graph.nodes if result.outputs[v] == ("root", 0)]
         root = roots[0]
         for v in graph.nodes:
@@ -61,13 +61,13 @@ class TestBFSTree:
 
     def test_deterministic(self):
         name, graph = CASES[-1]
-        a = run_deterministic(LeaderBFSTree(), graph, max_rounds=200)
-        b = run_deterministic(LeaderBFSTree(), graph, max_rounds=200)
+        a = execute(LeaderBFSTree(), graph, max_rounds=200, require_decided=True)
+        b = execute(LeaderBFSTree(), graph, max_rounds=200, require_decided=True)
         assert a.outputs == b.outputs
 
     def test_single_node_is_root(self):
         graph = instance_with_n(path_graph(1))
-        result = run_deterministic(LeaderBFSTree(), graph, max_rounds=50)
+        result = execute(LeaderBFSTree(), graph, max_rounds=50, require_decided=True)
         assert result.outputs[0] == ("root", 0)
 
 

@@ -13,7 +13,7 @@ from repro.graphs.coloring import (
     num_colors,
 )
 from repro.graphs.properties import max_degree
-from repro.runtime.simulation import run_deterministic, run_randomized
+from repro.runtime.engine import execute
 from tests.conftest import small_graph_zoo
 
 ZOO = small_graph_zoo()
@@ -28,14 +28,14 @@ class TestReduction:
     @pytest.mark.parametrize("name,graph", ZOO, ids=IDS)
     def test_output_is_two_hop_coloring(self, name, graph):
         instance = colored(graph)
-        result = run_deterministic(TwoHopColorReduction(), instance, max_rounds=500)
+        result = execute(TwoHopColorReduction(), instance, max_rounds=500, require_decided=True)
         assert result.all_decided
         assert is_two_hop_coloring(graph, result.outputs)
 
     @pytest.mark.parametrize("name,graph", ZOO, ids=IDS)
     def test_palette_bounded_by_delta_squared(self, name, graph):
         instance = colored(graph)
-        result = run_deterministic(TwoHopColorReduction(), instance, max_rounds=500)
+        result = execute(TwoHopColorReduction(), instance, max_rounds=500, require_decided=True)
         delta = max_degree(graph)
         assert num_colors(result.outputs) <= delta * delta + 1
 
@@ -45,9 +45,9 @@ class TestReduction:
         from repro.graphs.builders import random_connected_graph, with_uniform_input
 
         graph = with_uniform_input(random_connected_graph(14, 0.2, seed=3))
-        raw = run_randomized(TwoHopColoringAlgorithm(), graph, seed=9)
+        raw = execute(TwoHopColoringAlgorithm(), graph, seed=9, require_decided=True)
         instance = apply_two_hop_coloring(graph, raw.outputs)
-        reduced = run_deterministic(TwoHopColorReduction(), instance, max_rounds=500)
+        reduced = execute(TwoHopColorReduction(), instance, max_rounds=500, require_decided=True)
         assert is_two_hop_coloring(graph, reduced.outputs)
         assert all(isinstance(c, int) for c in reduced.outputs.values())
         delta = max_degree(graph)
@@ -57,13 +57,13 @@ class TestReduction:
         from repro.graphs.builders import cycle_graph, with_uniform_input
 
         instance = colored(with_uniform_input(cycle_graph(7)))
-        a = run_deterministic(TwoHopColorReduction(), instance, max_rounds=100)
-        b = run_deterministic(TwoHopColorReduction(), instance, max_rounds=100)
+        a = execute(TwoHopColorReduction(), instance, max_rounds=100, require_decided=True)
+        b = execute(TwoHopColorReduction(), instance, max_rounds=100, require_decided=True)
         assert a.outputs == b.outputs
 
     def test_single_node(self):
         from repro.graphs.builders import path_graph, with_uniform_input
 
         instance = colored(with_uniform_input(path_graph(1)))
-        result = run_deterministic(TwoHopColorReduction(), instance, max_rounds=20)
+        result = execute(TwoHopColorReduction(), instance, max_rounds=20, require_decided=True)
         assert result.outputs[0] == 0

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.algorithms.local_election import TwoLocalElection
-from repro.runtime.simulation import run_randomized
+from repro.runtime.engine import execute
 from tests.conftest import small_graph_zoo
 
 ZOO = small_graph_zoo()
@@ -31,7 +31,7 @@ class TestTwoLocalElection:
     @pytest.mark.parametrize("name,graph", ZOO, ids=IDS)
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_valid_two_local_leader_set(self, name, graph, seed):
-        result = run_randomized(TwoLocalElection(), graph, seed=seed)
+        result = execute(TwoLocalElection(), graph, seed=seed, require_decided=True)
         assert result.all_decided
         assert two_local_leaders_valid(graph, result.outputs), result.outputs
 
@@ -39,7 +39,7 @@ class TestTwoLocalElection:
         from repro.graphs.builders import path_graph, with_uniform_input
 
         g = with_uniform_input(path_graph(1))
-        result = run_randomized(TwoLocalElection(), g, seed=0)
+        result = execute(TwoLocalElection(), g, seed=0, require_decided=True)
         assert result.outputs[0] is True
 
     def test_complete_graph_single_leader(self):
@@ -47,7 +47,7 @@ class TestTwoLocalElection:
 
         g = with_uniform_input(complete_graph(5))
         for seed in range(5):
-            result = run_randomized(TwoLocalElection(), g, seed=seed)
+            result = execute(TwoLocalElection(), g, seed=seed, require_decided=True)
             assert sum(result.outputs.values()) == 1
 
     def test_path_leader_spacing(self):
@@ -55,7 +55,7 @@ class TestTwoLocalElection:
 
         g = with_uniform_input(path_graph(9))
         for seed in range(5):
-            result = run_randomized(TwoLocalElection(), g, seed=seed)
+            result = execute(TwoLocalElection(), g, seed=seed, require_decided=True)
             leaders = sorted(v for v in g.nodes if result.outputs[v])
             assert all(b - a >= 3 for a, b in zip(leaders, leaders[1:]))
             assert 1 <= len(leaders) <= 3

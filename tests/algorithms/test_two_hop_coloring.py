@@ -6,7 +6,7 @@ import pytest
 
 from repro.algorithms.two_hop_coloring import TwoHopColoringAlgorithm
 from repro.graphs.coloring import is_two_hop_coloring
-from repro.runtime.simulation import run_randomized
+from repro.runtime.engine import execute
 from tests.conftest import small_graph_zoo
 
 ZOO = small_graph_zoo()
@@ -16,7 +16,7 @@ class TestCorrectness:
     @pytest.mark.parametrize("name,graph", ZOO, ids=[name for name, _ in ZOO])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_outputs_are_two_hop_colorings(self, name, graph, seed):
-        result = run_randomized(TwoHopColoringAlgorithm(), graph, seed=seed)
+        result = execute(TwoHopColoringAlgorithm(), graph, seed=seed, require_decided=True)
         assert result.all_decided
         assert is_two_hop_coloring(graph, result.outputs)
 
@@ -26,7 +26,7 @@ class TestCorrectness:
         from repro.graphs.builders import complete_graph, with_uniform_input
 
         g = with_uniform_input(complete_graph(5))
-        result = run_randomized(TwoHopColoringAlgorithm(), g, seed=seed)
+        result = execute(TwoHopColoringAlgorithm(), g, seed=seed, require_decided=True)
         assert is_two_hop_coloring(g, result.outputs)
         assert len(set(result.outputs.values())) == 5
 
@@ -34,14 +34,14 @@ class TestCorrectness:
         from repro.graphs.builders import path_graph, with_uniform_input
 
         g = with_uniform_input(path_graph(1))
-        result = run_randomized(TwoHopColoringAlgorithm(), g, seed=0)
+        result = execute(TwoHopColoringAlgorithm(), g, seed=0, require_decided=True)
         assert result.all_decided
 
     def test_outputs_are_bitstrings(self):
         from repro.graphs.builders import cycle_graph, with_uniform_input
 
         g = with_uniform_input(cycle_graph(4))
-        result = run_randomized(TwoHopColoringAlgorithm(), g, seed=5)
+        result = execute(TwoHopColoringAlgorithm(), g, seed=5, require_decided=True)
         for color in result.outputs.values():
             assert isinstance(color, str)
             assert set(color) <= {"0", "1"}
@@ -52,7 +52,7 @@ class TestRoundComplexity:
         from repro.graphs.builders import cycle_graph, with_uniform_input
 
         g = with_uniform_input(cycle_graph(4))
-        result = run_randomized(TwoHopColoringAlgorithm(), g, seed=1)
+        result = execute(TwoHopColoringAlgorithm(), g, seed=1, require_decided=True)
         for v in g.nodes:
             assert result.trace.output_round(v) >= 3
 
@@ -62,5 +62,5 @@ class TestRoundComplexity:
 
         for seed in range(3):
             g = with_uniform_input(random_connected_graph(20, 0.15, seed=seed))
-            result = run_randomized(TwoHopColoringAlgorithm(), g, seed=seed)
+            result = execute(TwoHopColoringAlgorithm(), g, seed=seed, require_decided=True)
             assert result.rounds <= 60

@@ -18,13 +18,13 @@ from repro.graphs.builders import (
     star_graph,
     with_uniform_input,
 )
-from repro.runtime.simulation import run_randomized
+from repro.runtime.engine import execute
 
 
 class TestStats:
     def test_run_stats_of_execution(self):
         g = with_uniform_input(cycle_graph(4))
-        result = run_randomized(TwoHopColoringAlgorithm(), g, seed=0)
+        result = execute(TwoHopColoringAlgorithm(), g, seed=0, require_decided=True)
         stats = RunStats.of(g, result, bits_per_round=1)
         assert stats.decided
         assert stats.rounds == result.rounds
@@ -34,7 +34,7 @@ class TestStats:
     def test_aggregate(self):
         g = with_uniform_input(cycle_graph(4))
         runs = [
-            RunStats.of(g, run_randomized(TwoHopColoringAlgorithm(), g, seed=s), 1)
+            RunStats.of(g, execute(TwoHopColoringAlgorithm(), g, seed=s, require_decided=True), 1)
             for s in range(4)
         ]
         agg = aggregate(runs)
@@ -48,7 +48,7 @@ class TestStats:
 
     def test_message_size_accounted(self):
         g = with_uniform_input(cycle_graph(4))
-        result = run_randomized(TwoHopColoringAlgorithm(), g, seed=0)
+        result = execute(TwoHopColoringAlgorithm(), g, seed=0, require_decided=True)
         stats = RunStats.of(g, result, bits_per_round=1)
         # 2-hop coloring relays neighbor lists: messages are nontrivial.
         assert stats.max_message_chars > 10

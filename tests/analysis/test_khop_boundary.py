@@ -23,13 +23,14 @@ class TestBoundary:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_two_hop_survives_lifting_but_three_hop_breaks(self, seed):
         """The heart of 'k = 2 is the boundary': lifting a 2-hop coloring
-        execution from C3 to C6 stays 2-hop valid but collides at
+        execution from C3 to C6 or C9 stays 2-hop valid but collides at
         distance 3."""
-        covering = uniform_cycle_cover(3, 2)
-        violation = lifted_khop_violation(covering, seed=seed)
-        assert violation.valid_up_to == 2
-        assert not violation.violates(2)
-        assert violation.violates(3)
+        for multiplier in (2, 3):
+            covering = uniform_cycle_cover(3, multiplier)
+            violation = lifted_khop_violation(covering, seed=seed)
+            assert violation.valid_up_to == 2
+            assert not violation.violates(2)
+            assert violation.violates(3)
 
     def test_larger_factor_same_story(self):
         covering = uniform_cycle_cover(5, 2)

@@ -5,13 +5,13 @@ from __future__ import annotations
 from repro.algorithms.luby_mis import AnonymousMISAlgorithm
 from repro.analysis.render import render_output_timeline, render_trace
 from repro.graphs.builders import cycle_graph, with_uniform_input
-from repro.runtime.simulation import run_randomized
+from repro.runtime.engine import execute
 from repro.runtime.trace import ExecutionTrace
 
 
 def _run():
     g = with_uniform_input(cycle_graph(4))
-    return run_randomized(AnonymousMISAlgorithm(), g, seed=2)
+    return execute(AnonymousMISAlgorithm(), g, seed=2, require_decided=True)
 
 
 class TestRenderTrace:

@@ -34,6 +34,11 @@ class TestTheorem1:
         plain = instance.with_only_layers(["input"])
         assert MISProblem().is_valid_output(plain, outputs)
         assert diagnostics.phases <= 12
+        # Lemma 1: within each phase, all nodes select the same graph.
+        by_phase: dict = {}
+        for phase, size, encoding in diagnostics.phase_selections:
+            by_phase.setdefault(phase, set()).add((size, encoding))
+        assert all(len(selections) == 1 for selections in by_phase.values())
 
     def test_coloring_on_lifted_cycle(self):
         instance = lifted_c3(2)

@@ -15,7 +15,7 @@ from repro.core.assignment_search import (
 from repro.core.orders import assignment_sort_key
 from repro.exceptions import DerandomizationError
 from repro.graphs.builders import complete_graph, path_graph, with_uniform_input
-from repro.runtime.simulation import simulate_with_assignment
+from repro.runtime.engine import execute
 
 
 class TestEnumeration:
@@ -88,8 +88,8 @@ class TestSmallestSuccessful:
             for candidate in enumerate_extensions({v: "" for v in order}, order, t):
                 key = assignment_sort_key(candidate, order)
                 if key < found_key:
-                    assert not simulate_with_assignment(
-                        algorithm, g, candidate
+                    assert not execute(
+                        algorithm, g, assignment=candidate
                     ).successful
 
     def test_budget_guard(self):
@@ -114,7 +114,7 @@ class TestSmallestSuccessful:
         found = smallest_successful_assignment(
             algorithm, g, list(g.nodes), max_length=64, strategy="prg"
         )
-        assert simulate_with_assignment(algorithm, g, found).successful
+        assert execute(algorithm, g, assignment=found).successful
 
 
 class TestExtensions:
@@ -127,7 +127,7 @@ class TestExtensions:
         )
         assert found is not None
         assert found[0].startswith("1") and found[1].startswith("0")
-        assert simulate_with_assignment(algorithm, g, found).successful
+        assert execute(algorithm, g, assignment=found).successful
 
     def test_extension_none_when_too_short(self):
         g = with_uniform_input(path_graph(2))
@@ -174,4 +174,4 @@ def test_any_permutation_is_a_valid_node_order(search, strategy):
     for order in ([0, 1], [1, 0]):
         found = search(AnonymousMISAlgorithm(), g, order, strategy)
         assert set(found) == {0, 1}
-        assert simulate_with_assignment(AnonymousMISAlgorithm(), g, found).successful
+        assert execute(AnonymousMISAlgorithm(), g, assignment=found).successful

@@ -14,7 +14,7 @@ from repro.graphs.coloring import apply_two_hop_coloring, greedy_two_hop_colorin
 from repro.graphs.isomorphism import are_isomorphic
 from repro.graphs.lifts import lift_graph
 from repro.problems.mis import MISProblem
-from repro.runtime.simulation import run_randomized
+from repro.runtime.engine import execute
 from repro.views.local_views import view
 
 
@@ -82,7 +82,7 @@ def test_recorded_random_colorings_always_valid(params, run_seed):
     ever produce an invalid 2-hop coloring."""
     n, seed = params
     graph = with_uniform_input(random_connected_graph(n, 0.3, seed=seed))
-    result = run_randomized(TwoHopColoringAlgorithm(), graph, seed=run_seed)
+    result = execute(TwoHopColoringAlgorithm(), graph, seed=run_seed, require_decided=True)
     from repro.graphs.coloring import is_two_hop_coloring
 
     assert is_two_hop_coloring(graph, result.outputs)

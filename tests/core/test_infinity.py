@@ -9,9 +9,9 @@ from repro.algorithms.matching import AnonymousMatchingAlgorithm
 from repro.algorithms.vertex_coloring import VertexColoringAlgorithm
 from repro.core.infinity import AInfinitySolver
 from repro.exceptions import DerandomizationError
-from repro.graphs.builders import cycle_graph, path_graph, with_uniform_input
+from repro.graphs.builders import complete_graph, cycle_graph, path_graph, with_uniform_input
 from repro.graphs.coloring import apply_two_hop_coloring, greedy_two_hop_coloring
-from repro.graphs.lifts import cyclic_lift
+from repro.graphs.lifts import cyclic_lift, lift_graph
 from repro.problems.coloring import ColoringProblem
 from repro.problems.matching import MaximalMatchingProblem
 from repro.problems.mis import MISProblem
@@ -47,20 +47,32 @@ class TestTheorem2:
         assert result.quotient.graph.num_nodes == 3
 
     def test_deterministic(self):
+        """Deterministic and valid under both search orders (any
+        predetermined order satisfies Lemma 1)."""
         instance = colored_c3_lift(2)
-        solver = AInfinitySolver(MISProblem(), AnonymousMISAlgorithm())
-        a = solver.solve(instance)
-        b = solver.solve(instance)
-        assert a.outputs == b.outputs
-        assert a.assignment == b.assignment
+        plain = instance.with_only_layers(["input"])
+        for strategy in ("lexicographic", "prg"):
+            solver = AInfinitySolver(
+                MISProblem(), AnonymousMISAlgorithm(), strategy=strategy
+            )
+            a = solver.solve(instance)
+            b = solver.solve(instance)
+            assert a.outputs == b.outputs
+            assert a.assignment == b.assignment
+            assert MISProblem().is_valid_output(plain, a.outputs)
 
     def test_outputs_constant_on_fibers(self):
-        instance = colored_c3_lift(4)
-        solver = AInfinitySolver(MISProblem(), AnonymousMISAlgorithm())
-        result = solver.solve(instance)
-        for target in result.quotient.graph.nodes:
-            fiber = result.quotient.map.fiber(target)
-            assert len({result.outputs[v] for v in fiber}) == 1
+        k4_lift, _ = lift_graph(colored(with_uniform_input(complete_graph(4))), 2, seed=3)
+        for instance, problem, algorithm in [
+            (colored_c3_lift(4), MISProblem(), AnonymousMISAlgorithm()),
+            (k4_lift, ColoringProblem(), VertexColoringAlgorithm()),
+        ]:
+            result = AInfinitySolver(problem, algorithm).solve(instance)
+            for target in result.quotient.graph.nodes:
+                fiber = result.quotient.map.fiber(target)
+                assert len({result.outputs[v] for v in fiber}) == 1
+            plain = instance.with_only_layers(["input"])
+            assert problem.is_valid_output(plain, result.outputs)
 
     def test_prime_instance_quotient_is_identity(self):
         instance = colored(with_uniform_input(path_graph(3)))
@@ -69,6 +81,11 @@ class TestTheorem2:
         assert result.quotient.is_trivial
         plain = instance.with_only_layers(["input"])
         assert MISProblem().is_valid_output(plain, result.outputs)
+        k4 = colored(with_uniform_input(complete_graph(4)))
+        result = AInfinitySolver(ColoringProblem(), VertexColoringAlgorithm()).solve(k4)
+        assert result.quotient.is_trivial
+        plain = k4.with_only_layers(["input"])
+        assert ColoringProblem().is_valid_output(plain, result.outputs)
 
     def test_missing_color_layer_rejected(self):
         solver = AInfinitySolver(MISProblem(), AnonymousMISAlgorithm())
@@ -76,14 +93,14 @@ class TestTheorem2:
             solver.solve(with_uniform_input(path_graph(3)))
 
     def test_assignment_is_recorded_and_successful(self):
-        from repro.runtime.simulation import simulate_with_assignment
+        from repro.runtime.engine import execute
 
         instance = colored_c3_lift(2)
         solver = AInfinitySolver(MISProblem(), AnonymousMISAlgorithm())
         result = solver.solve(instance)
         sim_graph = result.quotient.graph.with_only_layers(["input"])
-        replay = simulate_with_assignment(
-            AnonymousMISAlgorithm(), sim_graph, result.assignment
+        replay = execute(
+            AnonymousMISAlgorithm(), sim_graph, assignment=result.assignment
         )
         assert replay.successful
         assert replay.rounds == result.simulation_rounds

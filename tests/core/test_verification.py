@@ -6,12 +6,14 @@ import pytest
 
 from repro.algorithms.deciders import WellFormedInputDecider
 from repro.algorithms.luby_mis import AnonymousMISAlgorithm
+from repro.algorithms.matching import AnonymousMatchingAlgorithm
 from repro.algorithms.two_hop_coloring import TwoHopColoringAlgorithm
 from repro.algorithms.vertex_coloring import VertexColoringAlgorithm
 from repro.core.verification import check_gran_bundle
 from repro.graphs.builders import cycle_graph, path_graph, star_graph, with_uniform_input
-from repro.problems.coloring import ColoringProblem
+from repro.problems.coloring import ColoringProblem, KHopColoringProblem
 from repro.problems.gran import GranBundle
+from repro.problems.matching import MaximalMatchingProblem
 from repro.problems.mis import MISProblem
 
 INSTANCES = [
@@ -32,8 +34,16 @@ class TestConformingBundles:
             GranBundle(
                 ColoringProblem(), VertexColoringAlgorithm(), WellFormedInputDecider()
             ),
+            GranBundle(
+                KHopColoringProblem(2), TwoHopColoringAlgorithm(), WellFormedInputDecider()
+            ),
+            GranBundle(
+                MaximalMatchingProblem(),
+                AnonymousMatchingAlgorithm(),
+                WellFormedInputDecider(),
+            ),
         ],
-        ids=["mis", "coloring"],
+        ids=["mis", "coloring", "two-hop-coloring", "matching"],
     )
     def test_library_bundles_pass(self, bundle):
         report = check_gran_bundle(

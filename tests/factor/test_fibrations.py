@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.sweeps import standard_families
 from repro.exceptions import FactorError, LabelingError
 from repro.factor.fibrations import (
     coloring_respects_symmetry,
@@ -37,9 +38,10 @@ class TestRepresentation:
     def test_paper_claims_hold(self):
         """Section 4: the representation is symmetric, deterministically
         colored, and the coloring respects the symmetry."""
-        for n in (3, 5, 6):
-            g = colored(with_uniform_input(cycle_graph(n)))
-            rep = directed_representation(g)
+        graphs = [with_uniform_input(cycle_graph(n)) for n in (3, 5, 6)]
+        graphs += [g for _name, g in standard_families(sizes=(4, 6), include_random=False)]
+        for graph in graphs:
+            rep = directed_representation(colored(graph))
             assert is_symmetric_representation(rep)
             assert is_deterministic_coloring(rep)
             assert coloring_respects_symmetry(rep)

@@ -18,7 +18,7 @@ from repro.factor.lifting import (
 from repro.graphs.builders import cycle_graph, with_uniform_input
 from repro.graphs.coloring import apply_two_hop_coloring, greedy_two_hop_coloring
 from repro.graphs.lifts import cyclic_lift, lift_graph
-from repro.runtime.simulation import run_randomized
+from repro.runtime.engine import execute
 
 
 def colored_c3_and_lift(fiber: int):
@@ -63,13 +63,13 @@ class TestLiftingLemma:
         [TwoHopColoringAlgorithm(), AnonymousMISAlgorithm(), VertexColoringAlgorithm()],
         ids=["two-hop", "mis", "coloring"],
     )
-    @pytest.mark.parametrize("fiber", [2, 4])
+    @pytest.mark.parametrize("fiber", [2, 3, 4])
     def test_lifting_lemma_on_cycles(self, algorithm, fiber):
         fm = colored_c3_and_lift(fiber)
         # Take bits from a real successful run on the factor so the
         # simulation is successful and outputs exist.
         factor_input = fm.factor.with_only_layers(["input"])
-        run = run_randomized(algorithm, factor_input, seed=13)
+        run = execute(algorithm, factor_input, seed=13, require_decided=True)
         assignment = run.trace.assignment()
         stripped = FactorizingMap(
             fm.product.with_only_layers(["input"]),
@@ -90,7 +90,7 @@ class TestLiftingLemma:
             lift.with_only_layers(["input"]), factor_input, projection
         )
         algorithm = AnonymousMISAlgorithm()
-        run = run_randomized(algorithm, factor_input, seed=2)
+        run = execute(algorithm, factor_input, seed=2, require_decided=True)
         comparison = verify_execution_lifting(algorithm, fm, run.trace.assignment())
         assert comparison.lemma_holds
 
@@ -98,7 +98,7 @@ class TestLiftingLemma:
         fm = colored_c3_and_lift(2)
         algorithm = TwoHopColoringAlgorithm()
         factor_input = fm.factor.with_only_layers(["input"])
-        run = run_randomized(algorithm, factor_input, seed=21)
+        run = execute(algorithm, factor_input, seed=21, require_decided=True)
         stripped = FactorizingMap(
             fm.product.with_only_layers(["input"]), factor_input, fm.as_dict()
         )
@@ -117,7 +117,7 @@ class TestImpossibilityConsequence:
         fm = colored_c3_and_lift(4)
         algorithm = AnonymousMISAlgorithm()
         factor_input = fm.factor.with_only_layers(["input"])
-        run = run_randomized(algorithm, factor_input, seed=9)
+        run = execute(algorithm, factor_input, seed=9, require_decided=True)
         stripped = FactorizingMap(
             fm.product.with_only_layers(["input"]), factor_input, fm.as_dict()
         )

@@ -37,6 +37,8 @@ class TestPrimality:
 
     def test_c6_not_prime(self):
         assert not is_prime(_uniform(cycle_graph(6)))
+        # C8 is not prime either: C4 is a proper factor.
+        assert all_factors(_uniform(cycle_graph(8)))
 
     def test_path_prime(self):
         assert is_prime(_uniform(path_graph(5)))

@@ -15,7 +15,7 @@ from repro.graphs.builders import cycle_graph, with_uniform_input
 from repro.graphs.coloring import apply_two_hop_coloring, greedy_two_hop_coloring
 from repro.graphs.isomorphism import are_isomorphic
 from repro.graphs.lifts import cyclic_lift, lift_graph
-from repro.runtime.simulation import run_deterministic
+from repro.runtime.engine import execute
 from repro.views.refinement import color_refinement
 
 
@@ -77,7 +77,7 @@ class TestDeterministicSymmetryInvariant:
     def test_outputs_constant_on_fibers(self, algorithm, fiber):
         instance = lifted(fiber)
         quotient = finite_view_graph(instance)
-        result = run_deterministic(algorithm, instance, max_rounds=500)
+        result = execute(algorithm, instance, max_rounds=500, require_decided=True)
         assert result.all_decided
         for target in quotient.graph.nodes:
             values = {result.outputs[v] for v in quotient.map.fiber(target)}
@@ -96,7 +96,7 @@ class TestDeterministicSymmetryInvariant:
         instance = lifted(2)
         mapping = {v: f"renamed-{v!r}" for v in instance.nodes}
         renamed = instance.relabel_nodes(mapping)
-        original = run_deterministic(algorithm, instance, max_rounds=500)
-        permuted = run_deterministic(algorithm, renamed, max_rounds=500)
+        original = execute(algorithm, instance, max_rounds=500, require_decided=True)
+        permuted = execute(algorithm, renamed, max_rounds=500, require_decided=True)
         for v in instance.nodes:
             assert original.outputs[v] == permuted.outputs[mapping[v]]

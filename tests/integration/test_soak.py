@@ -24,7 +24,7 @@ from repro.graphs.builders import (
 from repro.graphs.coloring import is_k_hop_coloring, is_two_hop_coloring
 from repro.problems.matching import MaximalMatchingProblem
 from repro.problems.mis import MISProblem
-from repro.runtime.simulation import run_randomized
+from repro.runtime.engine import execute
 
 GRAPHS = [
     ("cycle-9", with_uniform_input(cycle_graph(9))),
@@ -39,35 +39,35 @@ SEEDS = range(10)
 @pytest.mark.parametrize("name,graph", GRAPHS, ids=GRAPH_IDS)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_two_hop_coloring_soak(name, graph, seed):
-    result = run_randomized(TwoHopColoringAlgorithm(), graph, seed=seed)
+    result = execute(TwoHopColoringAlgorithm(), graph, seed=seed, require_decided=True)
     assert is_two_hop_coloring(graph, result.outputs)
 
 
 @pytest.mark.parametrize("name,graph", GRAPHS, ids=GRAPH_IDS)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_mis_soak(name, graph, seed):
-    result = run_randomized(AnonymousMISAlgorithm(), graph, seed=seed)
+    result = execute(AnonymousMISAlgorithm(), graph, seed=seed, require_decided=True)
     assert MISProblem().is_valid_output(graph, result.outputs)
 
 
 @pytest.mark.parametrize("name,graph", GRAPHS, ids=GRAPH_IDS)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_matching_soak(name, graph, seed):
-    result = run_randomized(AnonymousMatchingAlgorithm(), graph, seed=seed)
+    result = execute(AnonymousMatchingAlgorithm(), graph, seed=seed, require_decided=True)
     assert MaximalMatchingProblem().is_valid_output(graph, result.outputs)
 
 
 @pytest.mark.parametrize("name,graph", GRAPHS, ids=GRAPH_IDS)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_vertex_coloring_soak(name, graph, seed):
-    result = run_randomized(VertexColoringAlgorithm(), graph, seed=seed)
+    result = execute(VertexColoringAlgorithm(), graph, seed=seed, require_decided=True)
     assert is_k_hop_coloring(graph, result.outputs, 1)
 
 
 @pytest.mark.parametrize("name,graph", GRAPHS, ids=GRAPH_IDS)
 @pytest.mark.parametrize("seed", range(5))
 def test_two_local_election_soak(name, graph, seed):
-    result = run_randomized(TwoLocalElection(), graph, seed=seed)
+    result = execute(TwoLocalElection(), graph, seed=seed, require_decided=True)
     leaders = [v for v in graph.nodes if result.outputs[v]]
     for i, u in enumerate(leaders):
         for v in leaders[i + 1 :]:

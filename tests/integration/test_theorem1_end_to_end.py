@@ -64,10 +64,10 @@ def test_stage2_determinism_given_same_coloring():
     from repro.core.practical import PracticalDerandomizer
     from repro.graphs.builders import cycle_graph, with_uniform_input
     from repro.graphs.coloring import apply_two_hop_coloring
-    from repro.runtime.simulation import run_randomized
+    from repro.runtime.engine import execute
 
     g = with_uniform_input(cycle_graph(5))
-    coloring = run_randomized(TwoHopColoringAlgorithm(), g, seed=9).outputs
+    coloring = execute(TwoHopColoringAlgorithm(), g, seed=9, require_decided=True).outputs
     colored = apply_two_hop_coloring(g, coloring)
     solver = PracticalDerandomizer(MISProblem(), AnonymousMISAlgorithm(), strategy="prg")
     assert solver.solve(colored).outputs == solver.solve(colored).outputs

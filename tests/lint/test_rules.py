@@ -56,7 +56,7 @@ def test_det001_exempts_tape_layer_and_benchmarks(lint_tree):
     report = lint_tree(
         {
             "src/repro/runtime/tape.py": source,
-            "benchmarks/bench_sample.py": "import time\nt = time.perf_counter()\n",
+            "benchmarks/run_sample.py": "import time\nt = time.perf_counter()\n",
         },
         select=["DET001"],
     )
@@ -206,9 +206,9 @@ ENG001_POSITIVE = [
         "e = ExecutionEngine(a, g, t, d)\n",
     ),
     (
-        "construct-scheduler",
-        "import repro.runtime.scheduler\n"
-        "s = repro.runtime.scheduler.SynchronousScheduler(a, g)\n",
+        "construct-engine-by-path",
+        "import repro.runtime.engine\n"
+        "e = repro.runtime.engine.ExecutionEngine(a, g, t, d)\n",
     ),
     (
         "drive-transition",

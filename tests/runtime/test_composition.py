@@ -12,7 +12,7 @@ from repro.graphs.properties import max_degree
 from repro.problems.coloring import ColoringProblem
 from repro.problems.mis import MISProblem
 from repro.runtime.composition import TwoStageComposition
-from repro.runtime.simulation import run_deterministic, run_randomized
+from repro.runtime.engine import execute
 from tests.conftest import small_graph_zoo
 
 ZOO = [case for case in small_graph_zoo() if case[1].num_nodes <= 12]
@@ -37,7 +37,7 @@ class TestComposedPipeline:
     def test_composed_mis_is_valid(self, name, graph, seed):
         """The paper's decoupling as ONE anonymous algorithm: random
         coloring then deterministic MIS, end to end, no orchestration."""
-        result = run_randomized(composed_mis(), graph, seed=seed)
+        result = execute(composed_mis(), graph, seed=seed, require_decided=True)
         assert result.all_decided
         assert MISProblem().is_valid_output(graph, result.outputs)
 
@@ -49,7 +49,7 @@ class TestComposedPipeline:
         composed = TwoStageComposition(
             TwoHopColoringAlgorithm(), GreedyColoringByColor(), pack
         )
-        result = run_randomized(composed, graph, seed=seed)
+        result = execute(composed, graph, seed=seed, require_decided=True)
         assert ColoringProblem().is_valid_output(graph, result.outputs)
         assert len(set(result.outputs.values())) <= max_degree(graph) + 1
 
@@ -60,7 +60,7 @@ class TestComposedPipeline:
         composed = TwoStageComposition(
             TwoHopColoringAlgorithm(), TwoHopColorReduction(), pack
         )
-        result = run_randomized(composed, graph, seed=5)
+        result = execute(composed, graph, seed=5, require_decided=True)
         assert is_two_hop_coloring(graph, result.outputs)
         delta = max_degree(graph)
         assert len(set(result.outputs.values())) <= delta * delta + 1
@@ -76,11 +76,11 @@ class TestEquivalenceToDirectRun:
         graph = with_uniform_input(random_connected_graph(9, 0.3, seed=2))
         seed = 7
 
-        composed_result = run_randomized(composed_mis(), graph, seed=seed)
+        composed_result = execute(composed_mis(), graph, seed=seed, require_decided=True)
 
-        stage1 = run_randomized(TwoHopColoringAlgorithm(), graph, seed=seed)
+        stage1 = execute(TwoHopColoringAlgorithm(), graph, seed=seed, require_decided=True)
         colored = apply_two_hop_coloring(graph, stage1.outputs)
-        direct = run_deterministic(GreedyMISByColor(), colored, max_rounds=500)
+        direct = execute(GreedyMISByColor(), colored, max_rounds=500, require_decided=True)
 
         assert composed_result.outputs == direct.outputs
 
@@ -88,8 +88,8 @@ class TestEquivalenceToDirectRun:
         from repro.graphs.builders import cycle_graph, with_uniform_input
 
         graph = with_uniform_input(cycle_graph(6))
-        a = run_randomized(composed_mis(), graph, seed=11)
-        b = run_randomized(composed_mis(), graph, seed=11)
+        a = execute(composed_mis(), graph, seed=11, require_decided=True)
+        b = execute(composed_mis(), graph, seed=11, require_decided=True)
         assert a.outputs == b.outputs
 
 

@@ -10,7 +10,7 @@ from repro.graphs.builders import random_connected_graph, with_uniform_input
 from repro.graphs.coloring import apply_two_hop_coloring, is_k_hop_coloring
 from repro.problems.mis import MISProblem
 from repro.runtime.composition import TwoStageComposition
-from repro.runtime.simulation import run_deterministic, run_randomized
+from repro.runtime.engine import execute
 
 
 def pack(original_input, degree, color):
@@ -28,7 +28,7 @@ def test_composed_mis_valid_on_random_graphs(n, graph_seed, run_seed):
     composed = TwoStageComposition(
         TwoHopColoringAlgorithm(), GreedyMISByColor(), pack
     )
-    result = run_randomized(composed, graph, seed=run_seed)
+    result = execute(composed, graph, seed=run_seed, require_decided=True)
     assert result.all_decided
     assert MISProblem().is_valid_output(graph, result.outputs)
 
@@ -46,11 +46,11 @@ def test_composed_equals_direct_run(n, graph_seed, run_seed):
     composed = TwoStageComposition(
         TwoHopColoringAlgorithm(), GreedyColoringByColor(), pack
     )
-    composed_run = run_randomized(composed, graph, seed=run_seed)
+    composed_run = execute(composed, graph, seed=run_seed, require_decided=True)
 
-    stage1 = run_randomized(TwoHopColoringAlgorithm(), graph, seed=run_seed)
+    stage1 = execute(TwoHopColoringAlgorithm(), graph, seed=run_seed, require_decided=True)
     colored = apply_two_hop_coloring(graph, stage1.outputs)
-    direct = run_deterministic(GreedyColoringByColor(), colored, max_rounds=500)
+    direct = execute(GreedyColoringByColor(), colored, max_rounds=500, require_decided=True)
 
     assert composed_run.outputs == direct.outputs
     assert is_k_hop_coloring(graph, composed_run.outputs, 1)

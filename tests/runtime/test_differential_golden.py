@@ -1,7 +1,7 @@
 """Differential test: the unified engine vs the pre-refactor runtime.
 
 ``golden/experiments_canonical.json`` was generated by the *old* runtime
-(separate ``SynchronousScheduler`` / ``PortScheduler`` round loops)
+(separate broadcast and port-numbering round loops)
 immediately before the unified-kernel refactor, from the full
 21-experiment registry run serially with ``base_seed=0`` (later
 extended in place as new experiment families registered — the original

@@ -11,18 +11,17 @@ import pytest
 from repro.exceptions import RuntimeModelError
 from repro.graphs.builders import cycle_graph, path_graph, star_graph, with_uniform_input
 from repro.graphs.coloring import apply_two_hop_coloring, greedy_two_hop_coloring
-from repro.runtime.engine import execute
-from repro.runtime.port_model import (
-    PortAwareAlgorithm,
-    PortEmulation,
-    PortScheduler,
-)
-from repro.runtime.scheduler import SynchronousScheduler
+from repro.runtime.engine import ExecutionEngine, PortDelivery, execute
+from repro.runtime.port_model import PortAwareAlgorithm, PortEmulation
 from repro.runtime.tape import FixedTape
 
 
 def colored(graph):
     return apply_two_hop_coloring(graph, greedy_two_hop_coloring(graph))
+
+
+def _empty_tapes(graph):
+    return {v: FixedTape("") for v in graph.nodes}
 
 
 @dataclass(frozen=True)
@@ -89,13 +88,10 @@ def color_order_ports(graph):
     )
 
 
-class TestPortScheduler:
+class TestPortDelivery:
     def test_port_directed_delivery(self):
         g = with_uniform_input(path_graph(3))
-        scheduler = PortScheduler(
-            PortTokenSum(1), g, {v: FixedTape("") for v in g.nodes}
-        )
-        result = scheduler.run(max_rounds=5)
+        result = execute(PortTokenSum(1), g, tapes=_empty_tapes(g), max_rounds=5)
         assert result.all_decided
         # Middle node has 2 ports; each entry records (port, payload).
         middle = result.outputs[1]
@@ -107,9 +103,8 @@ class TestPortScheduler:
                 return [("x", 0)]  # wrong arity
 
         g = with_uniform_input(star_graph(3))
-        scheduler = PortScheduler(Broken(), g, {v: FixedTape("") for v in g.nodes})
         with pytest.raises(RuntimeModelError, match="ports"):
-            scheduler.run(max_rounds=2)
+            execute(Broken(), g, tapes=_empty_tapes(g), max_rounds=2)
 
 
 class RandomizedPortEcho(PortAwareAlgorithm):
@@ -152,7 +147,7 @@ class RandomizedPortEcho(PortAwareAlgorithm):
 
 
 class TestPortFunding:
-    """Regression for the pre-unification PortScheduler, which skipped
+    """Regression for the pre-unification port scheduler, which skipped
     the tape-funding check: a dry tape raised mid-round from ``draw``
     after some nodes had already transitioned, leaving torn state.  The
     unified kernel stops *before* any round it cannot fund — the paper's
@@ -162,35 +157,35 @@ class TestPortFunding:
         g = with_uniform_input(path_graph(3))
         # Node 1 funds only 2 rounds; the run must stop at exactly 2.
         tapes = {0: FixedTape("0000"), 1: FixedTape("00"), 2: FixedTape("000")}
-        scheduler = PortScheduler(RandomizedPortEcho(rounds_needed=10), g, tapes)
-        result = scheduler.run(max_rounds=100)
+        engine = ExecutionEngine(
+            RandomizedPortEcho(rounds_needed=10), g, tapes, delivery=PortDelivery()
+        )
+        result = engine.run(max_rounds=100)
         assert result.rounds == 2
         assert not result.all_decided
         # No torn round: every node took exactly 2 transitions.
         for v in g.nodes:
-            assert scheduler.state_of(v).round_number == 2
+            assert engine.state_of(v).round_number == 2
 
     def test_step_past_funding_raises_without_mutation(self):
         g = with_uniform_input(path_graph(2))
-        scheduler = PortScheduler(
+        engine = ExecutionEngine(
             RandomizedPortEcho(rounds_needed=10),
             g,
             {v: FixedTape("0") for v in g.nodes},
+            delivery=PortDelivery(),
         )
-        scheduler.step()
+        engine.step()
         with pytest.raises(RuntimeModelError, match="exhausted"):
-            scheduler.step()
-        assert scheduler.rounds == 1
-        assert all(scheduler.state_of(v).round_number == 1 for v in g.nodes)
+            engine.step()
+        assert engine.rounds == 1
+        assert all(engine.state_of(v).round_number == 1 for v in g.nodes)
 
     def test_record_trace_flag(self):
         g = with_uniform_input(path_graph(2))
-        result = PortScheduler(
-            PortTokenSum(1),
-            g,
-            {v: FixedTape("") for v in g.nodes},
-            record_trace=False,
-        ).run(max_rounds=5)
+        result = execute(
+            PortTokenSum(1), g, tapes=_empty_tapes(g), max_rounds=5, record_trace=False
+        )
         assert result.all_decided
         assert result.trace is None
 
@@ -212,19 +207,18 @@ class TestEmulation:
         inner = PortTokenSum(rounds_needed=3)
         reported = color_order_ports(graph)
 
-        native = PortScheduler(
+        native = execute(
             inner,
             reported.with_only_layers(["input"]).with_ports(
                 {v: reported.ports(v) for v in reported.nodes}
             ),
-            {v: FixedTape("") for v in reported.nodes},
-        ).run(max_rounds=10)
+            tapes=_empty_tapes(reported),
+            max_rounds=10,
+        )
 
-        emulated = SynchronousScheduler(
-            PortEmulation(inner),
-            graph,
-            {v: FixedTape("") for v in graph.nodes},
-        ).run(max_rounds=10)
+        emulated = execute(
+            PortEmulation(inner), graph, tapes=_empty_tapes(graph), max_rounds=10
+        )
 
         assert native.all_decided and emulated.all_decided
         assert native.outputs == emulated.outputs
@@ -292,10 +286,5 @@ class TestEmulation:
         g = with_uniform_input(star_graph(2)).with_layer(
             "color", {0: "a", 1: "b", 2: "b"}  # leaves collide at the center
         )
-        scheduler = SynchronousScheduler(
-            PortEmulation(PortTokenSum(1)),
-            g,
-            {v: FixedTape("") for v in g.nodes},
-        )
         with pytest.raises(RuntimeModelError, match="collide"):
-            scheduler.run(max_rounds=5)
+            execute(PortEmulation(PortTokenSum(1)), g, tapes=_empty_tapes(g), max_rounds=5)

@@ -10,7 +10,7 @@ from repro.graphs.builders import cycle_graph, with_uniform_input
 from repro.graphs.coloring import apply_two_hop_coloring, greedy_two_hop_coloring
 from repro.problems.mis import MISProblem
 from repro.runtime.algorithm import RandomizedShell, randomized_shell
-from repro.runtime.simulation import run_deterministic, simulate_with_assignment
+from repro.runtime.engine import execute
 
 
 def colored(graph):
@@ -34,10 +34,10 @@ class TestShell:
     def test_shell_ignores_bits(self):
         instance = colored(with_uniform_input(cycle_graph(7)))
         shell = randomized_shell(GreedyMISByColor())
-        direct = run_deterministic(GreedyMISByColor(), instance)
+        direct = execute(GreedyMISByColor(), instance, require_decided=True)
         for bits in ("0", "1"):
             assignment = {v: bits * 32 for v in instance.nodes}
-            result = simulate_with_assignment(shell, instance, assignment)
+            result = execute(shell, instance, assignment=assignment)
             assert result.successful
             assert result.outputs == direct.outputs
         assert MISProblem().is_valid_output(

@@ -19,7 +19,7 @@ from repro.algorithms.monte_carlo_election import MonteCarloElection
 from repro.algorithms.two_hop_coloring import TwoHopColoringAlgorithm
 from repro.algorithms.vertex_coloring import VertexColoringAlgorithm
 from repro.graphs.builders import random_connected_graph, with_uniform_input
-from repro.runtime.simulation import run_randomized, simulate_with_assignment
+from repro.runtime.engine import execute
 
 ALGORITHMS = [
     TwoHopColoringAlgorithm(),
@@ -40,9 +40,9 @@ IDS = [a.name for a in ALGORITHMS]
 @settings(max_examples=12, deadline=None)
 def test_replay_reproduces_execution(algorithm, n, graph_seed, run_seed):
     graph = with_uniform_input(random_connected_graph(n, 0.3, seed=graph_seed))
-    run = run_randomized(algorithm, graph, seed=run_seed)
-    replay = simulate_with_assignment(
-        algorithm, graph, run.trace.assignment(), record_trace=True
+    run = execute(algorithm, graph, seed=run_seed, require_decided=True)
+    replay = execute(
+        algorithm, graph, assignment=run.trace.assignment(), record_trace=True
     )
     assert replay.successful
     assert replay.outputs == run.outputs
@@ -57,6 +57,6 @@ def test_replay_monte_carlo_election():
         "input", {v: (graph.degree(v), 6) for v in graph.nodes}
     )
     algorithm = MonteCarloElection(id_bits=8)
-    run = run_randomized(algorithm, graph, seed=3)
-    replay = simulate_with_assignment(algorithm, graph, run.trace.assignment())
+    run = execute(algorithm, graph, seed=3, require_decided=True)
+    replay = execute(algorithm, graph, assignment=run.trace.assignment())
     assert replay.outputs == run.outputs

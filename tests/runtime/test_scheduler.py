@@ -1,4 +1,4 @@
-"""Tests for the synchronous scheduler and the anonymous-model contract."""
+"""Tests for the broadcast round kernel and the anonymous-model contract."""
 
 from __future__ import annotations
 
@@ -7,12 +7,16 @@ import pytest
 from repro.exceptions import OutputAlreadySetError, RuntimeModelError
 from repro.graphs.builders import cycle_graph, path_graph, star_graph
 from repro.runtime.algorithm import FunctionAlgorithm
-from repro.runtime.scheduler import SynchronousScheduler
+from repro.runtime.engine import BroadcastDelivery, ExecutionEngine, execute
 from repro.runtime.tape import FixedTape, RandomTape
 
 
 def _uniform(graph, value=0):
     return graph.with_layer("input", {v: value for v in graph.nodes})
+
+
+def _empty_tapes(graph):
+    return {v: FixedTape("") for v in graph.nodes}
 
 
 def counting_algorithm(stop_at: int):
@@ -42,36 +46,27 @@ def degree_sum_algorithm():
 class TestExecution:
     def test_runs_until_all_decide(self):
         g = _uniform(cycle_graph(4))
-        scheduler = SynchronousScheduler(
-            counting_algorithm(3), g, {v: FixedTape("") for v in g.nodes}
-        )
-        result = scheduler.run(max_rounds=10)
+        result = execute(counting_algorithm(3), g, tapes=_empty_tapes(g), max_rounds=10)
         assert result.all_decided
         assert result.rounds == 3
         assert all(value == 3 for value in result.outputs.values())
 
     def test_round_limit(self):
         g = _uniform(cycle_graph(4))
-        scheduler = SynchronousScheduler(
-            counting_algorithm(100), g, {v: FixedTape("") for v in g.nodes}
-        )
-        result = scheduler.run(max_rounds=5)
+        result = execute(counting_algorithm(100), g, tapes=_empty_tapes(g), max_rounds=5)
         assert not result.all_decided
         assert result.rounds == 5
 
     def test_messages_delivered_as_sorted_multiset(self):
         g = _uniform(star_graph(3))
-        scheduler = SynchronousScheduler(
-            degree_sum_algorithm(), g, {v: FixedTape("") for v in g.nodes}
-        )
-        result = scheduler.run(max_rounds=2)
+        result = execute(degree_sum_algorithm(), g, tapes=_empty_tapes(g), max_rounds=2)
         assert result.outputs[0] == 3  # center sees three degree-1 leaves
         assert result.outputs[1] == 3  # each leaf sees the degree-3 center
 
     def test_missing_tape_rejected(self):
         g = _uniform(path_graph(2))
         with pytest.raises(RuntimeModelError, match="no bit source"):
-            SynchronousScheduler(counting_algorithm(1), g, {0: FixedTape("")})
+            execute(counting_algorithm(1), g, tapes={0: FixedTape("")})
 
     def test_fixed_tape_bounds_rounds(self):
         g = _uniform(path_graph(2))
@@ -83,10 +78,9 @@ class TestExecution:
             bits_per_round=1,
             name="undecided",
         )
-        scheduler = SynchronousScheduler(
-            algorithm, g, {v: FixedTape("000") for v in g.nodes}
+        result = execute(
+            algorithm, g, tapes={v: FixedTape("000") for v in g.nodes}, max_rounds=100
         )
-        result = scheduler.run(max_rounds=100)
         assert result.rounds == 3  # tape-funded rounds only
         assert not result.all_decided
 
@@ -94,11 +88,11 @@ class TestExecution:
         g = _uniform(path_graph(2))
         algorithm = counting_algorithm(5)
         algorithm.bits_per_round = 1
-        scheduler = SynchronousScheduler(
-            algorithm, g, {v: FixedTape("") for v in g.nodes}
+        engine = ExecutionEngine(
+            algorithm, g, _empty_tapes(g), delivery=BroadcastDelivery()
         )
         with pytest.raises(RuntimeModelError, match="exhausted"):
-            scheduler.step()
+            engine.step()
 
 
 class TestIrrevocability:
@@ -112,10 +106,10 @@ class TestIrrevocability:
             bits_per_round=0,
             name="flipper",
         )
-        scheduler = SynchronousScheduler(flipper, g, {v: FixedTape("") for v in g.nodes})
+        engine = ExecutionEngine(flipper, g, _empty_tapes(g), delivery=BroadcastDelivery())
         # Output 0 registers at initialization; the first step changes it.
         with pytest.raises(OutputAlreadySetError):
-            scheduler.step()
+            engine.step()
 
     def test_output_at_init_allowed(self):
         g = _uniform(path_graph(2))
@@ -127,8 +121,7 @@ class TestIrrevocability:
             bits_per_round=0,
             name="instant",
         )
-        scheduler = SynchronousScheduler(instant, g, {v: FixedTape("") for v in g.nodes})
-        result = scheduler.run(max_rounds=5)
+        result = execute(instant, g, tapes=_empty_tapes(g), max_rounds=5)
         assert result.rounds == 0
         assert result.all_decided
 
@@ -144,10 +137,9 @@ class TestTrace:
             bits_per_round=1,
             name="bit-collector",
         )
-        scheduler = SynchronousScheduler(
-            algorithm, g, {v: RandomTape(v) for v in g.nodes}
+        result = execute(
+            algorithm, g, tapes={v: RandomTape(v) for v in g.nodes}, max_rounds=10
         )
-        result = scheduler.run(max_rounds=10)
         assert result.all_decided
         trace = result.trace
         assert trace.num_rounds == result.rounds
@@ -157,8 +149,5 @@ class TestTrace:
 
     def test_output_round_lookup(self):
         g = _uniform(path_graph(2))
-        scheduler = SynchronousScheduler(
-            counting_algorithm(2), g, {v: FixedTape("") for v in g.nodes}
-        )
-        result = scheduler.run(max_rounds=5)
+        result = execute(counting_algorithm(2), g, tapes=_empty_tapes(g), max_rounds=5)
         assert result.trace.output_round(0) == 2

@@ -7,12 +7,12 @@ import pytest
 from repro.algorithms.two_hop_coloring import TwoHopColoringAlgorithm
 from repro.exceptions import RuntimeModelError
 from repro.graphs.builders import cycle_graph, with_uniform_input
-from repro.runtime.simulation import run_randomized
+from repro.runtime.engine import execute
 
 
 def _run():
     g = with_uniform_input(cycle_graph(4))
-    return g, run_randomized(TwoHopColoringAlgorithm(), g, seed=6)
+    return g, execute(TwoHopColoringAlgorithm(), g, seed=6, require_decided=True)
 
 
 class TestTraceHelpers:
@@ -46,7 +46,7 @@ class TestTraceHelpers:
 
 class TestExecutionResult:
     def test_output_labeling_requires_all_decided(self):
-        from repro.runtime.scheduler import ExecutionResult
+        from repro.runtime.engine import ExecutionResult
 
         partial = ExecutionResult(
             outputs={0: "x"}, rounds=3, all_decided=False, trace=None
@@ -55,7 +55,7 @@ class TestExecutionResult:
             partial.output_labeling()
 
     def test_output_labeling_copies(self):
-        from repro.runtime.scheduler import ExecutionResult
+        from repro.runtime.engine import ExecutionResult
 
         full = ExecutionResult(
             outputs={0: "x"}, rounds=1, all_decided=True, trace=None

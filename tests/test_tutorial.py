@@ -13,7 +13,7 @@ from repro.graphs.builders import cycle_graph, path_graph, with_uniform_input
 from repro.problems.gran import GranBundle
 from repro.problems.problem import DistributedProblem
 from repro.runtime.algorithm import AnonymousAlgorithm
-from repro.runtime.simulation import run_deterministic
+from repro.runtime.engine import execute
 
 
 class NeighborhoodCensusProblem(DistributedProblem):
@@ -58,7 +58,7 @@ class RandomizedCensus(CensusAlgorithm):
 def test_section_2_algorithm_solves_problem():
     problem = NeighborhoodCensusProblem()
     graph = with_uniform_input(cycle_graph(5))
-    result = run_deterministic(CensusAlgorithm(), graph)
+    result = execute(CensusAlgorithm(), graph, require_decided=True)
     assert problem.is_valid_output(graph, result.outputs)
     assert result.rounds == 1
 

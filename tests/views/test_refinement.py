@@ -34,6 +34,8 @@ class TestRefinement:
     def test_path_classes(self):
         result = color_refinement(_uniform(path_graph(4)))
         assert result.num_classes == 2
+        # Mirror-image pairs: a uniform path of 2k nodes has k classes.
+        assert color_refinement(_uniform(path_graph(64))).num_classes == 32
 
     def test_star_classes(self):
         result = color_refinement(_uniform(star_graph(4)))
