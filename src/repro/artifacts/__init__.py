@@ -34,8 +34,6 @@ from repro.artifacts.store import (
     clear_memory_tier,
     memory_bucket,
     memory_stats,
-    note_artifact,
-    record_artifact_keys,
 )
 
 __all__ = [
@@ -45,7 +43,5 @@ __all__ = [
     "clear_memory_tier",
     "memory_bucket",
     "memory_stats",
-    "note_artifact",
     "payload_digest",
-    "record_artifact_keys",
 ]

@@ -20,23 +20,16 @@ fsync'd append-only JSONL file (the fabric's
 :class:`repro.experiments.store.ResultStore` — same torn-tail repair,
 same corruption policy) holding one encoded payload per content key.
 Because keys embed the code fingerprint, a stale file is all misses.
-
-**Recording.**  The experiment fabric wraps task execution in
-:func:`record_artifact_keys`; producers call :func:`note_artifact` on
-every fetch, so sweep records end up naming the artifact keys they
-touched — sweeps and served queries share one address space.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Callable, Iterator
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Any
 
 from repro.artifacts.keys import artifact_key, payload_digest
-from repro.exceptions import ArtifactError, ReproError
+from repro.exceptions import ArtifactError
 
 __all__ = [
     "ArtifactStore",
@@ -44,8 +37,6 @@ __all__ = [
     "clear_memory_tier",
     "memory_bucket",
     "memory_stats",
-    "note_artifact",
-    "record_artifact_keys",
 ]
 
 
@@ -137,42 +128,6 @@ def clear_memory_tier() -> None:
 def memory_stats() -> "dict[str, dict[str, int]]":
     """Per-kind bucket statistics, kinds sorted for stable output."""
     return {kind: _MEMORY[kind].stats() for kind in sorted(_MEMORY)}
-
-
-# -- fetch recording ----------------------------------------------------
-
-# Active recorders (normally zero or one: the fabric worker).  Producers
-# pay one truthiness test per fetch when nothing records.
-_RECORDERS: "list[set[str]]" = []
-
-
-def note_artifact(spec_factory: "Callable[[], dict[str, Any]]") -> None:
-    """Tell active recorders an artifact was fetched.
-
-    ``spec_factory`` defers spec construction (serializing a graph) to
-    the rare recording case.  Instances whose nodes or labels are not
-    JSON-representable have no content address; their fetches are
-    deliberately not recorded rather than failing the computation.
-    """
-    if not _RECORDERS:
-        return
-    try:
-        key = artifact_key(spec_factory())
-    except ReproError:
-        return
-    for recorder in _RECORDERS:
-        recorder.add(key)
-
-
-@contextmanager
-def record_artifact_keys() -> "Iterator[set[str]]":
-    """Collect the keys of every artifact fetched inside the block."""
-    keys: "set[str]" = set()
-    _RECORDERS.append(keys)
-    try:
-        yield keys
-    finally:
-        _RECORDERS.remove(keys)
 
 
 # -- the two-tier store -------------------------------------------------

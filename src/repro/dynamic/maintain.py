@@ -33,8 +33,6 @@ from dataclasses import dataclass
 from collections.abc import Sequence
 from typing import Any
 
-from repro.artifacts.specs import dynamic_views_spec
-from repro.artifacts.store import note_artifact
 from repro.exceptions import DynamicError
 from repro.graphs.csr import csr_of
 from repro.graphs.io import graph_from_dict, graph_to_dict
@@ -214,7 +212,6 @@ def replay_views(
     maintainer = dynamic.maintainer(depth)
     if deltas:
         dynamic.apply(tuple(deltas))
-    note_artifact(lambda: dynamic_views_spec(base, dynamic.log, depth))
     return maintainer.views()
 
 

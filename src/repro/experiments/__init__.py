@@ -49,7 +49,6 @@ from repro.experiments.fingerprint import code_fingerprint
 from repro.experiments.runner import (
     RunReport,
     derive_seed,
-    map_families,
     run_experiments,
     write_results_json,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "get_experiment",
     "get_spec",
     "grid_tasks",
-    "map_families",
     "merge_stores",
     "run_all",
     "run_experiments",

@@ -50,13 +50,7 @@ def _fabric_selection(args: argparse.Namespace) -> "list | None":
     )
     if not asked:
         return None
-    ids: list[str] = []
-    if args.experiments:
-        ids = list(args.experiments)
-    elif args.all or args.filter:
-        ids = all_experiment_ids()
-    if args.filter:
-        ids = [eid for eid in ids if args.filter in eid]
+    ids = _select_ids(args) or []
     grid_names = list(args.grid or [])
     if args.grids:
         grid_names = fabric.all_grid_names()

@@ -1,8 +1,10 @@
 """``repro.experiments.fabric`` — sharded, resumable experiment fabric.
 
-The PR-2 runner fans a task list over one process pool and forgets
-everything when it exits.  The fabric scales that same task model
-across *runs*, *shards* and *machines* by making every task a pure,
+The registry runner (:func:`~repro.experiments.runner.run_experiments`)
+fans a task list over one process pool and forgets everything when it
+exits.  The fabric runs the *same* task list through the same task core
+(:func:`~repro.experiments.runner.execute_tasks`) and scales it across
+*runs*, *shards* and *machines* by making every task a pure,
 content-addressed unit of work:
 
 * **Task keys.**  Every task is keyed by
@@ -34,8 +36,8 @@ content-addressed unit of work:
   one canonical artifact — a pure function of the *current-fingerprint*
   records, so a sharded, resumed, parallel run merges byte-identically
   to a fresh ``--jobs 1`` serial run.  That identity is the fabric's
-  correctness gate (extended from PR 2; enforced by CI's
-  ``fabric-resume`` job).
+  correctness gate (it extends the runner's serial-vs-parallel
+  identity; enforced by CI's ``fabric-resume`` job).
 
 Grid sweeps (size × family × fault-rate × seed) are declared once as
 :class:`GridSweep` registry entries — see the ``resilience`` and
@@ -50,19 +52,20 @@ import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 from typing import Any
 
-from repro.analysis.sweeps import FamilySpec, spec_from_dict, spec_to_dict
+from repro.analysis.sweeps import FamilySpec, spec_to_dict
 from repro.exceptions import ReproError
-from repro.experiments.base import all_experiment_ids, get_spec
 from repro.experiments.fingerprint import code_fingerprint
 from repro.experiments.runner import (
     RESULTS_SCHEMA,
+    FabricTask,
     _jsonify,
     derive_seed,
     execute_tasks,
     experiment_entry,
+    experiment_tasks,
 )
 from repro.experiments.store import ResultStore, scan_store
 
@@ -91,23 +94,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FabricTask:
-    """One atomic, content-addressed unit of work.
-
-    ``spec`` is the canonical JSON-able description of *what* to run
-    (kind-specific); ``seed`` is the task's derived 63-bit seed;
-    ``cost`` is the relative wall-time weight driving longest-first
-    dispatch (same scale as the experiment registry's costs).
-    """
-
-    task_id: str
-    kind: str  # "experiment" | "grid"
-    spec: dict[str, Any]
-    seed: int
-    cost: float = 1.0
-
-
 def canonical_spec(spec: dict[str, Any]) -> str:
     """The canonical one-line JSON form a task key is computed over."""
     return json.dumps(spec, sort_keys=True, separators=(",", ":"))
@@ -117,31 +103,6 @@ def task_key(fingerprint: str, spec: dict[str, Any], seed: int) -> str:
     """``sha256(code_fingerprint, spec, seed)`` as hex — the store key."""
     material = f"{fingerprint}\x1f{canonical_spec(spec)}\x1f{seed}"
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
-
-
-def experiment_tasks(
-    experiment_ids: "Iterable[str] | None" = None, *, base_seed: int = 0
-) -> list[FabricTask]:
-    """One task per registered experiment, with the runner's seeds.
-
-    The spec and seed match ``run_experiments`` exactly, so a fabric
-    record for ``figure1`` is the same canonical entry a ``--jobs 1``
-    registry run would report for it.
-    """
-    ids = list(experiment_ids) if experiment_ids is not None else all_experiment_ids()
-    tasks = []
-    for eid in ids:
-        spec = get_spec(eid)  # validates; raises on unknown ids
-        tasks.append(
-            FabricTask(
-                task_id=f"experiment:{eid}",
-                kind="experiment",
-                spec={"kind": "experiment", "experiment_id": eid, "base_seed": base_seed},
-                seed=derive_seed(eid, base_seed=base_seed),
-                cost=spec.cost,
-            )
-        )
-    return tasks
 
 
 # ---------------------------------------------------------------------------
@@ -295,48 +256,6 @@ def shard_tasks(
 # ---------------------------------------------------------------------------
 
 
-def _run_fabric_task(
-    payload: tuple[str, str, str, dict[str, Any], int, str],
-) -> tuple[str, dict[str, Any]]:
-    """Worker entry point: run one task, return its store record.
-
-    Top-level (picklable by qualified name); imports
-    ``repro.experiments`` so both the experiment registry and the grid
-    kernels are populated in a spawned worker.
-    """
-    key, task_id, kind, spec, seed, fingerprint = payload
-    import repro.experiments  # noqa: F401  (registration on spawn)
-    from repro.artifacts.store import record_artifact_keys
-
-    # Record which canonical artifacts (refinements, views, quotients)
-    # the task fetched: sweep records and served artifact queries share
-    # one content-address space, so a stored record names exactly the
-    # store entries that would warm-start it.  Keys are pure functions of
-    # (code fingerprint, structure), so the record stays byte-identical
-    # across serial/parallel/resumed runs.
-    with record_artifact_keys() as artifact_keys:
-        if kind == "experiment":
-            result = get_spec(spec["experiment_id"]).run(seed=seed)
-            entry: Any = experiment_entry(result, seed)
-        elif kind == "grid":
-            graph = spec_from_dict(spec["family"]).build()
-            kernel = get_kernel(spec["kernel"])
-            entry = _jsonify(kernel(graph, spec["value"], seed))
-        else:
-            raise ReproError(f"unknown fabric task kind {kind!r}")
-    record = {
-        "key": key,
-        "task_id": task_id,
-        "kind": kind,
-        "fingerprint": fingerprint,
-        "seed": seed,
-        "spec": spec,
-        "result": entry,
-        "artifacts": sorted(artifact_keys),
-    }
-    return key, record
-
-
 @dataclass
 class FabricReport:
     """What one ``fabric run`` invocation did."""
@@ -403,22 +322,31 @@ def run_tasks(
     start = time.perf_counter()  # repro-lint: disable=DET001 -- wall-time metric only
     with ResultStore.open(store_path) as store:
         keyed = _keyed_tasks(tasks, code_fp)
-        pending = [(key, task) for key, task in keyed if key not in store]
-        dispatch = sorted(pending, key=lambda item: (-item[1].cost, item[1].task_id))
-        payloads = [
-            (key, task.task_id, task.kind, task.spec, task.seed, code_fp)
-            for key, task in dispatch
-        ]
+        pending = {task.task_id: (key, task) for key, task in keyed if key not in store}
 
-        def persist(key: str, record: dict[str, Any], mode: str) -> None:
-            store.append(record)
+        def persist(task_id: str, outcome: Any) -> None:
+            key, task = pending[task_id]
+            value = outcome[0]
+            if task.kind == "experiment":
+                result = experiment_entry(value, task.seed)
+            else:
+                result = _jsonify(value)
+            store.append(
+                {
+                    "key": key,
+                    "task_id": task_id,
+                    "kind": task.kind,
+                    "fingerprint": code_fp,
+                    "seed": task.seed,
+                    "spec": task.spec,
+                    "result": result,
+                }
+            )
 
         _outcomes, _modes, fallback_reason = execute_tasks(
-            payloads,
-            _run_fabric_task,
+            [task for _key, task in pending.values()],
             jobs,
-            executor_factory=executor_factory,
-            ordered=False,
+            executor_factory,
             on_result=persist,
         )
         failed = sum(

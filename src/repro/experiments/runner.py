@@ -1,23 +1,24 @@
-"""The parallel experiment engine.
+"""The parallel experiment engine: one task core for every front end.
 
-Fans the experiment registry (and arbitrary :class:`FamilySpec` sweeps)
-out over a ``ProcessPoolExecutor`` while keeping every observable output
-**bit-identical to a serial run**:
+Both front ends — :func:`run_experiments` (the registry runner) and
+:func:`repro.experiments.fabric.run_tasks` (the resumable fabric) —
+hand a list of :class:`FabricTask` to :func:`execute_tasks`, which fans
+it out over a ``ProcessPoolExecutor`` while keeping every observable
+output **bit-identical to a serial run**:
 
 * **Deterministic per-task seeding** — each task's seed is derived from
   ``(experiment_id, family, size, base_seed)`` by :func:`derive_seed`
   (a SHA-256 hash, not Python's randomized ``hash``), so a task's
   randomness never depends on which worker ran it or in what order.
 * **Deterministic assembly** — tasks are *dispatched* longest-first
-  (using the registry's relative ``cost`` weights) for load balance,
-  but results are *reported* in the caller's requested order.
+  (using the registry's relative ``cost`` weights), one task per
+  future, so idle workers pull the next task as they free up; results
+  are keyed by task id, so each front end reports them in its own
+  deterministic order.
 * **Per-worker cache warm-up** — every worker starts by running
   ``repro.views.clear_caches()`` (which also fires all hooks installed
   via ``register_cache_clearer``), so worker cache state is cold and
   identical regardless of fork inheritance.
-* **Chunked scheduling** — tasks are shipped in chunks (the ``--jobs``
-  CLI knob maps to ``jobs`` here, ``chunk_size`` is derived from the
-  task count unless given) to amortize IPC per task.
 * **Graceful degradation** — if the pool cannot be created or breaks
   mid-run (sandboxed interpreters, missing ``fork``/semaphores, a
   killed worker), the engine transparently finishes the remaining
@@ -44,19 +45,20 @@ from pathlib import Path
 from collections.abc import Callable, Iterable, Sequence
 from typing import Any
 
-from repro.analysis.sweeps import FamilySpec, SweepRow
+from repro.analysis.sweeps import SweepRow, spec_from_dict
+from repro.exceptions import ReproError
 from repro.experiments.base import ExperimentResult, all_experiment_ids, get_spec
 from repro.runtime.engine import collect_engine_metrics
 
 __all__ = [
     "ExperimentRun",
-    "FamilyOutcome",
+    "FabricTask",
     "RunReport",
     "canonical_results",
     "derive_seed",
     "execute_tasks",
     "experiment_entry",
-    "map_families",
+    "experiment_tasks",
     "results_payload",
     "run_experiments",
     "write_results_json",
@@ -101,17 +103,46 @@ class ExperimentRun:
     engine_metrics: dict[str, Any] | None = None
 
 
-@dataclass
-class FamilyOutcome:
-    """One family-sweep task's value plus runner bookkeeping."""
+@dataclass(frozen=True)
+class FabricTask:
+    """One atomic, content-addressed unit of work.
 
-    family: str
-    size: int
+    ``spec`` is the canonical JSON-able description of *what* to run
+    (kind-specific); ``seed`` is the task's derived 63-bit seed;
+    ``cost`` is the relative wall-time weight driving longest-first
+    dispatch (same scale as the experiment registry's costs).
+    """
+
+    task_id: str
+    kind: str  # "experiment" | "grid"
+    spec: dict[str, Any]
     seed: int
-    value: Any
-    wall_s: float
-    worker_pid: int
-    mode: str
+    cost: float = 1.0
+
+
+def experiment_tasks(
+    experiment_ids: Iterable[str] | None = None, *, base_seed: int = 0
+) -> list[FabricTask]:
+    """One task per registered experiment (all of them by default).
+
+    This is the task list :func:`run_experiments` runs, so a fabric
+    record for ``figure1`` carries the same seed and canonical entry a
+    ``--jobs 1`` registry run reports for it.
+    """
+    ids = list(experiment_ids) if experiment_ids is not None else all_experiment_ids()
+    tasks = []
+    for eid in ids:
+        spec = get_spec(eid)  # validates; raises on unknown ids
+        tasks.append(
+            FabricTask(
+                task_id=f"experiment:{eid}",
+                kind="experiment",
+                spec={"kind": "experiment", "experiment_id": eid, "base_seed": base_seed},
+                seed=derive_seed(eid, base_seed=base_seed),
+                cost=spec.cost,
+            )
+        )
+    return tasks
 
 
 @dataclass
@@ -126,9 +157,8 @@ class RunReport:
 
     @property
     def mode(self) -> str:
-        if self.requested_jobs <= 1:
-            return "serial"
-        return "serial" if self.fallback_reason else "parallel"
+        """``"parallel"`` only if some task actually ran on the pool."""
+        return "parallel" if any(run.mode == "parallel" for run in self.runs) else "serial"
 
     @property
     def all_passed(self) -> bool:
@@ -161,31 +191,33 @@ def _worker_init() -> None:
     clear_caches()
 
 
-def _run_experiment_task(payload: tuple[str, int]) -> tuple[str, Any]:
-    """Run one registered experiment; returns ``(experiment_id, outcome)``."""
-    experiment_id, seed = payload
+def _run_task(task: FabricTask) -> tuple[str, Any]:
+    """Run one experiment or grid point under engine instrumentation.
+
+    Returns ``(task_id, (value, wall_s, worker_pid, engine_metrics))``;
+    ``value`` is the :class:`ExperimentResult` or the grid kernel's raw
+    measurement — each front end projects it in the parent process.
+    """
     import repro.experiments  # noqa: F401  (registration on spawn)
 
     # Wall-clock fields are stripped from canonical_results (timing only).
     start = time.perf_counter()  # repro-lint: disable=DET001 -- wall-time metric only
     with collect_engine_metrics() as totals:
-        result = get_spec(experiment_id).run(seed=seed)
+        if task.kind == "experiment":
+            value = get_spec(task.spec["experiment_id"]).run(seed=task.seed)
+        elif task.kind == "grid":
+            from repro.experiments.fabric import get_kernel
+
+            graph = spec_from_dict(task.spec["family"]).build()
+            value = get_kernel(task.spec["kernel"])(graph, task.spec["value"], task.seed)
+        else:
+            raise ReproError(f"unknown task kind {task.kind!r}")
     wall = time.perf_counter() - start  # repro-lint: disable=DET001 -- wall-time metric only
-    return experiment_id, (result, wall, os.getpid(), totals.as_dict())
-
-
-def _run_family_task(
-    payload: tuple[str, Callable[[str, Any, int], Any], FamilySpec, int],
-) -> tuple[str, Any]:
-    """Realize one family spec and apply the task callable to it."""
-    name, task, spec, seed = payload
-    start = time.perf_counter()  # repro-lint: disable=DET001 -- wall-time metric only
-    value = task(spec.name, spec.build(), seed)
-    return name, (value, time.perf_counter() - start, os.getpid())  # repro-lint: disable=DET001 -- wall-time metric only
+    return task.task_id, (value, wall, os.getpid(), totals.as_dict())
 
 
 # ---------------------------------------------------------------------------
-# The generic execution core shared by both fan-out entry points.
+# The task core shared by both front ends.
 # ---------------------------------------------------------------------------
 
 
@@ -195,75 +227,55 @@ def _default_executor_factory(jobs: int):
     return ProcessPoolExecutor(max_workers=jobs, initializer=_worker_init)
 
 
-def _chunk_size(task_count: int, jobs: int) -> int:
-    """Default chunk: ~4 chunks per worker, so the longest-first order
-    still load-balances while IPC is amortized over each chunk."""
-    return max(1, task_count // (jobs * 4))
-
-
 def execute_tasks(
-    payloads: Sequence[tuple[Any, ...]],
-    worker: Callable[[Any], tuple[str, Any]],
+    tasks: Sequence[FabricTask],
     jobs: int,
-    chunk_size: int | None = None,
     executor_factory: Callable[[int], Any] | None = None,
     *,
-    ordered: bool = True,
-    on_result: Callable[[str, Any, str], None] | None = None,
+    on_result: Callable[[str, Any], None] | None = None,
 ) -> tuple[dict[str, Any], dict[str, str], str | None]:
-    """The task/dispatch core: run ``worker`` over ``payloads``.
+    """Run every task, longest first; return ``(outcomes, modes, fallback_reason)``.
 
-    Returns ``(outcomes, modes, fallback_reason)``.  ``payloads`` are
-    dispatched in the given order; each payload's first element is its
-    key.  Any pool-level failure (creation, pickling, broken pool)
-    degrades to serial execution of whatever is missing — a task that
-    *itself* raises will raise again serially, so the parallel path
-    introduces no new failure modes.
+    ``outcomes`` and ``modes`` are keyed by task id.  Tasks are
+    dispatched in ``(-cost, task_id)`` order and submitted one per
+    future; results are collected in *completion* order — workers pull
+    from the executor's shared queue as they free up (work stealing) —
+    and ``on_result(task_id, outcome)`` fires the moment a task lands,
+    which is what lets the fabric persist each record before the next
+    one is even scheduled.  It is called exactly once per task id,
+    including for tasks finished on the serial fallback path.
 
-    ``ordered=True`` (the registry runner) ships tasks in chunks via
-    ``pool.map`` and collects results in payload order, amortizing IPC.
-    ``ordered=False`` (the fabric) submits one task per future and
-    collects in *completion* order — workers pull from the executor's
-    shared queue as they free up (work stealing), and ``on_result``
-    fires the moment a task lands, which is what lets the fabric
-    persist each record before the next one is even scheduled.
-    ``on_result(key, outcome, mode)`` is called exactly once per key in
-    both modes, including for tasks finished on the serial fallback
-    path.
+    Any pool-level failure (creation, pickling, broken pool) degrades
+    to serial execution of whatever is missing — a task that *itself*
+    raises will raise again serially, so the parallel path introduces
+    no new failure modes.
     """
+    dispatch = sorted(tasks, key=lambda task: (-task.cost, task.task_id))
     outcomes: dict[str, Any] = {}
     modes: dict[str, str] = {}
     fallback_reason: str | None = None
 
-    def record(key: str, outcome: Any, mode: str) -> None:
-        outcomes[key] = outcome
-        modes[key] = mode
+    def record(task_id: str, outcome: Any, mode: str) -> None:
+        outcomes[task_id] = outcome
+        modes[task_id] = mode
         if on_result is not None:
-            on_result(key, outcome, mode)
+            on_result(task_id, outcome)
 
-    if jobs > 1 and len(payloads) > 1:
+    if jobs > 1 and len(dispatch) > 1:
+        from concurrent.futures import as_completed
+
         factory = executor_factory or _default_executor_factory
-        chunk = chunk_size if chunk_size else _chunk_size(len(payloads), jobs)
         try:
             with factory(jobs) as pool:
-                if ordered:
-                    for key, outcome in pool.map(worker, payloads, chunksize=chunk):
-                        record(key, outcome, "parallel")
-                else:
-                    from concurrent.futures import as_completed
-
-                    futures = [pool.submit(worker, payload) for payload in payloads]
-                    for future in as_completed(futures):
-                        key, outcome = future.result()
-                        record(key, outcome, "parallel")
+                futures = [pool.submit(_run_task, task) for task in dispatch]
+                for future in as_completed(futures):
+                    record(*future.result(), "parallel")
         except Exception as exc:  # degrade, never fail the run
             fallback_reason = f"{type(exc).__name__}: {exc}"
 
-    for payload in payloads:
-        if payload[0] in outcomes:
-            continue
-        key, outcome = worker(payload)
-        record(key, outcome, "serial")
+    for task in dispatch:
+        if task.task_id not in outcomes:
+            record(*_run_task(task), "serial")
     return outcomes, modes, fallback_reason
 
 
@@ -272,7 +284,6 @@ def run_experiments(
     *,
     jobs: int = 1,
     base_seed: int = 0,
-    chunk_size: int | None = None,
     executor_factory: Callable[[int], Any] | None = None,
 ) -> RunReport:
     """Run experiments (all of them by default), possibly in parallel.
@@ -282,29 +293,22 @@ def run_experiments(
     bit-identical for any job count.  ``executor_factory`` exists for
     tests (inject a pool that fails or misbehaves).
     """
-    ids = list(experiment_ids) if experiment_ids is not None else all_experiment_ids()
-    specs = [get_spec(eid) for eid in ids]  # validates; raises on unknown ids
-    seeds = {eid: derive_seed(eid, base_seed=base_seed) for eid in ids}
-
-    dispatch = sorted(specs, key=lambda spec: (-spec.cost, spec.experiment_id))
-    payloads = [(spec.experiment_id, seeds[spec.experiment_id]) for spec in dispatch]
+    tasks = experiment_tasks(experiment_ids, base_seed=base_seed)
 
     start = time.perf_counter()  # repro-lint: disable=DET001 -- wall-time metric only
-    outcomes, modes, fallback_reason = execute_tasks(
-        payloads, _run_experiment_task, jobs, chunk_size, executor_factory
-    )
+    outcomes, modes, fallback_reason = execute_tasks(tasks, jobs, executor_factory)
     wall_s = time.perf_counter() - start  # repro-lint: disable=DET001 -- wall-time metric only
 
     runs = []
-    for eid in ids:
-        result, task_wall, pid, engine_metrics = outcomes[eid]
+    for task in tasks:
+        result, task_wall, pid, engine_metrics = outcomes[task.task_id]
         runs.append(
             ExperimentRun(
                 result=result,
-                seed=seeds[eid],
+                seed=task.seed,
                 wall_s=task_wall,
                 worker_pid=pid,
-                mode=modes[eid],
+                mode=modes[task.task_id],
                 engine_metrics=engine_metrics,
             )
         )
@@ -315,49 +319,6 @@ def run_experiments(
         fallback_reason=fallback_reason,
         wall_s=wall_s,
     )
-
-
-def map_families(
-    task: Callable[[str, Any, int], Any],
-    specs: Sequence[FamilySpec],
-    *,
-    jobs: int = 1,
-    base_seed: int = 0,
-    chunk_size: int | None = None,
-    executor_factory: Callable[[int], Any] | None = None,
-) -> list[FamilyOutcome]:
-    """Apply ``task(name, graph, seed)`` to every family spec.
-
-    ``task`` must be a picklable top-level callable.  Each task's seed
-    is ``derive_seed(task.__qualname__, family, size, base_seed)`` —
-    a pure function of the task identity — so outcomes are bit-identical
-    across job counts.  Graphs are realized inside the worker from the
-    spec (cheap to ship, deterministic to build).
-    """
-    task_name = getattr(task, "__qualname__", task.__class__.__qualname__)
-    seeds = [derive_seed(task_name, spec.name, spec.size, base_seed) for spec in specs]
-    order = sorted(range(len(specs)), key=lambda i: (-specs[i].size, specs[i].name))
-    payloads = [(f"{i}:{specs[i].name}", task, specs[i], seeds[i]) for i in order]
-
-    outcomes, modes, _reason = execute_tasks(
-        payloads, _run_family_task, jobs, chunk_size, executor_factory
-    )
-    results = []
-    for i, spec in enumerate(specs):
-        key = f"{i}:{spec.name}"
-        value, task_wall, pid = outcomes[key]
-        results.append(
-            FamilyOutcome(
-                family=spec.name,
-                size=spec.size,
-                seed=seeds[i],
-                value=value,
-                wall_s=task_wall,
-                worker_pid=pid,
-                mode=modes[key],
-            )
-        )
-    return results
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.artifacts.specs import quotient_spec
-from repro.artifacts.store import memory_bucket, note_artifact
+from repro.artifacts.store import memory_bucket
 from repro.exceptions import FactorError
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.factor.factorizing_map import FactorizingMap
@@ -82,7 +81,6 @@ def infinite_view_graph(
     flag) in the artifact store's memory tier; hits return the same
     (read-only) :class:`QuotientResult` object.
     """
-    note_artifact(lambda: quotient_spec(graph, with_views))
     memo_key = (graph, bool(with_views))
     cached = _QUOTIENTS.get(memo_key)
     if cached is not None:

@@ -28,8 +28,7 @@ skips the refinement round entirely.
 
 from __future__ import annotations
 
-from repro.artifacts.specs import views_spec
-from repro.artifacts.store import memory_bucket, note_artifact
+from repro.artifacts.store import memory_bucket
 from repro.exceptions import ViewError
 from repro.graphs.csr import csr_of, refine_step
 from repro.graphs.labeled_graph import LabeledGraph, Node
@@ -235,7 +234,6 @@ def view_builder(graph: LabeledGraph) -> ViewBuilder:
 
 def all_views(graph: LabeledGraph, depth: int) -> dict[Node, ViewTree]:
     """The views ``L_depth(v, graph)`` for every node ``v``."""
-    note_artifact(lambda: views_spec(graph, depth))
     return view_builder(graph).views(depth)
 
 

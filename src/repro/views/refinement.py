@@ -36,8 +36,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from repro.artifacts.specs import refinement_spec
-from repro.artifacts.store import memory_bucket, note_artifact
+from repro.artifacts.store import memory_bucket
 from repro.graphs.csr import CSRGraph, csr_of, refine
 from repro.graphs.labeled_graph import LabeledGraph, Node
 
@@ -111,7 +110,6 @@ def color_refinement(
     is shared between cache hits; its ``classes`` mapping is read-only.
     """
     if max_rounds is None:
-        note_artifact(lambda: refinement_spec(graph))
         cached = _RESULTS.get(graph)
         if cached is not None:
             return cached[0]

@@ -6,7 +6,7 @@ import pytest
 
 from repro.algorithms.two_hop_coloring import TwoHopColoringAlgorithm
 from repro.analysis.stats import RunStats, aggregate
-from repro.analysis.sweeps import SweepRow, format_table, standard_families
+from repro.analysis.sweeps import FamilySpec, SweepRow, format_table, standard_families
 from repro.analysis.symmetry import (
     election_is_deterministically_impossible,
     view_class_profile,
@@ -116,6 +116,10 @@ class TestSweeps:
         problem = MISProblem()
         for name, graph in standard_families(sizes=(4, 6), include_random=True):
             assert problem.is_instance(graph), name
+
+    def test_unknown_builder_raises_with_known_names(self):
+        with pytest.raises(KeyError, match="unknown family builder"):
+            FamilySpec("bogus", "not-a-builder", (), 4).build()
 
     def test_format_table_alignment(self):
         rows = [

@@ -1,8 +1,6 @@
-"""The artifact store: keys, memory buckets, persistence, recording."""
+"""The artifact store: keys, memory buckets, persistence."""
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
@@ -15,14 +13,11 @@ from repro.artifacts.store import (
     clear_memory_tier,
     memory_bucket,
     memory_stats,
-    record_artifact_keys,
 )
 from repro.exceptions import ArtifactError
 from repro.experiments.fingerprint import code_fingerprint
 from repro.experiments.store import rewrite_store, scan_store
 from repro.graphs.builders import cycle_graph, with_uniform_input
-from repro.views.local_views import all_views
-from repro.views.refinement import color_refinement
 from repro.views.view_tree import clear_caches
 
 
@@ -222,44 +217,3 @@ class TestArtifactStore:
         assert stats["stores"] == 1
         assert "payload" in stats["memory"]
 
-
-class TestRecording:
-    def test_producers_note_their_artifact_keys(self):
-        g = _graph()
-        with record_artifact_keys() as keys:
-            color_refinement(g)
-            all_views(g, 3)
-        assert keys == {
-            artifact_key(refinement_spec(g)),
-            artifact_key(views_spec(g, 3)),
-        }
-
-    def test_cached_fetches_still_record(self):
-        g = _graph()
-        color_refinement(g)  # warm the bucket outside any recorder
-        with record_artifact_keys() as keys:
-            color_refinement(g)
-        assert keys == {artifact_key(refinement_spec(g))}
-
-    def test_no_recording_outside_the_context(self):
-        with record_artifact_keys() as keys:
-            pass
-        color_refinement(_graph())
-        assert keys == set()
-
-    def test_fabric_records_carry_artifact_keys(self, tmp_path):
-        from repro.experiments.fabric import experiment_tasks, run_tasks
-
-        store_path = tmp_path / "fabric.jsonl"
-        run_tasks(experiment_tasks(["figure1"]), store_path, jobs=1)
-        records = list(scan_store(store_path).values())
-        assert records, "fabric wrote no records"
-        for record in records:
-            assert record["artifacts"] == sorted(record["artifacts"])
-            for key in record["artifacts"]:
-                assert len(key) == 64 and set(key) <= set("0123456789abcdef")
-        assert any(record["artifacts"] for record in records)
-        # Round trip through JSON: the field is plain data.
-        assert json.loads(json.dumps(records[0]))["artifacts"] == records[0][
-            "artifacts"
-        ]

@@ -8,7 +8,7 @@ from repro.artifacts.encoders import decode_dynamic_views, encoder_for
 from repro.artifacts.keys import artifact_key
 from repro.artifacts.producers import compute_artifact, compute_payload
 from repro.artifacts.specs import dynamic_views_spec, views_spec
-from repro.artifacts.store import ArtifactStore, record_artifact_keys
+from repro.artifacts.store import ArtifactStore
 from repro.dynamic import DynamicGraph, add_edge, relabel, replay_views
 from repro.graphs.builders import cycle_graph, with_uniform_input
 from repro.views.local_views import all_views
@@ -64,8 +64,3 @@ class TestProducerAndEncoder:
         first = store.fetch(spec)
         assert store.lookup(artifact_key(spec)) == first
         assert store.fetch(spec) == first
-
-    def test_replay_views_notes_the_artifact_for_recorders(self):
-        with record_artifact_keys() as keys:
-            replay_views(GRAPH, DELTAS, DEPTH)
-        assert artifact_key(dynamic_views_spec(GRAPH, DELTAS, DEPTH)) in keys

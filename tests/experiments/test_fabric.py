@@ -240,19 +240,34 @@ class TestResume:
         assert report.ran == 2
         assert len(scan_store(store_path)) == 2
 
-    def test_record_matches_serial_runner_entry(self, store_path):
-        """A fabric record is the canonical entry a --jobs 1 registry
-        run reports — the bridge between the fabric and PR-2 contract."""
-        run_tasks(experiment_tasks(SUBSET), store_path, jobs=1)
-        records = scan_store(store_path)
+    def test_record_matches_serial_runner_entry(self, tmp_path):
+        """A fabric record is the canonical entry a --jobs 1 registry run
+        reports, whether the shared worker ran serially or on a pool, and
+        grid records agree across job counts."""
         report = run_experiments(SUBSET, jobs=1)
-        by_id = {
-            record["spec"]["experiment_id"]: record["result"]
-            for record in records.values()
+        expected = {
+            run.result.experiment_id: json.loads(
+                json.dumps(experiment_entry(run.result, run.seed))
+            )
+            for run in report.runs
         }
-        for run in report.runs:
-            expected = json.loads(json.dumps(experiment_entry(run.result, run.seed)))
-            assert by_id[run.result.experiment_id] == expected
+        tasks = experiment_tasks(SUBSET) + grid_tasks(TINY_GRID)
+        grids = {}
+        for jobs in (1, 2):
+            path = tmp_path / f"jobs{jobs}.jsonl"
+            assert run_tasks(tasks, path, jobs=jobs).fallback_reason is None
+            records = scan_store(path).values()
+            by_id = {
+                record["spec"]["experiment_id"]: record["result"]
+                for record in records
+                if record["kind"] == "experiment"
+            }
+            assert by_id == expected
+            grids[jobs] = {
+                record["task_id"]: record for record in records if record["kind"] == "grid"
+            }
+        assert len(grids[1]) == 8
+        assert grids[2] == grids[1]
 
 
 class TestMerge:

@@ -13,13 +13,11 @@ import json
 
 import pytest
 
-from repro.analysis.sweeps import FamilySpec, standard_family_specs
 from repro.exceptions import ReproError
 from repro.experiments.__main__ import main
 from repro.experiments.runner import (
     canonical_results,
     derive_seed,
-    map_families,
     results_payload,
     run_experiments,
     write_results_json,
@@ -30,11 +28,6 @@ from repro.experiments.runner import (
 # unified execution engine, so the per-experiment metrics block is non-empty.
 SUBSET = ["figure1", "figure2", "lemma4", "ports"]
 BASE_SEED = 11
-
-
-def _family_probe(name: str, graph, seed: int):
-    """Picklable sweep task: a value that depends on graph and seed."""
-    return (name, graph.num_nodes, graph.num_edges, seed % 997)
 
 
 def _broken_factory(jobs: int):
@@ -51,7 +44,7 @@ class _MidRunBrokenPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, payloads, chunksize=1):
+    def submit(self, fn, task):
         raise RuntimeError("worker died mid-run")
 
 
@@ -154,38 +147,8 @@ class TestDegradation:
         # jobs > 1 with one task must not even try the (broken) pool.
         report = run_experiments(["figure1"], jobs=4, executor_factory=_broken_factory)
         assert report.fallback_reason is None
+        assert report.mode == "serial"
         assert report.runs[0].mode == "serial"
-
-
-class TestMapFamilies:
-    def test_serial_vs_parallel_values(self):
-        specs = standard_family_specs(sizes=(4, 6))
-        serial = map_families(_family_probe, specs, jobs=1, base_seed=5)
-        parallel = map_families(_family_probe, specs, jobs=3, base_seed=5)
-        assert [o.value for o in serial] == [o.value for o in parallel]
-        assert [o.seed for o in serial] == [o.seed for o in parallel]
-        assert [o.family for o in serial] == [spec.name for spec in specs]
-
-    def test_seed_derivation_uses_task_and_family_identity(self):
-        specs = standard_family_specs(sizes=(4,))
-        outcomes = map_families(_family_probe, specs, jobs=1, base_seed=5)
-        for spec, outcome in zip(specs, outcomes):
-            expected = derive_seed(_family_probe.__qualname__, spec.name, spec.size, 5)
-            assert outcome.seed == expected
-        assert len({o.seed for o in outcomes}) == len(outcomes)
-
-    def test_degrades_serially_when_pool_raises(self):
-        specs = standard_family_specs(sizes=(4,))
-        outcomes = map_families(
-            _family_probe, specs, jobs=4, executor_factory=_broken_factory
-        )
-        assert [o.mode for o in outcomes] == ["serial"] * len(specs)
-        reference = map_families(_family_probe, specs, jobs=1)
-        assert [o.value for o in outcomes] == [o.value for o in reference]
-
-    def test_unknown_builder_raises_with_known_names(self):
-        with pytest.raises(KeyError, match="unknown family builder"):
-            FamilySpec("bogus", "not-a-builder", (), 4).build()
 
 
 class TestJsonArtifact:
