@@ -11,7 +11,7 @@
   A_* of Figure 3 (Update-Graph / Update-Output / Update-Bits phases).
 * :mod:`repro.core.practical` — the Lemma-7 shortcut derandomizer that
   skips candidate enumeration but keeps per-node view-only quotient
-  reconstruction.
+  reconstruction, and the solve-on-quotient core it shares with A_∞.
 * :mod:`repro.core.derandomize` — the end-to-end pipeline of the paper's
   headline: a generic randomized 2-hop coloring stage followed by a
   problem-specific deterministic stage.

@@ -40,6 +40,9 @@ from repro.views.view_tree import ViewTree
 from repro.core.assignment_search import smallest_successful_extension
 from repro.core.candidates import Candidate, enumerate_candidates
 from repro.core.orders import canonical_node_order
+from repro.core.practical import require_colored_instance
+
+LAYER_NAMES = ("input", "color", "bits")
 
 
 @dataclass
@@ -73,19 +76,13 @@ class AStarSolver:
         max_candidate_nodes: int = 3,
         candidate_budget: int = 200_000,
         extension_budget: int = 200_000,
-        input_layer: str = "input",
-        color_layer: str = "color",
-        bits_layer: str = "bits",
     ) -> None:
         self.problem = problem
-        self.problem_c = TwoHopColoredVariant(problem, color_layer=color_layer)
+        self.problem_c = TwoHopColoredVariant(problem)
         self.algorithm = algorithm
         self.max_candidate_nodes = max_candidate_nodes
         self.candidate_budget = candidate_budget
         self.extension_budget = extension_budget
-        self.input_layer = input_layer
-        self.color_layer = color_layer
-        self.bits_layer = bits_layer
 
     # ------------------------------------------------------------------
 
@@ -99,33 +96,22 @@ class AStarSolver:
         first — for budget-capped runs, not a termination bound (the
         theorem guarantees some finite phase suffices).
         """
-        for layer in (self.input_layer, self.color_layer):
-            if not instance.has_layer(layer):
-                raise DerandomizationError(
-                    f"instance is missing the {layer!r} layer"
-                )
-        from repro.core.infinity import _require_two_hop_colored
-
-        _require_two_hop_colored(instance, self.color_layer)
+        require_colored_instance(instance)
         diagnostics = AStarDiagnostics()
         bits: dict[Node, str] = {v: "" for v in instance.nodes}
         outputs: dict[Node, Any] = {}
-        layer_names = (self.input_layer, self.color_layer, self.bits_layer)
 
         for phase in range(1, max_phases + 1):
             diagnostics.phases = phase
             diagnostics.message_rounds += phase
-            current = instance.with_layer(self.bits_layer, bits)
-            current = current.with_only_layers(list(layer_names))
+            current = instance.with_layer("bits", bits).with_only_layers(list(LAYER_NAMES))
             views = all_views(current, phase)
 
             outcome_by_view: dict[int, _PhaseOutcome] = {}
             for v in current.nodes:
                 view = views[v]
                 if id(view) not in outcome_by_view:
-                    outcome_by_view[id(view)] = self._run_phase(
-                        view, phase, layer_names, diagnostics
-                    )
+                    outcome_by_view[id(view)] = self._run_phase(view, phase, diagnostics)
                 outcome = outcome_by_view[id(view)]
                 if outcome.output is not None:
                     if v in outputs and outputs[v] != outcome.output:
@@ -149,18 +135,14 @@ class AStarSolver:
     # ------------------------------------------------------------------
 
     def _run_phase(
-        self,
-        view: ViewTree,
-        phase: int,
-        layer_names: tuple[str, str, str],
-        diagnostics: AStarDiagnostics,
+        self, view: ViewTree, phase: int, diagnostics: AStarDiagnostics
     ) -> _PhaseOutcome:
         # Update-Graph ------------------------------------------------
         candidates = enumerate_candidates(
             view,
             phase,
             self.problem_c,
-            layer_names,
+            LAYER_NAMES,
             max_nodes=self.max_candidate_nodes,
             budget=self.candidate_budget,
         )
@@ -172,8 +154,8 @@ class AStarSolver:
             (phase, selection.finite_view.num_nodes, selection.sort_key[1])
         )
         fvg = selection.finite_view
-        simulation_graph = fvg.with_only_layers([self.input_layer])
-        recorded_bits = fvg.layer(self.bits_layer)
+        simulation_graph = fvg.with_only_layers(["input"])
+        recorded_bits = fvg.layer("bits")
         anchor_class = selection.anchor_class
 
         # Update-Output -----------------------------------------------

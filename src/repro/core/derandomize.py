@@ -26,7 +26,7 @@ from repro.graphs.coloring import apply_two_hop_coloring
 from repro.graphs.labeled_graph import LabeledGraph, Node
 from repro.problems.gran import GranBundle
 from repro.runtime.engine import execute
-from repro.core.practical import PracticalDerandomizer, PracticalResult
+from repro.core.practical import DerandomizationResult, PracticalDerandomizer
 
 
 @dataclass
@@ -37,7 +37,7 @@ class PipelineResult:
     coloring: dict[Node, str]
     stage1_rounds: int
     stage1_bits: int
-    stage2: PracticalResult
+    stage2: DerandomizationResult
 
     @property
     def quotient_size(self) -> int:

@@ -12,139 +12,31 @@ The lifting lemma is what makes step (iii) sound: ``J ⪯ I`` with the
 same inputs, so ``J`` is itself an instance of Π (this is where the
 GRAN *decider* hypothesis earns its keep — a problem whose instance set
 is not closed under factors admits no anonymous decider), and the lifted
-simulation is a legal execution of ``A_R`` on ``I``.  The solver checks
-both facts at runtime and raises if the input breaks them.
+simulation is a legal execution of ``A_R`` on ``I``.  Steps (ii) and
+(iii), with the runtime checks of both facts, are the solve path shared
+with the practical derandomizer
+(:class:`repro.core.practical.QuotientSolver`); this module only supplies
+the quotient, computed centrally from the instance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
-
-from repro.exceptions import DerandomizationError
-from repro.factor.quotient import QuotientResult, finite_view_graph
-from repro.graphs.labeled_graph import LabeledGraph, Node
-from repro.problems.problem import DistributedProblem
-from repro.runtime.algorithm import AnonymousAlgorithm
-from repro.runtime.engine import execute
-from repro.core.assignment_search import smallest_successful_assignment
-from repro.core.orders import canonical_node_order
-from repro.graphs.coloring import is_two_hop_coloring
+from repro.factor.quotient import finite_view_graph
+from repro.graphs.labeled_graph import LabeledGraph
+from repro.core.practical import (
+    DerandomizationResult,
+    QuotientSolver,
+    require_colored_instance,
+)
 
 
-def _require_two_hop_colored(instance: LabeledGraph, color_layer: str) -> None:
-    """Fail fast when the claimed 2-hop coloring layer is invalid — the
-    derandomization machinery is undefined outside Π^c instances."""
-    if not is_two_hop_coloring(instance, instance.layer(color_layer)):
-        raise DerandomizationError(
-            f"layer {color_layer!r} is not a 2-hop coloring; the instance "
-            "is not a member of the 2-hop colored variant"
-        )
-
-
-@dataclass
-class DerandomizationResult:
-    """Outcome of a derandomized solve.
-
-    Attributes
-    ----------
-    outputs:
-        The deterministic output labeling for the input instance.
-    quotient:
-        The finite view graph machinery used (quotient graph + ``f_∞``).
-    assignment:
-        The selected bit assignment on the quotient (the simulation all
-        nodes agreed on).
-    simulation_rounds:
-        Rounds of the selected successful simulation.
-    """
-
-    outputs: dict[Node, Any]
-    quotient: QuotientResult
-    assignment: dict[Node, str]
-    simulation_rounds: int
-
-
-class AInfinitySolver:
-    """Solves Π^c deterministically in the (finite-graph) infinity model.
-
-    Parameters
-    ----------
-    problem:
-        The underlying problem Π (not Π^c) — used to sanity-check that
-        the quotient is an instance, as the lifting lemma promises.
-    algorithm:
-        A randomized anonymous algorithm solving Π.
-    max_assignment_length / search_budget / strategy:
-        Passed to the assignment search (see
-        :mod:`repro.core.assignment_search`).
-    """
-
-    def __init__(
-        self,
-        problem: DistributedProblem,
-        algorithm: AnonymousAlgorithm,
-        max_assignment_length: int = 64,
-        search_budget: int = 1_000_000,
-        strategy: str = "lexicographic",
-        input_layer: str = "input",
-        color_layer: str = "color",
-    ) -> None:
-        self.problem = problem
-        self.algorithm = algorithm
-        self.max_assignment_length = max_assignment_length
-        self.search_budget = search_budget
-        self.strategy = strategy
-        self.input_layer = input_layer
-        self.color_layer = color_layer
-
-    # ------------------------------------------------------------------
+class AInfinitySolver(QuotientSolver):
+    """Solves Π^c deterministically in the (finite-graph) infinity model."""
 
     def solve(self, instance: LabeledGraph) -> DerandomizationResult:
         """Solve the Π^c instance ``instance`` (layers: input + 2-hop color).
 
         Deterministic: equal instances produce equal outputs.
         """
-        for layer in (self.input_layer, self.color_layer):
-            if not instance.has_layer(layer):
-                raise DerandomizationError(
-                    f"instance is missing the {layer!r} layer; A_infinity "
-                    "solves the 2-hop colored variant"
-                )
-        _require_two_hop_colored(instance, self.color_layer)
-        quotient = finite_view_graph(instance)
-        simulation_graph = quotient.graph.with_only_layers([self.input_layer])
-
-        if not self.problem.is_instance(simulation_graph):
-            raise DerandomizationError(
-                f"the view quotient is not an instance of {self.problem.name}; "
-                "the problem's instance set is not factor-closed, so it is "
-                "not genuinely solvable (GRAN) and Theorem 1 does not apply"
-            )
-
-        node_order = canonical_node_order(quotient.graph)
-        assignment = smallest_successful_assignment(
-            self.algorithm,
-            simulation_graph,
-            node_order,
-            max_length=self.max_assignment_length,
-            budget=self.search_budget,
-            strategy=self.strategy,
-        )
-        simulation = execute(
-            self.algorithm, simulation_graph, assignment=assignment
-        )
-        if not simulation.successful:
-            raise DerandomizationError(
-                "selected assignment no longer induces a successful "
-                "simulation; the algorithm is not replay-deterministic"
-            )
-        outputs = {
-            v: simulation.outputs[quotient.map(v)] for v in instance.nodes
-        }
-        return DerandomizationResult(
-            outputs=outputs,
-            quotient=quotient,
-            assignment=assignment,
-            simulation_rounds=simulation.rounds,
-        )
+        require_colored_instance(instance)
+        return self.solve_on_quotient(instance, finite_view_graph(instance))

@@ -19,6 +19,10 @@ What stays faithful to the paper's algorithm:
 What is relaxed: the node-count ``n`` is read off the instance instead
 of being discovered through the candidate process (a node of A_* never
 knows ``n``; it pays for that with the enumeration this class skips).
+
+A_∞ and this derandomizer share one solve path, :class:`QuotientSolver`;
+:func:`require_colored_instance` is the Π^c layer check of all three
+solvers.
 """
 
 from __future__ import annotations
@@ -28,15 +32,16 @@ from collections.abc import Sequence
 from typing import Any
 
 from repro.exceptions import DerandomizationError, ViewError
+from repro.factor.quotient import QuotientResult
+from repro.graphs.coloring import is_two_hop_coloring
 from repro.graphs.encoding import encode_ordered_graph
-from repro.graphs.labeled_graph import LabeledGraph
+from repro.graphs.labeled_graph import LabeledGraph, Node
 from repro.problems.problem import DistributedProblem
 from repro.runtime.algorithm import AnonymousAlgorithm
 from repro.runtime.engine import execute
 from repro.views.local_views import all_views
 from repro.views.view_tree import ViewTree
 from repro.core.assignment_search import smallest_successful_assignment
-from repro.core.infinity import DerandomizationResult
 from repro.core.orders import canonical_node_order
 
 
@@ -56,12 +61,10 @@ def quotient_from_view(
     """
     if radius < 1:
         raise ViewError(f"radius must be positive, got {radius}")
-    if not view.children:
-        # A childless view only arises from the 1-node graph (any node
-        # with a neighbor has children at every depth); its quotient is
-        # that single node.
-        return _single_node_graph(view, layer_names)
-    if view.depth < 2 * radius:
+    # A childless view only arises from the 1-node graph (any node with a
+    # neighbor has children at every depth); it is its own quotient at
+    # every radius, so its depth is not checked.
+    if view.children and view.depth < 2 * radius:
         raise ViewError(
             f"view depth {view.depth} is too shallow to reconstruct a "
             f"radius-{radius} quotient (need >= {2 * radius})"
@@ -138,25 +141,64 @@ def quotient_from_view(
     )
 
 
-def _single_node_graph(view: ViewTree, layer_names: Sequence[str]) -> LabeledGraph:
-    mark = view.mark
-    if not isinstance(mark, tuple) or len(mark) != len(layer_names):
-        raise ViewError(
-            f"view marks do not decompose into layers {layer_names!r}: {mark!r}"
-        )
-    layers = {name: {0: value} for name, value in zip(layer_names, mark)}
-    return LabeledGraph([], nodes=[0], layers=layers)
-
-
 @dataclass
-class PracticalResult(DerandomizationResult):
-    """Adds the per-node reconstruction agreement check outcome."""
+class DerandomizationResult:
+    """Outcome of a derandomized solve.
 
-    reconstructions_agreed: bool = True
+    Attributes
+    ----------
+    outputs:
+        The deterministic output labeling for the input instance.
+    quotient:
+        The finite view graph machinery used (quotient graph + ``f_∞``).
+    assignment:
+        The selected bit assignment on the quotient (the simulation all
+        nodes agreed on).
+    simulation_rounds:
+        Rounds of the selected successful simulation.
+    """
+
+    outputs: dict[Node, Any]
+    quotient: QuotientResult
+    assignment: dict[Node, str]
+    simulation_rounds: int
 
 
-class PracticalDerandomizer:
-    """Deterministic solve of Π^c at practical cost (view-quotient based)."""
+def require_colored_instance(instance: LabeledGraph) -> None:
+    """Fail fast unless ``instance`` carries the ``input`` layer and a
+    ``color`` layer that is a 2-hop coloring — the derandomization
+    machinery is undefined outside Π^c instances."""
+    for layer in ("input", "color"):
+        if not instance.has_layer(layer):
+            raise DerandomizationError(
+                f"instance is missing the {layer!r} layer; the derandomizers "
+                "solve the 2-hop colored variant"
+            )
+    if not is_two_hop_coloring(instance, instance.layer("color")):
+        raise DerandomizationError(
+            "layer 'color' is not a 2-hop coloring; the instance "
+            "is not a member of the 2-hop colored variant"
+        )
+
+
+class QuotientSolver:
+    """Solves Π^c by simulating ``A_R`` on a view quotient and lifting.
+
+    The core shared by :class:`~repro.core.infinity.AInfinitySolver` and
+    :class:`PracticalDerandomizer`, which differ only in how they obtain
+    the quotient.
+
+    Parameters
+    ----------
+    problem:
+        The underlying problem Π (not Π^c) — used to sanity-check that
+        the quotient is an instance, as the lifting lemma promises.
+    algorithm:
+        A randomized anonymous algorithm solving Π.
+    max_assignment_length / search_budget / strategy:
+        Passed to the assignment search (see
+        :mod:`repro.core.assignment_search`).
+    """
 
     def __init__(
         self,
@@ -165,79 +207,74 @@ class PracticalDerandomizer:
         max_assignment_length: int = 64,
         search_budget: int = 1_000_000,
         strategy: str = "lexicographic",
-        input_layer: str = "input",
-        color_layer: str = "color",
     ) -> None:
         self.problem = problem
         self.algorithm = algorithm
         self.max_assignment_length = max_assignment_length
         self.search_budget = search_budget
         self.strategy = strategy
-        self.input_layer = input_layer
-        self.color_layer = color_layer
 
-    def solve(self, instance: LabeledGraph) -> PracticalResult:
-        """Solve a Π^c instance; every node works from its own view only."""
-        from repro.factor.quotient import finite_view_graph  # cycle-free import
-
-        for layer in (self.input_layer, self.color_layer):
-            if not instance.has_layer(layer):
-                raise DerandomizationError(
-                    f"instance is missing the {layer!r} layer"
-                )
-        from repro.core.infinity import _require_two_hop_colored
-
-        _require_two_hop_colored(instance, self.color_layer)
-        working = instance.with_only_layers([self.input_layer, self.color_layer])
-        n = working.num_nodes
-        views = all_views(working, 2 * n + 2)
-        layer_names = (self.input_layer, self.color_layer)
-
-        # Per-node reconstruction + agreement check (Lemma 1 in action).
-        reconstructions: dict[int, LabeledGraph] = {}
-        encodings: set = set()
-        for v in working.nodes:
-            view = views[v]
-            if id(view) not in reconstructions:
-                # Radius n + 1: aliases stay distinct one level above the
-                # stabilization depth, so their depth-n children still
-                # identify classes uniquely (Norris).
-                rebuilt = quotient_from_view(view, n + 1, layer_names)
-                reconstructions[id(view)] = rebuilt
-                encodings.add(
-                    encode_ordered_graph(rebuilt, canonical_node_order(rebuilt))
-                )
-        agreed = len(encodings) == 1
-        if not agreed:
-            raise DerandomizationError(
-                "nodes reconstructed different quotients — canonicalization "
-                "is broken (this contradicts Lemma 1)"
-            )
-
-        quotient = finite_view_graph(working)
-        simulation_graph = quotient.graph.with_only_layers([self.input_layer])
+    def solve_on_quotient(
+        self, graph: LabeledGraph, quotient: QuotientResult
+    ) -> DerandomizationResult:
+        """Select the smallest successful simulation on ``quotient`` in the
+        predetermined order and lift its outputs to ``graph`` through
+        ``f_∞``, checking the lifting lemma's promises on the way: the
+        quotient is a Π instance and the selected simulation replays."""
+        simulation_graph = quotient.graph.with_only_layers(["input"])
         if not self.problem.is_instance(simulation_graph):
             raise DerandomizationError(
                 f"the view quotient is not an instance of {self.problem.name}; "
-                "Theorem 1's GRAN hypothesis fails for this problem"
+                "the problem's instance set is not factor-closed, so it is "
+                "not genuinely solvable (GRAN) and Theorem 1 does not apply"
             )
-        node_order = canonical_node_order(quotient.graph)
         assignment = smallest_successful_assignment(
             self.algorithm,
             simulation_graph,
-            node_order,
+            canonical_node_order(quotient.graph),
             max_length=self.max_assignment_length,
             budget=self.search_budget,
             strategy=self.strategy,
         )
-        simulation = execute(
-            self.algorithm, simulation_graph, assignment=assignment
-        )
-        outputs = {v: simulation.outputs[quotient.map(v)] for v in working.nodes}
-        return PracticalResult(
-            outputs=outputs,
+        simulation = execute(self.algorithm, simulation_graph, assignment=assignment)
+        if not simulation.successful:
+            raise DerandomizationError(
+                "selected assignment no longer induces a successful "
+                "simulation; the algorithm is not replay-deterministic"
+            )
+        return DerandomizationResult(
+            outputs={v: simulation.outputs[quotient.map(v)] for v in graph.nodes},
             quotient=quotient,
             assignment=assignment,
             simulation_rounds=simulation.rounds,
-            reconstructions_agreed=agreed,
         )
+
+
+class PracticalDerandomizer(QuotientSolver):
+    """Deterministic solve of Π^c at practical cost (view-quotient based)."""
+
+    def solve(self, instance: LabeledGraph) -> DerandomizationResult:
+        """Solve a Π^c instance; every node works from its own view only."""
+        # Resolved per call so a wrapper installed on the module sees it.
+        from repro.factor.quotient import finite_view_graph
+
+        require_colored_instance(instance)
+        working = instance.with_only_layers(["input", "color"])
+        n = working.num_nodes
+        views = all_views(working, 2 * n + 2)
+
+        # Per-node reconstruction + agreement check (Lemma 1 in action),
+        # once per distinct view (interned, so equal views are one key).
+        # Radius n + 1: aliases stay distinct one level above the
+        # stabilization depth, so their depth-n children still identify
+        # classes uniquely (Norris).
+        encodings: set = set()
+        for view in dict.fromkeys(views.values()):
+            rebuilt = quotient_from_view(view, n + 1, ("input", "color"))
+            encodings.add(encode_ordered_graph(rebuilt, canonical_node_order(rebuilt)))
+        if len(encodings) != 1:
+            raise DerandomizationError(
+                "nodes reconstructed different quotients — canonicalization "
+                "is broken (this contradicts Lemma 1)"
+            )
+        return self.solve_on_quotient(working, finite_view_graph(working))

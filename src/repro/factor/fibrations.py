@@ -49,14 +49,13 @@ class DirectedRepresentation:
         return sorted((e for e in self.edges if e[1] == v), key=repr)
 
 
-def directed_representation(
-    graph: LabeledGraph, color_layer: str = "color"
-) -> DirectedRepresentation:
-    """The directed edge-colored representation of a 2-hop colored graph."""
-    coloring = graph.layer(color_layer)
+def directed_representation(graph: LabeledGraph) -> DirectedRepresentation:
+    """The directed edge-colored representation of a 2-hop colored graph
+    (its ``color`` layer)."""
+    coloring = graph.layer("color")
     if not is_two_hop_coloring(graph, coloring):
         raise LabelingError(
-            f"layer {color_layer!r} is not a 2-hop coloring; the directed "
+            "layer 'color' is not a 2-hop coloring; the directed "
             "representation is only defined for 2-hop colored graphs"
         )
     edges: set[DirectedEdge] = set()
@@ -132,13 +131,12 @@ def fibration_to_factorizing_map(
     product: LabeledGraph,
     factor: LabeledGraph,
     mapping: Mapping[Node, Node],
-    color_layer: str = "color",
 ) -> FactorizingMap:
     """Validate ``mapping`` as a fibration of directed representations and
     return the corresponding verified factorizing map (Section 4's
     correspondence, in the fibration -> factorizing map direction)."""
-    rep_total = directed_representation(product, color_layer)
-    rep_base = directed_representation(factor, color_layer)
+    rep_total = directed_representation(product)
+    rep_base = directed_representation(factor)
     if not is_fibration(rep_total, rep_base, mapping):
         raise FactorError(
             "mapping is not a fibration of the directed representations"

@@ -78,16 +78,15 @@ class TwoHopColoredVariant(DistributedProblem):
     Π's valid outputs for ``(V, E, i)``.
     """
 
-    def __init__(self, base: DistributedProblem, color_layer: str = "color") -> None:
+    def __init__(self, base: DistributedProblem) -> None:
         self.base = base
-        self.color_layer = color_layer
         self.name = f"{base.name}^c"
         self.input_layer = base.input_layer
 
     def is_instance(self, graph: LabeledGraph) -> bool:
-        if not graph.has_layer(self.color_layer):
+        if not graph.has_layer("color"):
             return False
-        if not is_two_hop_coloring(graph, graph.layer(self.color_layer)):
+        if not is_two_hop_coloring(graph, graph.layer("color")):
             return False
         return self.base.is_instance(self.strip(graph))
 
@@ -96,6 +95,6 @@ class TwoHopColoredVariant(DistributedProblem):
 
     def strip(self, graph: LabeledGraph) -> LabeledGraph:
         """The underlying Π instance ``(V, E, i)`` (drop the coloring)."""
-        if graph.has_layer(self.color_layer):
-            return graph.without_layer(self.color_layer)
+        if graph.has_layer("color"):
+            return graph.without_layer("color")
         return graph

@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.algorithms.luby_mis import AnonymousMISAlgorithm
+from repro.core import practical as practical_module
 from repro.core.a_star import AStarSolver
 from repro.core.infinity import AInfinitySolver
 from repro.core.practical import PracticalDerandomizer
@@ -21,6 +22,7 @@ from repro.graphs.lifts import cyclic_lift
 from repro.problems.mis import MISProblem
 from repro.problems.problem import DistributedProblem
 from repro.runtime.algorithm import AnonymousAlgorithm
+from repro.runtime.engine import ExecutionResult
 
 
 def colored(graph):
@@ -86,6 +88,26 @@ class TestNonGranProblem:
         solver = PracticalDerandomizer(_ExactSizeProblem(), AnonymousMISAlgorithm())
         with pytest.raises(DerandomizationError, match="GRAN"):
             solver.solve(lift)
+
+
+class TestReplayFailure:
+    @pytest.mark.parametrize(
+        "factory", SOLVER_FACTORIES[:2], ids=SOLVER_IDS[:2]
+    )
+    def test_unsuccessful_replay_rejected(self, factory, monkeypatch):
+        """The final simulation of the selected assignment must succeed
+        again; an undecided replay raises instead of lifting partial
+        outputs."""
+        monkeypatch.setattr(
+            practical_module,
+            "execute",
+            lambda *args, **kwargs: ExecutionResult(
+                outputs={}, rounds=0, all_decided=False, trace=None
+            ),
+        )
+        instance = colored(with_uniform_input(cycle_graph(3)))
+        with pytest.raises(DerandomizationError, match="replay-deterministic"):
+            factory().solve(instance)
 
 
 class _NeverTerminates(AnonymousAlgorithm):

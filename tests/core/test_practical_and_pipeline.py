@@ -10,9 +10,11 @@ from repro.algorithms.matching import AnonymousMatchingAlgorithm
 from repro.algorithms.vertex_coloring import VertexColoringAlgorithm
 from repro.core.derandomize import derandomize_pipeline
 from repro.core.infinity import AInfinitySolver
+from repro.core import practical as practical_module
 from repro.core.practical import PracticalDerandomizer, quotient_from_view
 from repro.exceptions import ProblemError, ViewError
 from repro.graphs.builders import (
+    complete_graph,
     cycle_graph,
     path_graph,
     petersen_graph,
@@ -21,7 +23,7 @@ from repro.graphs.builders import (
 )
 from repro.graphs.coloring import apply_two_hop_coloring, greedy_two_hop_coloring
 from repro.graphs.isomorphism import are_isomorphic
-from repro.graphs.lifts import cyclic_lift
+from repro.graphs.lifts import cyclic_lift, lift_graph
 from repro.factor.quotient import finite_view_graph
 from repro.problems.coloring import ColoringProblem
 from repro.problems.gran import GranBundle
@@ -33,6 +35,20 @@ from repro.views.view_tree import clear_caches, intern_stats
 
 def colored(graph):
     return apply_two_hop_coloring(graph, greedy_two_hop_coloring(graph))
+
+
+def colored_k4():
+    return colored(with_uniform_input(complete_graph(4)))
+
+
+# Small colored instances: non-trivial quotients (the lifts) and prime graphs.
+ZOO = {
+    "c3-lift-2": lambda: cyclic_lift(colored(with_uniform_input(cycle_graph(3))), 2)[0],
+    "c3-lift-4": lambda: cyclic_lift(colored(with_uniform_input(cycle_graph(3))), 4)[0],
+    "k4": colored_k4,
+    "p3": lambda: colored(with_uniform_input(path_graph(3))),
+    "k4-lift-2": lambda: lift_graph(colored_k4(), 2, seed=3)[0],
+}
 
 
 class TestQuotientFromView:
@@ -114,19 +130,40 @@ class TestPracticalDerandomizer:
         result = solver.solve(lift)
         plain = lift.with_only_layers(["input"])
         assert problem.is_valid_output(plain, result.outputs)
-        assert result.reconstructions_agreed
 
-    def test_agrees_with_a_infinity(self):
-        """Practical and A_infinity run the same selection rule, so their
-        outputs coincide exactly."""
-        base = colored(with_uniform_input(cycle_graph(3)))
-        lift, _ = cyclic_lift(base, 2)
+    @pytest.mark.parametrize("strategy", ["lexicographic", "prg"])
+    @pytest.mark.parametrize("name", list(ZOO))
+    def test_agrees_with_a_infinity(self, name, strategy):
+        """Practical and A_infinity run the same selection rule on the same
+        quotient, so their results coincide exactly."""
+        instance = ZOO[name]()
         problem, algorithm = MISProblem(), AnonymousMISAlgorithm()
-        practical = PracticalDerandomizer(problem, algorithm).solve(lift)
-        infinity = AInfinitySolver(problem, algorithm).solve(lift)
+        practical = PracticalDerandomizer(problem, algorithm, strategy=strategy).solve(instance)
+        infinity = AInfinitySolver(problem, algorithm, strategy=strategy).solve(instance)
         assert practical.outputs == infinity.outputs
         assert practical.assignment == infinity.assignment
+        assert practical.simulation_rounds == infinity.simulation_rounds
+        assert practical.quotient.graph == infinity.quotient.graph
 
+    @pytest.mark.parametrize("solver_class", [AInfinitySolver, PracticalDerandomizer])
+    def test_search_and_replay_resolve_through_practical_module(
+        self, solver_class, monkeypatch
+    ):
+        """Both quotient solvers call the search and the final simulation
+        once each, through ``repro.core.practical``'s globals — where the
+        benchmark tracer wraps them as ``assignment_search`` and
+        ``engine.final_sim``."""
+        calls = {"smallest_successful_assignment": 0, "execute": 0}
+        for name in calls:
+            original = getattr(practical_module, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(practical_module, name, counting)
+        solver_class(MISProblem(), AnonymousMISAlgorithm()).solve(ZOO["c3-lift-2"]())
+        assert calls == {"smallest_successful_assignment": 1, "execute": 1}
 
     @pytest.mark.parametrize("n", [32, 64])
     def test_truncation_work_is_linear_in_view_size(self, n):
