@@ -16,7 +16,7 @@ PERF_SMOKE_FLAGS ?=
 # JSON) land here instead of the repo root; the directory is gitignored.
 OUT_DIR := benchmarks/out
 
-.PHONY: test bench-selftest bench-smoke perf perf-smoke smoke invariants lint typecheck experiments fabric fabric-merge ci
+.PHONY: test bench-selftest bench-smoke perf perf-smoke smoke invariants lint typecheck experiments ci
 
 test:  ## tier-1 test suite
 	$(PYTHONPATH_SRC) $(PYTHON) -m pytest -x -q
@@ -63,19 +63,15 @@ typecheck:  ## mypy over the typed file set (see [tool.mypy] files in pyproject.
 		echo "SKIPPED typecheck: mypy not installed (pip install -e .[dev])"; \
 	fi
 
-experiments:  ## run every experiment in parallel, writing the JSON artifact
+experiments:  ## full registry on 2 workers (exit 3 if the pool degrades); canonical_results must equal the golden file
 	@mkdir -p $(OUT_DIR)
-	$(PYTHONPATH_SRC) $(PYTHON) -m repro.experiments --all --jobs 4 \
+	$(PYTHONPATH_SRC) $(PYTHON) -m repro.experiments --all --jobs 2 --strict-jobs \
 		--json $(OUT_DIR)/RESULTS_experiments.json
+	$(PYTHONPATH_SRC) $(PYTHON) -c 'import json, sys; \
+		from repro.experiments.runner import canonical_results; \
+		payload = json.load(open(sys.argv[1])); \
+		sys.stdout.write(json.dumps(canonical_results(payload), indent=2, sort_keys=True) + "\n")' \
+		$(OUT_DIR)/RESULTS_experiments.json > $(OUT_DIR)/RESULTS_canonical.json
+	cmp $(OUT_DIR)/RESULTS_canonical.json tests/runtime/golden/experiments_canonical.json
 
-fabric:  ## resumable fabric sweep: registry + all grids into the JSONL store
-	@mkdir -p $(OUT_DIR)
-	$(PYTHONPATH_SRC) $(PYTHON) -m repro.experiments fabric run \
-		--all --grids --jobs 4 --store $(OUT_DIR)/FABRIC_results.jsonl
-
-fabric-merge:  ## fold the fabric store into the canonical merged artifact
-	@mkdir -p $(OUT_DIR)
-	$(PYTHONPATH_SRC) $(PYTHON) -m repro.experiments fabric merge \
-		$(OUT_DIR)/FABRIC_results.jsonl --out $(OUT_DIR)/RESULTS_experiments.json
-
-ci: lint typecheck invariants test bench-selftest bench-smoke smoke perf-smoke  ## exactly what .github/workflows/ci.yml runs
+ci: lint typecheck invariants test bench-selftest bench-smoke smoke experiments perf-smoke  ## exactly what .github/workflows/ci.yml runs

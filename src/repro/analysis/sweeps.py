@@ -62,8 +62,7 @@ class FamilySpec:
     object, so the spec pickles by value and realizes identically in
     any worker process); ``args`` are its positional arguments —
     including the seed for randomized families, so realization is
-    deterministic everywhere.  ``size`` is the node count, used for
-    per-task seed derivation and scheduling.
+    deterministic everywhere.  ``size`` is the node count.
     """
 
     name: str
@@ -79,30 +78,6 @@ class FamilySpec:
                 f"known: {sorted(_FAMILY_BUILDERS)!r}"
             )
         return with_uniform_input(_FAMILY_BUILDERS[self.builder](*self.args))
-
-
-def spec_to_dict(spec: FamilySpec) -> dict[str, Any]:
-    """A JSON-able projection of a spec (the fabric's task-spec form).
-
-    ``args`` becomes a list (JSON has no tuples); the projection is
-    canonical — two equal specs always serialize identically.
-    """
-    return {
-        "name": spec.name,
-        "builder": spec.builder,
-        "args": list(spec.args),
-        "size": spec.size,
-    }
-
-
-def spec_from_dict(payload: dict[str, Any]) -> FamilySpec:
-    """Rebuild a :class:`FamilySpec` from :func:`spec_to_dict` output."""
-    return FamilySpec(
-        name=payload["name"],
-        builder=payload["builder"],
-        args=tuple(payload["args"]),
-        size=payload["size"],
-    )
 
 
 def standard_family_specs(

@@ -7,9 +7,8 @@ plus a JSON description of the question.  This package gives all of them
 one SHA-256-keyed address space and one cache story:
 
 * :mod:`repro.artifacts.keys` — ``sha256(code fingerprint ␟ canonical
-  spec JSON)`` keys, the same discipline as the experiment fabric's task
-  keys, so any source change rotates every key and a stale entry is a
-  cache miss, never a wrong answer.
+  spec JSON)`` keys, so any source change rotates every key and a stale
+  entry is a cache miss, never a wrong answer.
 * :mod:`repro.artifacts.encoders` — canonical byte encoders per artifact
   kind (integer/string arithmetic only; lint rule ``WALL001`` covers
   them).

@@ -1,8 +1,8 @@
 """Artifact keys: ``sha256(code fingerprint ␟ canonical spec JSON)``.
 
-The key discipline is the experiment fabric's (:mod:`repro.experiments.
-fabric`): material fields joined with the unit separator ``\\x1f`` and
-digested with SHA-256, with the PR-7 code fingerprint as the leading
+Material fields are joined with the unit separator ``\\x1f`` and
+digested with SHA-256, with the code fingerprint
+(:func:`repro.experiments.fingerprint.code_fingerprint`) as the leading
 component.  A spec is a plain JSON object that *must* carry a ``kind``
 and fully describes the question (graphs are embedded via
 :func:`repro.graphs.io.graph_to_dict`, so keys depend on structure, not
@@ -25,8 +25,7 @@ _SEP = "\x1f"
 
 
 def canonical_spec(spec: "dict[str, Any]") -> str:
-    """One canonical JSON line for a spec (sorted keys, no whitespace) —
-    byte-identical to the fabric's spec canonicalization."""
+    """One canonical JSON line for a spec (sorted keys, no whitespace)."""
     return json.dumps(spec, sort_keys=True, separators=(",", ":"))
 
 

@@ -16,9 +16,10 @@ with its graph — clearing it would only force rebuilds.  See
 ``docs/PERFORMANCE.md``.
 
 **Persistent tier.**  An :class:`ArtifactStore` optionally opens an
-fsync'd append-only JSONL file (the fabric's
-:class:`repro.experiments.store.ResultStore` — same torn-tail repair,
-same corruption policy) holding one encoded payload per content key.
+fsync'd append-only JSONL file (through
+:class:`repro.experiments.store.ResultStore`: torn-tail repair on open,
+corruption before the final line is an error) holding one encoded
+payload per content key.
 Because keys embed the code fingerprint, a stale file is all misses.
 """
 

@@ -3,9 +3,8 @@
 Each experiment regenerates one artifact of the paper (a figure, a
 theorem, a lemma, or an in-text claim) and returns an
 :class:`~repro.experiments.base.ExperimentResult`: a table plus
-pass/fail checks.  The benchmark suite wraps these functions with
-timing; the CLI runs them standalone (optionally fanned out over a
-process pool by :mod:`repro.experiments.runner` — output is
+pass/fail checks.  The CLI runs them standalone (optionally fanned out
+over a process pool by :mod:`repro.experiments.runner` — output is
 bit-identical for every job count):
 
     python -m repro.experiments --list
@@ -34,17 +33,6 @@ from repro.experiments import (  # noqa: F401  (registration)
     resilience,
     theorems,
 )
-from repro.experiments.fabric import (
-    FabricReport,
-    FabricTask,
-    GridSweep,
-    experiment_tasks,
-    grid_tasks,
-    merge_stores,
-    run_tasks,
-    shard_tasks,
-    task_key,
-)
 from repro.experiments.fingerprint import code_fingerprint
 from repro.experiments.runner import (
     RunReport,
@@ -56,24 +44,15 @@ from repro.experiments.runner import (
 __all__ = [
     "ExperimentResult",
     "ExperimentSpec",
-    "FabricReport",
-    "FabricTask",
-    "GridSweep",
     "RunReport",
     "all_experiment_ids",
     "all_families",
     "all_specs",
     "code_fingerprint",
     "derive_seed",
-    "experiment_tasks",
     "get_experiment",
     "get_spec",
-    "grid_tasks",
-    "merge_stores",
     "run_all",
     "run_experiments",
-    "run_tasks",
-    "shard_tasks",
-    "task_key",
     "write_results_json",
 ]

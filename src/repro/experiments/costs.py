@@ -6,10 +6,9 @@ from repro.algorithms.greedy_by_color import GreedyMISByColor
 from repro.algorithms.luby_mis import AnonymousMISAlgorithm
 from repro.algorithms.two_hop_coloring import TwoHopColoringAlgorithm
 from repro.analysis.stats import RunStats, aggregate
-from repro.analysis.sweeps import SweepRow, standard_family_specs
+from repro.analysis.sweeps import SweepRow
 from repro.core.assignment_search import smallest_successful_assignment
 from repro.experiments.base import ExperimentResult, experiment
-from repro.experiments.fabric import GridSweep, register_grid, register_kernel
 from repro.experiments._shared import colored
 from repro.graphs.builders import (
     complete_graph,
@@ -65,42 +64,6 @@ def two_hop_cost() -> ExperimentResult:
         rows=rows,
         checks=checks,
     )
-
-
-# ---------------------------------------------------------------------------
-# Fabric grid sweep: the R1 cost measurement over the full standard
-# family sweep at sizes the in-registry experiment cannot afford, one
-# atomic fabric task per (family, seed) point (see
-# ``repro.experiments.fabric``).  The axis is the seed repetition alone,
-# so ``values`` is the single ``None`` placeholder.
-# ---------------------------------------------------------------------------
-
-
-@register_kernel("two-hop-cost-point")
-def two_hop_cost_kernel(graph, _value, seed: int) -> dict:
-    """One grid point: rounds/bits/validity of one 2-hop coloring run."""
-    algorithm = TwoHopColoringAlgorithm()
-    result = execute(algorithm, graph, seed=seed, require_decided=True)
-    stats = RunStats.of(graph, result, algorithm.bits_per_round)
-    return {
-        "rounds": stats.rounds,
-        "total_bits": stats.total_bits,
-        "total_messages": stats.total_messages,
-        "valid": is_two_hop_coloring(graph, result.outputs),
-    }
-
-
-register_grid(
-    GridSweep(
-        name="two-hop-cost-grid",
-        kernel="two-hop-cost-point",
-        families=tuple(standard_family_specs(sizes=(8, 16, 24, 32))),
-        axis="rep",
-        values=(None,),
-        seeds=tuple(range(5)),
-        cost=3.0,
-    )
-)
 
 
 @experiment("mis-cost", cost=6.0)

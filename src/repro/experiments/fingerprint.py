@@ -1,19 +1,20 @@
-"""Code fingerprinting for the experiment fabric.
+"""Code fingerprinting for the content-addressed artifact store.
 
-A fabric task's result is a pure function of ``(code, spec, seed)``:
-the same source tree, task description and derived seed always produce
-the same record, byte for byte (the serial-vs-parallel identity
-contract, extended with *code identity*).  :func:`code_fingerprint`
-digests the ``repro`` source tree — every ``*.py`` file under the
-package root, in sorted relative-path order, each contributing its
-path and raw bytes — with SHA-256, the same hash discipline the
-runner's seed derivation and the fault subsystem use.
+An artifact is a pure function of ``(code, spec)``: the same source
+tree and the same question always produce the same payload, byte for
+byte.  :func:`code_fingerprint` digests the ``repro`` source tree —
+every ``*.py`` file under the package root, in sorted relative-path
+order, each contributing its path and raw bytes — with SHA-256, the
+same hash discipline the runner's seed derivation and the fault
+subsystem use.  It leads every artifact key
+(:func:`repro.artifacts.keys.artifact_key`), stamps every persistent
+record, and names benchmark outputs (:func:`short_fingerprint`).
 
 Any source change (even a comment) changes the fingerprint, which
-changes every task key, which invalidates every stored result.  That
-is deliberate: the fabric never has to reason about *which* change
-affected *which* task, and a stale store degrades to a cache miss,
-never to a wrong answer.
+changes every artifact key, which makes every stored payload
+unreachable.  That is deliberate: the store never has to reason about
+*which* change affected *which* artifact, and a stale store degrades
+to a cache miss, never to a wrong answer.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from pathlib import Path
 __all__ = ["clear_fingerprint_cache", "code_fingerprint", "short_fingerprint"]
 
 # Fingerprints are pure functions of the tree contents; memoized per
-# resolved root because CLI runs hash the tree several times (task
-# building, store scanning, merging).
+# resolved root because one process needs the fingerprint for every
+# key it derives and every record it writes or scans.
 _CACHE: dict[str, str] = {}
 
 

@@ -200,7 +200,6 @@ def emit_manifest() -> dict[str, str]:
     from repro.artifacts.specs import dynamic_views_spec
     from repro.dynamic.delta import add_edge, relabel, remove_edge
     from repro.dynamic.maintain import replay_views
-    from repro.experiments.fabric import task_key
     from repro.factor.quotient import infinite_view_graph
     from repro.views.local_views import all_views
     from repro.views.refinement import color_refinement
@@ -217,9 +216,6 @@ def emit_manifest() -> dict[str, str]:
         # would silently rotate every cache entry, so pin them too.
         manifest[f"{name}/key/views"] = artifact_key(views_spec(graph, _VIEW_DEPTH))
         manifest[f"{name}/key/refinement"] = artifact_key(refinement_spec(graph))
-        manifest[f"{name}/key/task"] = task_key(
-            "hashseed-gate", views_spec(graph, _VIEW_DEPTH), seed=0
-        )
 
     # Quotients require 2-hop-colored input (Lemma 2); the lift of a
     # colored cycle is the paper's Figure 2 tower, whose quotient

@@ -34,10 +34,9 @@ from repro.analysis.resilience import (
     independence_preserved,
     probe,
 )
-from repro.analysis.sweeps import SweepRow, standard_family_specs
+from repro.analysis.sweeps import SweepRow
 from repro.experiments._shared import colored
 from repro.experiments.base import ExperimentResult, experiment
-from repro.experiments.fabric import GridSweep, register_grid, register_kernel
 from repro.faults import FaultPlan, execute_with_faults
 from repro.graphs.builders import (
     complete_graph,
@@ -267,55 +266,6 @@ class PortLedgerAlgorithm(PortAwareAlgorithm):
 
     def output(self, state: tuple[tuple, int]) -> tuple | None:
         return state[0] if state[1] >= self.rounds_needed else None
-
-
-# ---------------------------------------------------------------------------
-# Fabric grid sweeps.  The registry experiments above probe a handful of
-# hand-picked families; the grids declare the full
-# family × fault-rate × seed sweep as atomic fabric tasks, so the
-# thousand-point version runs sharded, resumable and cached by code
-# fingerprint (see ``repro.experiments.fabric`` and docs/EXPERIMENTS.md).
-# ---------------------------------------------------------------------------
-
-GRID_DROP_RATES = (0.0, 0.01, 0.02, 0.05, 0.1, 0.2)
-GRID_SEEDS = (0, 1, 2)
-
-
-@register_kernel("two-hop-drop-probe")
-def two_hop_drop_kernel(graph: LabeledGraph, drop_rate: float, seed: int) -> dict:
-    """One grid point: 2-hop coloring validity under message loss.
-
-    The fault plan's seed and the execution seed both derive from the
-    task's 63-bit fabric seed, so a point's randomness is a pure
-    function of its identity — never of the shard or worker it ran on.
-    """
-    plan = FaultPlan(plan_seed=seed & 0x7FFFFFFF, drop_rate=drop_rate)
-    outcome = probe(
-        TwoHopColoringAlgorithm(),
-        graph,
-        plan,
-        validator=is_two_hop_coloring,
-        seed=seed,
-        max_rounds=80,
-    )
-    return {
-        "status": outcome.status,
-        "rounds": outcome.rounds,
-        "faults_injected": outcome.faults_injected,
-    }
-
-
-register_grid(
-    GridSweep(
-        name="resilience-drop-grid",
-        kernel="two-hop-drop-probe",
-        families=tuple(standard_family_specs(sizes=(6, 8, 12))),
-        axis="drop_rate",
-        values=GRID_DROP_RATES,
-        seeds=GRID_SEEDS,
-        cost=2.0,
-    )
-)
 
 
 @experiment("resilience-reorder", cost=2.0)

@@ -1,20 +1,18 @@
-"""The parallel experiment engine: one task core for every front end.
+"""The parallel experiment engine behind :func:`run_experiments`.
 
-Both front ends — :func:`run_experiments` (the registry runner) and
-:func:`repro.experiments.fabric.run_tasks` (the resumable fabric) —
-hand a list of :class:`FabricTask` to :func:`execute_tasks`, which fans
-it out over a ``ProcessPoolExecutor`` while keeping every observable
-output **bit-identical to a serial run**:
+:func:`run_experiments` turns the requested experiment ids into tasks
+(experiment id, derived seed, registry cost) and fans them out over a
+``ProcessPoolExecutor`` while keeping every observable output
+**bit-identical to a serial run**:
 
-* **Deterministic per-task seeding** — each task's seed is derived from
-  ``(experiment_id, family, size, base_seed)`` by :func:`derive_seed`
+* **Deterministic per-task seeding** — each experiment's seed is
+  derived from ``(experiment_id, base_seed)`` by :func:`derive_seed`
   (a SHA-256 hash, not Python's randomized ``hash``), so a task's
   randomness never depends on which worker ran it or in what order.
 * **Deterministic assembly** — tasks are *dispatched* longest-first
   (using the registry's relative ``cost`` weights), one task per
   future, so idle workers pull the next task as they free up; results
-  are keyed by task id, so each front end reports them in its own
-  deterministic order.
+  are keyed by experiment id and reported in the requested order.
 * **Per-worker cache warm-up** — every worker starts by running
   ``repro.views.clear_caches()`` (which also fires all hooks installed
   via ``register_cache_clearer``), so worker cache state is cold and
@@ -40,25 +38,20 @@ import json
 import os
 import platform
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable
 from typing import Any
 
-from repro.analysis.sweeps import SweepRow, spec_from_dict
-from repro.exceptions import ReproError
+from repro.analysis.sweeps import SweepRow
 from repro.experiments.base import ExperimentResult, all_experiment_ids, get_spec
 from repro.runtime.engine import collect_engine_metrics
 
 __all__ = [
     "ExperimentRun",
-    "FabricTask",
     "RunReport",
     "canonical_results",
     "derive_seed",
-    "execute_tasks",
-    "experiment_entry",
-    "experiment_tasks",
     "results_payload",
     "run_experiments",
     "write_results_json",
@@ -69,17 +62,17 @@ __all__ = [
 RESULTS_SCHEMA = 3
 
 
-def derive_seed(
-    experiment_id: str, family: str = "", size: int = 0, base_seed: int = 0
-) -> int:
-    """A deterministic 63-bit seed for one task.
+def derive_seed(experiment_id: str, base_seed: int = 0) -> int:
+    """A deterministic 63-bit seed for one experiment.
 
-    Derived by hashing the task's *identity* — never its position in
-    the schedule — so serial and parallel runs (and reruns of a single
-    task) see identical randomness.  SHA-256 is used instead of
-    ``hash()`` because the latter is salted per interpreter process.
+    Derived by hashing the experiment's *identity* — never its position
+    in the schedule — so serial and parallel runs (and reruns of a
+    single experiment) see identical randomness.  SHA-256 is used
+    instead of ``hash()`` because the latter is salted per interpreter
+    process.  The two empty fields keep the key material (and so every
+    seed the golden file pins) byte-identical to earlier releases.
     """
-    key = f"{experiment_id}\x1f{family}\x1f{size}\x1f{base_seed}"
+    key = f"{experiment_id}\x1f\x1f0\x1f{base_seed}"
     digest = hashlib.sha256(key.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") >> 1
 
@@ -104,45 +97,12 @@ class ExperimentRun:
 
 
 @dataclass(frozen=True)
-class FabricTask:
-    """One atomic, content-addressed unit of work.
+class _Task:
+    """One experiment to run: its seed and its longest-first dispatch weight."""
 
-    ``spec`` is the canonical JSON-able description of *what* to run
-    (kind-specific); ``seed`` is the task's derived 63-bit seed;
-    ``cost`` is the relative wall-time weight driving longest-first
-    dispatch (same scale as the experiment registry's costs).
-    """
-
-    task_id: str
-    kind: str  # "experiment" | "grid"
-    spec: dict[str, Any]
+    experiment_id: str
     seed: int
-    cost: float = 1.0
-
-
-def experiment_tasks(
-    experiment_ids: Iterable[str] | None = None, *, base_seed: int = 0
-) -> list[FabricTask]:
-    """One task per registered experiment (all of them by default).
-
-    This is the task list :func:`run_experiments` runs, so a fabric
-    record for ``figure1`` carries the same seed and canonical entry a
-    ``--jobs 1`` registry run reports for it.
-    """
-    ids = list(experiment_ids) if experiment_ids is not None else all_experiment_ids()
-    tasks = []
-    for eid in ids:
-        spec = get_spec(eid)  # validates; raises on unknown ids
-        tasks.append(
-            FabricTask(
-                task_id=f"experiment:{eid}",
-                kind="experiment",
-                spec={"kind": "experiment", "experiment_id": eid, "base_seed": base_seed},
-                seed=derive_seed(eid, base_seed=base_seed),
-                cost=spec.cost,
-            )
-        )
-    return tasks
+    cost: float
 
 
 @dataclass
@@ -191,92 +151,33 @@ def _worker_init() -> None:
     clear_caches()
 
 
-def _run_task(task: FabricTask) -> tuple[str, Any]:
-    """Run one experiment or grid point under engine instrumentation.
+def _run_task(task: _Task) -> ExperimentRun:
+    """Run one experiment under engine instrumentation.
 
-    Returns ``(task_id, (value, wall_s, worker_pid, engine_metrics))``;
-    ``value`` is the :class:`ExperimentResult` or the grid kernel's raw
-    measurement — each front end projects it in the parent process.
+    The run is reported as serial; the parent marks the ones the pool
+    ran as parallel.
     """
     import repro.experiments  # noqa: F401  (registration on spawn)
 
     # Wall-clock fields are stripped from canonical_results (timing only).
     start = time.perf_counter()  # repro-lint: disable=DET001 -- wall-time metric only
     with collect_engine_metrics() as totals:
-        if task.kind == "experiment":
-            value = get_spec(task.spec["experiment_id"]).run(seed=task.seed)
-        elif task.kind == "grid":
-            from repro.experiments.fabric import get_kernel
-
-            graph = spec_from_dict(task.spec["family"]).build()
-            value = get_kernel(task.spec["kernel"])(graph, task.spec["value"], task.seed)
-        else:
-            raise ReproError(f"unknown task kind {task.kind!r}")
+        result = get_spec(task.experiment_id).run(seed=task.seed)
     wall = time.perf_counter() - start  # repro-lint: disable=DET001 -- wall-time metric only
-    return task.task_id, (value, wall, os.getpid(), totals.as_dict())
-
-
-# ---------------------------------------------------------------------------
-# The task core shared by both front ends.
-# ---------------------------------------------------------------------------
+    return ExperimentRun(
+        result=result,
+        seed=task.seed,
+        wall_s=wall,
+        worker_pid=os.getpid(),
+        mode="serial",
+        engine_metrics=totals.as_dict(),
+    )
 
 
 def _default_executor_factory(jobs: int):
     from concurrent.futures import ProcessPoolExecutor
 
     return ProcessPoolExecutor(max_workers=jobs, initializer=_worker_init)
-
-
-def execute_tasks(
-    tasks: Sequence[FabricTask],
-    jobs: int,
-    executor_factory: Callable[[int], Any] | None = None,
-    *,
-    on_result: Callable[[str, Any], None] | None = None,
-) -> tuple[dict[str, Any], dict[str, str], str | None]:
-    """Run every task, longest first; return ``(outcomes, modes, fallback_reason)``.
-
-    ``outcomes`` and ``modes`` are keyed by task id.  Tasks are
-    dispatched in ``(-cost, task_id)`` order and submitted one per
-    future; results are collected in *completion* order — workers pull
-    from the executor's shared queue as they free up (work stealing) —
-    and ``on_result(task_id, outcome)`` fires the moment a task lands,
-    which is what lets the fabric persist each record before the next
-    one is even scheduled.  It is called exactly once per task id,
-    including for tasks finished on the serial fallback path.
-
-    Any pool-level failure (creation, pickling, broken pool) degrades
-    to serial execution of whatever is missing — a task that *itself*
-    raises will raise again serially, so the parallel path introduces
-    no new failure modes.
-    """
-    dispatch = sorted(tasks, key=lambda task: (-task.cost, task.task_id))
-    outcomes: dict[str, Any] = {}
-    modes: dict[str, str] = {}
-    fallback_reason: str | None = None
-
-    def record(task_id: str, outcome: Any, mode: str) -> None:
-        outcomes[task_id] = outcome
-        modes[task_id] = mode
-        if on_result is not None:
-            on_result(task_id, outcome)
-
-    if jobs > 1 and len(dispatch) > 1:
-        from concurrent.futures import as_completed
-
-        factory = executor_factory or _default_executor_factory
-        try:
-            with factory(jobs) as pool:
-                futures = [pool.submit(_run_task, task) for task in dispatch]
-                for future in as_completed(futures):
-                    record(*future.result(), "parallel")
-        except Exception as exc:  # degrade, never fail the run
-            fallback_reason = f"{type(exc).__name__}: {exc}"
-
-    for task in dispatch:
-        if task.task_id not in outcomes:
-            record(*_run_task(task), "serial")
-    return outcomes, modes, fallback_reason
 
 
 def run_experiments(
@@ -290,30 +191,43 @@ def run_experiments(
 
     Results are reported in the requested order regardless of ``jobs``;
     the rows and checks of every :class:`ExperimentResult` are
-    bit-identical for any job count.  ``executor_factory`` exists for
-    tests (inject a pool that fails or misbehaves).
+    bit-identical for any job count.  Unknown ids raise before any work
+    starts.  ``executor_factory`` exists for tests (inject a pool that
+    fails or misbehaves).
+
+    Tasks are dispatched in ``(-cost, experiment_id)`` order and
+    submitted one per future; workers pull from the executor's shared
+    queue as they free up (work stealing).  Any pool-level failure
+    (creation, pickling, broken pool) degrades to serial execution of
+    whatever is missing — a task that *itself* raises will raise again
+    serially, so the parallel path introduces no new failure modes.
     """
-    tasks = experiment_tasks(experiment_ids, base_seed=base_seed)
+    ids = list(experiment_ids) if experiment_ids is not None else all_experiment_ids()
+    tasks = [_Task(eid, derive_seed(eid, base_seed=base_seed), get_spec(eid).cost) for eid in ids]
+    dispatch = sorted(tasks, key=lambda task: (-task.cost, task.experiment_id))
+    runs: dict[str, ExperimentRun] = {}
+    fallback_reason: str | None = None
 
     start = time.perf_counter()  # repro-lint: disable=DET001 -- wall-time metric only
-    outcomes, modes, fallback_reason = execute_tasks(tasks, jobs, executor_factory)
+    if jobs > 1 and len(dispatch) > 1:
+        from concurrent.futures import as_completed
+
+        factory = executor_factory or _default_executor_factory
+        try:
+            with factory(jobs) as pool:
+                futures = {pool.submit(_run_task, task): task for task in dispatch}
+                for future in as_completed(futures):
+                    runs[futures[future].experiment_id] = replace(future.result(), mode="parallel")
+        except Exception as exc:  # degrade, never fail the run
+            fallback_reason = f"{type(exc).__name__}: {exc}"
+
+    for task in dispatch:
+        if task.experiment_id not in runs:
+            runs[task.experiment_id] = _run_task(task)
     wall_s = time.perf_counter() - start  # repro-lint: disable=DET001 -- wall-time metric only
 
-    runs = []
-    for task in tasks:
-        result, task_wall, pid, engine_metrics = outcomes[task.task_id]
-        runs.append(
-            ExperimentRun(
-                result=result,
-                seed=task.seed,
-                wall_s=task_wall,
-                worker_pid=pid,
-                mode=modes[task.task_id],
-                engine_metrics=engine_metrics,
-            )
-        )
     return RunReport(
-        runs=runs,
+        runs=[runs[eid] for eid in ids],
         requested_jobs=jobs,
         base_seed=base_seed,
         fallback_reason=fallback_reason,
@@ -348,26 +262,6 @@ def _row_payload(row: SweepRow) -> dict[str, Any]:
     }
 
 
-def experiment_entry(result: ExperimentResult, seed: int) -> dict[str, Any]:
-    """The canonical (deterministic) JSON entry for one experiment run.
-
-    This is exactly the portion of a ``results`` entry that the
-    serial-vs-parallel identity contract covers — no timing, no
-    metrics, no worker bookkeeping.  The fabric stores this shape per
-    task, so a resumed record and a fresh run are comparable byte for
-    byte.
-    """
-    return {
-        "experiment_id": result.experiment_id,
-        "title": result.title,
-        "passed": result.passed,
-        "checks": dict(result.checks),
-        "columns": list(result.columns),
-        "rows": [_row_payload(row) for row in result.rows],
-        "seed": seed,
-    }
-
-
 def results_payload(report: RunReport) -> dict[str, Any]:
     """The full JSON artifact for a run (mirrors ``BENCH_views.json``)."""
     return {
@@ -387,7 +281,13 @@ def results_payload(report: RunReport) -> dict[str, Any]:
         },
         "results": [
             {
-                **experiment_entry(run.result, run.seed),
+                "experiment_id": run.result.experiment_id,
+                "title": run.result.title,
+                "passed": run.result.passed,
+                "checks": dict(run.result.checks),
+                "columns": list(run.result.columns),
+                "rows": [_row_payload(row) for row in run.result.rows],
+                "seed": run.seed,
                 "metrics": run.engine_metrics,
                 "timing": {
                     "wall_s": run.wall_s,
@@ -407,16 +307,10 @@ def canonical_results(payload: dict[str, Any]) -> list[dict[str, Any]]:
     byte-for-byte.  The ``metrics`` block is excluded because its
     ``wall_s`` field is a timing; its other fields are deterministic and
     covered by the perf suite's runtime trend data instead."""
-    canonical = []
-    for entry in payload["results"]:
-        canonical.append(
-            {
-                key: entry[key]
-                for key in sorted(entry)
-                if key not in ("timing", "metrics")
-            }
-        )
-    return canonical
+    return [
+        {key: entry[key] for key in sorted(entry) if key not in ("timing", "metrics")}
+        for entry in payload["results"]
+    ]
 
 
 def write_results_json(path: "str | Path", report: RunReport) -> Path:

@@ -1,7 +1,9 @@
-"""The append-only JSONL result store behind the experiment fabric.
+"""The append-only JSONL store behind the artifact store's persistent tier.
 
-One completed task = one JSON line, written with ``flush`` + ``fsync``
-before the fabric moves on.  There is no footer, no index and no
+One record = one JSON line, written with ``flush`` + ``fsync`` before
+:meth:`ResultStore.append` returns (:mod:`repro.artifacts.store` appends
+one record per content key; ``python -m repro.artifacts`` scans and
+rewrites the file).  There is no footer, no index and no
 rewrite-in-place: the file is valid after *every* appended line, so a
 killed run (CI timeout, OOM, ctrl-C) loses at most the record that was
 mid-write — and :meth:`ResultStore.open` repairs exactly that case by

@@ -262,11 +262,6 @@ def canonical_sink_label(qualname: str) -> "str | None":
         "payload_digest",
     ):
         return f"artifact key derivation {name}()"
-    if module == "repro.experiments.fabric" and name in (
-        "task_key",
-        "canonical_spec",
-    ):
-        return f"fabric task key {name}()"
     if module.startswith("repro.dynamic.delta") and (
         _stripped(name).startswith("encode") or name == "as_dict"
     ):

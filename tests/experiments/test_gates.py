@@ -105,7 +105,7 @@ class TestManifest:
         manifest = gates.emit_manifest()
         surfaces = {label.split("/", 1)[1] for label in manifest}
         assert {"views", "refinement", "quotient", "replayed-views", "key"} <= surfaces
-        assert {"key/views", "key/refinement", "key/quotient", "key/task"} <= surfaces
+        assert {"key/views", "key/refinement", "key/quotient"} <= surfaces
         # Every digest is sha256 hex or an artifact key (also a digest).
         for label, value in manifest.items():
             assert set(value) <= HEX, f"{label}: non-hex digest {value!r}"
