@@ -553,7 +553,7 @@ def _reference_reconstruct(views, graph):
 
 
 def _current_reconstruct(views, graph):
-    return [quotient_from_view(views[v], graph.num_nodes, graph.layer_names) for v in graph.nodes]
+    return [quotient_from_view(views[v], graph.num_nodes) for v in graph.nodes]
 
 
 def _time_reconstruction(graph, rebuild):

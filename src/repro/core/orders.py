@@ -5,9 +5,9 @@ computing the *same* orders:
 
 * **views** — :meth:`repro.views.view_tree.ViewTree.compare` (canonical,
   construction-order independent);
-* **node order of a prime graph** — nodes sorted by their view aliases;
-  for quotient graphs produced by this library that is exactly the
-  integer class order, because classes are numbered canonically;
+* **node order of a prime graph** — nodes sorted by stable refinement
+  class: canonical and relabeling-invariant, but not the order of their
+  view aliases (the two differ on a greedily 2-hop colored C10);
 * **bit assignments** ``b : V -> {0,1}^t`` — by ``t`` first, then
   lexicographically on the tuple ``(b(w_1), ..., b(w_k))`` under the
   node order;
@@ -28,12 +28,12 @@ from repro.views.refinement import refinement_indices
 def canonical_node_order(graph: LabeledGraph) -> list[Node]:
     """The canonical total order on the nodes of a *prime* labeled graph.
 
-    Nodes are ordered by their canonical view aliases; since the graph is
-    prime, views are distinct (Lemma 4 / Corollary 1) and the order is
-    total.  Implemented via the stable refinement classes, whose
-    numbering is content-derived and therefore identical for isomorphic
-    graphs.  Raises :class:`DerandomizationError` if two nodes share a
-    class (graph not prime).
+    Nodes are ordered by their stable refinement class, numbered in
+    signature order; the graph is prime, so classes are distinct (Lemma 4
+    / Corollary 1) and the order is total.  The numbering is
+    content-derived, hence identical for isomorphic graphs, but it is not
+    the :meth:`ViewTree.compare` order of the nodes' aliases (they differ
+    on a greedy C10).  Raises :class:`DerandomizationError` if not prime.
     """
     csr, colors = refinement_indices(graph)
     num_classes = max(colors) + 1

@@ -10,11 +10,11 @@ solution while skipping the super-exponential candidate enumeration.
 What stays faithful to the paper's algorithm:
 
 * each node uses **only its own view** — :func:`quotient_from_view`
-  rebuilds ``I_*`` from a depth-``2n + 2`` view tree alone, and the
-  solver asserts all nodes reconstruct the identical canonical object
-  (the paper's "all nodes select the same simulation", Lemma 1);
+  rebuilds ``I_*`` from a depth-``2n + 2`` view tree alone, and every
+  distinct view must rebuild the *equal* numbered graph (the paper's
+  "all nodes select the same simulation", Lemma 1);
 * the simulation is selected by the same total order on assignments;
-* outputs are adopted from the node's alias in the quotient.
+* each node adopts the output of its own alias (its view's root).
 
 What is relaxed: the node-count ``n`` is read off the instance instead
 of being discovered through the candidate process (a node of A_* never
@@ -28,13 +28,15 @@ solvers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Sequence
 from typing import Any
 
 from repro.exceptions import DerandomizationError, ViewError
+from repro.factor.factorizing_map import FactorizingMap
 from repro.factor.quotient import QuotientResult
 from repro.graphs.coloring import is_two_hop_coloring
-from repro.graphs.encoding import encode_ordered_graph
+# Unused since rebuilds are compared by identity, but the benchmark
+# tracer (derandbench/tracer.py) wraps it at this import site.
+from repro.graphs.encoding import encode_ordered_graph  # noqa: F401
 from repro.graphs.labeled_graph import LabeledGraph, Node
 from repro.problems.problem import DistributedProblem
 from repro.runtime.algorithm import AnonymousAlgorithm
@@ -45,9 +47,7 @@ from repro.core.assignment_search import smallest_successful_assignment
 from repro.core.orders import canonical_node_order
 
 
-def quotient_from_view(
-    view: ViewTree, radius: int, layer_names: Sequence[str]
-) -> LabeledGraph:
+def quotient_from_view(view: ViewTree, radius: int) -> LabeledGraph:
     """Reconstruct the finite view graph from a single local view.
 
     ``view`` must have depth at least ``2 * radius``, where ``radius``
@@ -57,7 +57,8 @@ def quotient_from_view(
     subtrees of the view are the quotient's nodes; ``x ~ y`` iff ``y``'s
     truncation appears as a child of ``x``'s tree.
 
-    ``layer_names`` splits composed marks back into label layers.
+    Node ``i`` is the ``i``-th alias in :class:`ViewTree` order, so
+    agreeing views build equal graphs.
     """
     if radius < 1:
         raise ViewError(f"radius must be positive, got {radius}")
@@ -69,54 +70,42 @@ def quotient_from_view(
             f"view depth {view.depth} is too shallow to reconstruct a "
             f"radius-{radius} quotient (need >= {2 * radius})"
         )
-    # Collect the depth-`radius` truncations of all subtrees rooted at
-    # tree levels 1..radius; those vertices cover every node within
-    # distance radius - 1 >= diameter, i.e. every node of the graph.
-    # Traversal is deduplicated by interned subtree identity (the number
-    # of walk vertices is exponential; the number of distinct subtrees is
-    # not), tracking the smallest level each subtree was reached at so
-    # expansion depth is never underestimated.
-    aliases: list[ViewTree] = []
-    seen_alias: set = set()
-    best_level: dict[int, int] = {}
-    frontier: list[tuple[ViewTree, int]] = [(view, 1)]
-    while frontier:
-        tree, level = frontier.pop()
-        if best_level.get(id(tree), radius + 1) <= level:
-            continue
-        best_level[id(tree)] = level
-        alias = tree.truncate(radius)
-        if id(alias) not in seen_alias:
-            seen_alias.add(id(alias))
-            aliases.append(alias)
-        if level < radius:
-            for child in tree.children:
-                frontier.append((child, level + 1))
-
-    aliases.sort(key=lambda t: t.sort_key())
-    index = {id(alias): i for i, alias in enumerate(aliases)}
+    # The subtrees rooted at tree levels 1..radius cover every node
+    # within distance radius - 1 >= diameter, i.e. every node of the
+    # graph.  Walk them one level at a time, deduplicated by interned
+    # identity (walk vertices are exponential in the level; distinct
+    # subtrees are not).  A level-l subtree has depth view.depth - l + 1,
+    # so no subtree recurs at two levels.
+    level, trees = [view], [view]
+    for _ in range(radius - 1):
+        level = list(dict.fromkeys(child for tree in level for child in tree.children))
+        trees.extend(level)
+    aliases = sorted(
+        dict.fromkeys(tree.truncate(radius) for tree in trees), key=ViewTree.sort_key
+    )
+    index = {alias: i for i, alias in enumerate(aliases)}
 
     # Aliases keyed by their depth-(radius - 1) truncation (interned, so
     # identity is equality): each child lookup is one dict probe.
-    by_truncation: dict[int, list[ViewTree]] = {}
+    by_truncation: dict[ViewTree, list[ViewTree]] = {}
     for alias in aliases:
-        by_truncation.setdefault(id(alias.truncate(max(1, radius - 1))), []).append(alias)
+        by_truncation.setdefault(alias.truncate(max(1, radius - 1)), []).append(alias)
 
     edges: set = set()
     for alias in aliases:
-        my_index = index[id(alias)]
+        my_index = index[alias]
         for child in alias.children:
             # The child subtree has depth radius - 1; find the alias whose
             # truncation it is.  It is unique: aliases are distinct at
             # depth radius, and depth radius - 1 >= stabilization depth
             # still separates distinct L_∞ classes when radius > stab.
-            matches = by_truncation.get(id(child), ())
+            matches = by_truncation.get(child, ())
             if len(matches) != 1:
                 raise ViewError(
                     "quotient reconstruction is ambiguous at this radius; "
                     "increase the view depth/radius"
                 )
-            other_index = index[id(matches[0])]
+            other_index = index[matches[0]]
             if other_index == my_index:
                 raise ViewError(
                     "reconstructed quotient has a loop; the underlying "
@@ -124,15 +113,11 @@ def quotient_from_view(
                 )
             edges.add(frozenset((my_index, other_index)))
 
-    layers: dict[str, dict[int, Any]] = {name: {} for name in layer_names}
-    for alias in aliases:
-        mark = alias.mark
-        if not isinstance(mark, tuple) or len(mark) != len(layer_names):
-            raise ViewError(
-                f"view marks do not decompose into layers {layer_names!r}: {mark!r}"
-            )
-        for name, value in zip(layer_names, mark):
-            layers[name][index[id(alias)]] = value
+    layers: dict[str, dict[int, Any]] = {"input": {}, "color": {}}
+    for i, alias in enumerate(aliases):
+        if not isinstance(alias.mark, tuple) or len(alias.mark) != 2:
+            raise ViewError(f"view marks do not decompose into input and color: {alias.mark!r}")
+        layers["input"][i], layers["color"][i] = alias.mark
 
     return LabeledGraph(
         [tuple(sorted(e)) for e in edges],
@@ -150,7 +135,7 @@ class DerandomizationResult:
     outputs:
         The deterministic output labeling for the input instance.
     quotient:
-        The finite view graph machinery used (quotient graph + ``f_∞``).
+        The simulated quotient and the verified map ``f_∞`` to it.
     assignment:
         The selected bit assignment on the quotient (the simulation all
         nodes agreed on).
@@ -255,26 +240,39 @@ class PracticalDerandomizer(QuotientSolver):
 
     def solve(self, instance: LabeledGraph) -> DerandomizationResult:
         """Solve a Π^c instance; every node works from its own view only."""
-        # Resolved per call so a wrapper installed on the module sees it.
-        from repro.factor.quotient import finite_view_graph
-
         require_colored_instance(instance)
         working = instance.with_only_layers(["input", "color"])
         n = working.num_nodes
         views = all_views(working, 2 * n + 2)
 
-        # Per-node reconstruction + agreement check (Lemma 1 in action),
-        # once per distinct view (interned, so equal views are one key).
-        # Radius n + 1: aliases stay distinct one level above the
-        # stabilization depth, so their depth-n children still identify
-        # classes uniquely (Norris).
-        encodings: set = set()
-        for view in dict.fromkeys(views.values()):
-            rebuilt = quotient_from_view(view, n + 1, ("input", "color"))
-            encodings.add(encode_ordered_graph(rebuilt, canonical_node_order(rebuilt)))
-        if len(encodings) != 1:
+        # Every distinct view (interned: equal views are one key) rebuilds
+        # the quotient at radius n + 1, where aliases stay distinct one
+        # level above the stabilization depth (Norris).  Rebuilds are
+        # numbered in alias order, so agreement (Lemma 1) is equality.
+        rebuilds = dict.fromkeys(
+            quotient_from_view(view, n + 1) for view in dict.fromkeys(views.values())
+        )
+        if len(rebuilds) != 1:
             raise DerandomizationError(
                 "nodes reconstructed different quotients — canonicalization "
                 "is broken (this contradicts Lemma 1)"
             )
-        return self.solve_on_quotient(working, finite_view_graph(working))
+        (rebuilt,) = rebuilds
+
+        # Renumber the agreed rebuild once into the canonical node order
+        # the search keys on (not the alias order: they differ on a greedy
+        # C10), and lift each node through its own alias, its view's root.
+        rank = {node: i for i, node in enumerate(canonical_node_order(rebuilt))}
+        layers = {name: rebuilt.layer(name) for name in ("input", "color")}
+        quotient = LabeledGraph(
+            [(rank[u], rank[w]) for u, w in rebuilt.edges()],
+            nodes=range(rebuilt.num_nodes),
+            layers={name: {rank[u]: x for u, x in layer.items()} for name, layer in layers.items()},
+        )
+        own_alias = {v: views[v].truncate(n + 1) for v in working.nodes}
+        aliases = sorted(dict.fromkeys(own_alias.values()), key=ViewTree.sort_key)
+        position = {alias: rank[i] for i, alias in enumerate(aliases)}
+        own = {v: position[alias] for v, alias in own_alias.items()}
+        return self.solve_on_quotient(
+            working, QuotientResult(quotient, FactorizingMap(working, quotient, own))
+        )

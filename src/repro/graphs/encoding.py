@@ -56,9 +56,9 @@ def canonical_encoding(graph: LabeledGraph) -> str:
     """The minimal encoding over all node orderings — a canonical form.
 
     Exhaustive over orderings, so intended for the small graphs the
-    faithful A* machinery manipulates (quotients are tiny); the practical
-    derandomizer orders nodes by their canonical views instead and calls
-    :func:`encode_ordered_graph` directly.
+    faithful A* machinery manipulates (quotients are tiny); on prime
+    graphs :func:`repro.core.orders.finite_view_graph_sort_key` encodes
+    in the polynomial canonical node order instead.
 
     Uses label-class pruning: only orderings consistent with a stable
     partition by (label, degree) can be minimal, which keeps the search

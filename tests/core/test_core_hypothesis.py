@@ -40,7 +40,7 @@ def test_quotient_from_view_matches_centralized(params, fiber):
     graph, _ = lift_graph(base, fiber, seed=seed) if fiber > 1 else (base, None)
     total = graph.num_nodes
     tree = view(graph, graph.nodes[0], 2 * (total + 1))
-    rebuilt = quotient_from_view(tree, total + 1, ("input", "color"))
+    rebuilt = quotient_from_view(tree, total + 1)
     central = finite_view_graph(graph)
     assert are_isomorphic(rebuilt, central.graph)
 

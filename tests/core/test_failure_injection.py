@@ -110,6 +110,44 @@ class TestReplayFailure:
             factory().solve(instance)
 
 
+def _permuted(graph):
+    """The same graph with node ids rotated: isomorphic, not equal."""
+    k = graph.num_nodes
+    return graph.relabel_nodes({i: (i + 1) % k for i in graph.nodes})
+
+
+def _edge_dropped(graph):
+    """The graph minus its first edge: not even isomorphic."""
+    return LabeledGraph(
+        list(graph.edges())[1:],
+        nodes=graph.nodes,
+        layers={name: graph.layer(name) for name in graph.layer_names},
+    )
+
+
+class TestDivergentReconstruction:
+    @pytest.mark.parametrize(
+        "mutate", [_permuted, _edge_dropped], ids=["isomorphic", "edge-dropped"]
+    )
+    def test_divergent_reconstruction_rejected(self, mutate, monkeypatch):
+        """Every distinct view must rebuild the *equal* numbered quotient
+        (Lemma 1); one divergent rebuild, even an isomorphic one, raises."""
+        original = practical_module.quotient_from_view
+        rebuilds = []
+
+        def divergent(view, radius):
+            rebuilt = original(view, radius)
+            rebuilds.append(rebuilt)
+            return rebuilt if len(rebuilds) == 1 else mutate(rebuilt)
+
+        monkeypatch.setattr(practical_module, "quotient_from_view", divergent)
+        instance = colored(with_uniform_input(cycle_graph(3)))
+        solver = PracticalDerandomizer(MISProblem(), AnonymousMISAlgorithm())
+        with pytest.raises(DerandomizationError, match="reconstructed different quotients"):
+            solver.solve(instance)
+        assert len(rebuilds) == 3  # one per distinct view of the prime C3
+
+
 class _NeverTerminates(AnonymousAlgorithm):
     """A fake 'Las-Vegas' algorithm that never outputs: the searches must
     hit their budgets instead of hanging."""

@@ -11,6 +11,7 @@ from repro.core.orders import (
     view_order_of_nodes,
 )
 from repro.exceptions import DerandomizationError
+from repro.factor.quotient import finite_view_graph
 from repro.graphs.builders import cycle_graph, path_graph, with_uniform_input
 from repro.graphs.coloring import apply_two_hop_coloring, greedy_two_hop_coloring
 
@@ -37,6 +38,18 @@ class TestNodeOrder:
         g = with_uniform_input(cycle_graph(4))  # all views equal
         with pytest.raises(DerandomizationError, match="prime"):
             canonical_node_order(g)
+
+    def test_order_is_not_the_alias_order(self):
+        """The canonical order is the refinement signature order, not the
+        ViewTree order of the nodes' aliases: on a greedily 2-hop colored
+        C10 the two differ, which is why the practical solve renumbers its
+        alias-ordered reconstruction."""
+        quotient = finite_view_graph(colored(with_uniform_input(cycle_graph(10))))
+        nodes = quotient.graph.nodes
+        by_alias = sorted(nodes, key=lambda c: quotient.views[c].sort_key())
+        order = canonical_node_order(quotient.graph)
+        assert sorted(order) == sorted(by_alias) == list(nodes)
+        assert by_alias != order
 
     def test_positions(self):
         g = colored(with_uniform_input(path_graph(3)))
