@@ -24,19 +24,23 @@ test:  ## tier-1 test suite
 bench-selftest:  ## derandbench self-tests: expected digests and the golden file
 	$(PYTHON) -m pytest derandbench -q
 
-bench-smoke:  ## one 1 s search-workload benchmark run: fails unless every op is correct
+BENCH_SMOKE_CHECK := import json, sys; lines = open(sys.argv[1]).read().splitlines(); \
+	result = json.loads(lines[-1]); print(lines[-1]); \
+	sys.exit(0 if result["correct"] is True and result["failed"] == 0 else "bench-smoke: an op failed")
+
+bench-smoke:  ## 1 s runs of the search and reconstruct (prg) workloads: fails unless every op is correct
 	@mkdir -p $(OUT_DIR)
 	$(PYTHON) derandbench/run.py --workload search --seed 7 --seconds 1 --trace 0 \
 		> $(OUT_DIR)/bench-smoke.log
-	$(PYTHON) -c 'import json, sys; lines = open(sys.argv[1]).read().splitlines(); \
-		result = json.loads(lines[-1]); print(lines[-1]); \
-		sys.exit(0 if result["correct"] is True and result["failed"] == 0 else "bench-smoke: an op failed")' \
-		$(OUT_DIR)/bench-smoke.log
+	$(PYTHON) -c '$(BENCH_SMOKE_CHECK)' $(OUT_DIR)/bench-smoke.log
+	$(PYTHON) derandbench/run.py --workload reconstruct --seed 7 --seconds 1 --trace 0 \
+		> $(OUT_DIR)/bench-smoke-reconstruct.log
+	$(PYTHON) -c '$(BENCH_SMOKE_CHECK)' $(OUT_DIR)/bench-smoke-reconstruct.log
 
 perf:  ## rewrite the benchmarks/BENCH_views.json perf baseline
 	$(PYTHON) benchmarks/run_perf_suite.py
 
-perf-smoke:  ## quick perf gate: cold views within 2x of the baseline; live floors: reconstruct >=5x, search >=16x (+ dynamic, artifacts)
+perf-smoke:  ## quick perf gate: cold views within 2x of the baseline; live floors: reconstruct >=5x, lexicographic search >=16x, prg search >=1.7x (+ dynamic, artifacts)
 	$(PYTHON) benchmarks/run_perf_suite.py --quick --check $(PERF_SMOKE_FLAGS)
 
 smoke:  ## differential gates: faults, churn, hash seed, cold/warm artifacts (repro.experiments.gates)

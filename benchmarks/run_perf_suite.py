@@ -75,6 +75,7 @@ from repro.artifacts.specs import (  # noqa: E402
 )
 from repro.artifacts.store import ArtifactStore  # noqa: E402
 from repro.core.assignment_search import (  # noqa: E402
+    TRIALS_PER_LENGTH,
     enumerate_extensions,
     smallest_successful_assignment,
 )
@@ -171,8 +172,18 @@ RECONSTRUCT_SPEEDUP_FLOORS = {"reconstruct_cycle/64": 5.0}
 # The coloring is not periodic, so the quotient keeps all six nodes.
 # Measured 21.0-27.0x over 10 runs on a 2-vCPU Linux container (CPython
 # 3.11); the floor is under 80% of the lowest measurement.
+#
+# The second case is a prg search, the ``reconstruct`` workload's kind:
+# MIS on the view quotient of a random connected 48-node graph under its
+# greedy 2-hop coloring (every view distinct, so all 48 nodes stay), 128
+# failed trials of length 4 and then length 8.  Its reference runs every
+# trial from round 0 through ``execute``; the current search plays them
+# as lookups in its interned round kernel.  Both must pick the same
+# assignment with identical engine counts.  Measured 2.1-3.1x over 10
+# runs on the same container; the floor is under 80% of the lowest.
 SEARCH_COLORING = (0, 1, 2, 0, 1, 3)
-SEARCH_SPEEDUP_FLOORS = {"search_mis_cycle/6": 16.0}
+PRG_SEARCH_N = 48
+SEARCH_SPEEDUP_FLOORS = {"search_mis_cycle/6": 16.0, "search_prg_mis_random/48": 1.7}
 
 
 def _colored(graph):
@@ -679,60 +690,117 @@ def _reference_search(algorithm, graph, node_order):
     raise RuntimeError("reference search found no assignment")
 
 
-def run_search_benches(repeats: int) -> dict:
-    """Lexicographic assignment search vs the embedded pre-change kernel
-    pieces: MIS on the simulation graph of the view quotient of C6 under
-    ``SEARCH_COLORING``, in its canonical node order (as
-    ``PracticalDerandomizer`` searches it).
+def _reference_prg_search(algorithm, graph, node_order):
+    """The prg search with every trial replayed from round 0 through
+    ``execute``, as it ran before its trials became memo lookups."""
+    empty = {v: "" for v in node_order}
+    target_length = 4
+    while target_length <= 128:
+        for assignment in enumerate_extensions(
+            empty,
+            node_order,
+            target_length,
+            strategy="prg",
+            prg_seed=target_length,
+            limit=TRIALS_PER_LENGTH,
+        ):
+            if execute(algorithm, graph, assignment=assignment).successful:
+                return assignment
+        target_length *= 2
+    raise RuntimeError("reference prg search found no assignment")
 
-    Both sides must choose the same assignment with the same number of
-    executions; the current side, which continues each trial from the
-    end state of its failed prefix trial and shares that prefix's round
-    across its trials, must simulate strictly fewer rounds, messages and
-    bits than the replaying reference.
-    """
-    n = len(SEARCH_COLORING)
-    cycle = with_uniform_input(cycle_graph(n))
-    quotient = finite_view_graph(apply_two_hop_coloring(cycle, dict(enumerate(SEARCH_COLORING))))
-    graph = quotient.graph.with_only_layers(["input"])
-    algorithm, order = AnonymousMISAlgorithm(), canonical_node_order(quotient.graph)
-    samples_per_side = min(repeats, 3)  # each side takes about a second
-    current, reference = [], []
+
+def _search_row(bench, graph, search, reference, same_work, samples_per_side) -> dict:
+    """Time ``search()`` against ``reference()`` back to back; both must
+    return the same assignment, with engine counts ``same_work`` accepts."""
+    current_s, reference_s = [], []
     for _ in range(samples_per_side):
         with collect_engine_metrics() as totals:
             start = time.perf_counter()
-            chosen = smallest_successful_assignment(algorithm, graph, order)
-            current.append(time.perf_counter() - start)
+            chosen = search()
+            current_s.append(time.perf_counter() - start)
         with collect_engine_metrics() as reference_totals:
             start = time.perf_counter()
-            reference_chosen = _reference_search(algorithm, graph, order)
-            reference.append(time.perf_counter() - start)
+            reference_chosen = reference()
+            reference_s.append(time.perf_counter() - start)
         counts = totals.as_dict(include_wall=False)
         replayed = reference_totals.as_dict(include_wall=False)
-        if (
-            reference_chosen != chosen
-            or replayed["executions"] != counts["executions"]
-            or any(counts[k] >= replayed[k] for k in ("rounds", "messages_sent", "bits_drawn"))
-        ):
-            raise RuntimeError(f"search_mis_cycle/{n}: reference search differs")
-    current_best, reference_best = min(current), min(reference)
-    row = {
-        "bench": "search_mis_cycle",
-        "n": n,
+        if reference_chosen != chosen or not same_work(counts, replayed):
+            raise RuntimeError(f"{bench}/{graph.num_nodes}: reference search differs")
+    current_best, reference_best = min(current_s), min(reference_s)
+    return {
+        "bench": bench,
+        "n": graph.num_nodes,
         "counts": counts,
         "current": {
             "best_s": current_best,
-            "median_s": statistics.median(current),
+            "median_s": statistics.median(current_s),
             "repeats": samples_per_side,
         },
         "reference": {
             "best_s": reference_best,
-            "median_s": statistics.median(reference),
+            "median_s": statistics.median(reference_s),
             "repeats": samples_per_side,
         },
         "speedup": round(reference_best / current_best, 2),
     }
-    return {"speedup_floors": SEARCH_SPEEDUP_FLOORS, "rows": [row]}
+
+
+def _quotient_search_input(graph, coloring):
+    """The simulation graph and canonical node order of the view quotient
+    of ``graph`` under ``coloring`` (as ``PracticalDerandomizer`` searches it)."""
+    quotient = finite_view_graph(apply_two_hop_coloring(graph, coloring))
+    return quotient.graph.with_only_layers(["input"]), canonical_node_order(quotient.graph)
+
+
+def run_search_benches(repeats: int) -> dict:
+    """Assignment searches vs embedded replaying references.
+
+    The lexicographic search (MIS on the view quotient of C6 under
+    ``SEARCH_COLORING``) runs against the pre-change kernel pieces: the
+    same assignment with the same number of executions, the current side
+    simulating strictly fewer rounds, messages and bits (it continues
+    each trial from the end state of its failed prefix trial and shares
+    that prefix's round across its trials).  The prg search (MIS on the
+    view quotient of a random connected ``PRG_SEARCH_N``-node graph) runs
+    against the loop that replays every trial through ``execute``: the
+    same assignment with identical engine counts.
+    """
+    samples_per_side = min(repeats, 3)  # each side takes under a second
+    algorithm = AnonymousMISAlgorithm()
+
+    def fewer_rounds(counts, replayed):
+        return replayed["executions"] == counts["executions"] and all(
+            counts[k] < replayed[k] for k in ("rounds", "messages_sent", "bits_drawn")
+        )
+
+    cycle = with_uniform_input(cycle_graph(len(SEARCH_COLORING)))
+    graph, order = _quotient_search_input(cycle, dict(enumerate(SEARCH_COLORING)))
+    lexicographic = _search_row(
+        "search_mis_cycle",
+        graph,
+        lambda: smallest_successful_assignment(algorithm, graph, order),
+        lambda: _reference_search(algorithm, graph, order),
+        fewer_rounds,
+        samples_per_side,
+    )
+    random_graph = with_uniform_input(
+        random_connected_graph(PRG_SEARCH_N, 1.5 / PRG_SEARCH_N, seed=1)
+    )
+    prg_graph, prg_order = _quotient_search_input(
+        random_graph, greedy_two_hop_coloring(random_graph)
+    )
+    prg = _search_row(
+        "search_prg_mis_random",
+        prg_graph,
+        lambda: smallest_successful_assignment(
+            algorithm, prg_graph, prg_order, strategy="prg", max_length=128
+        ),
+        lambda: _reference_prg_search(algorithm, prg_graph, prg_order),
+        lambda counts, replayed: counts == replayed,
+        samples_per_side,
+    )
+    return {"speedup_floors": SEARCH_SPEEDUP_FLOORS, "rows": [lexicographic, prg]}
 
 
 def run_suite(quick: bool, repeats: int) -> dict:
@@ -882,8 +950,10 @@ def run_suite(quick: bool, repeats: int) -> dict:
         # 11 = the current search shares each failed prefix's round
         # across its trials (same checks, higher floor); 12 = plain
         # ``bfs_csr_distance`` and ``canonical_encoding`` rows in
-        # ``results`` (no floor).
-        "schema": 12,
+        # ``results`` (no floor); 13 = a prg ``search`` row against the
+        # loop that replays every trial through ``execute`` (same
+        # assignment and identical engine counts, with a live floor).
+        "schema": 13,
         "suite": "views-perf",
         "quick": quick,
         "machine": {

@@ -26,9 +26,12 @@ from collections.abc import Iterator, Mapping, Sequence
 from repro.exceptions import DerandomizationError
 from repro.graphs.labeled_graph import LabeledGraph, Node
 from repro.runtime.algorithm import AnonymousAlgorithm
-from repro.runtime.engine import ambient_context_active, execute, fork
+from repro.runtime.engine import TrialMemo, ambient_context_active, execute, fork
 
 Assignment = dict[Node, str]
+
+# A prg search tries this many assignments of each length.
+TRIALS_PER_LENGTH = 128
 
 
 class SearchBudgetExceeded(DerandomizationError):
@@ -115,6 +118,7 @@ def smallest_successful_extension(
     length succeeds.  Raises :class:`SearchBudgetExceeded` when the
     budget runs out with candidates still untried."""
     _check_node_order(graph, node_order)
+    memo = TrialMemo(algorithm, graph)
     tried = 0
     exhausted = True
     for assignment in enumerate_extensions(
@@ -124,8 +128,7 @@ def smallest_successful_extension(
             exhausted = False
             break
         tried += 1
-        result = execute(algorithm, graph, assignment=assignment)
-        if result.successful:
+        if _successful(memo, assignment):
             return assignment
     if not exhausted:
         raise SearchBudgetExceeded(
@@ -205,6 +208,16 @@ def smallest_successful_assignment(
     )
 
 
+def _successful(memo: TrialMemo, assignment: Assignment) -> bool:
+    """Whether the simulation induced by ``assignment`` succeeds: a memo
+    trial, or a replay through :func:`execute` where the memo cannot
+    play it."""
+    outcome = memo.run(assignment)
+    if outcome is None:
+        outcome = execute(memo.algorithm, memo.graph, assignment=assignment).successful
+    return outcome
+
+
 def _check_node_order(graph: LabeledGraph, node_order: Sequence[Node]) -> None:
     """Reject a search order that is not a permutation of the nodes."""
     order = list(node_order)
@@ -229,10 +242,10 @@ class _PrefixMemo:
     (:func:`~repro.runtime.engine.fork`), so a trial looks up each
     node's transition on its own new bits.  A length that funds no new
     round continues the same snapshots with no round to run.  Per-node
-    states are interned by value, so the many snapshots that share a
-    node's state share one object; the purity contract of
-    :class:`~repro.runtime.algorithm.AnonymousAlgorithm` makes the
-    sharing safe.
+    states are interned by value in one memo per length, so the many
+    snapshots that share a node's state share one object; the purity
+    contract of :class:`~repro.runtime.algorithm.AnonymousAlgorithm`
+    makes the sharing safe.
     """
 
     def __init__(
@@ -251,9 +264,9 @@ class _PrefixMemo:
         ``target_length``: the same trials in the same order, each
         absorbed as one execution.  Lengths must come as ``1, 2, 3, ...``,
         each after the previous one failed."""
-        algorithm, graph, order = self._algorithm, self._graph, self._order
+        order = self._order
         n = len(order)
-        per_round = algorithm.bits_per_round
+        per_round = self._algorithm.bits_per_round
         rounds = target_length // per_round if per_round else 0
         new_round = rounds > self._rounds
         kept = self._rounds * per_round  # bits per node behind the snapshots
@@ -269,7 +282,7 @@ class _PrefixMemo:
         snapshots = self._snapshots
         forks: list = [None] * len(snapshots)
         fresh: list[tuple | None] = []
-        interned: dict = {}
+        memo = TrialMemo(self._algorithm, self._graph)
         try:
             for index in range(min(space, budget)):
                 key = 0
@@ -277,9 +290,7 @@ class _PrefixMemo:
                     key = (key << kept) | ((index >> shift) & kept_mask)
                 branches = forks[key]
                 if branches is None:
-                    branches = forks[key] = fork(
-                        algorithm, graph, snapshots[key], self._rounds, interned
-                    )
+                    branches = forks[key] = fork(memo, snapshots[key], self._rounds)
                 if new_round:
                     chunks = [(index >> shift) & free_mask for shift in chunk_shifts]
                     decided, states = branches.extend(chunks)
@@ -311,9 +322,9 @@ def _prg_assignment_search(
     node_order: Sequence[Node],
     max_length: int,
     budget: int,
-    trials_per_length: int = 128,
 ) -> Assignment:
     empty: dict[Node, str] = {v: "" for v in node_order}
+    memo = TrialMemo(algorithm, graph)
     tried = 0
     target_length = 4
     while target_length <= max_length:
@@ -323,14 +334,14 @@ def _prg_assignment_search(
             target_length,
             strategy="prg",
             prg_seed=target_length,
-            limit=trials_per_length,
+            limit=TRIALS_PER_LENGTH,
         ):
             if tried >= budget:
                 raise SearchBudgetExceeded(
                     f"prg assignment search exceeded its budget of {budget} trials"
                 )
             tried += 1
-            if execute(algorithm, graph, assignment=assignment).successful:
+            if _successful(memo, assignment):
                 return assignment
         target_length *= 2
     raise DerandomizationError(

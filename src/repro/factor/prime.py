@@ -8,9 +8,11 @@ example is the uncolored 12-cycle, whose prime factors are the 3-cycle
 and the 4-cycle.  :func:`prime_factors` reproduces exactly that.
 
 Factor enumeration is exhaustive over fiber partitions and therefore
-meant for small graphs (the paper-scale examples); it exploits Fact 1 —
-nodes sharing a fiber share their infinite view — to restrict blocks to
-view-equivalence classes.
+meant for small graphs (the paper-scale examples).  It restricts blocks
+to view-equivalence classes by Fact 1 (nodes sharing a fiber share their
+infinite view), and to 2-hop independent sets because a factorizing map
+is a local isomorphism: no two nodes of a fiber are adjacent or share a
+neighbour.
 """
 
 from __future__ import annotations
@@ -91,8 +93,10 @@ def _equal_size_partitions(
     graph: LabeledGraph, classes: Mapping[Node, int], fiber_size: int
 ) -> list[list[tuple[Node, ...]]]:
     """All partitions of the node set into blocks of exactly ``fiber_size``
-    nodes, where every block stays inside one view class (Fact 1)."""
+    nodes, where every block stays inside one view class (Fact 1) and is
+    2-hop independent (a fiber of a local isomorphism)."""
     nodes = list(graph.nodes)
+    within_two_hops = {v: set(graph.nodes_within(v, 2)) for v in nodes}
     partitions: list[list[tuple[Node, ...]]] = []
     blocks: list[list[Node]] = []
 
@@ -107,8 +111,13 @@ def _equal_size_partitions(
         rest = remaining[1:]
         # Join an open block (only the lexicographically first unassigned
         # node may open a block, which avoids generating permutations).
+        near = within_two_hops[first]
         for block in blocks:
-            if len(block) < fiber_size and classes[block[0]] == classes[first]:
+            if (
+                len(block) < fiber_size
+                and classes[block[0]] == classes[first]
+                and near.isdisjoint(block)
+            ):
                 block.append(first)
                 backtrack(rest)
                 block.pop()
@@ -124,21 +133,16 @@ def _partition_to_factor(
     graph: LabeledGraph, partition: list[tuple[Node, ...]]
 ) -> FactorizingMap | None:
     """Build and verify the quotient of ``graph`` by ``partition``;
-    ``None`` when the partition does not induce a factor."""
+    ``None`` when the partition does not induce a factor.  The blocks are
+    2-hop independent, so the quotient has no loops and the projection
+    is injective on every neighbourhood."""
     block_of: dict[Node, int] = {}
     for index, block in enumerate(partition):
         for v in block:
             block_of[v] = index
-    edges: set = set()
-    for v in graph.nodes:
-        b = block_of[v]
-        neighbor_blocks = [block_of[u] for u in graph.neighbors(v)]
-        if b in neighbor_blocks:
-            return None  # would need a loop
-        if len(set(neighbor_blocks)) != len(neighbor_blocks):
-            return None  # projection not locally injective
-        for d in neighbor_blocks:
-            edges.add(frozenset((b, d)))
+    edges = {
+        frozenset((block_of[v], block_of[u])) for v in graph.nodes for u in graph.neighbors(v)
+    }
     layers = {
         name: {index: graph.label_of(block[0], name) for index, block in enumerate(partition)}
         for name in graph.layer_names

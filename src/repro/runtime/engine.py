@@ -656,12 +656,19 @@ def _assignment_tapes(
 ) -> tuple[dict[Node, BitSource], int]:
     """Each node's tape replaying its bits of ``assignment``, and the
     number of rounds the shortest of them funds."""
+    rounds = _funded_rounds(algorithm, graph, assignment)
+    tapes: dict[Node, BitSource] = {v: FixedTape(assignment[v]) for v in graph.nodes}
+    return tapes, rounds
+
+
+def _funded_rounds(algorithm: Any, graph: LabeledGraph, assignment: Mapping[Node, str]) -> int:
+    """The rounds ``l = min_v floor(|b(v)| / bits_per_round)`` that
+    ``assignment``, which must cover every node, funds."""
     missing = [v for v in graph.nodes if v not in assignment]
     if missing:
         raise SimulationError(f"assignment does not cover nodes {missing!r}")
     bits_per_round = _induced_bits_per_round(algorithm)
-    tapes: dict[Node, BitSource] = {v: FixedTape(assignment[v]) for v in graph.nodes}
-    return tapes, min(len(assignment[v]) // bits_per_round for v in graph.nodes)
+    return min(len(assignment[v]) // bits_per_round for v in graph.nodes)
 
 
 def execute(
@@ -774,6 +781,194 @@ def ambient_context_active() -> bool:
     )
 
 
+def _absorb_all(
+    executions: int, rounds: int, messages_sent: int, bits_drawn: int,
+    nodes_decided: int, wall_s: float,
+) -> None:
+    """Hand executions that ran outside :meth:`ExecutionEngine.run` to
+    every active collector."""
+    for collector in _COLLECTORS:
+        collector.executions += executions
+        collector.rounds += rounds
+        collector.messages_sent += messages_sent
+        collector.bits_drawn += bits_drawn
+        collector.nodes_decided += nodes_decided
+        collector.wall_s += wall_s
+
+
+class _NotInternable(Exception):
+    """A state or message of a memo trial cannot be interned."""
+
+
+_UNSET = object()  # an output not computed yet
+
+# A trial memo is cleared between trials once it holds more than this
+# many transitions per node: a trial's reuse is almost all in its first
+# rounds, and the later rounds' transitions are rarely met again.
+_TRANSITIONS_PER_NODE = 128
+
+
+class TrialMemo:
+    """The interned round kernel of one assignment search.
+
+    Every trial of a search is a simulation induced by an assignment
+    (Section 2.2) on one graph, and the purity contract of
+    :class:`~repro.runtime.algorithm.AnonymousAlgorithm` makes a node's
+    next state a function of its state, its inbox and its bits, with
+    equal states behaving alike.  The memo interns:
+
+    * states by value; each state caches its message and output;
+    * messages by their sort key, the canonical order key of delivery,
+      computed once per state.  A message stands for one value and one
+      delivery class (``True`` and ``1`` have different keys); two
+      unequal messages with one key cannot be interned;
+    * transitions by ``(state id, bits, *inbox keys)``, the keys sorted,
+      which is the order delivery hands the inbox over in.
+
+    :meth:`run` plays a trial as a loop of lookups; a miss calls the
+    algorithm on the real state and inbox.  :func:`fork` interns the
+    states of its continuations in a memo's state table (:meth:`intern`).
+
+    Reuse is almost all in a trial's first rounds, so the memo is
+    cleared between trials once it holds more than 128 transitions per
+    node of the graph.
+    """
+
+    def __init__(self, algorithm: Any, graph: LabeledGraph) -> None:
+        self.algorithm = algorithm
+        self.graph = graph
+        position = {v: index for index, v in enumerate(graph.nodes)}
+        self._neighbors = [tuple(position[u] for u in graph.neighbors(v)) for v in graph.nodes]
+        # Port inboxes are indexed by port, not sorted: those trials replay.
+        self._replays = type(_infer_delivery(algorithm)) is not BroadcastDelivery
+        self._clear()
+
+    def _clear(self) -> None:
+        self._state_ids: dict[Any, int] = {}
+        self._states: list[Any] = []
+        self._key_of: list[str | None] = []  # each state's message key
+        self._output_of: list[Any] = []
+        self._messages: dict[str, Any] = {}  # sort key -> message
+        self._transitions: dict[tuple, int] = {}
+        self._initial: list[int] | None = None
+
+    def intern(self, state: Any) -> Any:
+        """The first state interned equal to ``state`` (``state`` itself
+        when it is new or unhashable)."""
+        try:
+            return self._states[self._state_id(state)]
+        except _NotInternable:
+            return state
+
+    def run(self, assignment: Mapping[Node, str]) -> bool | None:
+        """Whether the simulation induced by ``assignment`` succeeds,
+        reported to every active collector as one execution with the
+        counts :func:`execute` reports; it raises what :func:`execute`
+        raises.  The trial is untraced and hook-free.
+
+        ``None`` (nothing reported) when the memo cannot play it: a fault
+        injection or churn context is active, the algorithm is not a
+        broadcast one, or a state or message turns out not internable,
+        after which every later call returns ``None`` too.  Run such
+        trials through :func:`execute`."""
+        if self._replays or ambient_context_active():
+            return None
+        start = _wall_clock()
+        graph = self.graph
+        limit = _funded_rounds(self.algorithm, graph, assignment)
+        bits = [assignment[v] for v in graph.nodes]
+        for string in bits:
+            if string.strip("01"):
+                FixedTape(string)  # raises the tape's error for this bitstring
+        if len(self._transitions) > _TRANSITIONS_PER_NODE * graph.num_nodes:
+            self._clear()
+        try:
+            rounds, decided = self._play(bits, limit)
+        except _NotInternable:
+            self._replays = True
+            self._clear()
+            return None
+        n = graph.num_nodes
+        _absorb_all(
+            1, rounds, rounds * graph._run_plan()[1],
+            rounds * self.algorithm.bits_per_round * n, decided, _wall_clock() - start,
+        )
+        return decided == n
+
+    def _play(self, bits: list[str], limit: int) -> tuple[int, int]:
+        """``(rounds, decided nodes)`` of one trial, in the kernel's
+        order: every message of a round before any transition, and every
+        transition before any output."""
+        if self._initial is None:
+            init_state = self.algorithm.init_state
+            self._initial = [
+                self._state_id(init_state(label, degree))
+                for _v, label, degree in self.graph._run_plan()[0]
+            ]
+        sids = self._initial
+        key_of, output_of, transitions = self._key_of, self._output_of, self._transitions
+        outputs = [output_of[s] if output_of[s] is not _UNSET else self._output(s) for s in sids]
+        n = len(sids)
+        decided = n - sum([value is None for value in outputs])
+        per_round = self.algorithm.bits_per_round
+        rounds = 0
+        while decided < n and rounds < limit:
+            keys = [key_of[s] or self._message_key(s) for s in sids]
+            low = rounds * per_round
+            high = low + per_round
+            new = []
+            for sid, neighbors, string in zip(sids, self._neighbors, bits):
+                key = (sid, string[low:high], *sorted([keys[u] for u in neighbors]))
+                target = transitions.get(key)
+                new.append(target if target is not None else self._transition(key))
+            sids = new
+            rounds += 1
+            for index, sid in enumerate(sids):
+                value = output_of[sid]
+                if value is _UNSET:
+                    value = self._output(sid)
+                before = outputs[index]
+                if before is None:
+                    if value is not None:
+                        outputs[index] = value
+                        decided += 1
+                elif value is None or value != before:
+                    raise _output_changed(self.graph.nodes[index], before, value, rounds)
+        return rounds, decided
+
+    def _state_id(self, state: Any) -> int:
+        try:
+            sid = self._state_ids.get(state)
+        except TypeError:  # unhashable
+            raise _NotInternable from None
+        if sid is None:
+            sid = self._state_ids[state] = len(self._states)
+            self._states.append(state)
+            self._key_of.append(None)
+            self._output_of.append(_UNSET)
+        return sid
+
+    def _message_key(self, sid: int) -> str:
+        message = self.algorithm.message(self._states[sid])
+        key = self._key_of[sid] = _message_sort_key(message)
+        known = self._messages.setdefault(key, message)
+        if known is not message and known != message:
+            raise _NotInternable  # unequal messages in one place of the order
+        return key
+
+    def _output(self, sid: int) -> Any:
+        value = self._output_of[sid] = self.algorithm.output(self._states[sid])
+        return value
+
+    def _transition(self, key: tuple) -> int:
+        messages = self._messages
+        state = self.algorithm.transition(
+            self._states[key[0]], tuple([messages[k] for k in key[2:]]), key[1]
+        )
+        target = self._transitions[key] = self._state_id(state)
+        return target
+
+
 class Branches:
     """The one-round continuations of one snapshot of a simulation
     induced by an assignment (see :func:`fork`).
@@ -790,29 +985,20 @@ class Branches:
     """
 
     __slots__ = (
-        "_algorithm", "_graph", "_per_round", "_states", "_rounds", "_interned",
+        "_memo", "_per_round", "_states", "_rounds",
         "_outputs", "_decided", "_inboxes", "_table",
         "_executions", "_extended", "_nodes_decided", "_wall_s",
     )
 
-    def __init__(
-        self,
-        algorithm: Any,
-        graph: LabeledGraph,
-        states: Sequence[Any] | None,
-        rounds: int,
-        interned: dict,
-    ) -> None:
-        self._algorithm = algorithm
-        self._graph = graph
-        self._per_round = _induced_bits_per_round(algorithm)
-        if states is not None and len(states) != graph.num_nodes:
+    def __init__(self, memo: TrialMemo, states: Sequence[Any] | None, rounds: int) -> None:
+        self._memo = memo
+        self._per_round = _induced_bits_per_round(memo.algorithm)
+        if states is not None and len(states) != memo.graph.num_nodes:
             raise RuntimeModelError(
-                f"snapshot has {len(states)} states for {graph.num_nodes} nodes"
+                f"snapshot has {len(states)} states for {memo.graph.num_nodes} nodes"
             )
         self._states: tuple[Any, ...] | None = None if states is None else tuple(states)
         self._rounds = rounds
-        self._interned = interned
         self._outputs: list[Any] | None = None  # the snapshot's, in node order
         self._decided = 0
         self._inboxes: list[tuple[Any, ...]] | None = None
@@ -854,26 +1040,26 @@ class Branches:
         """Hand every continuation since the last call to every active
         collector, each as one execution of the rounds it ran."""
         rounds = self._extended
-        messages = rounds * self._graph._run_plan()[1]
-        bits = rounds * self._per_round * len(self._table)
-        for collector in _COLLECTORS:
-            collector.executions += self._executions
-            collector.rounds += rounds
-            collector.messages_sent += messages
-            collector.bits_drawn += bits
-            collector.nodes_decided += self._nodes_decided
-            collector.wall_s += self._wall_s
+        _absorb_all(
+            self._executions,
+            rounds,
+            rounds * self._memo.graph._run_plan()[1],
+            rounds * self._per_round * len(self._table),
+            self._nodes_decided,
+            self._wall_s,
+        )
         self._executions = self._extended = self._nodes_decided = 0
         self._wall_s = 0.0
 
     def _settle(self) -> None:
         """The snapshot's states (the initial ones by default) and outputs."""
         start = _wall_clock()
-        plan = self._graph._run_plan()[0]
+        algorithm = self._memo.algorithm
+        plan = self._memo.graph._run_plan()[0]
         if self._states is None:
-            init_state = self._algorithm.init_state
+            init_state = algorithm.init_state
             self._states = tuple([init_state(label, degree) for _v, label, degree in plan])
-        output = self._algorithm.output
+        output = algorithm.output
         self._outputs = [output(state) for state in self._states]
         self._decided = sum([value is not None for value in self._outputs])
         self._table = [{} for _ in plan]
@@ -884,8 +1070,8 @@ class Branches:
         the kernel's order: every transition of the round before any
         output."""
         start = _wall_clock()
-        algorithm, graph, states, table = self._algorithm, self._graph, self._states, self._table
-        interned = self._interned
+        memo, states, table = self._memo, self._states, self._table
+        algorithm, graph = memo.algorithm, memo.graph
         if self._inboxes is None:
             delivery = _infer_delivery(algorithm)
             outboxes = delivery.emit(algorithm, dict(zip(graph.nodes, states)), graph)
@@ -899,7 +1085,7 @@ class Branches:
                 state = algorithm.transition(
                     states[index], self._inboxes[index], format(chunk, f"0{width}b")
                 )
-                new_states[index] = _intern(interned, state)
+                new_states[index] = memo.intern(state)
         row = []
         for index, chunk in enumerate(chunks):
             entry = table[index].get(chunk)
@@ -914,33 +1100,18 @@ class Branches:
         return row
 
 
-def _intern(table: dict, state: Any) -> Any:
-    """The first state stored in ``table`` equal to ``state`` (``state``
-    itself when it is new or unhashable)."""
-    try:
-        return table.setdefault(state, state)
-    except TypeError:
-        return state
-
-
-def fork(
-    algorithm: Any,
-    graph: LabeledGraph,
-    states: Sequence[Any] | None,
-    rounds: int,
-    interned: dict,
-) -> Branches:
+def fork(memo: TrialMemo, states: Sequence[Any] | None, rounds: int) -> Branches:
     """The one-round continuations of a simulation induced by an
-    assignment, from a snapshot.
+    assignment of ``memo.algorithm`` on ``memo.graph``, from a snapshot.
 
     ``states`` is every node's state after ``rounds`` rounds, in
     ``graph.nodes`` order (``None``: the initial states, with
     ``rounds == 0``).  Each :meth:`Branches.extend` call continues the
     snapshot by one round with given bits and counts as one execution:
     :meth:`Branches.absorb` hands the calls to every active collector.
-    Every new state is interned by value in ``interned``, a table the
-    caller may share between forks so that equal states share one object
-    (the purity contract of
+    Every new state is interned by value in the memo (:meth:`TrialMemo.intern`),
+    which the caller may share between forks so that equal states share
+    one object (the purity contract of
     :class:`~repro.runtime.algorithm.AnonymousAlgorithm` makes that
     safe); unhashable states are kept as they are.  The
     continuations are untraced and hook-free, so :func:`fork` refuses to
@@ -953,4 +1124,4 @@ def fork(
             "cannot fork under an active fault injection or churn context; "
             "use execute()"
         )
-    return Branches(algorithm, graph, states, rounds, interned)
+    return Branches(memo, states, rounds)

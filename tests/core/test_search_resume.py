@@ -1,4 +1,4 @@
-"""The prefix-resumed lexicographic search against the replaying one.
+"""The assignment searches against the ones that replay every trial.
 
 ``smallest_successful_assignment`` resumes each trial of a length from
 the end state of its failed prefix trial, sharing that prefix's round
@@ -9,6 +9,11 @@ assignment (or the same error, raised at the same trial), the same
 number of executions and decided nodes, and — where the search falls
 back to replaying, under fault injection or churn — the same rounds,
 messages, bits and faults.
+
+The prg search and ``smallest_successful_extension`` play their trials
+in the search's interned round kernel (``TrialMemo``), which reports
+each trial with the counts ``execute`` reports: they are checked trial
+for trial against ``execute``, with every count equal.
 """
 
 from __future__ import annotations
@@ -20,17 +25,22 @@ from repro.algorithms.luby_mis import AnonymousMISAlgorithm
 from repro.algorithms.matching import AnonymousMatchingAlgorithm
 from repro.algorithms.two_hop_coloring import TwoHopColoringAlgorithm
 from repro.algorithms.vertex_coloring import VertexColoringAlgorithm
+from repro.core import assignment_search
 from repro.core.assignment_search import (
+    TRIALS_PER_LENGTH,
     SearchBudgetExceeded,
     enumerate_extensions,
     smallest_successful_assignment,
+    smallest_successful_extension,
 )
 from repro.dynamic import ChurnPlan, apply_churn
 from repro.exceptions import DerandomizationError, OutputAlreadySetError
 from repro.faults import FaultPlan, inject_faults
 from repro.graphs.builders import path_graph, random_connected_graph, with_uniform_input
+from repro.runtime import engine
 from repro.runtime.algorithm import FunctionAlgorithm
-from repro.runtime.engine import collect_engine_metrics, execute
+from repro.runtime.engine import TrialMemo, collect_engine_metrics, execute
+from repro.runtime.port_model import PortAwareAlgorithm
 from tests.conftest import small_graph_zoo
 
 
@@ -111,6 +121,31 @@ def list_state_election():
     )
 
 
+class PortProposal(PortAwareAlgorithm):
+    """Port-numbered: propose a bit, keep it once no port brings the same
+    proposal; the output also names the proposal that arrived on port 0."""
+
+    bits_per_round = 1
+    name = "port-proposal"
+
+    def init_state(self, input_label, degree):
+        return (None, None)
+
+    def messages(self, state, degree):
+        return [(state[0], port) for port in range(degree)]
+
+    def transition(self, state, received, bits):
+        proposal, color = state
+        if color is not None:
+            return state
+        if proposal is not None and all(sent != proposal for sent, _port in received):
+            return (proposal, (proposal, received[0][0] if received else None))
+        return (bits, None)
+
+    def output(self, state):
+        return state[1]
+
+
 ALGORITHMS = {
     "mis": AnonymousMISAlgorithm,
     "coloring": VertexColoringAlgorithm,
@@ -118,6 +153,7 @@ ALGORITHMS = {
     "matching": AnonymousMatchingAlgorithm,
     "two-bit-coloring": two_bit_coloring,
     "list-states": list_state_election,
+    "port-proposal": PortProposal,
 }
 
 ZOO = [case for case in small_graph_zoo() if case[1].num_nodes <= 10]
@@ -368,3 +404,271 @@ def test_a_round_runs_every_transition_before_any_output():
             with pytest.raises(ValueError, match="raiser heard a 1"):
                 search(algorithm, graph, [0, 1], max_length=3)
         assert totals.executions == 4 + 8
+
+
+# ----------------------------------------------------------------------
+# prg and extension searches: memo trials against execute
+# ----------------------------------------------------------------------
+
+
+def reference_prg_search(algorithm, graph, order, max_length=64, budget=1_000_000):
+    """The prg search with every trial replayed through ``execute``."""
+    empty = {v: "" for v in order}
+    tried = 0
+    length = 4
+    while length <= max_length:
+        for assignment in enumerate_extensions(
+            empty, order, length, strategy="prg", prg_seed=length, limit=TRIALS_PER_LENGTH
+        ):
+            if tried >= budget:
+                raise SearchBudgetExceeded(
+                    f"prg assignment search exceeded its budget of {budget} trials"
+                )
+            tried += 1
+            if execute(algorithm, graph, assignment=assignment).successful:
+                return assignment
+        length *= 2
+    raise DerandomizationError(
+        f"prg search found no successful assignment up to length {max_length}"
+    )
+
+
+def reference_extension(algorithm, graph, order, prefix, target_length, budget=1_000_000):
+    """``smallest_successful_extension`` with every trial replayed
+    through ``execute``."""
+    tried = 0
+    for assignment in enumerate_extensions(prefix, order, target_length):
+        if tried >= budget:
+            raise SearchBudgetExceeded(
+                f"no successful extension of length {target_length} within "
+                f"{budget} trials (space not exhausted)"
+            )
+        tried += 1
+        if execute(algorithm, graph, assignment=assignment).successful:
+            return assignment
+    return None
+
+
+def prg_search(algorithm, graph, order, **kwargs):
+    return smallest_successful_assignment(algorithm, graph, order, strategy="prg", **kwargs)
+
+
+def one_bit_prefix(order):
+    """A prefix of one bit per node, alternating along ``order``."""
+    return {v: "01"[index % 2] for index, v in enumerate(order)}
+
+
+def assert_same_outcome(search, reference, *args, **kwargs):
+    """The same result (or error) with every engine count equal."""
+    searched = _outcome(search, *args, **kwargs)
+    assert searched == _outcome(reference, *args, **kwargs)
+    return searched
+
+
+def _any_outcome(run, *args, **kwargs):
+    """(result or error type and text, engine totals) of one call."""
+    with collect_engine_metrics() as totals:
+        try:
+            outcome = run(*args, **kwargs)
+        except Exception as exc:  # compared with the replay's error
+            outcome = (type(exc).__name__, str(exc))
+    return outcome, totals.as_dict(include_wall=False)
+
+
+def assert_same_trials(algorithm, graph, assignments):
+    """Each assignment played in one memo (falling back to ``execute``
+    where the memo cannot play it, as the searches do) and replayed
+    through ``execute``: the same success or error, the same counts."""
+    memo = TrialMemo(algorithm, graph)
+    for assignment in assignments:
+        played = _any_outcome(assignment_search._successful, memo, assignment)
+        replayed = _any_outcome(lambda: execute(algorithm, graph, assignment=assignment).successful)
+        assert played == replayed, assignment
+
+
+def trial_assignments(order):
+    """The empty assignment (no round funded), the first prg trials of
+    lengths 4 and 8, and lexicographic extensions of a one-bit prefix to
+    3 bits."""
+    empty = {v: "" for v in order}
+    return [
+        empty,
+        *enumerate_extensions(empty, order, 4, strategy="prg", prg_seed=4, limit=16),
+        *enumerate_extensions(empty, order, 8, strategy="prg", prg_seed=8, limit=8),
+        *enumerate_extensions(one_bit_prefix(order), order, 3, limit=8),
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+@pytest.mark.parametrize("graph_name, graph", ZOO, ids=[name for name, _ in ZOO])
+def test_memo_trials_match_execute_on_the_zoo(name, graph_name, graph, monkeypatch):
+    # A bound of one transition per node clears the memo between most trials.
+    monkeypatch.setattr(engine, "_TRANSITIONS_PER_NODE", 1)
+    order = list(graph.nodes)
+    assert_same_trials(ALGORITHMS[name](), graph, trial_assignments(order))
+
+
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+@pytest.mark.parametrize("graph_name, graph", ZOO, ids=[name for name, _ in ZOO])
+def test_prg_and_extension_searches_match_replay_on_the_zoo(name, graph_name, graph):
+    algorithm, order = ALGORITHMS[name](), list(graph.nodes)
+    assert_same_outcome(prg_search, reference_prg_search, algorithm, graph, order, budget=150)
+    prefix = one_bit_prefix(order)
+    assert_same_outcome(
+        smallest_successful_extension, reference_extension, algorithm, graph, order, prefix, 3,
+        budget=150,
+    )
+
+
+@pytest.mark.parametrize("name", sorted(ALGORITHMS))
+def test_prg_search_matches_replay_to_success(name):
+    graph = with_uniform_input(path_graph(5))  # bipartite: port proposals of one bit succeed
+    algorithm, order = ALGORITHMS[name](), list(graph.nodes)
+    chosen, totals = assert_same_outcome(prg_search, reference_prg_search, algorithm, graph, order)
+    assert isinstance(chosen, dict)
+    assert totals["executions"] >= 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=5),
+    extra=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=10_000),
+    name=st.sampled_from(sorted(ALGORITHMS)),
+    reverse=st.booleans(),
+    budget=st.integers(min_value=0, max_value=300),
+    target_length=st.integers(min_value=1, max_value=4),
+)
+def test_prg_and_extension_searches_match_replay_on_random_graphs(
+    n, extra, seed, name, reverse, budget, target_length
+):
+    graph = with_uniform_input(random_connected_graph(n, extra, seed=seed))
+    order = list(reversed(graph.nodes)) if reverse else list(graph.nodes)
+    algorithm = ALGORITHMS[name]()
+    assert_same_outcome(
+        prg_search, reference_prg_search, algorithm, graph, order, max_length=16, budget=budget
+    )
+    assert_same_outcome(
+        smallest_successful_extension, reference_extension, algorithm, graph, order,
+        one_bit_prefix(order), target_length, budget=budget,
+    )
+
+
+@pytest.mark.parametrize(
+    "context_name, name",
+    [("faults", "mis"), ("faults", "matching"), ("churn", "mis"), ("churn", "matching")],
+)
+def test_memo_searches_replay_under_active_contexts(context_name, name):
+    graph = with_uniform_input(random_connected_graph(4, 0.5, seed=2))
+    algorithm, order = ALGORITHMS[name](), list(graph.nodes)
+    with CONTEXTS[context_name]():
+        assert_same_outcome(prg_search, reference_prg_search, algorithm, graph, order, budget=200)
+        assert_same_outcome(
+            smallest_successful_extension, reference_extension, algorithm, graph, order,
+            one_bit_prefix(order), 3, budget=200,
+        )
+        assert_same_trials(algorithm, graph, trial_assignments(order))
+
+
+def test_unhashable_states_fall_back_to_execute_for_the_rest_of_the_search():
+    graph = with_uniform_input(path_graph(3))
+    algorithm, order = list_state_election(), list(graph.nodes)
+    memo = TrialMemo(algorithm, graph)
+    with collect_engine_metrics() as totals:
+        assert memo.run({v: "1111" for v in order}) is None
+    assert totals.executions == 0  # the aborted trial reports nothing
+    assert memo.run({v: "0000" for v in order}) is None
+    assert_same_outcome(prg_search, reference_prg_search, algorithm, graph, order)
+
+
+def test_unhashable_message_midway_falls_back_with_the_same_counts():
+    # States are hashable; the message turns into a list once a node has
+    # drawn a 1, so a trial finds the message unhashable after its first
+    # round.
+    algorithm = FunctionAlgorithm(
+        init=lambda label, degree: "",
+        msg=lambda state: [state] if "1" in state else state,
+        step=lambda state, received, bits: state + bits,
+        out=lambda state: len(state) if len(state) >= 3 else None,
+        bits_per_round=1,
+        name="late-list-messages",
+    )
+    graph = with_uniform_input(path_graph(3))
+    order = list(graph.nodes)
+    assert_same_trials(algorithm, graph, trial_assignments(order))
+    assert_same_outcome(prg_search, reference_prg_search, algorithm, graph, order)
+
+
+@pytest.mark.parametrize("mode", ["flip", "raise"])
+@pytest.mark.parametrize("trigger_state, trigger_bits", [("", "1"), ("1", "0"), ("10", "1")])
+def test_memo_errors_match_replay(mode, trigger_state, trigger_bits):
+    """A flipped output raises ``execute``'s ``OutputAlreadySetError``
+    text; a raising ``transition`` raises at the same trial.  Either way
+    every earlier trial, and nothing of the failing one, is counted."""
+    graph = with_uniform_input(path_graph(3))
+    algorithm, order = tripwire(mode, trigger_state, trigger_bits), list(graph.nodes)
+    error = OutputAlreadySetError if mode == "flip" else ValueError
+    # The first prg trial in which a node draws ``trigger_bits`` after
+    # ``trigger_state`` (any node raises; only the ends of P3 decide).
+    trigger = trigger_state + trigger_bits
+    tripping = order if mode == "raise" else [order[0], order[2]]
+    empty = {v: "" for v in order}
+    trials = list(enumerate_extensions(empty, order, 4, strategy="prg", prg_seed=4, limit=128))
+    completed = next(
+        index for index, trial in enumerate(trials)
+        if any(trial[v].startswith(trigger) for v in tripping)
+    )
+    outcome, totals = _any_outcome(prg_search, algorithm, graph, order)
+    assert (outcome, totals) == _any_outcome(reference_prg_search, algorithm, graph, order)
+    assert outcome[0] == error.__name__
+    assert totals["executions"] == completed
+    assert_same_trials(algorithm, graph, trials[: completed + 1])
+    arguments = (algorithm, graph, order, {v: "" for v in order}, 3)
+    extended = _any_outcome(smallest_successful_extension, *arguments)
+    assert extended == _any_outcome(reference_extension, *arguments)
+    assert extended[0][0] == error.__name__
+
+
+def test_equal_messages_with_different_reprs_stay_apart():
+    # The ends of P3 keep their first bit and then send True for a 1 and
+    # 1 for a 0.  True == 1, but their sort keys differ, so in round 2
+    # the middle receives (1, True) exactly when the ends drew different
+    # first bits, and decides only then.
+    def step(state, received, bits):
+        degree, kept = state
+        if degree == 2:
+            return (degree, repr(received))
+        return (degree, bits if kept is None else kept)
+
+    def message(state):
+        degree, kept = state
+        if degree != 1 or kept is None:
+            return None
+        return True if kept == "1" else 1
+
+    def out(state):
+        degree, kept = state
+        if degree != 2:
+            return kept
+        return "mixed" if kept == "(1, True)" else None
+
+    algorithm = FunctionAlgorithm(
+        init=lambda label, degree: (degree, None),
+        msg=message,
+        step=step,
+        out=out,
+        bits_per_round=1,
+        name="true-or-one",
+    )
+    graph = with_uniform_input(path_graph(3))
+    order = list(graph.nodes)
+    assignments = [
+        dict(zip(order, bits))
+        for bits in (("00", "00", "00"), ("10", "00", "00"), ("00", "11", "10"),
+                     ("11", "00", "11"), ("01", "00", "00"))
+    ]
+    assert_same_trials(algorithm, graph, assignments)
+    memo = TrialMemo(algorithm, graph)
+    assert [memo.run(assignment) for assignment in assignments] == [
+        False, True, True, False, False
+    ]

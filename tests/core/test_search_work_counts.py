@@ -1,4 +1,4 @@
-"""Work-count pins for the lexicographic assignment search.
+"""Work-count pins for the assignment searches.
 
 The round kernel may get faster, but the search it serves must do the
 same work: the same number of engine executions and the same chosen
@@ -14,6 +14,13 @@ each prefix's messages once, and each node's transition and output once
 per distinct bit chunk.  (Building one engine per trial, the calls read
 25,182 / 25,182 / 50,364 messages / transitions / outputs for MIS on C6
 and 22,132 / 22,132 / 44,264 for K4.)
+
+A prg search plays its trials in the search's interned round kernel
+(:class:`~repro.runtime.engine.TrialMemo`): the same executions with the
+same engine counts as replaying each trial through ``execute``, but each
+distinct state's message and output, and each distinct transition, is
+computed once.  (Replaying, the prg matching pin below called message /
+transition / output 31,000 / 31,000 / 36,140 times.)
 """
 
 from __future__ import annotations
@@ -24,12 +31,19 @@ from collections import Counter
 import pytest
 
 from repro.algorithms.luby_mis import AnonymousMISAlgorithm
+from repro.algorithms.matching import AnonymousMatchingAlgorithm
 from repro.algorithms.two_hop_coloring import TwoHopColoringAlgorithm
 from repro.core.assignment_search import smallest_successful_assignment
 from repro.core.orders import canonical_node_order
 from repro.factor.quotient import finite_view_graph
-from repro.graphs.builders import complete_graph, cycle_graph, with_uniform_input
-from repro.graphs.coloring import apply_two_hop_coloring
+from repro.graphs.builders import (
+    complete_graph,
+    cycle_graph,
+    random_connected_graph,
+    with_uniform_input,
+)
+from repro.graphs.coloring import apply_two_hop_coloring, greedy_two_hop_coloring
+from repro.runtime import engine
 from repro.runtime.engine import collect_engine_metrics
 
 CASES = [
@@ -97,9 +111,9 @@ def test_lexicographic_search_work_is_pinned(
 
 # The MIS-C6 search keeps 4,096 prefix snapshots of six interned states
 # each while it searches length 3, and the 64 forks of length 2 (about
-# 2.9 kB each) while it builds them; its traced peak here measured about
-# 336 kB (CPython 3.11).  Keeping a whole engine per prefix instead
-# takes megabytes.
+# 2.9 kB each) and their length's memo while it builds them; its traced
+# peak here measured about 337 kB (CPython 3.11).  Keeping a whole engine
+# per prefix instead takes megabytes.
 MIS_C6_PEAK_BYTES = 500_000
 
 
@@ -117,3 +131,61 @@ def test_prefix_memo_stays_compact():
     finally:
         tracemalloc.stop()
     assert peak < MIS_C6_PEAK_BYTES
+
+
+def prg_matching_search():
+    """The simulation graph and node order of prg matching on a random
+    connected 20-node graph under its greedy 2-hop coloring (every view
+    is distinct, so the quotient keeps all 20 nodes)."""
+    graph = with_uniform_input(random_connected_graph(20, 1.5 / 20, seed=6))
+    quotient = finite_view_graph(apply_two_hop_coloring(graph, greedy_two_hop_coloring(graph)))
+    return quotient.graph.with_only_layers(["input"]), canonical_node_order(quotient.graph)
+
+
+def _prg_search(algorithm, graph, order):
+    return smallest_successful_assignment(
+        algorithm, graph, order, strategy="prg", max_length=128
+    )
+
+
+def test_prg_search_work_is_pinned():
+    graph, order = prg_matching_search()
+    algorithm = counting(AnonymousMatchingAlgorithm)()
+    with collect_engine_metrics() as totals:
+        chosen = _prg_search(algorithm, graph, order)
+    assert len(chosen[order[0]]) == 16  # 128 trials each of lengths 4 and 8 failed
+    assert totals.as_dict(include_wall=False) == {
+        "executions": 257,
+        "rounds": 1550,
+        "messages_sent": 93000,
+        "bits_drawn": 31000,
+        "nodes_decided": 929,
+        "faults_injected": 0,
+    }
+    assert dict(algorithm.calls) == {"message": 7098, "transition": 18268, "output": 9799}
+
+
+# The prg matching search above holds at most 128 transitions per node in
+# its memo; its traced peak measured about 0.63 MB (CPython 3.11), and
+# about 3.4 MB with the memo never cleared.
+PRG_MATCHING_PEAK_BYTES = 1_500_000
+
+
+def _traced_peak(search) -> int:
+    tracemalloc.start()
+    try:
+        search()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_prg_search_memo_is_bounded(monkeypatch):
+    graph, order = prg_matching_search()
+    algorithm = AnonymousMatchingAlgorithm()
+    _prg_search(algorithm, graph, order)  # warm caches
+    assert _traced_peak(lambda: _prg_search(algorithm, graph, order)) < PRG_MATCHING_PEAK_BYTES
+    # The bound has teeth: the same search with a memo that is never
+    # cleared exceeds it.
+    monkeypatch.setattr(engine, "_TRANSITIONS_PER_NODE", 10**9)
+    assert _traced_peak(lambda: _prg_search(algorithm, graph, order)) > PRG_MATCHING_PEAK_BYTES

@@ -3,19 +3,24 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.exceptions import GraphError
-from repro.factor.prime import all_factors, is_prime, prime_factors
+from repro.exceptions import FactorError, GraphError
+from repro.factor.factorizing_map import FactorizingMap
+from repro.factor.prime import _divisors, all_factors, is_prime, prime_factors
 from repro.factor.quotient import infinite_view_graph
 from repro.graphs.builders import (
     cycle_graph,
     path_graph,
+    random_connected_graph,
     star_graph,
     with_uniform_input,
 )
 from repro.graphs.coloring import apply_two_hop_coloring, greedy_two_hop_coloring
 from repro.graphs.isomorphism import are_isomorphic
+from repro.graphs.labeled_graph import LabeledGraph
 from repro.graphs.lifts import cyclic_lift
+from repro.views.refinement import refinement_indices
 
 
 def _uniform(graph):
@@ -99,3 +104,106 @@ class TestLemma3:
         for fm in all_factors(lift, include_trivial=True):
             factor_quotient = infinite_view_graph(fm.factor)
             assert are_isomorphic(factor_quotient.graph, quotient.graph)
+
+
+# ----------------------------------------------------------------------
+# The pruned enumeration against the unpruned one
+# ----------------------------------------------------------------------
+
+
+def reference_all_factors(graph):
+    """``all_factors(graph, include_trivial=True)`` as enumerated before
+    the 2-hop pruning: every equal-size partition inside the view
+    classes, the ones that need a loop or are not locally injective
+    rejected afterwards."""
+    csr, colors = refinement_indices(graph)
+    classes = dict(zip(csr.nodes, colors))
+    results = [FactorizingMap(graph, graph, {v: v for v in graph.nodes})]
+    for fiber_size in _divisors(graph.num_nodes)[1:]:
+        partitions, blocks = [], []
+
+        def backtrack(remaining, fiber_size=fiber_size, partitions=partitions, blocks=blocks):
+            if not remaining:
+                if all(len(block) == fiber_size for block in blocks):
+                    partitions.append([tuple(block) for block in blocks])
+                return
+            if len(remaining) < sum(fiber_size - len(block) for block in blocks):
+                return
+            first, rest = remaining[0], remaining[1:]
+            for block in blocks:
+                if len(block) < fiber_size and classes[block[0]] == classes[first]:
+                    block.append(first)
+                    backtrack(rest)
+                    block.pop()
+            blocks.append([first])
+            backtrack(rest)
+            blocks.pop()
+
+        backtrack(list(graph.nodes))
+        for partition in partitions:
+            factor_map = _reference_partition_to_factor(graph, partition)
+            if factor_map is not None:
+                results.append(factor_map)
+    return results
+
+
+def _reference_partition_to_factor(graph, partition):
+    block_of = {v: index for index, block in enumerate(partition) for v in block}
+    edges = set()
+    for v in graph.nodes:
+        neighbor_blocks = [block_of[u] for u in graph.neighbors(v)]
+        if block_of[v] in neighbor_blocks:
+            return None  # would need a loop
+        if len(set(neighbor_blocks)) != len(neighbor_blocks):
+            return None  # projection not locally injective
+        edges.update(frozenset((block_of[v], d)) for d in neighbor_blocks)
+    layers = {
+        name: {index: graph.label_of(block[0], name) for index, block in enumerate(partition)}
+        for name in graph.layer_names
+    }
+    try:
+        quotient = LabeledGraph(
+            sorted(tuple(sorted(e)) for e in edges), nodes=range(len(partition)), layers=layers
+        )
+        return FactorizingMap(graph, quotient, block_of)
+    except (GraphError, FactorError):
+        return None
+
+
+def _factor_list(maps):
+    return [(factor_map.as_dict(), factor_map.factor) for factor_map in maps]
+
+
+@st.composite
+def small_graphs(draw):
+    """Connected graphs on at most 10 nodes with 1-3 input labels; half
+    of them cyclic lifts of a smaller labeled graph, which have proper
+    factors."""
+    lift = draw(st.booleans())
+    n = draw(st.integers(min_value=2 if lift else 1, max_value=5 if lift else 10))
+    graph = random_connected_graph(n, draw(st.floats(0.0, 1.0)), seed=draw(st.integers(0, 999)))
+    alphabet = draw(st.integers(min_value=1, max_value=3))
+    graph = graph.with_layer("input", {v: draw(st.integers(0, alphabet - 1)) for v in graph.nodes})
+    if lift:
+        try:
+            graph, _projection = cyclic_lift(graph, draw(st.integers(2, 10 // n)))
+        except GraphError:  # a disconnected lift
+            pass
+    return graph
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph=small_graphs())
+def test_pruned_enumeration_matches_the_unpruned_one(graph):
+    assert _factor_list(all_factors(graph, include_trivial=True)) == _factor_list(
+        reference_all_factors(graph)
+    )
+
+
+@pytest.mark.parametrize("n", [6, 8, 10])
+def test_pruned_enumeration_matches_on_uncolored_cycles(n):
+    # Every node shares one view class: the unpruned search is widest.
+    graph = _uniform(cycle_graph(n))
+    found = _factor_list(all_factors(graph, include_trivial=True))
+    assert found == _factor_list(reference_all_factors(graph))
+    assert len(found) > 1

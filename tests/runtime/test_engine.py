@@ -32,6 +32,7 @@ from repro.runtime.engine import (
     _trace_level,
     collect_engine_metrics,
     execute,
+    TrialMemo,
     fork,
 )
 from repro.runtime.port_model import PortAwareAlgorithm
@@ -397,7 +398,7 @@ def _continue(algorithm, graph, rounds_of_chunks):
     ``(decided, states)``."""
     states, steps = None, []
     for rounds, chunks in enumerate(rounds_of_chunks):
-        branches = fork(algorithm, graph, states, rounds, {})
+        branches = fork(TrialMemo(algorithm, graph), states, rounds)
         decided, states = branches.extend(chunks)
         branches.absorb()
         steps.append((decided, states))
@@ -458,7 +459,7 @@ class TestResume:
         algorithm = make_counter(model, 1, bits=1)
         [(decided, states)] = _continue(algorithm, g, [_chunks("010")])
         assert decided == 3
-        branches = fork(algorithm, g, states, 1, {})
+        branches = fork(TrialMemo(algorithm, g), states, 1)
         with collect_engine_metrics() as totals:
             # Already decided in the snapshot: no round runs.
             assert branches.extend(_chunks("111")) == (3, states)
@@ -469,7 +470,7 @@ class TestResume:
     def test_collectors_absorb_one_execution_each(self, model):
         g = _uniform(path_graph(3))
         algorithm = make_counter(model, 3, bits=1)
-        branches = fork(algorithm, g, None, 0, {})
+        branches = fork(TrialMemo(algorithm, g), None, 0)
         with collect_engine_metrics() as outer:
             for bits in ("000", "101", "000"):
                 branches.extend(_chunks(bits))
@@ -482,7 +483,7 @@ class TestResume:
 
     def test_bits_must_cover_every_node(self, model):
         g = _uniform(path_graph(2))
-        branches = fork(make_counter(model, 1, bits=1), g, None, 0, {})
+        branches = fork(TrialMemo(make_counter(model, 1, bits=1), g), None, 0)
         with pytest.raises(RuntimeModelError, match="1 bit chunks for 2 nodes"):
             branches.extend([1])
         with pytest.raises(RuntimeModelError, match="does not fit in 1 bits"):
@@ -491,14 +492,14 @@ class TestResume:
     def test_deterministic_algorithm_rejected_like_execute(self, model):
         g = _uniform(path_graph(2))
         with pytest.raises(SimulationError, match="require a randomized algorithm"):
-            fork(make_counter(model, 1), g, None, 0, {})
+            fork(TrialMemo(make_counter(model, 1), g), None, 0)
 
     @pytest.mark.parametrize("size", [2, 4])
     def test_snapshot_must_hold_one_state_per_node(self, model, size):
         g = _uniform(path_graph(3))
         algorithm = make_counter(model, 3, bits=1)
         with pytest.raises(RuntimeModelError, match=f"snapshot has {size} states for 3 nodes"):
-            fork(algorithm, g, (0,) * size, 1, {})
+            fork(TrialMemo(algorithm, g), (0,) * size, 1)
 
     def test_one_transition_per_node_and_chunk(self, model):
         g = _uniform(path_graph(3))
@@ -511,7 +512,7 @@ class TestResume:
                 return super().transition(state, received, bits)
 
         algorithm.__class__ = Counting  # the same counter, now counting
-        branches = fork(algorithm, g, None, 0, {})
+        branches = fork(TrialMemo(algorithm, g), None, 0)
         for bits in ("000", "011", "110", "111", "000"):
             branches.extend(_chunks(bits))
         assert sorted(drawn) == ["0"] * 3 + ["1"] * 3  # 3 nodes x 2 chunks
@@ -519,9 +520,9 @@ class TestResume:
     def test_equal_states_are_interned_across_forks(self, model):
         g = _uniform(path_graph(3))
         algorithm = make_counter(model, 3, bits=1)
-        interned: dict = {}
-        _decided, first = fork(algorithm, g, None, 0, interned).extend(_chunks("010"))
-        _decided, second = fork(algorithm, g, None, 0, interned).extend(_chunks("010"))
+        memo = TrialMemo(algorithm, g)
+        _decided, first = fork(memo, None, 0).extend(_chunks("010"))
+        _decided, second = fork(memo, None, 0).extend(_chunks("010"))
         assert first == second
         assert all(a is b for a, b in zip(first, second))
 
@@ -543,7 +544,7 @@ def test_irrevocability_is_enforced_after_resuming():
     with pytest.raises(OutputAlreadySetError) as replayed:
         execute(flipping, g, assignment={v: "00" for v in g.nodes})
     with pytest.raises(OutputAlreadySetError, match=r"node 1 .* from 1 to 2 in round 2") as forked:
-        fork(flipping, g, states, 1, {}).extend(_chunks("000"))
+        fork(TrialMemo(flipping, g), states, 1).extend(_chunks("000"))
     assert str(forked.value) == str(replayed.value)
 
 
@@ -555,7 +556,7 @@ def test_resume_refuses_active_fault_and_churn_contexts():
     algorithm = broadcast_counter(1, bits=1)
     for context in (inject_faults(FaultPlan()), apply_churn(ChurnPlan())):
         with context, pytest.raises(RuntimeModelError, match="use execute"):
-            fork(algorithm, g, None, 0, {})
+            fork(TrialMemo(algorithm, g), None, 0)
 
 
 # ----------------------------------------------------------------------
