@@ -12,7 +12,10 @@ What stays faithful to the paper's algorithm:
 * each node uses **only its own view** — :func:`quotient_from_view`
   rebuilds ``I_*`` from a depth-``2n + 2`` view tree alone, and every
   distinct view must rebuild the *equal* numbered graph (the paper's
-  "all nodes select the same simulation", Lemma 1);
+  "all nodes select the same simulation", Lemma 1).  The views of one
+  solve share a memo of the alias walk, a pure function of interned
+  subtrees: it skips work another view already did, and a view's
+  rebuild still depends on its own subtrees only;
 * the simulation is selected by the same total order on assignments;
 * each node adopts the output of its own alias (its view's root).
 
@@ -47,42 +50,99 @@ from repro.core.assignment_search import smallest_successful_assignment
 from repro.core.orders import canonical_node_order
 
 
-def quotient_from_view(view: ViewTree, radius: int) -> LabeledGraph:
-    """Reconstruct the finite view graph from a single local view.
+class _ReconstructionWalk:
+    """The alias walk of :func:`quotient_from_view`, memoised across the
+    views of one solve.
 
-    ``view`` must have depth at least ``2 * radius``, where ``radius``
-    bounds both the diameter plus one and the refinement stabilization
-    depth of the underlying graph (``radius = n`` always works).  The
-    construction mirrors Section 2.1: the distinct depth-``radius``
-    subtrees of the view are the quotient's nodes; ``x ~ y`` iff ``y``'s
-    truncation appears as a child of ``x``'s tree.
+    A view's aliases are the depth-``radius`` truncations of its subtrees
+    at tree levels ``1..radius``.  The walk maps ``(tree, levels)`` to a
+    bitmask over alias ids: the bit of the tree's own alias, OR'd with
+    its children's masks at ``levels - 1``.  That is a pure function of
+    interned trees, so the distinct views of one graph, which share
+    almost every subtree, compute each entry once; the rebuilt graph is a
+    function of the alias set alone, so it is memoised per mask.  Each
+    node still rebuilds from its own view: the memo only skips repeating
+    work another view already did.
 
-    Node ``i`` is the ``i``-th alias in :class:`ViewTree` order, so
-    agreeing views build equal graphs.
+    ``masks[levels]`` maps a tree to its mask over ``levels`` levels and
+    ``graphs`` maps a mask to its rebuild; both live as long as the walk
+    (one solve).
     """
-    if radius < 1:
-        raise ViewError(f"radius must be positive, got {radius}")
-    # A childless view only arises from the 1-node graph (any node with a
-    # neighbor has children at every depth); it is its own quotient at
-    # every radius, so its depth is not checked.
-    if view.children and view.depth < 2 * radius:
-        raise ViewError(
-            f"view depth {view.depth} is too shallow to reconstruct a "
-            f"radius-{radius} quotient (need >= {2 * radius})"
-        )
-    # The subtrees rooted at tree levels 1..radius cover every node
-    # within distance radius - 1 >= diameter, i.e. every node of the
-    # graph.  Walk them one level at a time, deduplicated by interned
-    # identity (walk vertices are exponential in the level; distinct
-    # subtrees are not).  A level-l subtree has depth view.depth - l + 1,
-    # so no subtree recurs at two levels.
-    level, trees = [view], [view]
-    for _ in range(radius - 1):
-        level = list(dict.fromkeys(child for tree in level for child in tree.children))
-        trees.extend(level)
-    aliases = sorted(
-        dict.fromkeys(tree.truncate(radius) for tree in trees), key=ViewTree.sort_key
-    )
+
+    def __init__(self, radius: int) -> None:
+        self.radius = radius
+        self.masks: list[dict[ViewTree, int]] = [{} for _ in range(radius + 1)]
+        self.graphs: dict[int, LabeledGraph] = {}
+        self._aliases: list[ViewTree] = []  # alias id -> alias
+        self._bit_of: dict[ViewTree, int] = {}  # tree -> its alias's bit
+
+    def rebuild(self, view: ViewTree) -> LabeledGraph:
+        """The quotient rebuilt from ``view``'s aliases."""
+        mask = self._mask(view)
+        graph = self.graphs.get(mask)
+        if graph is None:
+            aliases = [alias for i, alias in enumerate(self._aliases) if mask >> i & 1]
+            graph = self.graphs[mask] = _rebuild(aliases, self.radius)
+        return graph
+
+    def _own_bit(self, tree: ViewTree) -> int:
+        """The bit of ``tree.truncate(radius)``, found along the drop
+        chain and memoised for every tree on it: all the deeper views of
+        one node lie on one chain, so each link is looked up once."""
+        bit_of = self._bit_of
+        bit = bit_of.get(tree)
+        if bit is not None:
+            return bit
+        chain = [tree]
+        while tree.depth > self.radius:
+            tree = tree.truncate(tree.depth - 1)
+            bit = bit_of.get(tree)
+            if bit is not None:
+                break
+            chain.append(tree)
+        else:
+            bit = 1 << len(self._aliases)
+            self._aliases.append(tree)
+        for link in chain:
+            bit_of[link] = bit
+        return bit
+
+    def _mask(self, view: ViewTree) -> int:
+        """The alias mask of ``view`` over ``radius`` levels, computed
+        level by level (no recursion: ``radius`` reaches ``n + 1``)."""
+        masks = self.masks
+        levels = self.radius
+        mask = masks[levels].get(view)
+        if mask is not None:
+            return mask
+        # Top down: the trees missing a mask, one list per level.
+        pending = [[view]]
+        while levels > 1:
+            below = masks[levels - 1]
+            missing = dict.fromkeys(
+                child for tree in pending[-1] for child in tree.children if child not in below
+            )
+            if not missing:
+                break
+            pending.append(list(missing))
+            levels -= 1
+        # Bottom up: each tree ORs its own bit with its children's masks.
+        for levels, trees in zip(range(levels, self.radius + 1), reversed(pending)):
+            here, below = masks[levels], masks[levels - 1]
+            for tree in trees:
+                mask = self._own_bit(tree)
+                if levels > 1:
+                    for child in tree.children:
+                        mask |= below[child]
+                here[tree] = mask
+        return masks[self.radius][view]
+
+
+def _rebuild(aliases: list[ViewTree], radius: int) -> LabeledGraph:
+    """The quotient on ``aliases``: node ``i`` is the ``i``-th alias in
+    :class:`ViewTree` order, ``x ~ y`` iff ``y``'s truncation is a child
+    of ``x``."""
+    aliases = sorted(aliases, key=ViewTree.sort_key)
     index = {alias: i for i, alias in enumerate(aliases)}
 
     # Aliases keyed by their depth-(radius - 1) truncation (interned, so
@@ -124,6 +184,46 @@ def quotient_from_view(view: ViewTree, radius: int) -> LabeledGraph:
         nodes=range(len(aliases)),
         layers=layers,
     )
+
+
+def quotient_from_view(
+    view: ViewTree, radius: int, *, walk: _ReconstructionWalk | None = None
+) -> LabeledGraph:
+    """Reconstruct the finite view graph from a single local view.
+
+    ``view`` must have depth at least ``2 * radius``, where ``radius``
+    bounds both the diameter plus one and the refinement stabilization
+    depth of the underlying graph (``radius = n`` always works).  The
+    construction mirrors Section 2.1: the distinct depth-``radius``
+    subtrees of the view are the quotient's nodes; ``x ~ y`` iff ``y``'s
+    truncation appears as a child of ``x``'s tree.
+
+    Node ``i`` is the ``i``-th alias in :class:`ViewTree` order, so
+    agreeing views build equal graphs.
+
+    ``walk`` is the memo one solve shares across its views (built for
+    this ``radius``); without one the call uses a fresh walk.  The result
+    is the same either way; views with equal alias sets get the same
+    graph object from a shared walk.
+    """
+    if radius < 1:
+        raise ViewError(f"radius must be positive, got {radius}")
+    # A childless view only arises from the 1-node graph (any node with a
+    # neighbor has children at every depth); it is its own quotient at
+    # every radius, so its depth is not checked.
+    if view.children and view.depth < 2 * radius:
+        raise ViewError(
+            f"view depth {view.depth} is too shallow to reconstruct a "
+            f"radius-{radius} quotient (need >= {2 * radius})"
+        )
+    if walk is None:
+        walk = _ReconstructionWalk(radius)
+    elif walk.radius != radius:
+        raise ValueError(f"walk is for radius {walk.radius}, not {radius}")
+    # The subtrees rooted at tree levels 1..radius cover every node
+    # within distance radius - 1 >= diameter, i.e. every node of the
+    # graph; their truncations are the aliases.
+    return walk.rebuild(view)
 
 
 @dataclass
@@ -239,7 +339,12 @@ class PracticalDerandomizer(QuotientSolver):
     """Deterministic solve of Π^c at practical cost (view-quotient based)."""
 
     def solve(self, instance: LabeledGraph) -> DerandomizationResult:
-        """Solve a Π^c instance; every node works from its own view only."""
+        """Solve a Π^c instance; every node works from its own view only.
+
+        The distinct views rebuild through one shared
+        ``_ReconstructionWalk``, so a subtree the views share is walked
+        once per solve and views with one alias set share one rebuild.
+        """
         require_colored_instance(instance)
         working = instance.with_only_layers(["input", "color"])
         n = working.num_nodes
@@ -249,8 +354,10 @@ class PracticalDerandomizer(QuotientSolver):
         # the quotient at radius n + 1, where aliases stay distinct one
         # level above the stabilization depth (Norris).  Rebuilds are
         # numbered in alias order, so agreement (Lemma 1) is equality.
+        # One walk memoises the alias walk across the views.
+        walk = _ReconstructionWalk(n + 1)
         rebuilds = dict.fromkeys(
-            quotient_from_view(view, n + 1) for view in dict.fromkeys(views.values())
+            quotient_from_view(view, n + 1, walk=walk) for view in dict.fromkeys(views.values())
         )
         if len(rebuilds) != 1:
             raise DerandomizationError(

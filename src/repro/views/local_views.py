@@ -79,6 +79,11 @@ class ViewBuilder:
         member — the order in which the historical per-node construction
         first created each tree — so intern-table insertion order (and
         with it every rank bookkeeping side effect) is unchanged.
+
+        The previous level's tree of a class's representative is the new
+        tree's one-level drop (``L_{d-1}(v)`` under ``L_d(v)``); the
+        level records it in the truncation table, so truncating any view
+        subtree follows table hits.
         """
         adjacency = self._csr.adjacency
         label_ranks = self._csr.label_ranks
@@ -87,13 +92,17 @@ class ViewBuilder:
         prev_trees, prev_colors = prev
         make = view_tree._make_ranked
         trees: list[ViewTree] = [None] * len(rep_order)  # type: ignore[list-item]
+        drops: list[ViewTree] = [None] * len(rep_order)  # type: ignore[list-item]
         for rep in rep_order:
             rank = label_ranks[rep]
-            trees[colors[rep]] = make(
+            c = colors[rep]
+            trees[c] = make(
                 rank_marks[rank],
                 rank_mark_ids[rank],
                 [prev_trees[prev_colors[u]] for u in adjacency[rep]],
             )
+            drops[c] = prev_trees[prev_colors[rep]]
+        view_tree._record_drops(trees, drops)
         return trees
 
     @staticmethod
@@ -165,6 +174,7 @@ class ViewBuilder:
         if rep_order is None:
             rep_order = self._rep_order = self._first_member_order(colors, count)
         make = view_tree._make_ranked
+        record_drops = view_tree._record_drops
         label_ranks = csr.label_ranks
         rep_marks = [self._rank_marks[label_ranks[rep]] for rep in rep_order]
         rep_mark_ids = [self._rank_mark_ids[label_ranks[rep]] for rep in rep_order]
@@ -176,6 +186,7 @@ class ViewBuilder:
             trees: list[ViewTree] = [None] * count  # type: ignore[list-item]
             for c, mark, mark_id, row in enumerated:
                 trees[c] = make(mark, mark_id, [prev_trees[d] for d in row])
+            record_drops(trees, prev_trees)
             levels.append((trees, colors))
             counts.append(count)
             prev_trees = trees

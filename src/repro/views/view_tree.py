@@ -47,7 +47,8 @@ from repro.graphs.labeled_graph import _freeze
 # equality coincides with key equality.
 _INTERN: dict[tuple[int, tuple[int, ...]], "ViewTree"] = {}
 # Truncations: (tree id, depth) -> tree.  Holds each tree's one-level
-# drop (key depth = tree depth - 1) plus one entry per requested target.
+# drop (key depth = tree depth - 1; view builders record these as they
+# intern, see ``_record_drops``) plus one entry per requested target.
 _TRUNCATE_CACHE: dict[tuple[int, int], "ViewTree"] = {}
 
 # Mark-key table: each distinct serialized mark (``repr(_freeze(mark))``)
@@ -368,6 +369,19 @@ def _drop(tree: ViewTree) -> ViewTree:
         dropped = _make_ranked(tree.mark, tree._mark_id, children)
         _TRUNCATE_CACHE[key] = dropped
     return dropped
+
+
+def _record_drops(trees: Sequence[ViewTree], drops: Sequence[ViewTree]) -> None:
+    """Enter ``drops[i]`` as the one-level drop of ``trees[i]``.
+
+    For builders that already hold each drop: a builder interning
+    ``L_d(v)`` built it from the level that holds ``L_{d-1}(v)``, which
+    is that tree's drop, so a later ``truncate`` follows table hits
+    instead of re-deriving the drop through ``_drop``.
+    """
+    table = _TRUNCATE_CACHE
+    for tree, dropped in zip(trees, drops):
+        table[(id(tree), tree.depth - 1)] = dropped
 
 
 def clear_caches() -> None:

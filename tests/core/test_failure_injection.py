@@ -135,8 +135,8 @@ class TestDivergentReconstruction:
         original = practical_module.quotient_from_view
         rebuilds = []
 
-        def divergent(view, radius):
-            rebuilt = original(view, radius)
+        def divergent(view, radius, **kwargs):
+            rebuilt = original(view, radius, **kwargs)
             rebuilds.append(rebuilt)
             return rebuilt if len(rebuilds) == 1 else mutate(rebuilt)
 

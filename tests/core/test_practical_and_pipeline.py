@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.algorithms.deciders import WellFormedInputDecider
 from repro.algorithms.luby_mis import AnonymousMISAlgorithm
@@ -18,6 +19,8 @@ from repro.graphs.builders import (
     cycle_graph,
     path_graph,
     petersen_graph,
+    random_connected_graph,
+    random_regular_graph,
     star_graph,
     with_uniform_input,
 )
@@ -29,7 +32,7 @@ from repro.problems.coloring import ColoringProblem
 from repro.problems.gran import GranBundle
 from repro.problems.matching import MaximalMatchingProblem
 from repro.problems.mis import MISProblem
-from repro.views.local_views import view
+from repro.views.local_views import all_views, view
 from repro.views.view_tree import clear_caches, intern_stats
 
 
@@ -64,6 +67,40 @@ AGREEMENT_CASES = [
 ] + [("c10", "prg")]
 
 
+# Reconstruction inputs that must raise, with the error they raise.
+RECONSTRUCTION_ERRORS = [
+    # Not 2-hop colored: a node's child matches the node itself.
+    (
+        with_uniform_input(cycle_graph(4)).with_layer("color", dict.fromkeys(range(4), 0)),
+        3,
+        "has a loop",
+    ),
+    # A boundary alias's child is no alias's truncation.
+    (
+        with_uniform_input(path_graph(8)).with_layer("color", {v: v % 3 for v in range(8)}),
+        3,
+        "ambiguous",
+    ),
+    # A child is the depth-1 truncation of two distinct aliases.
+    (
+        with_uniform_input(cycle_graph(5)).with_layer(
+            "color", dict(enumerate((0, 1, 0, 1, 1)))
+        ),
+        2,
+        "ambiguous",
+    ),
+    # A third label layer: marks are not (input, color) pairs.
+    (
+        colored(with_uniform_input(path_graph(3))).with_layer(
+            "bits", dict.fromkeys(range(3), "")
+        ),
+        4,
+        "do not decompose",
+    ),
+]
+ERROR_IDS = ["loop", "no-match", "two-matches", "three-layers"]
+
+
 class TestQuotientFromView:
     @pytest.mark.parametrize("fiber", [1, 2, 4])
     def test_reconstruction_matches_centralized_quotient(self, fiber):
@@ -94,45 +131,109 @@ class TestQuotientFromView:
         with pytest.raises(ViewError, match="too shallow"):
             quotient_from_view(t, 5)
 
-    @pytest.mark.parametrize(
-        "graph,radius,message",
-        [
-            # Not 2-hop colored: a node's child matches the node itself.
-            (
-                with_uniform_input(cycle_graph(4)).with_layer("color", dict.fromkeys(range(4), 0)),
-                3,
-                "has a loop",
-            ),
-            # A boundary alias's child is no alias's truncation.
-            (
-                with_uniform_input(path_graph(8)).with_layer("color", {v: v % 3 for v in range(8)}),
-                3,
-                "ambiguous",
-            ),
-            # A child is the depth-1 truncation of two distinct aliases.
-            (
-                with_uniform_input(cycle_graph(5)).with_layer(
-                    "color", dict(enumerate((0, 1, 0, 1, 1)))
-                ),
-                2,
-                "ambiguous",
-            ),
-            # A third label layer: marks are not (input, color) pairs.
-            (
-                colored(with_uniform_input(path_graph(3))).with_layer(
-                    "bits", dict.fromkeys(range(3), "")
-                ),
-                4,
-                "do not decompose",
-            ),
-        ],
-        ids=["loop", "no-match", "two-matches", "three-layers"],
-    )
+    @pytest.mark.parametrize("graph,radius,message", RECONSTRUCTION_ERRORS, ids=ERROR_IDS)
     def test_reconstruction_errors(self, graph, radius, message):
         rebuilt = None
         with pytest.raises(ViewError, match=message):
             rebuilt = quotient_from_view(view(graph, 0, 2 * radius), radius)
         assert rebuilt is None
+
+
+def _outcome(rebuild):
+    """A rebuild's graph, or its ``ViewError`` message."""
+    try:
+        return rebuild()
+    except ViewError as error:
+        return str(error)
+
+
+def reference_aliases(tree, radius):
+    """The aliases by definition: the depth-``radius`` truncations of the
+    subtrees at tree levels 1..radius, one level at a time."""
+    level, trees = [tree], [tree]
+    for _ in range(radius - 1):
+        level = list(dict.fromkeys(child for t in level for child in t.children))
+        trees.extend(level)
+    return list(dict.fromkeys(t.truncate(radius) for t in trees))
+
+
+def assert_shared_walk_matches_fresh(graph, radius):
+    """Every distinct view's rebuild through one shared walk equals (or
+    raises like) a fresh ``quotient_from_view``, in both view orders, and
+    both equal the rebuild from the aliases collected by definition."""
+    distinct = list(dict.fromkeys(all_views(graph, 2 * radius).values()))
+    fresh = [_outcome(lambda t=t: quotient_from_view(t, radius)) for t in distinct]
+    assert fresh == [
+        _outcome(lambda t=t: practical_module._rebuild(reference_aliases(t, radius), radius))
+        for t in distinct
+    ]
+    for order in (distinct, distinct[::-1]):
+        walk = practical_module._ReconstructionWalk(radius)
+        shared = {t: _outcome(lambda t=t: quotient_from_view(t, radius, walk=walk)) for t in order}
+        assert [shared[t] for t in distinct] == fresh
+
+
+def colored_random_regular(n, seed):
+    return colored(with_uniform_input(random_regular_graph(n, 3, seed=seed)))
+
+
+SHARED_WALK_GRAPHS = {
+    **{f"zoo-{name}": build for name, build in ZOO.items()},
+    **{f"cycle-{n}": lambda n=n: colored(with_uniform_input(cycle_graph(n))) for n in (5, 10, 16)},
+    **{
+        f"rr3-{n}-{seed}": lambda n=n, seed=seed: colored_random_regular(n, seed)
+        for n, seed in ((12, 0), (16, 1), (24, 2))
+    },
+    **{
+        f"rc-{n}-{seed}": lambda n=n, seed=seed: colored(
+            with_uniform_input(random_connected_graph(n, 0.2, seed=seed))
+        )
+        for n, seed in ((9, 3), (14, 4), (20, 5))
+    },
+}
+
+
+class TestSharedWalk:
+    """One walk shared by a solve's views rebuilds what each view alone
+    rebuilds."""
+
+    @pytest.mark.parametrize("name", sorted(SHARED_WALK_GRAPHS))
+    def test_matches_fresh_rebuilds(self, name):
+        graph = SHARED_WALK_GRAPHS[name]()
+        assert_shared_walk_matches_fresh(graph, graph.num_nodes + 1)
+
+    @given(
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=0, max_value=400),
+        st.lists(st.integers(min_value=0, max_value=3), min_size=8, max_size=8),
+        st.integers(min_value=1, max_value=9),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_fresh_rebuilds_on_small_colored_graphs(self, n, seed, colors, radius):
+        """Arbitrary small colorings at arbitrary radii: many are not
+        2-hop colorings or too small a radius, so errors are compared too."""
+        graph = with_uniform_input(random_connected_graph(n, 0.4, seed=seed))
+        graph = graph.with_layer("color", {v: colors[i] for i, v in enumerate(graph.nodes)})
+        assert_shared_walk_matches_fresh(graph, radius)
+
+    @pytest.mark.parametrize("graph,radius,message", RECONSTRUCTION_ERRORS, ids=ERROR_IDS)
+    def test_reconstruction_errors(self, graph, radius, message):
+        walk = practical_module._ReconstructionWalk(radius)
+        with pytest.raises(ViewError, match=message):
+            quotient_from_view(view(graph, 0, 2 * radius), radius, walk=walk)
+        assert_shared_walk_matches_fresh(graph, radius)
+
+    def test_shallow_view_rejected(self):
+        t = view(colored(with_uniform_input(cycle_graph(4))), 0, 3)
+        with pytest.raises(ViewError, match="too shallow"):
+            quotient_from_view(t, 5, walk=practical_module._ReconstructionWalk(5))
+
+    def test_walk_of_another_radius_rejected(self):
+        graph = colored(with_uniform_input(cycle_graph(4)))
+        with pytest.raises(ValueError, match="radius"):
+            quotient_from_view(
+                view(graph, 0, 10), 5, walk=practical_module._ReconstructionWalk(4)
+            )
 
 
 class TestPracticalDerandomizer:
@@ -189,18 +290,45 @@ class TestPracticalDerandomizer:
         solver_class(MISProblem(), AnonymousMISAlgorithm()).solve(ZOO["c3-lift-2"]())
         assert calls == {"smallest_successful_assignment": 1, "execute": 1}
 
-    @pytest.mark.parametrize("n", [32, 64])
-    def test_truncation_work_is_linear_in_view_size(self, n):
+    @pytest.mark.parametrize("case", ["32", "64", "rr3-64"])
+    def test_truncation_work_is_linear_in_view_size(self, case):
         """A work count, not a timing: each node reconstructs from its
         depth-(2n + 2) view, and the truncation table must stay within a
         small multiple of the n * (2n + 2) distinct view trees (an
         O(n^3) truncation path gave 270,400 entries at n = 64)."""
         clear_caches()
-        instance = colored(with_uniform_input(cycle_graph(n)))
+        if case == "rr3-64":
+            instance = colored_random_regular(64, 0)
+        else:
+            instance = colored(with_uniform_input(cycle_graph(int(case))))
+        n = instance.num_nodes
         solver = PracticalDerandomizer(MISProblem(), AnonymousMISAlgorithm(), strategy="prg")
         solver.solve(instance)
         assert intern_stats()["truncations"] <= 2 * n * (2 * n + 2)
         clear_caches()
+
+    def test_one_walk_per_solve(self, monkeypatch):
+        """A work count, not a timing: on a random 3-regular graph every
+        one of the n views is distinct (|V_*| = n), yet the solve's one
+        walk holds at most n * (n + 1) masks (n trees per level, n + 1
+        levels) and builds a single graph."""
+        walks = []
+        original = practical_module.quotient_from_view
+
+        def spy(view, radius, **kwargs):
+            walks.append(kwargs["walk"])
+            return original(view, radius, **kwargs)
+
+        monkeypatch.setattr(practical_module, "quotient_from_view", spy)
+        instance = colored_random_regular(64, 0)
+        n = instance.num_nodes
+        solver = PracticalDerandomizer(MISProblem(), AnonymousMISAlgorithm(), strategy="prg")
+        result = solver.solve(instance)
+        assert result.quotient.graph.num_nodes == n
+        assert len(walks) == n
+        (walk,) = {id(w): w for w in walks}.values()
+        assert sum(map(len, walk.masks)) <= n * (n + 1)
+        assert len(walk.graphs) == 1
 
 
 class TestPipeline:

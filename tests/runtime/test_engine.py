@@ -18,7 +18,7 @@ from repro.exceptions import (
     RuntimeModelError,
     SimulationError,
 )
-from repro.graphs.builders import cycle_graph, path_graph, with_uniform_input
+from repro.graphs.builders import cycle_graph, path_graph
 from repro.runtime.algorithm import FunctionAlgorithm
 from repro.runtime.engine import (
     BroadcastDelivery,

@@ -4,6 +4,8 @@
 below re-derives every truncation straight from the definition,
 ``T|d = make(mark, [c|(d - 1) for c in children])``, through
 ``ViewTree.make``.  Interning makes the two comparable by identity.
+The drops a view builder records as it interns are checked against the
+same reference.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from repro.graphs.builders import (
     with_uniform_input,
 )
 from repro.graphs.coloring import apply_two_hop_coloring, greedy_two_hop_coloring
-from repro.views.local_views import all_views
+from repro.views import view_tree
+from repro.views.local_views import all_views, view_builder
 from repro.views.view_tree import ViewTree, clear_caches
 
 
@@ -76,6 +79,29 @@ def test_zoo_views_match_reference(name, order):
         depths.reverse()
     for node in graph.nodes:
         assert_matches_reference(views[node], depths)
+
+
+@pytest.mark.parametrize("name", sorted(ZOO))
+def test_builder_records_reference_drops(name):
+    """Right after building, before any ``truncate`` call, the table
+    holds exactly the builder's recorded drops: one per tree of every
+    level past the first, each the recursive reference truncation."""
+    graph = ZOO[name]
+    depth = 2 * graph.num_nodes + 2
+    all_views(graph, depth)
+    recorded = dict(view_tree._TRUNCATE_CACHE)
+    trees = {
+        id(tree): tree
+        for level, (level_trees, _colors) in enumerate(view_builder(graph)._levels, start=1)
+        if level > 1
+        for tree in level_trees
+    }
+    assert {tree_id for tree_id, _depth in recorded} == set(trees)
+    memo: dict = {}
+    for (tree_id, below), dropped in recorded.items():
+        tree = trees[tree_id]
+        assert below == tree.depth - 1
+        assert dropped is reference_truncate(tree, below, memo), (tree, below)
 
 
 def chain(marks):
