@@ -176,10 +176,12 @@ RECONSTRUCT_SPEEDUP_FLOORS = {"reconstruct_cycle/64": 5.0, "reconstruct_distinct
 # number of executions, the current one simulating strictly fewer
 # rounds, messages and bits (it resumes each trial from its prefix), so
 # the speedup is gated live like the reconstruct section.  The current
-# search also shares each failed prefix's round across its trials: one
-# emit/deliver per prefix and one transition per node and bit chunk.
-# The coloring is not periodic, so the quotient keeps all six nodes.
-# Measured 21.0-27.0x over 10 runs on a 2-vCPU Linux container (CPython
+# search continues each prefix snapshot, a tuple of interned state ids,
+# through one transition table shared by every trial of the search: the
+# messages and inboxes of a snapshot are computed once, and each
+# distinct (state, bits, inbox) transition once per search.  The
+# coloring is not periodic, so the quotient keeps all six nodes.
+# Measured 26.9-38.1x over 6 runs on a 2-vCPU Linux container (CPython
 # 3.11); the floor is under 80% of the lowest measurement.
 #
 # The second case is a prg search, the ``reconstruct`` workload's kind:
@@ -809,8 +811,9 @@ def run_search_benches(repeats: int) -> dict:
     ``SEARCH_COLORING``) runs against the pre-change kernel pieces: the
     same assignment with the same number of executions, the current side
     simulating strictly fewer rounds, messages and bits (it continues
-    each trial from the end state of its failed prefix trial and shares
-    that prefix's round across its trials).  The prg search (MIS on the
+    each trial from the end state of its failed prefix trial, looking
+    each node's step up in the transition table all of the search's
+    trials share).  The prg search (MIS on the
     view quotient of a random connected ``PRG_SEARCH_N``-node graph) runs
     against the loop that replays every trial through ``execute``: the
     same assignment with identical engine counts.

@@ -26,7 +26,15 @@ from collections.abc import Iterator, Mapping, Sequence
 from repro.exceptions import DerandomizationError
 from repro.graphs.labeled_graph import LabeledGraph, Node
 from repro.runtime.algorithm import AnonymousAlgorithm
-from repro.runtime.engine import TrialMemo, ambient_context_active, execute, fork
+from repro.runtime.engine import (
+    TrialMemo,
+    _absorb_all,
+    _NotInternable,
+    _output_changed,
+    _wall_clock,
+    ambient_context_active,
+    execute,
+)
 
 Assignment = dict[Node, str]
 
@@ -237,15 +245,17 @@ class _PrefixMemo:
     continues one failed trial by exactly that round.  ``_snapshots[k]``
     is the state reached after ``_rounds`` rounds by the trial whose
     per-node first ``_rounds·b`` bits have lexicographic index ``k``, as
-    a tuple in ``graph.nodes`` order; ``None`` stands for the initial
-    states.  The trials of one snapshot share its round
-    (:func:`~repro.runtime.engine.fork`), so a trial looks up each
-    node's transition on its own new bits.  A length that funds no new
-    round continues the same snapshots with no round to run.  Per-node
-    states are interned by value in one memo per length, so the many
-    snapshots that share a node's state share one object; the purity
-    contract of :class:`~repro.runtime.algorithm.AnonymousAlgorithm`
-    makes the sharing safe.
+    a tuple of state ids in ``graph.nodes`` order.  The ids belong to
+    the search's one :class:`~repro.runtime.engine.TrialMemo`, which only
+    its own trials (:meth:`~repro.runtime.engine.TrialMemo.run`) clear,
+    so every continuation of every length looks each node's transition
+    up in one table.  A length that funds no new round continues the
+    same snapshots with no round to run.
+
+    Trials the memo cannot play replay from round 0 through
+    :func:`execute`: all of them for a port-numbered or deterministic
+    algorithm, and every trial from the first whose state or message
+    cannot be interned on.
     """
 
     def __init__(
@@ -256,64 +266,120 @@ class _PrefixMemo:
         self._order = list(node_order)
         position = {v: j for j, v in enumerate(self._order)}
         self._positions = [position[v] for v in graph.nodes]
+        self._memo = TrialMemo(algorithm, graph)
         self._rounds = 0
-        self._snapshots: list[tuple | None] = [None]
+        # Empty until the first trial interns the initial states; ``None``
+        # once the trials replay (``execute`` raises a deterministic
+        # algorithm's error).
+        self._snapshots: list[tuple[int, ...]] | None = [] if algorithm.bits_per_round else None
 
     def search_length(self, target_length: int, budget: int) -> Assignment | None:
         """:func:`smallest_successful_extension` of the empty prefix to
         ``target_length``: the same trials in the same order, each
-        absorbed as one execution.  Lengths must come as ``1, 2, 3, ...``,
+        counted as one execution.  Lengths must come as ``1, 2, 3, ...``,
         each after the previous one failed."""
-        order = self._order
-        n = len(order)
-        per_round = self._algorithm.bits_per_round
-        rounds = target_length // per_round if per_round else 0
-        new_round = rounds > self._rounds
-        kept = self._rounds * per_round  # bits per node behind the snapshots
-        free = target_length - kept  # bits per node each trial adds
-        # Node ``order[j]`` holds bits [low[j], low[j] + target_length) of a
-        # trial's lexicographic index, its first ``kept`` bits on top.
-        low = [(n - 1 - j) * target_length for j in range(n)]
-        prefix_shifts = [shift + free for shift in low]
-        chunk_shifts = [low[j] for j in self._positions]
-        kept_mask, free_mask = (1 << kept) - 1, (1 << free) - 1
-        length_mask = (1 << target_length) - 1
-        space = 1 << (n * target_length)
-        snapshots = self._snapshots
-        forks: list = [None] * len(snapshots)
-        fresh: list[tuple | None] = []
-        memo = TrialMemo(self._algorithm, self._graph)
-        try:
-            for index in range(min(space, budget)):
-                key = 0
-                for shift in prefix_shifts:
-                    key = (key << kept) | ((index >> shift) & kept_mask)
-                branches = forks[key]
-                if branches is None:
-                    branches = forks[key] = fork(memo, snapshots[key], self._rounds)
-                if new_round:
-                    chunks = [(index >> shift) & free_mask for shift in chunk_shifts]
-                    decided, states = branches.extend(chunks)
-                    fresh.append(states)
-                else:
-                    decided, _states = branches.extend(None)
-                if decided == n:
-                    return {
-                        v: format((index >> shift) & length_mask, f"0{target_length}b")
-                        for v, shift in zip(order, low)
-                    }
-        finally:
-            for branches in forks:
-                if branches is not None:
-                    branches.absorb()
+        space = 1 << (len(self._order) * target_length)
+        trials = min(space, budget)
+        replayed = range(trials)
+        if self._snapshots is not None and trials:
+            found, replayed = self._continue(target_length, trials)
+            if found is not None:
+                return self._assignment(found, target_length)
+        for index in replayed:
+            assignment = self._assignment(index, target_length)
+            if execute(self._algorithm, self._graph, assignment=assignment).successful:
+                return assignment
         if budget < space:
             raise SearchBudgetExceeded(
                 f"no successful extension of length {target_length} within "
                 f"{budget} trials (space not exhausted)"
             )
+        return None
+
+    def _continue(self, target_length: int, trials: int) -> tuple[int | None, range]:
+        """Play the first ``trials`` trials of ``target_length`` as
+        continuations of the snapshots, each handed to every active
+        collector as one execution of the round it ran (or none).
+        Returns the successful trial's index (or ``None``) and the
+        trials left to replay: none, or every one from the first the
+        memo cannot play on.  A round runs every transition before it
+        checks any output, and raises the kernel's error for an output
+        that changes."""
+        memo, graph = self._memo, self._graph
+        n = graph.num_nodes
+        per_round = self._algorithm.bits_per_round
+        rounds = target_length // per_round
+        new_round = rounds > self._rounds
+        kept = self._rounds * per_round  # bits per node behind the snapshots
+        free = target_length - kept  # bits per node each trial adds
+        # Node ``order[j]`` holds bits [j·t, (j+1)·t) of a trial's index in
+        # binary (``t = target_length``), its first ``kept`` bits on top.
+        prefix_shifts = [(n - 1 - j) * target_length + free for j in range(n)]
+        spans = [(j * target_length + kept, (j + 1) * target_length) for j in self._positions]
+        kept_mask = (1 << kept) - 1
+        width = f"0{n * target_length}b"
+        snapshots = self._snapshots
+        fresh: list[tuple[int, ...]] = []
+        executions = extended = nodes_decided = index = 0
+        start = _wall_clock()
+        try:
+            if not snapshots:
+                snapshots = self._snapshots = [tuple(memo.initial_ids())]
+            # Per snapshot: its states, its decided nodes' (position, output),
+            # how many there are, and its inboxes when a round runs from it.
+            settled: list[tuple | None] = [None] * len(snapshots)
+            for index in range(trials):
+                key = 0
+                for shift in prefix_shifts:
+                    key = (key << kept) | ((index >> shift) & kept_mask)
+                entry = settled[key]
+                if entry is None:
+                    entry = settled[key] = self._settle(snapshots[key], new_round)
+                snapshot, fixed, decided, inboxes = entry
+                if inboxes is not None:
+                    filling = format(index, width)
+                    states = memo.advance(snapshot, inboxes, [filling[a:b] for a, b in spans])
+                    outputs = memo.outputs(states)
+                    for position, before in fixed:
+                        value = outputs[position]
+                        if value is None or value != before:
+                            raise _output_changed(graph.nodes[position], before, value, rounds)
+                    decided = n - sum([value is None for value in outputs])
+                    fresh.append(tuple(states))
+                    extended += 1
+                executions += 1
+                nodes_decided += decided
+                if decided == n:
+                    return index, range(0)
+        except _NotInternable:
+            self._snapshots = None
+            return None, range(index, trials)
+        finally:
+            _absorb_all(
+                executions, extended, extended * 2 * graph.num_edges,
+                extended * per_round * n, nodes_decided, _wall_clock() - start,
+            )
         if new_round:
             self._snapshots, self._rounds = fresh, rounds
-        return None
+        return None, range(0)
+
+    def _settle(self, snapshot: tuple[int, ...], new_round: bool) -> tuple:
+        """A snapshot's ``(states, decided (position, output) pairs,
+        decided count, inboxes)``; the inboxes only when a new round runs
+        from it, which it does unless every node has decided."""
+        memo = self._memo
+        outputs = memo.outputs(snapshot)
+        fixed = [(position, value) for position, value in enumerate(outputs) if value is not None]
+        runs = new_round and len(fixed) < len(snapshot)
+        return snapshot, fixed, len(fixed), memo.inbox_keys(snapshot) if runs else None
+
+    def _assignment(self, index: int, target_length: int) -> Assignment:
+        """The trial of ``target_length`` with lexicographic index ``index``."""
+        bits = format(index, f"0{len(self._order) * target_length}b")
+        return {
+            v: bits[j * target_length : (j + 1) * target_length]
+            for j, v in enumerate(self._order)
+        }
 
 
 def _prg_assignment_search(

@@ -20,7 +20,8 @@ Purity (no hidden per-node mutable context, all entropy via ``bits``) is
 what makes executions replayable from a bit assignment and liftable along
 factorizing maps.  States are values: ``transition`` returns a new state
 and never mutates its argument, and equal states behave alike, so the
-assignment search may resume many trials from one shared state.
+assignment search interns states by value and computes each distinct
+``(state, inbox, bits)`` step once for all of its trials.
 """
 
 from __future__ import annotations

@@ -135,9 +135,10 @@ class ExecutionMetrics:
     subsystem injected into this execution (0 for bare runs and for
     runs under an empty plan).
 
-    A continuation of a snapshot (:func:`fork`) has no record of its
-    own; collectors count it as one execution of the rounds it
-    simulated (none or one), with ``nodes_decided`` the total.
+    A lexicographic search's continuation of a failed prefix trial
+    (:mod:`repro.core.assignment_search`) has no record of its own;
+    collectors count it as one execution of the rounds it simulated
+    (none or one), with ``nodes_decided`` the total.
     """
 
     rounds: int = 0
@@ -797,7 +798,8 @@ def _absorb_all(
 
 
 class _NotInternable(Exception):
-    """A state or message of a memo trial cannot be interned."""
+    """A trial the memo cannot play: a port algorithm's, or one whose
+    state or message cannot be interned."""
 
 
 _UNSET = object()  # an output not computed yet
@@ -825,12 +827,16 @@ class TrialMemo:
     * transitions by ``(state id, bits, *inbox keys)``, the keys sorted,
       which is the order delivery hands the inbox over in.
 
-    :meth:`run` plays a trial as a loop of lookups; a miss calls the
-    algorithm on the real state and inbox.  :func:`fork` interns the
-    states of its continuations in a memo's state table (:meth:`intern`).
+    :meth:`run` plays a trial from the initial states as a loop of
+    lookups; a miss calls the algorithm on the real state and inbox.
+    The lexicographic search continues its prefix snapshots, tuples of
+    state ids, by one round through the same pieces
+    (:meth:`initial_ids`, :meth:`inbox_keys`, :meth:`advance`,
+    :meth:`outputs`), which raise :class:`_NotInternable` where the memo
+    cannot play.
 
-    Reuse is almost all in a trial's first rounds, so the memo is
-    cleared between trials once it holds more than 128 transitions per
+    Reuse is almost all in a trial's first rounds, so :meth:`run` clears
+    the memo between trials once it holds more than 128 transitions per
     node of the graph.
     """
 
@@ -851,14 +857,6 @@ class TrialMemo:
         self._messages: dict[str, Any] = {}  # sort key -> message
         self._transitions: dict[tuple, int] = {}
         self._initial: list[int] | None = None
-
-    def intern(self, state: Any) -> Any:
-        """The first state interned equal to ``state`` (``state`` itself
-        when it is new or unhashable)."""
-        try:
-            return self._states[self._state_id(state)]
-        except _NotInternable:
-            return state
 
     def run(self, assignment: Mapping[Node, str]) -> bool | None:
         """Whether the simulation induced by ``assignment`` succeeds,
@@ -899,34 +897,18 @@ class TrialMemo:
         """``(rounds, decided nodes)`` of one trial, in the kernel's
         order: every message of a round before any transition, and every
         transition before any output."""
-        if self._initial is None:
-            init_state = self.algorithm.init_state
-            self._initial = [
-                self._state_id(init_state(label, degree))
-                for _v, label, degree in self.graph._run_plan()[0]
-            ]
-        sids = self._initial
-        key_of, output_of, transitions = self._key_of, self._output_of, self._transitions
-        outputs = [output_of[s] if output_of[s] is not _UNSET else self._output(s) for s in sids]
+        sids = self.initial_ids()
+        outputs = self.outputs(sids)
         n = len(sids)
         decided = n - sum([value is None for value in outputs])
         per_round = self.algorithm.bits_per_round
         rounds = 0
         while decided < n and rounds < limit:
-            keys = [key_of[s] or self._message_key(s) for s in sids]
             low = rounds * per_round
             high = low + per_round
-            new = []
-            for sid, neighbors, string in zip(sids, self._neighbors, bits):
-                key = (sid, string[low:high], *sorted([keys[u] for u in neighbors]))
-                target = transitions.get(key)
-                new.append(target if target is not None else self._transition(key))
-            sids = new
+            sids = self.advance(sids, self.inbox_keys(sids), [string[low:high] for string in bits])
             rounds += 1
-            for index, sid in enumerate(sids):
-                value = output_of[sid]
-                if value is _UNSET:
-                    value = self._output(sid)
+            for index, value in enumerate(self.outputs(sids)):
                 before = outputs[index]
                 if before is None:
                     if value is not None:
@@ -935,6 +917,44 @@ class TrialMemo:
                 elif value is None or value != before:
                     raise _output_changed(self.graph.nodes[index], before, value, rounds)
         return rounds, decided
+
+    def initial_ids(self) -> list[int]:
+        """Every node's initial state id, in ``graph.nodes`` order;
+        :class:`_NotInternable` for a port algorithm."""
+        if self._initial is None:
+            if self._replays:
+                raise _NotInternable
+            init_state = self.algorithm.init_state
+            self._initial = [
+                self._state_id(init_state(label, degree))
+                for _v, label, degree in self.graph._run_plan()[0]
+            ]
+        return self._initial
+
+    def inbox_keys(self, sids: Sequence[int]) -> list[list[str]]:
+        """Every node's inbox while the nodes are in states ``sids``: its
+        neighbours' message keys, sorted."""
+        key_of = self._key_of
+        keys = [key_of[s] or self._message_key(s) for s in sids]
+        return [sorted([keys[u] for u in neighbors]) for neighbors in self._neighbors]
+
+    def advance(
+        self, sids: Sequence[int], inboxes: Sequence[list[str]], chunks: Sequence[str]
+    ) -> list[int]:
+        """Every node's state id one round on from ``sids``, each node
+        receiving its ``inboxes`` entry and drawing its ``chunks`` entry."""
+        transitions = self._transitions
+        new = []
+        for sid, keys, chunk in zip(sids, inboxes, chunks):
+            key = (sid, chunk, *keys)
+            target = transitions.get(key)
+            new.append(target if target is not None else self._transition(key))
+        return new
+
+    def outputs(self, sids: Sequence[int]) -> list[Any]:
+        """The outputs of states ``sids``, each computed once."""
+        output_of = self._output_of
+        return [output_of[s] if output_of[s] is not _UNSET else self._output(s) for s in sids]
 
     def _state_id(self, state: Any) -> int:
         try:
@@ -967,161 +987,3 @@ class TrialMemo:
         )
         target = self._transitions[key] = self._state_id(state)
         return target
-
-
-class Branches:
-    """The one-round continuations of one snapshot of a simulation
-    induced by an assignment (see :func:`fork`).
-
-    Every continuation shares the snapshot's round: the nodes' messages
-    and inboxes depend only on the snapshot, and a node's new state only
-    on its state, its inbox and its own bits.  So the snapshot's outputs
-    are computed on first use, its outboxes and inboxes on the first
-    continuation that runs a round, and each node's ``transition`` and
-    ``output`` once per distinct bit chunk; a continuation whose chunks
-    are all known is a table lookup.  The ``wall_s`` the continuations
-    report is the time spent computing the snapshot's round and the
-    table, not the lookups.
-    """
-
-    __slots__ = (
-        "_memo", "_per_round", "_states", "_rounds",
-        "_outputs", "_decided", "_inboxes", "_table",
-        "_executions", "_extended", "_nodes_decided", "_wall_s",
-    )
-
-    def __init__(self, memo: TrialMemo, states: Sequence[Any] | None, rounds: int) -> None:
-        self._memo = memo
-        self._per_round = _induced_bits_per_round(memo.algorithm)
-        if states is not None and len(states) != memo.graph.num_nodes:
-            raise RuntimeModelError(
-                f"snapshot has {len(states)} states for {memo.graph.num_nodes} nodes"
-            )
-        self._states: tuple[Any, ...] | None = None if states is None else tuple(states)
-        self._rounds = rounds
-        self._outputs: list[Any] | None = None  # the snapshot's, in node order
-        self._decided = 0
-        self._inboxes: list[tuple[Any, ...]] | None = None
-        # Per node: bit chunk -> (new state, 1 if it decides else 0).
-        self._table: list[dict[int, tuple[Any, int]]] = []
-        # Continuations since the last absorb(), and those that ran a round.
-        self._executions = self._extended = self._nodes_decided = 0
-        self._wall_s = 0.0
-
-    def extend(self, chunks: Sequence[int] | None) -> tuple[int, tuple[Any, ...]]:
-        """One continuation: every node draws its ``chunks`` entry (an
-        integer below ``2 ** bits_per_round``, in ``graph.nodes`` order)
-        as the bits of one new round; ``None`` funds no round.  Like
-        :func:`execute`, no round runs once every node has decided.
-
-        Returns the number of decided nodes and every node's state
-        afterwards, in node order.  Irrevocability is enforced as by the
-        kernel, with the same error.  Each call counts as one execution
-        (see :meth:`absorb`)."""
-        if self._outputs is None:
-            self._settle()
-        table = self._table
-        if chunks is None or self._decided == len(table):
-            decided, states = self._decided, self._states
-        else:
-            if len(chunks) != len(table):
-                raise RuntimeModelError(f"{len(chunks)} bit chunks for {len(table)} nodes")
-            row = [entries.get(chunk) for entries, chunk in zip(table, chunks)]
-            if None in row:
-                row = self._fill(chunks)
-            states = tuple([state for state, _decides in row])
-            decided = sum([decides for _state, decides in row])
-            self._extended += 1
-        self._executions += 1
-        self._nodes_decided += decided
-        return decided, states
-
-    def absorb(self) -> None:
-        """Hand every continuation since the last call to every active
-        collector, each as one execution of the rounds it ran."""
-        rounds = self._extended
-        _absorb_all(
-            self._executions,
-            rounds,
-            rounds * self._memo.graph._run_plan()[1],
-            rounds * self._per_round * len(self._table),
-            self._nodes_decided,
-            self._wall_s,
-        )
-        self._executions = self._extended = self._nodes_decided = 0
-        self._wall_s = 0.0
-
-    def _settle(self) -> None:
-        """The snapshot's states (the initial ones by default) and outputs."""
-        start = _wall_clock()
-        algorithm = self._memo.algorithm
-        plan = self._memo.graph._run_plan()[0]
-        if self._states is None:
-            init_state = algorithm.init_state
-            self._states = tuple([init_state(label, degree) for _v, label, degree in plan])
-        output = algorithm.output
-        self._outputs = [output(state) for state in self._states]
-        self._decided = sum([value is not None for value in self._outputs])
-        self._table = [{} for _ in plan]
-        self._wall_s += _wall_clock() - start
-
-    def _fill(self, chunks: Sequence[int]) -> list[tuple[Any, int]]:
-        """The table entries of ``chunks``, computing the missing ones in
-        the kernel's order: every transition of the round before any
-        output."""
-        start = _wall_clock()
-        memo, states, table = self._memo, self._states, self._table
-        algorithm, graph = memo.algorithm, memo.graph
-        if self._inboxes is None:
-            delivery = _infer_delivery(algorithm)
-            outboxes = delivery.emit(algorithm, dict(zip(graph.nodes, states)), graph)
-            self._inboxes = list(delivery.deliver(outboxes, graph).values())
-        width = self._per_round
-        new_states: dict[int, Any] = {}
-        for index, chunk in enumerate(chunks):
-            if chunk not in table[index]:
-                if not 0 <= chunk < 1 << width:
-                    raise RuntimeModelError(f"bit chunk {chunk!r} does not fit in {width} bits")
-                state = algorithm.transition(
-                    states[index], self._inboxes[index], format(chunk, f"0{width}b")
-                )
-                new_states[index] = memo.intern(state)
-        row = []
-        for index, chunk in enumerate(chunks):
-            entry = table[index].get(chunk)
-            if entry is None:
-                state = new_states[index]
-                value, before = algorithm.output(state), self._outputs[index]
-                if before is not None and (value is None or value != before):
-                    raise _output_changed(graph.nodes[index], before, value, self._rounds + 1)
-                entry = table[index][chunk] = (state, int(value is not None))
-            row.append(entry)
-        self._wall_s += _wall_clock() - start
-        return row
-
-
-def fork(memo: TrialMemo, states: Sequence[Any] | None, rounds: int) -> Branches:
-    """The one-round continuations of a simulation induced by an
-    assignment of ``memo.algorithm`` on ``memo.graph``, from a snapshot.
-
-    ``states`` is every node's state after ``rounds`` rounds, in
-    ``graph.nodes`` order (``None``: the initial states, with
-    ``rounds == 0``).  Each :meth:`Branches.extend` call continues the
-    snapshot by one round with given bits and counts as one execution:
-    :meth:`Branches.absorb` hands the calls to every active collector.
-    Every new state is interned by value in the memo (:meth:`TrialMemo.intern`),
-    which the caller may share between forks so that equal states share
-    one object (the purity contract of
-    :class:`~repro.runtime.algorithm.AnonymousAlgorithm` makes that
-    safe); unhashable states are kept as they are.  The
-    continuations are untraced and hook-free, so :func:`fork` refuses to
-    start while a fault injection or churn context is active
-    (:func:`ambient_context_active`); run such executions through
-    :func:`execute` from round 0.
-    """
-    if ambient_context_active():
-        raise RuntimeModelError(
-            "cannot fork under an active fault injection or churn context; "
-            "use execute()"
-        )
-    return Branches(memo, states, rounds)

@@ -126,31 +126,25 @@ class ViewBuilder:
             self._counts.append(csr.num_labels)
             self._stable = csr.num_labels == csr.num_nodes
             return
+        # Called only while the partition still moves; _ensure builds
+        # every level past stability in its own fast path.
         prev = self._levels[-1]
         prev_colors = prev[1]
         count = self._counts[-1]
-        if self._stable:
-            colors = prev_colors  # shared: the partition no longer moves
-            rep_order = self._rep_order
-            if rep_order is None:
-                rep_order = self._rep_order = self._first_member_order(
-                    colors, count
-                )
+        new_colors, new_count = refine_step(csr, prev_colors)
+        if new_count == count:
+            # The round split nothing: the partition is stable (and the
+            # renumbering is the identity), so keep the old class list
+            # and stop refining at deeper levels too.
+            self._stable = True
+            colors = prev_colors
         else:
-            new_colors, new_count = refine_step(csr, prev_colors)
-            if new_count == count:
-                # The round split nothing: the partition is stable (and
-                # the renumbering is the identity), so keep the old
-                # class list and stop refining at deeper levels too.
-                self._stable = True
-                colors = prev_colors
-            else:
-                colors = new_colors
-                count = new_count
-                self._stable = new_count == csr.num_nodes
-            rep_order = self._first_member_order(colors, count)
-            if self._stable:
-                self._rep_order = rep_order
+            colors = new_colors
+            count = new_count
+            self._stable = new_count == csr.num_nodes
+        rep_order = self._first_member_order(colors, count)
+        if self._stable:
+            self._rep_order = rep_order
         self._levels.append((self._class_level(colors, rep_order, prev), colors))
         self._counts.append(count)
 

@@ -1,14 +1,15 @@
 """The assignment searches against the ones that replay every trial.
 
 ``smallest_successful_assignment`` resumes each trial of a length from
-the end state of its failed prefix trial, sharing that prefix's round
-with the prefix's other trials.  The reference below replays every
+the end state of its failed prefix trial, looking each node's step up
+in one transition table per search.  The reference below replays every
 trial from round 0 through ``execute``, as the search did before.  Both
 must try the same assignments in the same order: the same chosen
 assignment (or the same error, raised at the same trial), the same
 number of executions and decided nodes, and — where the search falls
-back to replaying, under fault injection or churn — the same rounds,
-messages, bits and faults.
+back to replaying, under fault injection or churn, for port-numbered
+algorithms and from the first state that cannot be interned on — the
+same rounds, messages, bits and faults for the replayed trials.
 
 The prg search and ``smallest_successful_extension`` play their trials
 in the search's interned round kernel (``TrialMemo``), which reports
@@ -581,11 +582,11 @@ def test_unhashable_states_fall_back_to_execute_for_the_rest_of_the_search():
     assert_same_outcome(prg_search, reference_prg_search, algorithm, graph, order)
 
 
-def test_unhashable_message_midway_falls_back_with_the_same_counts():
-    # States are hashable; the message turns into a list once a node has
-    # drawn a 1, so a trial finds the message unhashable after its first
-    # round.
-    algorithm = FunctionAlgorithm(
+def late_list_messages():
+    """Hashable states; the message turns into a list once a node has
+    drawn a 1, so a trial finds the message unhashable after its first
+    round.  Every node decides after three rounds."""
+    return FunctionAlgorithm(
         init=lambda label, degree: "",
         msg=lambda state: [state] if "1" in state else state,
         step=lambda state, received, bits: state + bits,
@@ -593,10 +594,88 @@ def test_unhashable_message_midway_falls_back_with_the_same_counts():
         bits_per_round=1,
         name="late-list-messages",
     )
+
+
+def late_list_states():
+    """The state turns from a tuple into a list once its history holds
+    ``11``: on P3 the lexicographic search first meets one in trial 4 of
+    length 2.  Every node decides after three rounds."""
+
+    def step(state, received, bits):
+        history = state[0] + bits
+        return [history] if "11" in history else (history,)
+
+    return FunctionAlgorithm(
+        init=lambda label, degree: ("",),
+        msg=lambda state: state[0],
+        step=step,
+        out=lambda state: len(state[0]) if len(state[0]) >= 3 else None,
+        bits_per_round=1,
+        name="late-list-states",
+    )
+
+
+def test_unhashable_message_midway_falls_back_with_the_same_counts():
+    algorithm = late_list_messages()
     graph = with_uniform_input(path_graph(3))
     order = list(graph.nodes)
     assert_same_trials(algorithm, graph, trial_assignments(order))
     assert_same_outcome(prg_search, reference_prg_search, algorithm, graph, order)
+
+
+# (algorithm, trials the lexicographic search continues before it
+# replays through ``execute``).  A message that turns into a list is
+# still interned by its sort key, so nothing replays; a state that turns
+# into a list is met in trial 4 of length 2, after 8 + 3 continuations;
+# a port-numbered algorithm, or one with list states from the start,
+# replays every trial.
+LEXICOGRAPHIC_FALLBACKS = [
+    ("late-list-messages", None),
+    ("late-list-states", 8 + 3),
+    ("port-proposal", 0),
+    ("list-states", 0),
+]
+
+
+@pytest.mark.parametrize("name, continued", LEXICOGRAPHIC_FALLBACKS)
+def test_lexicographic_search_falls_back_with_the_same_outcome(name, continued):
+    algorithm = {
+        **ALGORITHMS, "late-list-messages": late_list_messages, "late-list-states": late_list_states
+    }[name]()
+    graph = with_uniform_input(path_graph(3))
+    search_totals, reference_totals = assert_same_search(algorithm, graph, list(graph.nodes))
+    assert search_totals["nodes_decided"] == reference_totals["nodes_decided"]
+    if continued is None:  # one round per continued trial
+        assert search_totals["rounds"] == search_totals["executions"]
+    elif continued == 0:
+        assert search_totals == reference_totals
+    else:
+        # A continued trial runs one round and a replayed one all of its
+        # own, so each of the 3 continued trials of length 2 saves one
+        # round, and the replayed trials run more than one each.
+        assert search_totals["executions"] < search_totals["rounds"]
+        assert reference_totals["rounds"] - search_totals["rounds"] == continued - 8
+
+
+@pytest.mark.parametrize("strategy", ["lexicographic", "prg"])
+@pytest.mark.parametrize("budget", [0, 5])
+def test_deterministic_algorithm_raises_like_replay(strategy, budget):
+    algorithm = FunctionAlgorithm(
+        init=lambda label, degree: 0,
+        msg=lambda state: state,
+        step=lambda state, received, bits: state + 1,
+        out=lambda state: state if state >= 1 else None,
+        bits_per_round=0,
+        name="deterministic-counter",
+    )
+    graph = with_uniform_input(path_graph(2))
+    order = list(graph.nodes)
+    reference = reference_search if strategy == "lexicographic" else reference_prg_search
+    outcome = _any_outcome(
+        smallest_successful_assignment, algorithm, graph, order, budget=budget, strategy=strategy
+    )
+    assert outcome == _any_outcome(reference, algorithm, graph, order, budget=budget)
+    assert outcome[0][0] == ("SimulationError" if budget else "SearchBudgetExceeded")
 
 
 @pytest.mark.parametrize("mode", ["flip", "raise"])

@@ -9,11 +9,14 @@ trial replayed from round 0 before; the pins then read 8,367 / 100,404 /
 50,202 rounds / messages / bits for MIS on C6 and 17,476 / 209,712 /
 69,904 for K4.)
 
-The trials of one failed prefix share its round: the algorithm computes
-each prefix's messages once, and each node's transition and output once
-per distinct bit chunk.  (Building one engine per trial, the calls read
-25,182 / 25,182 / 50,364 messages / transitions / outputs for MIS on C6
-and 22,132 / 22,132 / 44,264 for K4.)
+Every trial of the search continues its prefix through one interned
+transition table (:class:`~repro.runtime.engine.TrialMemo`): the
+algorithm computes each distinct state's message and output once, and
+each distinct transition once per search.  (Building one engine per
+trial, the calls read 25,182 / 25,182 / 50,364 messages / transitions /
+outputs for MIS on C6 and 22,132 / 22,132 / 44,264 for K4; sharing each
+failed prefix's round with a table per prefix, 456 / 864 / 1,320 and
+1,760 / 3,306 / 5,066.)
 
 A prg search plays its trials in the search's interned round kernel
 (:class:`~repro.runtime.engine.TrialMemo`): the same executions with the
@@ -53,7 +56,7 @@ CASES = [
         (0, 1, 2, 0, 1, 3),  # not periodic: the quotient keeps all six nodes
         {0: "000", 1: "000", 2: "000", 3: "000", 4: "100", 5: "100"},
         {"executions": 4197, "rounds": 4197, "messages_sent": 50364, "bits_drawn": 25182},
-        {"message": 456, "transition": 864, "output": 1320},
+        {"message": 6, "transition": 22, "output": 13},
         id="mis-C6",
     ),
     pytest.param(
@@ -62,7 +65,7 @@ CASES = [
         (0, 1, 2, 3),
         {0: "0000", 1: "0100", 2: "1000", 3: "1100"},
         {"executions": 5533, "rounds": 5533, "messages_sent": 66396, "bits_drawn": 22132},
-        {"message": 1760, "transition": 3306, "output": 5066},
+        {"message": 78, "transition": 495, "output": 432},
         id="2-hop-coloring-K4",
     ),
 ]
@@ -109,11 +112,11 @@ def test_lexicographic_search_work_is_pinned(
     assert dict(algorithm.calls) == calls
 
 
-# The MIS-C6 search keeps 4,096 prefix snapshots of six interned states
-# each while it searches length 3, and the 64 forks of length 2 (about
-# 2.9 kB each) and their length's memo while it builds them; its traced
-# peak here measured about 337 kB (CPython 3.11).  Keeping a whole engine
-# per prefix instead takes megabytes.
+# The MIS-C6 search keeps 4,096 prefix snapshots of six state ids each
+# while it searches length 3, next to the 256 snapshots of length 2 and
+# the search's memo; its traced peak here measured about 271 kB (CPython
+# 3.11; 337 kB with a transition table per snapshot).  Keeping a whole
+# engine per prefix instead takes megabytes.
 MIS_C6_PEAK_BYTES = 500_000
 
 

@@ -32,8 +32,6 @@ from repro.runtime.engine import (
     _trace_level,
     collect_engine_metrics,
     execute,
-    TrialMemo,
-    fork,
 )
 from repro.runtime.port_model import PortAwareAlgorithm
 from repro.runtime.tape import FixedTape
@@ -380,183 +378,6 @@ class TestMetricsCollection:
             "faults_injected": 0,
         }
         assert totals.as_dict()["wall_s"] == 0.5
-
-
-# ----------------------------------------------------------------------
-# Resuming from a snapshot: fork()
-# ----------------------------------------------------------------------
-
-
-def _chunks(bits: str) -> list[int]:
-    """One 1-bit chunk per node of a path, from a string of ``0``/``1``."""
-    return [int(bit) for bit in bits]
-
-
-def _continue(algorithm, graph, rounds_of_chunks):
-    """Continue from the initial states one round per entry, forking
-    each end state; every fork is absorbed.  Returns each round's
-    ``(decided, states)``."""
-    states, steps = None, []
-    for rounds, chunks in enumerate(rounds_of_chunks):
-        branches = fork(TrialMemo(algorithm, graph), states, rounds)
-        decided, states = branches.extend(chunks)
-        branches.absorb()
-        steps.append((decided, states))
-    return steps
-
-
-@pytest.mark.parametrize("model", MODELS)
-class TestResume:
-    """Each ``extend`` of a :func:`fork` continues its snapshot by the
-    round its chunks fund: the same states, decisions and counts as the
-    kernel running that round."""
-
-    def test_from_initial_states_equals_execute(self, model):
-        g = _uniform(path_graph(3))
-        algorithm = make_counter(model, 1, bits=1)
-        with collect_engine_metrics() as totals:
-            [(decided, states)] = _continue(algorithm, g, [_chunks("011")])
-        expected = execute(algorithm, g, assignment={0: "0", 1: "1", 2: "1"})
-        assert decided == len(expected.outputs) == 3
-        assert totals.as_dict(include_wall=False) == {
-            "executions": 1,
-            "rounds": expected.metrics.rounds,
-            "messages_sent": expected.metrics.messages_sent,
-            "bits_drawn": expected.metrics.bits_drawn,
-            "nodes_decided": expected.metrics.nodes_decided,
-            "faults_injected": 0,
-        }
-        engine = make_engine(model, algorithm, g, {v: FixedTape(b) for v, b in zip(g.nodes, "011")})
-        engine.run()
-        assert states == tuple(engine.state_of(v) for v in g.nodes)
-
-    def test_resumed_run_continues_the_execution(self, model):
-        g = _uniform(path_graph(3))
-        algorithm = make_counter(model, 3, bits=1)
-        steps = _continue(algorithm, g, [_chunks("010"), _chunks("110"), _chunks("001")])
-        assignment = {0: "010", 1: "110", 2: "001"}
-        whole = execute(algorithm, g, assignment=assignment)
-        assert [decided for decided, _states in steps] == [0, 0, 3]
-        assert (whole.rounds, len(whole.outputs)) == (3, 3)
-        engine = make_engine(model, algorithm, g, {v: FixedTape(assignment[v]) for v in g.nodes})
-        engine.run()
-        assert steps[-1][1] == tuple(engine.state_of(v) for v in g.nodes)
-
-    def test_metrics_count_only_simulated_rounds(self, model):
-        g = _uniform(path_graph(3))
-        algorithm = make_counter(model, 3, bits=1)
-        with collect_engine_metrics() as totals:
-            _continue(algorithm, g, [_chunks("000")] * 3)
-        whole = execute(algorithm, g, assignment={v: "000" for v in g.nodes})
-        assert totals.executions == 3
-        for key in ("rounds", "messages_sent", "bits_drawn"):
-            assert getattr(totals, key) == getattr(whole.metrics, key)
-        # Each continuation counts every node decided by its end.
-        assert totals.nodes_decided == whole.metrics.nodes_decided == g.num_nodes
-
-    def test_snapshot_outputs_count_as_decided(self, model):
-        g = _uniform(path_graph(3))
-        algorithm = make_counter(model, 1, bits=1)
-        [(decided, states)] = _continue(algorithm, g, [_chunks("010")])
-        assert decided == 3
-        branches = fork(TrialMemo(algorithm, g), states, 1)
-        with collect_engine_metrics() as totals:
-            # Already decided in the snapshot: no round runs.
-            assert branches.extend(_chunks("111")) == (3, states)
-            assert branches.extend(None) == (3, states)
-            branches.absorb()
-        assert (totals.executions, totals.rounds, totals.nodes_decided) == (2, 0, 6)
-
-    def test_collectors_absorb_one_execution_each(self, model):
-        g = _uniform(path_graph(3))
-        algorithm = make_counter(model, 3, bits=1)
-        branches = fork(TrialMemo(algorithm, g), None, 0)
-        with collect_engine_metrics() as outer:
-            for bits in ("000", "101", "000"):
-                branches.extend(_chunks(bits))
-            with collect_engine_metrics() as inner:
-                branches.absorb()
-            branches.absorb()  # nothing new since the last call
-        for totals in (outer, inner):
-            assert (totals.executions, totals.rounds, totals.bits_drawn) == (3, 3, 9)
-            assert totals.messages_sent == 3 * 4  # P3: degree sum 4 per round
-
-    def test_bits_must_cover_every_node(self, model):
-        g = _uniform(path_graph(2))
-        branches = fork(TrialMemo(make_counter(model, 1, bits=1), g), None, 0)
-        with pytest.raises(RuntimeModelError, match="1 bit chunks for 2 nodes"):
-            branches.extend([1])
-        with pytest.raises(RuntimeModelError, match="does not fit in 1 bits"):
-            branches.extend([0, 2])
-
-    def test_deterministic_algorithm_rejected_like_execute(self, model):
-        g = _uniform(path_graph(2))
-        with pytest.raises(SimulationError, match="require a randomized algorithm"):
-            fork(TrialMemo(make_counter(model, 1), g), None, 0)
-
-    @pytest.mark.parametrize("size", [2, 4])
-    def test_snapshot_must_hold_one_state_per_node(self, model, size):
-        g = _uniform(path_graph(3))
-        algorithm = make_counter(model, 3, bits=1)
-        with pytest.raises(RuntimeModelError, match=f"snapshot has {size} states for 3 nodes"):
-            fork(TrialMemo(algorithm, g), (0,) * size, 1)
-
-    def test_one_transition_per_node_and_chunk(self, model):
-        g = _uniform(path_graph(3))
-        algorithm = make_counter(model, 3, bits=1)
-        drawn = []
-
-        class Counting(type(algorithm)):
-            def transition(self, state, received, bits):
-                drawn.append(bits)
-                return super().transition(state, received, bits)
-
-        algorithm.__class__ = Counting  # the same counter, now counting
-        branches = fork(TrialMemo(algorithm, g), None, 0)
-        for bits in ("000", "011", "110", "111", "000"):
-            branches.extend(_chunks(bits))
-        assert sorted(drawn) == ["0"] * 3 + ["1"] * 3  # 3 nodes x 2 chunks
-
-    def test_equal_states_are_interned_across_forks(self, model):
-        g = _uniform(path_graph(3))
-        algorithm = make_counter(model, 3, bits=1)
-        memo = TrialMemo(algorithm, g)
-        _decided, first = fork(memo, None, 0).extend(_chunks("010"))
-        _decided, second = fork(memo, None, 0).extend(_chunks("010"))
-        assert first == second
-        assert all(a is b for a, b in zip(first, second))
-
-
-def test_irrevocability_is_enforced_after_resuming():
-    # The middle node of P3 outputs its round count: 1, then 2.  The ends
-    # never decide, so the run does not stop at round 1.
-    flipping = FunctionAlgorithm(
-        init=lambda label, degree: (degree, 0),
-        msg=lambda s: 0,
-        step=lambda s, received, bits: (s[0], s[1] + 1),
-        out=lambda s: s[1] if s[0] == 2 and s[1] >= 1 else None,
-        bits_per_round=1,
-        name="flipping",
-    )
-    g = _uniform(path_graph(3))
-    [(decided, states)] = _continue(flipping, g, [_chunks("000")])
-    assert decided == 1
-    with pytest.raises(OutputAlreadySetError) as replayed:
-        execute(flipping, g, assignment={v: "00" for v in g.nodes})
-    with pytest.raises(OutputAlreadySetError, match=r"node 1 .* from 1 to 2 in round 2") as forked:
-        fork(TrialMemo(flipping, g), states, 1).extend(_chunks("000"))
-    assert str(forked.value) == str(replayed.value)
-
-
-def test_resume_refuses_active_fault_and_churn_contexts():
-    from repro.dynamic import ChurnPlan, apply_churn
-    from repro.faults import FaultPlan, inject_faults
-
-    g = _uniform(path_graph(2))
-    algorithm = broadcast_counter(1, bits=1)
-    for context in (inject_faults(FaultPlan()), apply_churn(ChurnPlan())):
-        with context, pytest.raises(RuntimeModelError, match="use execute"):
-            fork(TrialMemo(algorithm, g), None, 0)
 
 
 # ----------------------------------------------------------------------
