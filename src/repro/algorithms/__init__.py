@@ -1,5 +1,5 @@
 """Anonymous algorithms: the randomized solvers the paper derandomizes,
-plus deterministic baselines and deciders.
+plus deterministic baselines and the Δ_Π decider.
 
 All randomized algorithms here share one design: every node grows a
 random bitstring (one bit per round) and compares it against the *stale*
@@ -21,23 +21,13 @@ from repro.algorithms.vertex_coloring import VertexColoringAlgorithm
 from repro.algorithms.luby_mis import AnonymousMISAlgorithm
 from repro.algorithms.matching import AnonymousMatchingAlgorithm
 from repro.algorithms.greedy_by_color import GreedyMISByColor, GreedyColoringByColor
-from repro.algorithms.deciders import (
-    WellFormedInputDecider,
-    TwoHopColoringDecider,
-)
+from repro.algorithms.deciders import WellFormedInputDecider
 from repro.algorithms.monte_carlo_election import (
     MonteCarloElection,
     failure_probability_bound,
 )
-from repro.algorithms.color_reduction import TwoHopColorReduction
-from repro.algorithms.bfs_tree import BFSTreeProblem, LeaderBFSTree
-from repro.algorithms.local_election import TwoLocalElection
 
 __all__ = [
-    "TwoLocalElection",
-    "TwoHopColorReduction",
-    "BFSTreeProblem",
-    "LeaderBFSTree",
     "MonteCarloElection",
     "failure_probability_bound",
     "bitstring_order_key",
@@ -51,5 +41,4 @@ __all__ = [
     "GreedyMISByColor",
     "GreedyColoringByColor",
     "WellFormedInputDecider",
-    "TwoHopColoringDecider",
 ]

@@ -2,7 +2,7 @@
 
 The problems in this reproduction (MIS, coloring, matching) accept every
 connected graph with well-formed inputs, so their instance decision
-problems Δ_Π reduce to *local* checks; the deciders below perform them
+problems Δ_Π reduce to *local* checks; the decider below performs them
 anonymously.  Deterministic algorithms are a special case of randomized
 ones, so they witness GRAN membership just fine.
 """
@@ -18,7 +18,6 @@ from repro.runtime.algorithm import AnonymousAlgorithm
 @dataclass(frozen=True)
 class _DecState:
     verdict: str | None
-    payload: tuple = ()
     round_number: int = 0
 
 
@@ -48,75 +47,6 @@ class WellFormedInputDecider(AnonymousAlgorithm):
 
     def transition(self, state: _DecState, received, bits: str) -> _DecState:
         return replace(state, round_number=state.round_number + 1)
-
-    def output(self, state: _DecState) -> str | None:
-        return state.verdict
-
-
-class TwoHopColoringDecider(AnonymousAlgorithm):
-    """Decides whether the graph's composed label ``(input, color)`` carries
-    a valid 2-hop coloring (the instance check of Π^c).
-
-    Two rounds of broadcast: first everyone's color, then everyone's
-    received color list.  A node says NO if its input is malformed, if a
-    neighbor shares its color, or if removing its own echo once from a
-    neighbor's list still leaves an entry equal to its color.
-    """
-
-    bits_per_round = 0
-    name = "decide-two-hop-coloring"
-
-    def init_state(self, input_label, degree: int) -> _DecState:
-        well_formed = (
-            isinstance(input_label, tuple)
-            and len(input_label) == 2
-            and isinstance(input_label[0], tuple)
-            and len(input_label[0]) >= 1
-            and input_label[0][0] == degree
-        )
-        color = input_label[1] if well_formed else None
-        return _DecState(verdict=None, payload=("fresh", color, well_formed, ()))
-
-    def message(self, state: _DecState):
-        stage, color, _well_formed, heard = state.payload
-        if stage == "fresh":
-            return ("color", color)
-        return ("list", color, heard)
-
-    def transition(self, state: _DecState, received, bits: str) -> _DecState:
-        stage, color, well_formed, _heard = state.payload
-        round_number = state.round_number + 1
-        if state.verdict is not None:
-            return replace(state, round_number=round_number)
-        if stage == "fresh":
-            heard = tuple(message[1] for message in received)
-            if not well_formed:
-                return _DecState(verdict=NO, payload=("done", color, well_formed, heard))
-            if any(c == color for c in heard):
-                return _DecState(verdict=NO, payload=("done", color, well_formed, heard))
-            return _DecState(
-                verdict=None,
-                payload=("lists", color, well_formed, heard),
-                round_number=round_number,
-            )
-        # Second round: check 2-hop conflicts via neighbor lists.
-        verdict = YES
-        for message in received:
-            if message[0] != "list":
-                verdict = NO
-                break
-            _tag, _color_u, list_u = message
-            entries = list(list_u)
-            if color in entries:
-                entries.remove(color)  # my own echo, exactly once
-            if color in entries:
-                verdict = NO
-                break
-        return _DecState(
-            verdict=verdict,
-            payload=("done", color, well_formed, ()),
-            round_number=round_number,
-        )
 
     def output(self, state: _DecState) -> str | None:
         return state.verdict

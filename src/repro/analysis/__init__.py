@@ -1,7 +1,7 @@
 """Analysis & experiment harness: run statistics, symmetry diagnostics,
 and the graph-family sweep helpers that drive the benchmark suite."""
 
-from repro.analysis.stats import RunStats, aggregate, collect_run_stats
+from repro.analysis.stats import RunStats, aggregate
 from repro.analysis.symmetry import (
     election_is_deterministically_impossible,
     view_class_profile,
@@ -26,7 +26,6 @@ __all__ = [
     "measure_success_curve",
     "RunStats",
     "aggregate",
-    "collect_run_stats",
     "election_is_deterministically_impossible",
     "view_class_profile",
     "SweepRow",

@@ -1,8 +1,8 @@
-"""Human-readable rendering of executions and traces.
+"""Human-readable rendering of execution traces.
 
-Round-by-round tables of an execution's messages, bits and outputs —
-for debugging algorithms, for teaching, and for the examples.  Message
-payloads are abbreviated so tables stay scannable.
+The output timeline of an execution — when each node set its
+irrevocable output — for the examples.  Output values are abbreviated
+so the timeline stays scannable.
 """
 
 from __future__ import annotations
@@ -13,43 +13,11 @@ from repro.graphs.labeled_graph import _sort_key
 from repro.runtime.trace import ExecutionTrace
 
 
-def _abbreviate(value: Any, width: int = 18) -> str:
+def _abbreviate(value: Any, width: int) -> str:
     text = repr(value)
     if len(text) <= width:
         return text
     return text[: width - 1] + "…"
-
-
-def render_trace(trace: ExecutionTrace, max_rounds: int | None = None) -> str:
-    """A table with one row per (round, node): message sent, bits drawn,
-    and the output if it became set that round."""
-    lines: list[str] = [f"execution of {trace.algorithm_name!r}"]
-    rounds = trace.rounds if max_rounds is None else trace.rounds[:max_rounds]
-    if not rounds:
-        lines.append("(no rounds executed)")
-        return "\n".join(lines)
-    nodes = sorted({v for record in rounds for v in record.sent}, key=_sort_key)
-    node_width = max(4, max(len(repr(v)) for v in nodes))
-    header = f"{'round':>5}  {'node':<{node_width}}  {'bits':<4}  {'sent':<20}  output"
-    lines.append(header)
-    lines.append("-" * len(header))
-    for record in rounds:
-        for v in nodes:
-            if v not in record.sent:
-                continue
-            output = (
-                _abbreviate(record.new_outputs[v])
-                if v in record.new_outputs
-                else ""
-            )
-            lines.append(
-                f"{record.round_number:>5}  {repr(v):<{node_width}}  "
-                f"{record.bits.get(v, ''):<4}  "
-                f"{_abbreviate(record.sent[v], 20):<20}  {output}"
-            )
-    if max_rounds is not None and len(trace.rounds) > max_rounds:
-        lines.append(f"... ({len(trace.rounds) - max_rounds} more rounds)")
-    return "\n".join(lines)
 
 
 def render_output_timeline(trace: ExecutionTrace) -> str:

@@ -66,12 +66,6 @@ class Aggregate:
         )
 
 
-def collect_run_stats(
-    graph: LabeledGraph, results: Iterable[ExecutionResult], bits_per_round: int
-) -> list[RunStats]:
-    return [RunStats.of(graph, result, bits_per_round) for result in results]
-
-
 def aggregate(stats: Iterable[RunStats]) -> Aggregate:
     items = list(stats)
     if not items:
@@ -85,29 +79,3 @@ def aggregate(stats: Iterable[RunStats]) -> Aggregate:
         mean_bits=sum(bits) / len(bits),
         runs=len(items),
     )
-
-
-def round_distribution(
-    rounds: Iterable[int],
-) -> dict[str, float]:
-    """Percentile summary of round counts across repeated runs."""
-    values = sorted(rounds)
-    if not values:
-        raise ValueError("round_distribution needs at least one run")
-
-    def percentile(q: float) -> float:
-        if len(values) == 1:
-            return float(values[0])
-        position = q * (len(values) - 1)
-        low = int(position)
-        high = min(low + 1, len(values) - 1)
-        fraction = position - low
-        return values[low] * (1 - fraction) + values[high] * fraction
-
-    return {
-        "min": float(values[0]),
-        "p50": percentile(0.5),
-        "p90": percentile(0.9),
-        "max": float(values[-1]),
-        "mean": sum(values) / len(values),
-    }

@@ -1,8 +1,8 @@
 """Content-addressed artifacts: one cache discipline for every canonical object.
 
-Every canonical object this library produces — view trees, per-node view
-maps, refinement partitions, quotients (``G_∞``/``G_*``), derandomized
-pipeline runs — is a pure function of ``(code, spec)``: the source tree
+Every canonical object this library caches — per-node view maps (plain
+or churn-replayed), refinement partitions, quotients (``G_∞``/``G_*``)
+— is a pure function of ``(code, spec)``: the source tree
 plus a JSON description of the question.  This package gives all of them
 one SHA-256-keyed address space and one cache story:
 

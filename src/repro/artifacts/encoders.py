@@ -33,10 +33,8 @@ from repro.views.view_tree import ViewTree
 __all__ = [
     "ArtifactEncoder",
     "PAYLOAD_FORMAT",
-    "artifact_kinds",
     "canonical_bytes",
     "encoder_for",
-    "project_pipeline",
 ]
 
 PAYLOAD_FORMAT = 1
@@ -66,7 +64,7 @@ def _record_of(payload: bytes, kind: str) -> "dict[str, Any]":
     return record
 
 
-# -- view-tree DAG pools ------------------------------------------------
+# -- view tree DAG pools -------------------------------------------------
 
 
 def _pool_of(roots: "Sequence[ViewTree]") -> "tuple[list[list[Any]], list[int]]":
@@ -112,18 +110,6 @@ def _trees_of(pool: "Sequence[Sequence[Any]]") -> "list[ViewTree]":
 
 
 # -- kind encoders ------------------------------------------------------
-
-
-def encode_view_tree(tree: ViewTree) -> bytes:
-    pool, roots = _pool_of([tree])
-    return canonical_bytes(
-        {"format": PAYLOAD_FORMAT, "kind": "view-tree", "pool": pool, "root": roots[0]}
-    )
-
-
-def decode_view_tree(payload: bytes) -> ViewTree:
-    record = _record_of(payload, "view-tree")
-    return _trees_of(record["pool"])[record["root"]]
 
 
 def _encode_node_views(views: "Mapping[Node, ViewTree]", kind: str) -> bytes:
@@ -230,33 +216,6 @@ def decode_quotient(payload: bytes) -> QuotientResult:
     return QuotientResult(graph=quotient, map=factorizing, views=views)
 
 
-def project_pipeline(instance: Any, result: Any) -> "dict[str, Any]":
-    """The canonical projection of a :class:`repro.core.derandomize.
-    PipelineResult` (annotated loosely to keep this module's imports in
-    the encoder layer).  Node order is the instance's canonical order."""
-    return {
-        "outputs": [
-            [_encode(v), _encode(result.outputs[v])] for v in instance.nodes
-        ],
-        "coloring": [[_encode(v), result.coloring[v]] for v in instance.nodes],
-        "stage1_rounds": result.stage1_rounds,
-        "stage1_bits": result.stage1_bits,
-        "quotient_size": result.quotient_size,
-        "simulation_rounds": result.stage2.simulation_rounds,
-    }
-
-
-def encode_derandomized_run(record: "dict[str, Any]") -> bytes:
-    payload = dict(record)
-    payload["format"] = PAYLOAD_FORMAT
-    payload["kind"] = "derandomized-run"
-    return canonical_bytes(payload)
-
-
-def decode_derandomized_run(payload: bytes) -> "dict[str, Any]":
-    return _record_of(payload, "derandomized-run")
-
-
 # -- registry -----------------------------------------------------------
 
 
@@ -288,19 +247,9 @@ def encoder_for(kind: str) -> ArtifactEncoder:
         ) from None
 
 
-def artifact_kinds() -> "tuple[str, ...]":
-    return tuple(sorted(_ENCODERS))
-
-
-register_encoder(ArtifactEncoder("view-tree", encode_view_tree, decode_view_tree))
 register_encoder(ArtifactEncoder("views", encode_views, decode_views))
 register_encoder(
     ArtifactEncoder("dynamic-views", encode_dynamic_views, decode_dynamic_views)
 )
 register_encoder(ArtifactEncoder("refinement", encode_refinement, decode_refinement))
 register_encoder(ArtifactEncoder("quotient", encode_quotient, decode_quotient))
-register_encoder(
-    ArtifactEncoder(
-        "derandomized-run", encode_derandomized_run, decode_derandomized_run
-    )
-)

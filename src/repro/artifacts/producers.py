@@ -16,11 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.artifacts.encoders import encoder_for, project_pipeline
+from repro.artifacts.encoders import encoder_for
 from repro.exceptions import ArtifactError
 from repro.factor.quotient import infinite_view_graph
-from repro.graphs.io import _decode, graph_from_dict
-from repro.views.local_views import all_views, view
+from repro.graphs.io import graph_from_dict
+from repro.views.local_views import all_views
 from repro.views.refinement import color_refinement
 
 __all__ = [
@@ -52,10 +52,6 @@ def _compute_views(spec: "dict[str, Any]") -> Any:
     return all_views(_graph_of(spec), spec["depth"])
 
 
-def _compute_view_tree(spec: "dict[str, Any]") -> Any:
-    return view(_graph_of(spec), _decode(spec["node"]), spec["depth"])
-
-
 def _compute_quotient(spec: "dict[str, Any]") -> Any:
     return infinite_view_graph(_graph_of(spec), with_views=spec["with_views"])
 
@@ -73,39 +69,11 @@ def _compute_dynamic_views(spec: "dict[str, Any]") -> Any:
     return replay_views(base, deltas, spec["depth"])
 
 
-def _compute_derandomized_run(spec: "dict[str, Any]") -> Any:
-    # Bundles live behind the experiment registry; import lazily so the
-    # artifact layer does not pull the whole experiments package in for
-    # view/quotient traffic.
-    from repro.core.derandomize import derandomize_pipeline
-    from repro.experiments.theorems import _bundles
-
-    bundles = _bundles()
-    problem = spec["problem"]
-    if problem not in bundles:
-        raise ArtifactError(
-            f"unknown GRAN bundle {problem!r}; known: {', '.join(sorted(bundles))}"
-        )
-    instance = _graph_of(spec)
-    result = derandomize_pipeline(
-        bundles[problem],
-        instance,
-        seed=spec["seed"],
-        strategy=spec.get("strategy", "lexicographic"),
-        max_assignment_length=spec.get("max_assignment_length", 64),
-    )
-    return project_pipeline(instance, result)
-
-
 _PRODUCERS: "dict[str, ArtifactProducer]" = {
     "refinement": ArtifactProducer("refinement", _compute_refinement),
     "views": ArtifactProducer("views", _compute_views),
-    "view-tree": ArtifactProducer("view-tree", _compute_view_tree),
     "quotient": ArtifactProducer("quotient", _compute_quotient),
     "dynamic-views": ArtifactProducer("dynamic-views", _compute_dynamic_views),
-    "derandomized-run": ArtifactProducer(
-        "derandomized-run", _compute_derandomized_run
-    ),
 }
 
 

@@ -13,15 +13,13 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.graphs.io import _encode, graph_to_dict
-from repro.graphs.labeled_graph import LabeledGraph, Node
+from repro.graphs.io import graph_to_dict
+from repro.graphs.labeled_graph import LabeledGraph
 
 __all__ = [
-    "derandomized_run_spec",
     "dynamic_views_spec",
     "quotient_spec",
     "refinement_spec",
-    "view_tree_spec",
     "views_spec",
 ]
 
@@ -35,16 +33,6 @@ def refinement_spec(graph: LabeledGraph) -> "dict[str, Any]":
 def views_spec(graph: LabeledGraph, depth: int) -> "dict[str, Any]":
     """All depth-``depth`` views ``L_depth(v, graph)``."""
     return {"kind": "views", "depth": int(depth), "graph": graph_to_dict(graph)}
-
-
-def view_tree_spec(graph: LabeledGraph, node: Node, depth: int) -> "dict[str, Any]":
-    """The single view ``L_depth(node, graph)``."""
-    return {
-        "kind": "view-tree",
-        "node": _encode(node),
-        "depth": int(depth),
-        "graph": graph_to_dict(graph),
-    }
 
 
 def quotient_spec(graph: LabeledGraph, with_views: bool = False) -> "dict[str, Any]":
@@ -70,24 +58,4 @@ def dynamic_views_spec(
         "depth": int(depth),
         "base": graph_to_dict(base),
         "deltas": [delta.as_dict() for delta in deltas],
-    }
-
-
-def derandomized_run_spec(
-    problem: str,
-    graph: LabeledGraph,
-    seed: int,
-    strategy: str = "lexicographic",
-    max_assignment_length: int = 64,
-) -> "dict[str, Any]":
-    """One two-stage derandomization pipeline run.  ``problem`` names a
-    GRAN bundle from the experiment registry (``mis``, ``coloring``,
-    ``2-hop-coloring``, ``matching``); ``seed`` drives stage 1 only."""
-    return {
-        "kind": "derandomized-run",
-        "problem": problem,
-        "seed": int(seed),
-        "strategy": strategy,
-        "max_assignment_length": int(max_assignment_length),
-        "graph": graph_to_dict(graph),
     }

@@ -22,7 +22,6 @@ from repro.experiments.base import (
     all_specs,
     get_experiment,
     get_spec,
-    run_all,
 )
 from repro.experiments import (  # noqa: F401  (registration)
     boundaries,
@@ -52,7 +51,6 @@ __all__ = [
     "derive_seed",
     "get_experiment",
     "get_spec",
-    "run_all",
     "run_experiments",
     "write_results_json",
 ]

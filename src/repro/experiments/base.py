@@ -149,8 +149,3 @@ def all_specs() -> list[ExperimentSpec]:
 def all_families() -> list[str]:
     """Every registered experiment family, sorted."""
     return sorted({spec.family for spec in _REGISTRY.values()})
-
-
-def run_all() -> list[ExperimentResult]:
-    """Run every registered experiment, in id order."""
-    return [_REGISTRY[eid].fn() for eid in all_experiment_ids()]

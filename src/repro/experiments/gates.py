@@ -39,6 +39,7 @@ import sys
 from pathlib import Path
 from typing import Any
 
+import repro
 from repro.artifacts.keys import artifact_key
 from repro.artifacts.producers import compute_payload
 from repro.artifacts.specs import quotient_spec, refinement_spec, views_spec
@@ -242,11 +243,17 @@ _EMIT = (
 
 
 def check_hashseed() -> list[str]:
-    """The manifest from child interpreters under each of HASH_SEEDS."""
+    """The manifest from child interpreters under each of HASH_SEEDS.
+
+    The children import this process's ``repro``: its source root goes
+    first on their ``PYTHONPATH``, whether this process found it there
+    or on ``sys.path``, so they never digest another copy of the code."""
     print(f"[gates] canonical manifests under PYTHONHASHSEED {HASH_SEEDS} ...")
+    source_root = str(Path(repro.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
     outputs = []
     for seed in HASH_SEEDS:
-        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=pythonpath)
         proc = subprocess.run(
             [sys.executable, "-c", _EMIT], env=env, capture_output=True, text=True
         )

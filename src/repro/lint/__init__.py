@@ -29,7 +29,7 @@ FLOW001   (interprocedural) no entropy/clock value *flows* into a
 FLOW002   (interprocedural) no unordered-iteration order flows into a
           canonical encoder without passing through ``sorted()``
 ANON001   (interprocedural) no ``id()``-derived value flows into
-          algorithm-visible state or a view-tree mark
+          algorithm-visible state or a view tree mark
 PURE001   canonical codecs are transitively free of I/O, non-local
           mutation and clock reads
 LINT000   (framework) file failed to parse

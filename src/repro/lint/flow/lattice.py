@@ -202,7 +202,7 @@ SANITIZER_CALLS: "dict[str, frozenset]" = {
 TAPE_MODULE = "repro.runtime.tape"
 TAPE_CLEARS = frozenset({ENTROPY, CLOCK})
 
-#: Modules whose global-state mutation is sanctioned: the view-tree
+#: Modules whose global-state mutation is sanctioned: the view tree
 #: intern tables are content-keyed memoization — every observable
 #: output (marks, ranks, canonical child order) is a pure function of
 #: the values interned, not of interning order — so functions here do

@@ -3,22 +3,17 @@
 Theorem 1's hypothesis is ``Π ∈ GRAN``: a randomized anonymous algorithm
 *solves* Π and another *decides* Δ_Π.  A :class:`GranBundle` carries that
 certificate — the problem together with both algorithms — and is the
-object the derandomization pipeline consumes.  The bundle can
-empirically check its own claims on concrete instances, which the test
-suite and the T1 experiment use as a sanity layer.
+object the derandomization pipeline consumes.
+:func:`repro.core.verification.check_gran_bundle` checks its claims on
+concrete instances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Iterable
 
-from repro.exceptions import ProblemError
-from repro.graphs.labeled_graph import LabeledGraph
-from repro.problems.decision import decision_outputs_valid
 from repro.problems.problem import DistributedProblem
 from repro.runtime.algorithm import AnonymousAlgorithm
-from repro.runtime.engine import execute
 
 
 @dataclass
@@ -32,40 +27,3 @@ class GranBundle:
     problem: DistributedProblem
     solver: AnonymousAlgorithm
     decider: AnonymousAlgorithm
-
-    def check_solver_on(
-        self, graph: LabeledGraph, seeds: Iterable[int], max_rounds: int = 10_000
-    ) -> None:
-        """Run the solver for each seed and validate every output labeling.
-        Raises :class:`ProblemError` on the first invalid output."""
-        if not self.problem.is_instance(graph):
-            raise ProblemError(
-                f"{graph!r} is not an instance of {self.problem.name}"
-            )
-        for seed in seeds:
-            result = execute(
-                self.solver, graph, seed=seed, max_rounds=max_rounds, require_decided=True
-            )
-            if not self.problem.is_valid_output(graph, result.outputs):
-                raise ProblemError(
-                    f"solver {self.solver.name} produced an invalid output for "
-                    f"{self.problem.name} on {graph!r} with seed {seed}: "
-                    f"{result.outputs!r}"
-                )
-
-    def check_decider_on(
-        self, graph: LabeledGraph, seeds: Iterable[int], max_rounds: int = 10_000
-    ) -> None:
-        """Run the decider for each seed and validate the verdicts against
-        ground-truth instance membership."""
-        expected = self.problem.is_instance(graph)
-        for seed in seeds:
-            result = execute(
-                self.decider, graph, seed=seed, max_rounds=max_rounds, require_decided=True
-            )
-            if not decision_outputs_valid(expected, result.outputs):
-                raise ProblemError(
-                    f"decider {self.decider.name} mis-decided {self.problem.name} "
-                    f"membership (expected {'YES' if expected else 'NO'}) on "
-                    f"{graph!r} with seed {seed}: {result.outputs!r}"
-                )

@@ -34,11 +34,7 @@ from repro.runtime.engine import (
     collect_engine_metrics,
     execute,
 )
-from repro.runtime.port_model import (
-    PortAwareAlgorithm,
-    PortEmulation,
-    emulate_ports,
-)
+from repro.runtime.port_model import PortAwareAlgorithm, PortEmulation
 from repro.runtime.tape import BitSource, FixedTape, RandomTape, RecordingTape
 from repro.runtime.trace import ExecutionTrace, RoundRecord
 
@@ -59,7 +55,6 @@ __all__ = [
     "execute",
     "PortAwareAlgorithm",
     "PortEmulation",
-    "emulate_ports",
     "TwoStageComposition",
     "BitSource",
     "FixedTape",

@@ -427,7 +427,7 @@ class ExecutionEngine:
         self._tapes = dict(tapes)
         self._delivery = delivery
         self._policy = policy or ExecutionPolicy()
-        self._hooks = list(hooks)
+        self._hooks = tuple(hooks)
         plan, self._payloads_per_round = graph._run_plan()
         init_state = algorithm.init_state
         self._states: dict[Node, Any] = {
@@ -475,9 +475,6 @@ class ExecutionEngine:
 
     def state_of(self, node: Node) -> Any:
         return self._states[node]
-
-    def add_hook(self, hook: RoundHook) -> None:
-        self._hooks.append(hook)
 
     def swap_graph(self, new_graph: LabeledGraph) -> None:
         """Replace the topology between rounds (dynamic networks).

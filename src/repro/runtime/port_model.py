@@ -12,7 +12,7 @@ emulated."*  This module makes both halves executable:
   it on the unified kernel with
   :class:`~repro.runtime.engine.PortDelivery`, which it picks
   automatically for port-aware algorithms.
-* :func:`emulate_ports` — an adapter compiling a port-aware algorithm
+* :class:`PortEmulation` — an adapter compiling a port-aware algorithm
   into a broadcast :class:`~repro.runtime.algorithm.AnonymousAlgorithm`
   for 2-hop colored instances: virtual port ``i`` of a node is its
   ``i``-th neighbor in color order (colors in a closed neighborhood are
@@ -86,7 +86,8 @@ class PortEmulation(AnonymousAlgorithm):
 
     Requires the composed node label to be ``(input_label, color)`` with
     the color layer a 2-hop coloring.  One extra "hello" round exchanges
-    colors; afterwards every emulated round costs one broadcast round.
+    colors (and draws one discarded batch of ``bits_per_round`` bits per
+    node); afterwards every emulated round costs one broadcast round.
     Virtual port order is ascending neighbor-color order.
     """
 
@@ -160,14 +161,3 @@ class PortEmulation(AnonymousAlgorithm):
         if state.phase == "hello":
             return None
         return self.inner.output(state.inner)
-
-
-def emulate_ports(inner: PortAwareAlgorithm) -> PortEmulation:
-    """Compile a port-aware algorithm into its broadcast emulation.
-
-    The returned :class:`PortEmulation` runs on 2-hop colored instances
-    (labels ``(input_label, color)``) and pays exactly one extra "hello"
-    round — including one extra draw of ``bits_per_round`` bits per node,
-    discarded during the hello exchange.
-    """
-    return PortEmulation(inner)

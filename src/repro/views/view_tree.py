@@ -432,27 +432,3 @@ def intern_stats() -> dict[str, int]:
         "mark_renumbers": _STATS["mark_renumbers"],
         "bucket_shifts": _STATS["bucket_shifts"],
     }
-
-
-def view_to_dict(tree: ViewTree) -> dict:
-    """A JSON-compatible description of a view tree.
-
-    Marks must be JSON-representable (the same constraint as
-    :mod:`repro.graphs.io`, whose encoding is reused); shared subtrees
-    are expanded, so this is meant for figure-sized views, not for
-    depth-n views of large graphs.
-    """
-    from repro.graphs.io import _encode
-
-    return {
-        "mark": _encode(tree.mark),
-        "children": [view_to_dict(child) for child in tree.children],
-    }
-
-
-def view_from_dict(data: dict) -> ViewTree:
-    """Rebuild an interned view tree from :func:`view_to_dict` output."""
-    from repro.graphs.io import _decode
-
-    children = [view_from_dict(child) for child in data["children"]]
-    return ViewTree.make(_decode(data["mark"]), children)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.algorithms.deciders import TwoHopColoringDecider, WellFormedInputDecider
+from repro.algorithms.deciders import WellFormedInputDecider
 from repro.algorithms.greedy_by_color import GreedyColoringByColor, GreedyMISByColor
 from repro.graphs.builders import (
     cycle_graph,
@@ -87,34 +87,3 @@ class TestWellFormedInputDecider:
         g = with_uniform_input(star_graph(3))
         result = execute(WellFormedInputDecider(), g, require_decided=True)
         assert result.rounds == 0
-
-
-class TestTwoHopColoringDecider:
-    def test_accepts_valid_coloring(self):
-        instance = colored(with_uniform_input(cycle_graph(6)))
-        result = execute(TwoHopColoringDecider(), instance, require_decided=True)
-        assert all(v == YES for v in result.outputs.values())
-
-    def test_rejects_adjacent_conflict(self):
-        g = with_uniform_input(path_graph(2)).with_layer("color", {0: 5, 1: 5})
-        result = execute(TwoHopColoringDecider(), g, require_decided=True)
-        assert NO in result.outputs.values()
-
-    def test_rejects_two_hop_conflict(self):
-        g = with_uniform_input(path_graph(3)).with_layer(
-            "color", {0: 1, 1: 2, 2: 1}
-        )
-        result = execute(TwoHopColoringDecider(), g, require_decided=True)
-        assert NO in result.outputs.values()
-
-    def test_rejects_malformed_input(self):
-        g = path_graph(2).with_layer("input", {0: "x", 1: "y"}).with_layer(
-            "color", {0: 0, 1: 1}
-        )
-        result = execute(TwoHopColoringDecider(), g, require_decided=True)
-        assert NO in result.outputs.values()
-
-    def test_decides_within_two_rounds(self):
-        instance = colored(with_uniform_input(cycle_graph(5)))
-        result = execute(TwoHopColoringDecider(), instance, require_decided=True)
-        assert result.rounds <= 2

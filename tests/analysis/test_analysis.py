@@ -53,28 +53,6 @@ class TestStats:
         # 2-hop coloring relays neighbor lists: messages are nontrivial.
         assert stats.max_message_chars > 10
 
-    def test_round_distribution(self):
-        from repro.analysis.stats import round_distribution
-
-        dist = round_distribution([4, 5, 5, 6, 10])
-        assert dist["min"] == 4.0
-        assert dist["max"] == 10.0
-        assert dist["p50"] == 5.0
-        assert 4 <= dist["mean"] <= 10
-        assert dist["p90"] >= dist["p50"]
-
-    def test_round_distribution_single(self):
-        from repro.analysis.stats import round_distribution
-
-        dist = round_distribution([7])
-        assert dist["min"] == dist["max"] == dist["p50"] == 7.0
-
-    def test_round_distribution_empty_rejected(self):
-        from repro.analysis.stats import round_distribution
-
-        with pytest.raises(ValueError):
-            round_distribution([])
-
 
 class TestSymmetry:
     def test_uniform_cycle_fully_symmetric(self):

@@ -17,20 +17,16 @@ import pytest
 from repro.artifacts.encoders import (
     decode_quotient,
     decode_refinement,
-    decode_view_tree,
     decode_views,
     encode_quotient,
     encode_refinement,
-    encode_view_tree,
     encode_views,
     encoder_for,
 )
-from repro.artifacts.producers import compute_payload
-from repro.artifacts.specs import derandomized_run_spec
 from repro.exceptions import ArtifactError, ReproError
 from repro.factor.quotient import infinite_view_graph
 from repro.graphs.builders import cycle_graph, with_uniform_input
-from repro.views.local_views import all_views, view
+from repro.views.local_views import all_views
 from repro.views.refinement import color_refinement
 from repro.views.view_tree import clear_caches
 
@@ -65,16 +61,6 @@ def test_views_round_trip(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS[:2])
-def test_view_tree_round_trip(seed):
-    for g in family(seed):
-        node = g.nodes[0]
-        tree = view(g, node, min(g.num_nodes, _VIEW_DEPTH_CAP))
-        payload = encode_view_tree(tree)
-        assert decode_view_tree(payload) is tree  # re-interned
-        assert encode_view_tree(decode_view_tree(payload)) == payload
-
-
-@pytest.mark.parametrize("seed", SEEDS[:2])
 def test_quotient_round_trip(seed):
     for g in family(seed):
         try:
@@ -97,19 +83,6 @@ def test_round_trip_survives_an_interning_epoch():
     clear_caches()
     decoded = decode_views(before)
     assert encode_views(decoded) == before
-
-
-def test_derandomized_run_round_trip():
-    spec = derandomized_run_spec(
-        "2-hop-coloring", with_uniform_input(cycle_graph(5)), seed=3
-    )
-    payload = compute_payload(spec)
-    encoder = encoder_for("derandomized-run")
-    decoded = encoder.decode(payload)
-    assert decoded["kind"] == "derandomized-run"
-    assert decoded["outputs"]  # the projected pipeline carries outputs
-    assert decoded["coloring"] and decoded["quotient_size"] >= 1
-    assert encoder.encode(decoded) == payload
 
 
 def test_unknown_kind_rejected():

@@ -479,12 +479,14 @@ def _any_outcome(run, *args, **kwargs):
 def assert_same_trials(algorithm, graph, assignments):
     """Each assignment played in one memo (falling back to ``execute``
     where the memo cannot play it, as the searches do) and replayed
-    through ``execute``: the same success or error, the same counts."""
+    through ``execute``: the same success or error, the same counts.
+    Returns the memo."""
     memo = TrialMemo(algorithm, graph)
     for assignment in assignments:
         played = _any_outcome(assignment_search._successful, memo, assignment)
         replayed = _any_outcome(lambda: execute(algorithm, graph, assignment=assignment).successful)
         assert played == replayed, assignment
+    return memo
 
 
 def trial_assignments(order):
@@ -615,11 +617,22 @@ def late_list_states():
     )
 
 
-def test_unhashable_message_midway_falls_back_with_the_same_counts():
-    algorithm = late_list_messages()
+# (algorithm, whether the memo falls back to ``execute`` partway through
+# the trials).  A message that turns into a list is interned by its sort
+# key, so the memo plays every trial; a state that turns into a list
+# makes the memo replay from that trial on.
+MIDWAY_LISTS = [(late_list_messages, False), (late_list_states, True)]
+
+
+@pytest.mark.parametrize(
+    "make, falls_back", MIDWAY_LISTS, ids=["late-list-messages", "late-list-states"]
+)
+def test_midway_list_message_is_interned_and_list_state_replays(make, falls_back):
+    algorithm = make()
     graph = with_uniform_input(path_graph(3))
     order = list(graph.nodes)
-    assert_same_trials(algorithm, graph, trial_assignments(order))
+    memo = assert_same_trials(algorithm, graph, trial_assignments(order))
+    assert memo._replays is falls_back
     assert_same_outcome(prg_search, reference_prg_search, algorithm, graph, order)
 
 

@@ -112,3 +112,9 @@ class TestManifest:
 
     def test_manifest_is_stable_in_process(self):
         assert gates.emit_manifest() == gates.emit_manifest()
+
+    def test_hashseed_children_import_this_repro_without_pythonpath(self, monkeypatch):
+        # This process may have found ``repro`` on ``sys.path`` alone;
+        # the children must still import the same source tree.
+        monkeypatch.delenv("PYTHONPATH", raising=False)
+        assert gates.check_hashseed() == []

@@ -9,7 +9,6 @@ from __future__ import annotations
 import pytest
 
 from repro.algorithms.greedy_by_color import GreedyColoringByColor, GreedyMISByColor
-from repro.algorithms.color_reduction import TwoHopColorReduction
 from repro.factor.quotient import finite_view_graph, infinite_view_graph
 from repro.graphs.builders import cycle_graph, with_uniform_input
 from repro.graphs.coloring import apply_two_hop_coloring, greedy_two_hop_coloring
@@ -65,7 +64,6 @@ class TestDeterministicSymmetryInvariant:
     DETERMINISTIC_ALGORITHMS = [
         GreedyMISByColor(),
         GreedyColoringByColor(),
-        TwoHopColorReduction(),
     ]
 
     @pytest.mark.parametrize(

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.algorithms.local_election import TwoLocalElection
 from repro.algorithms.luby_mis import AnonymousMISAlgorithm
 from repro.algorithms.matching import AnonymousMatchingAlgorithm
 from repro.algorithms.two_hop_coloring import TwoHopColoringAlgorithm
@@ -62,15 +61,3 @@ def test_matching_soak(name, graph, seed):
 def test_vertex_coloring_soak(name, graph, seed):
     result = execute(VertexColoringAlgorithm(), graph, seed=seed, require_decided=True)
     assert is_k_hop_coloring(graph, result.outputs, 1)
-
-
-@pytest.mark.parametrize("name,graph", GRAPHS, ids=GRAPH_IDS)
-@pytest.mark.parametrize("seed", range(5))
-def test_two_local_election_soak(name, graph, seed):
-    result = execute(TwoLocalElection(), graph, seed=seed, require_decided=True)
-    leaders = [v for v in graph.nodes if result.outputs[v]]
-    for i, u in enumerate(leaders):
-        for v in leaders[i + 1 :]:
-            assert graph.distance(u, v) > 2
-    for v in graph.nodes:
-        assert any(result.outputs[u] for u in graph.nodes_within(v, 2))

@@ -140,7 +140,7 @@ def test_anon001_identity_returned_as_algorithm_state(lint_tree):
 
 def test_anon001_id_keyed_bfs_regression(lint_tree):
     """The historical bug class: BFS dedup keyed on ``id(node)`` whose
-    key list then becomes view-tree content.  Pre-flow lint could not
+    key list then becomes view tree content.  Pre-flow lint could not
     see it — ``id()`` and the sink are three statements apart."""
     report = lint_tree(
         {
@@ -154,7 +154,7 @@ def test_anon001_id_keyed_bfs_regression(lint_tree):
                 "from repro.views.view_tree import ViewTree\n"
                 "\n"
                 "\n"
-                "def bfs_tree(root, neighbors):\n"
+                "def bfs_view(root, neighbors):\n"
                 "    seen = set()\n"
                 "    order = []\n"
                 "    stack = [root]\n"
@@ -193,7 +193,7 @@ def test_anon001_dedup_by_key_is_clean(lint_tree):
                 "from repro.views.view_tree import ViewTree\n"
                 "\n"
                 "\n"
-                "def bfs_tree(root, neighbors, marks):\n"
+                "def bfs_view(root, neighbors, marks):\n"
                 "    seen = set()\n"
                 "    order = []\n"
                 "    stack = [root]\n"

@@ -5,9 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.algorithms.greedy_by_color import GreedyColoringByColor, GreedyMISByColor
-from repro.algorithms.color_reduction import TwoHopColorReduction
 from repro.algorithms.two_hop_coloring import TwoHopColoringAlgorithm
-from repro.graphs.coloring import apply_two_hop_coloring, is_two_hop_coloring
+from repro.graphs.coloring import apply_two_hop_coloring
 from repro.graphs.properties import max_degree
 from repro.problems.coloring import ColoringProblem
 from repro.problems.mis import MISProblem
@@ -52,18 +51,6 @@ class TestComposedPipeline:
         result = execute(composed, graph, seed=seed, require_decided=True)
         assert ColoringProblem().is_valid_output(graph, result.outputs)
         assert len(set(result.outputs.values())) <= max_degree(graph) + 1
-
-    def test_composed_color_reduction(self):
-        from repro.graphs.builders import petersen_graph, with_uniform_input
-
-        graph = with_uniform_input(petersen_graph())
-        composed = TwoStageComposition(
-            TwoHopColoringAlgorithm(), TwoHopColorReduction(), pack
-        )
-        result = execute(composed, graph, seed=5, require_decided=True)
-        assert is_two_hop_coloring(graph, result.outputs)
-        delta = max_degree(graph)
-        assert len(set(result.outputs.values())) <= delta * delta + 1
 
 
 class TestEquivalenceToDirectRun:

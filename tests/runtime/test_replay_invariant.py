@@ -12,7 +12,6 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.algorithms.local_election import TwoLocalElection
 from repro.algorithms.luby_mis import AnonymousMISAlgorithm
 from repro.algorithms.matching import AnonymousMatchingAlgorithm
 from repro.algorithms.monte_carlo_election import MonteCarloElection
@@ -26,7 +25,6 @@ ALGORITHMS = [
     VertexColoringAlgorithm(),
     AnonymousMISAlgorithm(),
     AnonymousMatchingAlgorithm(),
-    TwoLocalElection(),
 ]
 IDS = [a.name for a in ALGORITHMS]
 

@@ -19,8 +19,12 @@ class TestExports:
     def test_subpackage_all_names_resolve(self):
         import repro.algorithms
         import repro.analysis
+        import repro.artifacts
         import repro.core
+        import repro.dynamic
+        import repro.experiments
         import repro.factor
+        import repro.faults
         import repro.graphs
         import repro.problems
         import repro.runtime
@@ -29,8 +33,12 @@ class TestExports:
         for module in (
             repro.algorithms,
             repro.analysis,
+            repro.artifacts,
             repro.core,
+            repro.dynamic,
+            repro.experiments,
             repro.factor,
+            repro.faults,
             repro.graphs,
             repro.problems,
             repro.runtime,

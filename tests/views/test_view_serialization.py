@@ -1,38 +1,8 @@
-"""Tests for ViewTree serialization and sweep CSV export."""
+"""Tests for sweep CSV export."""
 
 from __future__ import annotations
 
 from repro.analysis.sweeps import SweepRow, table_to_csv
-from repro.graphs.builders import cycle_graph, star_graph
-from repro.views.local_views import view
-from repro.views.view_tree import ViewTree, view_from_dict, view_to_dict
-
-
-class TestViewSerialization:
-    def test_round_trip_is_identity(self):
-        g = cycle_graph(5).with_layer("input", {v: f"c{v % 3}" for v in range(5)})
-        tree = view(g, 0, 4)
-        assert view_from_dict(view_to_dict(tree)) is tree  # interning
-
-    def test_round_trip_star(self):
-        g = star_graph(3).with_layer("input", {v: (v, "x") for v in range(4)})
-        tree = view(g, 0, 3)
-        rebuilt = view_from_dict(view_to_dict(tree))
-        assert rebuilt is tree
-
-    def test_dict_shape(self):
-        tree = ViewTree.make("r", [ViewTree.leaf("a"), ViewTree.leaf("b")])
-        data = view_to_dict(tree)
-        assert data["mark"] == "r"
-        assert len(data["children"]) == 2
-
-    def test_json_serializable(self):
-        import json
-
-        g = cycle_graph(3).with_layer("input", {v: (v,) for v in range(3)})
-        tree = view(g, 0, 3)
-        text = json.dumps(view_to_dict(tree))
-        assert view_from_dict(json.loads(text)) is tree
 
 
 class TestCsvExport:
