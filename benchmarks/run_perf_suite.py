@@ -61,7 +61,7 @@ from repro.dynamic import (  # noqa: E402
     DynamicGraph,
     DynamicViewMaintainer,
 )
-from repro.faults import FaultPlan, execute_with_faults  # noqa: E402
+from repro.faults import FaultPlan, inject_faults  # noqa: E402
 from repro.runtime.algorithm import AnonymousAlgorithm  # noqa: E402
 from repro.runtime.engine import (  # noqa: E402
     BroadcastDelivery,
@@ -295,6 +295,12 @@ class _BroadcastTally(AnonymousAlgorithm):
         return state[0] if state[1] >= self.rounds_needed else None
 
 
+def _faulty(algorithm, graph, plan: FaultPlan, **execute_kwargs):
+    """One ``execute`` under ``plan``."""
+    with inject_faults(plan):
+        return execute(algorithm, graph, **execute_kwargs)
+
+
 def run_runtime_benches(repeats: int) -> list:
     """Unified-engine workloads, timed plus deterministic instrumentation.
 
@@ -333,7 +339,7 @@ def run_runtime_benches(repeats: int) -> list:
         (
             "engine_faulty_broadcast",
             16,
-            lambda: execute_with_faults(
+            lambda: _faulty(
                 _BroadcastTally(rounds_needed=6),
                 with_uniform_input(cycle_graph(16)),
                 FaultPlan(
@@ -349,7 +355,7 @@ def run_runtime_benches(repeats: int) -> list:
         (
             "engine_faulty_port",
             16,
-            lambda: execute_with_faults(
+            lambda: _faulty(
                 _PortEcho(rounds_needed=5),
                 port_graph,
                 FaultPlan(plan_seed=42, drop_rate=0.1, reorder_rate=0.3),
@@ -736,7 +742,7 @@ def _reference_search(algorithm, graph, node_order):
         for assignment in enumerate_extensions(empty, node_order, target_length):
             tapes = {v: _ReferenceFixedTape(assignment[v]) for v in graph.nodes}
             delivery = _ReferenceBroadcast(tapes)
-            if execute(algorithm, graph, tapes=tapes, delivery=delivery, record_trace="off").successful:
+            if execute(algorithm, graph, tapes=tapes, delivery=delivery, record_trace=False).successful:
                 return assignment
     raise RuntimeError("reference search found no assignment")
 

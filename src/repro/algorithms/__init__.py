@@ -1,13 +1,16 @@
 """Anonymous algorithms: the randomized solvers the paper derandomizes,
 plus deterministic baselines and the Δ_Π decider.
 
-All randomized algorithms here share one design: every node grows a
+The Las-Vegas algorithms here share one design: every node grows a
 random bitstring (one bit per round) and compares it against the *stale*
 bitstrings it hears from its neighborhood.  Because bitstrings only ever
 extend, a visible prefix divergence is permanent — which is what lets
 nodes commit irrevocable outputs safely while information is one or two
-rounds out of date.  All are Las-Vegas: outputs are valid with
-probability 1 and termination has probability 1.
+rounds out of date.  Their outputs are valid with probability 1 and
+termination has probability 1.  The one exception is
+:class:`MonteCarloElection`, the Monte-Carlo contrast class: it always
+terminates but may elect several leaders, with probability at most
+:func:`failure_probability_bound`.
 """
 
 from repro.algorithms.bitstrings import (

@@ -18,7 +18,7 @@ from collections.abc import Sequence
 
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.runtime.algorithm import AnonymousAlgorithm
-from repro.runtime.engine import execute
+from repro.runtime.engine import TrialMemo
 
 
 @dataclass(frozen=True)
@@ -61,8 +61,10 @@ def measure_success_curve(
     samples_per_length: int = 200,
     seed: int = 0,
 ) -> SuccessCurve:
-    """Sample random assignments per length and measure success rates."""
+    """Sample random assignments per length and measure success rates,
+    every trial played in one :class:`~repro.runtime.engine.TrialMemo`."""
     rng = random.Random(seed)
+    memo = TrialMemo(algorithm, graph)
     points: list[tuple[int, float]] = []
     for t in lengths:
         successes = 0
@@ -71,7 +73,7 @@ def measure_success_curve(
                 v: "".join(str(rng.getrandbits(1)) for _ in range(t))
                 for v in graph.nodes
             }
-            if execute(algorithm, graph, assignment=assignment).successful:
+            if memo.run(assignment):
                 successes += 1
         points.append((t, successes / samples_per_length))
     return SuccessCurve(

@@ -24,9 +24,10 @@ from dataclasses import dataclass
 from collections.abc import Callable, Sequence
 from typing import Any
 
-from repro.faults.harness import execute_with_faults
+from repro.faults.context import inject_faults
 from repro.faults.plan import FaultPlan
 from repro.graphs.labeled_graph import LabeledGraph, Node
+from repro.runtime.engine import execute
 
 Validator = Callable[[LabeledGraph, dict[Node, Any]], bool]
 
@@ -63,7 +64,8 @@ def probe(
     produce the same classification, byte for byte.
     """
     try:
-        faulted = execute_with_faults(algorithm, graph, plan, **execute_kwargs)
+        with inject_faults(plan) as injection:
+            result = execute(algorithm, graph, **execute_kwargs)
     except Exception as exc:
         return ResilienceOutcome(
             status="error",
@@ -72,8 +74,7 @@ def probe(
             fault_counts=(),
             error=f"{type(exc).__name__}: {exc}",
         )
-    result = faulted.result
-    counts = tuple(sorted(faulted.fault_counts().items()))
+    counts = tuple(sorted(injection.trace.counts().items()))
     if not result.all_decided:
         status = "undecided"
     elif validator(graph, dict(result.outputs)):
@@ -83,7 +84,7 @@ def probe(
     return ResilienceOutcome(
         status=status,
         rounds=result.rounds,
-        faults_injected=faulted.faults_injected,
+        faults_injected=len(injection.trace),
         fault_counts=counts,
         outputs=dict(result.outputs),
     )

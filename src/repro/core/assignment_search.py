@@ -136,7 +136,7 @@ def smallest_successful_extension(
             exhausted = False
             break
         tried += 1
-        if _successful(memo, assignment):
+        if memo.run(assignment):
             return assignment
     if not exhausted:
         raise SearchBudgetExceeded(
@@ -175,22 +175,9 @@ def smallest_successful_assignment(
         return _prg_assignment_search(
             algorithm, graph, node_order, max_length=max_length, budget=budget
         )
-    empty: dict[Node, str] = {v: "" for v in node_order}
-    if strategy == "lexicographic" and not ambient_context_active():
-        search_length = _PrefixMemo(algorithm, graph, node_order).search_length
-    else:
-
-        def search_length(target_length: int, budget: int) -> Assignment | None:
-            return smallest_successful_extension(
-                algorithm,
-                graph,
-                node_order,
-                empty,
-                target_length,
-                budget=budget,
-                strategy=strategy,
-            )
-
+    if strategy != "lexicographic":
+        raise DerandomizationError(f"unknown search strategy {strategy!r}")
+    search_length = _PrefixMemo(algorithm, graph, node_order).search_length
     remaining = budget
     for target_length in range(1, max_length + 1):
         try:
@@ -214,16 +201,6 @@ def smallest_successful_assignment(
         "raise max_length (Las-Vegas success has probability 1, so some "
         "finite length works)"
     )
-
-
-def _successful(memo: TrialMemo, assignment: Assignment) -> bool:
-    """Whether the simulation induced by ``assignment`` succeeds: a memo
-    trial, or a replay through :func:`execute` where the memo cannot
-    play it."""
-    outcome = memo.run(assignment)
-    if outcome is None:
-        outcome = execute(memo.algorithm, memo.graph, assignment=assignment).successful
-    return outcome
 
 
 def _check_node_order(graph: LabeledGraph, node_order: Sequence[Node]) -> None:
@@ -254,7 +231,8 @@ class _PrefixMemo:
 
     Trials the memo cannot play replay from round 0 through
     :func:`execute`: all of them for a port-numbered or deterministic
-    algorithm, and every trial from the first whose state or message
+    algorithm or while an ambient context is active when the search
+    starts, and every trial from the first whose state or message
     cannot be interned on.
     """
 
@@ -270,8 +248,9 @@ class _PrefixMemo:
         self._rounds = 0
         # Empty until the first trial interns the initial states; ``None``
         # once the trials replay (``execute`` raises a deterministic
-        # algorithm's error).
-        self._snapshots: list[tuple[int, ...]] | None = [] if algorithm.bits_per_round else None
+        # algorithm's error and applies the ambient contexts).
+        plays = algorithm.bits_per_round and not ambient_context_active()
+        self._snapshots: list[tuple[int, ...]] | None = [] if plays else None
 
     def search_length(self, target_length: int, budget: int) -> Assignment | None:
         """:func:`smallest_successful_extension` of the empty prefix to
@@ -407,7 +386,7 @@ def _prg_assignment_search(
                     f"prg assignment search exceeded its budget of {budget} trials"
                 )
             tried += 1
-            if _successful(memo, assignment):
+            if memo.run(assignment):
                 return assignment
         target_length *= 2
     raise DerandomizationError(

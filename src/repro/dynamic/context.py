@@ -31,14 +31,15 @@ ambient context; attach a :class:`TopologyHook` explicitly if needed.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from collections.abc import Iterator
+from collections.abc import Iterator, Mapping, Sequence
 from typing import Any
 
 from repro.dynamic.delta import ChurnPlan, ChurnSchedule, Delta
 from repro.dynamic.graph import DynamicGraph
-from repro.graphs.labeled_graph import LabeledGraph
+from repro.graphs.labeled_graph import LabeledGraph, Node
 from repro.runtime import engine as _engine
-from repro.runtime.engine import RoundHook
+from repro.runtime.engine import DeliveryDiscipline, RoundHook
+from repro.runtime.tape import BitSource
 
 
 class TopologyHook(RoundHook):
@@ -87,9 +88,9 @@ class ActiveChurn:
 
     ``deltas_applied`` counts every delta applied by every execution in
     the block; ``execution_logs`` keeps each finished execution's full
-    delta log (in execution order).  :meth:`hook_for` gives each
-    execution a fresh hook — hooks carry per-run overlay state, so they
-    are never shared between runs.
+    delta log (in execution order).  :meth:`wrap` gives each execution
+    a fresh hook — hooks carry per-run overlay state, so they are never
+    shared between runs.
     """
 
     def __init__(self, plan: ChurnPlan) -> None:
@@ -98,8 +99,16 @@ class ActiveChurn:
         self.deltas_applied = 0
         self.execution_logs: list[tuple[Delta, ...]] = []
 
-    def hook_for(self, graph: LabeledGraph) -> TopologyHook:
-        return TopologyHook(self.schedule, context=self)
+    def wrap(
+        self,
+        delivery: DeliveryDiscipline,
+        tapes: Mapping[Node, BitSource],
+        graph: LabeledGraph,
+        hooks: Sequence[RoundHook],
+    ) -> tuple[DeliveryDiscipline, Mapping[Node, BitSource], Sequence[RoundHook]]:
+        """Delivery and tapes unchanged, a fresh :class:`TopologyHook`
+        appended to ``hooks``."""
+        return delivery, tapes, [*hooks, TopologyHook(self.schedule, context=self)]
 
     @property
     def last_execution_log(self) -> "tuple[Delta, ...] | None":
@@ -130,4 +139,4 @@ def apply_churn(plan: ChurnPlan) -> Iterator[ActiveChurn]:
         _ACTIVE.remove(churn)
 
 
-_engine.register_topology_provider(current)
+_engine.register_ambient_context(current)

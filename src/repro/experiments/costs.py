@@ -115,11 +115,14 @@ def candidate_growth() -> ExperimentResult:
     """The super-exponential heart of A_*: how many (graph, labeling)
     pairs candidate enumeration examines, and how few survive C2/C3,
     as the phase and the node cap grow."""
-    from repro.core.candidates import enumerate_candidates
+    from repro.core.candidates import (
+        _connected_edge_sets,
+        enumerate_candidates,
+        observed_marks,
+    )
     from repro.experiments._shared import lifted_colored_c3
     from repro.problems.problem import TwoHopColoredVariant
     from repro.views.local_views import view
-    import repro.core.candidates as candidates_module
 
     _base, lift, _proj = lifted_colored_c3(2)
     instance = lift.with_layer("bits", {v: "" for v in lift.nodes})
@@ -130,34 +133,27 @@ def candidate_growth() -> ExperimentResult:
     previous_survivors = 0
     for phase, cap in [(2, 2), (3, 3), (4, 4)]:
         observed = view(instance, instance.nodes[0], phase)
-        examined = {"n": 0}
-        original = candidates_module._try_candidate
-
-        def counting(*args, **kwargs):
-            examined["n"] += 1
-            return original(*args, **kwargs)
-
-        candidates_module._try_candidate = counting
-        try:
-            survivors = enumerate_candidates(
-                observed,
-                phase,
-                problem_c,
-                ("input", "color", "bits"),
-                max_nodes=cap,
-                budget=500_000,
-            )
-        finally:
-            candidates_module._try_candidate = original
-        checks[f"survivors nonempty (p={phase})"] = phase < 3 or bool(survivors)
-        checks[f"survival is sparse (p={phase})"] = len(survivors) <= max(
-            1, examined["n"] // 10
+        survivors = enumerate_candidates(
+            observed,
+            phase,
+            problem_c,
+            ("input", "color", "bits"),
+            max_nodes=cap,
+            budget=500_000,
         )
+        # Enumeration examines every (connected edge set, labeling) pair
+        # on k = 1..min(phase, cap) nodes exactly once.
+        marks = len(observed_marks(observed))
+        examined = sum(
+            len(list(_connected_edge_sets(k))) * marks**k for k in range(1, min(phase, cap) + 1)
+        )
+        checks[f"survivors nonempty (p={phase})"] = phase < 3 or bool(survivors)
+        checks[f"survival is sparse (p={phase})"] = len(survivors) <= max(1, examined // 10)
         rows.append(
             SweepRow(
                 f"phase {phase}, cap {cap}",
                 {
-                    "examined": examined["n"],
+                    "examined": examined,
                     "distinct finite view graphs": len(survivors),
                 },
             )

@@ -33,6 +33,7 @@ from repro.dynamic import (
     differential_check,
 )
 from repro.exceptions import DynamicError
+from repro.experiments._shared import fmt_break, status_summary
 from repro.experiments.base import ExperimentResult, experiment
 from repro.faults import FaultPlan, inject_faults
 from repro.graphs.builders import (
@@ -48,18 +49,6 @@ from repro.runtime.engine import execute
 
 CHURN_RATES = (0.0, 0.05, 0.1, 0.2)
 SEEDS = (0, 1, 2)
-
-
-def _status_summary(outcomes: "list[ChurnOutcome]") -> str:
-    """Compact multi-seed status cell, e.g. ``"ok:2 invalid:1"``."""
-    counts: dict[str, int] = {}
-    for outcome in outcomes:
-        counts[outcome.status] = counts.get(outcome.status, 0) + 1
-    return " ".join(f"{status}:{n}" for status, n in sorted(counts.items()))
-
-
-def _fmt_break(rate: "float | None") -> str:
-    return "-" if rate is None else f"{rate:g}"
 
 
 @experiment("churn-views", cost=3.0)
@@ -167,11 +156,11 @@ def churn_validity() -> ExperimentResult:
                     checks[f"zero-churn matches bare ({name}, seed {seed})"] = (
                         outcome.outputs == bare.outputs
                     )
-            cells[f"c={rate:g}"] = _status_summary(outcomes)
+            cells[f"c={rate:g}"] = status_summary(outcomes)
             worst_by_rate.append(
                 min(outcomes, key=lambda o: o.ok)  # any non-ok makes the rate broken
             )
-        cells["first break"] = _fmt_break(first_break(list(CHURN_RATES), worst_by_rate))
+        cells["first break"] = fmt_break(first_break(list(CHURN_RATES), worst_by_rate))
         checks[f"zero churn survives ({name})"] = worst_by_rate[0].ok
         checks[f"churn observed ({name})"] = deltas_total > 0
         rows.append(SweepRow(name, cells))

@@ -35,9 +35,9 @@ from repro.analysis.resilience import (
     probe,
 )
 from repro.analysis.sweeps import SweepRow
-from repro.experiments._shared import colored
+from repro.experiments._shared import colored, fmt_break, status_summary
 from repro.experiments.base import ExperimentResult, experiment
-from repro.faults import FaultPlan, execute_with_faults
+from repro.faults import FaultPlan, inject_faults
 from repro.graphs.builders import (
     complete_graph,
     cycle_graph,
@@ -55,18 +55,6 @@ DROP_RATES = (0.0, 0.02, 0.05, 0.1, 0.2)
 CORRUPT_RATES = (0.0, 0.05, 0.15, 0.3)
 REORDER_RATES = (0.0, 0.25, 0.5)
 SEEDS = (0, 1, 2)
-
-
-def _status_summary(outcomes: list[ResilienceOutcome]) -> str:
-    """Compact multi-seed status cell, e.g. ``"ok:2 error:1"``."""
-    counts: dict[str, int] = {}
-    for outcome in outcomes:
-        counts[outcome.status] = counts.get(outcome.status, 0) + 1
-    return " ".join(f"{status}:{n}" for status, n in sorted(counts.items()))
-
-
-def _fmt_break(rate: float | None) -> str:
-    return "-" if rate is None else f"{rate:g}"
 
 
 @experiment("resilience-drop", cost=4.0)
@@ -103,12 +91,12 @@ def resilience_drop() -> ExperimentResult:
                     checks[f"zero-rate matches bare ({name}, seed {seed})"] = (
                         outcome.outputs == bare.outputs
                     )
-            cells[f"p={rate:g}"] = _status_summary(outcomes)
+            cells[f"p={rate:g}"] = status_summary(outcomes)
             worst_by_rate.append(
                 min(outcomes, key=lambda o: o.ok)  # any non-ok makes the rate broken
             )
         broke_at = first_break(list(DROP_RATES), worst_by_rate)
-        cells["first break"] = _fmt_break(broke_at)
+        cells["first break"] = fmt_break(broke_at)
         checks[f"zero rate survives ({name})"] = worst_by_rate[0].ok
         rows.append(SweepRow(name, cells))
         checks[f"faults were injected ({name})"] = injected_total > 0
@@ -152,22 +140,18 @@ def resilience_crash() -> ExperimentResult:
         for label, crashes in schedules:
             crashed_nodes = [v for v, _ in crashes]
             try:
-                faulted = execute_with_faults(
-                    algorithm,
-                    graph,
-                    FaultPlan(crashes=crashes),
-                    max_rounds=50,
-                )
+                with inject_faults(FaultPlan(crashes=crashes)):
+                    result = execute(algorithm, graph, max_rounds=50)
             except Exception as exc:  # deterministic: recorded, not raised
                 cells[label] = f"error:{type(exc).__name__}"
                 checks[f"safety under {label} ({name})"] = False
                 continue
-            outputs = dict(faulted.result.outputs)
+            outputs = dict(result.outputs)
             safe = independence_preserved(graph, outputs, exclude=crashed_nodes)
             checks[f"safety under {label} ({name})"] = safe
             if not crashes:
                 plain = graph.with_only_layers(["input"])
-                checks[f"no-crash valid ({name})"] = faulted.result.all_decided and (
+                checks[f"no-crash valid ({name})"] = result.all_decided and (
                     problem.is_valid_output(plain, outputs)
                 )
             survivors = [v for v in graph.nodes if v not in crashed_nodes]
@@ -225,7 +209,7 @@ def resilience_corrupt() -> ExperimentResult:
                 checks[f"clean replay reproduces the run ({name})"] = (
                     outcome.outputs == seeded.outputs
                 )
-        cells["first break"] = _fmt_break(first_break(list(CORRUPT_RATES), outcomes))
+        cells["first break"] = fmt_break(first_break(list(CORRUPT_RATES), outcomes))
         checks[f"clean replay valid ({name})"] = outcomes[0].ok
         rows.append(SweepRow(name, cells))
     return ExperimentResult(
@@ -296,7 +280,7 @@ def resilience_reorder() -> ExperimentResult:
             outcomes.append(outcome)
             reorder_events += dict(outcome.fault_counts).get("reorder", 0)
             cells[f"r={rate:g}"] = outcome.status
-        cells["first break"] = _fmt_break(first_break(list(REORDER_RATES), outcomes))
+        cells["first break"] = fmt_break(first_break(list(REORDER_RATES), outcomes))
         checks[f"zero-rate transcript identical ({name})"] = outcomes[0].ok
         checks[f"reordering observed ({name})"] = reorder_events > 0
         rows.append(SweepRow(name, cells))

@@ -14,9 +14,9 @@
   future, so idle workers pull the next task as they free up; results
   are keyed by experiment id and reported in the requested order.
 * **Per-worker cache warm-up** — every worker starts by running
-  ``repro.views.clear_caches()`` (which also fires all hooks installed
-  via ``register_cache_clearer``), so worker cache state is cold and
-  identical regardless of fork inheritance.
+  ``repro.views.clear_caches()`` (which also empties every producer
+  memo through the artifact store's memory tier), so worker cache
+  state is cold and identical regardless of fork inheritance.
 * **Graceful degradation** — if the pool cannot be created or breaks
   mid-run (sandboxed interpreters, missing ``fork``/semaphores, a
   killed worker), the engine transparently finishes the remaining
@@ -140,8 +140,8 @@ def _worker_init() -> None:
     """Per-worker warm-up: reset every registered cache.
 
     Uses the ``repro.views`` cache infrastructure — ``clear_caches()``
-    empties the intern/rank tables and fires every hook installed via
-    ``register_cache_clearer`` (builder registry, refinement memo, …).
+    empties the intern/rank tables and, through the artifact store's
+    memory tier, every producer memo (view builders, refinement, …).
     Under ``fork`` a worker inherits whatever the parent had cached;
     clearing makes worker state cold and identical across start
     methods, schedules and job counts.

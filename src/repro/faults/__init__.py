@@ -15,9 +15,9 @@ coloring validity, view/quotient agreement) actually break:
   (:mod:`repro.faults.delivery`);
 * :class:`FaultTrace` / :class:`FaultEvent` — the record of every
   injected event (:mod:`repro.faults.trace`);
-* :func:`inject_faults` / :func:`execute_with_faults` — ambient and
-  one-shot entry points (:mod:`repro.faults.context`,
-  :mod:`repro.faults.harness`);
+* :func:`inject_faults` — the ambient context every
+  :func:`~repro.runtime.engine.execute` call inside it runs under
+  (:mod:`repro.faults.context`);
 * the ``faults`` gate of :mod:`repro.experiments.gates` — zero-fault
   identity and replay determinism (``make smoke``).
 
@@ -33,7 +33,6 @@ from repro.faults.delivery import (
     FaultyDelivery,
     LostMessage,
 )
-from repro.faults.harness import FaultedExecution, execute_with_faults
 from repro.faults.plan import FaultPlan, FaultSchedule
 from repro.faults.trace import FaultEvent, FaultTrace
 
@@ -46,10 +45,8 @@ __all__ = [
     "FaultPlan",
     "FaultSchedule",
     "FaultTrace",
-    "FaultedExecution",
     "FaultyDelivery",
     "LostMessage",
     "current",
-    "execute_with_faults",
     "inject_faults",
 ]

@@ -106,4 +106,4 @@ def inject_faults(plan: FaultPlan) -> Iterator[ActiveInjection]:
         _ACTIVE.remove(injection)
 
 
-_engine.register_injection_provider(current)
+_engine.register_ambient_context(current)

@@ -33,8 +33,8 @@ _RESERVED_CLASSES = {
 }
 
 #: Per-round protocol methods: calling these outside the kernel means
-#: rounds are being driven (or emulated) somewhere the policy, metrics
-#: and fault machinery cannot see.
+#: rounds are being driven (or emulated) somewhere the metrics and the
+#: ambient contexts (faults, churn) cannot see.
 _ROUND_METHODS = ("transition", "emit", "inbox")
 
 #: Engine internals; touching them from outside is state mutation the
@@ -82,7 +82,7 @@ class EngineBoundary(Rule):
                         node,
                         f"direct construction of {_RESERVED_CLASSES[name]}; "
                         "executions are built by repro.runtime.engine.execute() "
-                        "so policy/metrics/fault injection apply uniformly",
+                        "so metrics and ambient contexts apply uniformly",
                     )
                 elif (
                     isinstance(node.func, ast.Attribute)

@@ -27,7 +27,6 @@ from repro.runtime.engine import (
     EngineMetricsTotals,
     ExecutionEngine,
     ExecutionMetrics,
-    ExecutionPolicy,
     ExecutionResult,
     PortDelivery,
     RoundHook,
@@ -48,7 +47,6 @@ __all__ = [
     "EngineMetricsTotals",
     "ExecutionEngine",
     "ExecutionMetrics",
-    "ExecutionPolicy",
     "PortDelivery",
     "RoundHook",
     "collect_engine_metrics",

@@ -16,8 +16,8 @@ captured by a :class:`DeliveryDiscipline`:
   receives payloads indexed by its own ports (the port-numbering model
   of Section 1.3).
 
-The kernel is configured by an :class:`ExecutionPolicy` (round limit,
-tape-funding rule, trace level) and reports an :class:`ExecutionMetrics`
+The kernel stops before any round some node's tape cannot fund, records
+a full trace unless told not to, and reports an :class:`ExecutionMetrics`
 record on every result.
 
 :func:`execute` is the one entry point the rest of the library uses; it
@@ -31,8 +31,8 @@ from __future__ import annotations
 import time
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
-from collections.abc import Iterator, Mapping, Sequence
+from dataclasses import dataclass, field
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from typing import Any
 
 from repro.exceptions import (
@@ -45,75 +45,14 @@ from repro.runtime.algorithm import AnonymousAlgorithm
 from repro.runtime.tape import BitSource, FixedTape, RandomTape, RecordingTape
 from repro.runtime.trace import ExecutionTrace, RoundRecord
 
-TRACE_LEVELS = ("off", "outputs", "full")
+# The round budget of a run given none.
+DEFAULT_MAX_ROUNDS = 10_000
 
 
 def _message_sort_key(message: Any) -> str:
     """The canonical order key of a message (or any payload) in an
     anonymous multiset: ``repr`` of its frozen form."""
     return repr(_freeze(message))
-
-
-# ----------------------------------------------------------------------
-# Policy
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ExecutionPolicy:
-    """Kernel configuration, orthogonal to the delivery discipline.
-
-    Attributes
-    ----------
-    max_rounds:
-        Default round budget for :meth:`ExecutionEngine.run` (a ``run``
-        call may override it).
-    stop_before_unfunded:
-        The tape-funding rule.  ``True`` (the paper's ``l = min length``
-        convention for simulations induced by an assignment, Section 2.2)
-        stops *before* any round some node's tape cannot pay for, so
-        state is never mutated by a partially funded round.  ``False``
-        skips the check; a dry :class:`~repro.runtime.tape.FixedTape`
-        then raises mid-round from ``draw`` — only useful for tests that
-        exercise that failure mode, and for :func:`execute` with an
-        assignment, whose round limit already stops at the last funded
-        round.  :meth:`ExecutionEngine.run` checks once per round;
-        :meth:`ExecutionEngine.step` checks on its own.
-    trace:
-        ``"full"`` records messages, bits and new outputs per round;
-        ``"outputs"`` records only the round's newly decided outputs
-        (cheap round accounting, e.g. ``trace.output_round``);
-        ``"off"`` records nothing (``result.trace is None``).
-    """
-
-    max_rounds: int = 10_000
-    stop_before_unfunded: bool = True
-    trace: str = "full"
-
-    def __post_init__(self) -> None:
-        if self.trace not in TRACE_LEVELS:
-            raise RuntimeModelError(
-                f"unknown trace level {self.trace!r}; expected one of {TRACE_LEVELS}"
-            )
-        if self.max_rounds < 0:
-            raise RuntimeModelError(
-                f"max_rounds must be nonnegative, got {self.max_rounds}"
-            )
-
-
-def _trace_level(record_trace: "bool | str | None", default: str = "full") -> str:
-    """Normalize a ``record_trace`` flag (bool or level name) to a level."""
-    if record_trace is None:
-        return default
-    if record_trace is True:
-        return "full"
-    if record_trace is False:
-        return "off"
-    if record_trace in TRACE_LEVELS:
-        return record_trace
-    raise RuntimeModelError(
-        f"unknown trace level {record_trace!r}; expected a bool or one of {TRACE_LEVELS}"
-    )
 
 
 # ----------------------------------------------------------------------
@@ -408,7 +347,11 @@ def _output_changed(
 
 
 class ExecutionEngine:
-    """The single synchronous round kernel behind every execution."""
+    """The single synchronous round kernel behind every execution.
+
+    ``trace=False`` records no trace (``result.trace is None``); a trace
+    holds every round's messages, bits and newly decided outputs.
+    """
 
     def __init__(
         self,
@@ -416,7 +359,7 @@ class ExecutionEngine:
         graph: LabeledGraph,
         tapes: Mapping[Node, BitSource],
         delivery: DeliveryDiscipline,
-        policy: ExecutionPolicy | None = None,
+        trace: bool = True,
         hooks: Sequence[RoundHook] = (),
     ) -> None:
         missing = [v for v in graph.nodes if v not in tapes]
@@ -426,7 +369,6 @@ class ExecutionEngine:
         self._graph = graph
         self._tapes = dict(tapes)
         self._delivery = delivery
-        self._policy = policy or ExecutionPolicy()
         self._hooks = tuple(hooks)
         plan, self._payloads_per_round = graph._run_plan()
         init_state = algorithm.init_state
@@ -435,9 +377,7 @@ class ExecutionEngine:
         }
         self._outputs: dict[Node, Any] = {}
         self._rounds = 0
-        self._trace = (
-            ExecutionTrace(algorithm.name) if self._policy.trace != "off" else None
-        )
+        self._trace = ExecutionTrace(algorithm.name) if trace else None
         self._metrics = ExecutionMetrics()
         # Outputs may be decided already at round 0 (initialization).
         initial = self._note_outputs({})
@@ -456,10 +396,6 @@ class ExecutionEngine:
     @property
     def delivery(self) -> DeliveryDiscipline:
         return self._delivery
-
-    @property
-    def policy(self) -> ExecutionPolicy:
-        return self._policy
 
     @property
     def rounds(self) -> int:
@@ -504,7 +440,7 @@ class ExecutionEngine:
 
     def step(self) -> None:
         """Execute one synchronous round."""
-        if self._policy.stop_before_unfunded and not self.can_fund_round():
+        if not self.can_fund_round():
             raise RuntimeModelError(
                 "cannot step: some node's bit tape is exhausted"
             )
@@ -531,12 +467,9 @@ class ExecutionEngine:
         self._metrics.bits_drawn += need * graph.num_nodes
         self._metrics.decided_per_round.append(len(new_outputs))
         if self._trace is not None:
-            record = (
+            self._trace.rounds.append(
                 RoundRecord(self._rounds, dict(outboxes), bits_drawn, new_outputs)
-                if self._policy.trace == "full"
-                else RoundRecord(self._rounds, {}, {}, new_outputs)
             )
-            self._trace.rounds.append(record)
         for hook in self._hooks:
             hook.on_round(self, new_outputs)
 
@@ -556,19 +489,22 @@ class ExecutionEngine:
         return new_outputs
 
     def run(self, max_rounds: int | None = None) -> ExecutionResult:
-        """Run until all nodes decide, tapes run dry, or the round limit."""
-        if max_rounds is None:
-            max_rounds = self._policy.max_rounds
+        """Run until all nodes decide, tapes run dry, or the round limit
+        (:data:`DEFAULT_MAX_ROUNDS` when ``max_rounds`` is ``None``)."""
+        return self._run(DEFAULT_MAX_ROUNDS if max_rounds is None else max_rounds, True)
+
+    def _run(self, max_rounds: int, check_funding: bool) -> ExecutionResult:
+        """:meth:`run`; ``check_funding=False`` when every round below
+        ``max_rounds`` is known to be funded."""
         if max_rounds < 0:
             raise RuntimeModelError(f"max_rounds must be nonnegative, got {max_rounds}")
         start = _wall_clock()
         for hook in self._hooks:
             hook.on_start(self)
-        funding_rule = self._policy.stop_before_unfunded
         while (
             not self.all_decided
             and self._rounds < max_rounds
-            and (not funding_rule or self.can_fund_round())
+            and (not check_funding or self.can_fund_round())
         ):
             self._step()
         self._metrics.wall_s += _wall_clock() - start
@@ -590,36 +526,21 @@ class ExecutionEngine:
 # The high-level entry point
 # ----------------------------------------------------------------------
 
-# Ambient fault injection (see repro.faults.context).  The engine knows
-# nothing about fault semantics: repro.faults registers a zero-argument
-# provider here on import, and execute() asks it for the active
-# injection, if any, letting that injection wrap the resolved delivery,
-# tapes and hooks.  When repro.faults is never imported the provider
-# stays None and execute() pays a single `is None` check.
-_INJECTION_PROVIDER: Any | None = None
+# Ambient contexts: repro.faults.context (fault injection) and
+# repro.dynamic.context (topology churn) each register, on import, a
+# zero-argument callable yielding its innermost active context or None.
+# The engine knows nothing of their semantics: execute() lets every
+# active context wrap the resolved delivery, tapes and hooks through its
+# ``wrap(delivery, tapes, graph, hooks)``.  Faults and churn compose:
+# fault decisions key on (round, receiver, sender) and never on the edge
+# set, so the two wrappers are orthogonal.
+_AMBIENT: list[Callable[[], Any]] = []
 
 
-def register_injection_provider(provider: Any) -> None:
-    """Install the callable yielding the active fault injection (or
-    ``None``).  Called once by :mod:`repro.faults.context` on import."""
-    global _INJECTION_PROVIDER
-    _INJECTION_PROVIDER = provider
-
-
-# Ambient topology churn (see repro.dynamic.context), same shape as the
-# fault provider: repro.dynamic registers a zero-argument provider on
-# import, and execute() asks it for the active churn context, if any,
-# letting that context append its per-execution TopologyHook.  Faults
-# and churn compose: fault decisions key on (round, receiver, sender)
-# and never on the edge set, so the two wrappers are orthogonal.
-_TOPOLOGY_PROVIDER: Any | None = None
-
-
-def register_topology_provider(provider: Any) -> None:
-    """Install the callable yielding the active churn context (or
-    ``None``).  Called once by :mod:`repro.dynamic.context` on import."""
-    global _TOPOLOGY_PROVIDER
-    _TOPOLOGY_PROVIDER = provider
+def register_ambient_context(current: Callable[[], Any]) -> None:
+    """Install ``current``, the callable yielding one kind's active
+    context (or ``None``).  Called once per kind on import."""
+    _AMBIENT.append(current)
 
 
 def _infer_delivery(algorithm: Any) -> DeliveryDiscipline:
@@ -678,10 +599,8 @@ def execute(
     seed: int | None = None,
     delivery: DeliveryDiscipline | None = None,
     max_rounds: int | None = None,
-    record_trace: "bool | str | None" = None,
+    record_trace: bool | None = None,
     require_decided: bool = False,
-    policy: ExecutionPolicy | None = None,
-    hooks: Sequence[RoundHook] = (),
 ) -> ExecutionResult:
     """Run ``algorithm`` on ``graph`` through the unified kernel.
 
@@ -697,10 +616,10 @@ def execute(
 
     ``delivery`` defaults to the discipline matching the algorithm type
     (port-aware algorithms get :class:`PortDelivery`, broadcast ones
-    :class:`BroadcastDelivery`).  ``record_trace`` accepts a bool or a
-    trace level; it defaults to ``"off"`` for assignment-induced
-    simulations (they run in bulk inside searches) and ``"full"``
-    otherwise.  ``require_decided=True`` raises
+    :class:`BroadcastDelivery`).  ``record_trace`` defaults to no trace
+    for assignment-induced simulations (they run in bulk inside
+    searches) and a full trace otherwise.  ``max_rounds`` defaults to
+    :data:`DEFAULT_MAX_ROUNDS`.  ``require_decided=True`` raises
     :class:`~repro.exceptions.SimulationError` unless every node decided
     — the Las-Vegas contract for seeded and deterministic runs.
     """
@@ -729,39 +648,31 @@ def execute(
             )
         tapes = {v: FixedTape("") for v in graph.nodes}
 
-    if policy is None:
-        trace = _trace_level(
-            record_trace, default="off" if assignment is not None else "full"
-        )
+    if record_trace not in (None, True, False):
+        raise RuntimeModelError(f"record_trace must be a bool or None, got {record_trace!r}")
     delivery = delivery or _infer_delivery(algorithm)
-    injection = _INJECTION_PROVIDER() if _INJECTION_PROVIDER is not None else None
-    if injection is not None:
-        delivery, tapes, hooks = injection.wrap(delivery, tapes, graph, hooks)
-    # An assignment funds exactly ``funded_limit`` rounds and the run
-    # stops there, so the kernel's per-round funding check is already
-    # discharged (fault-wrapped tapes keep it).
-    funded = funded_limit is not None and injection is None
-    if policy is None:
-        policy = ExecutionPolicy(trace=trace, stop_before_unfunded=not funded)
-    elif funded and policy.stop_before_unfunded:
-        policy = replace(policy, stop_before_unfunded=False)
-    limit = policy.max_rounds if max_rounds is None else max_rounds
+    hooks: Sequence[RoundHook] = ()
+    funded_tapes = tapes
+    for current in _AMBIENT:
+        context = current()
+        if context is not None:
+            delivery, tapes, hooks = context.wrap(delivery, tapes, graph, hooks)
+    limit = DEFAULT_MAX_ROUNDS if max_rounds is None else max_rounds
     if funded_limit is not None:
         limit = funded_limit if max_rounds is None else min(limit, funded_limit)
-    if _TOPOLOGY_PROVIDER is not None:
-        churn = _TOPOLOGY_PROVIDER()
-        if churn is not None:
-            hooks = [*hooks, churn.hook_for(graph)]
 
     engine = ExecutionEngine(
         algorithm,
         graph,
         tapes,
         delivery=delivery,
-        policy=policy,
+        trace=assignment is None if record_trace is None else record_trace,
         hooks=hooks,
     )
-    result = engine.run(max_rounds=limit)
+    # An assignment funds exactly ``funded_limit`` rounds and the run
+    # stops there, so the kernel's per-round funding check is already
+    # discharged, unless a context replaced the tapes.
+    result = engine._run(limit, funded_limit is None or tapes is not funded_tapes)
     if require_decided and not result.all_decided:
         suffix = f" with seed {seed}" if seed is not None else ""
         raise SimulationError(
@@ -772,11 +683,9 @@ def execute(
 
 
 def ambient_context_active() -> bool:
-    """Whether a fault injection or churn context is active, so that an
-    :func:`execute` call started now would be wrapped by it."""
-    return (_INJECTION_PROVIDER is not None and _INJECTION_PROVIDER() is not None) or (
-        _TOPOLOGY_PROVIDER is not None and _TOPOLOGY_PROVIDER() is not None
-    )
+    """Whether an ambient context is active, so that an :func:`execute`
+    call started now would be wrapped by it."""
+    return any(current() is not None for current in _AMBIENT)
 
 
 def _absorb_all(
@@ -855,19 +764,18 @@ class TrialMemo:
         self._transitions: dict[tuple, int] = {}
         self._initial: list[int] | None = None
 
-    def run(self, assignment: Mapping[Node, str]) -> bool | None:
+    def run(self, assignment: Mapping[Node, str]) -> bool:
         """Whether the simulation induced by ``assignment`` succeeds,
         reported to every active collector as one execution with the
         counts :func:`execute` reports; it raises what :func:`execute`
-        raises.  The trial is untraced and hook-free.
+        raises.
 
-        ``None`` (nothing reported) when the memo cannot play it: a fault
-        injection or churn context is active, the algorithm is not a
-        broadcast one, or a state or message turns out not internable,
-        after which every later call returns ``None`` too.  Run such
-        trials through :func:`execute`."""
+        A trial the memo cannot play runs through :func:`execute`
+        instead: every trial while an ambient context is active or of an
+        algorithm that is not a broadcast one, and every trial from the
+        first whose state or message cannot be interned on."""
         if self._replays or ambient_context_active():
-            return None
+            return execute(self.algorithm, self.graph, assignment=assignment).successful
         start = _wall_clock()
         graph = self.graph
         limit = _funded_rounds(self.algorithm, graph, assignment)
@@ -882,7 +790,7 @@ class TrialMemo:
         except _NotInternable:
             self._replays = True
             self._clear()
-            return None
+            return execute(self.algorithm, graph, assignment=assignment).successful
         n = graph.num_nodes
         _absorb_all(
             1, rounds, rounds * graph._run_plan()[1],

@@ -37,7 +37,7 @@ per neighbor.  Three design points matter:
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from typing import Any
 
 from repro.graphs.labeled_graph import _freeze
@@ -69,18 +69,6 @@ _MARK_SORTED_IDS: list[int] = []  # ids in key-sorted order
 _BUCKETS: dict[tuple[int, int], list["ViewTree"]] = {}
 
 _STATS = {"mark_renumbers": 0, "bucket_shifts": 0}
-
-# Caches elsewhere (e.g. the ViewBuilder registry in local_views) hold
-# interned trees; clear_caches() must empty them too or stale trees with
-# dangling ranks would leak into fresh interning epochs.
-_CACHE_CLEAR_HOOKS: list[Callable[[], None]] = []
-
-
-def register_cache_clearer(hook: Callable[[], None]) -> None:
-    """Register a callback run by :func:`clear_caches` (for caches outside
-    this module that hold interned trees)."""
-    _CACHE_CLEAR_HOOKS.append(hook)
-
 
 def _mark_id_of(mark: Any) -> int:
     frozen = _freeze(mark)
@@ -388,7 +376,7 @@ def clear_caches() -> None:
     """Empty the intern/rank tables, then delegate every producer memo
     (refinement results, view builders, quotients, encoded payloads) to
     the artifact store's memory tier — one eviction path for everything
-    that may hold interned trees (plus any legacy hooks).
+    that may hold interned trees.
 
     Intended for long benchmark sessions so parametrized cases don't
     accumulate unbounded interned trees.  Trees created *before* a clear
@@ -417,8 +405,6 @@ def clear_caches() -> None:
     from repro.artifacts.store import clear_memory_tier
 
     clear_memory_tier()
-    for hook in _CACHE_CLEAR_HOOKS:
-        hook()
 
 
 def intern_stats() -> dict[str, int]:

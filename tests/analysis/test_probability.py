@@ -6,8 +6,11 @@ import pytest
 
 from repro.algorithms.luby_mis import AnonymousMISAlgorithm
 from repro.algorithms.two_hop_coloring import TwoHopColoringAlgorithm
+import random
+
 from repro.analysis.probability import measure_success_curve
 from repro.graphs.builders import cycle_graph, path_graph, with_uniform_input
+from repro.runtime.engine import collect_engine_metrics, execute
 
 
 class TestSuccessCurve:
@@ -68,3 +71,25 @@ class TestSuccessCurve:
             AnonymousMISAlgorithm(), g, lengths=[4], samples_per_length=60, seed=5
         )
         assert a == b
+
+    @pytest.mark.parametrize("graph", [path_graph(2), cycle_graph(5)], ids=["P2", "C5"])
+    def test_matches_a_loop_over_execute(self, graph):
+        """The memo plays the same trials as ``execute``: the same curve
+        and the same collector totals."""
+        g = with_uniform_input(graph)
+        algorithm, lengths, samples = AnonymousMISAlgorithm(), (2, 3, 4, 8, 16), 60
+        with collect_engine_metrics() as measured:
+            curve = measure_success_curve(algorithm, g, lengths, samples_per_length=samples)
+        rng = random.Random(0)
+        points = []
+        with collect_engine_metrics() as replayed:
+            for t in lengths:
+                successes = 0
+                for _ in range(samples):
+                    assignment = {
+                        v: "".join(str(rng.getrandbits(1)) for _ in range(t)) for v in g.nodes
+                    }
+                    successes += execute(algorithm, g, assignment=assignment).successful
+                points.append((t, successes / samples))
+        assert curve.points == tuple(points)
+        assert measured.as_dict(include_wall=False) == replayed.as_dict(include_wall=False)

@@ -116,6 +116,13 @@ class TestSmallestSuccessful:
         )
         assert execute(algorithm, g, assignment=found).successful
 
+    def test_unknown_strategy(self):
+        g = with_uniform_input(path_graph(2))
+        with pytest.raises(DerandomizationError, match="unknown search strategy 'bogus'"):
+            smallest_successful_assignment(
+                AnonymousMISAlgorithm(), g, list(g.nodes), strategy="bogus"
+            )
+
 
 class TestExtensions:
     def test_extension_respects_prefix(self):

@@ -26,7 +26,6 @@ from repro.algorithms.luby_mis import AnonymousMISAlgorithm
 from repro.algorithms.matching import AnonymousMatchingAlgorithm
 from repro.algorithms.two_hop_coloring import TwoHopColoringAlgorithm
 from repro.algorithms.vertex_coloring import VertexColoringAlgorithm
-from repro.core import assignment_search
 from repro.core.assignment_search import (
     TRIALS_PER_LENGTH,
     SearchBudgetExceeded,
@@ -477,13 +476,12 @@ def _any_outcome(run, *args, **kwargs):
 
 
 def assert_same_trials(algorithm, graph, assignments):
-    """Each assignment played in one memo (falling back to ``execute``
-    where the memo cannot play it, as the searches do) and replayed
-    through ``execute``: the same success or error, the same counts.
-    Returns the memo."""
+    """Each assignment played in one memo (which replays through
+    ``execute`` what it cannot play) and replayed through ``execute``:
+    the same success or error, the same counts.  Returns the memo."""
     memo = TrialMemo(algorithm, graph)
     for assignment in assignments:
-        played = _any_outcome(assignment_search._successful, memo, assignment)
+        played = _any_outcome(memo.run, assignment)
         replayed = _any_outcome(lambda: execute(algorithm, graph, assignment=assignment).successful)
         assert played == replayed, assignment
     return memo
@@ -574,14 +572,16 @@ def test_memo_searches_replay_under_active_contexts(context_name, name):
 
 
 def test_unhashable_states_fall_back_to_execute_for_the_rest_of_the_search():
+    # The memo answers every trial with ``execute``'s outcome and counts:
+    # list states abort the first trial before it reports anything, and
+    # a port algorithm's trials replay from the first.
     graph = with_uniform_input(path_graph(3))
-    algorithm, order = list_state_election(), list(graph.nodes)
-    memo = TrialMemo(algorithm, graph)
-    with collect_engine_metrics() as totals:
-        assert memo.run({v: "1111" for v in order}) is None
-    assert totals.executions == 0  # the aborted trial reports nothing
-    assert memo.run({v: "0000" for v in order}) is None
-    assert_same_outcome(prg_search, reference_prg_search, algorithm, graph, order)
+    order = list(graph.nodes)
+    trials = [{v: bits for v in order} for bits in ("1111", "0000", "0110")]
+    for algorithm in (list_state_election(), PortProposal()):
+        memo = assert_same_trials(algorithm, graph, trials)
+        assert memo._replays
+        assert_same_outcome(prg_search, reference_prg_search, algorithm, graph, order)
 
 
 def late_list_messages():

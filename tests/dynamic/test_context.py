@@ -1,5 +1,5 @@
-"""Tests for ambient churn (``repro.dynamic.context``): the topology
-provider wiring, zero-churn transparency, replay determinism, and
+"""Tests for ambient churn (``repro.dynamic.context``): the ambient
+context wiring, zero-churn transparency, replay determinism, and
 composition with the fault layer."""
 
 from __future__ import annotations
@@ -11,7 +11,8 @@ from repro.dynamic.delta import ChurnSchedule
 from repro.faults import FaultPlan, inject_faults
 from repro.graphs.builders import cycle_graph, with_uniform_input
 from repro.runtime.algorithm import FunctionAlgorithm
-from repro.runtime.engine import execute
+from repro.runtime.engine import BroadcastDelivery, ExecutionEngine, execute
+from repro.runtime.tape import FixedTape
 
 
 def tally(stop_at: int):
@@ -27,6 +28,14 @@ def tally(stop_at: int):
 
 
 GRAPH = with_uniform_input(cycle_graph(8))
+
+
+def hooked_run(stop_at: int, hook: TopologyHook):
+    """``execute(tally(stop_at), GRAPH, max_rounds=stop_at)`` with ``hook``
+    attached to the engine."""
+    tapes = {v: FixedTape("") for v in GRAPH.nodes}
+    engine = ExecutionEngine(tally(stop_at), GRAPH, tapes, BroadcastDelivery(), hooks=[hook])
+    return engine.run(max_rounds=stop_at)
 CHURNY = ChurnPlan(plan_seed=5, insert_rate=0.3, delete_rate=0.3)
 
 
@@ -84,7 +93,7 @@ class TestAmbientContext:
 class TestTopologyHook:
     def test_hook_swaps_the_engine_graph_between_rounds(self):
         hook = TopologyHook(ChurnSchedule(CHURNY))
-        result = execute(tally(5), GRAPH, max_rounds=5, hooks=[hook])
+        hooked_run(5, hook)
         assert hook.dynamic is not None
         assert len(hook.log) > 0
         assert hook.dynamic.base is GRAPH
@@ -92,7 +101,7 @@ class TestTopologyHook:
 
     def test_states_and_outputs_survive_the_swap(self):
         hook = TopologyHook(ChurnSchedule(CHURNY))
-        result = execute(tally(5), GRAPH, max_rounds=5, hooks=[hook])
+        result = hooked_run(5, hook)
         assert result.all_decided
         # Round 1 predates any churn: every ledger starts with degree 2.
         assert all(log[0] == 2 for log in result.outputs.values())
@@ -100,6 +109,6 @@ class TestTopologyHook:
     def test_empty_schedule_hook_is_inert(self):
         hook = TopologyHook(ChurnSchedule(ChurnPlan()))
         bare = execute(tally(3), GRAPH, max_rounds=3)
-        hooked = execute(tally(3), GRAPH, max_rounds=3, hooks=[hook])
+        hooked = hooked_run(3, hook)
         assert hooked.outputs == bare.outputs
         assert hook.log == ()

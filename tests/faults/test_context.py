@@ -1,5 +1,4 @@
-"""Tests for ambient injection (``repro.faults.context``) and the
-``execute_with_faults`` harness.
+"""Tests for ambient injection (``repro.faults.context``).
 
 The wiring under test: while an ``inject_faults`` block is active,
 every ``execute()`` call gets wrapped decorators, a child trace, and a
@@ -11,12 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.faults import (
-    FaultPlan,
-    current,
-    execute_with_faults,
-    inject_faults,
-)
+from repro.faults import FaultPlan, current, inject_faults
 from repro.graphs.builders import cycle_graph, with_uniform_input
 from repro.runtime.algorithm import FunctionAlgorithm
 from repro.runtime.engine import execute
@@ -110,17 +104,21 @@ class TestAmbientContext:
 
 
 class TestHarness:
-    def test_execute_with_faults_bundles_result_and_trace(self):
+    """One faulty run: an ``inject_faults`` block around one ``execute``."""
+
+    def test_injection_trace_bundles_with_the_result(self):
         plan = FaultPlan(plan_seed=9, drop_rate=1.0)
-        faulted = execute_with_faults(tally(2), GRAPH, plan, max_rounds=2)
-        assert faulted.plan == plan
-        assert faulted.result.all_decided
-        assert faulted.faults_injected == len(faulted.fault_trace)
-        assert faulted.fault_counts()["drop"] == GRAPH.num_nodes * 2 * 2
+        with inject_faults(plan) as injection:
+            result = execute(tally(2), GRAPH, max_rounds=2)
+        assert injection.plan == plan
+        assert result.all_decided
+        assert result.metrics.faults_injected == len(injection.trace)
+        assert injection.trace.counts()["drop"] == GRAPH.num_nodes * 2 * 2
 
     def test_harness_restores_the_outer_context(self):
         assert current() is None
-        execute_with_faults(counter(1), GRAPH, FaultPlan(), max_rounds=1)
+        with inject_faults(FaultPlan()):
+            execute(counter(1), GRAPH, max_rounds=1)
         assert current() is None
 
     def test_metrics_without_context_report_zero_faults(self):

@@ -1,7 +1,7 @@
 """Tests for the unified execution engine (``repro.runtime.engine``).
 
 The kernel's contract is delivery-agnostic: the same funding rule, the
-same irrevocability enforcement, the same trace levels and the same
+same irrevocability enforcement, the same tracing and the same
 metrics must hold whether messages move by anonymous broadcast or by
 port numbering.  The contract tests here are therefore parametrized
 over both disciplines — one behavior, two wirings.
@@ -25,11 +25,9 @@ from repro.runtime.engine import (
     EngineMetricsTotals,
     ExecutionEngine,
     ExecutionMetrics,
-    ExecutionPolicy,
     PortDelivery,
     RoundHook,
     _infer_delivery,
-    _trace_level,
     collect_engine_metrics,
     execute,
 )
@@ -96,35 +94,9 @@ def make_counter(model: str, stop_at: int, bits: int = 0, out=None):
     return PortCounter(stop_at, bits=bits, out=out)
 
 
-def make_engine(model: str, algorithm, graph, tapes, policy=None, hooks=()):
+def make_engine(model: str, algorithm, graph, tapes, trace=True, hooks=()):
     delivery = BroadcastDelivery() if model == "broadcast" else PortDelivery()
-    return ExecutionEngine(
-        algorithm, graph, tapes, delivery=delivery, policy=policy, hooks=hooks
-    )
-
-
-# ----------------------------------------------------------------------
-# Policy and trace-level validation
-# ----------------------------------------------------------------------
-
-
-class TestExecutionPolicy:
-    def test_rejects_unknown_trace_level(self):
-        with pytest.raises(RuntimeModelError, match="trace level"):
-            ExecutionPolicy(trace="verbose")
-
-    def test_rejects_negative_round_budget(self):
-        with pytest.raises(RuntimeModelError, match="nonnegative"):
-            ExecutionPolicy(max_rounds=-1)
-
-    def test_trace_level_normalization(self):
-        assert _trace_level(None) == "full"
-        assert _trace_level(None, default="off") == "off"
-        assert _trace_level(True) == "full"
-        assert _trace_level(False) == "off"
-        assert _trace_level("outputs") == "outputs"
-        with pytest.raises(RuntimeModelError, match="trace level"):
-            _trace_level("everything")
+    return ExecutionEngine(algorithm, graph, tapes, delivery=delivery, trace=trace, hooks=hooks)
 
 
 @pytest.mark.parametrize("model", MODELS)
@@ -141,6 +113,15 @@ class TestPolicyEdgeCases:
         assert not result.all_decided
         assert result.outputs == {}
         assert result.metrics.messages_sent == 0
+
+    def test_negative_round_budget_rejected(self, model):
+        g = _uniform(path_graph(3))
+        engine = make_engine(
+            model, make_counter(model, 5), g, {v: FixedTape("") for v in g.nodes}
+        )
+        with pytest.raises(RuntimeModelError, match="nonnegative"):
+            engine.run(max_rounds=-1)
+        assert engine.rounds == 0
 
     def test_max_rounds_zero_keeps_init_decisions(self, model):
         # stop_at=0 decides at state initialization, before any round.
@@ -233,24 +214,9 @@ class TestKernelContract:
             make_counter(model, 2),
             g,
             {v: FixedTape("") for v in g.nodes},
-            policy=ExecutionPolicy(trace="off"),
+            trace=False,
         )
         assert engine.run(max_rounds=5).trace is None
-
-    def test_trace_level_outputs(self, model):
-        g = _uniform(path_graph(2))
-        engine = make_engine(
-            model,
-            make_counter(model, 2),
-            g,
-            {v: FixedTape("") for v in g.nodes},
-            policy=ExecutionPolicy(trace="outputs"),
-        )
-        trace = engine.run(max_rounds=5).trace
-        assert trace.num_rounds == 2
-        assert trace.output_round(0) == 2  # round accounting still works
-        for record in trace.rounds:
-            assert record.sent == {} and record.bits == {}  # but no payloads
 
     def test_trace_level_full_records_messages_and_bits(self, model):
         g = _uniform(path_graph(2))
@@ -483,15 +449,11 @@ class TestExecute:
         result = execute(PortCounter(2), g, max_rounds=5)
         assert result.all_decided and result.rounds == 2
 
-    def test_explicit_policy_wins(self):
+    def test_record_trace_rejects_level_names(self):
         g = _uniform(path_graph(2))
-        result = execute(
-            broadcast_counter(2),
-            g,
-            policy=ExecutionPolicy(max_rounds=1, trace="off"),
-        )
-        assert result.rounds == 1 and not result.all_decided
-        assert result.trace is None
+        for level in ("off", "outputs", "full"):
+            with pytest.raises(RuntimeModelError, match="record_trace must be a bool"):
+                execute(broadcast_counter(2), g, record_trace=level)
 
     def test_port_arity_violation_names_the_node(self):
         class Broken(PortCounter):

@@ -250,7 +250,7 @@ class TestFundingRule:
         # Explicit tapes carry no funded limit: the kernel's check stops them.
         checked = execute(
             _silent(), graph, tapes={v: FixedTape(b) for v, b in assignment.items()},
-            max_rounds=max_rounds, record_trace="off",
+            max_rounds=max_rounds, record_trace=False,
         )
         assert funded.rounds == checked.rounds == min(3, max_rounds or 3)
         assert funded.metrics.as_dict() | {"wall_s": 0} == checked.metrics.as_dict() | {"wall_s": 0}
