@@ -71,7 +71,6 @@ from repro.factor import (
 from repro.runtime import AnonymousAlgorithm, execute
 from repro.problems import (
     ColoringProblem,
-    DecisionProblem,
     GranBundle,
     KHopColoringProblem,
     MaximalMatchingProblem,
@@ -135,7 +134,6 @@ __all__ = [
     "AnonymousAlgorithm",
     "execute",
     "ColoringProblem",
-    "DecisionProblem",
     "GranBundle",
     "KHopColoringProblem",
     "MaximalMatchingProblem",

@@ -34,25 +34,6 @@ class SuccessCurve:
     samples_per_length: int
     points: tuple[tuple[int, float], ...]
 
-    def probability_at(self, t: int) -> float:
-        for length, probability in self.points:
-            if length == t:
-                return probability
-        raise KeyError(f"length {t} not measured; have {[p[0] for p in self.points]}")
-
-    @property
-    def first_feasible_length(self) -> int:
-        """The smallest measured ``t`` with a nonzero success rate."""
-        for length, probability in self.points:
-            if probability > 0:
-                return length
-        return -1
-
-    def expected_trials(self, t: int) -> float:
-        """``1 / p_t`` (``inf`` when no sampled assignment succeeded)."""
-        probability = self.probability_at(t)
-        return float("inf") if probability == 0 else 1.0 / probability
-
 
 def measure_success_curve(
     algorithm: AnonymousAlgorithm,

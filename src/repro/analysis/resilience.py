@@ -127,25 +127,3 @@ def independence_preserved(
         if outputs.get(u) == 1 and outputs.get(v) == 1:
             return False
     return True
-
-
-def two_hop_distinct_among(
-    graph: LabeledGraph,
-    outputs: dict[Node, Any],
-    exclude: Sequence[Node] = (),
-) -> bool:
-    """2-hop coloring validity restricted to non-excluded, decided nodes:
-    any two surviving decided nodes within distance 2 carry distinct
-    colors."""
-    excluded = set(exclude)
-    for v in graph.nodes:
-        if v in excluded or v not in outputs:
-            continue
-        ball = [
-            u
-            for u in graph.nodes_within(v, 2)
-            if u != v and u not in excluded and u in outputs
-        ]
-        if any(outputs[u] == outputs[v] for u in ball):
-            return False
-    return True

@@ -26,16 +26,6 @@ class ViewClassProfile:
     num_classes: int
     class_sizes: tuple[int, ...]
 
-    @property
-    def is_view_symmetric(self) -> bool:
-        """All nodes share one view — the maximally anonymous case."""
-        return self.num_classes == 1
-
-    @property
-    def collapse_ratio(self) -> float:
-        """``1 - num_classes / num_nodes``; 0 for prime graphs."""
-        return 1.0 - self.num_classes / self.num_nodes
-
 
 def view_class_profile(graph: LabeledGraph) -> ViewClassProfile:
     """The view-class profile of a labeled graph."""

@@ -79,12 +79,6 @@ class MemoryBucket:
             self._entries.popitem(last=False)
             self.evictions += 1
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: Any) -> bool:
-        return key in self._entries
-
     def clear(self) -> None:
         self._entries.clear()
 
@@ -157,10 +151,6 @@ class ArtifactStore:
 
             self._persistent = ResultStore.open(path)
 
-    @property
-    def path(self) -> "Path | None":
-        return self._persistent.path if self._persistent is not None else None
-
     def lookup(self, key: str) -> "bytes | None":
         """The encoded payload for ``key`` from the fastest tier holding
         it (promoting persistent hits into the memory tier), or ``None``."""
@@ -173,7 +163,7 @@ class ArtifactStore:
                 payload = record["payload"].encode("utf-8")
                 if payload_digest(payload) != record["digest"]:
                     raise ArtifactError(
-                        f"{self.path}: payload digest mismatch for key {key[:12]}…"
+                        f"{self._persistent.path}: payload digest mismatch for key {key[:12]}…"
                     )
                 self.persistent_hits += 1
                 self._payloads.put(key, payload)
@@ -219,10 +209,6 @@ class ArtifactStore:
             self.persist(key, spec, payload)
         return payload
 
-    def records(self) -> "dict[str, dict[str, Any]]":
-        """The persistent records by key (empty for memory-only stores)."""
-        return dict(self._persistent.records) if self._persistent is not None else {}
-
     def stats(self) -> "dict[str, Any]":
         """Both tiers' counters (the CLI ``status`` payload)."""
         persistent: "dict[str, Any]" = {"enabled": self._persistent is not None}
@@ -232,7 +218,7 @@ class ArtifactStore:
                 by_kind[record["kind"]] = by_kind.get(record["kind"], 0) + 1
             persistent.update(
                 {
-                    "path": str(self.path),
+                    "path": str(self._persistent.path),
                     "records": len(self._persistent),
                     "by_kind": {kind: by_kind[kind] for kind in sorted(by_kind)},
                     "hits": self.persistent_hits,

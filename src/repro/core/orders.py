@@ -78,8 +78,3 @@ def finite_view_graph_sort_key(graph: LabeledGraph) -> tuple[int, str]:
     canonical form on prime graphs)."""
     order = canonical_node_order(graph)
     return (graph.num_nodes, encode_ordered_graph(graph, order))
-
-
-def view_order_of_nodes(graph: LabeledGraph) -> dict[Node, int]:
-    """Each node's position in the canonical node order (prime graphs)."""
-    return {v: i for i, v in enumerate(canonical_node_order(graph))}

@@ -19,8 +19,8 @@ under churn:
   behind the ``dynamic-views`` artifact kind
   (:mod:`repro.dynamic.maintain`);
 * :func:`apply_churn` / :class:`TopologyHook` — the ambient context
-  that churns every ``execute()`` call between rounds
-  (:mod:`repro.dynamic.context`);
+  that churns every ``execute()`` call between rounds, on the engine's
+  one ambient stack (:mod:`repro.dynamic.context`);
 * the ``churn`` gate of :mod:`repro.experiments.gates` — zero-churn
   identity and replay determinism (``make smoke``).
 
@@ -28,7 +28,7 @@ See ``docs/DYNAMIC.md`` for the delta model, the blast-radius rule and
 the determinism contract.
 """
 
-from repro.dynamic.context import ActiveChurn, TopologyHook, apply_churn, current
+from repro.dynamic.context import ActiveChurn, TopologyHook, apply_churn
 from repro.dynamic.delta import (
     ChurnPlan,
     ChurnSchedule,
@@ -58,7 +58,6 @@ __all__ = [
     "UpdateStats",
     "add_edge",
     "apply_churn",
-    "current",
     "differential_check",
     "relabel",
     "remove_edge",

@@ -18,10 +18,13 @@ receiver, sender)`` and never on the edge set, and the fault wrappers
 read the engine's graph fresh each round, so ``inject_faults`` and
 ``apply_churn`` blocks nest in either order.
 
-Contexts nest (the innermost plan wins) and are plain process-local
-state: a worker process of the parallel experiment runner does not
-inherit the parent's context.  Experiments that want churn construct
-plans *inside* their (picklable, top-level) experiment functions — see
+Contexts live on the engine's one ambient stack
+(:func:`~repro.runtime.engine.ambient_context`): they nest (the
+innermost plan of each kind wins, and the kinds wrap an execution in
+nesting order) and are plain process-local state: a worker process of
+the parallel experiment runner does not inherit the parent's context.
+Experiments that want churn construct plans *inside* their
+(picklable, top-level) experiment functions — see
 :mod:`repro.experiments.dynamic`.
 
 Engines constructed directly (``ExecutionEngine(...)``) bypass the
@@ -30,15 +33,14 @@ ambient context; attach a :class:`TopologyHook` explicitly if needed.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Mapping, Sequence
+from contextlib import AbstractContextManager
 from typing import Any
 
 from repro.dynamic.delta import ChurnPlan, ChurnSchedule, Delta
 from repro.dynamic.graph import DynamicGraph
 from repro.graphs.labeled_graph import LabeledGraph, Node
-from repro.runtime import engine as _engine
-from repro.runtime.engine import DeliveryDiscipline, RoundHook
+from repro.runtime.engine import DeliveryDiscipline, RoundHook, ambient_context
 from repro.runtime.tape import BitSource
 
 
@@ -80,24 +82,24 @@ class TopologyHook(RoundHook):
 
     def on_finish(self, engine: Any, result: Any) -> None:
         if self._context is not None and self.dynamic is not None:
-            self._context.execution_logs.append(self.dynamic.log)
+            self._context.last_execution_log = self.dynamic.log
 
 
 class ActiveChurn:
     """One active ``apply_churn`` block.
 
     ``deltas_applied`` counts every delta applied by every execution in
-    the block; ``execution_logs`` keeps each finished execution's full
-    delta log (in execution order).  :meth:`wrap` gives each execution
-    a fresh hook — hooks carry per-run overlay state, so they are never
-    shared between runs.
+    the block; ``last_execution_log`` is the full delta log of the most
+    recently finished execution (``None`` before the first).
+    :meth:`wrap` gives each execution a fresh hook — hooks carry
+    per-run overlay state, so they are never shared between runs.
     """
 
     def __init__(self, plan: ChurnPlan) -> None:
         self.plan = plan
         self.schedule = ChurnSchedule(plan)
         self.deltas_applied = 0
-        self.execution_logs: list[tuple[Delta, ...]] = []
+        self.last_execution_log: tuple[Delta, ...] | None = None
 
     def wrap(
         self,
@@ -110,33 +112,11 @@ class ActiveChurn:
         appended to ``hooks``."""
         return delivery, tapes, [*hooks, TopologyHook(self.schedule, context=self)]
 
-    @property
-    def last_execution_log(self) -> "tuple[Delta, ...] | None":
-        """The delta log of the most recently finished execution."""
-        return self.execution_logs[-1] if self.execution_logs else None
 
-
-_ACTIVE: list[ActiveChurn] = []
-
-
-def current() -> ActiveChurn | None:
-    """The innermost active churn context, or ``None``."""
-    return _ACTIVE[-1] if _ACTIVE else None
-
-
-@contextmanager
-def apply_churn(plan: ChurnPlan) -> Iterator[ActiveChurn]:
+def apply_churn(plan: ChurnPlan) -> AbstractContextManager[ActiveChurn]:
     """Run every ``execute()`` call in the block under ``plan``.
 
-    Yields the :class:`ActiveChurn`, whose ``execution_logs`` record
-    each execution's applied deltas.
+    Yields the :class:`ActiveChurn`, whose ``last_execution_log``
+    records the latest execution's applied deltas.
     """
-    churn = ActiveChurn(plan)
-    _ACTIVE.append(churn)
-    try:
-        yield churn
-    finally:
-        _ACTIVE.remove(churn)
-
-
-_engine.register_ambient_context(current)
+    return ambient_context(ActiveChurn(plan))

@@ -22,13 +22,13 @@ See ``docs/DYNAMIC.md`` for the full model.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Any
 
 from repro.exceptions import DynamicError
 from repro.graphs.io import _decode, _encode
 from repro.graphs.labeled_graph import LabeledGraph
+from repro.runtime.engine import KeyedSchedule, check_plan
 
 OPS = ("add-edge", "remove-edge", "relabel", "reorder-ports")
 
@@ -163,20 +163,11 @@ class ChurnPlan:
     last_round: int | None = None
 
     def __post_init__(self) -> None:
-        for name in _RATE_FIELDS:
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise DynamicError(f"{name} must lie in [0, 1], got {rate!r}")
+        check_plan(self, _RATE_FIELDS, DynamicError)
         object.__setattr__(self, "relabel_values", tuple(self.relabel_values))
         if self.relabel_rate > 0.0 and not self.relabel_values:
             raise DynamicError(
                 "relabel_rate > 0 requires a nonempty relabel_values palette"
-            )
-        if self.first_round < 1:
-            raise DynamicError(f"first_round must be >= 1, got {self.first_round}")
-        if self.last_round is not None and self.last_round < self.first_round:
-            raise DynamicError(
-                f"last_round {self.last_round} precedes first_round {self.first_round}"
             )
 
     @property
@@ -184,54 +175,17 @@ class ChurnPlan:
         """Whether this plan churns nothing at all."""
         return all(getattr(self, name) == 0.0 for name in _RATE_FIELDS)
 
-    def as_dict(self) -> dict[str, Any]:
-        """A JSON-safe projection (tuple values survive via the tagged
-        encoding)."""
-        return {
-            "plan_seed": self.plan_seed,
-            "insert_rate": self.insert_rate,
-            "delete_rate": self.delete_rate,
-            "relabel_rate": self.relabel_rate,
-            "relabel_layer": self.relabel_layer,
-            "relabel_values": [_encode(value) for value in self.relabel_values],
-            "first_round": self.first_round,
-            "last_round": self.last_round,
-        }
 
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "ChurnPlan":
-        """Inverse of :meth:`as_dict`."""
-        data = dict(payload)
-        data["relabel_values"] = tuple(
-            _decode(value) for value in data.get("relabel_values", ())
-        )
-        return cls(**data)
-
-
-class ChurnSchedule:
+class ChurnSchedule(KeyedSchedule):
     """Derives every concrete churn decision of a :class:`ChurnPlan`.
 
-    Each decision hashes ``(plan_seed, kind, *coordinates)`` with
-    SHA-256 and uses the leading 64 bits, scaled to ``[0, 1)``, to pick
-    an edge, a node pair or a palette value.  Attempts are indexed, not
+    Each decision uses a keyed-hash fraction
+    (:class:`~repro.runtime.engine.KeyedSchedule`) to pick an edge, a
+    node pair or a palette value.  Attempts are indexed, not
     scanned, so a round's batch costs ``O(attempts)`` hash calls — never
     ``O(n^2)`` candidate enumeration — and depends only on the plan and
     the graph state entering the round.
     """
-
-    def __init__(self, plan: ChurnPlan) -> None:
-        self.plan = plan
-
-    def _fraction(self, kind: str, *coords: Any) -> float:
-        key = "\x1f".join([str(self.plan.plan_seed), kind, *map(str, coords)])
-        digest = hashlib.sha256(key.encode("utf-8")).digest()
-        return int.from_bytes(digest[:8], "big") / 2**64
-
-    def in_window(self, round_number: int) -> bool:
-        if round_number < self.plan.first_round:
-            return False
-        last = self.plan.last_round
-        return last is None or round_number <= last
 
     def batch(self, round_number: int, graph: LabeledGraph) -> tuple[Delta, ...]:
         """The delta batch churned between ``round_number`` and the next

@@ -19,7 +19,6 @@ from repro.factor.prime import (
 )
 from repro.factor.lifting import (
     lift_assignment,
-    lift_outputs_to_product,
     project_outputs,
     verify_execution_lifting,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "is_prime",
     "prime_factors",
     "lift_assignment",
-    "lift_outputs_to_product",
     "project_outputs",
     "verify_execution_lifting",
     "DirectedRepresentation",

@@ -77,16 +77,6 @@ class FactorizingMap:
         """Whether ``m = 1``, i.e. the map is a labeled isomorphism."""
         return self._product.num_nodes == self._factor.num_nodes
 
-    def inverse(self) -> "FactorizingMap":
-        """The inverse map (only defined when :attr:`is_isomorphism`)."""
-        if not self.is_isomorphism:
-            raise FactorError(
-                f"map has multiplicity {self.multiplicity}; only bijective "
-                "factorizing maps are invertible"
-            )
-        inverted = {t: v for v, t in self._mapping.items()}
-        return FactorizingMap(self._factor, self._product, inverted)
-
     def compose(self, next_map: "FactorizingMap") -> "FactorizingMap":
         """The composition ``next_map ∘ self`` — factors compose:
         if ``G' ⪯ G`` and ``G'' ⪯ G'`` then ``G'' ⪯ G``."""

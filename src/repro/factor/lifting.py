@@ -46,15 +46,6 @@ def lift_assignment(
     }
 
 
-def lift_outputs_to_product(
-    factor_outputs: Mapping[Node, Any], factorizing_map: FactorizingMap
-) -> dict[Node, Any]:
-    """Pull factor outputs back to the product: ``o(v) = o'(f(v))``."""
-    return {
-        v: factor_outputs[factorizing_map(v)] for v in factorizing_map.product.nodes
-    }
-
-
 def project_outputs(
     product_outputs: Mapping[Node, Any], factorizing_map: FactorizingMap
 ) -> dict[Node, Any]:

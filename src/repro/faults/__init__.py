@@ -9,15 +9,15 @@ coloring validity, view/quotient agreement) actually break:
   specs whose every decision is SHA-256-derived from the plan seed and
   the fault's coordinates, so a plan is a pure value and any faulty run
   is byte-replayable (:mod:`repro.faults.plan`);
-* :class:`FaultyDelivery` / :class:`CrashDiscipline` /
-  :class:`CorruptingTape` / :data:`LOST` — decorators applying the
-  schedule at the delivery and randomness boundaries
+* :class:`FaultyDelivery` / :class:`CorruptingTape` / :data:`LOST` —
+  decorators applying the schedule at the delivery and randomness
+  boundaries
   (:mod:`repro.faults.delivery`);
 * :class:`FaultTrace` / :class:`FaultEvent` — the record of every
   injected event (:mod:`repro.faults.trace`);
 * :func:`inject_faults` — the ambient context every
-  :func:`~repro.runtime.engine.execute` call inside it runs under
-  (:mod:`repro.faults.context`);
+  :func:`~repro.runtime.engine.execute` call inside it runs under, on
+  the engine's one ambient stack (:mod:`repro.faults.context`);
 * the ``faults`` gate of :mod:`repro.experiments.gates` — zero-fault
   identity and replay determinism (``make smoke``).
 
@@ -25,11 +25,10 @@ See ``docs/FAULTS.md`` for the plan schema, the determinism contract
 and the replay recipe.
 """
 
-from repro.faults.context import ActiveInjection, current, inject_faults
+from repro.faults.context import ActiveInjection, inject_faults
 from repro.faults.delivery import (
     LOST,
     CorruptingTape,
-    CrashDiscipline,
     FaultyDelivery,
     LostMessage,
 )
@@ -40,13 +39,11 @@ __all__ = [
     "LOST",
     "ActiveInjection",
     "CorruptingTape",
-    "CrashDiscipline",
     "FaultEvent",
     "FaultPlan",
     "FaultSchedule",
     "FaultTrace",
     "FaultyDelivery",
     "LostMessage",
-    "current",
     "inject_faults",
 ]

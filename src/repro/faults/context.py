@@ -11,10 +11,13 @@ decorators, which is exactly what the zero-fault differential gate
 (``make smoke``) exploits: transparency of the wrappers is a
 tested property, not an assumption.
 
-Contexts nest (the innermost plan wins) and are plain process-local
-state: a worker process of the parallel experiment runner does not
-inherit the parent's context.  Experiments that want faults construct
-plans *inside* their (picklable, top-level) experiment functions — see
+Contexts live on the engine's one ambient stack
+(:func:`~repro.runtime.engine.ambient_context`): they nest (the
+innermost plan of each kind wins, and the kinds wrap an execution in
+nesting order) and are plain process-local state: a worker process of
+the parallel experiment runner does not inherit the parent's context.
+Experiments that want faults construct plans *inside* their
+(picklable, top-level) experiment functions — see
 :mod:`repro.experiments.resilience`.
 
 Engines constructed directly (``ExecutionEngine(...)``) bypass the
@@ -23,16 +26,15 @@ ambient context; wrap their delivery explicitly if needed.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Mapping, Sequence
+from contextlib import AbstractContextManager
 from typing import Any
 
 from repro.faults.delivery import CorruptingTape, FaultyDelivery
 from repro.faults.plan import FaultPlan, FaultSchedule
 from repro.faults.trace import FaultTrace
 from repro.graphs.labeled_graph import LabeledGraph, Node
-from repro.runtime import engine as _engine
-from repro.runtime.engine import DeliveryDiscipline, RoundHook
+from repro.runtime.engine import DeliveryDiscipline, RoundHook, ambient_context
 from repro.runtime.tape import BitSource
 
 
@@ -59,7 +61,6 @@ class ActiveInjection:
         self.plan = plan
         self.schedule = FaultSchedule(plan)
         self.trace = FaultTrace()
-        self.execution_traces: list[FaultTrace] = []
 
     def wrap(
         self,
@@ -69,7 +70,6 @@ class ActiveInjection:
         hooks: Sequence[RoundHook],
     ) -> tuple[DeliveryDiscipline, Mapping[Node, BitSource], Sequence[RoundHook]]:
         local = FaultTrace(parent=self.trace)
-        self.execution_traces.append(local)
         wrapped_delivery = FaultyDelivery(delivery, self.schedule, trace=local)
         wrapped_tapes = {
             v: CorruptingTape(tape, v, self.schedule, trace=local)
@@ -77,33 +77,11 @@ class ActiveInjection:
         }
         return wrapped_delivery, wrapped_tapes, [*hooks, _FaultMetricsHook(local)]
 
-    @property
-    def last_execution_trace(self) -> FaultTrace | None:
-        """The trace of the most recently wrapped execution."""
-        return self.execution_traces[-1] if self.execution_traces else None
 
-
-_ACTIVE: list[ActiveInjection] = []
-
-
-def current() -> ActiveInjection | None:
-    """The innermost active injection, or ``None``."""
-    return _ACTIVE[-1] if _ACTIVE else None
-
-
-@contextmanager
-def inject_faults(plan: FaultPlan) -> Iterator[ActiveInjection]:
+def inject_faults(plan: FaultPlan) -> AbstractContextManager[ActiveInjection]:
     """Run every ``execute()`` call in the block under ``plan``.
 
     Yields the :class:`ActiveInjection`, whose ``trace`` records every
     injected event across the block's executions.
     """
-    injection = ActiveInjection(plan)
-    _ACTIVE.append(injection)
-    try:
-        yield injection
-    finally:
-        _ACTIVE.remove(injection)
-
-
-_engine.register_ambient_context(current)
+    return ambient_context(ActiveInjection(plan))

@@ -18,9 +18,9 @@ Crash-stop nodes are silenced symmetrically: from their crash round on,
 no payload from them reaches anyone and nothing reaches them.  The
 crashed node's *local* clock keeps ticking (it still transitions, on an
 empty multiset or an all-``LOST`` tuple) — what the network observes is
-exactly a crash-stop.  :class:`CrashDiscipline` is the crash-only
-special case, and :class:`CorruptingTape` is the matching decorator for
-the randomness boundary: it flips tape bits per the schedule.
+exactly a crash-stop.  :class:`CorruptingTape` is the matching
+decorator for the randomness boundary: it flips tape bits per the
+schedule.
 
 The decorator never re-enters the wrapped discipline's logic: it calls
 ``inner.emit`` verbatim and reassembles inboxes itself, tracking the
@@ -34,7 +34,7 @@ from collections.abc import Mapping
 from typing import Any
 
 from repro.exceptions import FaultInjectionError
-from repro.faults.plan import FaultPlan, FaultSchedule
+from repro.faults.plan import FaultSchedule
 from repro.faults.trace import FaultEvent, FaultTrace
 from repro.graphs.labeled_graph import LabeledGraph, Node
 from repro.runtime.engine import (
@@ -71,17 +71,14 @@ class FaultyDelivery(DeliveryDiscipline):
 
     Wraps exactly one execution: the round counter advances on every
     ``emit`` call, so reuse across executions would misalign fault
-    rounds.  The harness creates a fresh decorator per run.
+    rounds.  :meth:`ActiveInjection.wrap
+    <repro.faults.context.ActiveInjection.wrap>` creates a fresh
+    decorator per run.
     """
 
     def __init__(
-        self,
-        inner: DeliveryDiscipline,
-        schedule: "FaultSchedule | FaultPlan",
-        trace: FaultTrace | None = None,
+        self, inner: DeliveryDiscipline, schedule: FaultSchedule, trace: FaultTrace
     ) -> None:
-        if isinstance(schedule, FaultPlan):
-            schedule = FaultSchedule(schedule)
         if isinstance(inner, PortDelivery):
             self._mode = "port"
         elif isinstance(inner, BroadcastDelivery):
@@ -94,29 +91,10 @@ class FaultyDelivery(DeliveryDiscipline):
             )
         self._inner = inner
         self._schedule = schedule
-        self._trace = trace if trace is not None else FaultTrace()
+        self._trace = trace
         self._round = 0
         self._crash_noted: set = set()
         self.name = f"faulty-{inner.name}"
-
-    @property
-    def inner(self) -> DeliveryDiscipline:
-        return self._inner
-
-    @property
-    def schedule(self) -> FaultSchedule:
-        return self._schedule
-
-    @property
-    def trace(self) -> FaultTrace:
-        return self._trace
-
-    @property
-    def round_number(self) -> int:
-        """The round currently being delivered (0 before the first)."""
-        return self._round
-
-    # ------------------------------------------------------------------
 
     def emit(
         self, algorithm: Any, states: Mapping[Node, Any], graph: LabeledGraph
@@ -183,23 +161,6 @@ class FaultyDelivery(DeliveryDiscipline):
         return tuple(entries)
 
 
-class CrashDiscipline(FaultyDelivery):
-    """Crash-stop silencing alone: a :class:`FaultyDelivery` whose plan
-    contains nothing but the given ``(node, round)`` crash schedule."""
-
-    def __init__(
-        self,
-        inner: DeliveryDiscipline,
-        crashes: "Mapping[Node, int] | tuple[tuple[Node, int], ...]",
-        trace: FaultTrace | None = None,
-    ) -> None:
-        if isinstance(crashes, Mapping):
-            crashes = tuple(crashes.items())
-        super().__init__(
-            inner, FaultPlan(crashes=tuple(crashes)), trace=trace
-        )
-
-
 class CorruptingTape(BitSource):
     """A :class:`BitSource` decorator flipping bits per the schedule.
 
@@ -210,23 +171,13 @@ class CorruptingTape(BitSource):
     """
 
     def __init__(
-        self,
-        inner: BitSource,
-        node: Node,
-        schedule: "FaultSchedule | FaultPlan",
-        trace: FaultTrace | None = None,
+        self, inner: BitSource, node: Node, schedule: FaultSchedule, trace: FaultTrace
     ) -> None:
-        if isinstance(schedule, FaultPlan):
-            schedule = FaultSchedule(schedule)
         self._inner = inner
         self._node = node
         self._schedule = schedule
-        self._trace = trace if trace is not None else FaultTrace()
+        self._trace = trace
         self._drawn = 0
-
-    @property
-    def inner(self) -> BitSource:
-        return self._inner
 
     def draw(self, count: int) -> str:
         bits = self._inner.draw(count)

@@ -21,11 +21,11 @@ See ``docs/FAULTS.md`` for the full determinism contract.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.exceptions import FaultInjectionError
+from repro.runtime.engine import KeyedSchedule, check_plan
 
 _RATE_FIELDS = ("drop_rate", "duplicate_rate", "reorder_rate", "corrupt_rate")
 
@@ -78,12 +78,7 @@ class FaultPlan:
     last_round: int | None = None
 
     def __post_init__(self) -> None:
-        for name in _RATE_FIELDS:
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise FaultInjectionError(
-                    f"{name} must lie in [0, 1], got {rate!r}"
-                )
+        check_plan(self, _RATE_FIELDS, FaultInjectionError)
         object.__setattr__(self, "crashes", tuple(
             (node, int(round_)) for node, round_ in self.crashes
         ))
@@ -93,84 +88,20 @@ class FaultPlan:
                     f"crash round for node {node!r} must be >= 1 "
                     f"(rounds are 1-based), got {crash_round}"
                 )
-        if self.first_round < 1:
-            raise FaultInjectionError(
-                f"first_round must be >= 1, got {self.first_round}"
-            )
-        if self.last_round is not None and self.last_round < self.first_round:
-            raise FaultInjectionError(
-                f"last_round {self.last_round} precedes first_round "
-                f"{self.first_round}"
-            )
-
-    @property
-    def is_empty(self) -> bool:
-        """Whether this plan injects nothing at all."""
-        return (
-            all(getattr(self, name) == 0.0 for name in _RATE_FIELDS)
-            and not self.crashes
-        )
-
-    def crash_round(self, node: Any) -> int | None:
-        """The round ``node`` crash-stops in, or ``None``."""
-        for crashed, round_ in self.crashes:
-            if crashed == node:
-                return round_
-        return None
-
-    def as_dict(self) -> dict[str, Any]:
-        """A JSON-safe projection (tuple nodes become lists)."""
-        def jsonify_node(node: Any) -> Any:
-            return list(node) if isinstance(node, tuple) else node
-
-        return {
-            "plan_seed": self.plan_seed,
-            "drop_rate": self.drop_rate,
-            "duplicate_rate": self.duplicate_rate,
-            "reorder_rate": self.reorder_rate,
-            "corrupt_rate": self.corrupt_rate,
-            "crashes": [[jsonify_node(v), r] for v, r in self.crashes],
-            "first_round": self.first_round,
-            "last_round": self.last_round,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "FaultPlan":
-        """Inverse of :meth:`as_dict` (list nodes become tuples again)."""
-        def nodeify(node: Any) -> Any:
-            return tuple(node) if isinstance(node, list) else node
-
-        data = dict(payload)
-        data["crashes"] = tuple(
-            (nodeify(v), r) for v, r in data.get("crashes", ())
-        )
-        return cls(**data)
 
 
-class FaultSchedule:
+class FaultSchedule(KeyedSchedule):
     """Derives every concrete fault decision of a :class:`FaultPlan`.
 
-    Each decision hashes ``(plan_seed, kind, *coordinates)`` with
-    SHA-256 and compares the leading 64 bits, scaled to ``[0, 1)``,
-    against the relevant rate.  The schedule is therefore stateless:
-    any decision can be asked for in any order, any number of times,
-    and always answers the same.
+    Each decision compares a keyed-hash fraction
+    (:class:`~repro.runtime.engine.KeyedSchedule`) against the relevant
+    rate, so the schedule is stateless: any decision can be asked for in
+    any order, any number of times, and always answers the same.
     """
 
     def __init__(self, plan: FaultPlan) -> None:
-        self.plan = plan
+        super().__init__(plan)
         self._crash_rounds = {node: r for node, r in plan.crashes}
-
-    def _fraction(self, kind: str, *coords: Any) -> float:
-        key = "\x1f".join([str(self.plan.plan_seed), kind, *map(str, coords)])
-        digest = hashlib.sha256(key.encode("utf-8")).digest()
-        return int.from_bytes(digest[:8], "big") / 2**64
-
-    def in_window(self, round_number: int) -> bool:
-        if round_number < self.plan.first_round:
-            return False
-        last = self.plan.last_round
-        return last is None or round_number <= last
 
     def drops(self, round_number: int, receiver: Any, sender: Any) -> bool:
         """Whether the ``sender -> receiver`` payload is lost this round."""

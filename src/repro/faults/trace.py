@@ -2,11 +2,12 @@
 
 Every observable perturbation — a dropped payload, a duplicated
 broadcast, a permuted port inbox, a node going silent, a flipped tape
-bit — is recorded as a :class:`FaultEvent`.  The harness gives each
-execution its own :class:`FaultTrace` (chained to a per-context parent
-trace), so both "what happened to this run" and "what happened under
-this ``inject_faults`` block" are answerable, and the per-execution
-event count lands in :class:`~repro.runtime.engine.ExecutionMetrics`
+bit — is recorded as a :class:`FaultEvent`.
+:meth:`ActiveInjection.wrap <repro.faults.context.ActiveInjection.wrap>`
+gives each execution its own :class:`FaultTrace` (chained to the
+block's parent trace), so both "what happened to this run" and "what
+happened under this ``inject_faults`` block" are answerable, and the
+per-execution event count lands in :class:`~repro.runtime.engine.ExecutionMetrics`
 as ``faults_injected``.
 """
 
@@ -33,17 +34,6 @@ class FaultEvent:
     round: int
     node: Any
     detail: tuple[Any, ...] = ()
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "round": self.round,
-            "node": self.node if isinstance(self.node, (int, str)) else repr(self.node),
-            "detail": [
-                item if isinstance(item, (int, str, float)) else repr(item)
-                for item in self.detail
-            ],
-        }
 
 
 @dataclass
@@ -72,17 +62,3 @@ class FaultTrace:
         for event in self.events:
             totals[event.kind] = totals.get(event.kind, 0) + 1
         return totals
-
-    def of_kind(self, kind: str) -> list[FaultEvent]:
-        return [event for event in self.events if event.kind == kind]
-
-    def as_dict(self, max_events: int | None = None) -> dict[str, Any]:
-        """JSON-safe summary: totals per kind plus (optionally capped)
-        individual events, in injection order."""
-        events = self.events if max_events is None else self.events[:max_events]
-        return {
-            "total": len(self.events),
-            "by_kind": {kind: n for kind, n in sorted(self.counts().items())},
-            "events": [event.as_dict() for event in events],
-            "truncated": max_events is not None and len(self.events) > max_events,
-        }

@@ -40,9 +40,7 @@ from repro.graphs.properties import (
 )
 from repro.graphs.io import (
     graph_from_dict,
-    graph_from_json,
     graph_to_dict,
-    graph_to_json,
 )
 from repro.graphs.isomorphism import (
     are_isomorphic,
@@ -77,9 +75,7 @@ __all__ = [
     "canonical_encoding",
     "encode_ordered_graph",
     "graph_from_dict",
-    "graph_from_json",
     "graph_to_dict",
-    "graph_to_json",
     "diameter",
     "degree_profile",
     "is_connected",

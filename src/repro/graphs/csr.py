@@ -14,7 +14,6 @@ Memory layout (n nodes, m edges)::
 
     offsets       array('l'), n+1   CSR row pointers
     targets       array('l'), 2m    neighbor indices, sorted per row
-    port_targets  array('l'), 2m    neighbor indices, port order per row
     label_ranks   array('l'), n     composed-label rank per node
     layer_ranks   {name: array}     per-layer label rank per node
     adjacency     list[list[int]]   row slices of ``targets`` as lists
@@ -83,7 +82,6 @@ class CSRGraph:
         "num_nodes",
         "offsets",
         "targets",
-        "port_targets",
         "adjacency",
         "label_ranks",
         "label_values",
@@ -101,14 +99,12 @@ class CSRGraph:
 
         offsets = array("l", [0])
         targets = array("l")
-        port_targets = array("l")
         adjacency: list[list[int]] = []
         ig = index.__getitem__
         for v in nodes:
             row = list(map(ig, graph.neighbors(v)))
             adjacency.append(row)
             targets.extend(row)
-            port_targets.extend(map(ig, graph.ports(v)))
             offsets.append(len(targets))
 
         self.nodes = nodes
@@ -116,7 +112,6 @@ class CSRGraph:
         self.num_nodes = n
         self.offsets = offsets
         self.targets = targets
-        self.port_targets = port_targets
         self.adjacency = adjacency
 
         self.label_ranks, self.label_values = _rank_values(
@@ -137,19 +132,6 @@ class CSRGraph:
         # clearing the buffer.  'q' gives 64-bit stamps — no wraparound.
         self._visited = array("q", bytes(8 * n))
         self._epoch = 0
-
-    # -- structure queries (index space) --------------------------------
-
-    def degree_idx(self, i: int) -> int:
-        return self.offsets[i + 1] - self.offsets[i]
-
-    def neighbors_idx(self, i: int) -> list[int]:
-        """Neighbor indices of node ``i``, sorted (the CSR row)."""
-        return self.adjacency[i]
-
-    def ports_idx(self, i: int) -> array:
-        """Neighbor indices of node ``i`` in port order."""
-        return self.port_targets[self.offsets[i] : self.offsets[i + 1]]
 
     # -- BFS kernels -----------------------------------------------------
 

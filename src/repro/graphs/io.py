@@ -68,16 +68,6 @@ def graph_from_dict(data: dict[str, Any]) -> LabeledGraph:
     return LabeledGraph(edges, nodes=nodes, layers=layers, ports=ports)
 
 
-def graph_to_json(graph: LabeledGraph) -> str:
-    """Serialize to a JSON string."""
-    return json.dumps(graph_to_dict(graph), sort_keys=True)
-
-
-def graph_from_json(text: str) -> LabeledGraph:
-    """Deserialize from :func:`graph_to_json` output."""
-    return graph_from_dict(json.loads(text))
-
-
 def _encode(value: Any) -> Any:
     """Tuples become tagged lists so they survive the JSON round trip."""
     if isinstance(value, tuple):

@@ -20,7 +20,7 @@ views, quotients and simulations to share graphs freely.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
 from typing import Any
 
 from repro.exceptions import GraphError, LabelingError
@@ -230,14 +230,6 @@ class LabeledGraph:
         except KeyError:
             raise GraphError(f"unknown node {v!r}") from None
 
-    def port_to_neighbor(self, v: Node, port: int) -> Node:
-        neighbors = self.ports(v)
-        if not 0 <= port < len(neighbors):
-            raise GraphError(
-                f"node {v!r} has ports 0..{len(neighbors) - 1}, got port {port}"
-            )
-        return neighbors[port]
-
     def neighbor_to_port(self, v: Node, u: Node) -> int:
         self.ports(v)
         try:
@@ -318,11 +310,6 @@ class LabeledGraph:
         layers = {name: dict(self._layers[name]) for name in names}
         return self._replace(layers=layers)
 
-    def map_layer(self, name: str, fn: Callable[[Node, Label], Label]) -> "LabeledGraph":
-        """A new graph with ``fn(v, old_label)`` applied across one layer."""
-        old = self.layer(name)
-        return self.with_layer(name, {v: fn(v, old[v]) for v in self._nodes})
-
     def _replace(
         self,
         layers: dict[str, dict[Node, Label]] | None = None,
@@ -365,10 +352,6 @@ class LabeledGraph:
     # ------------------------------------------------------------------
     # Derived structure
     # ------------------------------------------------------------------
-
-    def closed_neighborhood(self, v: Node) -> tuple[Node, ...]:
-        """The set {v} ∪ Γ(v), sorted."""
-        return tuple(sorted((v,) + self.neighbors(v), key=_sort_key))
 
     def _csr_mirror(self):
         """The memoized flat-array mirror (see :mod:`repro.graphs.csr`)."""

@@ -12,7 +12,7 @@ from repro.problems.problem import DistributedProblem, TwoHopColoredVariant
 from repro.problems.mis import MISProblem
 from repro.problems.coloring import ColoringProblem, KHopColoringProblem
 from repro.problems.matching import MaximalMatchingProblem
-from repro.problems.decision import DecisionProblem, decision_outputs_valid
+from repro.problems.decision import decision_outputs_valid
 from repro.problems.election import (
     FOLLOWER,
     LEADER,
@@ -32,7 +32,6 @@ __all__ = [
     "ColoringProblem",
     "KHopColoringProblem",
     "MaximalMatchingProblem",
-    "DecisionProblem",
     "decision_outputs_valid",
     "GranBundle",
 ]

@@ -9,11 +9,10 @@ instance membership of Π itself.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from typing import Any
 
-from repro.graphs.labeled_graph import LabeledGraph, Node
-from repro.problems.problem import DistributedProblem, OutputLabeling
+from repro.graphs.labeled_graph import Node
 
 YES = "YES"
 NO = "NO"
@@ -29,21 +28,3 @@ def decision_outputs_valid(
     if is_yes_instance:
         return all(value == YES for value in values)
     return any(value == NO for value in values)
-
-
-class DecisionProblem(DistributedProblem):
-    """Δ_Y for a yes-instance predicate ``Y``."""
-
-    def __init__(
-        self, predicate: Callable[[LabeledGraph], bool], name: str = "decision"
-    ) -> None:
-        self.predicate = predicate
-        self.name = f"decide-{name}"
-
-    def is_instance(self, graph: LabeledGraph) -> bool:
-        # Every labeled graph is an instance of a decision problem.
-        return True
-
-    def is_valid_output(self, graph: LabeledGraph, outputs: OutputLabeling) -> bool:
-        self.require_total(graph, outputs)
-        return decision_outputs_valid(self.predicate(graph), outputs)

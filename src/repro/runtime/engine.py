@@ -28,11 +28,12 @@ given.
 
 from __future__ import annotations
 
+import hashlib
 import time
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from typing import Any
 
 from repro.exceptions import (
@@ -90,17 +91,6 @@ class ExecutionMetrics:
     @property
     def nodes_decided(self) -> int:
         return sum(self.decided_per_round)
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "rounds": self.rounds,
-            "messages_sent": self.messages_sent,
-            "bits_drawn": self.bits_drawn,
-            "nodes_decided": self.nodes_decided,
-            "decided_per_round": list(self.decided_per_round),
-            "faults_injected": self.faults_injected,
-            "wall_s": self.wall_s,
-        }
 
 
 @dataclass
@@ -307,15 +297,6 @@ class ExecutionResult:
         """The paper's success notion: every node decided within the
         rounds the run could fund (alias of ``all_decided``)."""
         return self.all_decided
-
-    def output_labeling(self) -> dict[Node, Any]:
-        """The output labeling ``o``; raises if some node is undecided."""
-        if not self.all_decided:
-            missing = self.rounds  # for the message only
-            raise RuntimeModelError(
-                f"execution did not decide every node within {missing} rounds"
-            )
-        return dict(self.outputs)
 
 
 # ----------------------------------------------------------------------
@@ -526,21 +507,80 @@ class ExecutionEngine:
 # The high-level entry point
 # ----------------------------------------------------------------------
 
-# Ambient contexts: repro.faults.context (fault injection) and
-# repro.dynamic.context (topology churn) each register, on import, a
-# zero-argument callable yielding its innermost active context or None.
-# The engine knows nothing of their semantics: execute() lets every
-# active context wrap the resolved delivery, tapes and hooks through its
-# ``wrap(delivery, tapes, graph, hooks)``.  Faults and churn compose:
-# fault decisions key on (round, receiver, sender) and never on the edge
-# set, so the two wrappers are orthogonal.
-_AMBIENT: list[Callable[[], Any]] = []
+# Ambient contexts: ``inject_faults`` (repro.faults) and ``apply_churn``
+# (repro.dynamic) push a context onto one stack for the length of their
+# block.  The engine knows nothing of their semantics: execute() lets
+# the innermost active context of each kind wrap the resolved delivery,
+# tapes and hooks through its ``wrap(delivery, tapes, graph, hooks)``,
+# kinds in nesting order.  Faults and churn compose: fault decisions key
+# on (round, receiver, sender) and never on the edge set, so the two
+# wrappers are orthogonal.
+_ACTIVE: list[Any] = []
 
 
-def register_ambient_context(current: Callable[[], Any]) -> None:
-    """Install ``current``, the callable yielding one kind's active
-    context (or ``None``).  Called once per kind on import."""
-    _AMBIENT.append(current)
+@contextmanager
+def ambient_context(context: Any) -> Iterator[Any]:
+    """Make ``context`` active for every :func:`execute` call in the
+    block; yields ``context``."""
+    _ACTIVE.append(context)
+    try:
+        yield context
+    finally:
+        for index in range(len(_ACTIVE) - 1, -1, -1):
+            if _ACTIVE[index] is context:
+                del _ACTIVE[index]
+                break
+
+
+def _wrapping_contexts() -> list[Any]:
+    """The innermost active context of each kind, outermost first."""
+    kinds: set[type] = set()
+    chosen = []
+    for context in reversed(_ACTIVE):
+        if type(context) not in kinds:
+            kinds.add(type(context))
+            chosen.append(context)
+    return chosen[::-1]
+
+
+class KeyedSchedule:
+    """The decisions of a seeded plan, each a keyed hash.
+
+    A decision hashes ``(plan_seed, kind, *coordinates)`` with SHA-256
+    and scales the leading 64 bits to ``[0, 1)``, so any decision can be
+    asked for in any order, any number of times, and always answers the
+    same.  The fault and churn schedules share it; ``plan`` carries
+    ``plan_seed`` and the ``first_round``/``last_round`` window.
+    """
+
+    def __init__(self, plan: Any) -> None:
+        self.plan = plan
+
+    def _fraction(self, kind: str, *coords: Any) -> float:
+        key = "\x1f".join([str(self.plan.plan_seed), kind, *map(str, coords)])
+        digest = hashlib.sha256(key.encode("utf-8")).digest()
+        return int.from_bytes(digest[:8], "big") / 2**64
+
+    def in_window(self, round_number: int) -> bool:
+        if round_number < self.plan.first_round:
+            return False
+        last = self.plan.last_round
+        return last is None or round_number <= last
+
+
+def check_plan(plan: Any, rate_fields: Sequence[str], error: type[Exception]) -> None:
+    """Raise ``error`` unless every rate of ``plan`` lies in ``[0, 1]``
+    and its ``first_round``/``last_round`` window is well formed."""
+    for name in rate_fields:
+        rate = getattr(plan, name)
+        if not 0.0 <= rate <= 1.0:
+            raise error(f"{name} must lie in [0, 1], got {rate!r}")
+    if plan.first_round < 1:
+        raise error(f"first_round must be >= 1, got {plan.first_round}")
+    if plan.last_round is not None and plan.last_round < plan.first_round:
+        raise error(
+            f"last_round {plan.last_round} precedes first_round {plan.first_round}"
+        )
 
 
 def _infer_delivery(algorithm: Any) -> DeliveryDiscipline:
@@ -648,14 +688,13 @@ def execute(
             )
         tapes = {v: FixedTape("") for v in graph.nodes}
 
-    if record_trace not in (None, True, False):
+    if not (record_trace is None or isinstance(record_trace, bool)):
         raise RuntimeModelError(f"record_trace must be a bool or None, got {record_trace!r}")
     delivery = delivery or _infer_delivery(algorithm)
     hooks: Sequence[RoundHook] = ()
     funded_tapes = tapes
-    for current in _AMBIENT:
-        context = current()
-        if context is not None:
+    if _ACTIVE:  # bare runs skip the per-kind scan and its temporaries
+        for context in _wrapping_contexts():
             delivery, tapes, hooks = context.wrap(delivery, tapes, graph, hooks)
     limit = DEFAULT_MAX_ROUNDS if max_rounds is None else max_rounds
     if funded_limit is not None:
@@ -685,7 +724,7 @@ def execute(
 def ambient_context_active() -> bool:
     """Whether an ambient context is active, so that an :func:`execute`
     call started now would be wrapped by it."""
-    return any(current() is not None for current in _AMBIENT)
+    return bool(_ACTIVE)
 
 
 def _absorb_all(

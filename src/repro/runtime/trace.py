@@ -42,10 +42,6 @@ class ExecutionTrace:
     algorithm_name: str
     rounds: list[RoundRecord] = field(default_factory=list)
 
-    @property
-    def num_rounds(self) -> int:
-        return len(self.rounds)
-
     def bits_of(self, node: Node) -> str:
         """All bits node ``node`` drew, concatenated in round order."""
         return "".join(record.bits.get(node, "") for record in self.rounds)

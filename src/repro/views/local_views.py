@@ -193,16 +193,6 @@ class ViewBuilder:
         trees, colors = self._levels[depth - 1]
         return dict(zip(self._csr.nodes, map(trees.__getitem__, colors)))
 
-    def stable_depth(self) -> int:
-        """The smallest depth whose view partition equals the ``L_∞``
-        partition (the Norris depth; at most ``n``)."""
-        depth = 1
-        while True:
-            self._ensure(depth + 1)
-            if self._counts[depth] == self._counts[depth - 1]:
-                return depth
-            depth += 1
-
     def partition(self, depth: int) -> list[tuple[Node, ...]]:
         """Nodes grouped by equal depth-``depth`` views, groups ordered by
         the structural view order of their representative trees."""

@@ -57,8 +57,8 @@ class TestStats:
 class TestSymmetry:
     def test_uniform_cycle_fully_symmetric(self):
         profile = view_class_profile(with_uniform_input(cycle_graph(8)))
-        assert profile.is_view_symmetric
-        assert profile.collapse_ratio == 1 - 1 / 8
+        assert profile.num_classes == 1
+        assert profile.class_sizes == (8,)
         assert election_is_deterministically_impossible(
             with_uniform_input(cycle_graph(8))
         )

@@ -29,38 +29,32 @@ class TestSuccessCurve:
         curve = measure_success_curve(
             TwoHopColoringAlgorithm(), g, lengths=[1, 2], samples_per_length=50
         )
-        assert curve.probability_at(1) == 0.0
-        assert curve.probability_at(2) == 0.0  # commits start at round 3
+        assert curve.points == ((1, 0.0), (2, 0.0))  # commits start at round 3
 
     def test_long_assignments_almost_surely_succeed(self):
         g = with_uniform_input(path_graph(3))
         curve = measure_success_curve(
             AnonymousMISAlgorithm(), g, lengths=[16], samples_per_length=100
         )
-        assert curve.probability_at(16) >= 0.95
+        ((length, probability),) = curve.points
+        assert length == 16 and probability >= 0.95
 
     def test_first_feasible_length(self):
         g = with_uniform_input(path_graph(2))
         curve = measure_success_curve(
             AnonymousMISAlgorithm(), g, lengths=[1, 2, 3, 8], samples_per_length=100
         )
-        assert curve.first_feasible_length in (2, 3)
+        first_feasible = min(t for t, probability in curve.points if probability > 0)
+        assert first_feasible in (2, 3)
 
     def test_expected_trials(self):
         g = with_uniform_input(path_graph(2))
         curve = measure_success_curve(
             AnonymousMISAlgorithm(), g, lengths=[1, 8], samples_per_length=100
         )
-        assert curve.expected_trials(1) == float("inf")
-        assert 1.0 <= curve.expected_trials(8) <= 3.0
-
-    def test_unknown_length_raises(self):
-        g = with_uniform_input(path_graph(2))
-        curve = measure_success_curve(
-            AnonymousMISAlgorithm(), g, lengths=[4], samples_per_length=10
-        )
-        with pytest.raises(KeyError):
-            curve.probability_at(5)
+        # Expected trials 1/p_t: infinite at t=1, between 1 and 3 at t=8.
+        assert curve.points[0] == (1, 0.0)
+        assert curve.points[1][0] == 8 and 1 / 3 <= curve.points[1][1] <= 1.0
 
     def test_deterministic_for_seed(self):
         g = with_uniform_input(path_graph(3))

@@ -8,7 +8,6 @@ from repro.core.orders import (
     assignment_sort_key,
     canonical_node_order,
     finite_view_graph_sort_key,
-    view_order_of_nodes,
 )
 from repro.exceptions import DerandomizationError
 from repro.factor.quotient import finite_view_graph
@@ -53,8 +52,8 @@ class TestNodeOrder:
 
     def test_positions(self):
         g = colored(with_uniform_input(path_graph(3)))
-        positions = view_order_of_nodes(g)
-        assert sorted(positions.values()) == [0, 1, 2]
+        order = canonical_node_order(g)
+        assert sorted(order) == list(g.nodes)
 
 
 class TestAssignmentOrder:

@@ -4,15 +4,19 @@ composition with the fault layer."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.dynamic import ChurnPlan, TopologyHook, apply_churn, current
+from repro.dynamic import ChurnPlan, TopologyHook, apply_churn
 from repro.dynamic.delta import ChurnSchedule
 from repro.faults import FaultPlan, inject_faults
 from repro.graphs.builders import cycle_graph, with_uniform_input
 from repro.runtime.algorithm import FunctionAlgorithm
-from repro.runtime.engine import BroadcastDelivery, ExecutionEngine, execute
+from repro.runtime.engine import (
+    BroadcastDelivery,
+    ExecutionEngine,
+    ambient_context_active,
+    execute,
+)
 from repro.runtime.tape import FixedTape
+from tests.runtime.test_ambient_contexts import AmbientContextContract
 
 
 def tally(stop_at: int):
@@ -39,44 +43,28 @@ def hooked_run(stop_at: int, hook: TopologyHook):
 CHURNY = ChurnPlan(plan_seed=5, insert_rate=0.3, delete_rate=0.3)
 
 
-class TestAmbientContext:
-    def test_no_context_by_default(self):
-        assert current() is None
-
-    def test_context_is_active_inside_the_block(self):
-        with apply_churn(ChurnPlan()) as churn:
-            assert current() is churn
-        assert current() is None
-
-    def test_contexts_nest_innermost_wins(self):
-        with apply_churn(ChurnPlan(plan_seed=1)) as outer:
-            with apply_churn(ChurnPlan(plan_seed=2)) as inner:
-                assert current() is inner
-            assert current() is outer
-
-    def test_context_is_released_on_error(self):
-        with pytest.raises(RuntimeError):
-            with apply_churn(ChurnPlan()):
-                raise RuntimeError("boom")
-        assert current() is None
+class TestAmbientContext(AmbientContextContract):
+    block = staticmethod(apply_churn)
+    plan = staticmethod(lambda seed: ChurnPlan(plan_seed=seed, insert_rate=0.3, delete_rate=0.3))
+    moved = staticmethod(lambda churn: churn.deltas_applied)
 
     def test_empty_plan_is_transparent_but_still_hooks(self):
         bare = execute(tally(4), GRAPH, max_rounds=4)
         with apply_churn(ChurnPlan()) as churn:
+            assert churn.last_execution_log is None
             hooked = execute(tally(4), GRAPH, max_rounds=4)
         assert bare.outputs == hooked.outputs
-        assert churn.execution_logs == [()]  # the hook did ride along
+        assert churn.last_execution_log == ()  # the hook did ride along
         assert churn.deltas_applied == 0
 
     def test_churn_changes_delivery_and_replays_identically(self):
         bare = execute(tally(5), GRAPH, max_rounds=5)
         with apply_churn(CHURNY) as churn:
             first = execute(tally(5), GRAPH, max_rounds=5)
+            first_log = churn.last_execution_log
             second = execute(tally(5), GRAPH, max_rounds=5)
-        assert churn.deltas_applied > 0
-        assert len(churn.execution_logs) == 2
-        assert churn.execution_logs[0] == churn.execution_logs[1]
-        assert churn.last_execution_log == churn.execution_logs[-1]
+        assert churn.deltas_applied == 2 * len(first_log) > 0
+        assert churn.last_execution_log == first_log
         assert first.outputs == second.outputs
         assert first.outputs != bare.outputs
 
@@ -87,7 +75,7 @@ class TestAmbientContext:
         assert churn.deltas_applied > 0
         assert result.metrics.faults_injected > 0
         assert result.metrics.faults_injected == len(injection.trace)
-        assert current() is None
+        assert not ambient_context_active()
 
 
 class TestTopologyHook:

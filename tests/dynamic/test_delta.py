@@ -101,19 +101,6 @@ class TestChurnPlan:
         with pytest.raises(DynamicError, match="precedes"):
             ChurnPlan(first_round=5, last_round=2)
 
-    def test_json_round_trip(self):
-        plan = ChurnPlan(
-            plan_seed=9,
-            insert_rate=0.25,
-            delete_rate=0.1,
-            relabel_rate=0.5,
-            relabel_layer="input",
-            relabel_values=((1, "A"), (2, "B")),
-            first_round=2,
-            last_round=7,
-        )
-        assert ChurnPlan.from_dict(plan.as_dict()) == plan
-
 
 class TestChurnSchedule:
     GRAPH = with_uniform_input(cycle_graph(10))

@@ -9,13 +9,14 @@ to exit 1 naming its gate.
 from __future__ import annotations
 
 import string
+from contextlib import contextmanager
 
 import pytest
 
 from repro.artifacts.__main__ import main as artifacts_cli
 from repro.experiments import gates, runner
-from repro.faults.context import current as current_faults
 from repro.faults.plan import FaultPlan
+from repro.runtime.engine import ambient_context_active
 
 HEX = set(string.hexdigits.lower())
 
@@ -63,15 +64,27 @@ class TestFailures:
     def test_perturbed_variant_fails_with_the_first_divergence(
         self, monkeypatch, only_faults_and_churn, capsys
     ):
-        real = gates.registry_bytes
+        real_bytes, real_inject = gates.registry_bytes, gates.inject_faults
+        under_faults = []
+
+        @contextmanager
+        def flagged_inject_faults(plan):
+            with real_inject(plan) as injection:
+                under_faults.append(plan)
+                try:
+                    yield injection
+                finally:
+                    under_faults.pop()
 
         def perturbed_under_faults(ids):
-            out = real(ids)
-            return out[:100] + "#" + out[101:] if current_faults() is not None else out
+            out = real_bytes(ids)
+            return out[:100] + "#" + out[101:] if under_faults else out
 
         monkeypatch.setattr(gates, "all_experiment_ids", lambda: ["figure1"])
+        monkeypatch.setattr(gates, "inject_faults", flagged_inject_faults)
         monkeypatch.setattr(gates, "registry_bytes", perturbed_under_faults)
         assert gates.main([]) == 1
+        assert not ambient_context_active()  # no context leaked from the gates
         err = capsys.readouterr().err
         assert "[gates] faults FAILED: bare vs empty FaultPlan diverge (at byte 100" in err
         assert "churn FAILED" not in err

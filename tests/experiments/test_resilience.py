@@ -18,7 +18,6 @@ from repro.analysis.resilience import (
     first_break,
     independence_preserved,
     probe,
-    two_hop_distinct_among,
 )
 from repro.experiments import all_experiment_ids, all_families, get_spec
 from repro.experiments.runner import (
@@ -168,14 +167,6 @@ class TestSurvivorValidity:
     def test_independence_treats_missing_outputs_as_non_members(self):
         graph = with_uniform_input(path_graph(3))
         assert independence_preserved(graph, {0: 1})
-
-    def test_two_hop_distinct_among_survivors(self):
-        graph = with_uniform_input(path_graph(3))
-        # 0 and 2 are two hops apart: equal colors break 2-hop validity.
-        outputs = {0: "a", 1: "b", 2: "a"}
-        assert not two_hop_distinct_among(graph, outputs)
-        assert two_hop_distinct_among(graph, outputs, exclude=[2])
-        assert two_hop_distinct_among(graph, {0: "a", 1: "b", 2: "c"})
 
 
 class TestFamilyDeterminism:

@@ -87,13 +87,7 @@ class TestVerification:
         g = labeled_cycle(5, 5)
         fm = FactorizingMap(g, g, {v: v for v in g.nodes})
         assert fm.is_isomorphism
-        inverse = fm.inverse()
-        assert inverse(3) == 3
-
-    def test_inverse_requires_bijection(self):
-        fm = figure2_map(6, 3)
-        with pytest.raises(FactorError, match="invertible"):
-            fm.inverse()
+        assert fm(3) == 3
 
     def test_unknown_node_lookup(self):
         fm = figure2_map(6, 3)

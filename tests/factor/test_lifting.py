@@ -11,7 +11,6 @@ from repro.exceptions import SimulationError
 from repro.factor.factorizing_map import FactorizingMap
 from repro.factor.lifting import (
     lift_assignment,
-    lift_outputs_to_product,
     project_outputs,
     verify_execution_lifting,
 )
@@ -44,7 +43,7 @@ class TestAssignmentLifting:
     def test_output_lift_and_project_roundtrip(self):
         fm = colored_c3_and_lift(2)
         base_outputs = {0: "a", 1: "b", 2: "c"}
-        lifted = lift_outputs_to_product(base_outputs, fm)
+        lifted = {v: base_outputs[fm(v)] for v in fm.product.nodes}
         assert project_outputs(lifted, fm) == base_outputs
 
     def test_project_detects_fiber_disagreement(self):

@@ -8,12 +8,11 @@ plan) the engine behaves exactly as if the fault package did not exist.
 
 from __future__ import annotations
 
-import pytest
-
-from repro.faults import FaultPlan, current, inject_faults
+from repro.faults import ActiveInjection, FaultPlan, inject_faults
 from repro.graphs.builders import cycle_graph, with_uniform_input
 from repro.runtime.algorithm import FunctionAlgorithm
-from repro.runtime.engine import execute
+from repro.runtime.engine import ambient_context_active, execute
+from tests.runtime.test_ambient_contexts import AmbientContextContract
 
 
 def counter(stop_at: int):
@@ -42,28 +41,10 @@ def tally(stop_at: int):
 GRAPH = with_uniform_input(cycle_graph(6))
 
 
-class TestAmbientContext:
-    def test_no_context_by_default(self):
-        assert current() is None
-
-    def test_context_is_active_inside_the_block(self):
-        with inject_faults(FaultPlan()) as injection:
-            assert current() is injection
-        assert current() is None
-
-    def test_contexts_nest_innermost_wins(self):
-        outer_plan = FaultPlan(plan_seed=1)
-        inner_plan = FaultPlan(plan_seed=2)
-        with inject_faults(outer_plan) as outer:
-            with inject_faults(inner_plan) as inner:
-                assert current() is inner
-            assert current() is outer
-
-    def test_context_is_released_on_error(self):
-        with pytest.raises(RuntimeError):
-            with inject_faults(FaultPlan()):
-                raise RuntimeError("boom")
-        assert current() is None
+class TestAmbientContext(AmbientContextContract):
+    block = staticmethod(inject_faults)
+    plan = staticmethod(lambda seed: FaultPlan(plan_seed=seed, drop_rate=0.5))
+    moved = staticmethod(lambda injection: len(injection.trace))
 
     def test_execute_inside_block_is_wrapped(self):
         with inject_faults(FaultPlan(plan_seed=3, drop_rate=1.0)) as injection:
@@ -72,12 +53,20 @@ class TestAmbientContext:
         assert len(injection.trace) > 0
         assert result.metrics.faults_injected == len(injection.trace)
 
-    def test_empty_plan_is_transparent_but_still_wraps(self):
+    def test_empty_plan_is_transparent_but_still_wraps(self, monkeypatch):
+        wraps = []
+        real_wrap = ActiveInjection.wrap
+
+        def counting_wrap(self, *args):
+            wraps.append(self)
+            return real_wrap(self, *args)
+
+        monkeypatch.setattr(ActiveInjection, "wrap", counting_wrap)
         bare = execute(tally(3), GRAPH, max_rounds=3)
         with inject_faults(FaultPlan()) as injection:
             wrapped = execute(tally(3), GRAPH, max_rounds=3)
         assert bare.outputs == wrapped.outputs
-        assert len(injection.execution_traces) == 1  # it did wrap
+        assert wraps == [injection]  # it did wrap
         assert len(injection.trace) == 0
         assert wrapped.metrics.faults_injected == 0
 
@@ -86,7 +75,7 @@ class TestAmbientContext:
         with inject_faults(plan) as injection:
             first = execute(tally(3), GRAPH, max_rounds=3)
             second = execute(tally(3), GRAPH, max_rounds=3)
-        assert len(injection.execution_traces) == 2
+        assert first.metrics.faults_injected == second.metrics.faults_injected > 0
         assert (
             len(injection.trace)
             == first.metrics.faults_injected + second.metrics.faults_injected
@@ -95,15 +84,15 @@ class TestAmbientContext:
         assert first.outputs == second.outputs
 
     def test_last_execution_trace(self):
+        """The last execution's own trace is what its result reports."""
         with inject_faults(FaultPlan(plan_seed=3, drop_rate=1.0)) as injection:
-            assert injection.last_execution_trace is None
             execute(tally(1), GRAPH, max_rounds=1)
-            last = injection.last_execution_trace
-        assert last is injection.execution_traces[-1]
-        assert len(last) == GRAPH.num_nodes * 2
+            last = execute(tally(1), GRAPH, max_rounds=1)
+        assert last.metrics.faults_injected == GRAPH.num_nodes * 2
+        assert len(injection.trace) == 2 * GRAPH.num_nodes * 2
 
 
-class TestHarness:
+class TestActiveInjectionWrap:
     """One faulty run: an ``inject_faults`` block around one ``execute``."""
 
     def test_injection_trace_bundles_with_the_result(self):
@@ -115,11 +104,11 @@ class TestHarness:
         assert result.metrics.faults_injected == len(injection.trace)
         assert injection.trace.counts()["drop"] == GRAPH.num_nodes * 2 * 2
 
-    def test_harness_restores_the_outer_context(self):
-        assert current() is None
+    def test_block_restores_the_outer_context(self):
+        assert not ambient_context_active()
         with inject_faults(FaultPlan()):
             execute(counter(1), GRAPH, max_rounds=1)
-        assert current() is None
+        assert not ambient_context_active()
 
     def test_metrics_without_context_report_zero_faults(self):
         result = execute(counter(2), GRAPH, max_rounds=2)

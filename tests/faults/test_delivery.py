@@ -16,8 +16,10 @@ from repro.exceptions import FaultInjectionError
 from repro.faults import (
     LOST,
     CorruptingTape,
-    CrashDiscipline,
+    FaultEvent,
     FaultPlan,
+    FaultSchedule,
+    FaultTrace,
     FaultyDelivery,
     LostMessage,
 )
@@ -26,6 +28,18 @@ from repro.runtime.algorithm import FunctionAlgorithm
 from repro.runtime.engine import BroadcastDelivery, PortDelivery, execute
 from repro.runtime.port_model import PortAwareAlgorithm
 from repro.runtime.tape import FixedTape
+
+
+def faulty(inner, plan, trace=None):
+    """``FaultyDelivery`` over ``plan``'s schedule, recording into ``trace``."""
+    trace = FaultTrace() if trace is None else trace
+    return FaultyDelivery(inner, FaultSchedule(plan), trace)
+
+
+def corrupting(inner, node, plan, trace=None):
+    """``CorruptingTape`` over ``plan``'s schedule, recording into ``trace``."""
+    trace = FaultTrace() if trace is None else trace
+    return CorruptingTape(inner, node, FaultSchedule(plan), trace)
 
 
 def ledger_algorithm(rounds_needed: int):
@@ -77,23 +91,14 @@ class TestWrapping:
             name = "exotic"
 
         with pytest.raises(FaultInjectionError, match="Exotic"):
-            FaultyDelivery(Exotic(), FaultPlan())
+            faulty(Exotic(), FaultPlan())
 
     def test_subclasses_are_wrappable(self):
         class MyPorts(PortDelivery):
             pass
 
-        delivery = FaultyDelivery(MyPorts(), FaultPlan())
-        assert delivery.inner.__class__ is MyPorts
+        delivery = faulty(MyPorts(), FaultPlan())
         assert delivery.name == f"faulty-{MyPorts().name}"
-
-    def test_accepts_plan_or_schedule(self):
-        from repro.faults import FaultSchedule
-
-        plan = FaultPlan(drop_rate=0.5)
-        by_plan = FaultyDelivery(BroadcastDelivery(), plan)
-        by_schedule = FaultyDelivery(BroadcastDelivery(), FaultSchedule(plan))
-        assert by_plan.schedule.plan == by_schedule.schedule.plan
 
 
 class TestBroadcastFaults:
@@ -103,22 +108,23 @@ class TestBroadcastFaults:
         wrapped = execute(
             ledger_algorithm(4),
             graph,
-            delivery=FaultyDelivery(BroadcastDelivery(), FaultPlan()),
+            delivery=faulty(BroadcastDelivery(), FaultPlan()),
             max_rounds=4,
         )
         assert bare.outputs == wrapped.outputs
 
     def test_total_drop_empties_every_multiset(self):
         graph = with_uniform_input(cycle_graph(5))
-        delivery = FaultyDelivery(BroadcastDelivery(), FaultPlan(drop_rate=1.0))
+        trace = FaultTrace()
+        delivery = faulty(BroadcastDelivery(), FaultPlan(drop_rate=1.0), trace)
         result = execute(ledger_algorithm(3), graph, delivery=delivery, max_rounds=3)
         for log in result.outputs.values():
             assert all(inbox == () for inbox in log)
-        assert delivery.trace.counts()["drop"] == 3 * 2 * 5  # rounds*deg*n
+        assert trace.counts()["drop"] == 3 * 2 * 5  # rounds*deg*n
 
     def test_total_duplication_doubles_every_multiset(self):
         graph = with_uniform_input(cycle_graph(5))
-        delivery = FaultyDelivery(
+        delivery = faulty(
             BroadcastDelivery(), FaultPlan(duplicate_rate=1.0)
         )
         result = execute(ledger_algorithm(2), graph, delivery=delivery, max_rounds=2)
@@ -130,11 +136,12 @@ class TestBroadcastFaults:
         plan = FaultPlan(plan_seed=3, drop_rate=0.3)
 
         def run():
-            delivery = FaultyDelivery(BroadcastDelivery(), plan)
+            trace = FaultTrace()
+            delivery = faulty(BroadcastDelivery(), plan, trace)
             result = execute(
                 ledger_algorithm(5), graph, delivery=delivery, max_rounds=5
             )
-            return result.outputs, delivery.trace.counts()
+            return result.outputs, trace.counts()
 
         assert run() == run()
         assert run()[1]["drop"] > 0
@@ -147,14 +154,14 @@ class TestPortFaults:
         wrapped = execute(
             PortLedger(3),
             graph,
-            delivery=FaultyDelivery(PortDelivery(), FaultPlan()),
+            delivery=faulty(PortDelivery(), FaultPlan()),
             max_rounds=3,
         )
         assert bare.outputs == wrapped.outputs
 
     def test_drop_preserves_arity_with_lost_sentinel(self):
         graph = with_uniform_input(cycle_graph(4))
-        delivery = FaultyDelivery(PortDelivery(), FaultPlan(drop_rate=1.0))
+        delivery = faulty(PortDelivery(), FaultPlan(drop_rate=1.0))
         result = execute(PortLedger(2), graph, delivery=delivery, max_rounds=2)
         for log in result.outputs.values():
             assert all(inbox == ("<LOST>", "<LOST>") for inbox in log)
@@ -162,10 +169,11 @@ class TestPortFaults:
     def test_reordering_permutes_but_keeps_payloads(self):
         graph = with_uniform_input(cycle_graph(6))
         plan = FaultPlan(plan_seed=13, reorder_rate=1.0)
-        delivery = FaultyDelivery(PortDelivery(), plan)
+        trace = FaultTrace()
+        delivery = faulty(PortDelivery(), plan, trace)
         faulted = execute(PortLedger(4), graph, delivery=delivery, max_rounds=4)
         bare = execute(PortLedger(4), graph, max_rounds=4)
-        assert delivery.trace.counts().get("reorder", 0) > 0
+        assert trace.counts().get("reorder", 0) > 0
         assert faulted.outputs != bare.outputs
         for node in graph.nodes:
             for faulted_inbox, bare_inbox in zip(
@@ -177,7 +185,7 @@ class TestPortFaults:
 class TestCrashStop:
     def test_crashed_node_is_silenced_symmetrically(self):
         graph = with_uniform_input(cycle_graph(4))
-        delivery = FaultyDelivery(BroadcastDelivery(), FaultPlan(crashes=((0, 2),)))
+        delivery = faulty(BroadcastDelivery(), FaultPlan(crashes=((0, 2),)))
         result = execute(ledger_algorithm(3), graph, delivery=delivery, max_rounds=3)
         # Neighbors of node 0 hear both neighbors in round 1, then lose one.
         for neighbor in graph.neighbors(0):
@@ -191,17 +199,19 @@ class TestCrashStop:
 
     def test_crash_event_recorded_once_per_node(self):
         graph = with_uniform_input(cycle_graph(4))
-        delivery = FaultyDelivery(BroadcastDelivery(), FaultPlan(crashes=((0, 1),)))
+        trace = FaultTrace()
+        delivery = faulty(BroadcastDelivery(), FaultPlan(crashes=((0, 1),)), trace)
         execute(ledger_algorithm(5), graph, delivery=delivery, max_rounds=5)
-        assert delivery.trace.counts()["crash"] == 1
-        (event,) = delivery.trace.of_kind("crash")
+        assert trace.counts()["crash"] == 1
+        (event,) = [event for event in trace.events if event.kind == "crash"]
         assert event.node == 0 and event.round == 1
 
-    def test_crash_discipline_accepts_a_mapping(self):
+    def test_crash_only_plan_on_port_delivery(self):
         graph = with_uniform_input(path_graph(4))
-        delivery = CrashDiscipline(PortDelivery(), {1: 2})
+        trace = FaultTrace()
+        delivery = faulty(PortDelivery(), FaultPlan(crashes=((1, 2),)), trace)
         result = execute(PortLedger(3), graph, delivery=delivery, max_rounds=3)
-        assert delivery.schedule.plan == FaultPlan(crashes=((1, 2),))
+        assert trace.events == [FaultEvent("crash", 2, 1)]
         assert result.all_decided
 
 
@@ -223,7 +233,7 @@ class TestErrorPropagation:
             name="flipper",
         )
         graph = with_uniform_input(path_graph(3))
-        delivery = FaultyDelivery(BroadcastDelivery(), FaultPlan(drop_rate=1.0))
+        delivery = faulty(BroadcastDelivery(), FaultPlan(drop_rate=1.0))
         with pytest.raises(
             OutputAlreadySetError, match=r"from 1 to 2 in round 2"
         ):
@@ -251,34 +261,35 @@ class TestErrorPropagation:
                 return None
 
         graph = with_uniform_input(path_graph(3))
-        delivery = FaultyDelivery(PortDelivery(), FaultPlan())
+        delivery = faulty(PortDelivery(), FaultPlan())
         with pytest.raises(RuntimeModelError):
             execute(WrongArity(), graph, delivery=delivery, max_rounds=2)
 
 
 class TestCorruptingTape:
     def test_zero_rate_is_a_pass_through(self):
-        tape = CorruptingTape(FixedTape("010101"), 0, FaultPlan())
+        tape = corrupting(FixedTape("010101"), 0, FaultPlan())
         assert tape.draw(6) == "010101"
 
     def test_total_corruption_flips_every_bit(self):
-        tape = CorruptingTape(FixedTape("0101"), 0, FaultPlan(corrupt_rate=1.0))
+        tape = corrupting(FixedTape("0101"), 0, FaultPlan(corrupt_rate=1.0))
         assert tape.draw(4) == "1010"
 
     def test_flip_indices_are_absolute_across_draws(self):
         plan = FaultPlan(plan_seed=5, corrupt_rate=0.5)
-        one_shot = CorruptingTape(FixedTape("0" * 12), "v", plan)
-        chunked = CorruptingTape(FixedTape("0" * 12), "v", plan)
+        one_shot = corrupting(FixedTape("0" * 12), "v", plan)
+        chunked = corrupting(FixedTape("0" * 12), "v", plan)
         assert one_shot.draw(12) == chunked.draw(5) + chunked.draw(7)
 
     def test_corrupt_events_carry_bit_indices(self):
-        tape = CorruptingTape(FixedTape("0000"), "v", FaultPlan(corrupt_rate=1.0))
+        trace = FaultTrace()
+        tape = corrupting(FixedTape("0000"), "v", FaultPlan(corrupt_rate=1.0), trace)
         tape.draw(4)
-        events = tape._trace.of_kind("corrupt")
+        events = [event for event in trace.events if event.kind == "corrupt"]
         assert [e.detail for e in events] == [(0,), (1,), (2,), (3,)]
         assert all(e.node == "v" for e in events)
 
     def test_remaining_delegates_to_the_inner_tape(self):
-        tape = CorruptingTape(FixedTape("01"), 0, FaultPlan(corrupt_rate=1.0))
+        tape = corrupting(FixedTape("01"), 0, FaultPlan(corrupt_rate=1.0))
         assert tape.remaining(2)
         assert not tape.remaining(3)

@@ -44,9 +44,9 @@ class TestStructure:
         g = with_uniform_input(random_connected_graph(24, 0.2, seed=3))
         csr = csr_of(g)
         for i, v in enumerate(csr.nodes):
-            row = [csr.nodes[j] for j in csr.neighbors_idx(i)]
+            row = [csr.nodes[j] for j in csr.adjacency[i]]
             assert tuple(row) == g.neighbors(v)
-            assert csr.degree_idx(i) == g.degree(v)
+            assert csr.offsets[i + 1] - csr.offsets[i] == g.degree(v)
 
     def test_offsets_are_row_pointers(self):
         g = star_graph(5)
@@ -58,15 +58,6 @@ class TestStructure:
             assert list(csr.targets[csr.offsets[i] : csr.offsets[i + 1]]) == list(
                 csr.adjacency[i]
             )
-
-    def test_ports_follow_graph_port_order(self):
-        # A non-default port numbering must survive the index translation.
-        ports = {0: (2, 1), 1: (0, 2), 2: (1, 0)}
-        g = LabeledGraph([(0, 1), (1, 2), (0, 2)], ports=ports)
-        csr = csr_of(g)
-        for v, ordering in ports.items():
-            i = csr.index[v]
-            assert [csr.nodes[j] for j in csr.ports_idx(i)] == list(ordering)
 
     def test_label_ranks_group_equal_labels(self):
         g = cycle_graph(6).with_layer("input", {v: v % 2 for v in range(6)})
@@ -84,7 +75,7 @@ class TestStructure:
         csr = csr_of(g)
         assert csr.num_nodes == 1
         assert list(csr.offsets) == [0, 0]
-        assert csr.neighbors_idx(0) == []
+        assert csr.adjacency[0] == []
         assert csr.distance_idx(0, 0) == 0
         assert csr.within_idx(0, 3) == [0]
 

@@ -86,31 +86,20 @@ class TestStructure:
         with pytest.raises(GraphError, match="nonnegative"):
             cycle_graph(3).nodes_within(0, -1)
 
-    def test_closed_neighborhood(self):
-        g = path_graph(3)
-        assert g.closed_neighborhood(1) == (0, 1, 2)
-
 
 class TestPorts:
     def test_default_ports_sorted(self):
         g = LabeledGraph([(1, 0), (1, 2)])
         assert g.ports(1) == (0, 2)
-        assert g.port_to_neighbor(1, 0) == 0
         assert g.neighbor_to_port(1, 2) == 1
 
     def test_explicit_ports(self):
         g = LabeledGraph([(1, 0), (1, 2)], ports={0: [1], 1: [2, 0], 2: [1]})
         assert g.ports(1) == (2, 0)
-        assert g.port_to_neighbor(1, 0) == 2
 
     def test_bad_port_numbering_rejected(self):
         with pytest.raises(GraphError, match="permutation"):
             LabeledGraph([(1, 0), (1, 2)], ports={0: [1], 1: [0, 0], 2: [1]})
-
-    def test_port_out_of_range(self):
-        g = path_graph(2)
-        with pytest.raises(GraphError, match="ports 0"):
-            g.port_to_neighbor(0, 5)
 
     def test_non_neighbor_port_lookup(self):
         g = path_graph(3)
@@ -155,12 +144,6 @@ class TestLayers:
         )
         reordered = g.with_only_layers(["b", "a"])
         assert reordered.label(0) == (2, 1)
-
-    def test_map_layer(self):
-        g = path_graph(2).with_layer("input", {0: 1, 1: 2})
-        doubled = g.map_layer("input", lambda v, x: x * 2)
-        assert doubled.label_of(0, "input") == 2
-        assert g.label_of(0, "input") == 1  # original untouched
 
     def test_immutability_of_layer_accessor(self):
         g = path_graph(2).with_layer("input", {0: 1, 1: 2})

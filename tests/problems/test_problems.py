@@ -13,7 +13,7 @@ from repro.graphs.builders import (
 )
 from repro.graphs.coloring import apply_two_hop_coloring, greedy_two_hop_coloring
 from repro.problems.coloring import ColoringProblem, KHopColoringProblem
-from repro.problems.decision import DecisionProblem, NO, YES, decision_outputs_valid
+from repro.problems.decision import NO, YES, decision_outputs_valid
 from repro.problems.matching import MATCHED, UNMATCHED, MaximalMatchingProblem
 from repro.problems.mis import MISProblem
 from repro.problems.problem import TwoHopColoredVariant
@@ -123,14 +123,6 @@ class TestDecision:
         assert decision_outputs_valid(False, {0: YES, 1: NO})
         assert not decision_outputs_valid(False, {0: YES, 1: YES})
         assert not decision_outputs_valid(True, {0: "maybe"})
-
-    def test_decision_problem_wraps_predicate(self):
-        problem = DecisionProblem(lambda g: g.num_nodes % 2 == 0, name="even")
-        even = with_uniform_input(path_graph(2))
-        odd = with_uniform_input(path_graph(3))
-        assert problem.is_instance(even) and problem.is_instance(odd)
-        assert problem.is_valid_output(even, {0: YES, 1: YES})
-        assert problem.is_valid_output(odd, {0: YES, 1: NO, 2: YES})
 
 
 class TestTwoHopColoredVariant:

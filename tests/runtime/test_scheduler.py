@@ -142,7 +142,7 @@ class TestTrace:
         )
         assert result.all_decided
         trace = result.trace
-        assert trace.num_rounds == result.rounds
+        assert len(trace.rounds) == result.rounds
         for v in g.nodes:
             assert trace.bits_of(v) == result.outputs[v]
         assert trace.assignment() == result.outputs

@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.algorithms.two_hop_coloring import TwoHopColoringAlgorithm
-from repro.exceptions import RuntimeModelError
 from repro.graphs.builders import cycle_graph, with_uniform_input
 from repro.runtime.engine import execute
 
@@ -42,24 +39,3 @@ class TestTraceHelpers:
         assert [r.round_number for r in result.trace.rounds] == list(
             range(1, result.rounds + 1)
         )
-
-
-class TestExecutionResult:
-    def test_output_labeling_requires_all_decided(self):
-        from repro.runtime.engine import ExecutionResult
-
-        partial = ExecutionResult(
-            outputs={0: "x"}, rounds=3, all_decided=False, trace=None
-        )
-        with pytest.raises(RuntimeModelError, match="did not decide"):
-            partial.output_labeling()
-
-    def test_output_labeling_copies(self):
-        from repro.runtime.engine import ExecutionResult
-
-        full = ExecutionResult(
-            outputs={0: "x"}, rounds=1, all_decided=True, trace=None
-        )
-        labeling = full.output_labeling()
-        labeling[0] = "mutated"
-        assert full.outputs[0] == "x"
