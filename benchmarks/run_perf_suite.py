@@ -52,7 +52,10 @@ from repro.graphs.coloring import (  # noqa: E402
     apply_two_hop_coloring,
     greedy_two_hop_coloring,
 )
-from repro.graphs.lifts import lift_graph  # noqa: E402
+from repro.graphs.labeled_graph import LabeledGraph  # noqa: E402
+from repro.graphs.lifts import cyclic_lift, lift_graph  # noqa: E402
+from repro.factor.factorizing_map import FactorizingMap  # noqa: E402
+from repro.factor.prime import all_factors  # noqa: E402
 from repro.factor.quotient import finite_view_graph, infinite_view_graph  # noqa: E402
 from repro.algorithms import AnonymousMISAlgorithm, TwoHopColoringAlgorithm  # noqa: E402
 from repro.dynamic import (  # noqa: E402
@@ -85,10 +88,10 @@ from repro.core.orders import (  # noqa: E402
     finite_view_graph_sort_key,
 )
 from repro.core.practical import _ReconstructionWalk, quotient_from_view  # noqa: E402
-from repro.exceptions import SimulationError  # noqa: E402
+from repro.exceptions import FactorError, GraphError, SimulationError  # noqa: E402
 from repro.runtime.tape import FixedTape  # noqa: E402
 from repro.views.local_views import ViewBuilder, all_views, view_builder  # noqa: E402
-from repro.views.refinement import color_refinement  # noqa: E402
+from repro.views.refinement import color_refinement, refinement_indices  # noqa: E402
 from repro.views.view_tree import ViewTree, clear_caches, intern_stats  # noqa: E402
 
 DEFAULT_OUTPUT = REPO_ROOT / "benchmarks" / "BENCH_views.json"
@@ -195,6 +198,19 @@ RECONSTRUCT_SPEEDUP_FLOORS = {"reconstruct_cycle/64": 5.0, "reconstruct_distinct
 SEARCH_COLORING = (0, 1, 2, 0, 1, 3)
 PRG_SEARCH_N = 48
 SEARCH_SPEEDUP_FLOORS = {"search_mis_cycle/6": 16.0, "search_prg_mis_random/48": 1.7}
+
+# Factor enumeration gate: ``all_factors(..., include_trivial=True)`` on
+# the two graphs of the ``lemma3`` experiment, the 2-hop colored C12
+# (the fourfold cyclic lift of a colored C3) and the uncolored C12,
+# timed against an embedded copy of the pre-change enumeration, which
+# builds and verifies the quotient of every 2-hop independent fiber
+# partition and keeps the ones that verify.  Both sides must return the
+# same maps onto equal factors in the same order.  Both run in one
+# invocation, so the speedup is gated live like the search section.
+# Measured 5.5-5.9x (colored lift) and 19.7-22.6x (uncolored cycle)
+# over 7 runs on a 2-vCPU Linux container (CPython 3.11); each floor
+# sits under a third of the lowest.
+FACTORS_SPEEDUP_FLOORS = {"factors_colored_lift/12": 1.5, "factors_cycle/12": 6.0}
 
 
 def _colored(graph):
@@ -525,6 +541,21 @@ def run_dynamic_benches(repeats: int) -> dict:
     return {"speedup_floors": DYNAMIC_SPEEDUP_FLOORS, "rows": rows}
 
 
+def _versus_row(bench, n, current_s, reference_s, **extra) -> dict:
+    """A live row: best and median of each side's samples, and the
+    reference's best over the current side's best."""
+    sides = {
+        side: {
+            "best_s": min(samples),
+            "median_s": statistics.median(samples),
+            "repeats": len(samples),
+        }
+        for side, samples in (("current", current_s), ("reference", reference_s))
+    }
+    speedup = round(sides["reference"]["best_s"] / sides["current"]["best_s"], 2)
+    return {"bench": bench, "n": n, **extra, **sides, "speedup": speedup}
+
+
 def _reference_truncate(tree, depth, memo):
     """Pre-drop-chain truncation: recurse through every child, memoised
     per (tree, depth) — O(n^3) table entries over a node's views."""
@@ -626,22 +657,7 @@ def _reconstruct_row(bench, graph, reference_rebuild, samples_per_side) -> dict:
         reference.append(elapsed)
         if _edge_sets(current_rebuilt) != _edge_sets(reference_rebuilt):
             raise RuntimeError(f"{bench}/{graph.num_nodes}: reference edges differ")
-    current_best, reference_best = min(current), min(reference)
-    return {
-        "bench": bench,
-        "n": graph.num_nodes,
-        "current": {
-            "best_s": current_best,
-            "median_s": statistics.median(current),
-            "repeats": samples_per_side,
-        },
-        "reference": {
-            "best_s": reference_best,
-            "median_s": statistics.median(reference),
-            "repeats": samples_per_side,
-        },
-        "speedup": round(reference_best / current_best, 2),
-    }
+    return _versus_row(bench, graph.num_nodes, current, reference)
 
 
 def run_reconstruct_benches(repeats: int) -> dict:
@@ -784,23 +800,7 @@ def _search_row(bench, graph, search, reference, same_work, samples_per_side) ->
         replayed = reference_totals.as_dict(include_wall=False)
         if reference_chosen != chosen or not same_work(counts, replayed):
             raise RuntimeError(f"{bench}/{graph.num_nodes}: reference search differs")
-    current_best, reference_best = min(current_s), min(reference_s)
-    return {
-        "bench": bench,
-        "n": graph.num_nodes,
-        "counts": counts,
-        "current": {
-            "best_s": current_best,
-            "median_s": statistics.median(current_s),
-            "repeats": samples_per_side,
-        },
-        "reference": {
-            "best_s": reference_best,
-            "median_s": statistics.median(reference_s),
-            "repeats": samples_per_side,
-        },
-        "speedup": round(reference_best / current_best, 2),
-    }
+    return _versus_row(bench, graph.num_nodes, current_s, reference_s, counts=counts)
 
 
 def _quotient_search_input(graph, coloring):
@@ -859,6 +859,102 @@ def run_search_benches(repeats: int) -> dict:
         samples_per_side,
     )
     return {"speedup_floors": SEARCH_SPEEDUP_FLOORS, "rows": [lexicographic, prg]}
+
+
+def _reference_partitions(graph, classes, fiber_size):
+    """Pre-change partition enumeration: the same 2-hop independent
+    partitions in the same order, re-summing the open slots each step."""
+    within_two_hops = {v: set(graph.nodes_within(v, 2)) for v in graph.nodes}
+    partitions, blocks = [], []
+
+    def backtrack(remaining):
+        if not remaining:
+            if all(len(block) == fiber_size for block in blocks):
+                partitions.append([tuple(block) for block in blocks])
+            return
+        if len(remaining) < sum(fiber_size - len(block) for block in blocks):
+            return
+        first, rest = remaining[0], remaining[1:]
+        near = within_two_hops[first]
+        for block in blocks:
+            if (
+                len(block) < fiber_size
+                and classes[block[0]] == classes[first]
+                and near.isdisjoint(block)
+            ):
+                block.append(first)
+                backtrack(rest)
+                block.pop()
+        blocks.append([first])
+        backtrack(rest)
+        blocks.pop()
+
+    backtrack(list(graph.nodes))
+    return partitions
+
+
+def _reference_partition_to_factor(graph, partition):
+    """Pre-change quotient step: build and verify the quotient of every
+    partition, ``None`` when it is not a factor."""
+    block_of = {v: index for index, block in enumerate(partition) for v in block}
+    edges = {
+        frozenset((block_of[v], block_of[u])) for v in graph.nodes for u in graph.neighbors(v)
+    }
+    layers = {
+        name: {index: graph.label_of(block[0], name) for index, block in enumerate(partition)}
+        for name in graph.layer_names
+    }
+    try:
+        quotient = LabeledGraph(
+            sorted(tuple(sorted(e)) for e in edges), nodes=range(len(partition)), layers=layers
+        )
+        return FactorizingMap(graph, quotient, block_of)
+    except (GraphError, FactorError):
+        return None
+
+
+def _reference_all_factors(graph):
+    """``all_factors(graph, include_trivial=True)`` as it ran before
+    non-factors were rejected ahead of their quotient."""
+    csr, colors = refinement_indices(graph)
+    classes = dict(zip(csr.nodes, colors))
+    factors = [FactorizingMap(graph, graph, {v: v for v in graph.nodes})]
+    for fiber_size in range(2, graph.num_nodes + 1):
+        if graph.num_nodes % fiber_size == 0:
+            for partition in _reference_partitions(graph, classes, fiber_size):
+                factor_map = _reference_partition_to_factor(graph, partition)
+                if factor_map is not None:
+                    factors.append(factor_map)
+    return factors
+
+
+def _factors_row(bench, graph, samples_per_side) -> dict:
+    """Time ``all_factors`` against the pre-change enumeration back to
+    back; both must return the same maps onto equal factors."""
+    current_s, reference_s = [], []
+    for _ in range(samples_per_side):
+        start = time.perf_counter()
+        found = all_factors(graph, include_trivial=True)
+        current_s.append(time.perf_counter() - start)
+        start = time.perf_counter()
+        reference_found = _reference_all_factors(graph)
+        reference_s.append(time.perf_counter() - start)
+        if [(m.as_dict(), m.factor) for m in found] != [
+            (m.as_dict(), m.factor) for m in reference_found
+        ]:
+            raise RuntimeError(f"{bench}/{graph.num_nodes}: reference factors differ")
+    return _versus_row(bench, graph.num_nodes, current_s, reference_s)
+
+
+def run_factor_benches(repeats: int) -> dict:
+    """Factor enumeration vs the embedded pre-change enumeration, on the
+    colored and the uncolored C12 of the ``lemma3`` experiment."""
+    colored_lift, _projection = cyclic_lift(_colored(with_uniform_input(cycle_graph(3))), 4)
+    rows = [
+        _factors_row("factors_colored_lift", colored_lift, repeats),
+        _factors_row("factors_cycle", with_uniform_input(cycle_graph(12)), repeats),
+    ]
+    return {"speedup_floors": FACTORS_SPEEDUP_FLOORS, "rows": rows}
 
 
 def run_suite(quick: bool, repeats: int) -> dict:
@@ -1013,8 +1109,11 @@ def run_suite(quick: bool, repeats: int) -> dict:
         # assignment and identical engine counts, with a live floor);
         # 14 = the ``reconstruct`` current side shares one walk across
         # the distinct views, plus a ``reconstruct_distinct`` row
-        # against one fresh walk per view (same edges, live floor).
-        "schema": 14,
+        # against one fresh walk per view (same edges, live floor);
+        # 15 = ``factors`` section (factor enumeration vs the embedded
+        # pre-change one that builds every partition's quotient, same
+        # maps asserted, with a live floor).
+        "schema": 15,
         "suite": "views-perf",
         "quick": quick,
         "machine": {
@@ -1034,6 +1133,7 @@ def run_suite(quick: bool, repeats: int) -> dict:
         "dynamic": run_dynamic_benches(repeats),
         "reconstruct": run_reconstruct_benches(repeats),
         "search": run_search_benches(repeats),
+        "factors": run_factor_benches(repeats),
     }
 
 
@@ -1218,6 +1318,14 @@ LIVE_SPEEDUP_SECTIONS = {
         "the search beats the pre-change kernel",
         "ASSIGNMENT SEARCH SPEEDUP FLOOR VIOLATION:",
     ),
+    "factors": (
+        FACTORS_SPEEDUP_FLOORS,
+        _sized_case,
+        "factor enumeration vs building every partition's quotient",
+        (("current", "current"), ("reference", "reference")),
+        "factor enumeration beats the pre-change one",
+        "FACTOR ENUMERATION SPEEDUP FLOOR VIOLATION:",
+    ),
 }
 
 
@@ -1361,7 +1469,7 @@ def _print_table(payload: dict) -> None:
             f"{_dynamic_case(row):<26}     {scratch:11.4f}ms{incremental:11.4f}ms"
             f"   speedup={row['speedup']:.2f}x"
         )
-    for section_name in ("reconstruct", "search"):
+    for section_name in ("reconstruct", "search", "factors"):
         for row in payload.get(section_name, {}).get("rows", []):
             reference = row["reference"]["best_s"] * 1e3
             current = row["current"]["best_s"] * 1e3

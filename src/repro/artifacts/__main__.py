@@ -23,7 +23,7 @@ import sys
 from typing import Any
 
 from repro.artifacts.keys import payload_digest
-from repro.artifacts.store import memory_stats
+from repro.artifacts.store import memory_stats, records_by_kind
 from repro.exceptions import ReproError
 
 _STATUS_USES_PRODUCERS = (
@@ -50,17 +50,13 @@ def _cmd_status(args: "argparse.Namespace") -> int:
     records = _scan(args.store)
     fingerprint = code_fingerprint()
     current = sum(1 for r in records.values() if r.get("fingerprint") == fingerprint)
-    by_kind: "dict[str, int]" = {}
-    for record in records.values():
-        kind = record.get("kind", "?")
-        by_kind[kind] = by_kind.get(kind, 0) + 1
     print(
         f"artifacts-status store={args.store} records={len(records)} "
         f"current={current} stale={len(records) - current} "
         f"fingerprint={fingerprint[:12]}"
     )
-    for kind in sorted(by_kind):
-        print(f"  kind {kind}: {by_kind[kind]} record(s)")
+    for kind, count in records_by_kind(records).items():
+        print(f"  kind {kind}: {count} record(s)")
     for kind, stats in memory_stats().items():
         print(
             f"  memory {kind}: size={stats['size']}/{stats['capacity']} "

@@ -26,6 +26,7 @@ Because keys embed the code fingerprint, a stale file is all misses.
 from __future__ import annotations
 
 from collections import OrderedDict
+from collections.abc import Mapping
 from pathlib import Path
 from typing import Any
 
@@ -38,6 +39,7 @@ __all__ = [
     "clear_memory_tier",
     "memory_bucket",
     "memory_stats",
+    "records_by_kind",
 ]
 
 
@@ -125,6 +127,16 @@ def memory_stats() -> "dict[str, dict[str, int]]":
     return {kind: _MEMORY[kind].stats() for kind in sorted(_MEMORY)}
 
 
+def records_by_kind(records: "Mapping[str, Mapping[str, Any]]") -> "dict[str, int]":
+    """How many persistent records carry each kind, kinds sorted for
+    stable output (``"?"`` for a record without one)."""
+    counts: "dict[str, int]" = {}
+    for record in records.values():
+        kind = record.get("kind", "?")
+        counts[kind] = counts.get(kind, 0) + 1
+    return {kind: counts[kind] for kind in sorted(counts)}
+
+
 # -- the two-tier store -------------------------------------------------
 
 # Encoded payloads cached by content key (both tiers' fast path).
@@ -210,17 +222,16 @@ class ArtifactStore:
         return payload
 
     def stats(self) -> "dict[str, Any]":
-        """Both tiers' counters (the CLI ``status`` payload)."""
+        """Both tiers' counters for an open store, read in-process (the
+        CLI ``status`` reads a store file and prints the same per-kind
+        tally through :func:`records_by_kind`)."""
         persistent: "dict[str, Any]" = {"enabled": self._persistent is not None}
         if self._persistent is not None:
-            by_kind: "dict[str, int]" = {}
-            for record in self._persistent.records.values():
-                by_kind[record["kind"]] = by_kind.get(record["kind"], 0) + 1
             persistent.update(
                 {
                     "path": str(self._persistent.path),
                     "records": len(self._persistent),
-                    "by_kind": {kind: by_kind[kind] for kind in sorted(by_kind)},
+                    "by_kind": records_by_kind(self._persistent.records),
                     "hits": self.persistent_hits,
                 }
             )

@@ -45,9 +45,6 @@ class DirectedRepresentation:
     def out_edges(self, v: Node) -> list[DirectedEdge]:
         return sorted((e for e in self.edges if e[0] == v), key=repr)
 
-    def in_edges(self, v: Node) -> list[DirectedEdge]:
-        return sorted((e for e in self.edges if e[1] == v), key=repr)
-
 
 def directed_representation(graph: LabeledGraph) -> DirectedRepresentation:
     """The directed edge-colored representation of a 2-hop colored graph

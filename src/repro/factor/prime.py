@@ -13,13 +13,25 @@ to view-equivalence classes by Fact 1 (nodes sharing a fiber share their
 infinite view), and to 2-hop independent sets because a factorizing map
 is a local isomorphism: no two nodes of a fiber are adjacent or share a
 neighbour.
+
+A partition that passes both filters is a factor's fibers exactly when
+every member of a block sees the same set of neighbour blocks (the
+neighbour-block criterion).  2-hop independence makes that exact: no
+node is adjacent to its own block, so the quotient has no loops, and no
+two neighbours of a node share a block, so the projection is injective
+on every neighbourhood.  The projection of a node's neighbourhood is
+then its set of neighbour blocks, and the block's neighbourhood in the
+quotient is the union of its members' sets; the map is onto it for every
+member exactly when those sets agree.  Partitions that fail are
+rejected before their quotient is built, and every quotient that is
+built is still verified as a :class:`FactorizingMap`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 
-from repro.exceptions import FactorError, GraphError
+from repro.exceptions import GraphError
 from repro.factor.factorizing_map import FactorizingMap
 from repro.graphs.labeled_graph import LabeledGraph, Node
 from repro.graphs.isomorphism import are_isomorphic
@@ -95,20 +107,18 @@ def _equal_size_partitions(
     """All partitions of the node set into blocks of exactly ``fiber_size``
     nodes, where every block stays inside one view class (Fact 1) and is
     2-hop independent (a fiber of a local isomorphism)."""
-    nodes = list(graph.nodes)
+    nodes = graph.nodes
     within_two_hops = {v: set(graph.nodes_within(v, 2)) for v in nodes}
     partitions: list[list[tuple[Node, ...]]] = []
     blocks: list[list[Node]] = []
 
-    def backtrack(remaining: list[Node]) -> None:
-        if not remaining:
-            if all(len(block) == fiber_size for block in blocks):
-                partitions.append([tuple(block) for block in blocks])
-            return
-        if len(remaining) < sum(fiber_size - len(block) for block in blocks):
+    def backtrack(index: int, open_slots: int) -> None:
+        if len(nodes) - index < open_slots:
             return  # not enough nodes left to fill the open blocks
-        first = remaining[0]
-        rest = remaining[1:]
+        if index == len(nodes):
+            partitions.append([tuple(block) for block in blocks])
+            return
+        first = nodes[index]
         # Join an open block (only the lexicographically first unassigned
         # node may open a block, which avoids generating permutations).
         near = within_two_hops[first]
@@ -119,40 +129,39 @@ def _equal_size_partitions(
                 and near.isdisjoint(block)
             ):
                 block.append(first)
-                backtrack(rest)
+                backtrack(index + 1, open_slots - 1)
                 block.pop()
         blocks.append([first])
-        backtrack(rest)
+        backtrack(index + 1, open_slots + fiber_size - 1)
         blocks.pop()
 
-    backtrack(nodes)
+    backtrack(0, 0)
     return partitions
 
 
 def _partition_to_factor(
     graph: LabeledGraph, partition: list[tuple[Node, ...]]
 ) -> FactorizingMap | None:
-    """Build and verify the quotient of ``graph`` by ``partition``;
-    ``None`` when the partition does not induce a factor.  The blocks are
-    2-hop independent, so the quotient has no loops and the projection
-    is injective on every neighbourhood."""
-    block_of: dict[Node, int] = {}
-    for index, block in enumerate(partition):
-        for v in block:
-            block_of[v] = index
-    edges = {
-        frozenset((block_of[v], block_of[u])) for v in graph.nodes for u in graph.neighbors(v)
-    }
+    """The factorizing map onto the quotient of ``graph`` by the 2-hop
+    independent ``partition``; ``None``, before anything is built, when
+    the partition fails the neighbour-block criterion (module docstring).
+    A partition that passes must verify, so a verification error here is
+    a bug and propagates."""
+    block_of = {v: index for index, block in enumerate(partition) for v in block}
+    neighbour_blocks: list[set[int]] = []
+    for block in partition:
+        seen = {block_of[u] for u in graph.neighbors(block[0])}
+        for v in block[1:]:
+            if {block_of[u] for u in graph.neighbors(v)} != seen:
+                return None
+        neighbour_blocks.append(seen)
     layers = {
         name: {index: graph.label_of(block[0], name) for index, block in enumerate(partition)}
         for name in graph.layer_names
     }
-    try:
-        quotient = LabeledGraph(
-            sorted(tuple(sorted(e)) for e in edges),
-            nodes=range(len(partition)),
-            layers=layers,
-        )
-        return FactorizingMap(graph, quotient, block_of)
-    except (GraphError, FactorError):
-        return None
+    quotient = LabeledGraph(
+        sorted((i, j) for i, seen in enumerate(neighbour_blocks) for j in seen if i < j),
+        nodes=range(len(partition)),
+        layers=layers,
+    )
+    return FactorizingMap(graph, quotient, block_of)

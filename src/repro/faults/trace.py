@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-KINDS = ("drop", "duplicate", "reorder", "crash", "corrupt")
-
 
 @dataclass(frozen=True)
 class FaultEvent:

@@ -7,7 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import FactorError, GraphError
 from repro.factor.factorizing_map import FactorizingMap
-from repro.factor.prime import _divisors, all_factors, is_prime, prime_factors
+from repro.factor.prime import (
+    _divisors,
+    _partition_to_factor,
+    all_factors,
+    is_prime,
+    prime_factors,
+)
 from repro.factor.quotient import infinite_view_graph
 from repro.graphs.builders import (
     cycle_graph,
@@ -207,3 +213,45 @@ def test_pruned_enumeration_matches_on_uncolored_cycles(n):
     found = _factor_list(all_factors(graph, include_trivial=True))
     assert found == _factor_list(reference_all_factors(graph))
     assert len(found) > 1
+
+
+# ----------------------------------------------------------------------
+# Non-factor partitions are rejected before their quotient is built
+# ----------------------------------------------------------------------
+
+
+def _colored_c12():
+    lift, _projection = cyclic_lift(colored(with_uniform_input(cycle_graph(3))), 4)
+    return lift
+
+
+@pytest.mark.parametrize(
+    "make_graph", [_colored_c12, lambda: _uniform(cycle_graph(12))], ids=["colored", "uncolored"]
+)
+def test_only_factors_are_built(monkeypatch, make_graph):
+    graph = make_graph()
+    built = []
+    init = FactorizingMap.__init__
+
+    def spy(self, product, factor, mapping, check=True):
+        built.append(factor)
+        init(self, product, factor, mapping, check)
+
+    monkeypatch.setattr(FactorizingMap, "__init__", spy)
+    factors = all_factors(graph, include_trivial=True)
+    assert len(built) == len(factors) > 1
+
+
+def test_partition_whose_blocks_see_different_blocks_is_rejected():
+    # 2-hop independent pairs of C12, but 0 sees the blocks of 11 and 1
+    # while 3 sees the blocks of 2 and 4.
+    partition = [(0, 3), (1, 4), (2, 5), (6, 9), (7, 10), (8, 11)]
+    assert _partition_to_factor(_uniform(cycle_graph(12)), partition) is None
+
+
+def test_partition_whose_blocks_see_the_same_blocks_is_a_factor():
+    graph = _uniform(cycle_graph(12))
+    factor_map = _partition_to_factor(graph, [(0, 4, 8), (1, 5, 9), (2, 6, 10), (3, 7, 11)])
+    assert factor_map is not None
+    assert are_isomorphic(factor_map.factor, _uniform(cycle_graph(4)))
+    FactorizingMap(graph, factor_map.factor, factor_map.as_dict())  # verifies
