@@ -27,6 +27,7 @@ first (`repro.views.clear_caches`), measuring construction from nothing;
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -43,6 +44,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.graphs.builders import (  # noqa: E402
     cycle_graph,
+    path_graph,
     random_connected_graph,
     random_regular_graph,
     torus_graph,
@@ -56,6 +58,15 @@ from repro.graphs.labeled_graph import LabeledGraph  # noqa: E402
 from repro.graphs.lifts import cyclic_lift, lift_graph  # noqa: E402
 from repro.factor.factorizing_map import FactorizingMap  # noqa: E402
 from repro.factor.prime import all_factors  # noqa: E402
+from repro.core.a_star import LAYER_NAMES  # noqa: E402
+from repro.core.candidates import (  # noqa: E402
+    Candidate,
+    enumerate_candidates,
+    observed_marks,
+)
+from repro.core.orders import finite_view_graph_sort_key  # noqa: E402
+from repro.problems.mis import MISProblem  # noqa: E402
+from repro.problems.problem import TwoHopColoredVariant  # noqa: E402
 from repro.factor.quotient import finite_view_graph, infinite_view_graph  # noqa: E402
 from repro.algorithms import AnonymousMISAlgorithm, TwoHopColoringAlgorithm  # noqa: E402
 from repro.dynamic import (  # noqa: E402
@@ -211,6 +222,19 @@ SEARCH_SPEEDUP_FLOORS = {"search_mis_cycle/6": 16.0, "search_prg_mis_random/48":
 # over 7 runs on a 2-vCPU Linux container (CPython 3.11); each floor
 # sits under a third of the lowest.
 FACTORS_SPEEDUP_FLOORS = {"factors_colored_lift/12": 1.5, "factors_cycle/12": 6.0}
+
+# Candidate enumeration gate: ``enumerate_candidates`` (the view-guided
+# folding search of A_*'s Update-Graph) on the phase-4 view of
+# ``candidate-growth`` (colored C6, cap 4) and on the view node 0 of a
+# colored P4 enumerates from in A_*'s phase 4 (cap 4), timed against an
+# embedded copy of the brute force it replaced, which checks every
+# connected graph on at most 4 nodes under every labeling by observed
+# marks.  Both sides must return the same sort keys, finite view graphs
+# and anchor classes.  Both run in one invocation, so the speedup is
+# gated live.  Measured 630-660x (candidate-growth) and 370-480x (A_* on
+# P4) over 3 runs on a 2-vCPU Linux container (CPython 3.11); each floor
+# sits far under the lowest.
+CANDIDATES_SPEEDUP_FLOORS = {"candidates_growth/4": 50.0, "candidates_a_star_p4/4": 50.0}
 
 
 def _colored(graph):
@@ -957,6 +981,122 @@ def run_factor_benches(repeats: int) -> dict:
     return {"speedup_floors": FACTORS_SPEEDUP_FLOORS, "rows": rows}
 
 
+def _reference_enumerate_candidates(view, phase, problem_c, layer_names, max_nodes):
+    """Pre-change enumeration: every connected edge set on
+    ``k <= min(phase, max_nodes)`` nodes times every labeling by
+    observed marks, each checked against C1-C3."""
+    marks = observed_marks(view)
+    by_encoding = {}
+    for k in range(1, min(phase, max_nodes) + 1):
+        pairs = list(itertools.combinations(range(k), 2))
+        for bits in range(1 << len(pairs)):
+            edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
+            if len(edges) < k - 1 or not _reference_connected(k, edges):
+                continue
+            for labeling in itertools.product(marks, repeat=k):
+                candidate = _reference_candidate(
+                    edges, labeling, view, phase, problem_c, layer_names
+                )
+                if candidate is not None and candidate.sort_key not in by_encoding:
+                    by_encoding[candidate.sort_key] = candidate
+    return [by_encoding[key] for key in sorted(by_encoding)]
+
+
+def _reference_connected(k, edges):
+    adjacency = {v: [] for v in range(k)}
+    for u, v in edges:
+        adjacency[u].append(v)
+        adjacency[v].append(u)
+    seen, stack = {0}, [0]
+    while stack:
+        for neighbor in adjacency[stack.pop()]:
+            if neighbor not in seen:
+                seen.add(neighbor)
+                stack.append(neighbor)
+    return len(seen) == k
+
+
+def _reference_candidate(edges, labeling, view, phase, problem_c, layer_names):
+    k = len(labeling)
+    degree = [0] * k
+    for u, v in edges:
+        degree[u] += 1
+        degree[v] += 1
+    if not any(
+        labeling[v] == view.mark and degree[v] == len(view.children) for v in range(k)
+    ):
+        return None
+    layers = {name: {} for name in layer_names}
+    for v, mark in enumerate(labeling):
+        if not isinstance(mark, tuple) or len(mark) != len(layer_names):
+            return None
+        for name, value in zip(layer_names, mark):
+            layers[name][v] = value
+    try:
+        graph = LabeledGraph(edges, nodes=range(k), layers=layers)
+    except GraphError:
+        return None
+    views = all_views(graph, phase)
+    anchor = next((v for v in graph.nodes if views[v] is view), None)
+    if anchor is None:
+        return None
+    if not problem_c.is_instance(graph.with_only_layers(list(layer_names[:-1]))):
+        return None
+    try:
+        quotient = finite_view_graph(graph)
+    except FactorError:
+        return None
+    return Candidate(
+        graph=graph,
+        finite_view=quotient.graph,
+        anchor=anchor,
+        anchor_class=quotient.map(anchor),
+        sort_key=finite_view_graph_sort_key(quotient.graph),
+    )
+
+
+def _candidates_row(bench, view, phase, cap, samples_per_side) -> dict:
+    """Time ``enumerate_candidates`` against the brute force back to
+    back; both must return the same candidate list."""
+    problem_c = TwoHopColoredVariant(MISProblem())
+    current_s, reference_s = [], []
+    for _ in range(samples_per_side):
+        start = time.perf_counter()
+        found = enumerate_candidates(view, phase, problem_c, LAYER_NAMES, max_nodes=cap)
+        current_s.append(time.perf_counter() - start)
+        start = time.perf_counter()
+        reference_found = _reference_enumerate_candidates(
+            view, phase, problem_c, LAYER_NAMES, cap
+        )
+        reference_s.append(time.perf_counter() - start)
+        if [(c.sort_key, c.finite_view, c.anchor_class) for c in found] != [
+            (c.sort_key, c.finite_view, c.anchor_class) for c in reference_found
+        ]:
+            raise RuntimeError(f"{bench}/{cap}: reference candidates differ")
+    return _versus_row(bench, cap, current_s, reference_s, phase=phase)
+
+
+def run_candidate_benches(repeats: int) -> dict:
+    """Candidate enumeration vs the embedded brute force, on the phase-4
+    view of ``candidate-growth`` and on an A_* phase-4 view of P4."""
+    samples_per_side = min(repeats, 3)  # the brute-force side takes ~0.5 s
+    lift, _projection = cyclic_lift(_colored(with_uniform_input(cycle_graph(3))), 2)
+    lift = lift.with_layer("bits", {v: "" for v in lift.nodes}).with_only_layers(
+        list(LAYER_NAMES)
+    )
+    growth_view = all_views(lift, 4)[lift.nodes[0]]
+    # On P4 no phase before the 4th has a candidate, so A_* adopts no bits
+    # before it and its phase-4 views are those of the empty bit labeling.
+    p4 = _colored(with_uniform_input(path_graph(4)))
+    p4 = p4.with_layer("bits", {v: "" for v in p4.nodes}).with_only_layers(list(LAYER_NAMES))
+    p4_view = all_views(p4, 4)[p4.nodes[0]]
+    rows = [
+        _candidates_row("candidates_growth", growth_view, 4, 4, samples_per_side),
+        _candidates_row("candidates_a_star_p4", p4_view, 4, 4, samples_per_side),
+    ]
+    return {"speedup_floors": CANDIDATES_SPEEDUP_FLOORS, "rows": rows}
+
+
 def run_suite(quick: bool, repeats: int) -> dict:
     view_ns = [8, 16, 32, 64] if quick else [8, 16, 32, 64, 96, 128]
     refine_ns = [16, 64, 128] if quick else [16, 64, 128, 256, 512]
@@ -1112,8 +1252,10 @@ def run_suite(quick: bool, repeats: int) -> dict:
         # against one fresh walk per view (same edges, live floor);
         # 15 = ``factors`` section (factor enumeration vs the embedded
         # pre-change one that builds every partition's quotient, same
-        # maps asserted, with a live floor).
-        "schema": 15,
+        # maps asserted, with a live floor); 16 = ``candidates`` section
+        # (view-guided candidate enumeration vs the embedded brute force,
+        # same candidate list asserted, with a live floor).
+        "schema": 16,
         "suite": "views-perf",
         "quick": quick,
         "machine": {
@@ -1134,6 +1276,7 @@ def run_suite(quick: bool, repeats: int) -> dict:
         "reconstruct": run_reconstruct_benches(repeats),
         "search": run_search_benches(repeats),
         "factors": run_factor_benches(repeats),
+        "candidates": run_candidate_benches(repeats),
     }
 
 
@@ -1326,6 +1469,14 @@ LIVE_SPEEDUP_SECTIONS = {
         "factor enumeration beats the pre-change one",
         "FACTOR ENUMERATION SPEEDUP FLOOR VIOLATION:",
     ),
+    "candidates": (
+        CANDIDATES_SPEEDUP_FLOORS,
+        _sized_case,
+        "view-guided candidate enumeration vs the brute force",
+        (("current", "current"), ("reference", "reference")),
+        "candidate enumeration beats the brute force",
+        "CANDIDATE ENUMERATION SPEEDUP FLOOR VIOLATION:",
+    ),
 }
 
 
@@ -1469,7 +1620,7 @@ def _print_table(payload: dict) -> None:
             f"{_dynamic_case(row):<26}     {scratch:11.4f}ms{incremental:11.4f}ms"
             f"   speedup={row['speedup']:.2f}x"
         )
-    for section_name in ("reconstruct", "search", "factors"):
+    for section_name in ("reconstruct", "search", "factors", "candidates"):
         for row in payload.get(section_name, {}).get("rows", []):
             reference = row["reference"]["best_s"] * 1e3
             current = row["current"]["best_s"] * 1e3

@@ -22,7 +22,10 @@ phase to gather ``L_p``; the diagnostics account those rounds.
 Faithfulness caveats (see DESIGN.md): candidate enumeration is capped at
 ``max_candidate_nodes`` (sound — Lemma 7/9, cap must be ``>= n``), and
 C3 is checked with the problem's ground-truth ``is_instance`` rather
-than by simulating the randomized decider to exhaustion.
+than by simulating the randomized decider to exhaustion.  Candidates are
+read off the view by folding it (``repro.core.candidates``), so the cap
+can be set to ``|V_*|`` on instances of five or six nodes; the
+extension search of Update-Bits is then the expensive part.
 """
 
 from __future__ import annotations

@@ -52,7 +52,7 @@ def theorem1() -> ExperimentResult:
             result = derandomize_pipeline(
                 bundle, graph, seed=1, strategy="prg", max_assignment_length=128
             )
-            # derandomize_pipeline validates internally (raises otherwise).
+            all_valid = all_valid and bundle.problem.is_valid_output(graph, result.outputs)
             rows.append(
                 SweepRow(
                     f"{problem_name} / {name}",

@@ -6,13 +6,18 @@ import pytest
 
 from repro.algorithms.luby_mis import AnonymousMISAlgorithm
 from repro.algorithms.vertex_coloring import VertexColoringAlgorithm
-from repro.core.a_star import AStarSolver
+from repro.core.a_star import LAYER_NAMES, AStarSolver
+from repro.core.candidates import enumerate_candidates
+from repro.core.orders import finite_view_graph_sort_key
 from repro.exceptions import DerandomizationError
+from repro.factor.quotient import finite_view_graph, infinite_view_graph
 from repro.graphs.builders import cycle_graph, path_graph, with_uniform_input
 from repro.graphs.coloring import apply_two_hop_coloring, greedy_two_hop_coloring
 from repro.graphs.lifts import cyclic_lift
 from repro.problems.coloring import ColoringProblem
 from repro.problems.mis import MISProblem
+from repro.problems.problem import TwoHopColoredVariant
+from repro.views.local_views import all_views
 
 
 def colored(graph):
@@ -60,8 +65,6 @@ class TestTheorem1:
         instance = lifted_c3(4)
         solver = AStarSolver(MISProblem(), AnonymousMISAlgorithm(), max_candidate_nodes=3)
         outputs, _ = solver.solve(instance, max_phases=12)
-        from repro.factor.quotient import infinite_view_graph
-
         quotient = infinite_view_graph(instance)
         for target in quotient.graph.nodes:
             fiber = quotient.map.fiber(target)
@@ -131,3 +134,53 @@ class TestLemmaPredictions:
         _outputs, diagnostics = solver.solve(instance, max_phases=12)
         p = diagnostics.phases
         assert diagnostics.message_rounds == p * (p + 1) // 2
+
+
+ZOO = {
+    "P4": lambda: colored(with_uniform_input(path_graph(4))),
+    "C4": lambda: colored(with_uniform_input(cycle_graph(4))),
+    "P5": lambda: colored(with_uniform_input(path_graph(5))),
+    "C3x2": lambda: lifted_c3(2),
+    "C3x3": lambda: lifted_c3(3),
+}
+
+
+class TestCapAtLeastQuotient:
+    """With a candidate cap of at least ``|V_*|`` the cap is sound
+    (Lemmas 7 and 9), so A_* must solve every instance."""
+
+    @pytest.mark.parametrize("name", sorted(ZOO))
+    def test_solves_with_cap_at_least_quotient_size(self, name):
+        instance = ZOO[name]()
+        cap = infinite_view_graph(instance).graph.num_nodes
+        solver = AStarSolver(MISProblem(), AnonymousMISAlgorithm(), max_candidate_nodes=cap)
+        assert solver.max_candidate_nodes >= cap
+        outputs, diagnostics = solver.solve(instance, max_phases=16)
+        assert MISProblem().is_valid_output(instance.with_only_layers(["input"]), outputs)
+        final = {
+            (size, encoding)
+            for phase, size, encoding in diagnostics.phase_selections
+            if phase == diagnostics.phases
+        }
+        assert len(final) == 1 and final.pop()[0] == cap
+
+    @pytest.mark.parametrize("name", sorted(ZOO))
+    def test_selection_from_phase_2n_is_the_finite_view_graph(self, name):
+        """Lemma 7: from phase ``2n`` on, every node's smallest candidate
+        is the instance's own finite view graph, with the node on its
+        own class."""
+        instance = ZOO[name]()
+        instance = instance.with_layer("bits", {v: "" for v in instance.nodes})
+        instance = instance.with_only_layers(list(LAYER_NAMES))
+        quotient = finite_view_graph(instance)
+        cap = quotient.graph.num_nodes
+        phase = 2 * instance.num_nodes
+        expected = finite_view_graph_sort_key(quotient.graph)
+        problem_c = TwoHopColoredVariant(MISProblem())
+        views = all_views(instance, phase)
+        for v in instance.nodes:
+            selection = enumerate_candidates(
+                views[v], phase, problem_c, LAYER_NAMES, max_nodes=cap
+            )[0]
+            assert selection.sort_key == expected
+            assert selection.anchor_class == quotient.map(v)

@@ -2,16 +2,28 @@
 
 from __future__ import annotations
 
-import pytest
+import itertools
 
-from repro.core.candidates import enumerate_candidates, observed_marks
-from repro.exceptions import CandidateError
-from repro.graphs.builders import cycle_graph, path_graph, with_uniform_input
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core.candidates import Candidate, enumerate_candidates, observed_marks
+from repro.core.orders import finite_view_graph_sort_key
+from repro.exceptions import CandidateError, FactorError, GraphError
+from repro.factor.quotient import finite_view_graph
+from repro.graphs.builders import (
+    cycle_graph,
+    path_graph,
+    random_connected_graph,
+    with_uniform_input,
+)
 from repro.graphs.coloring import apply_two_hop_coloring, greedy_two_hop_coloring
 from repro.graphs.isomorphism import are_isomorphic
+from repro.graphs.labeled_graph import LabeledGraph
+from repro.graphs.lifts import cyclic_lift
 from repro.problems.mis import MISProblem
 from repro.problems.problem import TwoHopColoredVariant
-from repro.views.local_views import view
+from repro.views.local_views import all_views, view
 
 LAYERS = ("input", "color", "bits")
 PROBLEM_C = TwoHopColoredVariant(MISProblem())
@@ -71,11 +83,17 @@ class TestEnumerate:
         candidates = enumerate_candidates(t, 1, PROBLEM_C, LAYERS, max_nodes=4)
         assert all(c.graph.num_nodes <= 1 for c in candidates)
 
+    def test_zero_cap_admits_no_graph(self):
+        t = view(prepared(with_uniform_input(path_graph(1))), 0, 3)
+        assert len(enumerate_candidates(t, 3, PROBLEM_C, LAYERS, max_nodes=1)) == 1
+        assert enumerate_candidates(t, 3, PROBLEM_C, LAYERS, max_nodes=0) == []
+
     def test_budget_guard(self):
+        # The budget counts folding states; this search takes 6.
         instance = prepared(with_uniform_input(cycle_graph(5)))
         t = view(instance, 0, 4)
         with pytest.raises(CandidateError, match="budget"):
-            enumerate_candidates(t, 4, PROBLEM_C, LAYERS, max_nodes=4, budget=10)
+            enumerate_candidates(t, 4, PROBLEM_C, LAYERS, max_nodes=4, budget=2)
 
     def test_c3_filters_non_instances(self):
         """Candidates whose (input, color) part is not a legal 2-hop
@@ -86,3 +104,138 @@ class TestEnumerate:
         for candidate in candidates:
             stripped = candidate.graph.with_only_layers(["input", "color"])
             assert PROBLEM_C.is_instance(stripped)
+
+
+# ----------------------------------------------------------------------
+# The folding enumerator against the brute force it replaced
+# ----------------------------------------------------------------------
+
+
+def reference_enumerate_candidates(view_tree, phase, problem_c, layer_names, max_nodes=4):
+    """``enumerate_candidates`` as it was before the folding search: every
+    connected edge set on ``k <= min(phase, max_nodes)`` nodes times
+    every labeling by observed marks, each checked against C1-C3."""
+    marks = observed_marks(view_tree)
+    by_encoding = {}
+    for k in range(1, min(phase, max_nodes) + 1):
+        for edges in _connected_edge_sets(k):
+            for labeling in itertools.product(marks, repeat=k):
+                candidate = _reference_try_candidate(
+                    edges, k, labeling, view_tree, phase, problem_c, layer_names
+                )
+                if candidate is not None and candidate.sort_key not in by_encoding:
+                    by_encoding[candidate.sort_key] = candidate
+    return [by_encoding[key] for key in sorted(by_encoding)]
+
+
+def _connected_edge_sets(k):
+    pairs = list(itertools.combinations(range(k), 2))
+    for bits in range(1 << len(pairs)):
+        edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
+        reached, frontier = {0}, [0]
+        while frontier:
+            u = frontier.pop()
+            for a, b in edges:
+                for x, y in ((a, b), (b, a)):
+                    if x == u and y not in reached:
+                        reached.add(y)
+                        frontier.append(y)
+        if len(reached) == k:
+            yield edges
+
+
+def _reference_try_candidate(edges, k, labeling, view_tree, phase, problem_c, layer_names):
+    degree = [0] * k
+    for u, v in edges:
+        degree[u] += 1
+        degree[v] += 1
+    if not any(
+        labeling[v] == view_tree.mark and degree[v] == len(view_tree.children)
+        for v in range(k)
+    ):
+        return None
+    layers = {name: {} for name in layer_names}
+    for v, mark in enumerate(labeling):
+        if not isinstance(mark, tuple) or len(mark) != len(layer_names):
+            return None
+        for name, value in zip(layer_names, mark):
+            layers[name][v] = value
+    try:
+        graph = LabeledGraph(edges, nodes=range(k), layers=layers)
+    except GraphError:
+        return None
+    views = all_views(graph, phase)
+    anchors = [v for v in graph.nodes if views[v] is view_tree]
+    if not anchors:
+        return None
+    if not problem_c.is_instance(graph.with_only_layers(list(layer_names[:-1]))):
+        return None
+    try:
+        quotient = finite_view_graph(graph)
+    except FactorError:
+        return None
+    return Candidate(
+        graph=graph,
+        finite_view=quotient.graph,
+        anchor=anchors[0],
+        anchor_class=quotient.map(anchors[0]),
+        sort_key=finite_view_graph_sort_key(quotient.graph),
+    )
+
+
+def _selected(candidates):
+    return [(c.sort_key, c.finite_view, c.anchor_class) for c in candidates]
+
+
+@st.composite
+def colored_views(draw):
+    """A phase, a cap and the phase view of one node of a small 2-hop
+    colored graph with random 1-bit inputs and bits, half of the time a
+    cyclic lift, so that the view also folds onto a smaller graph."""
+    n = draw(st.integers(2, 4))
+    graph = random_connected_graph(n, draw(st.floats(0.0, 1.0)), seed=draw(st.integers(0, 999)))
+    graph = graph.with_layer(
+        "input", {v: (graph.degree(v), draw(st.integers(0, 1))) for v in graph.nodes}
+    )
+    instance = prepared(graph).with_layer(
+        "bits", {v: draw(st.sampled_from(["", "0", "1"])) for v in graph.nodes}
+    )
+    if draw(st.booleans()):
+        try:
+            instance, _projection = cyclic_lift(instance, 2)
+        except GraphError:  # a disconnected lift
+            pass
+    phase = draw(st.integers(2, 4))
+    anchor = draw(st.sampled_from(list(instance.nodes)))
+    return view(instance, anchor, phase), phase, draw(st.integers(2, 3))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=colored_views())
+def test_folding_matches_the_brute_force(case):
+    view_tree, phase, cap = case
+    assert _selected(
+        enumerate_candidates(view_tree, phase, PROBLEM_C, LAYERS, max_nodes=cap)
+    ) == _selected(
+        reference_enumerate_candidates(view_tree, phase, PROBLEM_C, LAYERS, max_nodes=cap)
+    )
+
+
+@pytest.mark.parametrize("graph", [path_graph(4), cycle_graph(4)], ids=["P4", "C4"])
+def test_folding_matches_the_brute_force_at_cap_4(graph):
+    instance = prepared(with_uniform_input(graph))
+    for phase in (3, 4):
+        t = view(instance, 0, phase)
+        found = enumerate_candidates(t, phase, PROBLEM_C, LAYERS, max_nodes=4)
+        assert _selected(found) == _selected(
+            reference_enumerate_candidates(t, phase, PROBLEM_C, LAYERS, max_nodes=4)
+        )
+    assert [c.finite_view.num_nodes for c in found] == [4]
+
+
+def test_candidate_growth_counts_what_the_brute_force_examines():
+    from repro.experiments.costs import _connected_labeled_graphs
+
+    assert [_connected_labeled_graphs(k) for k in range(1, 6)] == [
+        sum(1 for _edges in _connected_edge_sets(k)) for k in range(1, 6)
+    ]

@@ -145,6 +145,45 @@ class TestResults:
             experiment("figure1")(lambda: None)
 
 
+class TestChecksCanFail:
+    """Registry checks are computed from the run, so a broken map or a
+    broken output turns them false."""
+
+    def test_lemma2_rejects_a_bad_factorizing_map(self):
+        from repro.experiments._shared import lifted_colored_c3
+        from repro.experiments.lemmas import _is_factorizing
+        from repro.factor.quotient import infinite_view_graph
+
+        _base, lift, _projection = lifted_colored_c3(2)
+        quotient = infinite_view_graph(lift)
+        mapping = quotient.map.as_dict()
+        assert _is_factorizing(lift, quotient.graph, mapping)
+        a = lift.nodes[0]
+        b = next(v for v in lift.nodes if mapping[v] != mapping[a])
+        swapped = {**mapping, a: mapping[b], b: mapping[a]}
+        assert not _is_factorizing(lift, quotient.graph, swapped)
+        not_onto = {v: mapping[a] for v in lift.nodes}
+        assert not _is_factorizing(lift, quotient.graph, not_onto)
+        relabeled = lift.with_layer("color", {v: "x" for v in lift.nodes})
+        assert not _is_factorizing(relabeled, quotient.graph, mapping)
+
+    def test_theorem1_rejects_a_bad_output(self, monkeypatch):
+        from types import SimpleNamespace
+
+        import repro.experiments.theorems as theorems
+
+        def broken_pipeline(bundle, graph, **_options):
+            return SimpleNamespace(
+                outputs={v: None for v in graph.nodes},
+                stage1_rounds=0,
+                quotient_size=0,
+                stage2=SimpleNamespace(simulation_rounds=0),
+            )
+
+        monkeypatch.setattr(theorems, "derandomize_pipeline", broken_pipeline)
+        assert theorems.theorem1().checks == {"all outputs valid": False}
+
+
 class TestCli:
     def test_list(self, capsys):
         from repro.experiments.__main__ import main

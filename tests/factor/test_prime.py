@@ -25,7 +25,7 @@ from repro.graphs.builders import (
 from repro.graphs.coloring import apply_two_hop_coloring, greedy_two_hop_coloring
 from repro.graphs.isomorphism import are_isomorphic
 from repro.graphs.labeled_graph import LabeledGraph
-from repro.graphs.lifts import cyclic_lift
+from repro.graphs.lifts import cyclic_lift, lift_graph
 from repro.views.refinement import refinement_indices
 
 
@@ -204,6 +204,57 @@ def test_pruned_enumeration_matches_the_unpruned_one(graph):
     assert _factor_list(all_factors(graph, include_trivial=True)) == _factor_list(
         reference_all_factors(graph)
     )
+
+
+# Bases on 3-4 nodes that contain a cycle: a tree base has only
+# disconnected lifts.
+COVERING_BASES = {
+    "C3": [(0, 1), (1, 2), (0, 2)],
+    "C4": [(0, 1), (1, 2), (2, 3), (0, 3)],
+    "C4+chord": [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)],
+    "paw": [(0, 1), (1, 2), (0, 2), (2, 3)],
+    "K4": [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
+}
+
+
+@st.composite
+def covering_instances(draw):
+    """``(lift, base, fiber)``: a random ``fiber``-fold lift, of at most
+    12 nodes, of a base on 3-4 nodes that contains a cycle, with 1-2
+    input labels and, half of the time, a 2-hop coloring of the base
+    (which the lift inherits, a covering being a bijection on each
+    neighbourhood).  The base is a factor of the lift by construction,
+    so unlike ``small_graphs`` every draw has a proper factor, often of
+    fiber 3 or more."""
+    base = LabeledGraph(COVERING_BASES[draw(st.sampled_from(sorted(COVERING_BASES)))])
+    base = base.with_layer("input", {v: draw(st.integers(0, 1)) for v in base.nodes})
+    if draw(st.booleans()):
+        base = colored(base)
+    fiber = draw(st.integers(2, 12 // base.num_nodes))
+    lift, _projection = lift_graph(base, fiber, seed=draw(st.integers(0, 999)))
+    return lift, base, fiber
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=covering_instances())
+def test_pruned_enumeration_matches_the_unpruned_one_on_coverings(case):
+    lift, base, _fiber = case
+    found = all_factors(lift, include_trivial=True)
+    assert _factor_list(found) == _factor_list(reference_all_factors(lift))
+    assert any(are_isomorphic(factor_map.factor, base) for factor_map in found)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(case=covering_instances().filter(lambda case: case[1].has_layer("color")))
+def test_colored_coverings_have_the_view_quotient_as_unique_prime(case):
+    """Lemmas 2 and 3 on a 2-hop colored lift: ``G_∞`` is a factor whose
+    multiplicity the fiber divides, and it is the only prime factor."""
+    lift, _base, fiber = case
+    quotient = infinite_view_graph(lift)
+    assert quotient.map.multiplicity % fiber == 0
+    primes = prime_factors(lift)
+    assert len(primes) == 1
+    assert are_isomorphic(primes[0], quotient.graph)
 
 
 @pytest.mark.parametrize("n", [6, 8, 10])
