@@ -27,9 +27,8 @@ component dominates its neighbors, so progress is a.s. perpetual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from repro.algorithms.bitstrings import diverged, stream_greater
 from repro.runtime.algorithm import AnonymousAlgorithm
 
 ACTIVE = "ACTIVE"
@@ -65,27 +64,22 @@ class AnonymousMISAlgorithm(AnonymousAlgorithm):
 
     def transition(self, state: _State, received, bits: str) -> _State:
         round_number = state.round_number + 1
-        if state.decided:
-            return replace(state, round_number=round_number)
+        status, priority = state.status, state.priority
+        if status != ACTIVE:
+            return _State(status, priority, round_number)
 
-        if any(status == IN for (status, _priority) in received):
-            return _State(status=OUT, priority=state.priority, round_number=round_number)
+        if any(status_u == IN for (status_u, _priority) in received):
+            return _State(OUT, priority, round_number)
 
-        active_neighbors = [
-            priority for (status, priority) in received if status == ACTIVE
-        ]
-        dominates_all = all(
-            diverged(state.priority, other) and stream_greater(state.priority, other)
-            for other in active_neighbors
-        )
-        if dominates_all and round_number >= self._FIRST_JOIN_ROUND:
-            return _State(status=IN, priority=state.priority, round_number=round_number)
+        # Diverged streams compare as strings at their first difference.
+        if round_number >= self._FIRST_JOIN_ROUND and all(
+            priority > other and not (priority.startswith(other) or other.startswith(priority))
+            for (status_u, other) in received
+            if status_u == ACTIVE
+        ):
+            return _State(IN, priority, round_number)
 
-        return _State(
-            status=ACTIVE,
-            priority=state.priority + bits,
-            round_number=round_number,
-        )
+        return _State(ACTIVE, priority + bits, round_number)
 
     def output(self, state: _State) -> bool | None:
         if state.status == IN:

@@ -30,9 +30,8 @@ to each other and match.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from repro.algorithms.bitstrings import diverged, prefix_related, stream_greater
 from repro.runtime.algorithm import AnonymousAlgorithm
 from repro.problems.matching import MATCHED, UNMATCHED
 
@@ -72,10 +71,11 @@ class AnonymousMatchingAlgorithm(AnonymousAlgorithm):
 
     def transition(self, state: _State, received, bits: str) -> _State:
         round_number = state.round_number + 1
-        if state.status in (MATCHED, UNMATCHED):
-            return replace(state, round_number=round_number)
+        status = state.status
+        if status in (MATCHED, UNMATCHED):
+            return _State(status, state.token, state.proposal, state.output, round_number)
 
-        if state.status == PENDING:
+        if status == PENDING:
             return self._pending_step(state, received, round_number)
         return self._active_step(state, received, bits, round_number)
 
@@ -84,40 +84,19 @@ class AnonymousMatchingAlgorithm(AnonymousAlgorithm):
     def _pending_step(self, state: _State, received, round_number: int) -> _State:
         # The partner's token is frozen once it is PENDING; it may already
         # have moved on to MATCHED if it saw my PENDING message first.
-        partner = self._find_partner_entry(state, received)
-        if partner is not None and partner[0] in (PENDING, MATCHED):
-            _status, partner_token, _proposal = partner
-            return _State(
-                status=MATCHED,
-                token=state.token,
-                proposal=state.proposal,
-                output=(MATCHED, state.token, partner_token),
-                round_number=round_number,
-            )
-        return replace(state, round_number=round_number)
-
-    def _find_partner_entry(self, state: _State, received):
-        """The unique entry whose token extends my target prefix and whose
-        proposal is a prefix of my token — my handshake partner."""
         assert state.proposal is not None
-        for entry in received:
-            status_u, token_u, proposal_u = entry
-            if status_u not in (ACTIVE, PENDING, MATCHED):
-                continue
-            if proposal_u is None:
-                continue
-            if prefix_related(state.proposal, token_u) and len(
-                state.proposal
-            ) <= len(token_u):
-                if prefix_related(proposal_u, state.token) and len(proposal_u) <= len(
-                    state.token
-                ):
-                    return entry
-        return None
+        token = state.token
+        partner = _partner_entry(state.proposal, token, received)
+        if partner is not None and partner[0] in (PENDING, MATCHED):
+            return _State(
+                MATCHED, token, state.proposal, (MATCHED, token, partner[1]), round_number
+            )
+        return _State(PENDING, token, state.proposal, state.output, round_number)
 
     # ------------------------------------------------------------------
 
     def _active_step(self, state: _State, received, bits: str, round_number: int) -> _State:
+        token = state.token
         # Partition the neighborhood by status.
         candidates = []  # tokens of neighbors I could still match with
         for (status_u, token_u, proposal_u) in received:
@@ -126,76 +105,66 @@ class AnonymousMatchingAlgorithm(AnonymousAlgorithm):
             elif status_u == PENDING:
                 # Pending toward me: still my candidate.  Pending toward
                 # another node: will become matched, not a candidate.
-                if proposal_u is not None and len(proposal_u) <= len(
-                    state.token
-                ) and prefix_related(proposal_u, state.token):
+                if proposal_u is not None and token.startswith(proposal_u):
                     candidates.append(token_u)
 
         if not candidates and round_number >= self._FIRST_DECISION_ROUND:
             if not received or all(
                 status_u in (MATCHED, UNMATCHED, PENDING) for (status_u, _t, _p) in received
             ):
-                return _State(
-                    status=UNMATCHED,
-                    token=state.token,
-                    proposal=None,
-                    output=(UNMATCHED,),
-                    round_number=round_number,
-                )
+                return _State(UNMATCHED, token, None, (UNMATCHED,), round_number)
 
         # Propose only when every candidate has visibly diverged from me
         # and candidates are pairwise visibly diverged — from then on
-        # token prefixes are unambiguous addresses.
-        can_propose = bool(candidates) and all(
-            diverged(state.token, other) for other in candidates
-        )
-        if can_propose:
-            for i, a in enumerate(candidates):
-                for b in candidates[i + 1 :]:
-                    if not diverged(a, b):
-                        can_propose = False
-                        break
-                if not can_propose:
-                    break
-
-        proposal: str | None = None
-        if can_propose:
-            target = candidates[0]
-            for other in candidates[1:]:
-                if stream_greater(other, target):
-                    target = other
-            proposal = target
+        # token prefixes are unambiguous addresses.  The target is the
+        # greatest candidate stream.
+        proposal = _greatest_diverged(token, candidates) if candidates else None
 
         if proposal is not None:
             # Mutuality check uses my *current* (this round's) target.  The
             # partner's proposal toward me is enough: its target is locked
             # on me (I am its maximal candidate and I only leave its
             # candidate set by matching with it).
-            probe = replace(state, proposal=proposal)
-            partner = self._find_partner_entry(probe, received)
+            partner = _partner_entry(proposal, token, received)
             if partner is not None:
                 status_u, token_u, _proposal_u = partner
                 if status_u in (PENDING, MATCHED):
                     # The partner's token is already frozen: match outright.
                     return _State(
-                        status=MATCHED,
-                        token=state.token,
-                        proposal=token_u,
-                        output=(MATCHED, state.token, token_u),
-                        round_number=round_number,
+                        MATCHED, token, token_u, (MATCHED, token, token_u), round_number
                     )
-                return _State(
-                    status=PENDING,
-                    token=state.token,  # frozen from now on
-                    proposal=token_u,  # freshest stale token of my partner
-                    output=None,
-                    round_number=round_number,
-                )
+                # My token is frozen from now on; my proposal is the
+                # freshest stale token of my partner.
+                return _State(PENDING, token, token_u, None, round_number)
 
-        return _State(
-            status=ACTIVE,
-            token=state.token + bits,
-            proposal=proposal,
-            output=None,
-            round_number=round_number,
-        )
+        return _State(ACTIVE, token + bits, proposal, None, round_number)
+
+
+def _greatest_diverged(token: str, candidates: list[str]) -> str | None:
+    """The greatest of ``candidates`` if each has diverged from ``token``
+    and from every other, else ``None``.
+
+    Diverged strings compare as strings at their first difference.  In
+    sorted order everything between a string and one it prefixes also
+    starts with it, so neighbours in that order show any prefix pair."""
+    ordered = sorted(candidates)
+    previous = None
+    for other in ordered:
+        if token.startswith(other) or other.startswith(token):
+            return None
+        if previous is not None and other.startswith(previous):
+            return None
+        previous = other
+    return ordered[-1]
+
+
+def _partner_entry(target: str, token: str, received):
+    """The entry whose token extends my ``target`` prefix and whose
+    proposal is a prefix of my ``token`` — my handshake partner."""
+    for entry in received:
+        status_u, token_u, proposal_u = entry
+        if status_u not in (ACTIVE, PENDING, MATCHED) or proposal_u is None:
+            continue
+        if token_u.startswith(target) and token.startswith(proposal_u):
+            return entry
+    return None

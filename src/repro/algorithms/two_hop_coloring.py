@@ -34,9 +34,8 @@ divergence becomes visible within two rounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from repro.algorithms.bitstrings import prefix_related
 from repro.runtime.algorithm import AnonymousAlgorithm
 
 ColorEntry = tuple[str, bool]  # (bitstring color, committed flag)
@@ -80,70 +79,56 @@ class TwoHopColoringAlgorithm(AnonymousAlgorithm):
     def transition(self, state: _State, received, bits: str) -> _State:
         round_number = state.round_number + 1
         heard_now: tuple[ColorEntry, ...] = tuple(
-            (color, committed) for (color, committed, _lists) in received
+            [(color, committed) for (color, committed, _lists) in received]
         )
-
+        color = state.color
         if state.committed:
-            return replace(
-                state,
-                round_number=round_number,
-                prev_entry=(state.color, state.committed),
-                heard=heard_now,
-            )
-
-        conflict = self._has_conflict(state, received)
-        if not conflict and round_number >= self._FIRST_COMMIT_ROUND:
             return _State(
-                color=state.color,
-                committed=True,
-                output=state.color,
-                round_number=round_number,
-                prev_entry=(state.color, False),
-                heard=heard_now,
+                color, state.committed, state.output, round_number,
+                (color, state.committed), heard_now,
             )
-        return _State(
-            color=state.color + bits,
-            committed=False,
-            output=None,
-            round_number=round_number,
-            prev_entry=(state.color, False),
-            heard=heard_now,
-        )
+        if not _has_conflict(color, state.prev_entry, received) and (
+            round_number >= self._FIRST_COMMIT_ROUND
+        ):
+            return _State(color, True, color, round_number, (color, False), heard_now)
+        return _State(color + bits, False, None, round_number, (color, False), heard_now)
 
     def output(self, state: _State):
         return state.output
 
-    # ------------------------------------------------------------------
 
-    def _has_conflict(self, state: _State, received) -> bool:
-        """Whether any visible 1-hop or 2-hop entry still threatens my color."""
-        for (color_u, committed_u, list_u) in received:
-            if self._entry_conflicts(state.color, color_u, committed_u):
+def _has_conflict(color: str, prev_entry: ColorEntry, received) -> bool:
+    """Whether any visible 1-hop or 2-hop entry still threatens ``color``.
+
+    A committed color is final, so only exact equality could ever
+    collide with it (mine keeps its current value or grows); a growing
+    color conflicts while it is prefix-related to mine, since a future
+    collision is still possible."""
+    for (color_u, committed_u, list_u) in received:
+        if (
+            color_u == color
+            if committed_u
+            else color.startswith(color_u) or color_u.startswith(color)
+        ):
+            return True
+        entries = list(list_u)
+        # Remove my own echo exactly once per neighbor list (I appear
+        # once in every neighbor's neighborhood; the lists carry
+        # 2-rounds-stale entries and ``prev_entry`` is exactly my
+        # 2-rounds-stale entry).  Lists are empty only in round 1.
+        if entries:
+            try:
+                entries.remove(prev_entry)
+            except ValueError as exc:
+                raise AssertionError(
+                    "own echo missing from a neighbor list; "
+                    "message flow is inconsistent"
+                ) from exc
+        for (color_w, committed_w) in entries:
+            if (
+                color_w == color
+                if committed_w
+                else color.startswith(color_w) or color_w.startswith(color)
+            ):
                 return True
-            entries = list(list_u)
-            # Remove my own echo exactly once per neighbor list (I appear
-            # once in every neighbor's neighborhood; the lists carry
-            # 2-rounds-stale entries and ``prev_entry`` is exactly my
-            # 2-rounds-stale entry).  Lists are empty only in round 1.
-            if entries:
-                try:
-                    entries.remove(state.prev_entry)
-                except ValueError as exc:
-                    raise AssertionError(
-                        "own echo missing from a neighbor list; "
-                        "message flow is inconsistent"
-                    ) from exc
-            for (color_w, committed_w) in entries:
-                if self._entry_conflicts(state.color, color_w, committed_w):
-                    return True
-        return False
-
-    @staticmethod
-    def _entry_conflicts(my_color: str, other_color: str, other_committed: bool) -> bool:
-        if other_committed:
-            # A committed color is final; only exact equality could ever
-            # collide, and my color will keep its current value or grow.
-            return other_color == my_color
-        # The other node's color keeps growing: any prefix relation means a
-        # future collision is still possible.
-        return prefix_related(my_color, other_color)
+    return False

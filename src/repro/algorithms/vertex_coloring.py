@@ -10,9 +10,8 @@ prefix-permanence argument.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from repro.algorithms.bitstrings import prefix_related
 from repro.runtime.algorithm import AnonymousAlgorithm
 
 
@@ -40,31 +39,20 @@ class VertexColoringAlgorithm(AnonymousAlgorithm):
 
     def transition(self, state: _State, received, bits: str) -> _State:
         round_number = state.round_number + 1
+        color = state.color
         if state.committed:
-            return replace(state, round_number=round_number)
+            return _State(color, state.committed, state.output, round_number)
+        # A committed neighbour conflicts by equality, a growing one by a
+        # prefix relation.
         conflict = any(
-            self._entry_conflicts(state.color, color_u, committed_u)
+            color_u == color
+            if committed_u
+            else color.startswith(color_u) or color_u.startswith(color)
             for (color_u, committed_u) in received
         )
         if not conflict and round_number >= self._FIRST_COMMIT_ROUND:
-            return _State(
-                color=state.color,
-                committed=True,
-                output=state.color,
-                round_number=round_number,
-            )
-        return _State(
-            color=state.color + bits,
-            committed=False,
-            output=None,
-            round_number=round_number,
-        )
+            return _State(color, True, color, round_number)
+        return _State(color + bits, False, None, round_number)
 
     def output(self, state: _State):
         return state.output
-
-    @staticmethod
-    def _entry_conflicts(my_color: str, other_color: str, other_committed: bool) -> bool:
-        if other_committed:
-            return other_color == my_color
-        return prefix_related(my_color, other_color)

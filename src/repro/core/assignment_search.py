@@ -222,12 +222,21 @@ class _PrefixMemo:
     continues one failed trial by exactly that round.  ``_snapshots[k]``
     is the state reached after ``_rounds`` rounds by the trial whose
     per-node first ``_rounds·b`` bits have lexicographic index ``k``, as
-    a tuple of state ids in ``graph.nodes`` order.  The ids belong to
-    the search's one :class:`~repro.runtime.engine.TrialMemo`, which only
-    its own trials (:meth:`~repro.runtime.engine.TrialMemo.run`) clear,
-    so every continuation of every length looks each node's transition
-    up in one table.  A length that funds no new round continues the
-    same snapshots with no round to run.
+    a tuple of codes in ``graph.nodes`` order: a node's state id shifted
+    left by ``_width`` bits, plus 1 if that state has decided, so that
+    the low ``_width`` bits of a snapshot's sum count its decided nodes.
+    The ids belong to the search's one
+    :class:`~repro.runtime.engine.TrialMemo`, which only its own trials
+    (:meth:`~repro.runtime.engine.TrialMemo.run`) clear, so every
+    continuation of every length looks each node's transition up in one
+    table.  A length that funds no new round continues the same
+    snapshots with no round to run.
+
+    A snapshot fixes every node's state and inbox, so in a new round a
+    node's next state depends only on its own chunk of fresh bits: the
+    round from a snapshot keeps one option slot per (node, chunk value),
+    each holding the code of the state it leads to.  A slot is filled
+    the first time a trial needs it; a trial then reads its ``n`` slots.
 
     Trials the memo cannot play replay from round 0 through
     :func:`execute`: all of them for a port-numbered or deterministic
@@ -244,6 +253,7 @@ class _PrefixMemo:
         self._order = list(node_order)
         position = {v: j for j, v in enumerate(self._order)}
         self._positions = [position[v] for v in graph.nodes]
+        self._width = graph.num_nodes.bit_length()  # a decided count fits below
         self._memo = TrialMemo(algorithm, graph)
         self._rounds = 0
         # Empty until the first trial interns the initial states; ``None``
@@ -284,7 +294,7 @@ class _PrefixMemo:
         memo cannot play on.  A round runs every transition before it
         checks any output, and raises the kernel's error for an output
         that changes."""
-        memo, graph = self._memo, self._graph
+        graph = self._graph
         n = graph.num_nodes
         per_round = self._algorithm.bits_per_round
         rounds = target_length // per_round
@@ -292,41 +302,47 @@ class _PrefixMemo:
         kept = self._rounds * per_round  # bits per node behind the snapshots
         free = target_length - kept  # bits per node each trial adds
         # Node ``order[j]`` holds bits [j·t, (j+1)·t) of a trial's index in
-        # binary (``t = target_length``), its first ``kept`` bits on top.
-        prefix_shifts = [(n - 1 - j) * target_length + free for j in range(n)]
-        spans = [(j * target_length + kept, (j + 1) * target_length) for j in self._positions]
-        kept_mask = (1 << kept) - 1
-        width = f"0{n * target_length}b"
-        snapshots = self._snapshots
-        fresh: list[tuple[int, ...]] = []
+        # binary (``t = target_length``), its first ``kept`` bits on top
+        # and its chunk of ``free`` fresh bits at the bottom.
+        keyed = _prefix_keys(trials, [(n - 1 - j) * target_length + free for j in range(n)], kept)
+        decided_mask = (1 << self._width) - 1
         executions = extended = nodes_decided = index = 0
         start = _wall_clock()
         try:
-            if not snapshots:
-                snapshots = self._snapshots = [tuple(memo.initial_ids())]
-            # Per snapshot: its states, its decided nodes' (position, output),
-            # how many there are, and its inboxes when a round runs from it.
-            settled: list[tuple | None] = [None] * len(snapshots)
-            for index in range(trials):
-                key = 0
-                for shift in prefix_shifts:
-                    key = (key << kept) | ((index >> shift) & kept_mask)
-                entry = settled[key]
-                if entry is None:
-                    entry = settled[key] = self._settle(snapshots[key], new_round)
-                snapshot, fixed, decided, inboxes = entry
-                if inboxes is not None:
-                    filling = format(index, width)
-                    states = memo.advance(snapshot, inboxes, [filling[a:b] for a, b in spans])
-                    outputs = memo.outputs(states)
-                    for position, before in fixed:
-                        value = outputs[position]
-                        if value is None or value != before:
-                            raise _output_changed(graph.nodes[position], before, value, rounds)
-                    decided = n - sum([value is None for value in outputs])
-                    fresh.append(tuple(states))
-                    extended += 1
+            if not self._snapshots:
+                self._snapshots = [self._encode(self._memo.initial_ids())]
+            snapshots = self._snapshots
+            if not new_round:
+                for index, key in keyed:
+                    decided = sum(snapshots[key]) & decided_mask
+                    executions += 1
+                    nodes_decided += decided
+                    if decided == n:
+                        return index, range(0)
+                return None, range(0)
+            # Node at position ``p`` reads slot ``p·2^free + chunk``.
+            chunk_mask = (1 << free) - 1
+            reads = [(p << free, (n - 1 - j) * target_length) for p, j in enumerate(self._positions)]
+            rows: list[list[int | None] | None] = [None] * len(snapshots)
+            settled: dict[int, tuple] = {}  # the snapshots trials have reached
+            fresh: list[tuple[int, ...]] = []
+            for index, key in keyed:
+                slots = rows[key]
+                if slots is None:
+                    snapshot = snapshots[key]
+                    if sum(snapshot) & decided_mask == n:  # no round runs, and it succeeds
+                        executions += 1
+                        nodes_decided += n
+                        return index, range(0)
+                    settled[key] = self._settle(snapshot)
+                    slots = rows[key] = [None] * (n << free)
+                codes = [slots[base + ((index >> shift) & chunk_mask)] for base, shift in reads]
+                if None in codes:
+                    codes = self._fill(slots, settled[key], index, reads, chunk_mask, free, rounds)
+                decided = sum(codes) & decided_mask
+                fresh.append(tuple(codes))
                 executions += 1
+                extended += 1
                 nodes_decided += decided
                 if decided == n:
                     return index, range(0)
@@ -338,19 +354,41 @@ class _PrefixMemo:
                 executions, extended, extended * 2 * graph.num_edges,
                 extended * per_round * n, nodes_decided, _wall_clock() - start,
             )
-        if new_round:
-            self._snapshots, self._rounds = fresh, rounds
+        self._snapshots, self._rounds = fresh, rounds
         return None, range(0)
 
-    def _settle(self, snapshot: tuple[int, ...], new_round: bool) -> tuple:
-        """A snapshot's ``(states, decided (position, output) pairs,
-        decided count, inboxes)``; the inboxes only when a new round runs
-        from it, which it does unless every node has decided."""
+    def _encode(self, sids: Sequence[int]) -> tuple[int, ...]:
+        """The snapshot of states ``sids``."""
+        width, output = self._width, self._memo.output
+        return tuple([sid << width | (output(sid) is not None) for sid in sids])
+
+    def _settle(self, snapshot: tuple[int, ...]) -> tuple[list[int], list, list[list[str]]]:
+        """A snapshot's ``(state ids, outputs, inboxes)``."""
         memo = self._memo
-        outputs = memo.outputs(snapshot)
-        fixed = [(position, value) for position, value in enumerate(outputs) if value is not None]
-        runs = new_round and len(fixed) < len(snapshot)
-        return snapshot, fixed, len(fixed), memo.inbox_keys(snapshot) if runs else None
+        sids = [code >> self._width for code in snapshot]
+        return sids, memo.outputs(sids), memo.inbox_keys(sids)
+
+    def _fill(
+        self, slots: list, settled: tuple, index: int, reads: list[tuple[int, int]],
+        chunk_mask: int, free: int, rounds: int,
+    ) -> list[int]:
+        """The codes trial ``index`` reads from ``slots``, filling the
+        empty ones: every transition first, then each new output against
+        the node's decided one, in position order as the kernel checks."""
+        memo, width = self._memo, self._width
+        sids, befores, inboxes = settled
+        filled = []
+        for p, (base, shift) in enumerate(reads):
+            chunk = (index >> shift) & chunk_mask
+            if slots[base + chunk] is None:
+                target = memo.target(sids[p], format(chunk, f"0{free}b"), inboxes[p])
+                filled.append((p, base + chunk, target))
+        for p, slot, target in filled:
+            value, before = memo.output(target), befores[p]
+            if before is not None and (value is None or value != before):
+                raise _output_changed(self._graph.nodes[p], before, value, rounds)
+            slots[slot] = target << width | (value is not None)
+        return [slots[base + ((index >> shift) & chunk_mask)] for base, shift in reads]
 
     def _assignment(self, index: int, target_length: int) -> Assignment:
         """The trial of ``target_length`` with lexicographic index ``index``."""
@@ -359,6 +397,18 @@ class _PrefixMemo:
             v: bits[j * target_length : (j + 1) * target_length]
             for j, v in enumerate(self._order)
         }
+
+
+def _prefix_keys(trials: int, shifts: list[int], kept: int) -> Iterator[tuple[int, int]]:
+    """Each trial index below ``trials`` with the lexicographic index of
+    its per-node first ``kept`` bits, node ``j``'s being the ``kept`` bits
+    above bit ``shifts[j]`` of the trial's index."""
+    mask = (1 << kept) - 1
+    for index in range(trials):
+        key = 0
+        for shift in shifts:
+            key = (key << kept) | ((index >> shift) & mask)
+        yield index, key
 
 
 def _prg_assignment_search(

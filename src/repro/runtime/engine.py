@@ -33,7 +33,8 @@ import time
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
+from operator import itemgetter
 from typing import Any
 
 from repro.exceptions import (
@@ -41,7 +42,7 @@ from repro.exceptions import (
     RuntimeModelError,
     SimulationError,
 )
-from repro.graphs.labeled_graph import LabeledGraph, Node, _freeze
+from repro.graphs.labeled_graph import _ATOMS, LabeledGraph, Node, _freeze
 from repro.runtime.algorithm import AnonymousAlgorithm
 from repro.runtime.tape import BitSource, FixedTape, RandomTape, RecordingTape
 from repro.runtime.trace import ExecutionTrace, RoundRecord
@@ -52,7 +53,14 @@ DEFAULT_MAX_ROUNDS = 10_000
 
 def _message_sort_key(message: Any) -> str:
     """The canonical order key of a message (or any payload) in an
-    anonymous multiset: ``repr`` of its frozen form."""
+    anonymous multiset: ``repr`` of its frozen form.  A plain tuple of
+    atoms freezes to an equal tuple, so its own ``repr`` is the key."""
+    if type(message) is tuple:
+        for item in message:
+            if type(item) not in _ATOMS:
+                break
+        else:
+            return repr(message)
     return repr(_freeze(message))
 
 
@@ -755,6 +763,16 @@ _UNSET = object()  # an output not computed yet
 _TRANSITIONS_PER_NODE = 128
 
 
+def _gather(positions: Sequence[int]) -> Callable[[Sequence[Any]], tuple]:
+    """The tuple of a sequence's entries at ``positions``, in that order."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        (only,) = positions
+        return lambda items: (items[only],)
+    return lambda items: ()
+
+
 class TrialMemo:
     """The interned round kernel of one assignment search.
 
@@ -772,13 +790,13 @@ class TrialMemo:
     * transitions by ``(state id, bits, *inbox keys)``, the keys sorted,
       which is the order delivery hands the inbox over in.
 
-    :meth:`run` plays a trial from the initial states as a loop of
-    lookups; a miss calls the algorithm on the real state and inbox.
-    The lexicographic search continues its prefix snapshots, tuples of
-    state ids, by one round through the same pieces
-    (:meth:`initial_ids`, :meth:`inbox_keys`, :meth:`advance`,
-    :meth:`outputs`), which raise :class:`_NotInternable` where the memo
-    cannot play.
+    :meth:`run` plays a trial from the initial states in one round loop
+    of lookups, gathering each node's inbox keys by a precomputed
+    :func:`operator.itemgetter`; a miss calls the algorithm on the real
+    state and inbox.  The lexicographic search continues its prefix
+    snapshots through the same pieces (:meth:`initial_ids`,
+    :meth:`inbox_keys`, :meth:`target`, :meth:`output`), which raise
+    :class:`_NotInternable` where the memo cannot play.
 
     Reuse is almost all in a trial's first rounds, so :meth:`run` clears
     the memo between trials once it holds more than 128 transitions per
@@ -789,7 +807,7 @@ class TrialMemo:
         self.algorithm = algorithm
         self.graph = graph
         position = {v: index for index, v in enumerate(graph.nodes)}
-        self._neighbors = [tuple(position[u] for u in graph.neighbors(v)) for v in graph.nodes]
+        self._gathers = [_gather([position[u] for u in graph.neighbors(v)]) for v in graph.nodes]
         # Port inboxes are indexed by port, not sorted: those trials replay.
         self._replays = type(_infer_delivery(algorithm)) is not BroadcastDelivery
         self._clear()
@@ -846,13 +864,23 @@ class TrialMemo:
         n = len(sids)
         decided = n - sum([value is None for value in outputs])
         per_round = self.algorithm.bits_per_round
-        rounds = 0
+        key_of, output_of, transitions = self._key_of, self._output_of, self._transitions
+        steps = list(zip(self._gathers, bits))
+        rounds = low = 0
         while decided < n and rounds < limit:
-            low = rounds * per_round
+            keys = [key_of[s] or self._message_key(s) for s in sids]
             high = low + per_round
-            sids = self.advance(sids, self.inbox_keys(sids), [string[low:high] for string in bits])
+            new = []
+            for sid, (gather, string) in zip(sids, steps):
+                key = (sid, string[low:high], *sorted(gather(keys)))
+                target = transitions.get(key)
+                new.append(target if target is not None else self._transition(key))
+            sids, low = new, high
             rounds += 1
-            for index, value in enumerate(self.outputs(sids)):
+            for index, sid in enumerate(sids):
+                value = output_of[sid]
+                if value is _UNSET:
+                    value = self._output(sid)
                 before = outputs[index]
                 if before is None:
                     if value is not None:
@@ -880,34 +908,32 @@ class TrialMemo:
         neighbours' message keys, sorted."""
         key_of = self._key_of
         keys = [key_of[s] or self._message_key(s) for s in sids]
-        return [sorted([keys[u] for u in neighbors]) for neighbors in self._neighbors]
+        return [sorted(gather(keys)) for gather in self._gathers]
 
-    def advance(
-        self, sids: Sequence[int], inboxes: Sequence[list[str]], chunks: Sequence[str]
-    ) -> list[int]:
-        """Every node's state id one round on from ``sids``, each node
-        receiving its ``inboxes`` entry and drawing its ``chunks`` entry."""
-        transitions = self._transitions
-        new = []
-        for sid, keys, chunk in zip(sids, inboxes, chunks):
-            key = (sid, chunk, *keys)
-            target = transitions.get(key)
-            new.append(target if target is not None else self._transition(key))
-        return new
+    def target(self, sid: int, chunk: str, inbox: Sequence[str]) -> int:
+        """The state id one round on from state ``sid`` for a node that
+        receives the sorted message keys ``inbox`` and draws ``chunk``."""
+        key = (sid, chunk, *inbox)
+        target = self._transitions.get(key)
+        return target if target is not None else self._transition(key)
 
     def outputs(self, sids: Sequence[int]) -> list[Any]:
         """The outputs of states ``sids``, each computed once."""
-        output_of = self._output_of
-        return [output_of[s] if output_of[s] is not _UNSET else self._output(s) for s in sids]
+        return [self.output(s) for s in sids]
+
+    def output(self, sid: int) -> Any:
+        """The output of state ``sid``, computed once."""
+        value = self._output_of[sid]
+        return value if value is not _UNSET else self._output(sid)
 
     def _state_id(self, state: Any) -> int:
+        states = self._states
         try:
-            sid = self._state_ids.get(state)
+            sid = self._state_ids.setdefault(state, len(states))  # hashes once
         except TypeError:  # unhashable
             raise _NotInternable from None
-        if sid is None:
-            sid = self._state_ids[state] = len(self._states)
-            self._states.append(state)
+        if sid == len(states):
+            states.append(state)
             self._key_of.append(None)
             self._output_of.append(_UNSET)
         return sid

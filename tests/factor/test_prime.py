@@ -5,8 +5,13 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.algorithms.luby_mis import AnonymousMISAlgorithm
+from repro.algorithms.two_hop_coloring import TwoHopColoringAlgorithm
+from repro.algorithms.vertex_coloring import VertexColoringAlgorithm
+from repro.core.practical import quotient_from_view
 from repro.exceptions import FactorError, GraphError
 from repro.factor.factorizing_map import FactorizingMap
+from repro.factor.lifting import verify_execution_lifting
 from repro.factor.prime import (
     _divisors,
     _partition_to_factor,
@@ -26,6 +31,8 @@ from repro.graphs.coloring import apply_two_hop_coloring, greedy_two_hop_colorin
 from repro.graphs.isomorphism import are_isomorphic
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.graphs.lifts import cyclic_lift, lift_graph
+from repro.runtime.engine import execute
+from repro.views.local_views import all_views
 from repro.views.refinement import refinement_indices
 
 
@@ -244,8 +251,11 @@ def test_pruned_enumeration_matches_the_unpruned_one_on_coverings(case):
     assert any(are_isomorphic(factor_map.factor, base) for factor_map in found)
 
 
+colored_coverings = covering_instances().filter(lambda case: case[1].has_layer("color"))
+
+
 @settings(max_examples=30, deadline=None, derandomize=True)
-@given(case=covering_instances().filter(lambda case: case[1].has_layer("color")))
+@given(case=colored_coverings)
 def test_colored_coverings_have_the_view_quotient_as_unique_prime(case):
     """Lemmas 2 and 3 on a 2-hop colored lift: ``G_∞`` is a factor whose
     multiplicity the fiber divides, and it is the only prime factor."""
@@ -255,6 +265,46 @@ def test_colored_coverings_have_the_view_quotient_as_unique_prime(case):
     primes = prime_factors(lift)
     assert len(primes) == 1
     assert are_isomorphic(primes[0], quotient.graph)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(case=colored_coverings)
+def test_colored_coverings_rebuild_the_view_quotient_from_every_view(case):
+    """Lemma 4 on a 2-hop colored lift: ``G_∞`` is prime, its depth-``m``
+    views (``m = |V_∞|``) are pairwise distinct, and each is the alias
+    of its fiber: every lift node's depth-``m`` view is its image's.
+    Every node's depth-``2n+2`` view rebuilds ``G_∞``."""
+    lift, _base, _fiber = case
+    quotient = infinite_view_graph(lift)
+    m = quotient.graph.num_nodes
+    assert is_prime(quotient.graph)
+    aliases = all_views(quotient.graph, m)
+    assert len({id(alias) for alias in aliases.values()}) == m
+    lift_views = all_views(lift, m)
+    assert all(lift_views[v] is aliases[quotient.map(v)] for v in lift.nodes)
+    n = lift.num_nodes
+    for tree in all_views(lift, 2 * n + 2).values():
+        assert are_isomorphic(quotient_from_view(tree, n + 1), quotient.graph)
+
+
+LIFTED_ALGORITHMS = [AnonymousMISAlgorithm, VertexColoringAlgorithm, TwoHopColoringAlgorithm]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    case=colored_coverings,
+    algorithm_class=st.sampled_from(LIFTED_ALGORITHMS),
+    seed=st.integers(0, 999),
+)
+def test_colored_coverings_lift_executions_of_the_view_quotient(case, algorithm_class, seed):
+    """The lifting lemma along ``f_∞``: a run on ``G_∞`` lifts to the
+    2-hop colored lift message for message and output for output."""
+    lift, _base, _fiber = case
+    quotient_map = infinite_view_graph(lift).map
+    algorithm = algorithm_class()
+    factor_run = execute(algorithm, quotient_map.factor, seed=seed, require_decided=True)
+    comparison = verify_execution_lifting(algorithm, quotient_map, factor_run.trace.assignment())
+    assert comparison.lemma_holds
 
 
 @pytest.mark.parametrize("n", [6, 8, 10])
