@@ -27,6 +27,7 @@ first (`repro.views.clear_caches`), measuring construction from nothing;
 from __future__ import annotations
 
 import argparse
+import gc
 import itertools
 import json
 import math
@@ -107,6 +108,7 @@ from repro.exceptions import FactorError, GraphError, SimulationError  # noqa: E
 from repro.runtime.tape import FixedTape  # noqa: E402
 from repro.views.local_views import ViewBuilder, all_views, view_builder  # noqa: E402
 from repro.views.refinement import color_refinement, refinement_indices  # noqa: E402
+from repro.views import view_tree  # noqa: E402
 from repro.views.view_tree import ViewTree, clear_caches, intern_stats  # noqa: E402
 
 DEFAULT_OUTPUT = REPO_ROOT / "benchmarks" / "BENCH_views.json"
@@ -257,6 +259,18 @@ FACTORS_SPEEDUP_FLOORS = {"factors_colored_lift/12": 1.5, "factors_cycle/12": 6.
 # P4) over 3 runs on a 2-vCPU Linux container (CPython 3.11); each floor
 # sits far under the lowest.
 CANDIDATES_SPEEDUP_FLOORS = {"candidates_growth/4": 50.0, "candidates_a_star_p4/4": 50.0}
+
+# Deepening gate: ``ViewBuilder.views(2n+2)`` on the colored 8x8 torus
+# (greedy 2-hop coloring, the reconstruct workload's depth), whose
+# levels past the rank fixpoint are built from frozen plans, timed
+# against an embedded copy of the deepening loop that calls
+# ``_make_ranked`` once per class at every stable level.  Each sample
+# starts from cleared intern tables; both sides must give the same rank
+# triples at every level and the same intern table sizes.  Both run in
+# one invocation, so the speedup is gated live.  Measured 2.3-2.6x
+# over 6 runs on a 2-vCPU Linux container (CPython 3.11); the floor
+# sits under three fifths of the lowest.
+DEEPENING_SPEEDUP_FLOORS = {"deepening_colored_torus/64": 1.3}
 
 
 def _colored(graph):
@@ -1135,6 +1149,70 @@ def run_candidate_benches(repeats: int) -> dict:
     return {"speedup_floors": CANDIDATES_SPEEDUP_FLOORS, "rows": rows}
 
 
+def _reference_deepen(builder, depth):
+    """Pre-change stable deepening: refine until stable, then one
+    ``_make_ranked`` per class at every level."""
+    while len(builder._levels) < depth and not builder._stable:
+        builder._extend()
+    levels, counts = builder._levels, builder._counts
+    csr = builder._csr
+    colors, count = levels[-1][1], counts[-1]
+    if builder._rep_order is None:
+        builder._rep_order = builder._first_member_order(colors, count)
+    classes = [
+        (
+            colors[rep],
+            builder._rank_marks[csr.label_ranks[rep]],
+            builder._rank_mark_ids[csr.label_ranks[rep]],
+            [colors[u] for u in csr.adjacency[rep]],
+        )
+        for rep in builder._rep_order
+    ]
+    make = view_tree._make_ranked
+    prev_trees = levels[-1][0]
+    while len(levels) < depth:
+        trees = [None] * count
+        for c, mark, mark_id, row in classes:
+            trees[c] = make(mark, mark_id, [prev_trees[d] for d in row])
+        view_tree._record_drops(trees, prev_trees)
+        levels.append((trees, colors))
+        counts.append(count)
+        prev_trees = trees
+
+
+def _deepened(graph, deepen):
+    """Time ``deepen`` on a fresh builder from cleared intern tables;
+    return the time, every level's rank triples and the table sizes."""
+    clear_caches()
+    gc.collect()  # start both sides from the same collector state
+    builder = ViewBuilder(graph)
+    depth = 2 * graph.num_nodes + 2
+    start = time.perf_counter()
+    deepen(builder, depth)
+    elapsed = time.perf_counter() - start
+    ranks = [[tree.sort_key() for tree in trees] for trees, _colors in builder._levels]
+    stats = intern_stats()
+    del stats["bucket_shifts"]  # plan-built buckets are created sorted
+    return elapsed, (ranks, stats)
+
+
+def run_deepening_benches(repeats: int) -> dict:
+    """Plan-built stable levels vs one ``_make_ranked`` per class at
+    every level, on the colored 8x8 torus at depth 2n+2."""
+    graph = _colored(with_uniform_input(torus_graph(8, 8)))
+    current_s, reference_s = [], []
+    for _ in range(repeats):
+        elapsed, current = _deepened(graph, lambda builder, depth: builder.views(depth))
+        current_s.append(elapsed)
+        elapsed, reference = _deepened(graph, _reference_deepen)
+        reference_s.append(elapsed)
+        if current != reference:
+            raise RuntimeError("deepening_colored_torus: reference levels differ")
+    clear_caches()
+    rows = [_versus_row("deepening_colored_torus", graph.num_nodes, current_s, reference_s)]
+    return {"speedup_floors": DEEPENING_SPEEDUP_FLOORS, "rows": rows}
+
+
 def run_suite(quick: bool, repeats: int) -> dict:
     view_ns = [8, 16, 32, 64] if quick else [8, 16, 32, 64, 96, 128]
     refine_ns = [16, 64, 128] if quick else [16, 64, 128, 256, 512]
@@ -1295,8 +1373,10 @@ def run_suite(quick: bool, repeats: int) -> dict:
         # same candidate list asserted, with a live floor); 17 = a prg
         # matching ``search`` row (the ``search`` workload's prg kind)
         # against the replaying loop, and the lexicographic floor raised
-        # to 32x.
-        "schema": 17,
+        # to 32x; 18 = ``deepening`` section (plan-built stable view
+        # levels vs one ``_make_ranked`` per class, same rank triples
+        # asserted, with a live floor).
+        "schema": 18,
         "suite": "views-perf",
         "quick": quick,
         "machine": {
@@ -1318,6 +1398,7 @@ def run_suite(quick: bool, repeats: int) -> dict:
         "search": run_search_benches(repeats),
         "factors": run_factor_benches(repeats),
         "candidates": run_candidate_benches(repeats),
+        "deepening": run_deepening_benches(repeats),
     }
 
 
@@ -1518,6 +1599,14 @@ LIVE_SPEEDUP_SECTIONS = {
         "candidate enumeration beats the brute force",
         "CANDIDATE ENUMERATION SPEEDUP FLOOR VIOLATION:",
     ),
+    "deepening": (
+        DEEPENING_SPEEDUP_FLOORS,
+        _sized_case,
+        "plan-built view deepening vs make per class",
+        (("current", "current"), ("reference", "reference")),
+        "plan-built deepening beats make per class",
+        "VIEW DEEPENING SPEEDUP FLOOR VIOLATION:",
+    ),
 }
 
 
@@ -1661,7 +1750,7 @@ def _print_table(payload: dict) -> None:
             f"{_dynamic_case(row):<26}     {scratch:11.4f}ms{incremental:11.4f}ms"
             f"   speedup={row['speedup']:.2f}x"
         )
-    for section_name in ("reconstruct", "search", "factors", "candidates"):
+    for section_name in ("reconstruct", "search", "factors", "candidates", "deepening"):
         for row in payload.get(section_name, {}).get("rows", []):
             reference = row["reference"]["best_s"] * 1e3
             current = row["current"]["best_s"] * 1e3

@@ -27,7 +27,7 @@ component dominates its neighbors, so progress is a.s. perpetual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.runtime.algorithm import AnonymousAlgorithm
 
@@ -36,8 +36,7 @@ IN = "IN"
 OUT = "OUT"
 
 
-@dataclass(frozen=True)
-class _State:
+class _State(NamedTuple):
     status: str
     priority: str
     round_number: int

@@ -30,7 +30,7 @@ to each other and match.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.runtime.algorithm import AnonymousAlgorithm
 from repro.problems.matching import MATCHED, UNMATCHED
@@ -39,8 +39,7 @@ ACTIVE = "ACTIVE"
 PENDING = "PENDING"
 
 
-@dataclass(frozen=True)
-class _State:
+class _State(NamedTuple):
     status: str
     token: str
     proposal: str | None

@@ -34,15 +34,14 @@ divergence becomes visible within two rounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.runtime.algorithm import AnonymousAlgorithm
 
 ColorEntry = tuple[str, bool]  # (bitstring color, committed flag)
 
 
-@dataclass(frozen=True)
-class _State:
+class _State(NamedTuple):
     color: str
     committed: bool
     output: str | None

@@ -10,13 +10,12 @@ prefix-permanence argument.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.runtime.algorithm import AnonymousAlgorithm
 
 
-@dataclass(frozen=True)
-class _State:
+class _State(NamedTuple):
     color: str
     committed: bool
     output: str | None

@@ -94,13 +94,19 @@ class FaultyDelivery(DeliveryDiscipline):
         self._trace = trace
         self._round = 0
         self._crash_noted: set = set()
+        self._keys: dict[Node, str] = {}
         self.name = f"faulty-{inner.name}"
 
     def emit(
         self, algorithm: Any, states: Mapping[Node, Any], graph: LabeledGraph
     ) -> dict[Node, Any]:
         self._round += 1
-        return self._inner.emit(algorithm, states, graph)
+        outboxes = self._inner.emit(algorithm, states, graph)
+        if self._mode == "broadcast":
+            # Key each sender's message once per round, the way
+            # ``BroadcastDelivery.deliver`` does; inboxes sort senders.
+            self._keys = {u: _message_sort_key(message) for u, message in outboxes.items()}
+        return outboxes
 
     def _silenced(self, node: Node) -> bool:
         """Whether ``node`` is crash-silenced this round (noting the
@@ -124,18 +130,19 @@ class FaultyDelivery(DeliveryDiscipline):
     ) -> tuple[Any, ...]:
         r, schedule = self._round, self._schedule
         receiver_down = self._silenced(node)
-        received: list[Any] = []
+        senders: list[Node] = []
         for u in graph.neighbors(node):
             if receiver_down or self._silenced(u):
                 continue
             if schedule.drops(r, node, u):
                 self._trace.record(FaultEvent("drop", r, node, (u,)))
                 continue
-            received.append(outboxes[u])
+            senders.append(u)
             if schedule.duplicates(r, node, u):
                 self._trace.record(FaultEvent("duplicate", r, node, (u,)))
-                received.append(outboxes[u])
-        return tuple(sorted(received, key=_message_sort_key))
+                senders.append(u)
+        senders.sort(key=self._keys.__getitem__)
+        return tuple([outboxes[u] for u in senders])
 
     def _port_inbox(
         self, outboxes: Mapping[Node, Any], node: Node, graph: LabeledGraph

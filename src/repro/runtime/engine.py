@@ -51,16 +51,22 @@ from repro.runtime.trace import ExecutionTrace, RoundRecord
 DEFAULT_MAX_ROUNDS = 10_000
 
 
+def _plain(value: tuple) -> bool:
+    """Whether an exact tuple nests only exact tuples and atoms."""
+    for item in value:
+        kind = type(item)
+        if kind not in _ATOMS and (kind is not tuple or not _plain(item)):
+            return False
+    return True
+
+
 def _message_sort_key(message: Any) -> str:
     """The canonical order key of a message (or any payload) in an
-    anonymous multiset: ``repr`` of its frozen form.  A plain tuple of
-    atoms freezes to an equal tuple, so its own ``repr`` is the key."""
-    if type(message) is tuple:
-        for item in message:
-            if type(item) not in _ATOMS:
-                break
-        else:
-            return repr(message)
+    anonymous multiset: ``repr`` of its frozen form.  An exact tuple
+    that nests only exact tuples and atoms freezes to an equal tuple, so
+    its own ``repr`` is the key."""
+    if type(message) is tuple and _plain(message):
+        return repr(message)
     return repr(_freeze(message))
 
 

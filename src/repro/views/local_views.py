@@ -63,6 +63,13 @@ class ViewBuilder:
         # Once stable, the class list stops changing, so the creation
         # order of class representatives is computed once and reused.
         self._rep_order: list[int] | None = None
+        # Past stability: the bucket-rank vector of each level built so
+        # far (to spot a level that repeats an earlier one's bucket
+        # orders), then the plans of the levels that repeat forever and
+        # the index of the first of them.
+        self._orders: dict[tuple[int, ...], int] = {}
+        self._cycle: tuple[view_tree._LevelPlan, ...] = ()
+        self._cycle_base = 0
 
     # -- construction ---------------------------------------------------
 
@@ -176,10 +183,37 @@ class ViewBuilder:
         rep_classes = [colors[rep] for rep in rep_order]
         prev_trees = levels[-1][0]
         enumerated = list(zip(rep_classes, rep_marks, rep_mark_ids, rep_rows))
+        # Once a level orders every bucket as an earlier stable level
+        # did, the levels in between repeat forever (see
+        # ``view_tree._LevelPlan``) and are built from their plans; until
+        # then, and at any level another graph already interned into,
+        # each class goes through ``make``.  A cycle resumed from an
+        # earlier call is checked against the level it starts from.
+        cycle, base = self._cycle, self._cycle_base
+        if cycle and not cycle[(len(levels) - 1 - base) % len(cycle)].matches(prev_trees):
+            cycle = self._cycle = ()
+            self._orders.clear()
+        orders = self._orders
+        if not cycle and all(rep_rows) and not orders:
+            orders[tuple([tree._bucket_rank for tree in prev_trees])] = len(levels) - 1
         for _ in range(missing):
-            trees: list[ViewTree] = [None] * count  # type: ignore[list-item]
-            for c, mark, mark_id, row in enumerated:
-                trees[c] = make(mark, mark_id, [prev_trees[d] for d in row])
+            level = len(levels)
+            trees = cycle[(level - base) % len(cycle)].intern_level(prev_trees) if cycle else None
+            if trees is None:
+                trees = [None] * count  # type: ignore[list-item]
+                for c, mark, mark_id, row in enumerated:
+                    trees[c] = make(mark, mark_id, [prev_trees[d] for d in row])
+                if orders:
+                    ranks = tuple([tree._bucket_rank for tree in trees])
+                    earlier = orders.setdefault(ranks, level)
+                    if earlier != level:
+                        classes = list(zip(rep_classes, rep_marks, rep_mark_ids))
+                        cycle = self._cycle = tuple(
+                            view_tree._LevelPlan.freeze(classes, levels[k][0], levels[k - 1][0])
+                            for k in range(earlier + 1, level)
+                        ) + (view_tree._LevelPlan.freeze(classes, trees, prev_trees),)
+                        base = self._cycle_base = earlier + 1
+                        orders.clear()
             record_drops(trees, prev_trees)
             levels.append((trees, colors))
             counts.append(count)

@@ -2,7 +2,7 @@
 
 A :class:`ViewTree` is the tree object of the paper's ``L_d(v, G)``: a
 root *vertex* carrying a *mark* (the node label) with one child subtree
-per neighbor.  Three design points matter:
+per neighbor.  Four design points matter:
 
 * **Hash-consing.**  The same subtree (``L_{d-1}(u)``) appears in the
   views of all of ``u``'s neighbors, so trees are interned: structurally
@@ -32,12 +32,25 @@ per neighbor.  Three design points matter:
   of a bucket renumbers only that bucket's suffix, and interning a new
   mark key in the middle of the mark order renumbers only the (small)
   mark-rank table.  See ``docs/PERFORMANCE.md`` for the cost model.
+
+* **Stable levels at copy cost.**  Past stability, a view builder's
+  level ``d + 1`` holds one tree per class, and both its children's
+  canonical order and its place in its bucket follow from the mark
+  order and from how level ``d`` orders each bucket.  Later interning
+  shifts ranks only order-preservingly, so once a level orders every
+  bucket as an earlier level did, the levels in between repeat forever:
+  a fixpoint, or a short cycle of levels (two on the tori and random
+  regular graphs measured).
+  :class:`_LevelPlan` freezes each repeating level's child orders and
+  bucket orders and builds the deeper levels from them, with no sort
+  and no rank search, whenever their buckets are new.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
+from operator import itemgetter
 from typing import Any
 
 from repro.graphs.labeled_graph import _freeze
@@ -107,10 +120,22 @@ def _rank_key(tree: "ViewTree") -> tuple[int, int, int]:
     return (tree.depth, _MARK_RANK[tree._mark_id], tree._bucket_rank)
 
 
-def _children_key(tree: "ViewTree") -> tuple[tuple[int, int, int], ...]:
-    return tuple(
-        (c.depth, _MARK_RANK[c._mark_id], c._bucket_rank) for c in tree.children
-    )
+def _children_precede(left: Sequence["ViewTree"], right: Sequence["ViewTree"]) -> bool:
+    """Whether the child sequence ``left`` sorts before ``right``: their
+    rank triples compared lexicographically, shorter first on ties.
+
+    Stops at the first position whose children differ; distinct interned
+    trees never share a rank triple, so that position decides.
+    """
+    for a, b in zip(left, right):
+        if a is not b:
+            if a.depth != b.depth:
+                return a.depth < b.depth
+            rank_a, rank_b = _MARK_RANK[a._mark_id], _MARK_RANK[b._mark_id]
+            if rank_a != rank_b:
+                return rank_a < rank_b
+            return a._bucket_rank < b._bucket_rank
+    return len(left) < len(right)
 
 
 def _make_ranked(mark: Any, mark_id: int, children: Sequence["ViewTree"]) -> "ViewTree":
@@ -172,11 +197,11 @@ def _register_rank(tree: "ViewTree") -> None:
         _BUCKETS[bucket_id] = [tree]
         tree._bucket_rank = 0
         return
-    key = _children_key(tree)
+    children = tree.children
     lo, hi = 0, len(bucket)
     while lo < hi:
         mid = (lo + hi) // 2
-        if _children_key(bucket[mid]) < key:
+        if _children_precede(bucket[mid].children, children):
             lo = mid + 1
         else:
             hi = mid
@@ -370,6 +395,113 @@ def _record_drops(trees: Sequence[ViewTree], drops: Sequence[ViewTree]) -> None:
     table = _TRUNCATE_CACHE
     for tree, dropped in zip(trees, drops):
         table[(id(tree), tree.depth - 1)] = dropped
+
+
+def _getter(indices: Sequence[int]) -> Callable[[Sequence[ViewTree]], tuple[ViewTree, ...]]:
+    """A callable returning the tuple of its argument's items at
+    ``indices`` (one or more)."""
+    if len(indices) == 1:
+        (index,) = indices
+        return lambda trees: (trees[index],)
+    return itemgetter(*indices)
+
+
+class _LevelPlan:
+    """The layout a view builder's levels repeat past their rank fixpoint.
+
+    A builder past stability builds level ``d + 1`` with one tree per
+    class, the children of class ``c`` being the level-``d`` trees of its
+    neighbours' classes.  Two things about that level follow from the
+    mark order and from the order of level ``d``'s trees within each
+    mark bucket: every class's canonical child order, and the order of
+    the classes within each new ``(d + 1, mark)`` bucket.  A new mark
+    shifts mark ranks order-preservingly, and so does a new tree inside
+    a bucket, so these orders never go stale.  Hence once level ``d``
+    orders every bucket as level ``d - p`` did, level ``d + k`` repeats
+    the child orders and bucket orders of level ``d - p + k`` for every
+    ``k >= 1``.  A builder keeps one plan per level of that cycle, each
+    recording:
+
+    * ``entries`` — per class, in creation order: ``(class, mark, mark
+      id, getter of its children in canonical order, rank in its
+      bucket)``, the getter reading the level below by class index;
+    * ``buckets`` — per mark, in bucket-creation order: ``(mark id,
+      classes in bucket order)``.
+
+    :meth:`intern_level` builds a level straight from the plan when all
+    of its buckets are new, which is exactly when none of its trees can
+    exist yet; otherwise the builder falls back to ``_make_ranked``.
+    Plans apply to levels whose every class has a neighbour, so that all
+    trees of a level share one depth.
+    """
+
+    __slots__ = ("entries", "buckets")
+
+    def __init__(self, entries: tuple, buckets: tuple) -> None:
+        self.entries = entries
+        self.buckets = buckets
+
+    @classmethod
+    def freeze(
+        cls,
+        classes: Sequence[tuple[int, Any, int]],
+        trees: Sequence[ViewTree],
+        prev_trees: Sequence[ViewTree],
+    ) -> "_LevelPlan":
+        """The plan of the level ``trees`` over ``prev_trees``, given its
+        ``(class, mark, mark id)`` triples in creation order."""
+        class_of = {id(tree): c for c, tree in enumerate(prev_trees)}
+        members: dict[int, list[int]] = {}
+        for c, _mark, mark_id in classes:
+            members.setdefault(mark_id, []).append(c)
+        rank = [0] * len(trees)
+        buckets = []
+        for mark_id, in_bucket in members.items():
+            in_bucket.sort(key=lambda c: trees[c]._bucket_rank)
+            for position, c in enumerate(in_bucket):
+                rank[c] = position
+            buckets.append((mark_id, tuple(in_bucket)))
+        entries = tuple(
+            (c, mark, mark_id, _getter([class_of[id(t)] for t in trees[c].children]), rank[c])
+            for c, mark, mark_id in classes
+        )
+        return cls(entries, tuple(buckets))
+
+    def matches(self, trees: Sequence[ViewTree]) -> bool:
+        """Whether ``trees`` order every bucket's classes as the plan does."""
+        for _mark_id, in_bucket in self.buckets:
+            last = -1
+            for c in in_bucket:
+                rank = trees[c]._bucket_rank
+                if rank <= last:
+                    return False
+                last = rank
+        return True
+
+    def intern_level(self, prev_trees: Sequence[ViewTree]) -> list[ViewTree] | None:
+        """Intern the level over ``prev_trees`` from the plan, or return
+        ``None`` when one of its buckets already exists.
+
+        Each tree is interned under the key ``_make_ranked`` would form,
+        in the same order, and each bucket is created already sorted.
+        """
+        depth = prev_trees[0].depth + 1
+        buckets = _BUCKETS
+        for mark_id, _in_bucket in self.buckets:
+            if (depth, mark_id) in buckets:
+                return None
+        intern = _INTERN
+        trees: list[ViewTree] = [None] * len(prev_trees)  # type: ignore[list-item]
+        for c, mark, mark_id, children_of, rank in self.entries:
+            children = children_of(prev_trees)
+            tree = ViewTree(mark, children, _MAKE_TOKEN)
+            tree._mark_id = mark_id
+            tree._bucket_rank = rank
+            intern[(mark_id, tuple(map(id, children)))] = tree
+            trees[c] = tree
+        for mark_id, in_bucket in self.buckets:
+            buckets[(depth, mark_id)] = list(map(trees.__getitem__, in_bucket))
+        return trees
 
 
 def clear_caches() -> None:
