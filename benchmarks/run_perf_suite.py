@@ -38,6 +38,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -269,7 +270,9 @@ CANDIDATES_SPEEDUP_FLOORS = {"candidates_growth/4": 50.0, "candidates_a_star_p4/
 # triples at every level and the same intern table sizes.  Both run in
 # one invocation, so the speedup is gated live.  Measured 2.3-2.6x
 # over 6 runs on a 2-vCPU Linux container (CPython 3.11); the floor
-# sits under three fifths of the lowest.
+# sits under three fifths of the lowest.  The row also reports, without
+# a gate, the traced bytes each side's deepening holds per interned tree
+# (one extra untimed run per side under ``tracemalloc``).
 DEEPENING_SPEEDUP_FLOORS = {"deepening_colored_torus/64": 1.3}
 
 
@@ -1180,6 +1183,10 @@ def _reference_deepen(builder, depth):
         prev_trees = trees
 
 
+def _current_deepen(builder, depth):
+    builder.views(depth)
+
+
 def _deepened(graph, deepen):
     """Time ``deepen`` on a fresh builder from cleared intern tables;
     return the time, every level's rank triples and the table sizes."""
@@ -1196,20 +1203,50 @@ def _deepened(graph, deepen):
     return elapsed, (ranks, stats)
 
 
+def _traced_bytes_per_tree(graph, deepen) -> float:
+    """Traced bytes that ``deepen`` to depth 2n+2 leaves held, per
+    interned tree, from cleared intern tables."""
+    clear_caches()
+    gc.collect()
+    builder = ViewBuilder(graph)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        deepen(builder, 2 * graph.num_nodes + 2)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    trees = intern_stats()["trees"]
+    clear_caches()
+    return round(held / trees, 1)
+
+
 def run_deepening_benches(repeats: int) -> dict:
     """Plan-built stable levels vs one ``_make_ranked`` per class at
     every level, on the colored 8x8 torus at depth 2n+2."""
     graph = _colored(with_uniform_input(torus_graph(8, 8)))
     current_s, reference_s = [], []
     for _ in range(repeats):
-        elapsed, current = _deepened(graph, lambda builder, depth: builder.views(depth))
+        elapsed, current = _deepened(graph, _current_deepen)
         current_s.append(elapsed)
         elapsed, reference = _deepened(graph, _reference_deepen)
         reference_s.append(elapsed)
         if current != reference:
             raise RuntimeError("deepening_colored_torus: reference levels differ")
     clear_caches()
-    rows = [_versus_row("deepening_colored_torus", graph.num_nodes, current_s, reference_s)]
+    bytes_per_tree = {
+        "current": _traced_bytes_per_tree(graph, _current_deepen),
+        "reference": _traced_bytes_per_tree(graph, _reference_deepen),
+    }
+    rows = [
+        _versus_row(
+            "deepening_colored_torus",
+            graph.num_nodes,
+            current_s,
+            reference_s,
+            bytes_per_tree=bytes_per_tree,
+        )
+    ]
     return {"speedup_floors": DEEPENING_SPEEDUP_FLOORS, "rows": rows}
 
 
@@ -1375,8 +1412,9 @@ def run_suite(quick: bool, repeats: int) -> dict:
         # against the replaying loop, and the lexicographic floor raised
         # to 32x; 18 = ``deepening`` section (plan-built stable view
         # levels vs one ``_make_ranked`` per class, same rank triples
-        # asserted, with a live floor).
-        "schema": 18,
+        # asserted, with a live floor); 19 = the ``deepening`` row reports
+        # each side's traced bytes per interned tree (no gate).
+        "schema": 19,
         "suite": "views-perf",
         "quick": quick,
         "machine": {
@@ -1754,10 +1792,14 @@ def _print_table(payload: dict) -> None:
         for row in payload.get(section_name, {}).get("rows", []):
             reference = row["reference"]["best_s"] * 1e3
             current = row["current"]["best_s"] * 1e3
-            print(
+            line = (
                 f"{row['bench']:<26}{row['n']:>5}{reference:11.4f}ms{current:11.4f}ms"
                 f"   speedup={row['speedup']:.2f}x"
             )
+            held = row.get("bytes_per_tree")
+            if held:
+                line += f"   bytes/tree={held['reference']}/{held['current']}"
+            print(line)
 
 
 def main(argv=None) -> int:

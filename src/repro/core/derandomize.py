@@ -66,12 +66,14 @@ def derandomize_pipeline(
             f"{instance!r} is not an instance of {bundle.problem.name}"
         )
 
-    # Stage 1: the generic randomized preprocessing.
+    # Stage 1: the generic randomized preprocessing.  Only its coloring
+    # and round count are kept, so it records no trace.
     coloring_run = execute(
         TwoHopColoringAlgorithm(),
         instance,
         seed=seed,
         max_rounds=max_rounds,
+        record_trace=False,
         require_decided=True,
     )
     coloring = coloring_run.outputs

@@ -16,7 +16,9 @@ into CI as ``make smoke``; exits 0 when every gate holds, 1 otherwise.
   :func:`emit_manifest` digests the views/refinement/quotient/artifact
   key/dynamic replay surfaces in child interpreters under
   ``PYTHONHASHSEED`` 0, 0 and 4217.  The rerun separates plain
-  nondeterminism from a hash-order leak.
+  nondeterminism from a hash-order leak.  Each child also reports the
+  code fingerprint its artifact keys embed, so a source file saved while
+  the gate runs fails as a changed tree, not as a leak.
 * **artifacts** — the registry-wide query mix is computed directly,
   then fetched cold (fresh store: one compute per distinct key) and warm
   (reopened store, cleared memory: zero computes) through
@@ -236,9 +238,13 @@ def emit_manifest() -> dict[str, str]:
     return manifest
 
 
+# The child reports the fingerprint its keys used (memoised on the
+# first key, so read after the manifest).
 _EMIT = (
     "import json; from repro.experiments.gates import emit_manifest; "
-    "print(json.dumps(emit_manifest(), indent=2, sort_keys=True))"
+    "from repro.experiments.fingerprint import code_fingerprint; "
+    "manifest = emit_manifest(); "
+    "print(json.dumps({'fingerprint': code_fingerprint(), 'manifest': manifest}))"
 )
 
 
@@ -247,7 +253,9 @@ def check_hashseed() -> list[str]:
 
     The children import this process's ``repro``: its source root goes
     first on their ``PYTHONPATH``, whether this process found it there
-    or on ``sys.path``, so they never digest another copy of the code."""
+    or on ``sys.path``, so they never digest another copy of the code.
+    Children that report different code fingerprints saw the source tree
+    change under them; their manifests are not compared."""
     print(f"[gates] canonical manifests under PYTHONHASHSEED {HASH_SEEDS} ...")
     source_root = str(Path(repro.__file__).resolve().parents[1])
     pythonpath = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
@@ -259,8 +267,14 @@ def check_hashseed() -> list[str]:
         )
         if proc.returncode != 0:
             return [f"emit child (PYTHONHASHSEED={seed}) failed:\n{proc.stderr}"]
-        outputs.append(proc.stdout)
-    first, rerun, other = outputs
+        outputs.append(json.loads(proc.stdout))
+    fingerprints = [output["fingerprint"] for output in outputs]
+    if len(set(fingerprints)) > 1:
+        seen = ", ".join(fingerprint[:12] for fingerprint in fingerprints)
+        return [f"source tree changed while the gate ran; rerun (code fingerprints {seen})"]
+    first, rerun, other = (
+        json.dumps(output["manifest"], indent=2, sort_keys=True) for output in outputs
+    )
     seed, other_seed = HASH_SEEDS[0], HASH_SEEDS[2]
     failures = _diff(f"reruns under PYTHONHASHSEED={seed} (plain nondeterminism)", first, rerun)
     failures += _diff(f"PYTHONHASHSEED={seed} vs {other_seed} (hash-order leak)", first, other)

@@ -8,7 +8,10 @@ per neighbor.  Four design points matter:
   views of all of ``u``'s neighbors, so trees are interned: structurally
   equal trees are the *same* Python object, equality is identity, and a
   depth-``d`` view over an ``n``-node graph costs ``O(n · d)`` distinct
-  tree objects even though its expanded size is exponential.
+  tree objects even though its expanded size is exponential.  Each
+  costs one object, its children tuple (which is also its intern key)
+  and a table entry; it holds its own one-level drop, and ``size`` is
+  computed only when read.
 
 * **Canonical child order.**  Children are stored sorted under the
   structural total order below.  The paper (Section 2.1) canonicalizes by
@@ -55,13 +58,14 @@ from typing import Any
 
 from repro.graphs.labeled_graph import _freeze
 
-# Interned trees: (mark id, child object ids) -> tree.  Children are
-# already canonically ordered when the key is formed, so structural
-# equality coincides with key equality.
-_INTERN: dict[tuple[int, tuple[int, ...]], "ViewTree"] = {}
-# Truncations: (tree id, depth) -> tree.  Holds each tree's one-level
-# drop (key depth = tree depth - 1; view builders record these as they
-# intern, see ``_record_drops``) plus one entry per requested target.
+# Interned trees, one table per mark id: canonical children tuple ->
+# tree.  The key is the tuple the tree itself holds, and interned trees
+# hash and compare by identity, so key equality is structural equality
+# at no cost beyond the table entry.
+_INTERN: list[dict[tuple["ViewTree", ...], "ViewTree"]] = []
+# Multi-level truncations: (tree id, depth) -> tree, one entry per
+# requested target at least two levels down.  One-level drops live on
+# the trees themselves (``ViewTree._dropped``).
 _TRUNCATE_CACHE: dict[tuple[int, int], "ViewTree"] = {}
 
 # Mark-key table: each distinct serialized mark (``repr(_freeze(mark))``)
@@ -75,11 +79,12 @@ _MARK_RANK: list[int] = []  # mark id -> dense rank, ordered like the keys
 _MARK_SORTED_KEYS: list[str] = []  # keys in sorted order
 _MARK_SORTED_IDS: list[int] = []  # ids in key-sorted order
 
-# Rank buckets: (depth, mark id) -> trees sorted by the lexicographic
-# order of their child rank sequences.  A tree's ``_bucket_rank`` is its
-# index in its bucket, so (depth, mark rank, bucket rank) compared as an
-# integer triple realizes the structural total order.
-_BUCKETS: dict[tuple[int, int], list["ViewTree"]] = {}
+# Rank buckets, one table per mark id: depth -> the trees of that depth
+# and mark, sorted by the lexicographic order of their child rank
+# sequences.  A tree's ``_bucket_rank`` is its index in its bucket, so
+# (depth, mark rank, bucket rank) compared as an integer triple realizes
+# the structural total order.
+_BUCKETS: list[dict[int, list["ViewTree"]]] = []
 
 _STATS = {"mark_renumbers": 0, "bucket_shifts": 0}
 
@@ -98,6 +103,8 @@ def _mark_id_of(mark: Any) -> int:
     if mark_id is None:
         mark_id = len(_MARK_KEYS)
         _MARK_KEYS.append(key)
+        _INTERN.append({})
+        _BUCKETS.append({})
         _MARK_ID_BY_KEY[key] = mark_id
         _MARK_RANK.append(0)
         position = bisect_left(_MARK_SORTED_KEYS, key)
@@ -161,25 +168,17 @@ def _make_ranked(mark: Any, mark_id: int, children: Sequence["ViewTree"]) -> "Vi
                 ordered = (a, b) if rank_a < rank_b else (b, a)
             else:
                 ordered = (a, b) if a._bucket_rank < b._bucket_rank else (b, a)
-        key = (mark_id, (id(ordered[0]), id(ordered[1])))
-        tree = _INTERN.get(key)
-        if tree is None:
-            tree = ViewTree(mark, ordered, _MAKE_TOKEN)
-            tree._mark_id = mark_id
-            _register_rank(tree)
-            _INTERN[key] = tree
-        return tree
-    if len(children) > 2:
+    elif len(children) > 2:
         ordered = tuple(sorted(children, key=_rank_key))
     else:
         ordered = tuple(children)
-    key = (mark_id, tuple(map(id, ordered)))
-    tree = _INTERN.get(key)
+    table = _INTERN[mark_id]
+    tree = table.get(ordered)
     if tree is None:
         tree = ViewTree(mark, ordered, _MAKE_TOKEN)
         tree._mark_id = mark_id
         _register_rank(tree)
-        _INTERN[key] = tree
+        table[ordered] = tree
     return tree
 
 
@@ -191,10 +190,10 @@ def _register_rank(tree: "ViewTree") -> None:
     the intern table).  Appending at the end is O(1); a middle insert
     renumbers the bucket suffix — dense ranks stay dense.
     """
-    bucket_id = (tree.depth, tree._mark_id)
-    bucket = _BUCKETS.get(bucket_id)
+    by_depth = _BUCKETS[tree._mark_id]
+    bucket = by_depth.get(tree.depth)
     if bucket is None:
-        _BUCKETS[bucket_id] = [tree]
+        by_depth[tree.depth] = [tree]
         tree._bucket_rank = 0
         return
     children = tree.children
@@ -215,29 +214,66 @@ def _register_rank(tree: "ViewTree") -> None:
 class ViewTree:
     """A hash-consed rooted marked tree.  Use :meth:`make`, not ``__init__``."""
 
-    __slots__ = ("mark", "children", "depth", "size", "_mark_id", "_bucket_rank", "__weakref__")
+    __slots__ = (
+        "mark",
+        "children",
+        "depth",
+        "_size",
+        "_mark_id",
+        "_bucket_rank",
+        "_dropped",
+        "__weakref__",
+    )
 
     mark: Any
     children: tuple["ViewTree", ...]
     depth: int
-    size: int
 
     def __init__(self, mark: Any, children: tuple["ViewTree", ...], _token: object) -> None:
         if _token is not _MAKE_TOKEN:
             raise TypeError("use ViewTree.make(mark, children) — trees are interned")
         self.mark = mark
         self.children = children
-        # A plain loop, not max()/sum() over generators: trees intern at
-        # a few per node per level, and two generator frames per intern
-        # dominate the cold-build profile on bounded-degree graphs.
+        # A plain loop, not max() over a generator: trees intern at a
+        # few per node per level, and a generator frame per intern shows
+        # in the cold-build profile on bounded-degree graphs.
         depth = 0
-        size = 1
         for c in children:
             if c.depth > depth:
                 depth = c.depth
-            size += c.size
         self.depth = depth + 1
-        self.size = size
+        self._size = None
+        # The one-level drop ``truncate(depth - 1)``: recorded by view
+        # builders as they intern, else derived once by ``_drop``.
+        self._dropped = None
+
+    @property
+    def size(self) -> int:
+        """The number of vertices of the expanded tree.
+
+        Computed on first read, bottom-up over the distinct subtrees not
+        sized yet, with an explicit stack: views can be deeper than the
+        recursion limit, and most are never asked their size.
+        """
+        size = self._size
+        if size is None:
+            stack = [self]
+            while stack:
+                tree = stack[-1]
+                if tree._size is not None:
+                    stack.pop()
+                    continue
+                unsized = [c for c in tree.children if c._size is None]
+                if unsized:
+                    stack.extend(unsized)
+                    continue
+                total = 1
+                for c in tree.children:
+                    total += c._size
+                tree._size = total
+                stack.pop()
+            size = self._size
+        return size
 
     # ------------------------------------------------------------------
     # Construction
@@ -311,13 +347,15 @@ class ViewTree:
             raise ValueError(f"truncation depth must be at least 1, got {depth}")
         if self.depth <= depth:
             return self
+        if self.depth - 1 == depth:
+            return _drop(self)
         key = (id(self), depth)
         result = _TRUNCATE_CACHE.get(key)
         if result is None:
-            # Follow the drop chain: each one-level drop is memoised per
-            # distinct tree, so the table grows with the number of trees
-            # (plus one entry per distinct request), never with
-            # trees x depths x targets.  See docs/PERFORMANCE.md.
+            # Follow the drop chain: each one-level drop is held by its
+            # tree, so the table grows with the number of distinct
+            # requests, never with trees x depths x targets.  See
+            # docs/PERFORMANCE.md.
             result = self
             while result.depth > depth:
                 result = _drop(result)
@@ -363,7 +401,7 @@ _MAKE_TOKEN = object()
 
 
 def _drop(tree: ViewTree) -> ViewTree:
-    """``tree.truncate(tree.depth - 1)``, memoised per distinct tree.
+    """``tree.truncate(tree.depth - 1)``, held by the tree once known.
 
     Only children of depth ``tree.depth - 1`` lose a level; shallower
     children already fit and are kept as they are.  A depth-2 tree drops
@@ -371,30 +409,27 @@ def _drop(tree: ViewTree) -> ViewTree:
     A plain loop rather than a comprehension keeps the cold recursion at
     one frame per level.
     """
-    below = tree.depth - 1
-    key = (id(tree), below)
-    dropped = _TRUNCATE_CACHE.get(key)
+    dropped = tree._dropped
     if dropped is None:
+        below = tree.depth - 1
         children = []
         if below > 1:
             for child in tree.children:
                 children.append(_drop(child) if child.depth == below else child)
-        dropped = _make_ranked(tree.mark, tree._mark_id, children)
-        _TRUNCATE_CACHE[key] = dropped
+        dropped = tree._dropped = _make_ranked(tree.mark, tree._mark_id, children)
     return dropped
 
 
 def _record_drops(trees: Sequence[ViewTree], drops: Sequence[ViewTree]) -> None:
-    """Enter ``drops[i]`` as the one-level drop of ``trees[i]``.
+    """Set ``drops[i]`` as the one-level drop of ``trees[i]``.
 
     For builders that already hold each drop: a builder interning
     ``L_d(v)`` built it from the level that holds ``L_{d-1}(v)``, which
-    is that tree's drop, so a later ``truncate`` follows table hits
-    instead of re-deriving the drop through ``_drop``.
+    is that tree's drop, so a later ``truncate`` follows the trees' own
+    drops instead of re-deriving them through ``_drop``.
     """
-    table = _TRUNCATE_CACHE
     for tree, dropped in zip(trees, drops):
-        table[(id(tree), tree.depth - 1)] = dropped
+        tree._dropped = dropped
 
 
 def _getter(indices: Sequence[int]) -> Callable[[Sequence[ViewTree]], tuple[ViewTree, ...]]:
@@ -482,13 +517,14 @@ class _LevelPlan:
         """Intern the level over ``prev_trees`` from the plan, or return
         ``None`` when one of its buckets already exists.
 
-        Each tree is interned under the key ``_make_ranked`` would form,
-        in the same order, and each bucket is created already sorted.
+        Each tree is interned under the children tuple ``_make_ranked``
+        would form, in the same order, and each bucket is created already
+        sorted.
         """
         depth = prev_trees[0].depth + 1
         buckets = _BUCKETS
         for mark_id, _in_bucket in self.buckets:
-            if (depth, mark_id) in buckets:
+            if depth in buckets[mark_id]:
                 return None
         intern = _INTERN
         trees: list[ViewTree] = [None] * len(prev_trees)  # type: ignore[list-item]
@@ -497,10 +533,10 @@ class _LevelPlan:
             tree = ViewTree(mark, children, _MAKE_TOKEN)
             tree._mark_id = mark_id
             tree._bucket_rank = rank
-            intern[(mark_id, tuple(map(id, children)))] = tree
+            intern[mark_id][children] = tree
             trees[c] = tree
         for mark_id, in_bucket in self.buckets:
-            buckets[(depth, mark_id)] = list(map(trees.__getitem__, in_bucket))
+            buckets[mark_id][depth] = list(map(trees.__getitem__, in_bucket))
         return trees
 
 
@@ -542,10 +578,12 @@ def clear_caches() -> None:
 def intern_stats() -> dict[str, int]:
     """Sizes of the intern/rank tables (for perf diagnostics)."""
     return {
-        "trees": len(_INTERN),
+        "trees": sum(map(len, _INTERN)),
         "marks": len(_MARK_KEYS),
-        "buckets": len(_BUCKETS),
-        "max_bucket": max((len(b) for b in _BUCKETS.values()), default=0),
+        "buckets": sum(map(len, _BUCKETS)),
+        "max_bucket": max(
+            (len(bucket) for by_depth in _BUCKETS for bucket in by_depth.values()), default=0
+        ),
         "truncations": len(_TRUNCATE_CACHE),
         "mark_renumbers": _STATS["mark_renumbers"],
         "bucket_shifts": _STATS["bucket_shifts"],

@@ -33,6 +33,7 @@ from repro.problems.gran import GranBundle
 from repro.problems.matching import MaximalMatchingProblem
 from repro.problems.mis import MISProblem
 from repro.views.local_views import all_views, view
+from repro.views import view_tree
 from repro.views.view_tree import clear_caches, intern_stats
 
 
@@ -293,9 +294,10 @@ class TestPracticalDerandomizer:
     @pytest.mark.parametrize("case", ["32", "64", "rr3-64"])
     def test_truncation_work_is_linear_in_view_size(self, case):
         """A work count, not a timing: each node reconstructs from its
-        depth-(2n + 2) view, and the truncation table must stay within a
-        small multiple of the n * (2n + 2) distinct view trees (an
-        O(n^3) truncation path gave 270,400 entries at n = 64)."""
+        depth-(2n + 2) view, and the memoised truncations (the drops the
+        trees hold plus the multi-level table) must stay within a small
+        multiple of the n * (2n + 2) distinct view trees (an O(n^3)
+        truncation path gave 270,400 entries at n = 64)."""
         clear_caches()
         if case == "rr3-64":
             instance = colored_random_regular(64, 0)
@@ -304,7 +306,12 @@ class TestPracticalDerandomizer:
         n = instance.num_nodes
         solver = PracticalDerandomizer(MISProblem(), AnonymousMISAlgorithm(), strategy="prg")
         solver.solve(instance)
-        assert intern_stats()["truncations"] <= 2 * n * (2 * n + 2)
+        trees = [tree for table in view_tree._INTERN for tree in table.values()]
+        drops = sum(tree._dropped is not None for tree in trees)
+        # Every interned tree above the leaves holds its drop, so the
+        # count cannot fall silently to the multi-level table alone.
+        assert drops == sum(tree.depth > 1 for tree in trees)
+        assert drops + intern_stats()["truncations"] <= 2 * n * (2 * n + 2)
         clear_caches()
 
     def test_one_walk_per_solve(self, monkeypatch):

@@ -126,6 +126,35 @@ class TestManifest:
     def test_manifest_is_stable_in_process(self):
         assert gates.emit_manifest() == gates.emit_manifest()
 
+    @staticmethod
+    def stub_emit(monkeypatch, fingerprint: str, manifest: str) -> None:
+        """Children that print ``fingerprint`` and ``manifest``, both
+        Python expressions over ``seed`` (the child's PYTHONHASHSEED)."""
+        monkeypatch.setattr(
+            gates,
+            "_EMIT",
+            "import json, os; seed = os.environ['PYTHONHASHSEED']; "
+            f"print(json.dumps({{'fingerprint': {fingerprint}, 'manifest': {manifest}}}))",
+        )
+
+    def test_source_edit_mid_gate_is_a_changed_tree_not_a_leak(self, monkeypatch):
+        # The last child digests keys under another fingerprint, so its
+        # manifest differs too: that must not read as a hash-order leak.
+        self.stub_emit(
+            monkeypatch,
+            "'b' * 64 if seed == '4217' else 'a' * 64",
+            "{'key': seed}",
+        )
+        assert gates.check_hashseed() == [
+            "source tree changed while the gate ran; rerun "
+            f"(code fingerprints {'a' * 12}, {'a' * 12}, {'b' * 12})"
+        ]
+
+    def test_same_fingerprint_with_differing_manifests_is_a_leak(self, monkeypatch):
+        self.stub_emit(monkeypatch, "'a' * 64", "{'key': seed}")
+        (failure,) = gates.check_hashseed()
+        assert failure.startswith("PYTHONHASHSEED=0 vs 4217 (hash-order leak) diverge")
+
     def test_hashseed_children_import_this_repro_without_pythonpath(self, monkeypatch):
         # This process may have found ``repro`` on ``sys.path`` alone;
         # the children must still import the same source tree.

@@ -6,8 +6,9 @@ calling ``_make_ranked`` per class.  The reference below is the
 deepening loop that plans replaced: every stable level goes through
 ``_make_ranked``.  Each scenario runs once through the builder and once,
 in a fresh epoch, through the reference; both must leave identical
-intern tables (keys, insertion order and tree identity), rank buckets,
-sort keys, truncation entries, views and partitions.
+intern tables (per mark: keys, insertion order and tree identity), rank
+buckets, sort keys, one-level drops, multi-level truncation entries,
+views and partitions.
 """
 
 from __future__ import annotations
@@ -67,27 +68,51 @@ def planned_deepen(builder: ViewBuilder, depth: int) -> None:
 
 def snapshot(builders: list[ViewBuilder]) -> dict:
     """Everything the deepening leaves behind, with trees named by their
-    position in the intern table so two epochs compare."""
-    index = {id(tree): i for i, tree in enumerate(view_tree._INTERN.values())}
+    mark and their position in that mark's intern table so two epochs
+    compare.  The drops are read as the deepening left them; then every
+    top tree is truncated halfway down its drop chain, so the multi-level
+    truncation table has entries to compare."""
+    dropped = [tree._dropped for table in view_tree._INTERN for tree in table.values()]
+    for b in builders:
+        for tree in b._levels[-1][0]:
+            tree.truncate(max(1, tree.depth // 2))
     keys = view_tree._MARK_KEYS
+    names = {
+        id(tree): (keys[mark_id], i)
+        for mark_id, table in enumerate(view_tree._INTERN)
+        for i, tree in enumerate(table.values())
+    }
+    trees = [tree for table in view_tree._INTERN for tree in table.values()]
 
-    def name(tree: ViewTree) -> int:
-        return index[id(tree)]
+    def name(tree: ViewTree | None):
+        return None if tree is None else names[id(tree)]
 
+    # Each tree is its own key's holder: no second children tuple.
+    assert all(
+        children is tree.children for table in view_tree._INTERN for children, tree in table.items()
+    )
     stats = intern_stats()
     del stats["bucket_shifts"]  # plan-built buckets are created sorted
     return {
         "intern": [
-            (keys[mark_id], tuple(index[child] for child in child_ids), name(tree))
-            for (mark_id, child_ids), tree in view_tree._INTERN.items()
+            (
+                keys[mark_id],
+                [
+                    (tuple(map(name, children)), name(tree), tree._mark_id == mark_id)
+                    for children, tree in table.items()
+                ],
+            )
+            for mark_id, table in enumerate(view_tree._INTERN)
         ],
-        "sort_keys": [tree.sort_key() for tree in view_tree._INTERN.values()],
+        "sort_keys": [tree.sort_key() for tree in trees],
         "buckets": [
-            (depth, keys[mark_id], [name(tree) for tree in bucket])
-            for (depth, mark_id), bucket in view_tree._BUCKETS.items()
+            (keys[mark_id], depth, [name(tree) for tree in bucket])
+            for mark_id, by_depth in enumerate(view_tree._BUCKETS)
+            for depth, bucket in by_depth.items()
         ],
+        "drops": [name(tree) for tree in dropped],
         "truncations": [
-            (index[tree_id], depth, name(result))
+            (names[tree_id], depth, name(result))
             for (tree_id, depth), result in view_tree._TRUNCATE_CACHE.items()
         ],
         "marks": list(keys),

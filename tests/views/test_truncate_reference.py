@@ -83,25 +83,29 @@ def test_zoo_views_match_reference(name, order):
 
 @pytest.mark.parametrize("name", sorted(ZOO))
 def test_builder_records_reference_drops(name):
-    """Right after building, before any ``truncate`` call, the table
-    holds exactly the builder's recorded drops: one per tree of every
-    level past the first, each the recursive reference truncation."""
+    """Right after building, before any ``truncate`` call, exactly the
+    trees of every level past the first hold a drop, each the recursive
+    reference truncation, and no multi-level truncation is recorded."""
     graph = ZOO[name]
     depth = 2 * graph.num_nodes + 2
     all_views(graph, depth)
-    recorded = dict(view_tree._TRUNCATE_CACHE)
+    assert not view_tree._TRUNCATE_CACHE
+    recorded = {
+        id(tree): (tree, tree._dropped)
+        for table in view_tree._INTERN
+        for tree in table.values()
+        if tree._dropped is not None
+    }
     trees = {
-        id(tree): tree
+        id(tree)
         for level, (level_trees, _colors) in enumerate(view_builder(graph)._levels, start=1)
         if level > 1
         for tree in level_trees
     }
-    assert {tree_id for tree_id, _depth in recorded} == set(trees)
+    assert set(recorded) == trees
     memo: dict = {}
-    for (tree_id, below), dropped in recorded.items():
-        tree = trees[tree_id]
-        assert below == tree.depth - 1
-        assert dropped is reference_truncate(tree, below, memo), (tree, below)
+    for tree, dropped in recorded.values():
+        assert dropped is reference_truncate(tree, tree.depth - 1, memo), tree
 
 
 def chain(marks):
