@@ -49,6 +49,7 @@ from repro.graphs.builders import (  # noqa: E402
     path_graph,
     random_connected_graph,
     random_regular_graph,
+    star_graph,
     torus_graph,
     with_uniform_input,
 )
@@ -85,6 +86,10 @@ from repro.faults import FaultPlan, inject_faults  # noqa: E402
 from repro.runtime.algorithm import AnonymousAlgorithm  # noqa: E402
 from repro.runtime.engine import (  # noqa: E402
     BroadcastDelivery,
+    _absorb_all,
+    _NotInternable,
+    _output_changed,
+    _wall_clock,
     collect_engine_metrics,
     execute,
 )
@@ -97,6 +102,7 @@ from repro.artifacts.specs import (  # noqa: E402
 from repro.artifacts.store import ArtifactStore  # noqa: E402
 from repro.core.assignment_search import (  # noqa: E402
     TRIALS_PER_LENGTH,
+    _PrefixMemo,
     enumerate_extensions,
     smallest_successful_assignment,
 )
@@ -226,13 +232,28 @@ RECONSTRUCT_SPEEDUP_FLOORS = {"reconstruct_cycle/64": 5.0, "reconstruct_distinct
 # with the final kernel (0.97-1.53x over 12 runs before the last miss
 # path changes).  Its floor keeps the memo no slower than replay by
 # more than a tenth.
+#
+# The fourth case is the lexicographic search of the ``search``
+# workload's heaviest op, MIS on the view quotient of the 6-leaf star
+# (all 7 nodes stay: a 2-hop coloring of a star is injective), 16,517
+# trials.  Its reference is the search as it played each trial: an
+# embedded copy of the per-trial ``_PrefixMemo._continue``, which reads
+# a trial's option slots, sums them and keeps its end state.  The
+# current search plays each prefix snapshot once and counts its trials
+# from its slots.  Both must pick the same assignment with identical
+# engine counts and the same calls of the algorithm.  Measured
+# 5.34-9.08x over 17 runs on a 2-vCPU Linux container (CPython 3.11);
+# the floor is under 80% of the lowest.  The first case measures
+# 186-232x since the search plays snapshots (4 runs); its floor stays.
 SEARCH_COLORING = (0, 1, 2, 0, 1, 3)
 PRG_SEARCH_N = 48
 PRG_MATCHING_N = 20
+SNAPSHOT_SEARCH_LEAVES = 6
 SEARCH_SPEEDUP_FLOORS = {
     "search_mis_cycle/6": 32.0,
     "search_prg_mis_random/48": 1.7,
     "search_prg_matching_random/20": 0.9,
+    "search_snapshots_mis_star/7": 4.0,
 }
 
 # Factor enumeration gate: ``all_factors(..., include_trivial=True)`` on
@@ -846,6 +867,167 @@ def _reference_prg_search(algorithm, graph, node_order):
     raise RuntimeError("reference prg search found no assignment")
 
 
+class _PerTrialPrefixMemo(_PrefixMemo):
+    """The lexicographic search as it played each trial: pre-change
+    ``_continue`` reads a trial's ``n`` option slots, sums their decided
+    bits and keeps its end state as the next length's snapshot, trial by
+    trial.  ``_rows`` holds those per-trial snapshots."""
+
+    def _continue(self, target_length, trials):
+        graph = self._graph
+        n = graph.num_nodes
+        per_round = self._algorithm.bits_per_round
+        rounds = target_length // per_round
+        new_round = rounds > self._rounds
+        kept = self._rounds * per_round
+        free = target_length - kept
+        keyed = _per_trial_keys(
+            trials, [(n - 1 - j) * target_length + free for j in range(n)], kept
+        )
+        decided_mask = (1 << self._width) - 1
+        executions = extended = nodes_decided = index = 0
+        start = _wall_clock()
+        try:
+            if not self._rows:
+                self._rows = [self._encode(self._memo.initial_ids())]
+            snapshots = self._rows
+            if not new_round:
+                for index, key in keyed:
+                    decided = sum(snapshots[key]) & decided_mask
+                    executions += 1
+                    nodes_decided += decided
+                    if decided == n:
+                        return index, range(0)
+                return None, range(0)
+            chunk_mask = (1 << free) - 1
+            reads = [
+                (p << free, (n - 1 - j) * target_length) for p, j in enumerate(self._positions)
+            ]
+            rows = [None] * len(snapshots)
+            settled = {}
+            fresh = []
+            for index, key in keyed:
+                slots = rows[key]
+                if slots is None:
+                    snapshot = snapshots[key]
+                    if sum(snapshot) & decided_mask == n:
+                        executions += 1
+                        nodes_decided += n
+                        return index, range(0)
+                    settled[key] = self._settle(snapshot)
+                    slots = rows[key] = [None] * (n << free)
+                codes = [slots[base + ((index >> shift) & chunk_mask)] for base, shift in reads]
+                if None in codes:
+                    codes = self._fill_trial(
+                        slots, settled[key], index, reads, chunk_mask, free, rounds
+                    )
+                decided = sum(codes) & decided_mask
+                fresh.append(tuple(codes))
+                executions += 1
+                extended += 1
+                nodes_decided += decided
+                if decided == n:
+                    return index, range(0)
+        except _NotInternable:
+            self._rows = None
+            return None, range(index, trials)
+        finally:
+            _absorb_all(
+                executions, extended, extended * 2 * graph.num_edges,
+                extended * per_round * n, nodes_decided, _wall_clock() - start,
+            )
+        self._rows, self._rounds = fresh, rounds
+        return None, range(0)
+
+    def _fill_trial(self, slots, settled, index, reads, chunk_mask, free, rounds):
+        memo, width = self._memo, self._width
+        sids, befores, inboxes = settled
+        filled = []
+        for p, (base, shift) in enumerate(reads):
+            chunk = (index >> shift) & chunk_mask
+            if slots[base + chunk] is None:
+                target = memo.target(sids[p], format(chunk, f"0{free}b"), inboxes[p])
+                filled.append((p, base + chunk, target))
+        for p, slot, target in filled:
+            value, before = memo.output(target), befores[p]
+            if before is not None and (value is None or value != before):
+                raise _output_changed(self._graph.nodes[p], before, value, rounds)
+            slots[slot] = target << width | (value is not None)
+        return [slots[base + ((index >> shift) & chunk_mask)] for base, shift in reads]
+
+
+def _per_trial_keys(trials, shifts, kept):
+    """Each trial index with the lexicographic index of its per-node
+    first ``kept`` bits (pre-change ``_prefix_keys``)."""
+    mask = (1 << kept) - 1
+    for index in range(trials):
+        key = 0
+        for shift in shifts:
+            key = (key << kept) | ((index >> shift) & mask)
+        yield index, key
+
+
+def _per_trial_search(algorithm, graph, node_order):
+    """``smallest_successful_assignment``'s lexicographic loop over
+    :class:`_PerTrialPrefixMemo`."""
+    search_length = _PerTrialPrefixMemo(algorithm, graph, node_order).search_length
+    budget = 1_000_000
+    for target_length in range(1, 65):
+        found = search_length(target_length, budget)
+        if found is not None:
+            return found
+        budget -= 1 << (graph.num_nodes * target_length)
+    raise RuntimeError("per-trial search found no assignment")
+
+
+class _CountingMIS(AnonymousMISAlgorithm):
+    """MIS that counts its calls of the per-round protocol."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.calls = {"message": 0, "transition": 0, "output": 0}
+
+    def message(self, state):
+        self.calls["message"] += 1
+        return super().message(state)
+
+    def transition(self, state, received, bits):
+        self.calls["transition"] += 1
+        return super().transition(state, received, bits)
+
+    def output(self, state):
+        self.calls["output"] += 1
+        return super().output(state)
+
+
+def _snapshot_search_row(samples_per_side) -> dict:
+    """The lexicographic MIS search on the view quotient of the
+    ``SNAPSHOT_SEARCH_LEAVES``-leaf star against the per-trial search:
+    the same assignment, identical engine counts and the same algorithm
+    calls."""
+    star = with_uniform_input(star_graph(SNAPSHOT_SEARCH_LEAVES))
+    graph, order = _quotient_search_input(star, greedy_two_hop_coloring(star))
+    calls = []
+
+    def counted(search):
+        algorithm = _CountingMIS()
+        chosen = search(algorithm, graph, order)
+        calls.append(algorithm.calls)
+        return chosen
+
+    row = _search_row(
+        "search_snapshots_mis_star",
+        graph,
+        lambda: counted(smallest_successful_assignment),
+        lambda: counted(_per_trial_search),
+        lambda counts, replayed: counts == replayed,
+        samples_per_side,
+    )
+    if any(side != calls[0] for side in calls):
+        raise RuntimeError("search_snapshots_mis_star: the algorithm calls differ")
+    return {**row, "calls": calls[0]}
+
+
 def _search_row(bench, graph, search, reference, same_work, samples_per_side) -> dict:
     """Time ``search()`` against ``reference()`` back to back; both must
     return the same assignment, with engine counts ``same_work`` accepts."""
@@ -903,7 +1085,10 @@ def run_search_benches(repeats: int) -> dict:
     random connected ``PRG_SEARCH_N``-node graph, matching on that of a
     ``PRG_MATCHING_N``-node one) run against the loop that replays every
     trial through ``execute``: the same assignment with identical engine
-    counts.
+    counts.  The snapshot search (MIS on the view quotient of the
+    ``SNAPSHOT_SEARCH_LEAVES``-leaf star) runs against the per-trial
+    continuation it replaced: the same assignment, identical engine
+    counts and the same algorithm calls.
     """
     samples_per_side = min(repeats, 3)  # each side takes under a second
     algorithm = AnonymousMISAlgorithm()
@@ -936,6 +1121,7 @@ def run_search_benches(repeats: int) -> dict:
             "search_prg_matching_random", AnonymousMatchingAlgorithm(), matching_graph,
             samples_per_side,
         ),
+        _snapshot_search_row(samples_per_side),
     ]
     return {"speedup_floors": SEARCH_SPEEDUP_FLOORS, "rows": rows}
 
@@ -1413,8 +1599,11 @@ def run_suite(quick: bool, repeats: int) -> dict:
         # to 32x; 18 = ``deepening`` section (plan-built stable view
         # levels vs one ``_make_ranked`` per class, same rank triples
         # asserted, with a live floor); 19 = the ``deepening`` row reports
-        # each side's traced bytes per interned tree (no gate).
-        "schema": 19,
+        # each side's traced bytes per interned tree (no gate); 20 = a
+        # lexicographic ``search`` row on the star-6 quotient against the
+        # per-trial continuation (same assignment, identical engine counts
+        # and algorithm calls, with a live floor).
+        "schema": 20,
         "suite": "views-perf",
         "quick": quick,
         "machine": {

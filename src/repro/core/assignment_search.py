@@ -21,6 +21,7 @@ experiment quantifies the difference.
 from __future__ import annotations
 
 import random
+from heapq import heappop, heappush
 from collections.abc import Iterator, Mapping, Sequence
 
 from repro.exceptions import DerandomizationError
@@ -219,13 +220,14 @@ class _PrefixMemo:
     Round ``r`` of a trial reads only bits ``[(r-1)·b, r·b)`` of each
     node (``b = bits_per_round``), and every trial of a failed length
     failed, so each trial of the next length that funds a new round
-    continues one failed trial by exactly that round.  ``_snapshots[k]``
-    is the state reached after ``_rounds`` rounds by the trial whose
-    per-node first ``_rounds·b`` bits have lexicographic index ``k``, as
-    a tuple of codes in ``graph.nodes`` order: a node's state id shifted
+    continues one failed trial by exactly that round.  The trials of a
+    length group into *snapshots*, one per filling of the nodes' first
+    ``_rounds·b`` bits: the states those bits reach, which each of the
+    snapshot's trials continues with its own chunk of fresh bits per
+    node.  A node's state in a snapshot is a code: its state id shifted
     left by ``_width`` bits, plus 1 if that state has decided, so that
-    the low ``_width`` bits of a snapshot's sum count its decided nodes.
-    The ids belong to the search's one
+    the low ``_width`` bits of a sum of codes count decided nodes.  The
+    ids belong to the search's one
     :class:`~repro.runtime.engine.TrialMemo`, which only its own trials
     (:meth:`~repro.runtime.engine.TrialMemo.run`) clear, so every
     continuation of every length looks each node's transition up in one
@@ -233,10 +235,21 @@ class _PrefixMemo:
     snapshots with no round to run.
 
     A snapshot fixes every node's state and inbox, so in a new round a
-    node's next state depends only on its own chunk of fresh bits: the
-    round from a snapshot keeps one option slot per (node, chunk value),
-    each holding the code of the state it leads to.  A slot is filled
-    the first time a trial needs it; a trial then reads its ``n`` slots.
+    node's next state depends only on its own chunk: the round from a
+    snapshot keeps one option slot per (node, chunk value), each holding
+    the code of the state it leads to, and these slots decide every
+    trial of the snapshot.  Its first successful trial takes each node's
+    smallest decided chunk, and its trials hold ``2^(f(n-1))`` times as
+    many decided nodes as its slots hold (``f`` fresh bits per node).
+    So a length plays snapshots, not trials: one heap replays, in trial
+    order, only the trials that need the memo (a snapshot's first trial,
+    which settles it and fills each node's chunk-0 slot, and the first
+    trial that reads each other slot) up to the first trial known to
+    succeed, an error or the budget, and the trials below that stop are
+    counted per snapshot.  ``_rows`` holds
+    the slot rows of the last length that funded a round, one per
+    snapshot in trial order; the snapshots of the lengths after it are
+    its trials, each one slot per node of its parent's row.
 
     Trials the memo cannot play replay from round 0 through
     :func:`execute`: all of them for a port-numbered or deterministic
@@ -256,11 +269,14 @@ class _PrefixMemo:
         self._width = graph.num_nodes.bit_length()  # a decided count fits below
         self._memo = TrialMemo(algorithm, graph)
         self._rounds = 0
-        # Empty until the first trial interns the initial states; ``None``
-        # once the trials replay (``execute`` raises a deterministic
-        # algorithm's error and applies the ambient contexts).
+        # Empty until the first trial interns the initial states (one row
+        # of one slot per node); ``None`` once the trials replay
+        # (``execute`` raises a deterministic algorithm's error and
+        # applies the ambient contexts).
         plays = algorithm.bits_per_round and not ambient_context_active()
-        self._snapshots: list[tuple[int, ...]] | None = [] if plays else None
+        self._rows: list[Sequence[int]] | None = [] if plays else None
+        self._chunk = 0  # bits per node that pick a slot of a row
+        self._decided = 0  # decided nodes of all snapshots together
 
     def search_length(self, target_length: int, budget: int) -> Assignment | None:
         """:func:`smallest_successful_extension` of the empty prefix to
@@ -270,7 +286,7 @@ class _PrefixMemo:
         space = 1 << (len(self._order) * target_length)
         trials = min(space, budget)
         replayed = range(trials)
-        if self._snapshots is not None and trials:
+        if self._rows is not None and trials:
             found, replayed = self._continue(target_length, trials)
             if found is not None:
                 return self._assignment(found, target_length)
@@ -291,104 +307,181 @@ class _PrefixMemo:
         collector as one execution of the round it ran (or none).
         Returns the successful trial's index (or ``None``) and the
         trials left to replay: none, or every one from the first the
-        memo cannot play on.  A round runs every transition before it
-        checks any output, and raises the kernel's error for an output
-        that changes."""
+        memo cannot play on."""
+        n = self._graph.num_nodes
+        start = _wall_clock()
+        if not self._rows:
+            try:
+                codes = self._encode(self._memo.initial_ids())
+            except _NotInternable:
+                self._rows = None
+                return None, range(trials)
+            self._rows, self._decided = [codes], sum(codes) & ((1 << self._width) - 1)
+            if self._decided == n:  # no round runs, and trial 0 succeeds
+                _absorb_all(1, 0, 0, 0, n, _wall_clock() - start)
+                return 0, range(0)
+        if target_length // self._algorithm.bits_per_round == self._rounds:
+            self._continue_without_round(target_length, trials, start)
+            return None, range(0)
+        return self._continue_by_one_round(target_length, trials, start)
+
+    def _continue_without_round(self, target_length: int, trials: int, start: float) -> None:
+        """Count the first ``trials`` trials of a length that funds no
+        new round: each holds its snapshot's decided nodes, and fails
+        (a snapshot after round 0 is the end state of a failed trial)."""
+        n = self._graph.num_nodes
+        free = target_length - self._rounds * self._algorithm.bits_per_round
+        if trials == 1 << (n * target_length):
+            decided = self._decided << (n * free)
+        else:
+            walk = sorted(zip(self._shifts(target_length), range(n)), reverse=True)
+            mask, zeros = (1 << self._width) - 1, [0] * (n << free)
+            decided = 0
+            for first, codes in self._snapshots(target_length):
+                if first >= trials:
+                    break
+                below, _ = _trials_below(trials, first, walk, free, zeros)
+                decided += (sum(codes) & mask) * below
+        _absorb_all(trials, 0, 0, 0, decided, _wall_clock() - start)
+
+    def _continue_by_one_round(
+        self, target_length: int, trials: int, start: float
+    ) -> tuple[int | None, range]:
+        """:meth:`_continue` for a length that funds a new round.  A round
+        runs every transition before it checks any output, and raises
+        the kernel's error for an output that changes."""
         graph = self._graph
         n = graph.num_nodes
         per_round = self._algorithm.bits_per_round
         rounds = target_length // per_round
-        new_round = rounds > self._rounds
-        kept = self._rounds * per_round  # bits per node behind the snapshots
-        free = target_length - kept  # bits per node each trial adds
-        # Node ``order[j]`` holds bits [j·t, (j+1)·t) of a trial's index in
-        # binary (``t = target_length``), its first ``kept`` bits on top
-        # and its chunk of ``free`` fresh bits at the bottom.
-        keyed = _prefix_keys(trials, [(n - 1 - j) * target_length + free for j in range(n)], kept)
-        decided_mask = (1 << self._width) - 1
-        executions = extended = nodes_decided = index = 0
-        start = _wall_clock()
+        free = target_length - self._rounds * per_round  # bits per node each trial adds
+        size = 1 << free
+        shifts = self._shifts(target_length)
+        walk = sorted(zip(shifts, range(n)), reverse=True)
+        snapshots = self._snapshots(target_length)
+        beyond = (1 << (n * target_length), None)
+        next_first, codes = next(snapshots)
+        # Events ``(trial, snapshot, p, chunk)``: the first trial that
+        # reads slot ``(p, chunk)`` of a snapshot ``[first trial, slot
+        # row, settled states, nodes without a decided slot]``.
+        heap: list[tuple[int, list, int, int]] = []
+        touched: list[tuple[int, list]] = []  # (first trial, slot row), in trial order
+        found = stop = None
+        limit = trials  # no trial from ``limit`` on is played
+        index = 0
         try:
-            if not self._snapshots:
-                self._snapshots = [self._encode(self._memo.initial_ids())]
-            snapshots = self._snapshots
-            if not new_round:
-                for index, key in keyed:
-                    decided = sum(snapshots[key]) & decided_mask
-                    executions += 1
-                    nodes_decided += decided
-                    if decided == n:
-                        return index, range(0)
-                return None, range(0)
-            # Node at position ``p`` reads slot ``p·2^free + chunk``.
-            chunk_mask = (1 << free) - 1
-            reads = [(p << free, (n - 1 - j) * target_length) for p, j in enumerate(self._positions)]
-            rows: list[list[int | None] | None] = [None] * len(snapshots)
-            settled: dict[int, tuple] = {}  # the snapshots trials have reached
-            fresh: list[tuple[int, ...]] = []
-            for index, key in keyed:
-                slots = rows[key]
-                if slots is None:
-                    snapshot = snapshots[key]
-                    if sum(snapshot) & decided_mask == n:  # no round runs, and it succeeds
-                        executions += 1
-                        nodes_decided += n
-                        return index, range(0)
-                    settled[key] = self._settle(snapshot)
-                    slots = rows[key] = [None] * (n << free)
-                codes = [slots[base + ((index >> shift) & chunk_mask)] for base, shift in reads]
-                if None in codes:
-                    codes = self._fill(slots, settled[key], index, reads, chunk_mask, free, rounds)
-                decided = sum(codes) & decided_mask
-                fresh.append(tuple(codes))
-                executions += 1
-                extended += 1
-                nodes_decided += decided
-                if decided == n:
-                    return index, range(0)
+            while True:
+                if heap and heap[0][0] < next_first:
+                    index, snapshot, p, chunk = heap[0]
+                    if index >= limit:
+                        break
+                    heappop(heap)
+                    first, row, settled, _missing = snapshot
+                    self._fill(row, settled, [(p, chunk)], free, rounds)
+                    if chunk + 1 < size:
+                        heappush(heap, (first + ((chunk + 1) << shifts[p]), snapshot, p, chunk + 1))
+                    base = p << free
+                    if not row[base | chunk] & 1 or any(c & 1 for c in row[base : base | chunk]):
+                        continue
+                    snapshot[3] -= 1
+                else:
+                    index = first = next_first
+                    if index >= limit:
+                        break
+                    settled = self._settle(codes)
+                    row = [None] * (n << free)
+                    self._fill(row, settled, [(p, 0) for p in range(n)], free, rounds)
+                    touched.append((first, row))
+                    snapshot = [first, row, settled, n - sum(row[p << free] & 1 for p in range(n))]
+                    for p, shift in enumerate(shifts):
+                        heappush(heap, (first + (1 << shift), snapshot, p, 1))
+                    next_first, codes = next(snapshots, beyond)
+                if not snapshot[3]:  # every node has a decided slot
+                    success = _first_success(first, row, shifts, free)
+                    if success < limit:
+                        found = limit = success
+            stop = limit if found is None else found + 1
         except _NotInternable:
-            self._snapshots = None
+            stop = index
+            self._rows = None
             return None, range(index, trials)
         finally:
+            if stop is None:  # the algorithm's error at trial ``index``
+                stop = index
+            decided = _decided_below(stop, touched, walk, free)
             _absorb_all(
-                executions, extended, extended * 2 * graph.num_edges,
-                extended * per_round * n, nodes_decided, _wall_clock() - start,
+                stop, stop, stop * 2 * graph.num_edges, stop * per_round * n, decided,
+                _wall_clock() - start,
             )
-        self._snapshots, self._rounds = fresh, rounds
-        return None, range(0)
+        self._rows, self._chunk, self._rounds = [row for _first, row in touched], free, rounds
+        self._decided = decided
+        return found, range(0)
+
+    def _shifts(self, target_length: int) -> list[int]:
+        """Where each node's chunk (in ``graph.nodes`` order) starts in a
+        trial's index: node ``order[j]`` holds bits ``[j·t, (j+1)·t)`` of
+        the index in binary (``t = target_length``), its chunk of fresh
+        bits at the bottom."""
+        n = len(self._order)
+        return [(n - 1 - j) * target_length for j in self._positions]
+
+    def _snapshots(self, target_length: int) -> Iterator[tuple[int, list[int]]]:
+        """Each snapshot's first trial of ``target_length`` and codes, in
+        trial order.  Snapshot ``k`` holds node ``order[j]``'s first
+        ``kept`` bits as bits ``[j·kept, (j+1)·kept)`` of ``k``: its
+        parent snapshot's bits on top and the chunk that picks the
+        node's slot in the parent's row at the bottom."""
+        n = len(self._order)
+        kept = self._rounds * self._algorithm.bits_per_round
+        chunk = self._chunk
+        free = target_length - kept
+        rows = self._rows
+        kept_mask, chunk_mask = (1 << kept) - 1, (1 << chunk) - 1
+        # Per node: where its bits sit in a snapshot's index, in its
+        # parent's index and in the snapshot's first trial, and its slots.
+        places = [
+            ((n - 1 - j) * kept, (n - 1 - j) * (kept - chunk), (n - 1 - j) * target_length + free,
+             p << chunk)
+            for p, j in enumerate(self._positions)
+        ]
+        for key in range(1 << (n * kept)):
+            parent = first = 0
+            slots = []
+            for key_shift, parent_shift, first_shift, base in places:
+                digit = key >> key_shift & kept_mask
+                parent |= digit >> chunk << parent_shift
+                first |= digit << first_shift
+                slots.append(base | digit & chunk_mask)
+            row = rows[parent]
+            yield first, [row[slot] for slot in slots]
 
     def _encode(self, sids: Sequence[int]) -> tuple[int, ...]:
         """The snapshot of states ``sids``."""
         width, output = self._width, self._memo.output
         return tuple([sid << width | (output(sid) is not None) for sid in sids])
 
-    def _settle(self, snapshot: tuple[int, ...]) -> tuple[list[int], list, list[list[str]]]:
+    def _settle(self, codes: Sequence[int]) -> tuple[list[int], list, list[list[str]]]:
         """A snapshot's ``(state ids, outputs, inboxes)``."""
         memo = self._memo
-        sids = [code >> self._width for code in snapshot]
+        sids = [code >> self._width for code in codes]
         return sids, memo.outputs(sids), memo.inbox_keys(sids)
 
     def _fill(
-        self, slots: list, settled: tuple, index: int, reads: list[tuple[int, int]],
-        chunk_mask: int, free: int, rounds: int,
-    ) -> list[int]:
-        """The codes trial ``index`` reads from ``slots``, filling the
-        empty ones: every transition first, then each new output against
-        the node's decided one, in position order as the kernel checks."""
+        self, row: list, settled: tuple, slots: list[tuple[int, int]], free: int, rounds: int
+    ) -> None:
+        """Fill ``row``'s slots ``(p, chunk)``: every transition first,
+        then each new output against the node's decided one, in position
+        order as the kernel checks."""
         memo, width = self._memo, self._width
         sids, befores, inboxes = settled
-        filled = []
-        for p, (base, shift) in enumerate(reads):
-            chunk = (index >> shift) & chunk_mask
-            if slots[base + chunk] is None:
-                target = memo.target(sids[p], format(chunk, f"0{free}b"), inboxes[p])
-                filled.append((p, base + chunk, target))
-        for p, slot, target in filled:
+        targets = [
+            memo.target(sids[p], format(chunk, f"0{free}b"), inboxes[p]) for p, chunk in slots
+        ]
+        for (p, chunk), target in zip(slots, targets):
             value, before = memo.output(target), befores[p]
             if before is not None and (value is None or value != before):
                 raise _output_changed(self._graph.nodes[p], before, value, rounds)
-            slots[slot] = target << width | (value is not None)
-        return [slots[base + ((index >> shift) & chunk_mask)] for base, shift in reads]
+            row[p << free | chunk] = target << width | (value is not None)
 
     def _assignment(self, index: int, target_length: int) -> Assignment:
         """The trial of ``target_length`` with lexicographic index ``index``."""
@@ -399,16 +492,72 @@ class _PrefixMemo:
         }
 
 
-def _prefix_keys(trials: int, shifts: list[int], kept: int) -> Iterator[tuple[int, int]]:
-    """Each trial index below ``trials`` with the lexicographic index of
-    its per-node first ``kept`` bits, node ``j``'s being the ``kept`` bits
-    above bit ``shifts[j]`` of the trial's index."""
-    mask = (1 << kept) - 1
-    for index in range(trials):
-        key = 0
-        for shift in shifts:
-            key = (key << kept) | ((index >> shift) & mask)
-        yield index, key
+def _decided_below(
+    stop: int, touched: list[tuple[int, list]], walk: list[tuple[int, int]], free: int
+) -> int:
+    """The decided nodes of the trials below ``stop`` of the snapshots
+    ``touched``, each a ``(first trial, slot row)`` as in
+    :func:`_trials_below`."""
+    span = sum(((1 << free) - 1) << shift for shift, _p in walk)  # every chunk bit
+    whole = free * (len(walk) - 1)
+    decided = 0
+    for first, row in touched:
+        if first | span < stop:  # every trial of the snapshot
+            decided += sum([code & 1 for code in row]) << whole
+        else:
+            decided += _trials_below(stop, first, walk, free, row)[1]
+    return decided
+
+
+def _first_success(first: int, row: Sequence[int], shifts: list[int], free: int) -> int:
+    """The first trial ``first + Σ c_p << shifts[p]`` of a snapshot in
+    which every node ``p`` decided: each node's smallest chunk ``c``
+    whose slot ``row[p·2^free + c]`` holds a decided code."""
+    size = 1 << free
+    for p, shift in enumerate(shifts):
+        base = p << free
+        chunk = next(c for c in range(size) if row[base | c] & 1)
+        first += chunk << shift
+    return first
+
+
+def _trials_below(
+    stop: int, first: int, walk: list[tuple[int, int]], free: int, row: Sequence[int | None]
+) -> tuple[int, int]:
+    """How many of one snapshot's trials lie below trial ``stop``, and
+    how many decided nodes they hold together.
+
+    The snapshot's trials are ``first + Σ c_p << shift_p`` over the
+    chunks ``c_p < 2^free``; ``walk`` lists its ``(shift_p, p)`` from the
+    most significant chunk down to one at bit 0, and ``row[p·2^free +
+    c]`` is node ``p``'s code after chunk ``c`` (bit 0 set if it
+    decided), or ``None`` where no trial below ``stop`` reads it.  Counted digit by
+    digit: a trial lies below ``stop`` when it agrees with ``stop`` above
+    some node's chunk and that chunk is smaller, the chunks after it
+    being free."""
+    size = 1 << free
+    bits = [[(row[p << free | c] or 0) & 1 for c in range(size)] for _shift, p in walk]
+    rest = sum(map(sum, bits))  # decided slots of the nodes not walked yet
+    trials = decided = fixed = 0  # ``fixed``: decided nodes among the chunks walked
+    trial = first
+    for i, ((shift, _p), node) in enumerate(zip(walk, bits)):
+        after = len(walk) - 1 - i  # nodes after this one
+        rest -= sum(node)
+        top = shift + free
+        if trial >> top != stop >> top:
+            if trial >> top < stop >> top:  # every trial left lies below
+                trials += size << (free * after)
+                decided += (fixed * size + sum(node) + rest) << (free * after)
+            break
+        chunk = stop >> shift & (size - 1)
+        # The trials with a smaller chunk here: ``2^(free·after)`` each,
+        # in which each node after this one holds each chunk equally often.
+        block = 1 << (free * after)
+        trials += chunk * block
+        decided += (fixed * chunk + sum(node[:chunk])) * block + (chunk * rest * block >> free)
+        fixed += node[chunk]
+        trial |= chunk << shift
+    return trials, decided
 
 
 def _prg_assignment_search(

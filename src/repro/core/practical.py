@@ -365,6 +365,7 @@ class PracticalDerandomizer(QuotientSolver):
                 "is broken (this contradicts Lemma 1)"
             )
         (rebuilt,) = rebuilds
+        del walk, rebuilds  # the search below runs without the walk's memo
 
         # Renumber the agreed rebuild once into the canonical node order
         # the search keys on (not the alias order: they differ on a greedy

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.algorithms.luby_mis import AnonymousMISAlgorithm
 from repro.algorithms.vertex_coloring import VertexColoringAlgorithm
 from repro.core.a_star import LAYER_NAMES, AStarSolver
+from repro.core.assignment_search import SearchBudgetExceeded
 from repro.core.candidates import enumerate_candidates
 from repro.core.orders import finite_view_graph_sort_key
-from repro.exceptions import DerandomizationError
+from repro.exceptions import CandidateError, DerandomizationError, ReproError
 from repro.factor.quotient import finite_view_graph, infinite_view_graph
 from repro.graphs.builders import cycle_graph, path_graph, with_uniform_input
 from repro.graphs.coloring import apply_two_hop_coloring, greedy_two_hop_coloring
@@ -18,6 +21,7 @@ from repro.problems.coloring import ColoringProblem
 from repro.problems.mis import MISProblem
 from repro.problems.problem import TwoHopColoredVariant
 from repro.views.local_views import all_views
+from tests.core.test_failure_injection import _ExactSizeProblem
 
 
 def colored(graph):
@@ -107,6 +111,52 @@ class TestTheorem1:
         solver = AStarSolver(MISProblem(), AnonymousMISAlgorithm(), max_candidate_nodes=3)
         with pytest.raises(DerandomizationError, match="phases"):
             solver.solve(instance, max_phases=1)
+
+
+def _not_two_hop_colored():
+    """P3 whose ends share a color: a proper coloring, not a 2-hop one."""
+    return with_uniform_input(path_graph(3)).with_layer("color", {0: 0, 1: 1, 2: 0})
+
+
+# (solver settings, instance, phase cap, error type, message).  A_* on
+# MIS solves the 2-lift of C3 in phase 4.  Every candidate of the
+# six-node-only problem fails C3 (its 3-node quotient is no instance), so
+# F stays empty and no node ever decides.
+FAILURE_MODES = {
+    "extension-budget": (
+        {"extension_budget": 1}, lambda: lifted_c3(2), 12, SearchBudgetExceeded,
+        "no successful extension of length 3 within 1 trials",
+    ),
+    "candidate-budget": (
+        {"candidate_budget": 1}, lambda: lifted_c3(2), 12, CandidateError,
+        "candidate enumeration exceeded its budget of 1 search states at phase 2",
+    ),
+    "not-two-hop-colored": (
+        {}, _not_two_hop_colored, 12, DerandomizationError,
+        "layer 'color' is not a 2-hop coloring",
+    ),
+    "quotient-not-an-instance": (
+        {"problem": _ExactSizeProblem()}, lambda: lifted_c3(2), 6, DerandomizationError,
+        r"within 6 phases \(0/6 decided\)",
+    ),
+    "phase-cap": (
+        {}, lambda: lifted_c3(2), 3, DerandomizationError,
+        r"within 3 phases \(0/6 decided\)",
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(FAILURE_MODES))
+def test_failure_modes_raise_their_typed_error(mode):
+    """Each failure raises its own :class:`ReproError` subclass from
+    ``solve`` instead of returning the outputs decided so far."""
+    settings, make_instance, max_phases, error, message = FAILURE_MODES[mode]
+    settings = {"problem": MISProblem(), **settings}
+    solver = AStarSolver(algorithm=AnonymousMISAlgorithm(), max_candidate_nodes=3, **settings)
+    with pytest.raises(ReproError) as raised:
+        solver.solve(make_instance(), max_phases=max_phases)
+    assert type(raised.value) is error
+    assert re.search(message, str(raised.value))
 
 
 class TestLemmaPredictions:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -336,6 +339,32 @@ class TestPracticalDerandomizer:
         (walk,) = {id(w): w for w in walks}.values()
         assert sum(map(len, walk.masks)) <= n * (n + 1)
         assert len(walk.graphs) == 1
+
+    def test_walk_is_released_before_the_search(self, monkeypatch):
+        """The solve drops its reconstruction walk (the alias masks and
+        the rebuilds) once the quotient is built: none of it is reachable
+        while the assignment search runs."""
+        walks = []
+        original_rebuild = practical_module.quotient_from_view
+
+        def spy(view, radius, **kwargs):
+            walks.append(weakref.ref(kwargs["walk"]))
+            return original_rebuild(view, radius, **kwargs)
+
+        reachable = []
+        original_search = practical_module.smallest_successful_assignment
+
+        def search(*args, **kwargs):
+            gc.collect()
+            reachable.extend(walk() is not None for walk in walks)
+            return original_search(*args, **kwargs)
+
+        monkeypatch.setattr(practical_module, "quotient_from_view", spy)
+        monkeypatch.setattr(practical_module, "smallest_successful_assignment", search)
+        solver = PracticalDerandomizer(MISProblem(), AnonymousMISAlgorithm(), strategy="prg")
+        solver.solve(colored_random_regular(16, 0))
+        assert len(walks) == 16
+        assert reachable == [False] * 16
 
 
 class TestPipeline:

@@ -2,14 +2,16 @@
 
 ``smallest_successful_assignment`` resumes each trial of a length from
 the end state of its failed prefix trial, looking each node's step up
-in one transition table per search.  The reference below replays every
-trial from round 0 through ``execute``, as the search did before.  Both
-must try the same assignments in the same order: the same chosen
-assignment (or the same error, raised at the same trial), the same
-number of executions and decided nodes, and — where the search falls
-back to replaying, under fault injection or churn, for port-numbered
-algorithms and from the first state that cannot be interned on — the
-same rounds, messages, bits and faults for the replayed trials.
+in one transition table per search; it plays a length per prefix
+snapshot and counts the snapshot's trials from its option slots.  The
+reference below replays every trial from round 0 through ``execute``,
+as the search did before.  Both must try the same assignments in the
+same order: the same chosen assignment (or the same error, raised at
+the same trial), the same number of executions and decided nodes, and
+— where the search falls back to replaying, under fault injection or
+churn, for port-numbered algorithms and from the first state that
+cannot be interned on — the same rounds, messages, bits and faults for
+the replayed trials.
 
 The prg search and ``smallest_successful_extension`` play their trials
 in the search's interned round kernel (``TrialMemo``), which reports
@@ -18,6 +20,8 @@ for trial against ``execute``, with every count equal.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +33,7 @@ from repro.algorithms.vertex_coloring import VertexColoringAlgorithm
 from repro.core.assignment_search import (
     TRIALS_PER_LENGTH,
     SearchBudgetExceeded,
+    _trials_below,
     enumerate_extensions,
     smallest_successful_assignment,
     smallest_successful_extension,
@@ -72,7 +77,7 @@ def _outcome(search, *args, **kwargs):
     with collect_engine_metrics() as totals:
         try:
             outcome = search(*args, **kwargs)
-        except DerandomizationError as exc:
+        except (DerandomizationError, OutputAlreadySetError, ValueError) as exc:
             outcome = (type(exc).__name__, str(exc).split(";")[0])
     return outcome, totals.as_dict(include_wall=False)
 
@@ -166,6 +171,7 @@ def assert_same_search(algorithm, graph, order, **kwargs):
     expected, reference_totals = _outcome(reference_search, algorithm, graph, order, **kwargs)
     assert searched == expected
     assert search_totals["executions"] == reference_totals["executions"]
+    assert search_totals["nodes_decided"] == reference_totals["nodes_decided"]
     return search_totals, reference_totals
 
 
@@ -206,6 +212,40 @@ def test_resumed_search_matches_replay_on_random_graphs(n, extra, seed, name, re
     assert_same_search(ALGORITHMS[name](), graph, order, budget=budget)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=4),
+    length=st.integers(min_value=1, max_value=3),
+    data=st.data(),
+)
+def test_trials_below_counts_like_enumeration(n, length, data):
+    # One snapshot's trials below a stop, and their decided nodes,
+    # counted digit by digit against every trial enumerated.  Node ``p``
+    # sits at place ``j`` of the node order, its chunk of ``free`` bits at
+    # the bottom of its ``length`` bits, the snapshot's bits above it.
+    free = data.draw(st.integers(min_value=1, max_value=length))
+    places = data.draw(st.permutations(range(n)))
+    shifts = [(n - 1 - j) * length for j in places]
+    walk = sorted(zip(shifts, range(n)), reverse=True)
+    first = sum(
+        data.draw(st.integers(0, (1 << (length - free)) - 1)) << (shift + free)
+        for shift in shifts
+    )
+    row = data.draw(st.lists(st.integers(0, 7), min_size=n << free, max_size=n << free))
+    trials = [
+        (first + sum(c << shift for c, shift in zip(chunks, shifts)), chunks)
+        for chunks in itertools.product(range(1 << free), repeat=n)
+    ]
+    stop = data.draw(st.integers(0, max(index for index, _ in trials) + 2))
+    below = [chunks for index, chunks in trials if index < stop]
+    decided = sum(row[p << free | c] & 1 for chunks in below for p, c in enumerate(chunks))
+    assert _trials_below(stop, first, walk, free, row) == (len(below), decided)
+    # Slots no trial below the stop reads may be unfilled.
+    read = {p << free | c for chunks in below for p, c in enumerate(chunks)}
+    holed = [code if slot in read else None for slot, code in enumerate(row)]
+    assert _trials_below(stop, first, walk, free, holed) == (len(below), decided)
+
+
 # MIS on a 2-path tries 4 assignments of length 1, 16 of length 2 and
 # succeeds on the 5th of length 3 (25 trials in all).
 BUDGET_EDGES = [
@@ -242,6 +282,21 @@ def test_two_bits_per_round_share_snapshots_across_lengths():
         two_bit_coloring(), graph, list(graph.nodes), budget=5000
     )
     assert search_totals["rounds"] < reference_totals["rounds"]
+
+
+def test_lengths_without_a_round_count_their_snapshots_decided_nodes():
+    # Two bits a round: an end of P3 decides in round 1 on a first chunk
+    # of 10 and flips its output in round 2.  Length 2 (64 trials) holds
+    # 32 decided ends, length 3 funds no round and holds 8 times as many
+    # (256 in 512 trials), and trial 12 of length 4 flips.
+    graph = with_uniform_input(path_graph(3))
+    algorithm = tripwire("flip", "10", "11", bits_per_round=2)
+    search_totals, _reference_totals = assert_same_search(
+        algorithm, graph, list(graph.nodes), max_length=4
+    )
+    assert search_totals["executions"] == 8 + 64 + 512 + 11
+    assert search_totals["nodes_decided"] == 32 + 256 + 3
+    assert search_totals["rounds"] == 64 + 11
 
 
 def test_max_length_exhaustion_matches_replay():
@@ -291,13 +346,13 @@ def test_active_contexts_replay_every_trial(context_name, name):
 # ----------------------------------------------------------------------
 
 
-def tripwire(mode, trigger_state, trigger_bits):
-    """Draws bits into its state, a ``(degree, history)`` pair; only
-    degree-1 nodes ever decide, so on P3 every trial fails.  A degree-1
-    node decides once its history starts with ``trigger_state``.  From
-    ``trigger_state`` with ``trigger_bits`` the algorithm misbehaves:
-    ``"flip"`` changes the decided output from 1 to 2, ``"raise"``
-    raises in ``transition``."""
+def tripwire(mode, trigger_state, trigger_bits, bits_per_round=1):
+    """Draws ``bits_per_round`` bits a round into its state, a
+    ``(degree, history)`` pair; only degree-1 nodes ever decide, so on P3
+    every trial fails.  A degree-1 node decides once its history starts
+    with ``trigger_state``.  From ``trigger_state`` with
+    ``trigger_bits`` the algorithm misbehaves: ``"flip"`` changes the
+    decided output from 1 to 2, ``"raise"`` raises in ``transition``."""
 
     def step(state, received, bits):
         degree, history = state
@@ -316,7 +371,7 @@ def tripwire(mode, trigger_state, trigger_bits):
         msg=lambda state: state[1],
         step=step,
         out=out,
-        bits_per_round=1,
+        bits_per_round=bits_per_round,
         name=f"tripwire-{mode}",
     )
 
@@ -352,6 +407,40 @@ def test_errors_surface_at_the_same_trial_as_replay(mode, trigger_state, trigger
     assert searched["messages_sent"] == 4 * searched["executions"]
     if completed < 8:  # still at length 1
         assert searched == replayed
+
+
+# Algorithms whose searches stop late: inside a length's trials (by
+# budget), at a tripwire error after a few rounds, or at success, with
+# one and two bits per round.
+LATE_STOPS = {
+    "mis": AnonymousMISAlgorithm,
+    "matching": AnonymousMatchingAlgorithm,
+    "two-bit-coloring": two_bit_coloring,
+    "flip-after-1": lambda: tripwire("flip", "1", "0"),
+    "raise-after-01": lambda: tripwire("raise", "01", "1"),
+    "flip-after-10": lambda: tripwire("flip", "10", "1"),
+    # Decides in round 1 on a first chunk of 10, so the lengths that fund
+    # no round hold decided nodes; flips in round 2.
+    "two-bits-flip-after-10": lambda: tripwire("flip", "10", "11", bits_per_round=2),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=6),
+    extra=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=10_000),
+    name=st.sampled_from(sorted(LATE_STOPS)),
+    reverse=st.booleans(),
+    budget=st.integers(min_value=0, max_value=600),
+)
+def test_snapshot_search_matches_replay_at_late_stops(n, extra, seed, name, reverse, budget):
+    # A length's trials are played per prefix snapshot and counted per
+    # snapshot up to the stop, which mostly falls inside some snapshot's
+    # trials: the same outcome, executions and decided nodes as replay.
+    graph = with_uniform_input(random_connected_graph(n, extra, seed=seed))
+    order = list(reversed(graph.nodes)) if reverse else list(graph.nodes)
+    assert_same_search(LATE_STOPS[name](), graph, order, budget=budget, max_length=6)
 
 
 @pytest.mark.parametrize("budget", [2, 6, 13])

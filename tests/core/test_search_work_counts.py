@@ -18,6 +18,12 @@ outputs for MIS on C6 and 22,132 / 22,132 / 44,264 for K4; sharing each
 failed prefix's round with a table per prefix, 456 / 864 / 1,320 and
 1,760 / 3,306 / 5,066.)
 
+The lexicographic search plays a length per prefix snapshot, not per
+trial: the first trial of a snapshot and the first trial that reads
+each of its option slots call the memo, and the others are counted from
+the slots.  The pins are those of the trial-by-trial search: the same
+executions, rounds, payloads, bits and algorithm calls.
+
 A prg search plays its trials in the search's interned round kernel
 (:class:`~repro.runtime.engine.TrialMemo`): the same executions with the
 same engine counts as replaying each trial through ``execute``, but each
@@ -112,11 +118,12 @@ def test_lexicographic_search_work_is_pinned(
     assert dict(algorithm.calls) == calls
 
 
-# The MIS-C6 search keeps 4,096 prefix snapshots of six state ids each
-# while it searches length 3, next to the 256 snapshots of length 2 and
-# the search's memo; its traced peak here measured about 271 kB (CPython
-# 3.11; 337 kB with a transition table per snapshot).  Keeping a whole
-# engine per prefix instead takes megabytes.
+# The MIS-C6 search keeps the option slots of the 64 snapshots of
+# length 2, twelve each, and reads the snapshots of length 3 off them,
+# next to the search's memo; its traced peak here measured about 45 kB
+# (CPython 3.11; 288 kB keeping each of the 4,096 trials of length 2 as
+# a snapshot of six state ids, 337 kB with a transition table per
+# snapshot).  Keeping a whole engine per prefix instead takes megabytes.
 MIS_C6_PEAK_BYTES = 500_000
 
 
