@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import argparse
 import gc
-import itertools
 import json
 import math
+import operator
 import os
 import platform
 import statistics
@@ -39,10 +39,12 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT))  # the oracles of ``tests/oracles.py``
 
 from repro.graphs.builders import (  # noqa: E402
     cycle_graph,
@@ -57,17 +59,10 @@ from repro.graphs.coloring import (  # noqa: E402
     apply_two_hop_coloring,
     greedy_two_hop_coloring,
 )
-from repro.graphs.labeled_graph import LabeledGraph  # noqa: E402
 from repro.graphs.lifts import cyclic_lift, lift_graph  # noqa: E402
-from repro.factor.factorizing_map import FactorizingMap  # noqa: E402
 from repro.factor.prime import all_factors  # noqa: E402
 from repro.core.a_star import LAYER_NAMES  # noqa: E402
-from repro.core.candidates import (  # noqa: E402
-    Candidate,
-    enumerate_candidates,
-    observed_marks,
-)
-from repro.core.orders import finite_view_graph_sort_key  # noqa: E402
+from repro.core.candidates import enumerate_candidates  # noqa: E402
 from repro.problems.mis import MISProblem  # noqa: E402
 from repro.problems.problem import TwoHopColoredVariant  # noqa: E402
 from repro.factor.quotient import finite_view_graph, infinite_view_graph  # noqa: E402
@@ -84,15 +79,7 @@ from repro.dynamic import (  # noqa: E402
 )
 from repro.faults import FaultPlan, inject_faults  # noqa: E402
 from repro.runtime.algorithm import AnonymousAlgorithm  # noqa: E402
-from repro.runtime.engine import (  # noqa: E402
-    BroadcastDelivery,
-    _absorb_all,
-    _NotInternable,
-    _output_changed,
-    _wall_clock,
-    collect_engine_metrics,
-    execute,
-)
+from repro.runtime.engine import collect_engine_metrics, execute  # noqa: E402
 from repro.runtime.port_model import PortAwareAlgorithm, PortEmulation  # noqa: E402
 from repro.artifacts.specs import (  # noqa: E402
     quotient_spec,
@@ -100,23 +87,25 @@ from repro.artifacts.specs import (  # noqa: E402
     views_spec,
 )
 from repro.artifacts.store import ArtifactStore  # noqa: E402
-from repro.core.assignment_search import (  # noqa: E402
-    TRIALS_PER_LENGTH,
-    _PrefixMemo,
-    enumerate_extensions,
-    smallest_successful_assignment,
-)
+from repro.core.assignment_search import smallest_successful_assignment  # noqa: E402
 from repro.core.orders import (  # noqa: E402
     canonical_node_order,
     finite_view_graph_sort_key,
 )
 from repro.core.practical import _ReconstructionWalk, quotient_from_view  # noqa: E402
-from repro.exceptions import FactorError, GraphError, SimulationError  # noqa: E402
-from repro.runtime.tape import FixedTape  # noqa: E402
 from repro.views.local_views import ViewBuilder, all_views, view_builder  # noqa: E402
-from repro.views.refinement import color_refinement, refinement_indices  # noqa: E402
-from repro.views import view_tree  # noqa: E402
-from repro.views.view_tree import ViewTree, clear_caches, intern_stats  # noqa: E402
+from repro.views.refinement import color_refinement  # noqa: E402
+from repro.views.view_tree import clear_caches, intern_stats  # noqa: E402
+from tests.oracles import (  # noqa: E402
+    per_trial_search,
+    reference_all_factors,
+    reference_deepen,
+    reference_enumerate_candidates,
+    reference_prg_search,
+    reference_reconstruct,
+    reference_search,
+    unshared_reconstruct,
+)
 
 DEFAULT_OUTPUT = REPO_ROOT / "benchmarks" / "BENCH_views.json"
 GUARD_BENCH = "views_cycle"
@@ -179,11 +168,13 @@ DYNAMIC_SPEEDUP_FLOORS = {"dynamic_views_cycle/1024@1%": 5.0}
 # Quotient reconstruction gate: the ``quotient_from_view`` calls over
 # the distinct views of ``all_views(2n+2)`` of a 2-hop colored cycle,
 # through one shared walk like the deterministic stage's solve, must
-# beat the embedded pre-drop-chain reference (recursive truncate +
-# all-pairs alias scan, below) by the floor at n=64.  The second case,
+# beat the pre-drop-chain reference (recursive truncate + all-pairs
+# alias scan: ``reference_reconstruct`` in tests/oracles.py, like every
+# reference below) by the floor at n=64.  The second case,
 # on a random 3-regular graph under its greedy 2-hop coloring (all n
 # views distinct, |V_*| = n), times the shared walk against one fresh
-# walk per view, so it isolates what the sharing saves.  Both sides run
+# walk per view (``unshared_reconstruct``), so it isolates what the
+# sharing saves.  Both sides run
 # in one invocation, each from cleared intern tables, so the speedup is
 # gated live like the dynamic section.  Over 6 runs on a 2-vCPU Linux
 # container (CPython 3.11) the distinct case measured 49-83x (6-12 ms
@@ -196,28 +187,26 @@ RECONSTRUCT_SPEEDUP_FLOORS = {"reconstruct_cycle/64": 5.0, "reconstruct_distinct
 # Assignment search gate: the lexicographic smallest successful
 # assignment for MIS on the view quotient of a 2-hop colored C6 (the
 # deterministic stage's search: 4,197 engine trials), timed against
-# an embedded replaying search on copies of the pre-change kernel pieces
-# (every trial from round 0, per-pair message keys, recursive freeze,
-# the old tape, funding checked twice a round; below).  Both sides run
-# in one invocation and must pick the same assignment with the same
-# number of executions, the current one simulating strictly fewer
-# rounds, messages and bits (it resumes each trial from its prefix), so
-# the speedup is gated live like the reconstruct section.  The current
+# ``reference_search``, which replays every trial from round 0 through
+# ``execute``.  Both sides run in one invocation and must pick the same
+# assignment with the same number of executions, the current one
+# simulating strictly fewer rounds, messages and bits (it resumes each
+# trial from its prefix), so the speedup is gated live like the
+# reconstruct section.  The current
 # search continues each prefix snapshot, a tuple of interned state ids,
 # through one transition table shared by every trial of the search: the
 # messages and inboxes of a snapshot are computed once, and each
 # distinct (state, bits, inbox) transition once per search.  The
-# coloring is not periodic, so the quotient keeps all six nodes.  Since
-# a trial reads one option slot per node of its prefix snapshot, it
-# measured 50.2-74.0x over 18 runs on a 2-vCPU Linux container (CPython
-# 3.11; 26.9-38.1x over 6 runs before); the floor is under 80% of the
-# lowest measurement.
+# coloring is not periodic, so the quotient keeps all six nodes.  It
+# measured 112-124x over 4 runs on a 2-vCPU Linux container (CPython
+# 3.11); the floor is under a third of the lowest.
 #
 # The second case is a prg search, the ``reconstruct`` workload's kind:
 # MIS on the view quotient of a random connected 48-node graph under its
 # greedy 2-hop coloring (every view distinct, so all 48 nodes stay), 128
-# failed trials of length 4 and then length 8.  Its reference runs every
-# trial from round 0 through ``execute``; the current search plays them
+# failed trials of length 4 and then length 8.  Its reference,
+# ``reference_prg_search``, runs every trial from round 0 through
+# ``execute``; the current search plays them
 # as lookups in its interned round kernel.  Both must pick the same
 # assignment with identical engine counts.  Measured 2.1-3.1x over 10
 # runs on the same container (2.14-2.93x over 18 runs with the fused
@@ -236,15 +225,14 @@ RECONSTRUCT_SPEEDUP_FLOORS = {"reconstruct_cycle/64": 5.0, "reconstruct_distinct
 # The fourth case is the lexicographic search of the ``search``
 # workload's heaviest op, MIS on the view quotient of the 6-leaf star
 # (all 7 nodes stay: a 2-hop coloring of a star is injective), 16,517
-# trials.  Its reference is the search as it played each trial: an
-# embedded copy of the per-trial ``_PrefixMemo._continue``, which reads
-# a trial's option slots, sums them and keeps its end state.  The
+# trials.  Its reference is the search as it played each trial
+# (``per_trial_search``, the per-trial ``_PrefixMemo._continue``), which
+# reads a trial's option slots, sums them and keeps its end state.  The
 # current search plays each prefix snapshot once and counts its trials
 # from its slots.  Both must pick the same assignment with identical
 # engine counts and the same calls of the algorithm.  Measured
 # 5.34-9.08x over 17 runs on a 2-vCPU Linux container (CPython 3.11);
-# the floor is under 80% of the lowest.  The first case measures
-# 186-232x since the search plays snapshots (4 runs); its floor stays.
+# the floor is under 80% of the lowest.
 SEARCH_COLORING = (0, 1, 2, 0, 1, 3)
 PRG_SEARCH_N = 48
 PRG_MATCHING_N = 20
@@ -259,34 +247,34 @@ SEARCH_SPEEDUP_FLOORS = {
 # Factor enumeration gate: ``all_factors(..., include_trivial=True)`` on
 # the two graphs of the ``lemma3`` experiment, the 2-hop colored C12
 # (the fourfold cyclic lift of a colored C3) and the uncolored C12,
-# timed against an embedded copy of the pre-change enumeration, which
-# builds and verifies the quotient of every 2-hop independent fiber
-# partition and keeps the ones that verify.  Both sides must return the
-# same maps onto equal factors in the same order.  Both run in one
-# invocation, so the speedup is gated live like the search section.
-# Measured 5.5-5.9x (colored lift) and 19.7-22.6x (uncolored cycle)
-# over 7 runs on a 2-vCPU Linux container (CPython 3.11); each floor
-# sits under a third of the lowest.
+# timed against ``reference_all_factors``, the unpruned enumeration:
+# every equal-size partition inside the view classes, its quotient
+# built and verified unless it needs a loop or is not locally
+# injective.  Both sides must return the same maps onto equal factors
+# in the same order.  Both run in one invocation, so the speedup is
+# gated live like the search section.  Measured 5.7-6.4x (colored lift)
+# and 71-81x (uncolored cycle) over 4 runs on a 2-vCPU Linux container
+# (CPython 3.11); each floor sits under a third of the lowest.
 FACTORS_SPEEDUP_FLOORS = {"factors_colored_lift/12": 1.5, "factors_cycle/12": 6.0}
 
 # Candidate enumeration gate: ``enumerate_candidates`` (the view-guided
 # folding search of A_*'s Update-Graph) on the phase-4 view of
 # ``candidate-growth`` (colored C6, cap 4) and on the view node 0 of a
-# colored P4 enumerates from in A_*'s phase 4 (cap 4), timed against an
-# embedded copy of the brute force it replaced, which checks every
-# connected graph on at most 4 nodes under every labeling by observed
-# marks.  Both sides must return the same sort keys, finite view graphs
+# colored P4 enumerates from in A_*'s phase 4 (cap 4), timed against
+# the brute force it replaced (``reference_enumerate_candidates``),
+# which checks every connected graph on at most 4 nodes under every
+# labeling by observed marks.  Both sides must return the same sort keys, finite view graphs
 # and anchor classes.  Both run in one invocation, so the speedup is
-# gated live.  Measured 630-660x (candidate-growth) and 370-480x (A_* on
-# P4) over 3 runs on a 2-vCPU Linux container (CPython 3.11); each floor
+# gated live.  Measured 460-522x (candidate-growth) and 276-326x (A_* on
+# P4) over 5 runs on a 2-vCPU Linux container (CPython 3.11); each floor
 # sits far under the lowest.
 CANDIDATES_SPEEDUP_FLOORS = {"candidates_growth/4": 50.0, "candidates_a_star_p4/4": 50.0}
 
 # Deepening gate: ``ViewBuilder.views(2n+2)`` on the colored 8x8 torus
 # (greedy 2-hop coloring, the reconstruct workload's depth), whose
 # levels past the rank fixpoint are built from frozen plans, timed
-# against an embedded copy of the deepening loop that calls
-# ``_make_ranked`` once per class at every stable level.  Each sample
+# against the deepening loop that calls ``_make_ranked`` once per class
+# at every stable level (``reference_deepen``).  Each sample
 # starts from cleared intern tables; both sides must give the same rank
 # triples at every level and the same intern table sizes.  Both run in
 # one invocation, so the speedup is gated live.  Measured 2.3-2.6x
@@ -625,74 +613,46 @@ def run_dynamic_benches(repeats: int) -> dict:
     return {"speedup_floors": DYNAMIC_SPEEDUP_FLOORS, "rows": rows}
 
 
-def _versus_row(bench, n, current_s, reference_s, **extra) -> dict:
-    """A live row: best and median of each side's samples, and the
-    reference's best over the current side's best."""
+def _versus_row(
+    bench, n, samples, current, reference, *, setup=None, observe=None, same=operator.eq,
+    report=(), **extra,
+) -> dict:
+    """A live row: ``current`` timed against its oracle ``reference``
+    (from ``tests/oracles.py``) back to back, ``samples`` times.
+
+    Before each side, untimed, ``setup()`` (when given) returns the one
+    argument the side is called with.  Each side runs under
+    ``collect_engine_metrics``; right after it, untimed,
+    ``observe(result, counts)`` reads what the two sides must agree on
+    (by default the result itself), and ``same`` compares the two
+    readings.  The row holds each side's best and median, the keys
+    ``report`` names from the current side's reading, and the
+    reference's best over the current side's best.
+    """
+    seconds = {"current": [], "reference": []}
+    for _ in range(samples):
+        seen = {}
+        for side, run in (("current", current), ("reference", reference)):
+            args = () if setup is None else (setup(),)
+            with collect_engine_metrics() as totals:
+                start = time.perf_counter()
+                result = run(*args)
+                seconds[side].append(time.perf_counter() - start)
+            counts = totals.as_dict(include_wall=False)
+            seen[side] = result if observe is None else observe(result, counts)
+        if not same(seen["current"], seen["reference"]):
+            raise RuntimeError(f"{bench}/{n}: the reference result differs")
     sides = {
         side: {
-            "best_s": min(samples),
-            "median_s": statistics.median(samples),
-            "repeats": len(samples),
+            "best_s": min(samples_s),
+            "median_s": statistics.median(samples_s),
+            "repeats": len(samples_s),
         }
-        for side, samples in (("current", current_s), ("reference", reference_s))
+        for side, samples_s in seconds.items()
     }
+    reported = {key: seen["current"][key] for key in report}
     speedup = round(sides["reference"]["best_s"] / sides["current"]["best_s"], 2)
-    return {"bench": bench, "n": n, **extra, **sides, "speedup": speedup}
-
-
-def _reference_truncate(tree, depth, memo):
-    """Pre-drop-chain truncation: recurse through every child, memoised
-    per (tree, depth) — O(n^3) table entries over a node's views."""
-    if tree.depth <= depth:
-        return tree
-    key = (id(tree), depth)
-    result = memo.get(key)
-    if result is None:
-        if depth == 1:
-            result = ViewTree.leaf(tree.mark)
-        else:
-            result = ViewTree.make(
-                tree.mark, [_reference_truncate(c, depth - 1, memo) for c in tree.children]
-            )
-        memo[key] = result
-    return result
-
-
-def _reference_quotient_edges(view, radius, memo):
-    """Pre-change ``quotient_from_view`` alias collection and matching:
-    the same aliases and edges, matched by scanning every alias."""
-    aliases = []
-    seen_alias = set()
-    best_level = {}
-    frontier = [(view, 1)]
-    while frontier:
-        tree, level = frontier.pop()
-        if best_level.get(id(tree), radius + 1) <= level:
-            continue
-        best_level[id(tree)] = level
-        alias = _reference_truncate(tree, radius, memo)
-        if id(alias) not in seen_alias:
-            seen_alias.add(id(alias))
-            aliases.append(alias)
-        if level < radius:
-            for child in tree.children:
-                frontier.append((child, level + 1))
-    aliases.sort(key=lambda t: t.sort_key())
-    edges = set()
-    for i, alias in enumerate(aliases):
-        for child in alias.children:
-            (j,) = [
-                k
-                for k, other in enumerate(aliases)
-                if _reference_truncate(other, max(1, radius - 1), memo) is child
-            ]
-            edges.add((min(i, j), max(i, j)))
-    return edges
-
-
-def _reference_reconstruct(views, graph):
-    memo = {}
-    return [_reference_quotient_edges(views[v], graph.num_nodes, memo) for v in graph.nodes]
+    return {"bench": bench, "n": n, **extra, **reported, **sides, "speedup": speedup}
 
 
 def _current_reconstruct(views, graph):
@@ -707,277 +667,48 @@ def _current_reconstruct(views, graph):
     return [rebuilt[views[v]] for v in graph.nodes]
 
 
-def _unshared_reconstruct(views, graph):
-    """One fresh walk per distinct view: each view redoes the whole walk."""
-    radius = graph.num_nodes
-    rebuilt = {tree: quotient_from_view(tree, radius) for tree in dict.fromkeys(views.values())}
-    return [rebuilt[views[v]] for v in graph.nodes]
-
-
-def _edge_sets(rebuilt):
-    """Each node's rebuilt edges (the pre-change reference yields them
-    directly; the others yield graphs, read here, outside the timing)."""
-    return [q if isinstance(q, set) else set(q.edges()) for q in rebuilt]
-
-
-def _time_reconstruction(graph, rebuild):
-    """Seconds ``rebuild(views, graph)`` takes on freshly built
-    depth-(2n+2) views (intern tables cleared, views built untimed)."""
-    clear_caches()
-    views = all_views(graph, 2 * graph.num_nodes + 2)
-    start = time.perf_counter()
-    result = rebuild(views, graph)
-    return time.perf_counter() - start, result
-
-
-def _reconstruct_row(bench, graph, reference_rebuild, samples_per_side) -> dict:
-    """Time the shared-walk reconstruction against ``reference_rebuild``
-    back to back; both must produce the same edges for every node."""
-    current, reference = [], []
-    for _ in range(samples_per_side):
-        elapsed, current_rebuilt = _time_reconstruction(graph, _current_reconstruct)
-        current.append(elapsed)
-        elapsed, reference_rebuilt = _time_reconstruction(graph, reference_rebuild)
-        reference.append(elapsed)
-        if _edge_sets(current_rebuilt) != _edge_sets(reference_rebuilt):
-            raise RuntimeError(f"{bench}/{graph.num_nodes}: reference edges differ")
-    return _versus_row(bench, graph.num_nodes, current, reference)
-
-
 def run_reconstruct_benches(repeats: int) -> dict:
     """Quotient reconstruction through one shared walk vs unshared
-    references: the embedded pre-change code on 2-hop colored cycles,
-    and one fresh walk per view on a random 3-regular graph.
+    references: the pre-change code on 2-hop colored cycles, and one
+    fresh walk per view on a random 3-regular graph.
 
     Each sample clears the intern tables and builds the depth-(2n+2)
     views untimed, then times every view's reconstruction.  The
     reference is checked to produce the same edges, so both sides do
     the same job.
     """
-    samples_per_side = min(repeats, 3)  # the pre-change side takes seconds
-    rows = [
-        _reconstruct_row(
-            "reconstruct_cycle",
-            _colored(with_uniform_input(cycle_graph(n))),
-            _reference_reconstruct,
-            samples_per_side,
-        )
+    samples = min(repeats, 3)  # the pre-change side takes seconds
+    cases = [
+        ("reconstruct_cycle", _colored(with_uniform_input(cycle_graph(n))), reference_reconstruct)
         for n in RECONSTRUCT_NS
     ]
-    n = RECONSTRUCT_DISTINCT_N
-    rows.append(
-        _reconstruct_row(
-            "reconstruct_distinct",
-            _colored(with_uniform_input(random_regular_graph(n, 3, seed=0))),
-            _unshared_reconstruct,
-            samples_per_side,
-        )
+    distinct = random_regular_graph(RECONSTRUCT_DISTINCT_N, 3, seed=0)
+    cases.append(
+        ("reconstruct_distinct", _colored(with_uniform_input(distinct)), unshared_reconstruct)
     )
+    rows = []
+    for bench, graph, reference in cases:
+
+        def fresh_views(graph=graph):
+            clear_caches()
+            return all_views(graph, 2 * graph.num_nodes + 2)
+
+        rows.append(
+            _versus_row(
+                bench,
+                graph.num_nodes,
+                samples,
+                partial(_current_reconstruct, graph=graph),
+                partial(reference, graph=graph),
+                setup=fresh_views,
+                # The pre-change reference yields edge sets, the others graphs.
+                observe=lambda rebuilt, _counts: [
+                    q if isinstance(q, set) else set(q.edges()) for q in rebuilt
+                ],
+            )
+        )
     clear_caches()
     return {"speedup_floors": RECONSTRUCT_SPEEDUP_FLOORS, "rows": rows}
-
-
-def _reference_freeze(value):
-    """Pre-change ``_freeze``: recursive, with no atom fast path."""
-    if isinstance(value, (list, tuple)):
-        return tuple(_reference_freeze(item) for item in value)
-    if isinstance(value, dict):
-        return tuple(sorted((k, _reference_freeze(v)) for k, v in value.items()))
-    if isinstance(value, set):
-        return tuple(sorted(_reference_freeze(v) for v in value))
-    return value
-
-
-def _reference_message_key(message):
-    return repr(_reference_freeze(message))
-
-
-class _ReferenceFixedTape(FixedTape):
-    """Pre-change tape: per-character validation, ``draw`` via ``remaining``."""
-
-    def __init__(self, bits: str) -> None:
-        if any(c not in "01" for c in bits):
-            raise SimulationError(f"bitstring may contain only 0/1, got {bits!r}")
-        self._bits = bits
-        self._position = 0
-
-    def draw(self, count: int) -> str:
-        if not self.remaining(count):
-            raise SimulationError("tape exhausted")
-        chunk = self._bits[self._position : self._position + count]
-        self._position += count
-        return chunk
-
-
-class _ReferenceBroadcast(BroadcastDelivery):
-    """Pre-change broadcast delivery: every (receiver, neighbour) pair
-    keys its message through the recursive freeze.  Overriding ``inbox``
-    puts the kernel on the per-node ``deliver`` path.  ``emit`` repeats
-    the tape-funding check the pre-change ``step()`` made after the loop's."""
-
-    def __init__(self, tapes) -> None:
-        self._tapes = tapes
-
-    def emit(self, algorithm, states, graph):
-        need = algorithm.bits_per_round
-        if not all(tape.remaining(need) for tape in self._tapes.values()):
-            raise SimulationError("cannot step: some node's bit tape is exhausted")
-        return {v: algorithm.message(states[v]) for v in graph.nodes}
-
-    def inbox(self, outboxes, node, graph):
-        return tuple(
-            sorted((outboxes[u] for u in graph.neighbors(node)), key=_reference_message_key)
-        )
-
-
-def _reference_search(algorithm, graph, node_order):
-    """The lexicographic smallest successful assignment with every trial
-    replayed from round 0 on the pre-change delivery, freeze, tapes and
-    funding checks.  The
-    trials run through ``execute`` with explicit tapes, so the kernel
-    checks funding each round and stops at the same round as an
-    assignment run; they share the current round loop and run plan."""
-    empty = {v: "" for v in node_order}
-    for target_length in range(1, 65):
-        for assignment in enumerate_extensions(empty, node_order, target_length):
-            tapes = {v: _ReferenceFixedTape(assignment[v]) for v in graph.nodes}
-            delivery = _ReferenceBroadcast(tapes)
-            if execute(algorithm, graph, tapes=tapes, delivery=delivery, record_trace=False).successful:
-                return assignment
-    raise RuntimeError("reference search found no assignment")
-
-
-def _reference_prg_search(algorithm, graph, node_order):
-    """The prg search with every trial replayed from round 0 through
-    ``execute``, as it ran before its trials became memo lookups."""
-    empty = {v: "" for v in node_order}
-    target_length = 4
-    while target_length <= 128:
-        for assignment in enumerate_extensions(
-            empty,
-            node_order,
-            target_length,
-            strategy="prg",
-            prg_seed=target_length,
-            limit=TRIALS_PER_LENGTH,
-        ):
-            if execute(algorithm, graph, assignment=assignment).successful:
-                return assignment
-        target_length *= 2
-    raise RuntimeError("reference prg search found no assignment")
-
-
-class _PerTrialPrefixMemo(_PrefixMemo):
-    """The lexicographic search as it played each trial: pre-change
-    ``_continue`` reads a trial's ``n`` option slots, sums their decided
-    bits and keeps its end state as the next length's snapshot, trial by
-    trial.  ``_rows`` holds those per-trial snapshots."""
-
-    def _continue(self, target_length, trials):
-        graph = self._graph
-        n = graph.num_nodes
-        per_round = self._algorithm.bits_per_round
-        rounds = target_length // per_round
-        new_round = rounds > self._rounds
-        kept = self._rounds * per_round
-        free = target_length - kept
-        keyed = _per_trial_keys(
-            trials, [(n - 1 - j) * target_length + free for j in range(n)], kept
-        )
-        decided_mask = (1 << self._width) - 1
-        executions = extended = nodes_decided = index = 0
-        start = _wall_clock()
-        try:
-            if not self._rows:
-                self._rows = [self._encode(self._memo.initial_ids())]
-            snapshots = self._rows
-            if not new_round:
-                for index, key in keyed:
-                    decided = sum(snapshots[key]) & decided_mask
-                    executions += 1
-                    nodes_decided += decided
-                    if decided == n:
-                        return index, range(0)
-                return None, range(0)
-            chunk_mask = (1 << free) - 1
-            reads = [
-                (p << free, (n - 1 - j) * target_length) for p, j in enumerate(self._positions)
-            ]
-            rows = [None] * len(snapshots)
-            settled = {}
-            fresh = []
-            for index, key in keyed:
-                slots = rows[key]
-                if slots is None:
-                    snapshot = snapshots[key]
-                    if sum(snapshot) & decided_mask == n:
-                        executions += 1
-                        nodes_decided += n
-                        return index, range(0)
-                    settled[key] = self._settle(snapshot)
-                    slots = rows[key] = [None] * (n << free)
-                codes = [slots[base + ((index >> shift) & chunk_mask)] for base, shift in reads]
-                if None in codes:
-                    codes = self._fill_trial(
-                        slots, settled[key], index, reads, chunk_mask, free, rounds
-                    )
-                decided = sum(codes) & decided_mask
-                fresh.append(tuple(codes))
-                executions += 1
-                extended += 1
-                nodes_decided += decided
-                if decided == n:
-                    return index, range(0)
-        except _NotInternable:
-            self._rows = None
-            return None, range(index, trials)
-        finally:
-            _absorb_all(
-                executions, extended, extended * 2 * graph.num_edges,
-                extended * per_round * n, nodes_decided, _wall_clock() - start,
-            )
-        self._rows, self._rounds = fresh, rounds
-        return None, range(0)
-
-    def _fill_trial(self, slots, settled, index, reads, chunk_mask, free, rounds):
-        memo, width = self._memo, self._width
-        sids, befores, inboxes = settled
-        filled = []
-        for p, (base, shift) in enumerate(reads):
-            chunk = (index >> shift) & chunk_mask
-            if slots[base + chunk] is None:
-                target = memo.target(sids[p], format(chunk, f"0{free}b"), inboxes[p])
-                filled.append((p, base + chunk, target))
-        for p, slot, target in filled:
-            value, before = memo.output(target), befores[p]
-            if before is not None and (value is None or value != before):
-                raise _output_changed(self._graph.nodes[p], before, value, rounds)
-            slots[slot] = target << width | (value is not None)
-        return [slots[base + ((index >> shift) & chunk_mask)] for base, shift in reads]
-
-
-def _per_trial_keys(trials, shifts, kept):
-    """Each trial index with the lexicographic index of its per-node
-    first ``kept`` bits (pre-change ``_prefix_keys``)."""
-    mask = (1 << kept) - 1
-    for index in range(trials):
-        key = 0
-        for shift in shifts:
-            key = (key << kept) | ((index >> shift) & mask)
-        yield index, key
-
-
-def _per_trial_search(algorithm, graph, node_order):
-    """``smallest_successful_assignment``'s lexicographic loop over
-    :class:`_PerTrialPrefixMemo`."""
-    search_length = _PerTrialPrefixMemo(algorithm, graph, node_order).search_length
-    budget = 1_000_000
-    for target_length in range(1, 65):
-        found = search_length(target_length, budget)
-        if found is not None:
-            return found
-        budget -= 1 << (graph.num_nodes * target_length)
-    raise RuntimeError("per-trial search found no assignment")
 
 
 class _CountingMIS(AnonymousMISAlgorithm):
@@ -1000,54 +731,6 @@ class _CountingMIS(AnonymousMISAlgorithm):
         return super().output(state)
 
 
-def _snapshot_search_row(samples_per_side) -> dict:
-    """The lexicographic MIS search on the view quotient of the
-    ``SNAPSHOT_SEARCH_LEAVES``-leaf star against the per-trial search:
-    the same assignment, identical engine counts and the same algorithm
-    calls."""
-    star = with_uniform_input(star_graph(SNAPSHOT_SEARCH_LEAVES))
-    graph, order = _quotient_search_input(star, greedy_two_hop_coloring(star))
-    calls = []
-
-    def counted(search):
-        algorithm = _CountingMIS()
-        chosen = search(algorithm, graph, order)
-        calls.append(algorithm.calls)
-        return chosen
-
-    row = _search_row(
-        "search_snapshots_mis_star",
-        graph,
-        lambda: counted(smallest_successful_assignment),
-        lambda: counted(_per_trial_search),
-        lambda counts, replayed: counts == replayed,
-        samples_per_side,
-    )
-    if any(side != calls[0] for side in calls):
-        raise RuntimeError("search_snapshots_mis_star: the algorithm calls differ")
-    return {**row, "calls": calls[0]}
-
-
-def _search_row(bench, graph, search, reference, same_work, samples_per_side) -> dict:
-    """Time ``search()`` against ``reference()`` back to back; both must
-    return the same assignment, with engine counts ``same_work`` accepts."""
-    current_s, reference_s = [], []
-    for _ in range(samples_per_side):
-        with collect_engine_metrics() as totals:
-            start = time.perf_counter()
-            chosen = search()
-            current_s.append(time.perf_counter() - start)
-        with collect_engine_metrics() as reference_totals:
-            start = time.perf_counter()
-            reference_chosen = reference()
-            reference_s.append(time.perf_counter() - start)
-        counts = totals.as_dict(include_wall=False)
-        replayed = reference_totals.as_dict(include_wall=False)
-        if reference_chosen != chosen or not same_work(counts, replayed):
-            raise RuntimeError(f"{bench}/{graph.num_nodes}: reference search differs")
-    return _versus_row(bench, graph.num_nodes, current_s, reference_s, counts=counts)
-
-
 def _quotient_search_input(graph, coloring):
     """The simulation graph and canonical node order of the view quotient
     of ``graph`` under ``coloring`` (as ``PracticalDerandomizer`` searches it)."""
@@ -1055,272 +738,131 @@ def _quotient_search_input(graph, coloring):
     return quotient.graph.with_only_layers(["input"]), canonical_node_order(quotient.graph)
 
 
-def _prg_search_row(bench, algorithm, graph, samples_per_side) -> dict:
-    """The prg search on the view quotient of ``graph`` under its greedy
-    2-hop coloring against the loop that replays every trial through
-    ``execute``: the same assignment with identical engine counts."""
-    graph, order = _quotient_search_input(graph, greedy_two_hop_coloring(graph))
-    return _search_row(
-        bench,
-        graph,
-        lambda: smallest_successful_assignment(
-            algorithm, graph, order, strategy="prg", max_length=128
-        ),
-        lambda: _reference_prg_search(algorithm, graph, order),
-        lambda counts, replayed: counts == replayed,
-        samples_per_side,
-    )
+def _searched(chosen, counts):
+    return {"assignment": chosen, "counts": counts}
 
 
 def run_search_benches(repeats: int) -> dict:
-    """Assignment searches vs embedded replaying references.
+    """Assignment searches vs the replaying oracles of ``tests/oracles.py``.
 
     The lexicographic search (MIS on the view quotient of C6 under
-    ``SEARCH_COLORING``) runs against the pre-change kernel pieces: the
-    same assignment with the same number of executions, the current side
-    simulating strictly fewer rounds, messages and bits (it continues
-    each trial from the end state of its failed prefix trial, looking
-    each node's step up in the transition table all of the search's
-    trials share).  The prg searches (MIS on the view quotient of a
-    random connected ``PRG_SEARCH_N``-node graph, matching on that of a
-    ``PRG_MATCHING_N``-node one) run against the loop that replays every
-    trial through ``execute``: the same assignment with identical engine
-    counts.  The snapshot search (MIS on the view quotient of the
-    ``SNAPSHOT_SEARCH_LEAVES``-leaf star) runs against the per-trial
-    continuation it replaced: the same assignment, identical engine
-    counts and the same algorithm calls.
+    ``SEARCH_COLORING``) runs against ``reference_search``, which replays
+    every trial from round 0 through ``execute``: the same assignment
+    with the same number of executions, the current side simulating
+    strictly fewer rounds, messages and bits (it continues each trial
+    from the end state of its failed prefix trial, looking each node's
+    step up in the transition table all of the search's trials share).
+    The prg searches (MIS on the view quotient of a random connected
+    ``PRG_SEARCH_N``-node graph, matching on that of a
+    ``PRG_MATCHING_N``-node one) run against ``reference_prg_search``:
+    the same assignment with identical engine counts.  The snapshot
+    search (MIS on the view quotient of the ``SNAPSHOT_SEARCH_LEAVES``-leaf
+    star) runs against ``per_trial_search``, the per-trial continuation
+    it replaced: the same assignment, identical engine counts and the
+    same algorithm calls.
     """
-    samples_per_side = min(repeats, 3)  # each side takes under a second
+    samples = min(repeats, 3)  # each side takes under a second
     algorithm = AnonymousMISAlgorithm()
 
-    def fewer_rounds(counts, replayed):
-        return replayed["executions"] == counts["executions"] and all(
-            counts[k] < replayed[k] for k in ("rounds", "messages_sent", "bits_drawn")
+    def fewer_rounds(current, replayed):
+        counts, replayed_counts = current["counts"], replayed["counts"]
+        return (
+            current["assignment"] == replayed["assignment"]
+            and replayed_counts["executions"] == counts["executions"]
+            and all(
+                counts[k] < replayed_counts[k] for k in ("rounds", "messages_sent", "bits_drawn")
+            )
         )
 
     cycle = with_uniform_input(cycle_graph(len(SEARCH_COLORING)))
     graph, order = _quotient_search_input(cycle, dict(enumerate(SEARCH_COLORING)))
-    lexicographic = _search_row(
-        "search_mis_cycle",
-        graph,
-        lambda: smallest_successful_assignment(algorithm, graph, order),
-        lambda: _reference_search(algorithm, graph, order),
-        fewer_rounds,
-        samples_per_side,
-    )
-    random_graph = with_uniform_input(
-        random_connected_graph(PRG_SEARCH_N, 1.5 / PRG_SEARCH_N, seed=1)
-    )
-    matching_graph = with_uniform_input(
-        random_connected_graph(PRG_MATCHING_N, 1.5 / PRG_MATCHING_N, seed=6)
-    )
     rows = [
-        lexicographic,
-        _prg_search_row("search_prg_mis_random", algorithm, random_graph, samples_per_side),
-        _prg_search_row(
-            "search_prg_matching_random", AnonymousMatchingAlgorithm(), matching_graph,
-            samples_per_side,
-        ),
-        _snapshot_search_row(samples_per_side),
+        _versus_row(
+            "search_mis_cycle",
+            graph.num_nodes,
+            samples,
+            partial(smallest_successful_assignment, algorithm, graph, order),
+            partial(reference_search, algorithm, graph, order),
+            observe=_searched,
+            same=fewer_rounds,
+            report=("counts",),
+        )
     ]
+    for bench, prg_algorithm, n, seed in (
+        ("search_prg_mis_random", algorithm, PRG_SEARCH_N, 1),
+        ("search_prg_matching_random", AnonymousMatchingAlgorithm(), PRG_MATCHING_N, 6),
+    ):
+        random_graph = with_uniform_input(random_connected_graph(n, 1.5 / n, seed=seed))
+        graph, order = _quotient_search_input(
+            random_graph, greedy_two_hop_coloring(random_graph)
+        )
+        rows.append(
+            _versus_row(
+                bench,
+                graph.num_nodes,
+                samples,
+                partial(
+                    smallest_successful_assignment, prg_algorithm, graph, order,
+                    strategy="prg", max_length=128,
+                ),
+                partial(reference_prg_search, prg_algorithm, graph, order, max_length=128),
+                observe=_searched,
+                report=("counts",),
+            )
+        )
+    star = with_uniform_input(star_graph(SNAPSHOT_SEARCH_LEAVES))
+    graph, order = _quotient_search_input(star, greedy_two_hop_coloring(star))
+
+    def counted(search):
+        def run():
+            counting = _CountingMIS()
+            return search(counting, graph, order), counting.calls
+
+        return run
+
+    rows.append(
+        _versus_row(
+            "search_snapshots_mis_star",
+            graph.num_nodes,
+            samples,
+            counted(smallest_successful_assignment),
+            counted(per_trial_search),
+            observe=lambda result, counts: {**_searched(result[0], counts), "calls": result[1]},
+            report=("counts", "calls"),
+        )
+    )
     return {"speedup_floors": SEARCH_SPEEDUP_FLOORS, "rows": rows}
 
 
-def _reference_partitions(graph, classes, fiber_size):
-    """Pre-change partition enumeration: the same 2-hop independent
-    partitions in the same order, re-summing the open slots each step."""
-    within_two_hops = {v: set(graph.nodes_within(v, 2)) for v in graph.nodes}
-    partitions, blocks = [], []
-
-    def backtrack(remaining):
-        if not remaining:
-            if all(len(block) == fiber_size for block in blocks):
-                partitions.append([tuple(block) for block in blocks])
-            return
-        if len(remaining) < sum(fiber_size - len(block) for block in blocks):
-            return
-        first, rest = remaining[0], remaining[1:]
-        near = within_two_hops[first]
-        for block in blocks:
-            if (
-                len(block) < fiber_size
-                and classes[block[0]] == classes[first]
-                and near.isdisjoint(block)
-            ):
-                block.append(first)
-                backtrack(rest)
-                block.pop()
-        blocks.append([first])
-        backtrack(rest)
-        blocks.pop()
-
-    backtrack(list(graph.nodes))
-    return partitions
-
-
-def _reference_partition_to_factor(graph, partition):
-    """Pre-change quotient step: build and verify the quotient of every
-    partition, ``None`` when it is not a factor."""
-    block_of = {v: index for index, block in enumerate(partition) for v in block}
-    edges = {
-        frozenset((block_of[v], block_of[u])) for v in graph.nodes for u in graph.neighbors(v)
-    }
-    layers = {
-        name: {index: graph.label_of(block[0], name) for index, block in enumerate(partition)}
-        for name in graph.layer_names
-    }
-    try:
-        quotient = LabeledGraph(
-            sorted(tuple(sorted(e)) for e in edges), nodes=range(len(partition)), layers=layers
-        )
-        return FactorizingMap(graph, quotient, block_of)
-    except (GraphError, FactorError):
-        return None
-
-
-def _reference_all_factors(graph):
-    """``all_factors(graph, include_trivial=True)`` as it ran before
-    non-factors were rejected ahead of their quotient."""
-    csr, colors = refinement_indices(graph)
-    classes = dict(zip(csr.nodes, colors))
-    factors = [FactorizingMap(graph, graph, {v: v for v in graph.nodes})]
-    for fiber_size in range(2, graph.num_nodes + 1):
-        if graph.num_nodes % fiber_size == 0:
-            for partition in _reference_partitions(graph, classes, fiber_size):
-                factor_map = _reference_partition_to_factor(graph, partition)
-                if factor_map is not None:
-                    factors.append(factor_map)
-    return factors
-
-
-def _factors_row(bench, graph, samples_per_side) -> dict:
-    """Time ``all_factors`` against the pre-change enumeration back to
-    back; both must return the same maps onto equal factors."""
-    current_s, reference_s = [], []
-    for _ in range(samples_per_side):
-        start = time.perf_counter()
-        found = all_factors(graph, include_trivial=True)
-        current_s.append(time.perf_counter() - start)
-        start = time.perf_counter()
-        reference_found = _reference_all_factors(graph)
-        reference_s.append(time.perf_counter() - start)
-        if [(m.as_dict(), m.factor) for m in found] != [
-            (m.as_dict(), m.factor) for m in reference_found
-        ]:
-            raise RuntimeError(f"{bench}/{graph.num_nodes}: reference factors differ")
-    return _versus_row(bench, graph.num_nodes, current_s, reference_s)
-
-
 def run_factor_benches(repeats: int) -> dict:
-    """Factor enumeration vs the embedded pre-change enumeration, on the
-    colored and the uncolored C12 of the ``lemma3`` experiment."""
+    """Factor enumeration vs the unpruned enumeration, on the colored and
+    the uncolored C12 of the ``lemma3`` experiment: both must return the
+    same maps onto equal factors."""
+    samples = min(repeats, 3)  # the unpruned side takes ~0.8 s on the cycle
     colored_lift, _projection = cyclic_lift(_colored(with_uniform_input(cycle_graph(3))), 4)
+    cases = [
+        ("factors_colored_lift", colored_lift),
+        ("factors_cycle", with_uniform_input(cycle_graph(12))),
+    ]
     rows = [
-        _factors_row("factors_colored_lift", colored_lift, repeats),
-        _factors_row("factors_cycle", with_uniform_input(cycle_graph(12)), repeats),
+        _versus_row(
+            bench,
+            graph.num_nodes,
+            samples,
+            partial(all_factors, graph, include_trivial=True),
+            partial(reference_all_factors, graph),
+            observe=lambda maps, _counts: [(m.as_dict(), m.factor) for m in maps],
+        )
+        for bench, graph in cases
     ]
     return {"speedup_floors": FACTORS_SPEEDUP_FLOORS, "rows": rows}
 
 
-def _reference_enumerate_candidates(view, phase, problem_c, layer_names, max_nodes):
-    """Pre-change enumeration: every connected edge set on
-    ``k <= min(phase, max_nodes)`` nodes times every labeling by
-    observed marks, each checked against C1-C3."""
-    marks = observed_marks(view)
-    by_encoding = {}
-    for k in range(1, min(phase, max_nodes) + 1):
-        pairs = list(itertools.combinations(range(k), 2))
-        for bits in range(1 << len(pairs)):
-            edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
-            if len(edges) < k - 1 or not _reference_connected(k, edges):
-                continue
-            for labeling in itertools.product(marks, repeat=k):
-                candidate = _reference_candidate(
-                    edges, labeling, view, phase, problem_c, layer_names
-                )
-                if candidate is not None and candidate.sort_key not in by_encoding:
-                    by_encoding[candidate.sort_key] = candidate
-    return [by_encoding[key] for key in sorted(by_encoding)]
-
-
-def _reference_connected(k, edges):
-    adjacency = {v: [] for v in range(k)}
-    for u, v in edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    seen, stack = {0}, [0]
-    while stack:
-        for neighbor in adjacency[stack.pop()]:
-            if neighbor not in seen:
-                seen.add(neighbor)
-                stack.append(neighbor)
-    return len(seen) == k
-
-
-def _reference_candidate(edges, labeling, view, phase, problem_c, layer_names):
-    k = len(labeling)
-    degree = [0] * k
-    for u, v in edges:
-        degree[u] += 1
-        degree[v] += 1
-    if not any(
-        labeling[v] == view.mark and degree[v] == len(view.children) for v in range(k)
-    ):
-        return None
-    layers = {name: {} for name in layer_names}
-    for v, mark in enumerate(labeling):
-        if not isinstance(mark, tuple) or len(mark) != len(layer_names):
-            return None
-        for name, value in zip(layer_names, mark):
-            layers[name][v] = value
-    try:
-        graph = LabeledGraph(edges, nodes=range(k), layers=layers)
-    except GraphError:
-        return None
-    views = all_views(graph, phase)
-    anchor = next((v for v in graph.nodes if views[v] is view), None)
-    if anchor is None:
-        return None
-    if not problem_c.is_instance(graph.with_only_layers(list(layer_names[:-1]))):
-        return None
-    try:
-        quotient = finite_view_graph(graph)
-    except FactorError:
-        return None
-    return Candidate(
-        graph=graph,
-        finite_view=quotient.graph,
-        anchor=anchor,
-        anchor_class=quotient.map(anchor),
-        sort_key=finite_view_graph_sort_key(quotient.graph),
-    )
-
-
-def _candidates_row(bench, view, phase, cap, samples_per_side) -> dict:
-    """Time ``enumerate_candidates`` against the brute force back to
-    back; both must return the same candidate list."""
-    problem_c = TwoHopColoredVariant(MISProblem())
-    current_s, reference_s = [], []
-    for _ in range(samples_per_side):
-        start = time.perf_counter()
-        found = enumerate_candidates(view, phase, problem_c, LAYER_NAMES, max_nodes=cap)
-        current_s.append(time.perf_counter() - start)
-        start = time.perf_counter()
-        reference_found = _reference_enumerate_candidates(
-            view, phase, problem_c, LAYER_NAMES, cap
-        )
-        reference_s.append(time.perf_counter() - start)
-        if [(c.sort_key, c.finite_view, c.anchor_class) for c in found] != [
-            (c.sort_key, c.finite_view, c.anchor_class) for c in reference_found
-        ]:
-            raise RuntimeError(f"{bench}/{cap}: reference candidates differ")
-    return _versus_row(bench, cap, current_s, reference_s, phase=phase)
-
-
 def run_candidate_benches(repeats: int) -> dict:
-    """Candidate enumeration vs the embedded brute force, on the phase-4
-    view of ``candidate-growth`` and on an A_* phase-4 view of P4."""
-    samples_per_side = min(repeats, 3)  # the brute-force side takes ~0.5 s
+    """Candidate enumeration vs the brute force, on the phase-4 view of
+    ``candidate-growth`` and on an A_* phase-4 view of P4 (cap 4): both
+    must return the same candidate list."""
+    samples = min(repeats, 3)  # the brute-force side takes ~0.5 s
     lift, _projection = cyclic_lift(_colored(with_uniform_input(cycle_graph(3))), 2)
     lift = lift.with_layer("bits", {v: "" for v in lift.nodes}).with_only_layers(
         list(LAYER_NAMES)
@@ -1331,62 +873,26 @@ def run_candidate_benches(repeats: int) -> dict:
     p4 = _colored(with_uniform_input(path_graph(4)))
     p4 = p4.with_layer("bits", {v: "" for v in p4.nodes}).with_only_layers(list(LAYER_NAMES))
     p4_view = all_views(p4, 4)[p4.nodes[0]]
+    problem_c = TwoHopColoredVariant(MISProblem())
     rows = [
-        _candidates_row("candidates_growth", growth_view, 4, 4, samples_per_side),
-        _candidates_row("candidates_a_star_p4", p4_view, 4, 4, samples_per_side),
+        _versus_row(
+            bench,
+            4,
+            samples,
+            partial(enumerate_candidates, view, 4, problem_c, LAYER_NAMES, max_nodes=4),
+            partial(reference_enumerate_candidates, view, 4, problem_c, LAYER_NAMES, 4),
+            observe=lambda found, _counts: [
+                (c.sort_key, c.finite_view, c.anchor_class) for c in found
+            ],
+            phase=4,
+        )
+        for bench, view in (("candidates_growth", growth_view), ("candidates_a_star_p4", p4_view))
     ]
     return {"speedup_floors": CANDIDATES_SPEEDUP_FLOORS, "rows": rows}
 
 
-def _reference_deepen(builder, depth):
-    """Pre-change stable deepening: refine until stable, then one
-    ``_make_ranked`` per class at every level."""
-    while len(builder._levels) < depth and not builder._stable:
-        builder._extend()
-    levels, counts = builder._levels, builder._counts
-    csr = builder._csr
-    colors, count = levels[-1][1], counts[-1]
-    if builder._rep_order is None:
-        builder._rep_order = builder._first_member_order(colors, count)
-    classes = [
-        (
-            colors[rep],
-            builder._rank_marks[csr.label_ranks[rep]],
-            builder._rank_mark_ids[csr.label_ranks[rep]],
-            [colors[u] for u in csr.adjacency[rep]],
-        )
-        for rep in builder._rep_order
-    ]
-    make = view_tree._make_ranked
-    prev_trees = levels[-1][0]
-    while len(levels) < depth:
-        trees = [None] * count
-        for c, mark, mark_id, row in classes:
-            trees[c] = make(mark, mark_id, [prev_trees[d] for d in row])
-        view_tree._record_drops(trees, prev_trees)
-        levels.append((trees, colors))
-        counts.append(count)
-        prev_trees = trees
-
-
 def _current_deepen(builder, depth):
     builder.views(depth)
-
-
-def _deepened(graph, deepen):
-    """Time ``deepen`` on a fresh builder from cleared intern tables;
-    return the time, every level's rank triples and the table sizes."""
-    clear_caches()
-    gc.collect()  # start both sides from the same collector state
-    builder = ViewBuilder(graph)
-    depth = 2 * graph.num_nodes + 2
-    start = time.perf_counter()
-    deepen(builder, depth)
-    elapsed = time.perf_counter() - start
-    ranks = [[tree.sort_key() for tree in trees] for trees, _colors in builder._levels]
-    stats = intern_stats()
-    del stats["bucket_shifts"]  # plan-built buckets are created sorted
-    return elapsed, (ranks, stats)
 
 
 def _traced_bytes_per_tree(graph, deepen) -> float:
@@ -1409,31 +915,44 @@ def _traced_bytes_per_tree(graph, deepen) -> float:
 
 def run_deepening_benches(repeats: int) -> dict:
     """Plan-built stable levels vs one ``_make_ranked`` per class at
-    every level, on the colored 8x8 torus at depth 2n+2."""
+    every level, on the colored 8x8 torus at depth 2n+2.  Each side
+    deepens a fresh builder from cleared intern tables; both must leave
+    the same rank triples at every level and the same table sizes."""
     graph = _colored(with_uniform_input(torus_graph(8, 8)))
-    current_s, reference_s = [], []
-    for _ in range(repeats):
-        elapsed, current = _deepened(graph, _current_deepen)
-        current_s.append(elapsed)
-        elapsed, reference = _deepened(graph, _reference_deepen)
-        reference_s.append(elapsed)
-        if current != reference:
-            raise RuntimeError("deepening_colored_torus: reference levels differ")
+    depth = 2 * graph.num_nodes + 2
+
+    def fresh_builder():
+        clear_caches()
+        gc.collect()  # start both sides from the same collector state
+        return ViewBuilder(graph)
+
+    def deepened(deepen):
+        def run(builder):
+            deepen(builder, depth)
+            return builder
+
+        return run
+
+    def levels(builder, _counts):
+        stats = intern_stats()
+        del stats["bucket_shifts"]  # plan-built buckets are created sorted
+        return [[tree.sort_key() for tree in trees] for trees, _colors in builder._levels], stats
+
+    row = _versus_row(
+        "deepening_colored_torus",
+        graph.num_nodes,
+        repeats,
+        deepened(_current_deepen),
+        deepened(reference_deepen),
+        setup=fresh_builder,
+        observe=levels,
+    )
     clear_caches()
-    bytes_per_tree = {
+    row["bytes_per_tree"] = {
         "current": _traced_bytes_per_tree(graph, _current_deepen),
-        "reference": _traced_bytes_per_tree(graph, _reference_deepen),
+        "reference": _traced_bytes_per_tree(graph, reference_deepen),
     }
-    rows = [
-        _versus_row(
-            "deepening_colored_torus",
-            graph.num_nodes,
-            current_s,
-            reference_s,
-            bytes_per_tree=bytes_per_tree,
-        )
-    ]
-    return {"speedup_floors": DEEPENING_SPEEDUP_FLOORS, "rows": rows}
+    return {"speedup_floors": DEEPENING_SPEEDUP_FLOORS, "rows": [row]}
 
 
 def run_suite(quick: bool, repeats: int) -> dict:
@@ -1805,17 +1324,17 @@ LIVE_SPEEDUP_SECTIONS = {
     "search": (
         SEARCH_SPEEDUP_FLOORS,
         _sized_case,
-        "assignment search vs pre-change round kernel",
+        "assignment search vs replaying every trial",
         (("current", "current"), ("reference", "reference")),
-        "the search beats the pre-change kernel",
+        "the search beats replaying every trial",
         "ASSIGNMENT SEARCH SPEEDUP FLOOR VIOLATION:",
     ),
     "factors": (
         FACTORS_SPEEDUP_FLOORS,
         _sized_case,
-        "factor enumeration vs building every partition's quotient",
+        "factor enumeration vs the unpruned enumeration",
         (("current", "current"), ("reference", "reference")),
-        "factor enumeration beats the pre-change one",
+        "factor enumeration beats the unpruned one",
         "FACTOR ENUMERATION SPEEDUP FLOOR VIOLATION:",
     ),
     "candidates": (

@@ -1,8 +1,8 @@
 """The keyed artifact store: memory tier + optional persistent tier.
 
 **Memory tier.**  One process-wide registry of per-kind LRU *buckets*.
-The library's own memos (refinement results, view builders, quotients)
-are buckets in this registry, keyed by live graph objects — structural
+The library's own memos (refinement results, view builders) are
+buckets in this registry, keyed by live graph objects — structural
 hash, no serialization on the hot path — with the same capacities and
 eviction order they had as private module dicts.  Eviction is uniform:
 :func:`clear_memory_tier` (reached through

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.exceptions import DerandomizationError
+from repro.factor.quotient import finite_view_graph
 from repro.graphs.labeled_graph import LabeledGraph, Node
 from repro.problems.problem import DistributedProblem, TwoHopColoredVariant
 from repro.runtime.algorithm import AnonymousAlgorithm
@@ -43,7 +44,7 @@ from repro.views.view_tree import ViewTree
 from repro.core.assignment_search import smallest_successful_extension
 from repro.core.candidates import Candidate, enumerate_candidates
 from repro.core.orders import canonical_node_order
-from repro.core.practical import require_colored_instance
+from repro.core.practical import require_colored_instance, require_quotient_instance
 
 LAYER_NAMES = ("input", "color", "bits")
 
@@ -97,7 +98,9 @@ class AStarSolver:
         Returns the (deterministic) output labeling and diagnostics.
         Raises :class:`DerandomizationError` if ``max_phases`` is reached
         first — for budget-capped runs, not a termination bound (the
-        theorem guarantees some finite phase suffices).
+        theorem guarantees some finite phase suffices).  When the
+        instance's view quotient is no Π instance, no candidate can pass
+        C3, so the error names that cause instead.
         """
         require_colored_instance(instance)
         diagnostics = AStarDiagnostics()
@@ -130,6 +133,9 @@ class AStarSolver:
             if len(outputs) == current.num_nodes:
                 return outputs, diagnostics
 
+        require_quotient_instance(
+            self.problem, finite_view_graph(instance).graph.with_only_layers(["input"])
+        )
         raise DerandomizationError(
             f"A_* did not decide every node within {max_phases} phases "
             f"({len(outputs)}/{instance.num_nodes} decided)"

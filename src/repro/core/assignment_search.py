@@ -120,19 +120,16 @@ def smallest_successful_extension(
     prefix: Mapping[Node, str],
     target_length: int,
     budget: int = 1_000_000,
-    strategy: str = "lexicographic",
 ) -> Assignment | None:
-    """The first successful ``target_length``-extension of ``prefix`` in the
-    chosen predetermined order, or ``None`` when no extension of this
-    length succeeds.  Raises :class:`SearchBudgetExceeded` when the
+    """The first successful ``target_length``-extension of ``prefix`` in
+    lexicographic order, or ``None`` when no extension of this length
+    succeeds.  Raises :class:`SearchBudgetExceeded` when the
     budget runs out with candidates still untried."""
     _check_node_order(graph, node_order)
     memo = TrialMemo(algorithm, graph)
     tried = 0
     exhausted = True
-    for assignment in enumerate_extensions(
-        prefix, node_order, target_length, strategy=strategy
-    ):
+    for assignment in enumerate_extensions(prefix, node_order, target_length):
         if tried >= budget:
             exhausted = False
             break

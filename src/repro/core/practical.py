@@ -25,7 +25,8 @@ knows ``n``; it pays for that with the enumeration this class skips).
 
 A_∞ and this derandomizer share one solve path, :class:`QuotientSolver`;
 :func:`require_colored_instance` is the Π^c layer check of all three
-solvers.
+solvers, and :func:`require_quotient_instance` their check that the
+problem is genuinely solvable on the view quotient.
 """
 
 from __future__ import annotations
@@ -266,6 +267,18 @@ def require_colored_instance(instance: LabeledGraph) -> None:
         )
 
 
+def require_quotient_instance(problem: DistributedProblem, simulation_graph: LabeledGraph) -> None:
+    """Fail unless ``simulation_graph``, a view quotient reduced to its
+    ``input`` layer, is an instance of ``problem``: a problem whose
+    instance set is not factor-closed is not genuinely solvable."""
+    if not problem.is_instance(simulation_graph):
+        raise DerandomizationError(
+            f"the view quotient is not an instance of {problem.name}; "
+            "the problem's instance set is not factor-closed, so it is "
+            "not genuinely solvable (GRAN) and Theorem 1 does not apply"
+        )
+
+
 class QuotientSolver:
     """Solves Π^c by simulating ``A_R`` on a view quotient and lifting.
 
@@ -307,12 +320,7 @@ class QuotientSolver:
         ``f_∞``, checking the lifting lemma's promises on the way: the
         quotient is a Π instance and the selected simulation replays."""
         simulation_graph = quotient.graph.with_only_layers(["input"])
-        if not self.problem.is_instance(simulation_graph):
-            raise DerandomizationError(
-                f"the view quotient is not an instance of {self.problem.name}; "
-                "the problem's instance set is not factor-closed, so it is "
-                "not genuinely solvable (GRAN) and Theorem 1 does not apply"
-            )
+        require_quotient_instance(self.problem, simulation_graph)
         assignment = smallest_successful_assignment(
             self.algorithm,
             simulation_graph,

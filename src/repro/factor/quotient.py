@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.artifacts.store import memory_bucket
 from repro.exceptions import FactorError
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.factor.factorizing_map import FactorizingMap
@@ -58,16 +57,6 @@ class QuotientResult:
         return self.map.is_isomorphism
 
 
-# Memoized quotients: the "quotient" bucket of the artifact store's
-# memory tier, keyed by ``(graph, with_views)`` — structural graph
-# equality, so equal instances share one result.  Results are shared
-# between hits and must be treated as read-only (the same contract as
-# ``RefinementResult.classes``); emptied by
-# ``repro.views.view_tree.clear_caches`` because attached views hold
-# interned trees.
-_QUOTIENTS = memory_bucket("quotient", capacity=8)
-
-
 def infinite_view_graph(
     graph: LabeledGraph, with_views: bool = False
 ) -> QuotientResult:
@@ -76,15 +65,7 @@ def infinite_view_graph(
     Raises :class:`FactorError` when the quotient is not a factor — which
     cannot happen for 2-hop colored inputs (Lemma 2), so a raise means
     the input lacks a valid 2-hop coloring among its layers.
-
-    Results are memoized per graph *structure* (plus the ``with_views``
-    flag) in the artifact store's memory tier; hits return the same
-    (read-only) :class:`QuotientResult` object.
     """
-    memo_key = (graph, bool(with_views))
-    cached = _QUOTIENTS.get(memo_key)
-    if cached is not None:
-        return cached
     # Refinement classes in index space: ``colors[i]`` is the class of
     # ``csr.nodes[i]``, numbered densely ``0 .. k-1`` in canonical order.
     csr, colors = refinement_indices(graph)
@@ -147,9 +128,7 @@ def infinite_view_graph(
         depth = quotient.num_nodes
         views = view_builder(quotient).views(depth)
 
-    result = QuotientResult(graph=quotient, map=factorizing, views=views)
-    _QUOTIENTS.put(memo_key, result)
-    return result
+    return QuotientResult(graph=quotient, map=factorizing, views=views)
 
 
 def finite_view_graph(graph: LabeledGraph) -> QuotientResult:

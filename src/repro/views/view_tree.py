@@ -542,7 +542,7 @@ class _LevelPlan:
 
 def clear_caches() -> None:
     """Empty the intern/rank tables, then delegate every producer memo
-    (refinement results, view builders, quotients, encoded payloads) to
+    (refinement results, view builders, encoded payloads) to
     the artifact store's memory tier — one eviction path for everything
     that may hold interned trees.
 

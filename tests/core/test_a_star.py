@@ -12,6 +12,7 @@ from repro.core.a_star import LAYER_NAMES, AStarSolver
 from repro.core.assignment_search import SearchBudgetExceeded
 from repro.core.candidates import enumerate_candidates
 from repro.core.orders import finite_view_graph_sort_key
+from repro.core.practical import PracticalDerandomizer
 from repro.exceptions import CandidateError, DerandomizationError, ReproError
 from repro.factor.quotient import finite_view_graph, infinite_view_graph
 from repro.graphs.builders import cycle_graph, path_graph, with_uniform_input
@@ -121,7 +122,7 @@ def _not_two_hop_colored():
 # (solver settings, instance, phase cap, error type, message).  A_* on
 # MIS solves the 2-lift of C3 in phase 4.  Every candidate of the
 # six-node-only problem fails C3 (its 3-node quotient is no instance), so
-# F stays empty and no node ever decides.
+# F stays empty, no node ever decides and A_* names the cause.
 FAILURE_MODES = {
     "extension-budget": (
         {"extension_budget": 1}, lambda: lifted_c3(2), 12, SearchBudgetExceeded,
@@ -137,7 +138,7 @@ FAILURE_MODES = {
     ),
     "quotient-not-an-instance": (
         {"problem": _ExactSizeProblem()}, lambda: lifted_c3(2), 6, DerandomizationError,
-        r"within 6 phases \(0/6 decided\)",
+        r"not an instance of .*not genuinely solvable \(GRAN\)",
     ),
     "phase-cap": (
         {}, lambda: lifted_c3(2), 3, DerandomizationError,
@@ -234,3 +235,29 @@ class TestCapAtLeastQuotient:
             )[0]
             assert selection.sort_key == expected
             assert selection.anchor_class == quotient.map(v)
+
+
+def test_a_star_and_the_practical_solver_share_validity_not_outputs():
+    """DESIGN.md §2: A_* and ``PracticalDerandomizer`` both return valid
+    MIS outputs that are constant on view classes (Lemma 9), but their
+    outputs need not agree.  Update-Bits extends the recorded bits one
+    phase at a time, so A_*'s final assignment need not be the globally
+    smallest one the practical search returns; on P4 the two select
+    different nodes."""
+    plain_mis = MISProblem()
+    for name in sorted(ZOO):
+        instance = ZOO[name]()
+        quotient = infinite_view_graph(instance)
+        solver = AStarSolver(
+            plain_mis, AnonymousMISAlgorithm(), max_candidate_nodes=quotient.graph.num_nodes
+        )
+        a_star, _diagnostics = solver.solve(instance, max_phases=16)
+        practical = PracticalDerandomizer(plain_mis, AnonymousMISAlgorithm()).solve(instance)
+        plain = instance.with_only_layers(["input"])
+        for outputs in (a_star, practical.outputs):
+            assert plain_mis.is_valid_output(plain, outputs)
+            for target in quotient.graph.nodes:
+                assert len({outputs[v] for v in quotient.map.fiber(target)}) == 1
+        if name == "P4":
+            assert [v for v in instance.nodes if a_star[v]] == [0, 2]
+            assert [v for v in instance.nodes if practical.outputs[v]] == [1, 3]

@@ -160,13 +160,22 @@ def _search_assignment(algorithm, graph, order, strategy):
 
 
 def _search_extension(algorithm, graph, order, strategy):
+    assert strategy == "lexicographic"  # the extension search has no other order
     return smallest_successful_extension(
-        algorithm, graph, order, {v: "" for v in order}, target_length=3, strategy=strategy
+        algorithm, graph, order, {v: "" for v in order}, target_length=3
     )
 
 
-@pytest.mark.parametrize("strategy", ["lexicographic", "prg"])
-@pytest.mark.parametrize("search", [_search_assignment, _search_extension])
+# (search, strategy): the assignment search in both orders, the
+# extension search in its lexicographic one.
+SEARCHES = [
+    pytest.param(_search_assignment, "lexicographic", id="_search_assignment-lexicographic"),
+    pytest.param(_search_assignment, "prg", id="_search_assignment-prg"),
+    pytest.param(_search_extension, "lexicographic", id="_search_extension-lexicographic"),
+]
+
+
+@pytest.mark.parametrize("search, strategy", SEARCHES)
 @pytest.mark.parametrize("order", BAD_ORDERS)
 def test_node_order_must_be_a_permutation_of_the_nodes(search, strategy, order):
     g = with_uniform_input(path_graph(2))
@@ -174,8 +183,7 @@ def test_node_order_must_be_a_permutation_of_the_nodes(search, strategy, order):
         search(AnonymousMISAlgorithm(), g, order, strategy)
 
 
-@pytest.mark.parametrize("strategy", ["lexicographic", "prg"])
-@pytest.mark.parametrize("search", [_search_assignment, _search_extension])
+@pytest.mark.parametrize("search, strategy", SEARCHES)
 def test_any_permutation_is_a_valid_node_order(search, strategy):
     g = with_uniform_input(path_graph(2))
     for order in ([0, 1], [1, 0]):

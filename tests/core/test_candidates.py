@@ -2,15 +2,11 @@
 
 from __future__ import annotations
 
-import itertools
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.candidates import Candidate, enumerate_candidates, observed_marks
-from repro.core.orders import finite_view_graph_sort_key
-from repro.exceptions import CandidateError, FactorError, GraphError
-from repro.factor.quotient import finite_view_graph
+from repro.core.candidates import enumerate_candidates, observed_marks
+from repro.exceptions import CandidateError, GraphError
 from repro.graphs.builders import (
     cycle_graph,
     path_graph,
@@ -19,11 +15,11 @@ from repro.graphs.builders import (
 )
 from repro.graphs.coloring import apply_two_hop_coloring, greedy_two_hop_coloring
 from repro.graphs.isomorphism import are_isomorphic
-from repro.graphs.labeled_graph import LabeledGraph
 from repro.graphs.lifts import cyclic_lift
 from repro.problems.mis import MISProblem
 from repro.problems.problem import TwoHopColoredVariant
-from repro.views.local_views import all_views, view
+from repro.views.local_views import view
+from tests.oracles import connected_edge_sets, reference_enumerate_candidates
 
 LAYERS = ("input", "color", "bits")
 PROBLEM_C = TwoHopColoredVariant(MISProblem())
@@ -111,78 +107,6 @@ class TestEnumerate:
 # ----------------------------------------------------------------------
 
 
-def reference_enumerate_candidates(view_tree, phase, problem_c, layer_names, max_nodes=4):
-    """``enumerate_candidates`` as it was before the folding search: every
-    connected edge set on ``k <= min(phase, max_nodes)`` nodes times
-    every labeling by observed marks, each checked against C1-C3."""
-    marks = observed_marks(view_tree)
-    by_encoding = {}
-    for k in range(1, min(phase, max_nodes) + 1):
-        for edges in _connected_edge_sets(k):
-            for labeling in itertools.product(marks, repeat=k):
-                candidate = _reference_try_candidate(
-                    edges, k, labeling, view_tree, phase, problem_c, layer_names
-                )
-                if candidate is not None and candidate.sort_key not in by_encoding:
-                    by_encoding[candidate.sort_key] = candidate
-    return [by_encoding[key] for key in sorted(by_encoding)]
-
-
-def _connected_edge_sets(k):
-    pairs = list(itertools.combinations(range(k), 2))
-    for bits in range(1 << len(pairs)):
-        edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
-        reached, frontier = {0}, [0]
-        while frontier:
-            u = frontier.pop()
-            for a, b in edges:
-                for x, y in ((a, b), (b, a)):
-                    if x == u and y not in reached:
-                        reached.add(y)
-                        frontier.append(y)
-        if len(reached) == k:
-            yield edges
-
-
-def _reference_try_candidate(edges, k, labeling, view_tree, phase, problem_c, layer_names):
-    degree = [0] * k
-    for u, v in edges:
-        degree[u] += 1
-        degree[v] += 1
-    if not any(
-        labeling[v] == view_tree.mark and degree[v] == len(view_tree.children)
-        for v in range(k)
-    ):
-        return None
-    layers = {name: {} for name in layer_names}
-    for v, mark in enumerate(labeling):
-        if not isinstance(mark, tuple) or len(mark) != len(layer_names):
-            return None
-        for name, value in zip(layer_names, mark):
-            layers[name][v] = value
-    try:
-        graph = LabeledGraph(edges, nodes=range(k), layers=layers)
-    except GraphError:
-        return None
-    views = all_views(graph, phase)
-    anchors = [v for v in graph.nodes if views[v] is view_tree]
-    if not anchors:
-        return None
-    if not problem_c.is_instance(graph.with_only_layers(list(layer_names[:-1]))):
-        return None
-    try:
-        quotient = finite_view_graph(graph)
-    except FactorError:
-        return None
-    return Candidate(
-        graph=graph,
-        finite_view=quotient.graph,
-        anchor=anchors[0],
-        anchor_class=quotient.map(anchors[0]),
-        sort_key=finite_view_graph_sort_key(quotient.graph),
-    )
-
-
 def _selected(candidates):
     return [(c.sort_key, c.finite_view, c.anchor_class) for c in candidates]
 
@@ -237,5 +161,5 @@ def test_candidate_growth_counts_what_the_brute_force_examines():
     from repro.experiments.costs import _connected_labeled_graphs
 
     assert [_connected_labeled_graphs(k) for k in range(1, 6)] == [
-        sum(1 for _edges in _connected_edge_sets(k)) for k in range(1, 6)
+        sum(1 for _edges in connected_edge_sets(k)) for k in range(1, 6)
     ]

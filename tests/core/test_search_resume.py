@@ -4,9 +4,9 @@
 the end state of its failed prefix trial, looking each node's step up
 in one transition table per search; it plays a length per prefix
 snapshot and counts the snapshot's trials from its option slots.  The
-reference below replays every trial from round 0 through ``execute``,
-as the search did before.  Both must try the same assignments in the
-same order: the same chosen assignment (or the same error, raised at
+reference (``tests.oracles.reference_search``) replays every trial from
+round 0 through ``execute``, as the search did before.  Both must try
+the same assignments in the same order: the same chosen assignment (or the same error, raised at
 the same trial), the same number of executions and decided nodes, and
 — where the search falls back to replaying, under fault injection or
 churn, for port-numbered algorithms and from the first state that
@@ -31,7 +31,6 @@ from repro.algorithms.matching import AnonymousMatchingAlgorithm
 from repro.algorithms.two_hop_coloring import TwoHopColoringAlgorithm
 from repro.algorithms.vertex_coloring import VertexColoringAlgorithm
 from repro.core.assignment_search import (
-    TRIALS_PER_LENGTH,
     SearchBudgetExceeded,
     _trials_below,
     enumerate_extensions,
@@ -47,29 +46,7 @@ from repro.runtime.algorithm import FunctionAlgorithm
 from repro.runtime.engine import TrialMemo, collect_engine_metrics, execute
 from repro.runtime.port_model import PortAwareAlgorithm
 from tests.conftest import small_graph_zoo
-
-
-def reference_search(algorithm, graph, order, max_length=64, budget=1_000_000):
-    """Every trial replayed from round 0, in the paper's order, with the
-    search's budget messages."""
-    empty = {v: "" for v in order}
-    tried = 0
-    for length in range(1, max_length + 1):
-        for assignment in enumerate_extensions(empty, order, length):
-            if tried >= budget:
-                raise SearchBudgetExceeded(
-                    f"assignment search exceeded its budget of {budget} trials "
-                    f"at length {length}"
-                )
-            tried += 1
-            if execute(algorithm, graph, assignment=assignment).successful:
-                return assignment
-        if tried >= budget:
-            raise SearchBudgetExceeded(
-                f"assignment search exceeded its budget of {budget} trials "
-                f"after length {length}"
-            )
-    raise DerandomizationError(f"no successful assignment up to length {max_length}")
+from tests.oracles import reference_extension, reference_prg_search, reference_search
 
 
 def _outcome(search, *args, **kwargs):
@@ -498,44 +475,6 @@ def test_a_round_runs_every_transition_before_any_output():
 # ----------------------------------------------------------------------
 # prg and extension searches: memo trials against execute
 # ----------------------------------------------------------------------
-
-
-def reference_prg_search(algorithm, graph, order, max_length=64, budget=1_000_000):
-    """The prg search with every trial replayed through ``execute``."""
-    empty = {v: "" for v in order}
-    tried = 0
-    length = 4
-    while length <= max_length:
-        for assignment in enumerate_extensions(
-            empty, order, length, strategy="prg", prg_seed=length, limit=TRIALS_PER_LENGTH
-        ):
-            if tried >= budget:
-                raise SearchBudgetExceeded(
-                    f"prg assignment search exceeded its budget of {budget} trials"
-                )
-            tried += 1
-            if execute(algorithm, graph, assignment=assignment).successful:
-                return assignment
-        length *= 2
-    raise DerandomizationError(
-        f"prg search found no successful assignment up to length {max_length}"
-    )
-
-
-def reference_extension(algorithm, graph, order, prefix, target_length, budget=1_000_000):
-    """``smallest_successful_extension`` with every trial replayed
-    through ``execute``."""
-    tried = 0
-    for assignment in enumerate_extensions(prefix, order, target_length):
-        if tried >= budget:
-            raise SearchBudgetExceeded(
-                f"no successful extension of length {target_length} within "
-                f"{budget} trials (space not exhausted)"
-            )
-        tried += 1
-        if execute(algorithm, graph, assignment=assignment).successful:
-            return assignment
-    return None
 
 
 def prg_search(algorithm, graph, order, **kwargs):

@@ -9,11 +9,10 @@ from repro.algorithms.luby_mis import AnonymousMISAlgorithm
 from repro.algorithms.two_hop_coloring import TwoHopColoringAlgorithm
 from repro.algorithms.vertex_coloring import VertexColoringAlgorithm
 from repro.core.practical import quotient_from_view
-from repro.exceptions import FactorError, GraphError
+from repro.exceptions import GraphError
 from repro.factor.factorizing_map import FactorizingMap
 from repro.factor.lifting import verify_execution_lifting
 from repro.factor.prime import (
-    _divisors,
     _partition_to_factor,
     all_factors,
     is_prime,
@@ -33,7 +32,7 @@ from repro.graphs.labeled_graph import LabeledGraph
 from repro.graphs.lifts import cyclic_lift, lift_graph
 from repro.runtime.engine import execute
 from repro.views.local_views import all_views
-from repro.views.refinement import refinement_indices
+from tests.oracles import reference_all_factors
 
 
 def _uniform(graph):
@@ -122,65 +121,6 @@ class TestLemma3:
 # ----------------------------------------------------------------------
 # The pruned enumeration against the unpruned one
 # ----------------------------------------------------------------------
-
-
-def reference_all_factors(graph):
-    """``all_factors(graph, include_trivial=True)`` as enumerated before
-    the 2-hop pruning: every equal-size partition inside the view
-    classes, the ones that need a loop or are not locally injective
-    rejected afterwards."""
-    csr, colors = refinement_indices(graph)
-    classes = dict(zip(csr.nodes, colors))
-    results = [FactorizingMap(graph, graph, {v: v for v in graph.nodes})]
-    for fiber_size in _divisors(graph.num_nodes)[1:]:
-        partitions, blocks = [], []
-
-        def backtrack(remaining, fiber_size=fiber_size, partitions=partitions, blocks=blocks):
-            if not remaining:
-                if all(len(block) == fiber_size for block in blocks):
-                    partitions.append([tuple(block) for block in blocks])
-                return
-            if len(remaining) < sum(fiber_size - len(block) for block in blocks):
-                return
-            first, rest = remaining[0], remaining[1:]
-            for block in blocks:
-                if len(block) < fiber_size and classes[block[0]] == classes[first]:
-                    block.append(first)
-                    backtrack(rest)
-                    block.pop()
-            blocks.append([first])
-            backtrack(rest)
-            blocks.pop()
-
-        backtrack(list(graph.nodes))
-        for partition in partitions:
-            factor_map = _reference_partition_to_factor(graph, partition)
-            if factor_map is not None:
-                results.append(factor_map)
-    return results
-
-
-def _reference_partition_to_factor(graph, partition):
-    block_of = {v: index for index, block in enumerate(partition) for v in block}
-    edges = set()
-    for v in graph.nodes:
-        neighbor_blocks = [block_of[u] for u in graph.neighbors(v)]
-        if block_of[v] in neighbor_blocks:
-            return None  # would need a loop
-        if len(set(neighbor_blocks)) != len(neighbor_blocks):
-            return None  # projection not locally injective
-        edges.update(frozenset((block_of[v], d)) for d in neighbor_blocks)
-    layers = {
-        name: {index: graph.label_of(block[0], name) for index, block in enumerate(partition)}
-        for name in graph.layer_names
-    }
-    try:
-        quotient = LabeledGraph(
-            sorted(tuple(sorted(e)) for e in edges), nodes=range(len(partition)), layers=layers
-        )
-        return FactorizingMap(graph, quotient, block_of)
-    except (GraphError, FactorError):
-        return None
 
 
 def _factor_list(maps):

@@ -35,17 +35,7 @@ from repro.runtime.engine import (
     execute,
 )
 from repro.runtime.tape import FixedTape
-
-
-def _reference_freeze(value):
-    """The recursive definition ``_freeze`` had before its atom fast path."""
-    if isinstance(value, (list, tuple)):
-        return tuple(_reference_freeze(item) for item in value)
-    if isinstance(value, dict):
-        return tuple(sorted((k, _reference_freeze(v)) for k, v in value.items()))
-    if isinstance(value, set):
-        return tuple(sorted(_reference_freeze(v) for v in value))
-    return value
+from tests.oracles import reference_freeze
 
 
 Pair = namedtuple("Pair", "left right")
@@ -90,7 +80,7 @@ class TestFreezeFastPath:
     @given(VALUES)
     @settings(max_examples=300, deadline=None)
     def test_matches_recursive_definition(self, value):
-        frozen, reference = _freeze(value), _reference_freeze(value)
+        frozen, reference = _freeze(value), reference_freeze(value)
         assert frozen == reference
         assert repr(frozen) == repr(reference)
         assert _message_sort_key(value) == repr(reference)
@@ -106,7 +96,7 @@ class TestFreezeFastPath:
         frozen = _freeze(pair)
         assert type(frozen) is tuple and frozen == ((1,), "x")
         assert type(frozen[1]) is Tag
-        assert repr(frozen) == repr(_reference_freeze(pair))
+        assert repr(frozen) == repr(reference_freeze(pair))
 
     def test_atoms_are_returned_unchanged(self):
         for atom in (None, True, 3, 2.5, "s", b"b", Tag("t"), Frozen("a", 1)):

@@ -2,8 +2,8 @@
 
 Past stability a :class:`ViewBuilder` builds the levels whose bucket
 orders repeat from frozen plans (``view_tree._LevelPlan``) instead of
-calling ``_make_ranked`` per class.  The reference below is the
-deepening loop that plans replaced: every stable level goes through
+calling ``_make_ranked`` per class.  The reference (``tests.oracles.reference_deepen``) is
+the deepening loop that plans replaced: every stable level goes through
 ``_make_ranked``.  Each scenario runs once through the builder and once,
 in a fresh epoch, through the reference; both must leave identical
 intern tables (per mark: keys, insertion order and tree identity), rank
@@ -28,38 +28,7 @@ from repro.graphs.lifts import cyclic_lift, lift_graph
 from repro.views import view_tree
 from repro.views.local_views import ViewBuilder
 from repro.views.view_tree import ViewTree, clear_caches, intern_stats
-
-
-def reference_deepen(builder: ViewBuilder, depth: int) -> None:
-    """Deepen ``builder`` to ``depth`` with one ``_make_ranked`` per class
-    at every level."""
-    while len(builder._levels) < depth and not builder._stable:
-        builder._extend()
-    levels, counts = builder._levels, builder._counts
-    if len(levels) >= depth:
-        return
-    csr = builder._csr
-    colors, count = levels[-1][1], counts[-1]
-    if builder._rep_order is None:
-        builder._rep_order = builder._first_member_order(colors, count)
-    classes = [
-        (
-            colors[rep],
-            builder._rank_marks[csr.label_ranks[rep]],
-            builder._rank_mark_ids[csr.label_ranks[rep]],
-            [colors[u] for u in csr.adjacency[rep]],
-        )
-        for rep in builder._rep_order
-    ]
-    prev_trees = levels[-1][0]
-    while len(levels) < depth:
-        trees = [None] * count
-        for c, mark, mark_id, row in classes:
-            trees[c] = view_tree._make_ranked(mark, mark_id, [prev_trees[d] for d in row])
-        view_tree._record_drops(trees, prev_trees)
-        levels.append((trees, colors))
-        counts.append(count)
-        prev_trees = trees
+from tests.oracles import reference_deepen
 
 
 def planned_deepen(builder: ViewBuilder, depth: int) -> None:

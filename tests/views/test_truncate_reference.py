@@ -1,7 +1,7 @@
 """``ViewTree.truncate`` agrees with the recursive definition of truncation.
 
 ``truncate`` follows a memoised chain of one-level drops.  The reference
-below re-derives every truncation straight from the definition,
+(``tests.oracles.reference_truncate``) re-derives every truncation straight from the definition,
 ``T|d = make(mark, [c|(d - 1) for c in children])``, through
 ``ViewTree.make``.  Interning makes the two comparable by identity.
 The drops a view builder records as it interns are checked against the
@@ -25,21 +25,7 @@ from repro.graphs.coloring import apply_two_hop_coloring, greedy_two_hop_colorin
 from repro.views import view_tree
 from repro.views.local_views import all_views, view_builder
 from repro.views.view_tree import ViewTree, clear_caches
-
-
-def reference_truncate(tree: ViewTree, depth: int, memo: dict) -> ViewTree:
-    """The depth-``depth`` truncation, recursing through every child."""
-    if tree.depth <= depth:
-        return tree
-    key = (id(tree), depth)
-    if key not in memo:
-        if depth == 1:
-            memo[key] = ViewTree.make(tree.mark, ())
-        else:
-            memo[key] = ViewTree.make(
-                tree.mark, [reference_truncate(c, depth - 1, memo) for c in tree.children]
-            )
-    return memo[key]
+from tests.oracles import reference_truncate
 
 
 def assert_matches_reference(tree: ViewTree, depths) -> None:
