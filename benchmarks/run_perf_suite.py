@@ -19,9 +19,10 @@ version, implementation) and refuses with a field-by-field diff when
 they differ; pass ``--allow-machine-mismatch`` to compare anyway (CI
 does, with a widened ``--tolerance`` — see docs/PERFORMANCE.md).
 
-Each *cold* sample clears the intern/rank tables and builder caches
-first (`repro.views.clear_caches`), measuring construction from nothing;
-*warm* samples reuse them, measuring the cached/incremental path.
+Each *cold* sample clears the intern/rank tables and the artifact
+payload bucket first (`repro.views.clear_caches`), measuring
+construction from nothing; *warm* samples keep the interned trees, so
+they measure a rebuild that finds every tree already interned.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ from repro.core.orders import (  # noqa: E402
     finite_view_graph_sort_key,
 )
 from repro.core.practical import _ReconstructionWalk, quotient_from_view  # noqa: E402
-from repro.views.local_views import ViewBuilder, all_views, view_builder  # noqa: E402
+from repro.views.local_views import ViewBuilder, all_views  # noqa: E402
 from repro.views.refinement import color_refinement  # noqa: E402
 from repro.views.view_tree import clear_caches, intern_stats  # noqa: E402
 from tests.oracles import (  # noqa: E402
@@ -618,7 +619,9 @@ def _versus_row(
     report=(), **extra,
 ) -> dict:
     """A live row: ``current`` timed against its oracle ``reference``
-    (from ``tests/oracles.py``) back to back, ``samples`` times.
+    (from ``tests/oracles.py``) back to back, ``samples`` times.  The
+    side timed first alternates from sample to sample, so neither side
+    always runs on a cache or clock state the other one left.
 
     Before each side, untimed, ``setup()`` (when given) returns the one
     argument the side is called with.  Each side runs under
@@ -630,9 +633,10 @@ def _versus_row(
     reference's best over the current side's best.
     """
     seconds = {"current": [], "reference": []}
-    for _ in range(samples):
+    order = (("current", current), ("reference", reference))
+    for sample in range(samples):
         seen = {}
-        for side, run in (("current", current), ("reference", reference)):
+        for side, run in order if sample % 2 == 0 else order[::-1]:
             args = () if setup is None else (setup(),)
             with collect_engine_metrics() as totals:
                 start = time.perf_counter()
@@ -761,7 +765,7 @@ def run_search_benches(repeats: int) -> dict:
     it replaced: the same assignment, identical engine counts and the
     same algorithm calls.
     """
-    samples = min(repeats, 3)  # each side takes under a second
+    samples = min(repeats, 3)  # the cycle search's replaying reference takes ~0.5 s
     algorithm = AnonymousMISAlgorithm()
 
     def fewer_rounds(current, replayed):
@@ -800,7 +804,7 @@ def run_search_benches(repeats: int) -> dict:
             _versus_row(
                 bench,
                 graph.num_nodes,
-                samples,
+                repeats,  # each side takes well under a second
                 partial(
                     smallest_successful_assignment, prg_algorithm, graph, order,
                     strategy="prg", max_length=128,
@@ -977,11 +981,11 @@ def run_suite(quick: bool, repeats: int) -> dict:
         )
 
     for n in view_ns:
-        # Incremental deepening: extend a cached depth-(n//2) builder to
-        # depth n, versus the cold full build measured above.
+        # Incremental deepening: extend a depth-(n//2) builder to depth
+        # n, versus the cold full build measured above.
         graph = with_uniform_input(cycle_graph(n))
         clear_caches()
-        builder = view_builder(graph)
+        builder = ViewBuilder(graph)
         builder.views(n // 2)
         start = time.perf_counter()
         builder.views(n)

@@ -12,18 +12,18 @@ one SHA-256-keyed address space and one cache story:
 * :mod:`repro.artifacts.encoders` — canonical byte encoders per artifact
   kind (integer/string arithmetic only; lint rule ``WALL001`` covers
   them).
-* :mod:`repro.artifacts.store` — the memory tier (the per-kind LRU
-  buckets that back the library's own memos) plus an optional fsync'd
-  JSONL persistent tier built on :mod:`repro.experiments.store`.
+* :mod:`repro.artifacts.store` — the memory tier (one LRU bucket of
+  encoded payloads) plus an optional fsync'd JSONL persistent tier
+  built on :mod:`repro.experiments.store`.
 * :mod:`repro.artifacts.producers` — ``spec -> live object`` compute
   functions, one per kind, used by cache misses and direct computation.
 
 ``ArtifactStore.fetch(spec)`` is the one read path: lookup in either
 tier, else compute, persist and return the canonical payload.
 
-This module stays import-light on purpose: the view/factor producers
-import :mod:`repro.artifacts.store` at module load, so nothing here may
-pull in the heavier layers (encoders, producers, experiments).
+This module stays import-light on purpose: the view layer's
+``clear_caches`` imports :mod:`repro.artifacts.store`, so nothing here
+may pull in the heavier layers (encoders, producers, experiments).
 """
 
 from repro.artifacts.keys import artifact_key, payload_digest
@@ -31,7 +31,6 @@ from repro.artifacts.store import (
     ArtifactStore,
     MemoryBucket,
     clear_memory_tier,
-    memory_bucket,
     memory_stats,
 )
 
@@ -40,7 +39,6 @@ __all__ = [
     "MemoryBucket",
     "artifact_key",
     "clear_memory_tier",
-    "memory_bucket",
     "memory_stats",
     "payload_digest",
 ]

@@ -2,9 +2,9 @@
 
 Subcommands:
 
-* ``status``  — tier sizes and hit/miss counters, persistent record
-  counts by kind, and how many records carry the *current* code
-  fingerprint (stale records are reachable only as cache misses).
+* ``status``  — persistent record counts by kind, and how many records
+  carry the *current* code fingerprint (stale records are reachable
+  only as cache misses).
 * ``gc``      — drop persistent records whose fingerprint differs from
   ``--keep-fingerprint`` (default: the current tree's), via an atomic
   rewrite (:func:`repro.experiments.store.rewrite_store`).
@@ -23,12 +23,8 @@ import sys
 from typing import Any
 
 from repro.artifacts.keys import payload_digest
-from repro.artifacts.store import memory_stats, records_by_kind
+from repro.artifacts.store import records_by_kind
 from repro.exceptions import ReproError
-
-_STATUS_USES_PRODUCERS = (
-    "repro.artifacts.producers"  # imported for bucket registration, see _cmd_status
-)
 
 
 def _scan(path: str) -> "dict[str, dict[str, Any]]":
@@ -38,13 +34,6 @@ def _scan(path: str) -> "dict[str, dict[str, Any]]":
 
 
 def _cmd_status(args: "argparse.Namespace") -> int:
-    # Importing the producers registers every library bucket, so the
-    # memory-tier listing shows the full kind set (counters are
-    # process-local and therefore zero in a fresh CLI process; a
-    # long-lived store reports live ones through its stats()).
-    import importlib
-
-    importlib.import_module(_STATUS_USES_PRODUCERS)
     from repro.experiments.fingerprint import code_fingerprint
 
     records = _scan(args.store)
@@ -57,12 +46,6 @@ def _cmd_status(args: "argparse.Namespace") -> int:
     )
     for kind, count in records_by_kind(records).items():
         print(f"  kind {kind}: {count} record(s)")
-    for kind, stats in memory_stats().items():
-        print(
-            f"  memory {kind}: size={stats['size']}/{stats['capacity']} "
-            f"hits={stats['hits']} misses={stats['misses']} "
-            f"evictions={stats['evictions']}"
-        )
     return 0
 
 
@@ -125,7 +108,7 @@ def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(prog="python -m repro.artifacts")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    status = commands.add_parser("status", help="tier sizes and counters")
+    status = commands.add_parser("status", help="record counts by kind and fingerprint")
     status.add_argument("--store", default="benchmarks/out/ARTIFACTS_store.jsonl")
 
     gc = commands.add_parser("gc", help="drop records from other fingerprints")

@@ -3,7 +3,7 @@
 One producer per artifact kind, each a thin adapter from a spec (see
 :mod:`repro.artifacts.specs`) onto the library function that actually
 computes the object — so a cache miss runs exactly the code a direct
-call would, including the library's own memory-tier memos.
+call would.
 
 :func:`compute_payload` composes a producer with its canonical encoder;
 it is the single compute entry point shared by

@@ -1,19 +1,14 @@
 """The keyed artifact store: memory tier + optional persistent tier.
 
-**Memory tier.**  One process-wide registry of per-kind LRU *buckets*.
-The library's own memos (refinement results, view builders) are
-buckets in this registry, keyed by live graph objects — structural
-hash, no serialization on the hot path — with the same capacities and
-eviction order they had as private module dicts.  Eviction is uniform:
-:func:`clear_memory_tier` (reached through
-:func:`repro.views.view_tree.clear_caches`) empties every bucket, and
-each bucket counts hits/misses/evictions for the CLI and ``stats()``.
-
-The one deliberate exception is the per-instance CSR mirror
-(``LabeledGraph._csr``): it is identity-keyed on the instance, holds no
-interned trees (so it cannot dangle across an interning epoch), and dies
-with its graph — clearing it would only force rebuilds.  See
-``docs/PERFORMANCE.md``.
+**Memory tier.**  One LRU :class:`MemoryBucket` of encoded payloads,
+keyed by content key and shared by every :class:`ArtifactStore` in the
+process.  It is the library's one cache of results: views and
+refinement recompute from the interned view trees and the per-instance
+CSR mirror (``LabeledGraph._csr``), which are cheaper than a lookup
+keyed by a live graph.  :func:`clear_memory_tier` (reached through
+:func:`repro.views.view_tree.clear_caches`) empties the bucket; its
+hit/miss/eviction counters survive for ``stats()``.
+See ``docs/PERFORMANCE.md``.
 
 **Persistent tier.**  An :class:`ArtifactStore` optionally opens an
 fsync'd append-only JSONL file (through
@@ -37,7 +32,6 @@ __all__ = [
     "ArtifactStore",
     "MemoryBucket",
     "clear_memory_tier",
-    "memory_bucket",
     "memory_stats",
     "records_by_kind",
 ]
@@ -46,10 +40,8 @@ __all__ = [
 class MemoryBucket:
     """One kind's LRU memo: an :class:`OrderedDict` with counters.
 
-    Keys are whatever the producer finds cheapest — live graph objects
-    (structural equality/hash) for the library memos, content-key
-    strings for decoded payloads.  ``get`` refreshes recency; ``put``
-    evicts the least recently used entry beyond ``capacity``.
+    ``get`` refreshes recency; ``put`` evicts the least recently used
+    entry beyond ``capacity``.
     """
 
     __slots__ = ("kind", "capacity", "hits", "misses", "evictions", "_entries")
@@ -94,37 +86,21 @@ class MemoryBucket:
         }
 
 
-# The process-wide memory tier: one bucket per artifact kind.
-_MEMORY: "dict[str, MemoryBucket]" = {}
-
-
-def memory_bucket(kind: str, capacity: int = 16) -> MemoryBucket:
-    """The memory-tier bucket for ``kind``, created on first use.
-
-    The first caller fixes the capacity; later callers share the same
-    bucket (producers register theirs at import time, so capacities are
-    stable for the life of the process).
-    """
-    bucket = _MEMORY.get(kind)
-    if bucket is None:
-        bucket = MemoryBucket(kind, capacity)
-        _MEMORY[kind] = bucket
-    return bucket
+# The process-wide memory tier: encoded payloads by content key (both
+# tiers' fast path).
+_PAYLOADS = MemoryBucket("payload", 256)
 
 
 def clear_memory_tier() -> None:
-    """Empty every bucket (counters survive: they describe the process,
-    not the current contents).  Reached through
-    :func:`repro.views.view_tree.clear_caches`, which also resets the
-    view intern tables — the buckets hold interned trees, so the two
-    must clear together."""
-    for bucket in _MEMORY.values():
-        bucket.clear()
+    """Empty the payload bucket (its counters survive: they describe the
+    process, not the current contents).  Reached through
+    :func:`repro.views.view_tree.clear_caches`."""
+    _PAYLOADS.clear()
 
 
 def memory_stats() -> "dict[str, dict[str, int]]":
-    """Per-kind bucket statistics, kinds sorted for stable output."""
-    return {kind: _MEMORY[kind].stats() for kind in sorted(_MEMORY)}
+    """The memory tier's bucket statistics, by kind."""
+    return {_PAYLOADS.kind: _PAYLOADS.stats()}
 
 
 def records_by_kind(records: "Mapping[str, Mapping[str, Any]]") -> "dict[str, int]":
@@ -139,9 +115,6 @@ def records_by_kind(records: "Mapping[str, Mapping[str, Any]]") -> "dict[str, in
 
 # -- the two-tier store -------------------------------------------------
 
-# Encoded payloads cached by content key (both tiers' fast path).
-_PAYLOAD_BUCKET_CAPACITY = 256
-
 
 class ArtifactStore:
     """Encoded artifacts by content key: memory bucket over JSONL file.
@@ -154,7 +127,6 @@ class ArtifactStore:
     """
 
     def __init__(self, path: "str | Path | None" = None) -> None:
-        self._payloads = memory_bucket("payload", _PAYLOAD_BUCKET_CAPACITY)
         self._persistent = None
         self.persistent_hits = 0
         self.stores = 0
@@ -166,7 +138,7 @@ class ArtifactStore:
     def lookup(self, key: str) -> "bytes | None":
         """The encoded payload for ``key`` from the fastest tier holding
         it (promoting persistent hits into the memory tier), or ``None``."""
-        payload = self._payloads.get(key)
+        payload = _PAYLOADS.get(key)
         if payload is not None:
             return payload
         if self._persistent is not None:
@@ -178,7 +150,7 @@ class ArtifactStore:
                         f"{self._persistent.path}: payload digest mismatch for key {key[:12]}…"
                     )
                 self.persistent_hits += 1
-                self._payloads.put(key, payload)
+                _PAYLOADS.put(key, payload)
                 return payload
         return None
 
@@ -191,7 +163,7 @@ class ArtifactStore:
     ) -> None:
         """Admit a computed payload to both tiers (append-once: a key
         already in the persistent tier is not rewritten)."""
-        self._payloads.put(key, payload)
+        _PAYLOADS.put(key, payload)
         self.stores += 1
         if self._persistent is not None and key not in self._persistent:
             if fingerprint is None:

@@ -100,7 +100,9 @@ class AStarSolver:
         first — for budget-capped runs, not a termination bound (the
         theorem guarantees some finite phase suffices).  When the
         instance's view quotient is no Π instance, no candidate can pass
-        C3, so the error names that cause instead.
+        C3, so the error names that cause instead.  Before returning it
+        checks Lemma 9's conclusion: the outputs must be a valid Π
+        output of the instance reduced to ``input``.
         """
         require_colored_instance(instance)
         diagnostics = AStarDiagnostics()
@@ -131,6 +133,13 @@ class AStarSolver:
                     bits[v] = outcome.new_bits
 
             if len(outputs) == current.num_nodes:
+                if not self.problem.is_valid_output(
+                    instance.with_only_layers(["input"]), outputs
+                ):
+                    raise DerandomizationError(
+                        f"A_* decided an invalid {self.problem.name} output in "
+                        f"phase {phase}, contradicting Lemma 9"
+                    )
                 return outputs, diagnostics
 
         require_quotient_instance(

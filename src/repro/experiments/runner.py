@@ -14,9 +14,9 @@
   future, so idle workers pull the next task as they free up; results
   are keyed by experiment id and reported in the requested order.
 * **Per-worker cache warm-up** — every worker starts by running
-  ``repro.views.clear_caches()`` (which also empties every producer
-  memo through the artifact store's memory tier), so worker cache
-  state is cold and identical regardless of fork inheritance.
+  ``repro.views.clear_caches()`` (the view intern tables and the
+  artifact store's payload bucket), so worker cache state is cold and
+  identical regardless of fork inheritance.
 * **Graceful degradation** — if the pool cannot be created or breaks
   mid-run (sandboxed interpreters, missing ``fork``/semaphores, a
   killed worker), the engine transparently finishes the remaining
@@ -137,12 +137,10 @@ class RunReport:
 
 
 def _worker_init() -> None:
-    """Per-worker warm-up: reset every registered cache.
+    """Per-worker warm-up: reset every process-wide cache.
 
-    Uses the ``repro.views`` cache infrastructure — ``clear_caches()``
-    empties the intern/rank tables and, through the artifact store's
-    memory tier, every producer memo (view builders, refinement, …).
-    Under ``fork`` a worker inherits whatever the parent had cached;
+    ``repro.views.clear_caches()`` empties the intern/rank tables and
+    the artifact store's payload bucket.  Under ``fork`` a worker inherits whatever the parent had cached;
     clearing makes worker state cold and identical across start
     methods, schedules and job counts.
     """

@@ -60,9 +60,8 @@ def all_factors(
         raise GraphError(
             f"all_factors is exhaustive and limited to 16 nodes, got {graph.num_nodes}"
         )
-    # View classes through the artifact store's shared refinement memo
-    # (the same path quotient construction takes, so a factor-enumeration
-    # pass after a quotient never re-refines).
+    # View classes by color refinement on the CSR mirror (the same path
+    # quotient construction takes).
     csr, colors = refinement_indices(graph)
     classes: dict[Node, int] = dict(zip(csr.nodes, colors))
     n = graph.num_nodes

@@ -26,7 +26,7 @@ from repro.exceptions import FactorError
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.factor.factorizing_map import FactorizingMap
 from repro.views.refinement import refinement_indices
-from repro.views.local_views import view_builder
+from repro.views.local_views import ViewBuilder
 from repro.views.view_tree import ViewTree
 
 
@@ -126,7 +126,7 @@ def infinite_view_graph(
         # quotient whose partition stabilizes early does not pay full
         # per-node rounds all the way to depth n.
         depth = quotient.num_nodes
-        views = view_builder(quotient).views(depth)
+        views = ViewBuilder(quotient).views(depth)
 
     return QuotientResult(graph=quotient, map=factorizing, views=views)
 

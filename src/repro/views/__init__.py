@@ -14,7 +14,6 @@ from repro.views.local_views import (
     ViewBuilder,
     all_views,
     view,
-    view_builder,
     view_partition,
 )
 from repro.views.refinement import (
@@ -29,7 +28,6 @@ __all__ = [
     "ViewTree",
     "ViewBuilder",
     "view",
-    "view_builder",
     "all_views",
     "view_partition",
     "clear_caches",

@@ -17,10 +17,12 @@ view at every depth, so one ``ViewTree.make`` per class (with the
 lowest-index member as representative) reproduces the per-node
 construction exactly, interned trees, mark objects and all.
 
-Deepening is *incremental*: a :class:`ViewBuilder` caches the per-depth
-levels for a graph, so ``all_views(g, d + 1)`` extends the cached
-depth-``d`` result with one more round instead of recomputing ``d``
-rounds from scratch.  Builders also watch the partition: once a round
+Deepening is *incremental*: a :class:`ViewBuilder` keeps the per-depth
+levels for a graph, so ``builder.views(d + 1)`` extends its depth-``d``
+result with one more round instead of recomputing ``d`` rounds from
+scratch.  The module-level entry points build with a fresh builder each
+call (the interned trees make a rebuild cheap); a caller that deepens
+one graph step by step holds its own builder.  Builders also watch the partition: once a round
 splits nothing it is stable forever (Norris's theorem territory — the
 same early-exit criterion color refinement uses), and every deeper level
 skips the refinement round entirely.
@@ -28,7 +30,6 @@ skips the refinement round entirely.
 
 from __future__ import annotations
 
-from repro.artifacts.store import memory_bucket
 from repro.exceptions import ViewError
 from repro.graphs.csr import csr_of, refine_step
 from repro.graphs.labeled_graph import LabeledGraph, Node
@@ -40,8 +41,7 @@ class ViewBuilder:
     """Incrementally deepening view construction for one graph.
 
     ``builder.views(d)`` returns ``{v: L_d(v)}``; successive calls with
-    growing depth reuse all previously built levels.  Use
-    :func:`all_views` for the module-level cached entry point.
+    growing depth reuse all previously built levels.
     """
 
     def __init__(self, graph: LabeledGraph) -> None:
@@ -240,30 +240,9 @@ class ViewBuilder:
         return [tuple(groups[c]) for c in ordered]
 
 
-# Builder registry: the "view-builder" bucket of the artifact store's
-# memory tier, keyed by the graph itself (equality and hash are
-# structural, so equal instances share a builder — their views are
-# provably identical).  The bucket is emptied by
-# ``repro.views.view_tree.clear_caches`` through the store's memory
-# tier because cached levels hold interned trees.
-_BUILDERS = memory_bucket("view-builder", capacity=8)
-
-
-def view_builder(graph: LabeledGraph) -> ViewBuilder:
-    """The cached :class:`ViewBuilder` for ``graph`` (creating it on first
-    use).  Repeated ``all_views`` calls on the same — or a structurally
-    equal — graph share it."""
-    builder = _BUILDERS.get(graph)
-    if builder is not None:
-        return builder
-    builder = ViewBuilder(graph)
-    _BUILDERS.put(graph, builder)
-    return builder
-
-
 def all_views(graph: LabeledGraph, depth: int) -> dict[Node, ViewTree]:
     """The views ``L_depth(v, graph)`` for every node ``v``."""
-    return view_builder(graph).views(depth)
+    return ViewBuilder(graph).views(depth)
 
 
 def view(graph: LabeledGraph, v: Node, depth: int) -> ViewTree:
@@ -280,4 +259,4 @@ def view_partition(graph: LabeledGraph, depth: int) -> list[tuple[Node, ...]]:
     At ``depth = n`` (the node count) this is the ``L_∞`` partition by
     Norris's theorem — the fibers of the infinite view map ``f_∞``.
     """
-    return view_builder(graph).partition(depth)
+    return ViewBuilder(graph).partition(depth)

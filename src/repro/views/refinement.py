@@ -36,21 +36,8 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from repro.artifacts.store import memory_bucket
 from repro.graphs.csr import CSRGraph, csr_of, refine
 from repro.graphs.labeled_graph import LabeledGraph, Node
-
-# Memoized uncapped runs: the "refinement" bucket of the artifact
-# store's memory tier, keyed by the graph itself — LabeledGraph
-# equality/hash delegate to structure_key(), so structurally identical
-# instances share one entry (same-instance lookups still short-circuit
-# on identity inside the dict) and no id()-pinning tuple is needed.
-# Entries also keep the dense color list for array-level consumers
-# (quotients, canonical orders).  Same LRU discipline as the ViewBuilder
-# registry; emptied by ``repro.views.view_tree.clear_caches`` through
-# the store's memory tier, so benchmark sessions stay bounded.
-_RESULTS = memory_bucket("refinement", capacity=16)
-
 
 @dataclass(frozen=True)
 class RefinementResult:
@@ -60,8 +47,7 @@ class RefinementResult:
     ----------
     classes:
         Class index per node after the run, as a **read-only** mapping
-        (cache hits return the same result object, so mutating it would
-        corrupt the memo — copy it if you must edit).  Classes are
+        (results are values — copy it if you must edit).  Classes are
         numbered ``0, 1, ...`` in a canonical order (sorted by class
         signature history), so two runs on isomorphic graphs number
         corresponding classes equally.
@@ -103,42 +89,25 @@ def color_refinement(
     was actually reached — a capped run is *not* assumed stable merely
     because it used all its rounds.
 
-    Uncapped results are memoized per graph *structure* (graphs are
-    immutable and compare structurally), so repeated partition queries —
-    quotients, stabilization depths, benchmarks — pay for refinement
-    once, even across distinct but equal instances.  The returned result
-    is shared between cache hits; its ``classes`` mapping is read-only.
+    Nothing is memoized: the rounds run on the graph's per-instance CSR
+    mirror and cost less than a lookup keyed by the graph would.
     """
-    if max_rounds is None:
-        cached = _RESULTS.get(graph)
-        if cached is not None:
-            return cached[0]
-    csr = csr_of(graph)
-    color, rounds, history, stable = refine(csr, max_rounds)
-    result = RefinementResult(
+    color, rounds, history, stable = refine(csr_of(graph), max_rounds)
+    return RefinementResult(
         classes=MappingProxyType(dict(zip(graph.nodes, color))),
         rounds_to_stable=rounds,
         history=tuple(history),
         stable=stable,
     )
-    if max_rounds is None and stable:
-        _RESULTS.put(graph, (result, color))
-    return result
 
 
 def refinement_indices(graph: LabeledGraph) -> tuple[CSRGraph, list[int]]:
     """Stable refinement classes in index space: the graph's CSR mirror
     plus the dense color list (``colors[i]`` is the class of
-    ``csr.nodes[i]``).  Shares the :func:`color_refinement` memo; array
-    consumers (quotient construction, canonical node orders) use this to
-    stay in flat-int land."""
-    cached = _RESULTS.get(graph)
-    if cached is None:
-        result = color_refinement(graph)
-        cached = _RESULTS.get(graph)
-        if cached is None:  # cache tiny or disabled: rebuild from classes
-            return csr_of(graph), [result.classes[v] for v in graph.nodes]
-    return csr_of(graph), cached[1]
+    ``csr.nodes[i]``).  Array consumers (quotient construction,
+    canonical node orders) use this to stay in flat-int land."""
+    csr = csr_of(graph)
+    return csr, refine(csr)[0]
 
 
 def refinement_partition(graph: LabeledGraph) -> list[tuple[Node, ...]]:

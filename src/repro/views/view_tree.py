@@ -541,10 +541,9 @@ class _LevelPlan:
 
 
 def clear_caches() -> None:
-    """Empty the intern/rank tables, then delegate every producer memo
-    (refinement results, view builders, encoded payloads) to
-    the artifact store's memory tier — one eviction path for everything
-    that may hold interned trees.
+    """Empty the intern/rank tables and the artifact store's memory tier
+    (its encoded payloads) — one eviction path for every cache a cold
+    run must not find warm.
 
     Intended for long benchmark sessions so parametrized cases don't
     accumulate unbounded interned trees.  Trees created *before* a clear

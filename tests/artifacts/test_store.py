@@ -10,8 +10,6 @@ from repro.artifacts.specs import refinement_spec, views_spec
 from repro.artifacts.store import (
     ArtifactStore,
     MemoryBucket,
-    clear_memory_tier,
-    memory_bucket,
     memory_stats,
 )
 from repro.exceptions import ArtifactError
@@ -93,14 +91,20 @@ class TestMemoryBucket:
             MemoryBucket("test-bad", capacity=0)
 
     def test_registry_shares_buckets_and_clear_keeps_counters(self):
-        bucket = memory_bucket("test-registry", capacity=3)
-        assert memory_bucket("test-registry") is bucket
-        bucket.put("k", "v")
-        bucket.get("k")
-        clear_memory_tier()
-        assert bucket.stats()["size"] == 0
-        assert bucket.hits == 1  # counters describe the process
-        assert "test-registry" in memory_stats()
+        """Every store shares the one payload bucket; ``clear_caches``
+        empties it and its counters survive (they describe the process)."""
+        spec = refinement_spec(_graph())
+        payload = ArtifactStore().fetch(spec)
+        before = memory_stats()
+        assert list(before) == ["payload"]
+        assert ArtifactStore().lookup(artifact_key(spec)) == payload
+        after = memory_stats()["payload"]
+        assert after["hits"] == before["payload"]["hits"] + 1
+        clear_caches()
+        cleared = memory_stats()["payload"]
+        assert cleared["size"] == 0
+        assert cleared["hits"] == after["hits"]
+        assert ArtifactStore().lookup(artifact_key(spec)) is None
 
 
 class TestArtifactStore:
@@ -215,5 +219,5 @@ class TestArtifactStore:
         assert stats["persistent"]["records"] == 1
         assert stats["persistent"]["by_kind"] == {"refinement": 1}
         assert stats["stores"] == 1
-        assert "payload" in stats["memory"]
+        assert list(stats["memory"]) == ["payload"]
 

@@ -114,6 +114,16 @@ class TestTheorem1:
             solver.solve(instance, max_phases=1)
 
 
+class _RejectingMIS(MISProblem):
+    """MIS whose output check rejects everything: the instances A_*
+    solves, with Lemma 9's conclusion made false."""
+
+    name = "rejecting-mis"
+
+    def is_valid_output(self, graph, outputs) -> bool:
+        return False
+
+
 def _not_two_hop_colored():
     """P3 whose ends share a color: a proper coloring, not a 2-hop one."""
     return with_uniform_input(path_graph(3)).with_layer("color", {0: 0, 1: 1, 2: 0})
@@ -143,6 +153,10 @@ FAILURE_MODES = {
     "phase-cap": (
         {}, lambda: lifted_c3(2), 3, DerandomizationError,
         r"within 3 phases \(0/6 decided\)",
+    ),
+    "invalid-output": (
+        {"problem": _RejectingMIS()}, lambda: lifted_c3(2), 12, DerandomizationError,
+        r"^A_\* decided an invalid rejecting-mis output in phase 4, contradicting Lemma 9$",
     ),
 }
 

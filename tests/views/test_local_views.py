@@ -118,15 +118,7 @@ class TestPartition:
 
 
 class TestBuilderCaching:
-    """Builder registry keys structurally: equal graphs share a builder."""
-
-    def test_structurally_equal_graphs_share_builder(self):
-        from repro.views.local_views import view_builder
-
-        a = figure1_graph()
-        b = figure1_graph()
-        assert a is not b and a == b
-        assert view_builder(a) is view_builder(b)
+    """Interning shares trees: equal graphs get identical views."""
 
     def test_views_of_equal_graphs_are_shared_trees(self):
         a = figure1_graph()

@@ -23,7 +23,7 @@ from repro.graphs.builders import (
 )
 from repro.graphs.coloring import apply_two_hop_coloring, greedy_two_hop_coloring
 from repro.views import view_tree
-from repro.views.local_views import all_views, view_builder
+from repro.views.local_views import ViewBuilder, all_views
 from repro.views.view_tree import ViewTree, clear_caches
 from tests.oracles import reference_truncate
 
@@ -74,7 +74,8 @@ def test_builder_records_reference_drops(name):
     reference truncation, and no multi-level truncation is recorded."""
     graph = ZOO[name]
     depth = 2 * graph.num_nodes + 2
-    all_views(graph, depth)
+    builder = ViewBuilder(graph)
+    builder.views(depth)
     assert not view_tree._TRUNCATE_CACHE
     recorded = {
         id(tree): (tree, tree._dropped)
@@ -84,7 +85,7 @@ def test_builder_records_reference_drops(name):
     }
     trees = {
         id(tree)
-        for level, (level_trees, _colors) in enumerate(view_builder(graph)._levels, start=1)
+        for level, (level_trees, _colors) in enumerate(builder._levels, start=1)
         if level > 1
         for tree in level_trees
     }
