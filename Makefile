@@ -16,7 +16,7 @@ PERF_SMOKE_FLAGS ?=
 # JSON) land here instead of the repo root; the directory is gitignored.
 OUT_DIR := benchmarks/out
 
-.PHONY: test bench-selftest bench-smoke perf perf-smoke smoke invariants lint typecheck experiments ci
+.PHONY: test bench-selftest bench-smoke perf perf-smoke smoke invariants importtime lint typecheck experiments ci
 
 test:  ## tier-1 test suite
 	$(PYTHONPATH_SRC) $(PYTHON) -m pytest -x -q
@@ -40,7 +40,7 @@ bench-smoke:  ## 1 s runs of the search and reconstruct (prg) workloads: fails u
 perf:  ## rewrite the benchmarks/BENCH_views.json perf baseline
 	$(PYTHON) benchmarks/run_perf_suite.py
 
-perf-smoke:  ## quick perf gate: cold views within 2x of the baseline; live floors: reconstruct >=5x, shared reconstruction walk >=16x, lexicographic search >=32x, snapshot search >=4.0x, prg search >=1.7x (MIS) / >=0.9x (matching), factor enumeration >=1.5x/6x, candidate enumeration >=50x/50x, plan-built view deepening >=1.3x (+ dynamic, artifacts)
+perf-smoke:  ## quick perf gate: cold views within 2x of the baseline; live floors: reconstruct >=5x, shared reconstruction walk >=16x, lexicographic search >=32x, snapshot search >=4.0x, prg search >=1.7x (MIS) / >=0.9x (matching), factor enumeration >=1.5x/6x, candidate enumeration >=50x/50x, plan-built view deepening >=1.3x, cold start >=1.5x (+ dynamic, artifacts)
 	$(PYTHON) benchmarks/run_perf_suite.py --quick --check $(PERF_SMOKE_FLAGS)
 
 smoke:  ## differential gates: faults, churn, hash seed, cold/warm artifacts (repro.experiments.gates)
@@ -51,6 +51,14 @@ invariants:  ## syntactic + interprocedural flow lint (see docs/LINT.md)
 	$(PYTHONPATH_SRC) $(PYTHON) -m repro.lint --baseline LINT_BASELINE.json \
 		--json $(OUT_DIR)/LINT_report.json --call-graph $(OUT_DIR)/CALL_GRAPH.json
 	$(PYTHONPATH_SRC) $(PYTHON) -m repro.lint tests --warn-only
+
+importtime:  ## python -X importtime of the pipeline and the registry entry (benchmarks/out/IMPORTTIME_*.txt)
+	@mkdir -p $(OUT_DIR)
+	$(PYTHONPATH_SRC) $(PYTHON) -X importtime -c 'from repro import derandomize_pipeline' \
+		2> $(OUT_DIR)/IMPORTTIME_pipeline.txt
+	$(PYTHONPATH_SRC) $(PYTHON) -X importtime \
+		-c 'from repro.experiments import all_experiment_ids; all_experiment_ids()' \
+		2> $(OUT_DIR)/IMPORTTIME_registry.txt
 
 lint:  ## ruff: lint everything, format-check the migrated files
 	@if $(PYTHON) -m ruff --version >/dev/null 2>&1; then \
@@ -78,4 +86,4 @@ experiments:  ## full registry on 2 workers (exit 3 if the pool degrades); canon
 		$(OUT_DIR)/RESULTS_experiments.json > $(OUT_DIR)/RESULTS_canonical.json
 	cmp $(OUT_DIR)/RESULTS_canonical.json tests/runtime/golden/experiments_canonical.json
 
-ci: lint typecheck invariants test bench-selftest bench-smoke smoke experiments perf-smoke  ## exactly what .github/workflows/ci.yml runs
+ci: lint typecheck invariants importtime test bench-selftest bench-smoke smoke experiments perf-smoke  ## exactly what .github/workflows/ci.yml runs

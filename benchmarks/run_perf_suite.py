@@ -34,6 +34,7 @@ import math
 import operator
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -284,6 +285,33 @@ CANDIDATES_SPEEDUP_FLOORS = {"candidates_growth/4": 50.0, "candidates_a_star_p4/
 # a gate, the traced bytes each side's deepening holds per interned tree
 # (one extra untimed run per side under ``tracemalloc``).
 DEEPENING_SPEEDUP_FLOORS = {"deepening_colored_torus/64": 1.3}
+
+# Cold-start gate: a fresh interpreter importing the pipeline entry
+# (``from repro import derandomize_pipeline``) against one importing the
+# registry entry (``all_experiment_ids()``, which registers all 28
+# experiments).  Package exports load on first access and experiments on
+# the first registry query, so the pipeline side loads about a third of
+# the registry side's ``repro`` modules.  The children import a copy of
+# ``src/repro`` without ``__pycache__`` and write no bytecode, so each
+# compiles every ``repro`` module it loads, as a fresh checkout does.
+# Both sides alternate within one invocation, so the ratio is gated
+# live.  Measured 1.86-2.69x over 10 runs of 5 samples on a 2-vCPU Linux
+# container (CPython 3.11), 1.11-1.91x at the eager exports before; the
+# floor sits under 80% of the lowest, and a ratio near 1 means the
+# pipeline entry loads the registry again.
+COLD_START_SPEEDUP_FLOORS = {"cold_start_pipeline": 1.5}
+COLD_START_ENTRIES = {
+    "pipeline": "from repro import derandomize_pipeline",
+    "registry": "from repro.experiments import all_experiment_ids; all_experiment_ids()",
+}
+COLD_START_PROBE = """
+import sys, time
+start = time.perf_counter()
+sys.path.insert(0, {src!r})
+{entry}
+elapsed = time.perf_counter() - start
+print(elapsed, sum(1 for m in sys.modules if m == "repro" or m.startswith("repro.")))
+"""
 
 
 def _colored(graph):
@@ -959,6 +987,47 @@ def run_deepening_benches(repeats: int) -> dict:
     return {"speedup_floors": DEEPENING_SPEEDUP_FLOORS, "rows": [row]}
 
 
+def _cold_start_sample(entry: str, src: str) -> tuple:
+    """``(seconds, repro modules)`` of one fresh interpreter running
+    ``entry`` against the package copy in ``src``, timed inside the
+    child from before its first import."""
+    code = COLD_START_PROBE.format(src=src, entry=entry)
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    seconds, modules = done.stdout.split()
+    return float(seconds), int(modules)
+
+
+def run_cold_start_benches(repeats: int) -> dict:
+    """Fresh-interpreter import of the pipeline entry vs the registry
+    entry, alternating sides; ``speedup`` is registry/pipeline on best
+    samples, and each side reports how many ``repro`` modules it loads."""
+    samples: dict[str, list[float]] = {side: [] for side in COLD_START_ENTRIES}
+    modules: dict[str, int] = {}
+    with tempfile.TemporaryDirectory() as src:
+        shutil.copytree(
+            REPO_ROOT / "src" / "repro",
+            Path(src) / "repro",
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        for _ in range(repeats):
+            for side, entry in COLD_START_ENTRIES.items():
+                seconds, modules[side] = _cold_start_sample(entry, src)
+                samples[side].append(seconds)
+    row: dict = {"bench": "cold_start_pipeline"}
+    for side, times in samples.items():
+        row[side] = {
+            "best_s": min(times),
+            "median_s": statistics.median(times),
+            "repeats": repeats,
+            "modules": modules[side],
+        }
+    row["speedup"] = round(row["registry"]["best_s"] / row["pipeline"]["best_s"], 2)
+    return {"speedup_floors": COLD_START_SPEEDUP_FLOORS, "rows": [row]}
+
+
 def run_suite(quick: bool, repeats: int) -> dict:
     view_ns = [8, 16, 32, 64] if quick else [8, 16, 32, 64, 96, 128]
     refine_ns = [16, 64, 128] if quick else [16, 64, 128, 256, 512]
@@ -1125,8 +1194,11 @@ def run_suite(quick: bool, repeats: int) -> dict:
         # each side's traced bytes per interned tree (no gate); 20 = a
         # lexicographic ``search`` row on the star-6 quotient against the
         # per-trial continuation (same assignment, identical engine counts
-        # and algorithm calls, with a live floor).
-        "schema": 20,
+        # and algorithm calls, with a live floor); 21 = ``cold_start``
+        # section (fresh-interpreter import of the pipeline entry vs the
+        # registry entry, each side's ``repro`` module count, with a live
+        # floor on the ratio).
+        "schema": 21,
         "suite": "views-perf",
         "quick": quick,
         "machine": {
@@ -1149,6 +1221,7 @@ def run_suite(quick: bool, repeats: int) -> dict:
         "factors": run_factor_benches(repeats),
         "candidates": run_candidate_benches(repeats),
         "deepening": run_deepening_benches(repeats),
+        "cold_start": run_cold_start_benches(repeats),
     }
 
 
@@ -1296,6 +1369,10 @@ def _sized_case(row: dict) -> str:
     return f"{row['bench']}/{row['n']}"
 
 
+def _bench_case(row: dict) -> str:
+    return row["bench"]
+
+
 # Sections whose speedups are measured live (both sides back to back in
 # one invocation), in check order: section -> (default floors, case
 # naming, summary title, (row key, label) of each timed side as printed,
@@ -1356,6 +1433,14 @@ LIVE_SPEEDUP_SECTIONS = {
         (("current", "current"), ("reference", "reference")),
         "plan-built deepening beats make per class",
         "VIEW DEEPENING SPEEDUP FLOOR VIOLATION:",
+    ),
+    "cold_start": (
+        COLD_START_SPEEDUP_FLOORS,
+        _bench_case,
+        "fresh-interpreter import: pipeline entry vs registry entry",
+        (("pipeline", "pipeline"), ("registry", "registry")),
+        "the pipeline entry starts faster than the registry entry",
+        "COLD START SPEEDUP FLOOR VIOLATION:",
     ),
 }
 
@@ -1512,6 +1597,13 @@ def _print_table(payload: dict) -> None:
             if held:
                 line += f"   bytes/tree={held['reference']}/{held['current']}"
             print(line)
+    for row in payload.get("cold_start", {}).get("rows", []):
+        registry, pipeline = row["registry"], row["pipeline"]
+        print(
+            f"{row['bench']:<26}     {registry['best_s'] * 1e3:11.4f}ms"
+            f"{pipeline['best_s'] * 1e3:11.4f}ms   speedup={row['speedup']:.2f}x"
+            f"   modules={registry['modules']}/{pipeline['modules']}"
+        )
 
 
 def main(argv=None) -> int:

@@ -19,6 +19,7 @@ from collections.abc import Sequence
 from repro.graphs.labeled_graph import LabeledGraph
 from repro.runtime.algorithm import AnonymousAlgorithm
 from repro.runtime.engine import TrialMemo
+from repro.runtime.tape import random_bits
 
 
 @dataclass(frozen=True)
@@ -50,10 +51,7 @@ def measure_success_curve(
     for t in lengths:
         successes = 0
         for _ in range(samples_per_length):
-            assignment = {
-                v: "".join(str(rng.getrandbits(1)) for _ in range(t))
-                for v in graph.nodes
-            }
+            assignment = {v: random_bits(rng, t) for v in graph.nodes}
             if memo.run(assignment):
                 successes += 1
         points.append((t, successes / samples_per_length))

@@ -17,27 +17,55 @@
   problem-specific deterministic stage.
 """
 
-from repro.core.orders import (
-    assignment_sort_key,
-    finite_view_graph_sort_key,
-    canonical_node_order,
-)
-from repro.core.assignment_search import (
-    SearchBudgetExceeded,
-    enumerate_extensions,
-    smallest_successful_assignment,
-    smallest_successful_extension,
-)
-from repro.core.infinity import AInfinitySolver, DerandomizationResult
-from repro.core.candidates import Candidate, enumerate_candidates
-from repro.core.a_star import AStarSolver, AStarDiagnostics
-from repro.core.practical import PracticalDerandomizer, quotient_from_view
-from repro.core.derandomize import PipelineResult, derandomize_pipeline
-from repro.core.verification import (
-    CheckOutcome,
-    ConformanceReport,
-    check_gran_bundle,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core.orders import (
+        assignment_sort_key,
+        finite_view_graph_sort_key,
+        canonical_node_order,
+    )
+    from repro.core.assignment_search import (
+        SearchBudgetExceeded,
+        enumerate_extensions,
+        smallest_successful_assignment,
+        smallest_successful_extension,
+    )
+    from repro.core.infinity import AInfinitySolver, DerandomizationResult
+    from repro.core.candidates import Candidate, enumerate_candidates
+    from repro.core.a_star import AStarSolver, AStarDiagnostics
+    from repro.core.practical import PracticalDerandomizer, quotient_from_view
+    from repro.core.derandomize import PipelineResult, derandomize_pipeline
+    from repro.core.verification import (
+        CheckOutcome,
+        ConformanceReport,
+        check_gran_bundle,
+    )
+
+_EXPORTS = {
+    "assignment_sort_key": "repro.core.orders",
+    "finite_view_graph_sort_key": "repro.core.orders",
+    "canonical_node_order": "repro.core.orders",
+    "SearchBudgetExceeded": "repro.core.assignment_search",
+    "enumerate_extensions": "repro.core.assignment_search",
+    "smallest_successful_assignment": "repro.core.assignment_search",
+    "smallest_successful_extension": "repro.core.assignment_search",
+    "AInfinitySolver": "repro.core.infinity",
+    "DerandomizationResult": "repro.core.infinity",
+    "Candidate": "repro.core.candidates",
+    "enumerate_candidates": "repro.core.candidates",
+    "AStarSolver": "repro.core.a_star",
+    "AStarDiagnostics": "repro.core.a_star",
+    "PracticalDerandomizer": "repro.core.practical",
+    "quotient_from_view": "repro.core.practical",
+    "PipelineResult": "repro.core.derandomize",
+    "derandomize_pipeline": "repro.core.derandomize",
+    "CheckOutcome": "repro.core.verification",
+    "ConformanceReport": "repro.core.verification",
+    "check_gran_bundle": "repro.core.verification",
+}
 
 __all__ = [
     "assignment_sort_key",
@@ -61,3 +89,5 @@ __all__ = [
     "ConformanceReport",
     "check_gran_bundle",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -362,18 +362,19 @@ class PracticalDerandomizer(QuotientSolver):
         # the quotient at radius n + 1, where aliases stay distinct one
         # level above the stabilization depth (Norris).  Rebuilds are
         # numbered in alias order, so agreement (Lemma 1) is equality.
-        # One walk memoises the alias walk across the views.
+        # One walk memoises the alias walk across the views and returns
+        # one object per alias set, so identity settles agreement without
+        # hashing a graph; equality is the fallback for distinct objects.
         walk = _ReconstructionWalk(n + 1)
-        rebuilds = dict.fromkeys(
+        rebuilt, *others = [
             quotient_from_view(view, n + 1, walk=walk) for view in dict.fromkeys(views.values())
-        )
-        if len(rebuilds) != 1:
+        ]
+        if any(other is not rebuilt and other != rebuilt for other in others):
             raise DerandomizationError(
                 "nodes reconstructed different quotients — canonicalization "
                 "is broken (this contradicts Lemma 1)"
             )
-        (rebuilt,) = rebuilds
-        del walk, rebuilds  # the search below runs without the walk's memo
+        del walk, others  # the search below runs without the walk's memo
 
         # Renumber the agreed rebuild once into the canonical node order
         # the search keys on (not the alias order: they differ on a greedy

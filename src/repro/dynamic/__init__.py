@@ -28,23 +28,47 @@ See ``docs/DYNAMIC.md`` for the delta model, the blast-radius rule and
 the determinism contract.
 """
 
-from repro.dynamic.context import ActiveChurn, TopologyHook, apply_churn
-from repro.dynamic.delta import (
-    ChurnPlan,
-    ChurnSchedule,
-    Delta,
-    add_edge,
-    relabel,
-    remove_edge,
-    reorder_ports,
-)
-from repro.dynamic.graph import AppliedBatch, DynamicGraph
-from repro.dynamic.maintain import (
-    DynamicViewMaintainer,
-    UpdateStats,
-    differential_check,
-    replay_views,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.dynamic.context import ActiveChurn, TopologyHook, apply_churn
+    from repro.dynamic.delta import (
+        ChurnPlan,
+        ChurnSchedule,
+        Delta,
+        add_edge,
+        relabel,
+        remove_edge,
+        reorder_ports,
+    )
+    from repro.dynamic.graph import AppliedBatch, DynamicGraph
+    from repro.dynamic.maintain import (
+        DynamicViewMaintainer,
+        UpdateStats,
+        differential_check,
+        replay_views,
+    )
+
+_EXPORTS = {
+    "ActiveChurn": "repro.dynamic.context",
+    "TopologyHook": "repro.dynamic.context",
+    "apply_churn": "repro.dynamic.context",
+    "ChurnPlan": "repro.dynamic.delta",
+    "ChurnSchedule": "repro.dynamic.delta",
+    "Delta": "repro.dynamic.delta",
+    "add_edge": "repro.dynamic.delta",
+    "relabel": "repro.dynamic.delta",
+    "remove_edge": "repro.dynamic.delta",
+    "reorder_ports": "repro.dynamic.delta",
+    "AppliedBatch": "repro.dynamic.graph",
+    "DynamicGraph": "repro.dynamic.graph",
+    "DynamicViewMaintainer": "repro.dynamic.maintain",
+    "UpdateStats": "repro.dynamic.maintain",
+    "differential_check": "repro.dynamic.maintain",
+    "replay_views": "repro.dynamic.maintain",
+}
 
 __all__ = [
     "ActiveChurn",
@@ -64,3 +88,5 @@ __all__ = [
     "reorder_ports",
     "replay_views",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import inspect
 from dataclasses import dataclass, field
 from collections.abc import Callable, Sequence
@@ -95,6 +96,41 @@ class ExperimentSpec:
 
 _REGISTRY: dict[str, ExperimentSpec] = {}
 
+# The modules whose ``@experiment`` functions make up the registry, in
+# registration order.  They are imported by :func:`load_experiments` on
+# the first registry query, not by ``import repro.experiments``.
+EXPERIMENT_MODULES = (
+    "boundaries",
+    "costs",
+    "dynamic",
+    "figures",
+    "lemmas",
+    "resilience",
+    "theorems",
+)
+_LOADED = False
+
+
+def load_experiments() -> None:
+    """Register every experiment of :data:`EXPERIMENT_MODULES`, once.
+
+    Every registry query calls this first, so a process that never asks
+    for an experiment never imports one.  The flag is set before the
+    imports so the decorators they run do not re-enter the loop; it is
+    cleared again if an import fails, so the failure repeats instead of
+    leaving a silently partial registry.
+    """
+    global _LOADED
+    if _LOADED:
+        return
+    _LOADED = True
+    try:
+        for name in EXPERIMENT_MODULES:
+            importlib.import_module(f"repro.experiments.{name}")
+    except BaseException:
+        _LOADED = False
+        raise
+
 
 def experiment(experiment_id: str, *, cost: float = 1.0, family: str = ""):
     """Decorator registering an experiment function under an id.
@@ -105,6 +141,7 @@ def experiment(experiment_id: str, *, cost: float = 1.0, family: str = ""):
     """
 
     def register(fn: Callable[..., ExperimentResult]):
+        load_experiments()
         if experiment_id in _REGISTRY:
             raise ReproError(f"duplicate experiment id {experiment_id!r}")
         try:
@@ -125,10 +162,12 @@ def experiment(experiment_id: str, *, cost: float = 1.0, family: str = ""):
 
 
 def all_experiment_ids() -> list[str]:
+    load_experiments()
     return sorted(_REGISTRY)
 
 
 def get_spec(experiment_id: str) -> ExperimentSpec:
+    load_experiments()
     try:
         return _REGISTRY[experiment_id]
     except KeyError:
@@ -148,4 +187,5 @@ def all_specs() -> list[ExperimentSpec]:
 
 def all_families() -> list[str]:
     """Every registered experiment family, sorted."""
+    load_experiments()
     return sorted({spec.family for spec in _REGISTRY.values()})

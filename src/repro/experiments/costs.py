@@ -7,11 +7,13 @@ from math import comb
 from repro.algorithms.greedy_by_color import GreedyMISByColor
 from repro.algorithms.luby_mis import AnonymousMISAlgorithm
 from repro.algorithms.two_hop_coloring import TwoHopColoringAlgorithm
+from repro.analysis.probability import measure_success_curve
 from repro.analysis.stats import RunStats, aggregate
 from repro.analysis.sweeps import SweepRow
 from repro.core.assignment_search import smallest_successful_assignment
+from repro.core.candidates import enumerate_candidates, observed_marks
 from repro.experiments.base import ExperimentResult, experiment
-from repro.experiments._shared import colored
+from repro.experiments._shared import colored, lifted_colored_c3
 from repro.graphs.builders import (
     complete_graph,
     cycle_graph,
@@ -21,7 +23,9 @@ from repro.graphs.builders import (
 )
 from repro.graphs.coloring import is_two_hop_coloring
 from repro.problems.mis import MISProblem
+from repro.problems.problem import TwoHopColoredVariant
 from repro.runtime.engine import collect_engine_metrics, execute
+from repro.views.local_views import view
 
 SEEDS = range(5)
 
@@ -136,11 +140,6 @@ def candidate_growth() -> ExperimentResult:
     marks) pairs that a brute-force enumeration would examine; the
     surviving finite view graphs come from the view-guided folding
     enumerator, which returns the same list."""
-    from repro.core.candidates import enumerate_candidates, observed_marks
-    from repro.experiments._shared import lifted_colored_c3
-    from repro.problems.problem import TwoHopColoredVariant
-    from repro.views.local_views import view
-
     _base, lift, _proj = lifted_colored_c3(2)
     instance = lift.with_layer("bits", {v: "" for v in lift.nodes})
     instance = instance.with_only_layers(["input", "color", "bits"])
@@ -190,8 +189,6 @@ def candidate_growth() -> ExperimentResult:
 def success_curve() -> ExperimentResult:
     """The probability a random length-t assignment succeeds — the single
     quantity behind every search cost in the derandomization."""
-    from repro.analysis.probability import measure_success_curve
-
     algorithm = AnonymousMISAlgorithm()
     rows, checks = [], {}
     for name, graph in [

@@ -44,7 +44,12 @@ from collections.abc import Callable, Iterable
 from typing import Any
 
 from repro.analysis.sweeps import SweepRow
-from repro.experiments.base import ExperimentResult, all_experiment_ids, get_spec
+from repro.experiments.base import (
+    ExperimentResult,
+    all_experiment_ids,
+    get_spec,
+    load_experiments,
+)
 from repro.runtime.engine import collect_engine_metrics
 
 __all__ = [
@@ -155,8 +160,9 @@ def _run_task(task: _Task) -> ExperimentRun:
     The run is reported as serial; the parent marks the ones the pool
     ran as parallel.
     """
-    import repro.experiments  # noqa: F401  (registration on spawn)
-
+    # A spawned worker starts with an empty registry: register before the
+    # clock starts, so wall_s holds no experiment imports.
+    load_experiments()
     # Wall-clock fields are stripped from canonical_results (timing only).
     start = time.perf_counter()  # repro-lint: disable=DET001 -- wall-time metric only
     with collect_engine_metrics() as totals:

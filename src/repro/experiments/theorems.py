@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from repro.algorithms.deciders import WellFormedInputDecider
+from repro.algorithms.greedy_by_color import GreedyMISByColor
 from repro.algorithms.luby_mis import AnonymousMISAlgorithm
 from repro.algorithms.matching import AnonymousMatchingAlgorithm
 from repro.algorithms.two_hop_coloring import TwoHopColoringAlgorithm
@@ -23,6 +24,8 @@ from repro.problems.coloring import ColoringProblem, KHopColoringProblem
 from repro.problems.gran import GranBundle
 from repro.problems.matching import MaximalMatchingProblem
 from repro.problems.mis import MISProblem
+from repro.runtime.composition import TwoStageComposition
+from repro.runtime.engine import execute
 from repro.views.refinement import stabilization_depth
 
 
@@ -82,10 +85,6 @@ def decoupling_as_one_algorithm() -> ExperimentResult:
     and the deterministic stage fused into a SINGLE anonymous algorithm
     (with an embedded synchronizer for the staggered hand-off), run as
     one Las-Vegas execution per instance."""
-    from repro.algorithms.greedy_by_color import GreedyMISByColor
-    from repro.runtime.composition import TwoStageComposition
-    from repro.runtime.engine import execute
-
     composed = TwoStageComposition(
         TwoHopColoringAlgorithm(),
         GreedyMISByColor(),

@@ -25,15 +25,33 @@ See ``docs/FAULTS.md`` for the plan schema, the determinism contract
 and the replay recipe.
 """
 
-from repro.faults.context import ActiveInjection, inject_faults
-from repro.faults.delivery import (
-    LOST,
-    CorruptingTape,
-    FaultyDelivery,
-    LostMessage,
-)
-from repro.faults.plan import FaultPlan, FaultSchedule
-from repro.faults.trace import FaultEvent, FaultTrace
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.faults.context import ActiveInjection, inject_faults
+    from repro.faults.delivery import (
+        LOST,
+        CorruptingTape,
+        FaultyDelivery,
+        LostMessage,
+    )
+    from repro.faults.plan import FaultPlan, FaultSchedule
+    from repro.faults.trace import FaultEvent, FaultTrace
+
+_EXPORTS = {
+    "ActiveInjection": "repro.faults.context",
+    "inject_faults": "repro.faults.context",
+    "LOST": "repro.faults.delivery",
+    "CorruptingTape": "repro.faults.delivery",
+    "FaultyDelivery": "repro.faults.delivery",
+    "LostMessage": "repro.faults.delivery",
+    "FaultPlan": "repro.faults.plan",
+    "FaultSchedule": "repro.faults.plan",
+    "FaultEvent": "repro.faults.trace",
+    "FaultTrace": "repro.faults.trace",
+}
 
 __all__ = [
     "LOST",
@@ -47,3 +65,5 @@ __all__ = [
     "LostMessage",
     "inject_faults",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -8,18 +8,38 @@ and decider — the certificate of GRAN membership that Theorem 1 takes as
 hypothesis.
 """
 
-from repro.problems.problem import DistributedProblem, TwoHopColoredVariant
-from repro.problems.mis import MISProblem
-from repro.problems.coloring import ColoringProblem, KHopColoringProblem
-from repro.problems.matching import MaximalMatchingProblem
-from repro.problems.decision import decision_outputs_valid
-from repro.problems.election import (
-    FOLLOWER,
-    LEADER,
-    LeaderElectionProblem,
-    MinimalViewElection,
-)
-from repro.problems.gran import GranBundle
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.problems.problem import DistributedProblem, TwoHopColoredVariant
+    from repro.problems.mis import MISProblem
+    from repro.problems.coloring import ColoringProblem, KHopColoringProblem
+    from repro.problems.matching import MaximalMatchingProblem
+    from repro.problems.decision import decision_outputs_valid
+    from repro.problems.election import (
+        FOLLOWER,
+        LEADER,
+        LeaderElectionProblem,
+        MinimalViewElection,
+    )
+    from repro.problems.gran import GranBundle
+
+_EXPORTS = {
+    "DistributedProblem": "repro.problems.problem",
+    "TwoHopColoredVariant": "repro.problems.problem",
+    "MISProblem": "repro.problems.mis",
+    "ColoringProblem": "repro.problems.coloring",
+    "KHopColoringProblem": "repro.problems.coloring",
+    "MaximalMatchingProblem": "repro.problems.matching",
+    "decision_outputs_valid": "repro.problems.decision",
+    "FOLLOWER": "repro.problems.election",
+    "LEADER": "repro.problems.election",
+    "LeaderElectionProblem": "repro.problems.election",
+    "MinimalViewElection": "repro.problems.election",
+    "GranBundle": "repro.problems.gran",
+}
 
 __all__ = [
     "FOLLOWER",
@@ -35,3 +55,5 @@ __all__ = [
     "decision_outputs_valid",
     "GranBundle",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -44,6 +44,7 @@ from repro.exceptions import (
 )
 from repro.graphs.labeled_graph import _ATOMS, LabeledGraph, Node, _freeze
 from repro.runtime.algorithm import AnonymousAlgorithm
+from repro.runtime.port_model import PortAwareAlgorithm
 from repro.runtime.tape import BitSource, FixedTape, RandomTape, RecordingTape
 from repro.runtime.trace import ExecutionTrace, RoundRecord
 
@@ -598,8 +599,6 @@ def check_plan(plan: Any, rate_fields: Sequence[str], error: type[Exception]) ->
 
 
 def _infer_delivery(algorithm: Any) -> DeliveryDiscipline:
-    from repro.runtime.port_model import PortAwareAlgorithm
-
     if isinstance(algorithm, PortAwareAlgorithm):
         return PortDelivery()
     if isinstance(algorithm, AnonymousAlgorithm):

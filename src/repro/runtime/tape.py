@@ -20,6 +20,16 @@ from abc import ABC, abstractmethod
 from repro.exceptions import SimulationError
 
 
+def random_bits(rng: random.Random, count: int) -> str:
+    """``count`` bits of ``rng`` as a string over ``{'0','1'}``: one
+    ``getrandbits(1)`` per bit, in draw order, so the string and the
+    generator's state afterwards are those of drawing bit by bit."""
+    getrandbits = rng.getrandbits
+    if count == 1:
+        return "01"[getrandbits(1)]
+    return "".join(["01"[getrandbits(1)] for _ in range(count)])
+
+
 class BitSource(ABC):
     """Supplier of random bits for one node."""
 
@@ -41,7 +51,7 @@ class RandomTape(BitSource):
     def draw(self, count: int) -> str:
         if count < 0:
             raise SimulationError(f"cannot draw {count} bits")
-        return "".join(str(self._rng.getrandbits(1)) for _ in range(count))
+        return random_bits(self._rng, count)
 
     def remaining(self, count: int) -> bool:
         return True

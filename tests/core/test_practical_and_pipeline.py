@@ -16,7 +16,7 @@ from repro.core.derandomize import derandomize_pipeline
 from repro.core.infinity import AInfinitySolver
 from repro.core import practical as practical_module
 from repro.core.practical import PracticalDerandomizer, quotient_from_view
-from repro.exceptions import ProblemError, ViewError
+from repro.exceptions import DerandomizationError, ProblemError, ViewError
 from repro.graphs.builders import (
     complete_graph,
     cycle_graph,
@@ -29,6 +29,7 @@ from repro.graphs.builders import (
 )
 from repro.graphs.coloring import apply_two_hop_coloring, greedy_two_hop_coloring
 from repro.graphs.isomorphism import are_isomorphic
+from repro.graphs.labeled_graph import LabeledGraph
 from repro.graphs.lifts import cyclic_lift, lift_graph
 from repro.factor.quotient import finite_view_graph
 from repro.problems.coloring import ColoringProblem
@@ -365,6 +366,62 @@ class TestPracticalDerandomizer:
         solver.solve(colored_random_regular(16, 0))
         assert len(walks) == 16
         assert reachable == [False] * 16
+
+    def test_agreement_hashes_no_graph_before_the_search(self, monkeypatch):
+        """The shared walk returns one rebuild object for all 16 views, so
+        Lemma 1 agreement is settled by identity: no graph computes its
+        structure key (the cost of hashing or comparing one) before the
+        assignment search starts."""
+        keys = []
+        original_key = LabeledGraph.structure_key
+
+        def counting_key(graph):
+            keys.append(graph)
+            return original_key(graph)
+
+        keys_at_search = []
+        original_search = practical_module.smallest_successful_assignment
+
+        def search(*args, **kwargs):
+            keys_at_search.append(len(keys))
+            return original_search(*args, **kwargs)
+
+        monkeypatch.setattr(LabeledGraph, "structure_key", counting_key)
+        monkeypatch.setattr(practical_module, "smallest_successful_assignment", search)
+        solver = PracticalDerandomizer(MISProblem(), AnonymousMISAlgorithm(), strategy="prg")
+        solver.solve(colored_random_regular(16, 0))
+        assert keys_at_search == [0]
+
+    @pytest.mark.parametrize("equal", [False, True], ids=["unequal", "equal-copy"])
+    def test_agreement_falls_back_to_equality(self, equal, monkeypatch):
+        """A walk that returns two distinct objects is checked by ``==``:
+        an unequal second rebuild raises, an equal copy is agreement."""
+        original = practical_module.quotient_from_view
+        rebuilds = []
+
+        def stub(view, radius, **kwargs):
+            rebuilt = original(view, radius, **kwargs)
+            if rebuilds:
+                edges = list(rebuilt.edges()) if equal else list(rebuilt.edges())[1:]
+                rebuilt = LabeledGraph(
+                    edges,
+                    nodes=rebuilt.nodes,
+                    layers={name: rebuilt.layer(name) for name in rebuilt.layer_names},
+                )
+            rebuilds.append(rebuilt)
+            return rebuilt
+
+        monkeypatch.setattr(practical_module, "quotient_from_view", stub)
+        solver = PracticalDerandomizer(MISProblem(), AnonymousMISAlgorithm())
+        instance = colored(with_uniform_input(cycle_graph(3)))
+        if equal:
+            result = solver.solve(instance)
+            assert MISProblem().is_valid_output(instance, result.outputs)
+        else:
+            with pytest.raises(DerandomizationError, match="reconstructed different quotients"):
+                solver.solve(instance)
+        assert len(rebuilds) == 3
+        assert rebuilds[1] is not rebuilds[0]
 
 
 class TestPipeline:

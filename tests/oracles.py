@@ -11,6 +11,7 @@ suite imports it without the test dependencies.
   (recursive truncation and an all-pairs alias scan) and
   :func:`unshared_reconstruct` (one fresh walk per view);
 * message freezing: :func:`reference_freeze`;
+* random bit draws: :func:`reference_random_bits`, one ``str`` per bit;
 * the assignment searches, every trial replayed from round 0 through
   ``execute``: :func:`reference_search`, :func:`reference_prg_search`
   and :func:`reference_extension`; and the lexicographic search as it
@@ -160,6 +161,12 @@ def reference_freeze(value):
     if isinstance(value, set):
         return tuple(sorted(reference_freeze(v) for v in value))
     return value
+
+
+def reference_random_bits(rng, count):
+    """``count`` bits as ``RandomTape.draw`` built them before the fast
+    path: one ``str(getrandbits(1))`` per bit."""
+    return "".join(str(rng.getrandbits(1)) for _ in range(count))
 
 
 def reference_search(algorithm, graph, order, max_length=64, budget=1_000_000):

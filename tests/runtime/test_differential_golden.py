@@ -16,7 +16,6 @@ Regenerate (only when behavior is *intentionally* changed):
     PYTHONPATH=src python - <<'EOF'
     import json
     from pathlib import Path
-    import repro.experiments  # register
     from repro.experiments.base import all_experiment_ids
     from repro.experiments.runner import (
         canonical_results, results_payload, run_experiments,
@@ -33,7 +32,6 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import repro.experiments  # noqa: F401  (registers the experiment specs)
 from repro.experiments.base import all_experiment_ids
 from repro.experiments.runner import (
     canonical_results,

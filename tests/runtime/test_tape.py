@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.exceptions import SimulationError
-from repro.runtime.tape import FixedTape, RandomTape, RecordingTape
+from repro.runtime.tape import FixedTape, RandomTape, RecordingTape, random_bits
+from tests.oracles import reference_random_bits
 
 
 class TestRandomTape:
@@ -27,6 +30,21 @@ class TestRandomTape:
     def test_negative_draw_rejected(self):
         with pytest.raises(SimulationError):
             RandomTape(0).draw(-1)
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_bits_match_the_per_bit_reference(self, seed):
+        """Every count 0..40, drawn in sequence from one generator, gives
+        the reference's bits and leaves the generator where the reference
+        leaves it; the tape draws the same sequence."""
+        fast, reference = random.Random(seed), random.Random(seed)
+        tape = RandomTape(seed)
+        for count in [*range(41), *range(40, -1, -3)]:
+            expected = reference_random_bits(reference, count)
+            assert random_bits(fast, count) == expected
+            assert fast.getstate() == reference.getstate()
+            assert tape.draw(count) == expected
+        with pytest.raises(SimulationError):
+            tape.draw(-1)
 
 
 class TestFixedTape:
