@@ -49,6 +49,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(REPO_ROOT))  # the oracles of ``tests/oracles.py``
 
 from repro.graphs.builders import (  # noqa: E402
+    complete_graph,
     cycle_graph,
     path_graph,
     random_connected_graph,
@@ -235,15 +236,27 @@ RECONSTRUCT_SPEEDUP_FLOORS = {"reconstruct_cycle/64": 5.0, "reconstruct_distinct
 # engine counts and the same calls of the algorithm.  Measured
 # 5.34-9.08x over 17 runs on a 2-vCPU Linux container (CPython 3.11);
 # the floor is under 80% of the lowest.
+#
+# The fifth case is the ``search`` workload's tail op, 2-hop coloring on
+# the view quotient of K4 (all 4 nodes stay), 5,533 trials, against the
+# same per-trial continuation with the same checks.  Its snapshots are
+# many and small (440 settles), so the row gates what a settle costs:
+# it fills every option slot the transition table already answers, and
+# leaves only the others (428 here) to an event at their first reader.
+# Measured 1.44-2.05x over 16 runs on a 2-vCPU Linux container (CPython
+# 3.11); with one event per option slot (1,546), 1.09-1.75x single
+# timings.  The floor is under 80% of the lowest.
 SEARCH_COLORING = (0, 1, 2, 0, 1, 3)
 PRG_SEARCH_N = 48
 PRG_MATCHING_N = 20
 SNAPSHOT_SEARCH_LEAVES = 6
+SNAPSHOT_SEARCH_COMPLETE = 4
 SEARCH_SPEEDUP_FLOORS = {
     "search_mis_cycle/6": 32.0,
     "search_prg_mis_random/48": 1.7,
     "search_prg_matching_random/20": 0.9,
     "search_snapshots_mis_star/7": 4.0,
+    "search_snapshots_2hop_complete/4": 1.1,
 }
 
 # Factor enumeration gate: ``all_factors(..., include_trivial=True)`` on
@@ -743,24 +756,28 @@ def run_reconstruct_benches(repeats: int) -> dict:
     return {"speedup_floors": RECONSTRUCT_SPEEDUP_FLOORS, "rows": rows}
 
 
-class _CountingMIS(AnonymousMISAlgorithm):
-    """MIS that counts its calls of the per-round protocol."""
+def _counting(algorithm_class):
+    """A subclass of ``algorithm_class`` that counts its calls of the
+    per-round protocol."""
 
-    def __init__(self) -> None:
-        super().__init__()
-        self.calls = {"message": 0, "transition": 0, "output": 0}
+    class Counting(algorithm_class):
+        def __init__(self) -> None:
+            super().__init__()
+            self.calls = {"message": 0, "transition": 0, "output": 0}
 
-    def message(self, state):
-        self.calls["message"] += 1
-        return super().message(state)
+        def message(self, state):
+            self.calls["message"] += 1
+            return super().message(state)
 
-    def transition(self, state, received, bits):
-        self.calls["transition"] += 1
-        return super().transition(state, received, bits)
+        def transition(self, state, received, bits):
+            self.calls["transition"] += 1
+            return super().transition(state, received, bits)
 
-    def output(self, state):
-        self.calls["output"] += 1
-        return super().output(state)
+        def output(self, state):
+            self.calls["output"] += 1
+            return super().output(state)
+
+    return Counting
 
 
 def _quotient_search_input(graph, coloring):
@@ -788,10 +805,11 @@ def run_search_benches(repeats: int) -> dict:
     ``PRG_SEARCH_N``-node graph, matching on that of a
     ``PRG_MATCHING_N``-node one) run against ``reference_prg_search``:
     the same assignment with identical engine counts.  The snapshot
-    search (MIS on the view quotient of the ``SNAPSHOT_SEARCH_LEAVES``-leaf
-    star) runs against ``per_trial_search``, the per-trial continuation
-    it replaced: the same assignment, identical engine counts and the
-    same algorithm calls.
+    searches (MIS on the view quotient of the ``SNAPSHOT_SEARCH_LEAVES``-leaf
+    star, 2-hop coloring on that of the ``SNAPSHOT_SEARCH_COMPLETE``-node
+    complete graph) run against ``per_trial_search``, the per-trial
+    continuation they replaced: the same assignment, identical engine
+    counts and the same algorithm calls.
     """
     samples = min(repeats, 3)  # the cycle search's replaying reference takes ~0.5 s
     algorithm = AnonymousMISAlgorithm()
@@ -842,27 +860,34 @@ def run_search_benches(repeats: int) -> dict:
                 report=("counts",),
             )
         )
-    star = with_uniform_input(star_graph(SNAPSHOT_SEARCH_LEAVES))
-    graph, order = _quotient_search_input(star, greedy_two_hop_coloring(star))
 
-    def counted(search):
+    def counted(search, algorithm_class, graph, order):
+        counting = _counting(algorithm_class)
+
         def run():
-            counting = _CountingMIS()
-            return search(counting, graph, order), counting.calls
+            algorithm = counting()
+            return search(algorithm, graph, order), algorithm.calls
 
         return run
 
-    rows.append(
-        _versus_row(
-            "search_snapshots_mis_star",
-            graph.num_nodes,
-            samples,
-            counted(smallest_successful_assignment),
-            counted(per_trial_search),
-            observe=lambda result, counts: {**_searched(result[0], counts), "calls": result[1]},
-            report=("counts", "calls"),
+    star = with_uniform_input(star_graph(SNAPSHOT_SEARCH_LEAVES))
+    complete = with_uniform_input(complete_graph(SNAPSHOT_SEARCH_COMPLETE))
+    for bench, base, algorithm_class in (
+        ("search_snapshots_mis_star", star, AnonymousMISAlgorithm),
+        ("search_snapshots_2hop_complete", complete, TwoHopColoringAlgorithm),
+    ):
+        graph, order = _quotient_search_input(base, greedy_two_hop_coloring(base))
+        rows.append(
+            _versus_row(
+                bench,
+                graph.num_nodes,
+                samples,
+                counted(smallest_successful_assignment, algorithm_class, graph, order),
+                counted(per_trial_search, algorithm_class, graph, order),
+                observe=lambda result, counts: {**_searched(result[0], counts), "calls": result[1]},
+                report=("counts", "calls"),
+            )
         )
-    )
     return {"speedup_floors": SEARCH_SPEEDUP_FLOORS, "rows": rows}
 
 
@@ -1197,8 +1222,10 @@ def run_suite(quick: bool, repeats: int) -> dict:
         # and algorithm calls, with a live floor); 21 = ``cold_start``
         # section (fresh-interpreter import of the pipeline entry vs the
         # registry entry, each side's ``repro`` module count, with a live
-        # floor on the ratio).
-        "schema": 21,
+        # floor on the ratio); 22 = a lexicographic ``search`` row on the
+        # K4 quotient (2-hop coloring) against the per-trial continuation
+        # (same checks as schema 20, with a live floor).
+        "schema": 22,
         "suite": "views-perf",
         "quick": quick,
         "machine": {

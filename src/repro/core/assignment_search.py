@@ -29,6 +29,7 @@ from repro.graphs.labeled_graph import LabeledGraph, Node
 from repro.runtime.algorithm import AnonymousAlgorithm
 from repro.runtime.engine import (
     TrialMemo,
+    _UNSET,
     _absorb_all,
     _NotInternable,
     _output_changed,
@@ -238,12 +239,16 @@ class _PrefixMemo:
     trial of the snapshot.  Its first successful trial takes each node's
     smallest decided chunk, and its trials hold ``2^(f(n-1))`` times as
     many decided nodes as its slots hold (``f`` fresh bits per node).
-    So a length plays snapshots, not trials: one heap replays, in trial
-    order, only the trials that need the memo (a snapshot's first trial,
-    which settles it and fills each node's chunk-0 slot, and the first
-    trial that reads each other slot) up to the first trial known to
-    succeed, an error or the budget, and the trials below that stop are
-    counted per snapshot.  ``_rows`` holds
+    So a length plays snapshots, not trials.  A snapshot's first trial
+    settles it: it fills each node's chunk-0 slot, and each other slot
+    whose transition the table holds with its target's output computed
+    and agreeing with the node's decided one, a fill that calls and
+    changes nothing whenever it happens.  One heap replays, in trial
+    order, the first trial that reads each other slot (a miss, an
+    output not computed yet, or one that changes), up to the first
+    trial known to succeed, an error or the budget; a node's smallest
+    decided chunk is known once no unfilled slot lies below it.  The
+    trials below that stop are counted per snapshot.  ``_rows`` holds
     the slot rows of the last length that funded a round, one per
     snapshot in trial order; the snapshots of the lengths after it are
     its trials, each one slot per node of its parent's row.
@@ -353,6 +358,8 @@ class _PrefixMemo:
         rounds = target_length // per_round
         free = target_length - self._rounds * per_round  # bits per node each trial adds
         size = 1 << free
+        strings = [format(chunk, f"0{free}b") for chunk in range(size)]  # each chunk's bits
+        zeros = [(p, 0) for p in range(n)]  # the slots a snapshot's first trial reads
         shifts = self._shifts(target_length)
         walk = sorted(zip(shifts, range(n)), reverse=True)
         snapshots = self._snapshots(target_length)
@@ -360,7 +367,8 @@ class _PrefixMemo:
         next_first, codes = next(snapshots)
         # Events ``(trial, snapshot, p, chunk)``: the first trial that
         # reads slot ``(p, chunk)`` of a snapshot ``[first trial, slot
-        # row, settled states, nodes without a decided slot]``.
+        # row, settled states, unresolved nodes]``, for each slot its
+        # settle left unfilled.
         heap: list[tuple[int, list, int, int]] = []
         touched: list[tuple[int, list]] = []  # (first trial, slot row), in trial order
         found = stop = None
@@ -373,12 +381,14 @@ class _PrefixMemo:
                     if index >= limit:
                         break
                     heappop(heap)
-                    first, row, settled, _missing = snapshot
-                    self._fill(row, settled, [(p, chunk)], free, rounds)
-                    if chunk + 1 < size:
-                        heappush(heap, (first + ((chunk + 1) << shifts[p]), snapshot, p, chunk + 1))
+                    first, row, settled, _unresolved = snapshot
+                    self._fill(row, settled, [(p, chunk)], strings, rounds)
+                    # The node's events come in chunk order, so every slot
+                    # below this one is filled.
                     base = p << free
-                    if not row[base | chunk] & 1 or any(c & 1 for c in row[base : base | chunk]):
+                    if any(code & 1 for code in row[base : base | chunk]) or not _resolved(
+                        row, base | chunk, base + size
+                    ):
                         continue
                     snapshot[3] -= 1
                 else:
@@ -387,13 +397,14 @@ class _PrefixMemo:
                         break
                     settled = self._settle(codes)
                     row = [None] * (n << free)
-                    self._fill(row, settled, [(p, 0) for p in range(n)], free, rounds)
+                    self._fill(row, settled, zeros, strings, rounds)
+                    deferred, unresolved = self._fill_hits(row, settled, strings)
                     touched.append((first, row))
-                    snapshot = [first, row, settled, n - sum(row[p << free] & 1 for p in range(n))]
-                    for p, shift in enumerate(shifts):
-                        heappush(heap, (first + (1 << shift), snapshot, p, 1))
+                    snapshot = [first, row, settled, unresolved]
+                    for p, chunk in deferred:
+                        heappush(heap, (first + (chunk << shifts[p]), snapshot, p, chunk))
                     next_first, codes = next(snapshots, beyond)
-                if not snapshot[3]:  # every node has a decided slot
+                if not snapshot[3]:  # every node has its smallest decided slot
                     success = _first_success(first, row, shifts, free)
                     if success < limit:
                         found = limit = success
@@ -464,21 +475,55 @@ class _PrefixMemo:
         return sids, memo.outputs(sids), memo.inbox_keys(sids)
 
     def _fill(
-        self, row: list, settled: tuple, slots: list[tuple[int, int]], free: int, rounds: int
+        self, row: list, settled: tuple, slots: list[tuple[int, int]], strings: list[str],
+        rounds: int,
     ) -> None:
         """Fill ``row``'s slots ``(p, chunk)``: every transition first,
         then each new output against the node's decided one, in position
-        order as the kernel checks."""
-        memo, width = self._memo, self._width
+        order as the kernel checks.  ``strings[chunk]`` is a chunk's bits."""
+        memo, width, size = self._memo, self._width, len(strings)
+        transitions, output_of = memo._transitions, memo._output_of
         sids, befores, inboxes = settled
-        targets = [
-            memo.target(sids[p], format(chunk, f"0{free}b"), inboxes[p]) for p, chunk in slots
-        ]
+        targets = []
+        for p, chunk in slots:
+            key = (sids[p], strings[chunk], *inboxes[p])
+            target = transitions.get(key)
+            targets.append(target if target is not None else memo._transition(key))
         for (p, chunk), target in zip(slots, targets):
-            value, before = memo.output(target), befores[p]
+            value, before = output_of[target], befores[p]
+            if value is _UNSET:
+                value = memo._output(target)
             if before is not None and (value is None or value != before):
                 raise _output_changed(self._graph.nodes[p], before, value, rounds)
-            row[p << free | chunk] = target << width | (value is not None)
+            row[p * size + chunk] = target << width | (value is not None)
+
+    def _fill_hits(
+        self, row: list, settled: tuple, strings: list[str]
+    ) -> tuple[list[tuple[int, int]], int]:
+        """Fill each slot ``(p, chunk ≥ 1)`` of a settled snapshot whose
+        transition is in the table, its target's output computed and
+        agreeing with the node's decided one: filling it then calls and
+        changes nothing.  Returns the other slots, in position order,
+        and how many nodes are not :func:`_resolved` after the fill."""
+        width, size = self._width, len(strings)
+        transitions, output_of = self._memo._transitions, self._memo._output_of
+        deferred = []
+        unresolved = 0
+        for p, (sid, before, inbox) in enumerate(zip(*settled)):
+            base = p * size
+            resolved = row[base] & 1
+            unfilled = False  # a slot below ``chunk`` is left unfilled
+            for chunk in range(1, size):
+                target = transitions.get((sid, strings[chunk], *inbox))
+                value = _UNSET if target is None else output_of[target]
+                if value is _UNSET or before is not None and (value is None or value != before):
+                    deferred.append((p, chunk))
+                    unfilled = True
+                else:
+                    row[base + chunk] = target << width | (value is not None)
+                    resolved = resolved or (value is not None and not unfilled)
+            unresolved += not resolved
+        return deferred, unresolved
 
     def _assignment(self, index: int, target_length: int) -> Assignment:
         """The trial of ``target_length`` with lexicographic index ``index``."""
@@ -504,6 +549,18 @@ def _decided_below(
         else:
             decided += _trials_below(stop, first, walk, free, row)[1]
     return decided
+
+
+def _resolved(row: Sequence[int | None], start: int, stop: int) -> bool:
+    """Whether a node's smallest decided chunk is known: the first of
+    its slots ``row[start:stop]`` that is decided or unfilled (``None``)
+    is decided."""
+    for code in row[start:stop]:
+        if code is None:
+            return False
+        if code & 1:
+            return True
+    return False
 
 
 def _first_success(first: int, row: Sequence[int], shifts: list[int], free: int) -> int:

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from collections.abc import Sequence
 from typing import Any
 
+from repro.artifacts.encoders import encode_views
 from repro.exceptions import DynamicError
 from repro.graphs.csr import csr_of
 from repro.graphs.io import graph_from_dict, graph_to_dict
@@ -226,8 +227,6 @@ def differential_check(maintainer: DynamicViewMaintainer) -> None:
     Raises :class:`~repro.exceptions.DynamicError` at the first
     divergence, naming the node and depth.
     """
-    from repro.artifacts.encoders import encode_views
-
     graph = maintainer.graph
     rebuilt = graph_from_dict(graph_to_dict(graph))
     builder = ViewBuilder(rebuilt)

@@ -800,8 +800,10 @@ class TrialMemo:
     :func:`operator.itemgetter`; a miss calls the algorithm on the real
     state and inbox.  The lexicographic search continues its prefix
     snapshots through the same pieces (:meth:`initial_ids`,
-    :meth:`inbox_keys`, :meth:`target`, :meth:`output`), which raise
-    :class:`_NotInternable` where the memo cannot play.
+    :meth:`inbox_keys`, and the transition table and output cache
+    read directly, with :meth:`_transition` and :meth:`_output` on a
+    miss; :meth:`target` and :meth:`output` wrap those two), which
+    raise :class:`_NotInternable` where the memo cannot play.
 
     Reuse is almost all in a trial's first rounds, so :meth:`run` clears
     the memo between trials once it holds more than 128 transitions per

@@ -30,6 +30,7 @@ from repro.algorithms.luby_mis import AnonymousMISAlgorithm
 from repro.algorithms.matching import AnonymousMatchingAlgorithm
 from repro.algorithms.two_hop_coloring import TwoHopColoringAlgorithm
 from repro.algorithms.vertex_coloring import VertexColoringAlgorithm
+from repro.core import assignment_search
 from repro.core.assignment_search import (
     SearchBudgetExceeded,
     _trials_below,
@@ -46,7 +47,12 @@ from repro.runtime.algorithm import FunctionAlgorithm
 from repro.runtime.engine import TrialMemo, collect_engine_metrics, execute
 from repro.runtime.port_model import PortAwareAlgorithm
 from tests.conftest import small_graph_zoo
-from tests.oracles import reference_extension, reference_prg_search, reference_search
+from tests.oracles import (
+    per_trial_search,
+    reference_extension,
+    reference_prg_search,
+    reference_search,
+)
 
 
 def _outcome(search, *args, **kwargs):
@@ -384,6 +390,93 @@ def test_errors_surface_at_the_same_trial_as_replay(mode, trigger_state, trigger
     assert searched["messages_sent"] == 4 * searched["executions"]
     if completed < 8:  # still at length 1
         assert searched == replayed
+
+
+def seeded_memo(chunks, outputs):
+    """A ``TrialMemo`` that, before the search starts, already holds
+    every node's step on each of ``chunks`` from its initial state (with
+    its target's output when ``outputs``), so the first snapshot's
+    settle finds those option slots in the transition table."""
+
+    class Seeded(TrialMemo):
+        def __init__(self, algorithm, graph):
+            super().__init__(algorithm, graph)
+            sids = self.initial_ids()
+            for sid, inbox in zip(sids, self.inbox_keys(sids)):
+                for chunk in chunks:
+                    target = self.target(sid, chunk, inbox)
+                    if outputs:
+                        self.output(target)
+
+    return Seeded
+
+
+@pytest.mark.parametrize("outputs", [True, False], ids=["output-computed", "output-unset"])
+def test_table_hit_that_changes_an_output_raises_at_its_trial(outputs, monkeypatch):
+    # The ends of P3 decide 1 in round 0 and output 2 after drawing a 1.
+    # The settle of length 1's one snapshot finds each end's slot for a
+    # 1 in the table, with an output that changes the end's decided one
+    # (or none computed yet): it must leave the slot to its first
+    # reader, trial 1, which raises as the per-trial search and replay do.
+    monkeypatch.setattr(assignment_search, "TrialMemo", seeded_memo(("1",), outputs))
+    graph = with_uniform_input(path_graph(3))
+    algorithm, order = tripwire("flip", "", "1"), list(graph.nodes)
+    search_totals, _reference_totals = assert_same_search(algorithm, graph, order, max_length=4)
+    assert search_totals["executions"] == 1
+    searched = _outcome(smallest_successful_assignment, algorithm, graph, order)
+    assert searched[0][0] == "OutputAlreadySetError"
+    assert searched == _outcome(per_trial_search, algorithm, graph, order)
+
+
+@pytest.mark.parametrize("name", ["mis", "coloring", "two-hop-coloring", "matching"])
+def test_table_hit_without_a_computed_output_waits_for_its_reader(name, monkeypatch):
+    # Each node's slot for a 1 is in the table with no output computed:
+    # the settle cannot tell whether it decides, so its first reader
+    # fills it, and the search counts the same decided nodes.
+    monkeypatch.setattr(assignment_search, "TrialMemo", seeded_memo(("1",), outputs=False))
+    graph = with_uniform_input(path_graph(3))
+    algorithm, order = ALGORITHMS[name](), list(graph.nodes)
+    assert_same_search(algorithm, graph, order)
+    searched = _outcome(smallest_successful_assignment, algorithm, graph, order)
+    assert searched == _outcome(per_trial_search, algorithm, graph, order)
+
+
+# (bits a round, first chunk that decides, chunks the memo holds, the
+# chosen assignment, trials played).  With one bit a round the table
+# answers each node's slot for a 1, which decides: the settle itself
+# resolves both nodes, and the search stops at trial 3 of length 1.
+# With two bits a round the table answers 10 and 11 but not 01: the
+# node resolves once the reader of 01 finds it undecided, and the
+# search stops at trial 10 of length 2 (after the 4 trials of length 1).
+SETTLE_RESOLUTIONS = [
+    (1, "1", ("1",), "1", 4),
+    (2, "10", ("10", "11"), "10", 4 + 11),
+]
+
+
+@pytest.mark.parametrize(
+    "bits, decides, seeded, chosen, executions", SETTLE_RESOLUTIONS, ids=["at-settle", "at-event"]
+)
+def test_a_node_resolves_on_a_slot_its_settle_filled(
+    bits, decides, seeded, chosen, executions, monkeypatch
+):
+    # Each node of P2 decides on the first chunk ``decides``.
+    algorithm = FunctionAlgorithm(
+        init=lambda label, degree: "",
+        msg=lambda state: state,
+        step=lambda state, received, drawn: state + drawn,
+        out=lambda state: 1 if state.startswith(decides) else None,
+        bits_per_round=bits,
+        name=f"decide-on-{decides}",
+    )
+    monkeypatch.setattr(assignment_search, "TrialMemo", seeded_memo(seeded, True))
+    graph = with_uniform_input(path_graph(2))
+    order = list(graph.nodes)
+    search_totals, _reference_totals = assert_same_search(algorithm, graph, order)
+    assert search_totals["executions"] == executions
+    searched = _outcome(smallest_successful_assignment, algorithm, graph, order)
+    assert searched[0] == {0: chosen, 1: chosen}
+    assert searched == _outcome(per_trial_search, algorithm, graph, order)
 
 
 # Algorithms whose searches stop late: inside a length's trials (by

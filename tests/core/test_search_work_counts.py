@@ -19,10 +19,13 @@ failed prefix's round with a table per prefix, 456 / 864 / 1,320 and
 1,760 / 3,306 / 5,066.)
 
 The lexicographic search plays a length per prefix snapshot, not per
-trial: the first trial of a snapshot and the first trial that reads
-each of its option slots call the memo, and the others are counted from
-the slots.  The pins are those of the trial-by-trial search: the same
-executions, rounds, payloads, bits and algorithm calls.
+trial, and counts the trials from the snapshot's option slots.  A
+snapshot's first trial settles it: it fills each node's chunk-0 slot,
+and every other slot whose transition and output the memo already holds.
+Only a slot the table misses (or whose output is not computed yet, or
+changes a decided one) waits for the first trial that reads it.  The
+pins are those of the trial-by-trial search: the same executions,
+rounds, payloads, bits and algorithm calls.
 
 A prg search plays its trials in the search's interned round kernel
 (:class:`~repro.runtime.engine.TrialMemo`): the same executions with the
@@ -42,7 +45,7 @@ import pytest
 from repro.algorithms.luby_mis import AnonymousMISAlgorithm
 from repro.algorithms.matching import AnonymousMatchingAlgorithm
 from repro.algorithms.two_hop_coloring import TwoHopColoringAlgorithm
-from repro.core.assignment_search import smallest_successful_assignment
+from repro.core.assignment_search import _PrefixMemo, smallest_successful_assignment
 from repro.core.orders import canonical_node_order
 from repro.factor.quotient import finite_view_graph
 from repro.graphs.builders import (
@@ -116,6 +119,39 @@ def test_lexicographic_search_work_is_pinned(
     assert chosen == assignment
     assert {key: getattr(totals, key) for key in counts} == counts
     assert dict(algorithm.calls) == calls
+
+
+# Option-slot fills of the pinned searches: one per settle, which fills
+# every node's chunk-0 slot and each other slot whose transition and
+# output the memo already holds, and one single-slot event per other
+# slot at its first reader.  (With one event per option slot, 408 and
+# 1,546 events.)
+FILLS = {
+    "mis-C6": {"settles": 76, "events": 36},
+    "2-hop-coloring-K4": {"settles": 440, "events": 428},
+}
+
+
+@pytest.mark.parametrize("algorithm_class, graph, colors, assignment, counts, calls", CASES)
+def test_lexicographic_search_events_are_pinned(
+    algorithm_class, graph, colors, assignment, counts, calls, request, monkeypatch
+):
+    colored = apply_two_hop_coloring(with_uniform_input(graph), dict(enumerate(colors)))
+    quotient = finite_view_graph(colored)
+    simulation_graph = quotient.graph.with_only_layers(["input"])
+    fills: Counter = Counter()
+    fill = _PrefixMemo._fill
+
+    def counted_fill(self, row, settled, slots, *rest):
+        fills["events" if len(slots) == 1 else "settles"] += 1  # both graphs have n > 1
+        return fill(self, row, settled, slots, *rest)
+
+    monkeypatch.setattr(_PrefixMemo, "_fill", counted_fill)
+    chosen = smallest_successful_assignment(
+        algorithm_class(), simulation_graph, canonical_node_order(quotient.graph)
+    )
+    assert chosen == assignment
+    assert dict(fills) == FILLS[request.node.callspec.id]
 
 
 # The MIS-C6 search keeps the option slots of the 64 snapshots of

@@ -97,20 +97,9 @@ print(json.dumps({{"new": sorted(set(loaded()) - set(before)), "failures": failu
     assert out["new"] == []
 
 
-# The churn experiments encode views through ``repro.artifacts.encoders``,
-# imported inside ``differential_check``; that import and its package are
-# the one mid-pass load.
-ENCODERS_IMPORT = {
-    "repro.artifacts",
-    "repro.artifacts.encoders",
-    "repro.artifacts.keys",
-    "repro.artifacts.store",
-}
-
-
-def test_registry_pass_loads_only_the_encoders():
-    """After the first registry query, a whole pass imports nothing but
-    the artifact encoders."""
+def test_registry_pass_loads_nothing_after_the_first_query():
+    """The first registry query loads every module a pass runs: a whole
+    pass imports no further ``repro`` module."""
     out = _run(
         """
 from repro.experiments import all_experiment_ids, run_experiments
@@ -122,7 +111,7 @@ print(json.dumps({"new": sorted(set(loaded()) - set(before)), "ids": len(ids),
 """
     )
     assert out["ids"] == 28 and out["passed"]
-    assert set(out["new"]) <= ENCODERS_IMPORT
+    assert out["new"] == []
 
 
 def test_import_does_not_register_experiments():
