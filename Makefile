@@ -40,7 +40,7 @@ bench-smoke:  ## 1 s runs of the search and reconstruct (prg) workloads: fails u
 perf:  ## rewrite the benchmarks/BENCH_views.json perf baseline
 	$(PYTHON) benchmarks/run_perf_suite.py
 
-perf-smoke:  ## quick perf gate: cold views within 2x of the baseline; live floors: reconstruct >=5x, shared reconstruction walk >=16x, lexicographic search >=32x, snapshot search >=4.0x (MIS star) / >=1.1x (2-hop K4), prg search >=1.7x (MIS) / >=0.9x (matching), factor enumeration >=1.5x/6x, candidate enumeration >=50x/50x, plan-built view deepening >=1.3x, cold start >=1.5x (+ dynamic, artifacts)
+perf-smoke:  ## quick perf gate: cold views within 2x of the baseline; live floors: reconstruct >=5x, shared reconstruction walk >=16x, lexicographic search >=32x, snapshot search >=4.0x (MIS star) / >=1.1x (2-hop K4), prg search >=1.7x (MIS) / >=0.9x (matching), factor enumeration >=1.5x/6x, candidate enumeration >=50x/50x, plan-built view deepening >=1.3x, cold start >=1.5x, graph derivation >=1.5x (+ dynamic, artifacts)
 	$(PYTHON) benchmarks/run_perf_suite.py --quick --check $(PERF_SMOKE_FLAGS)
 
 smoke:  ## differential gates: faults, churn, hash seed, cold/warm artifacts (repro.experiments.gates)

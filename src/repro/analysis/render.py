@@ -7,9 +7,10 @@ so the timeline stays scannable.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any
 
-from repro.graphs.labeled_graph import _sort_key
+from repro.graphs.labeled_graph import sorted_nodes
 from repro.runtime.trace import ExecutionTrace
 
 
@@ -29,8 +30,8 @@ def render_output_timeline(trace: ExecutionTrace) -> str:
     if not decided:
         return "(no outputs set)"
     lines = ["output timeline:"]
-    for round_number, v, value in sorted(
-        decided, key=lambda item: (item[0], _sort_key(item[1]))
-    ):
+    # Stable sorts: by round, ties in node order.
+    by_node = sorted_nodes(decided, key=itemgetter(1))
+    for round_number, v, value in sorted(by_node, key=itemgetter(0)):
         lines.append(f"  round {round_number:>3}: node {v!r} -> {_abbreviate(value, 40)}")
     return "\n".join(lines)

@@ -26,7 +26,7 @@ from repro.exceptions import ArtifactError
 from repro.factor.factorizing_map import FactorizingMap
 from repro.factor.quotient import QuotientResult
 from repro.graphs.io import _decode, _encode, graph_from_dict, graph_to_dict
-from repro.graphs.labeled_graph import Node, _sort_key
+from repro.graphs.labeled_graph import Node, sorted_nodes
 from repro.views.refinement import RefinementResult
 from repro.views.view_tree import ViewTree
 
@@ -113,7 +113,7 @@ def _trees_of(pool: "Sequence[Sequence[Any]]") -> "list[ViewTree]":
 
 
 def _encode_node_views(views: "Mapping[Node, ViewTree]", kind: str) -> bytes:
-    nodes = sorted(views, key=_sort_key)
+    nodes = sorted_nodes(views)
     pool, roots = _pool_of([views[v] for v in nodes])
     return canonical_bytes(
         {
@@ -156,7 +156,7 @@ def decode_dynamic_views(payload: bytes) -> "dict[Node, ViewTree]":
 
 
 def encode_refinement(result: RefinementResult) -> bytes:
-    nodes = sorted(result.classes, key=_sort_key)
+    nodes = sorted_nodes(result.classes)
     return canonical_bytes(
         {
             "format": PAYLOAD_FORMAT,

@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 
 from repro.exceptions import FactorError
-from repro.graphs.labeled_graph import LabeledGraph, Node, _sort_key
+from repro.graphs.labeled_graph import LabeledGraph, Node, sorted_nodes
 
 
 class FactorizingMap:
@@ -63,9 +63,7 @@ class FactorizingMap:
         """All product nodes mapping to ``target`` (sorted)."""
         if not self._factor.has_node(target):
             raise FactorError(f"unknown factor node {target!r}")
-        return tuple(
-            sorted((v for v, t in self._mapping.items() if t == target), key=_sort_key)
-        )
+        return tuple(sorted_nodes(v for v, t in self._mapping.items() if t == target))
 
     @property
     def multiplicity(self) -> int:

@@ -135,6 +135,9 @@ def _equal_size_partitions(
         blocks.pop()
 
     backtrack(0, 0)
+    # The closure refers to itself; breaking the cycle frees the search
+    # state now instead of at the next cyclic collection.
+    del backtrack
     return partitions
 
 

@@ -42,12 +42,49 @@ def k_hop_conflicts(
 
 def is_k_hop_coloring(graph: LabeledGraph, coloring: dict[Node, Label], k: int) -> bool:
     """Whether ``coloring`` is a valid k-hop coloring of ``graph``."""
+    if k == 2:
+        return is_two_hop_coloring(graph, coloring)
     return not k_hop_conflicts(graph, coloring, k)
 
 
+# Exact label types whose hashing agrees with ``==`` (equal values hash
+# alike, and every value equals itself), so a set finds repeats exactly.
+_HASH_EXACT = frozenset((int, str, bool, bytes, type(None)))
+
+
+def _rainbow(labels: list) -> bool:
+    """No two labels compare equal, by pairwise ``==`` either way round."""
+    return not any(
+        a == b or b == a for i, a in enumerate(labels) for b in labels[i + 1 :]
+    )
+
+
 def is_two_hop_coloring(graph: LabeledGraph, coloring: dict[Node, Label]) -> bool:
-    """Whether ``coloring`` is a valid 2-hop coloring (the paper's case)."""
-    return is_k_hop_coloring(graph, coloring, 2)
+    """Whether ``coloring`` is a valid 2-hop coloring (the paper's case).
+
+    Two distinct nodes are within 2 hops exactly when some closed
+    neighbourhood ``N[v]`` holds both, so this checks that every
+    ``N[v]`` is rainbow: one pass over the adjacency instead of a
+    2-hop ball per node.  It agrees with ``k_hop_conflicts(graph,
+    coloring, 2) == []`` for every label type: a set finds repeats only
+    among labels whose hashing agrees with ``==``, and pairwise ``==``
+    decides the rest (unhashable labels, ``nan``, user types).
+    """
+    missing = [v for v in graph.nodes if v not in coloring]
+    if missing:
+        raise LabelingError(f"coloring does not cover nodes {missing!r}")
+    if frozenset(type(coloring[v]) for v in graph.nodes) <= _HASH_EXACT:
+        for v in graph.nodes:
+            neighbors = graph.neighbors(v)
+            colors = {coloring[u] for u in neighbors}
+            colors.add(coloring[v])
+            if len(colors) <= len(neighbors):
+                return False
+        return True
+    return all(
+        _rainbow([coloring[v], *(coloring[u] for u in graph.neighbors(v))])
+        for v in graph.nodes
+    )
 
 
 def greedy_k_hop_coloring(graph: LabeledGraph, k: int) -> dict[Node, int]:
@@ -84,8 +121,8 @@ def apply_two_hop_coloring(
     graph: LabeledGraph, coloring: dict[Node, Label], layer: str = "color"
 ) -> LabeledGraph:
     """Attach ``coloring`` as a layer after validating it is 2-hop proper."""
-    conflicts = k_hop_conflicts(graph, coloring, 2)
-    if conflicts:
+    if not is_two_hop_coloring(graph, coloring):
+        conflicts = k_hop_conflicts(graph, coloring, 2)
         raise LabelingError(
             f"not a 2-hop coloring; conflicting pairs: {conflicts[:5]!r}"
             + ("..." if len(conflicts) > 5 else "")

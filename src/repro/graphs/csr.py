@@ -15,8 +15,16 @@ Memory layout (n nodes, m edges)::
     offsets       array('l'), n+1   CSR row pointers
     targets       array('l'), 2m    neighbor indices, sorted per row
     label_ranks   array('l'), n     composed-label rank per node
-    layer_ranks   {name: array}     per-layer label rank per node
+    layer_ranks   {name: array}     per-layer label rank per node (on first read)
     adjacency     list[list[int]]   row slices of ``targets`` as lists
+
+The topology arrays (``index``, ``offsets``, ``targets``,
+``adjacency``) depend only on the node and edge sets, so a graph
+derived by relabeling (``with_layer``, ``without_layer``,
+``with_only_layers``, ``with_ports``) shares them with its parent: they
+are built once per topology, by whichever graph of the family first
+needs a mirror.  Each mirror ranks its own composed labels and has its
+own BFS scratch.
 
 ``adjacency`` duplicates ``targets`` as Python lists because CPython
 iterates a small list faster than an ``array`` slice; the arrays remain
@@ -69,11 +77,27 @@ def _rank_values(values: list) -> tuple[array, list]:
     return ranks, distinct
 
 
+def _topology_arrays(graph: "LabeledGraph") -> tuple[dict, array, array, list[list[int]]]:
+    """``(index, offsets, targets, adjacency)`` of ``graph``'s topology."""
+    index = {v: i for i, v in enumerate(graph.nodes)}
+    offsets = array("l", [0])
+    targets = array("l")
+    adjacency: list[list[int]] = []
+    ig = index.__getitem__
+    for v in graph.nodes:
+        row = list(map(ig, graph.neighbors(v)))
+        adjacency.append(row)
+        targets.extend(row)
+        offsets.append(len(targets))
+    return index, offsets, targets, adjacency
+
+
 class CSRGraph:
     """Immutable flat-array mirror of one :class:`LabeledGraph`.
 
-    Built lazily by :func:`csr_of` and memoized on the graph instance;
-    do not construct directly unless you want an unshared copy.
+    Built lazily by :func:`csr_of` and memoized on the graph instance.
+    Constructing one directly gives a mirror with its own labels and BFS
+    scratch, on the topology arrays its graph family shares.
     """
 
     __slots__ = (
@@ -86,8 +110,8 @@ class CSRGraph:
         "label_ranks",
         "label_values",
         "num_labels",
-        "layer_ranks",
-        "layer_values",
+        "_layers",
+        "_layer_tables",
         "_visited",
         "_epoch",
     )
@@ -95,43 +119,45 @@ class CSRGraph:
     def __init__(self, graph: "LabeledGraph") -> None:
         nodes = graph.nodes
         n = len(nodes)
-        index = {v: i for i, v in enumerate(nodes)}
-
-        offsets = array("l", [0])
-        targets = array("l")
-        adjacency: list[list[int]] = []
-        ig = index.__getitem__
-        for v in nodes:
-            row = list(map(ig, graph.neighbors(v)))
-            adjacency.append(row)
-            targets.extend(row)
-            offsets.append(len(targets))
-
+        shared = graph._topology
+        if shared[0] is None:
+            shared[0] = _topology_arrays(graph)
+        self.index, self.offsets, self.targets, self.adjacency = shared[0]
         self.nodes = nodes
-        self.index = index
         self.num_nodes = n
-        self.offsets = offsets
-        self.targets = targets
-        self.adjacency = adjacency
 
         self.label_ranks, self.label_values = _rank_values(
             [graph.label(v) for v in nodes]
         )
         self.num_labels = len(self.label_values)
-
-        self.layer_ranks: dict[str, array] = {}
-        self.layer_values: dict[str, list] = {}
-        for name in graph.layer_names:
-            layer = graph.layer(name)
-            ranks, distinct = _rank_values([layer[v] for v in nodes])
-            self.layer_ranks[name] = ranks
-            self.layer_values[name] = distinct
+        # Per-layer ranks are built on first read: no kernel needs them.
+        self._layers = graph._layers
+        self._layer_tables: tuple[dict[str, array], dict[str, list]] | None = None
 
         # BFS scratch: a node is visited iff its stamp equals the current
         # epoch, so queries reset state by bumping the counter, not by
         # clearing the buffer.  'q' gives 64-bit stamps — no wraparound.
         self._visited = array("q", bytes(8 * n))
         self._epoch = 0
+
+    def _tables(self) -> tuple[dict[str, array], dict[str, list]]:
+        if self._layer_tables is None:
+            ranks: dict[str, array] = {}
+            values: dict[str, list] = {}
+            for name, layer in self._layers.items():
+                ranks[name], values[name] = _rank_values([layer[v] for v in self.nodes])
+            self._layer_tables = ranks, values
+        return self._layer_tables
+
+    @property
+    def layer_ranks(self) -> dict[str, array]:
+        """Per-layer label rank per node, keyed by layer name."""
+        return self._tables()[0]
+
+    @property
+    def layer_values(self) -> dict[str, list]:
+        """Per-layer distinct labels, indexed by rank."""
+        return self._tables()[1]
 
     # -- BFS kernels -----------------------------------------------------
 
@@ -195,11 +221,7 @@ def csr_of(graph: "LabeledGraph") -> CSRGraph:
     :func:`repro.views.view_tree.clear_caches` by design (they hold no
     interned trees, only integers).
     """
-    csr = graph._csr
-    if csr is None:
-        csr = CSRGraph(graph)
-        graph._csr = csr
-    return csr
+    return graph._csr_mirror()
 
 
 # ----------------------------------------------------------------------

@@ -20,7 +20,7 @@ views, quotients and simulations to share graphs freely.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 from typing import Any
 
 from repro.exceptions import GraphError, LabelingError
@@ -35,8 +35,9 @@ class _SortKey:
     order within a type when values are comparable, else by repr.
 
     Node ids are usually homogeneous (all ints or all strings), in which
-    case this reduces to the natural order; mixing or non-orderable types
-    stays deterministic instead of raising ``TypeError``.
+    case this reduces to the natural order (see :func:`node_key`); mixing
+    or non-orderable types stays deterministic instead of raising
+    ``TypeError``.
     """
 
     __slots__ = ("value", "type_name")
@@ -62,8 +63,29 @@ class _SortKey:
         return isinstance(other, _SortKey) and self.value == other.value
 
 
-def _sort_key(value: Any) -> _SortKey:
-    return _SortKey(value)
+# Exact id types whose natural order is _SortKey's order for a
+# homogeneous set of them (one type name, total order, bool results).
+_NATIVE_ORDER = (frozenset((int,)), frozenset((str,)))
+
+
+def node_key(nodes: Iterable[Node]) -> type[_SortKey] | None:
+    """The sort key that puts ``nodes`` in the library's node order:
+    ``None`` (sort natively) when every id has exact type ``int`` or
+    every id has exact type ``str``, else :class:`_SortKey`."""
+    return None if frozenset(map(type, nodes)) in _NATIVE_ORDER else _SortKey
+
+
+def sorted_nodes(items: Iterable[Any], key: Callable[[Any], Node] | None = None) -> list:
+    """``items`` sorted by node order (of ``key(item)`` when ``key`` is
+    given).  Equal to ``sorted(items, key=lambda x: _SortKey(key(x)))``,
+    without a wrapper object per item when the ids sort natively."""
+    items = list(items)
+    order = node_key(items if key is None else map(key, items))
+    if order is None:
+        return sorted(items, key=key)
+    if key is None:
+        return sorted(items, key=order)
+    return sorted(items, key=lambda item: order(key(item)))
 
 
 class LabeledGraph:
@@ -100,6 +122,7 @@ class LabeledGraph:
         "_hash",
         "_structure_key",
         "_csr",
+        "_topology",
         "_plan",
     )
 
@@ -129,9 +152,10 @@ class LabeledGraph:
         if not adjacency:
             raise GraphError("a labeled graph must have at least one node")
 
-        self._nodes: tuple[Node, ...] = tuple(sorted(adjacency, key=_sort_key))
+        key = node_key(adjacency)
+        self._nodes: tuple[Node, ...] = tuple(sorted(adjacency, key=key))
         self._adjacency: dict[Node, tuple[Node, ...]] = {
-            v: tuple(sorted(neighbors, key=_sort_key)) for v, neighbors in adjacency.items()
+            v: tuple(sorted(neighbors, key=key)) for v, neighbors in adjacency.items()
         }
         self._edges: frozenset[frozenset[Node]] = frozenset(edge_set)
 
@@ -145,24 +169,11 @@ class LabeledGraph:
             for name, mapping in layers.items():
                 self._layers[name] = self._validate_layer(name, mapping)
 
-        self._ports: dict[Node, tuple[Node, ...]] = {}
-        self._port_of: dict[Node, dict[Node, int]] = {}
-        if ports is None:
-            for v in self._nodes:
-                self._ports[v] = self._adjacency[v]
-        else:
-            for v in self._nodes:
-                if v not in ports:
-                    raise GraphError(f"port numbering missing for node {v!r}")
-                ordering = tuple(ports[v])
-                if sorted(ordering, key=_sort_key) != list(self._adjacency[v]):
-                    raise GraphError(
-                        f"port numbering of node {v!r} must be a permutation of its "
-                        f"neighbors {self._adjacency[v]!r}, got {ordering!r}"
-                    )
-                self._ports[v] = ordering
-        for v in self._nodes:
-            self._port_of[v] = {u: port for port, u in enumerate(self._ports[v])}
+        self._set_ports(self._adjacency if ports is None else self._validate_ports(ports))
+        self._topology: list = [None]  # CSR topology arrays, shared by derived graphs
+        self._reset_caches()
+
+    def _reset_caches(self) -> None:
         self._hash: int | None = None
         self._structure_key: tuple | None = None
         self._csr = None  # lazily built CSR mirror (repro.graphs.csr)
@@ -187,9 +198,10 @@ class LabeledGraph:
 
     def edges(self) -> Iterator[Edge]:
         """Yield each undirected edge once, as a sorted pair, in sorted order."""
-        pairs = [tuple(sorted(edge, key=_sort_key)) for edge in self._edges]
-        for u, v in sorted(pairs, key=lambda p: (_sort_key(p[0]), _sort_key(p[1]))):
-            yield (u, v)
+        key = node_key(self._nodes)
+        pairs = [tuple(sorted(edge, key=key)) for edge in self._edges]
+        pairs.sort(key=None if key is None else lambda p: (key(p[0]), key(p[1])))
+        yield from pairs
 
     def has_node(self, v: Node) -> bool:
         return v in self._adjacency
@@ -230,6 +242,26 @@ class LabeledGraph:
         except KeyError:
             raise GraphError(f"unknown node {v!r}") from None
 
+    def _validate_ports(self, ports: Mapping[Node, Sequence[Node]]) -> dict[Node, tuple[Node, ...]]:
+        tables = {}
+        for v in self._nodes:
+            if v not in ports:
+                raise GraphError(f"port numbering missing for node {v!r}")
+            ordering = tuple(ports[v])
+            if sorted_nodes(ordering) != list(self._adjacency[v]):
+                raise GraphError(
+                    f"port numbering of node {v!r} must be a permutation of its "
+                    f"neighbors {self._adjacency[v]!r}, got {ordering!r}"
+                )
+            tables[v] = ordering
+        return tables
+
+    def _set_ports(self, ports: Mapping[Node, tuple[Node, ...]]) -> None:
+        self._ports: dict[Node, tuple[Node, ...]] = {v: ports[v] for v in self._nodes}
+        self._port_of: dict[Node, dict[Node, int]] = {
+            v: {u: port for port, u in enumerate(order)} for v, order in self._ports.items()
+        }
+
     def neighbor_to_port(self, v: Node, u: Node) -> int:
         self.ports(v)
         try:
@@ -247,9 +279,10 @@ class LabeledGraph:
             raise LabelingError(
                 f"layer {name!r} does not label nodes {missing!r}"
             )
-        extra = [v for v in mapping if v not in self._adjacency]
-        if extra:
-            raise LabelingError(f"layer {name!r} labels unknown nodes {extra!r}")
+        if len(mapping) != len(self._nodes):
+            extra = [v for v in mapping if v not in self._adjacency]
+            if extra:
+                raise LabelingError(f"layer {name!r} labels unknown nodes {extra!r}")
         return {v: mapping[v] for v in self._nodes}
 
     @property
@@ -287,9 +320,9 @@ class LabeledGraph:
 
     def with_layer(self, name: str, mapping: Mapping[Node, Label]) -> "LabeledGraph":
         """A new graph with layer ``name`` added or replaced."""
-        layers = {n: dict(m) for n, m in self._layers.items()}
-        layers[name] = dict(mapping)
-        return self._replace(layers=layers)
+        layers = dict(self._layers)
+        layers[name] = self._validate_layer(name, mapping)
+        return self._derive(layers)
 
     def without_layer(self, name: str) -> "LabeledGraph":
         """A new graph with layer ``name`` removed."""
@@ -297,39 +330,46 @@ class LabeledGraph:
             raise LabelingError(
                 f"no layer named {name!r}; available: {self.layer_names!r}"
             )
-        layers = {n: dict(m) for n, m in self._layers.items() if n != name}
-        return self._replace(layers=layers)
+        return self._derive({n: m for n, m in self._layers.items() if n != name})
 
     def with_only_layers(self, names: Sequence[str]) -> "LabeledGraph":
-        """A new graph keeping exactly the given layers, in the given order."""
+        """A graph keeping exactly the given layers, in the given order
+        (``self`` when those are already its layers, in that order)."""
         for name in names:
             if name not in self._layers:
                 raise LabelingError(
                     f"no layer named {name!r}; available: {self.layer_names!r}"
                 )
-        layers = {name: dict(self._layers[name]) for name in names}
-        return self._replace(layers=layers)
-
-    def _replace(
-        self,
-        layers: dict[str, dict[Node, Label]] | None = None,
-        ports: Mapping[Node, Sequence[Node]] | None = None,
-    ) -> "LabeledGraph":
-        return LabeledGraph(
-            edges=[tuple(edge) for edge in self._edges],
-            nodes=self._nodes,
-            layers=self._layers if layers is None else layers,
-            ports=self._ports if ports is None else ports,
-            check_connected=False,
-        )
+        if tuple(names) == self.layer_names:
+            return self
+        return self._derive({name: self._layers[name] for name in names})
 
     def with_ports(self, ports: Mapping[Node, Sequence[Node]]) -> "LabeledGraph":
         """A new graph with an explicit port numbering."""
-        return self._replace(ports=ports)
+        tables = self._validate_ports(ports)
+        graph = self._derive(self._layers)
+        graph._set_ports(tables)
+        return graph
+
+    def _derive(self, layers: dict[str, dict[Node, Label]]) -> "LabeledGraph":
+        """A graph on this one's topology with ``layers``, each already
+        validated against it.  Graphs are immutable, so the node tuple,
+        adjacency, edge set, ports, layer dicts and CSR topology arrays
+        are shared, not copied."""
+        graph = object.__new__(LabeledGraph)
+        graph._nodes = self._nodes
+        graph._adjacency = self._adjacency
+        graph._edges = self._edges
+        graph._layers = layers
+        graph._ports = self._ports
+        graph._port_of = self._port_of
+        graph._topology = self._topology
+        graph._reset_caches()
+        return graph
 
     def relabel_nodes(self, mapping: Mapping[Node, Node]) -> "LabeledGraph":
         """A new graph with node ids renamed by a bijection."""
-        if sorted(mapping, key=_sort_key) != list(self._nodes):
+        if sorted_nodes(mapping) != list(self._nodes):
             raise GraphError("relabeling must cover exactly the node set")
         if len(set(mapping.values())) != len(self._nodes):
             raise GraphError("relabeling must be injective")
@@ -414,7 +454,7 @@ class LabeledGraph:
         if self._structure_key is None:
             self._structure_key = (
                 self._nodes,
-                tuple(sorted(self.edges(), key=lambda p: (_sort_key(p[0]), _sort_key(p[1])))),
+                tuple(self.edges()),
                 # Layer insertion order is part of graph identity by
                 # contract (it is the order label() composes layer values
                 # in), so iterating .items() here is deliberate.
@@ -457,10 +497,8 @@ class LabeledGraph:
         self._layers = state["_layers"]
         self._ports = state["_ports"]
         self._port_of = state["_port_of"]
-        self._hash = None
-        self._structure_key = None
-        self._csr = None
-        self._plan = None
+        self._topology = [None]
+        self._reset_caches()
 
     def __repr__(self) -> str:
         return (

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +15,7 @@ from repro.exceptions import GraphError
 from repro.factor.factorizing_map import FactorizingMap
 from repro.factor.lifting import verify_execution_lifting
 from repro.factor.prime import (
+    _equal_size_partitions,
     _partition_to_factor,
     all_factors,
     is_prime,
@@ -296,3 +299,19 @@ def test_partition_whose_blocks_see_the_same_blocks_is_a_factor():
     assert factor_map is not None
     assert are_isomorphic(factor_map.factor, _uniform(cycle_graph(4)))
     FactorizingMap(graph, factor_map.factor, factor_map.as_dict())  # verifies
+
+
+def test_partition_search_leaves_no_cyclic_garbage():
+    """The backtracking closure refers to itself; unless the search
+    breaks that cycle, every partition it found stays alive until the
+    next cyclic collection."""
+    graph = with_uniform_input(cycle_graph(12))
+    classes = {v: 0 for v in graph.nodes}
+    graph.nodes_within(0, 2)  # the CSR mirror, built outside the check
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(_equal_size_partitions(graph, classes, 3)) > 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

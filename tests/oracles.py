@@ -21,7 +21,11 @@ suite imports it without the test dependencies.
 * candidate enumeration: :func:`reference_enumerate_candidates`, every
   connected labeled graph on at most ``min(phase, max_nodes)`` nodes;
 * view deepening: :func:`reference_deepen`, one ``_make_ranked`` per
-  class at every stable level.
+  class at every stable level;
+* graph derivation: :func:`reference_derive`, the topology rebuilt from
+  its edges by the constructor, read back through :func:`csr_tables`;
+  node order: :func:`reference_sorted_nodes` and :func:`reference_edges`,
+  one ``_SortKey`` per id.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from repro.exceptions import DerandomizationError, FactorError, GraphError
 from repro.factor.factorizing_map import FactorizingMap
 from repro.factor.prime import _divisors
 from repro.factor.quotient import finite_view_graph
-from repro.graphs.labeled_graph import LabeledGraph
+from repro.graphs.labeled_graph import LabeledGraph, _SortKey
 from repro.runtime.engine import _absorb_all, _NotInternable, _output_changed, _wall_clock, execute
 from repro.views import view_tree
 from repro.views.local_views import ViewBuilder, all_views
@@ -145,6 +149,59 @@ def reference_deepen(builder: ViewBuilder, depth: int) -> None:
         levels.append((trees, colors))
         counts.append(count)
         prev_trees = trees
+
+
+# ----------------------------------------------------------------------
+# Graphs: node order and derivation
+# ----------------------------------------------------------------------
+
+
+def reference_sorted_nodes(items, key=None):
+    """``items`` in node order, one ``_SortKey`` per item."""
+    if key is None:
+        return sorted(items, key=_SortKey)
+    return sorted(items, key=lambda item: _SortKey(key(item)))
+
+
+def reference_edges(graph):
+    """``graph.edges()`` as it sorted every pair by ``_SortKey``s."""
+    pairs = [tuple(sorted(edge, key=_SortKey)) for edge in graph._edges]
+    return sorted(pairs, key=lambda p: (_SortKey(p[0]), _SortKey(p[1])))
+
+
+def reference_derive(graph, layers=None, ports=None):
+    """``graph`` with ``layers`` and ``ports`` (by default its own),
+    built from scratch: the constructor re-sorts and re-validates the
+    topology from its edge list."""
+    if layers is None:
+        layers = {name: graph.layer(name) for name in graph.layer_names}
+    if ports is None:
+        ports = {v: graph.ports(v) for v in graph.nodes}
+    return LabeledGraph(
+        edges=list(graph.edges()),
+        nodes=graph.nodes,
+        layers=layers,
+        ports=ports,
+        check_connected=False,
+    )
+
+
+def csr_tables(graph):
+    """Every array and rank table of ``graph``'s CSR mirror, as plain
+    values that compare by ``==``."""
+    csr = graph._csr_mirror()
+    return (
+        csr.nodes,
+        dict(csr.index),
+        list(csr.offsets),
+        list(csr.targets),
+        csr.adjacency,
+        list(csr.label_ranks),
+        csr.label_values,
+        csr.num_labels,
+        {name: list(ranks) for name, ranks in csr.layer_ranks.items()},
+        csr.layer_values,
+    )
 
 
 # ----------------------------------------------------------------------
